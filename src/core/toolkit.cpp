@@ -70,11 +70,16 @@ std::vector<std::string> DesignFlow::response_names() const { return results().r
 
 rsm::ValidationReport DesignFlow::validate(const std::string& response, std::size_t n_points) {
     const rsm::ResponseSurface& s = surface(response);
-    const doe::Design probe =
-        doe::latin_hypercube(n_points, space_.dimension(), options_.seed ^ 0xA5A5u);
-    const doe::RunResults res = runner_->run_points(space_, probe.points);
+    auto it = holdouts_.find(n_points);
+    if (it == holdouts_.end()) {
+        const doe::Design lhs =
+            doe::latin_hypercube(n_points, space_.dimension(), options_.seed ^ 0xA5A5u);
+        it = holdouts_.emplace(n_points, lhs.points).first;
+    }
+    const num::Matrix& probe = it->second;
+    const doe::RunResults res = runner_->run_points(space_, probe);
     simulator_calls_ += res.simulations;
-    return rsm::validate_holdout(s.fit(), probe.points, res.response(response));
+    return rsm::validate_holdout(s.fit(), probe, res.response(response));
 }
 
 std::vector<std::pair<double, double>> DesignFlow::sweep(const std::string& response,
@@ -106,8 +111,9 @@ OptimizationOutcome DesignFlow::optimize(const std::string& objective, bool maxi
                                          const std::vector<ResponseConstraint>& constraints,
                                          bool confirm_with_simulation) {
     const rsm::ResponseSurface& obj_surface = surface(objective);
-    // Make sure constrained surfaces exist before building the closure.
-    for (const auto& c : constraints) surface(c.response);
+    // Resolve the constrained surfaces once, before building the closure.
+    std::vector<const rsm::ResponseSurface*> constrained;
+    for (const auto& c : constraints) constrained.push_back(&surface(c.response));
 
     // Penalty scale: the objective's observed spread keeps the penalty
     // meaningfully dominant without destroying conditioning.
@@ -125,8 +131,9 @@ OptimizationOutcome DesignFlow::optimize(const std::string& objective, bool maxi
         ++rsm_evals;
         double v = obj_surface.value(x);
         if (maximize) v = -v;
-        for (const auto& c : constraints) {
-            const double r = surfaces_.at(c.response).value(x);
+        for (std::size_t i = 0; i < constraints.size(); ++i) {
+            const ResponseConstraint& c = constraints[i];
+            const double r = constrained[i]->value(x);
             if (r < c.min) {
                 const double d = (c.min - r) / spread;
                 v += penalty_w * d * d;

@@ -165,8 +165,6 @@ public:
     std::map<std::string, double> predict_all(const num::Vector& coded);
 
 private:
-    const rsm::ResponseSurface& surface_checked(const std::string& response) const;
-
     doe::DesignSpace space_;
     Options options_;
     /// The batch evaluation engine: owns the simulation, the thread pool
@@ -174,6 +172,9 @@ private:
     std::unique_ptr<doe::BatchRunner> runner_;
     std::optional<doe::RunResults> results_;
     std::map<std::string, rsm::ResponseSurface> surfaces_;
+    /// validate()'s coded hold-out designs by point count: the seed and the
+    /// dimension are fixed per flow, so each LHS is generated once.
+    std::map<std::size_t, num::Matrix> holdouts_;
     std::size_t simulator_calls_ = 0;
 };
 

@@ -13,7 +13,6 @@ unsigned Monomial::degree() const {
     return d;
 }
 
-namespace {
 double int_pow(double x, unsigned e) {
     double r = 1.0;
     while (e) {
@@ -23,7 +22,6 @@ double int_pow(double x, unsigned e) {
     }
     return r;
 }
-}  // namespace
 
 double Monomial::evaluate(const Vector& x) const {
     if (x.size() != exponents.size())
@@ -147,12 +145,6 @@ std::vector<Monomial> quadratic_basis(std::size_t k) {
         terms.push_back(std::move(m));
     }
     return terms;
-}
-
-Vector model_row(const std::vector<Monomial>& terms, const Vector& x) {
-    Vector row(terms.size());
-    for (std::size_t j = 0; j < terms.size(); ++j) row[j] = terms[j].evaluate(x);
-    return row;
 }
 
 Matrix model_matrix(const std::vector<Monomial>& terms, const Matrix& points) {

@@ -52,8 +52,9 @@ std::vector<Monomial> interaction_basis(std::size_t k);
 /// Full quadratic basis (the standard second-order RSM model).
 std::vector<Monomial> quadratic_basis(std::size_t k);
 
-/// Evaluate a term set into one row of the regression matrix.
-Vector model_row(const std::vector<Monomial>& terms, const Vector& x);
+/// x^e by binary powering, the power Monomial::evaluate multiplies in per
+/// variable (int_pow(x, 0) == 1, int_pow(x, 1) == x).
+double int_pow(double x, unsigned e);
 
 /// Full regression matrix: one row per design point.
 Matrix model_matrix(const std::vector<Monomial>& terms, const Matrix& points);

@@ -30,6 +30,17 @@ OptResult nelder_mead(const Objective& f, const Bounds& bounds, const Vector& x0
 
     OptResult res;
     std::vector<std::size_t> order(k + 1);
+    // Work vectors for the trial points, reused across iterations; an
+    // accepted trial point swaps buffers with the vertex it replaces.
+    Vector cen(k), xr(k), xe(k), xc(k);
+    // out = clamp(base + coef * (to - from)) coordinate by coordinate. Each
+    // move below keeps its own operand order: a sign-flipped equivalent such
+    // as -coef * (from - to) can round a zero to the other sign.
+    const auto trial = [&](Vector& out, const Vector& base, double coef, const Vector& to,
+                           const Vector& from) {
+        for (std::size_t d = 0; d < k; ++d)
+            out[d] = std::clamp(base[d] + coef * (to[d] - from[d]), bounds.lo[d], bounds.hi[d]);
+    };
 
     for (res.iterations = 0; res.iterations < opt.max_iterations; ++res.iterations) {
         std::iota(order.begin(), order.end(), std::size_t{0});
@@ -45,55 +56,44 @@ OptResult nelder_mead(const Objective& f, const Bounds& bounds, const Vector& x0
         }
 
         // Centroid of all but the worst.
-        Vector cen(k);
+        cen.fill(0.0);
         for (std::size_t i = 0; i <= k; ++i) {
             if (i == worst) continue;
-            cen += xs[i];
+            for (std::size_t d = 0; d < k; ++d) cen[d] += xs[i][d];
         }
-        cen /= static_cast<double>(k);
+        for (std::size_t d = 0; d < k; ++d) cen[d] /= static_cast<double>(k);
 
-        auto towards = [&](double coef) {
-            Vector x = cen;
-            x.axpy(coef, cen - xs[worst]);
-            return bounds.clamp(std::move(x));
-        };
-
-        const Vector xr = towards(opt.reflection);
+        trial(xr, cen, opt.reflection, cen, xs[worst]);
         const double fr = obj(xr);
         if (fr < fv[best]) {
-            const Vector xe = towards(opt.expansion);
+            trial(xe, cen, opt.expansion, cen, xs[worst]);
             const double fe = obj(xe);
             if (fe < fr) {
-                xs[worst] = xe;
+                std::swap(xs[worst], xe);
                 fv[worst] = fe;
             } else {
-                xs[worst] = xr;
+                std::swap(xs[worst], xr);
                 fv[worst] = fr;
             }
         } else if (fr < fv[second_worst]) {
-            xs[worst] = xr;
+            std::swap(xs[worst], xr);
             fv[worst] = fr;
         } else {
             // Contract (outside if the reflection helped at all).
-            const bool outside = fr < fv[worst];
-            Vector xc = cen;
-            if (outside) {
-                xc.axpy(opt.contraction, xr - cen);
+            if (fr < fv[worst]) {
+                trial(xc, cen, opt.contraction, xr, cen);
             } else {
-                xc.axpy(-opt.contraction, cen - xs[worst]);
+                trial(xc, cen, -opt.contraction, cen, xs[worst]);
             }
-            xc = bounds.clamp(std::move(xc));
             const double fc = obj(xc);
             if (fc < std::min(fr, fv[worst])) {
-                xs[worst] = xc;
+                std::swap(xs[worst], xc);
                 fv[worst] = fc;
             } else {
                 // Shrink toward the best vertex.
                 for (std::size_t i = 0; i <= k; ++i) {
                     if (i == best) continue;
-                    Vector xn = xs[best];
-                    xn.axpy(opt.shrink, xs[i] - xs[best]);
-                    xs[i] = bounds.clamp(std::move(xn));
+                    trial(xs[i], xs[best], opt.shrink, xs[i], xs[best]);
                     fv[i] = obj(xs[i]);
                 }
             }

@@ -19,14 +19,25 @@ double FitResult::rmse() const {
     return n > 0 ? std::sqrt(sse / static_cast<double>(n)) : 0.0;
 }
 
+namespace {
+void check_predict_shape(const FitResult& f, std::size_t dimension) {
+    if (dimension != f.model.dimension())
+        throw std::invalid_argument("FitResult::predict: point dimension mismatch");
+    if (f.coefficients.size() != f.model.num_terms())
+        throw std::invalid_argument("FitResult::predict: coefficient count mismatch");
+}
+}  // namespace
+
 double FitResult::predict(const Vector& coded) const {
-    return num::dot(model.build_row(coded), coefficients);
+    check_predict_shape(*this, coded.size());
+    return model.predict(coded.data(), coefficients.data());
 }
 
 std::vector<double> FitResult::predict(const Matrix& coded_points) const {
+    check_predict_shape(*this, coded_points.cols());
     std::vector<double> out(coded_points.rows());
     for (std::size_t i = 0; i < coded_points.rows(); ++i) {
-        out[i] = predict(coded_points.row(i));
+        out[i] = model.predict(coded_points.row_ptr(i), coefficients.data());
     }
     return out;
 }

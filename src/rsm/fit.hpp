@@ -28,9 +28,11 @@ struct FitResult {
     double adjusted_r_squared() const;
     double rmse() const;
 
-    /// Predict at one coded point.
+    /// Predict at one coded point: ModelSpec::predict, bitwise the regression
+    /// row times beta, without allocating. Throws std::invalid_argument when
+    /// the point or the coefficient vector has the wrong size.
     double predict(const Vector& coded) const;
-    /// Predict at many coded points.
+    /// Predict at every row of `coded_points`, read in place.
     std::vector<double> predict(const Matrix& coded_points) const;
 };
 

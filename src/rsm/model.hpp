@@ -6,6 +6,7 @@
 // can prune it afterwards.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -37,8 +38,13 @@ public:
 
     /// Regression (model) matrix for coded design points.
     Matrix build_matrix(const Matrix& coded_points) const;
-    /// One regression row.
-    Vector build_row(const Vector& coded_point) const;
+
+    /// sum_j terms()[j](x) * beta[j], accumulated in term order over the
+    /// k-vector `coded_point` and num_terms() `coefficients`: bit for bit
+    /// the dot product of x's regression row with beta. Reads only the term
+    /// table compiled at construction, so it neither allocates nor writes
+    /// and threads may share one model. Sizes are the caller's contract.
+    double predict(const double* coded_point, const double* coefficients) const;
 
     /// Model with term `index` removed (used by stepwise elimination).
     ModelSpec without_term(std::size_t index) const;
@@ -52,9 +58,21 @@ public:
     std::size_t min_runs() const { return terms_.size(); }
 
 private:
+    /// One factor of a compiled term: x[var]^exponent. Exponent 0 is the
+    /// padding 1.0 that brings every term to `width_` factors.
+    struct Factor {
+        std::uint32_t var;
+        std::uint32_t exponent;
+    };
+    void compile();
+
     std::size_t k_;
     ModelOrder order_;
     std::vector<Monomial> terms_;
+    /// num_terms() rows of width_ factors each; a term is the left-to-right
+    /// product of its row.
+    std::vector<Factor> table_;
+    std::size_t width_ = 0;
 };
 
 /// Number of terms of the standard models (handy for run budgeting).

@@ -90,19 +90,28 @@ void EventQueue::run_until(double t_end) {
     if (t_end > now_) now_ = t_end;
 }
 
+namespace {
+// One dispatch of a periodic task. It re-arms itself with a copy, so only
+// queued entries own it and the task's captures die with the last one.
+struct PeriodicDispatch {
+    EventQueue* q;
+    double period;
+    int priority;
+    std::shared_ptr<std::function<bool(double)>> task;  // state shared by every copy
+
+    void operator()(double t) const {
+        if ((*task)(t)) q->schedule(t + period, *this, priority);
+    }
+};
+}  // namespace
+
 void schedule_periodic(EventQueue& q, double first, double period,
                        std::function<bool(double)> task, int priority) {
     if (!(period > 0.0)) throw std::invalid_argument("schedule_periodic: period must be positive");
-    auto shared_task = std::make_shared<std::function<bool(double)>>(std::move(task));
-    // A self-rescheduling callback must outlive each dispatch, so it lives in
-    // a shared holder captured by value.
-    auto holder = std::make_shared<std::function<void(double)>>();
-    *holder = [&q, period, shared_task, priority, holder](double t) {
-        if ((*shared_task)(t)) {
-            q.schedule(t + period, *holder, priority);
-        }
-    };
-    q.schedule(first, *holder, priority);
+    q.schedule(first,
+               PeriodicDispatch{&q, period, priority,
+                                std::make_shared<std::function<bool(double)>>(std::move(task))},
+               priority);
 }
 
 }  // namespace ehdoe::sim

@@ -1,6 +1,7 @@
 // Discrete-event scheduler tests.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "sim/events.hpp"
@@ -103,6 +104,21 @@ TEST(SchedulePeriodic, FiresUntilTaskDeclines) {
     q.run_until(100.0);
     EXPECT_EQ(fires, 4);       // fired at 1, 3, 5, 7; the 4th returns false
     EXPECT_TRUE(q.empty());
+}
+
+TEST(SchedulePeriodic, ReleasesCapturesOnceTheTaskDeclines) {
+    // The re-arming callback must not own itself: once the task declines
+    // and its last queued entry has run, everything it captured is freed.
+    EventQueue q;
+    auto sentinel = std::make_shared<int>(0);
+    const std::weak_ptr<int> watch = sentinel;
+    schedule_periodic(q, 0.5, 1.0, [s = std::move(sentinel)](double) { return ++*s < 3; });
+    ASSERT_FALSE(watch.expired());
+    q.run_until(1.0);
+    EXPECT_FALSE(watch.expired());  // still armed
+    q.run_until(100.0);
+    EXPECT_EQ(q.dispatched(), 3u);
+    EXPECT_TRUE(watch.expired());
 }
 
 TEST(SchedulePeriodic, PeriodValidated) {

@@ -2,7 +2,6 @@
 // plus the fast-engine/baseline cross-check at system level.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cmath>
 
 #include "core/scenario.hpp"
@@ -51,24 +50,27 @@ TEST(Integration, RsmPredictionsTrackSimulator) {
 
 TEST(Integration, RsmEvaluationIsPracticallyInstant) {
     // The headline claim: after the DoE investment, exploring the design
-    // space costs microseconds per query instead of a simulation.
+    // space costs an RSM query instead of a simulation. Counted, not timed:
+    // the query cost itself is a benchmark number (perfbench rsm.query_ns).
     DesignFlow flow = make_flow(ScenarioId::OfficeHvac, 120.0);
     flow.run_ccd();
     auto& s = flow.surface(kRespPackets);
+    const std::size_t sims = flow.simulator_calls();
+    const std::size_t points = flow.batch_stats().points;
 
-    const auto t0 = std::chrono::steady_clock::now();
     double acc = 0.0;
     const int n = 20000;
     for (int i = 0; i < n; ++i) {
         Vector x(6);
         for (int j = 0; j < 6; ++j) x[static_cast<std::size_t>(j)] =
             std::sin(0.1 * i + j) * 0.9;
-        acc += s.value(x);
+        const double v = s.value(x);
+        ASSERT_TRUE(std::isfinite(v)) << "query " << i;
+        acc += v;
     }
-    const double per_eval =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count() / n;
     EXPECT_NE(acc, 0.0);
-    EXPECT_LT(per_eval, 20e-6);  // << one co-simulation (tens of ms)
+    EXPECT_EQ(flow.simulator_calls(), sims);
+    EXPECT_EQ(flow.batch_stats().points, points);
 }
 
 TEST(Integration, OptimizationRespectsDowntimeConstraint) {

@@ -3,6 +3,7 @@
 // through a BatchObjective) which must match the serial paths bitwise.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <thread>
@@ -66,6 +67,31 @@ TEST(NelderMead, RespectsBoundsWhenMinimumOutside) {
     const OptResult r = nelder_mead(f, kCube2, Vector{0.0, 0.0});
     EXPECT_NEAR(r.x[0], 1.0, 1e-5);
     EXPECT_NEAR(r.x[1], 0.0, 1e-4);
+}
+
+TEST(NelderMead, GoldenTrajectoryIsBitwiseStable) {
+    // A curved valley whose unconstrained minimum (1.5, 2.25, -0.675) lies
+    // outside the box, floored at 0.26 so some contractions fail and the
+    // simplex shrinks. Only +, -, *, / and clamping: the same bits on every
+    // platform. The run reflects, expands, contracts both ways and shrinks;
+    // any change to the per-coordinate move arithmetic moves these bits.
+    const Objective valley = [](const Vector& x) {
+        const double a = 1.5 - x[0];
+        const double b = x[1] - x[0] * x[0];
+        const double c = x[2] + 0.3 * x[1];
+        return std::clamp(a * a + 10.0 * b * b + c * c / (1.0 + x[0] * x[0]), 0.26, 1e300);
+    };
+    Bounds box;
+    box.lo = Vector{-1.0, -0.5, -2.0};
+    box.hi = Vector{1.0, 1.5, 0.5};
+    const OptResult r = nelder_mead(valley, box, Vector{-0.8, 0.6, 0.3});
+    EXPECT_EQ(r.x[0], 0x1.fc2e84c8f92ccp-1);
+    EXPECT_EQ(r.x[1], 0x1.fbf670d912056p-1);
+    EXPECT_EQ(r.x[2], -0x1.68a64b2328276p-2);
+    EXPECT_EQ(r.value, 0x1.0a3d70a3d70a4p-2);
+    EXPECT_EQ(r.evaluations, 96u);
+    EXPECT_EQ(r.iterations, 51u);
+    EXPECT_TRUE(r.converged);
 }
 
 TEST(GradientDescent, AnalyticGradient) {

@@ -90,13 +90,17 @@ TEST(ModelMatrix, RowsMatchEvaluations) {
     }
 }
 
-TEST(ModelRow, MatchesMatrix) {
-    const auto terms = quadratic_basis(3);
-    const Vector x{0.3, -0.7, 0.9};
-    const Vector row = model_row(terms, x);
-    for (std::size_t j = 0; j < terms.size(); ++j) {
-        EXPECT_DOUBLE_EQ(row[j], terms[j].evaluate(x));
-    }
+TEST(IntPow, IsBinaryPowering) {
+    // The exact product sequence: squares of x, multiplied in per set bit.
+    const double x = -1.3;
+    const double x2 = x * x, x4 = x2 * x2;
+    EXPECT_EQ(int_pow(x, 0), 1.0);
+    EXPECT_EQ(int_pow(x, 1), x);
+    EXPECT_EQ(int_pow(x, 2), x2);
+    EXPECT_EQ(int_pow(x, 3), x * x2);
+    EXPECT_EQ(int_pow(x, 4), x4);
+    EXPECT_EQ(int_pow(x, 5), x * x4);
+    EXPECT_EQ(int_pow(x, 7), x * x2 * x4);
 }
 
 TEST(Monomial, DimensionMismatchThrows) {

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "doe/composite.hpp"
 #include "doe/lhs.hpp"
@@ -116,6 +118,92 @@ TEST(ModelSpec, TermManipulation) {
     EXPECT_THROW(m.without_term(9), std::out_of_range);
     EXPECT_NE(m.describe().find("x0"), std::string::npos);
     EXPECT_EQ(quadratic_term_count(6), 28u);
+}
+
+namespace {
+
+std::uint64_t bits(double v) {
+    std::uint64_t b;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+}
+
+// Seeded probe points over k factors: the first rows hold 0, -0.0, +-1 and
+// |x| > 1 in every coordinate, the rest are uniform on [-2.5, 2.5].
+ehdoe::num::Matrix probe_points(std::size_t k, std::size_t n, std::uint64_t seed) {
+    const double specials[] = {0.0, -0.0, 1.0, -1.0, 1.75, -2.5, 0.5, -0.0};
+    ehdoe::num::Rng rng = ehdoe::num::make_rng(seed);
+    ehdoe::num::Matrix pts(n, k);
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < k; ++j) {
+            pts(i, j) = i < 8 ? specials[(i + 3 * j) % 8] : ehdoe::num::uniform(rng, -2.5, 2.5);
+        }
+    }
+    return pts;
+}
+
+// A fit carrying only a model and its coefficients: all predict() reads.
+FitResult fit_with(const ModelSpec& model, Vector beta) {
+    return FitResult{model, std::move(beta), {}, {}, {}};
+}
+
+// predict() against the reference it replaced: every term evaluated on its
+// own, times its coefficient, summed in term order starting from 0.0.
+void expect_predict_is_row_dot_beta(const ModelSpec& model, std::uint64_t seed) {
+    ehdoe::num::Rng rng = ehdoe::num::make_rng(seed);
+    Vector beta(model.num_terms());
+    for (std::size_t j = 0; j < beta.size(); ++j) beta[j] = ehdoe::num::uniform(rng, -40.0, 40.0);
+    const FitResult fit = fit_with(model, beta);
+    const ehdoe::num::Matrix pts = probe_points(model.dimension(), 64, seed + 1);
+    const std::vector<double> batch = fit.predict(pts);
+    ASSERT_EQ(batch.size(), pts.rows());
+    for (std::size_t i = 0; i < pts.rows(); ++i) {
+        const Vector x = pts.row(i);
+        double ref = 0.0;
+        for (std::size_t j = 0; j < model.num_terms(); ++j) {
+            ref += model.terms()[j].evaluate(x) * beta[j];
+        }
+        EXPECT_EQ(bits(fit.predict(x)), bits(ref)) << model.describe() << " at row " << i;
+        EXPECT_EQ(bits(batch[i]), bits(ref)) << model.describe() << " at row " << i;
+    }
+}
+
+}  // namespace
+
+TEST(Predict, BitwiseEqualsTermOrderSumForEveryOrder) {
+    for (std::size_t k : {1u, 2u, 3u, 6u}) {
+        for (ModelOrder order : {ModelOrder::Linear, ModelOrder::Interaction,
+                                 ModelOrder::Quadratic, ModelOrder::Cubic}) {
+            expect_predict_is_row_dot_beta(ModelSpec(k, order), 100 + k);
+        }
+    }
+}
+
+TEST(Predict, BitwiseEqualsTermOrderSumForEditedModels) {
+    const ModelSpec quad(3, ModelOrder::Quadratic);
+    expect_predict_is_row_dot_beta(quad.without_term(0), 7);  // no intercept
+    expect_predict_is_row_dot_beta(quad.without_term(9), 8);
+    // Powers beyond the standard orders, leading and trailing.
+    using ehdoe::num::Monomial;
+    ModelSpec wide = quad.with_term(Monomial(std::vector<unsigned>{2, 0, 2}));
+    wide = wide.with_term(Monomial(std::vector<unsigned>{0, 5, 0}));
+    wide = wide.with_term(Monomial(std::vector<unsigned>{1, 3, 0}));
+    wide = wide.with_term(Monomial(std::vector<unsigned>{4, 1, 1}));
+    wide = wide.with_term(Monomial(std::vector<unsigned>{3, 0, 1}));
+    expect_predict_is_row_dot_beta(wide, 9);
+    const ModelSpec only_constant(2, std::vector<Monomial>{Monomial(2)});
+    expect_predict_is_row_dot_beta(only_constant, 10);
+}
+
+TEST(Predict, RejectsWrongShapes) {
+    const ModelSpec model(3, ModelOrder::Quadratic);
+    const FitResult fit = fit_with(model, Vector(model.num_terms(), 1.0));
+    EXPECT_THROW(fit.predict(Vector{0.1, 0.2}), std::invalid_argument);
+    EXPECT_THROW(fit.predict(Vector{0.1, 0.2, 0.3, 0.4}), std::invalid_argument);
+    EXPECT_THROW(fit.predict(ehdoe::num::Matrix(2, 4)), std::invalid_argument);
+    const FitResult short_beta = fit_with(model, Vector(model.num_terms() - 1, 1.0));
+    EXPECT_THROW(short_beta.predict(Vector{0.1, 0.2, 0.3}), std::invalid_argument);
+    EXPECT_THROW(short_beta.predict(ehdoe::num::Matrix(2, 3)), std::invalid_argument);
 }
 
 // Property: fit is exact whenever the model contains the truth across orders.

@@ -13,6 +13,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -218,12 +219,20 @@ TEST(StoreService, RacingPutWritersConvergeToTheUnion) {
 
     // Each child is an independent "farm client" hammering put-batches:
     // private keys plus a shared set both race to publish with identical
-    // bits (the replayed-batch case).
+    // bits (the replayed-batch case). Every writer is forked before any
+    // connects: a fork while a server thread holds a lock (the fd registry
+    // takes one per accepted connection) hands the child that lock held
+    // forever. Closing the go pipe releases them together.
+    int go[2];
+    ASSERT_EQ(::pipe(go), 0);
     std::vector<pid_t> children;
     for (int c = 0; c < kWriters; ++c) {
         const pid_t pid = fork();
-        ASSERT_GE(pid, 0);
         if (pid == 0) {
+            ::close(go[1]);
+            char byte;
+            while (::read(go[0], &byte, 1) < 0 && errno == EINTR) {
+            }
             bool ok = true;
             try {
                 store::StoreClient client("127.0.0.1", server->port());
@@ -243,7 +252,10 @@ TEST(StoreService, RacingPutWritersConvergeToTheUnion) {
         }
         children.push_back(pid);
     }
+    ::close(go[0]);
+    ::close(go[1]);
     for (const pid_t pid : children) {
+        ASSERT_GT(pid, 0) << "fork failed";
         int status = 0;
         ASSERT_EQ(::waitpid(pid, &status, 0), pid);
         ASSERT_TRUE(WIFEXITED(status));
