@@ -2,8 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <memory>
+#include <string>
 
+#include "core/scenario.hpp"
+#include "doe/composite.hpp"
 #include "node/node_sim.hpp"
 
 using namespace ehdoe::node;
@@ -19,7 +23,78 @@ NodeSimConfig base_config(double duration = 120.0) {
     return c;
 }
 
+std::string hex(double v) {
+    char buf[40];
+    std::snprintf(buf, sizeof buf, "%a", v);
+    return buf;
+}
+
 }  // namespace
+
+TEST(NodeSim, GoldenResponsesAreBitwiseStable) {
+    // Every response of S1-S3 at a 60 s horizon, at the design centre, a
+    // factorial corner and an axial point of the default CCD, pinned as
+    // hexfloats: a faster substep loop must not move a single bit.
+    namespace core = ehdoe::core;
+    struct Golden {
+        double e_harv, e_cons;
+        std::size_t packets;
+        double v_min, downtime, e_tune, e_leaked, v_end;
+        std::size_t retunes, freq_checks, packets_missed;
+    };
+    const Golden golden[3][3] = {
+        {
+            {0x1.8ea503b0d4fafp-9, 0x1.39c32b900138ap-7, 12, 0x1.49e64d7b146p+1, 0x0p+0,
+             0x1.48eae8150b406p-9, 0x1.64506634cd291p-9, 0x1.49e816c166abbp+1, 1, 7, 0},
+            {0x1.9479f75cec19bp-9, 0x1.8e5cc0661ebbap-5, 105, 0x1.1972fb5ae2adfp+1, 0x0p+0,
+             0x1.472b50ffd3a99p-6, 0x1.516ad1823fb7ap-9, 0x1.1976dc3a3b406p+1, 26, 59, 1},
+            {0x1.bacf6370f84a5p-9, 0x1.679c5686f7412p-3, 10, 0x1.10453d29bd6d7p+1, 0x0p+0,
+             0x1.5b683916716c1p-3, 0x1.277dfcf584277p-8, 0x1.1045620ae0dddp+1, 3, 599, 1},
+        },
+        {
+            {0x1.f93d6ddaf1d0dp-11, 0x1.c40b188e9cb35p-7, 12, 0x1.47ed61bce756p+1, 0x0p+0,
+             0x1.b9054e07bc975p-8, 0x1.625ade1690c0fp-9, 0x1.47ed61bce756p+1, 6, 7, 0},
+            {0x1.fbf0c9845e938p-9, 0x1.a60da0569dfeap-5, 94, 0x1.170868966a483p+1, 0x0p+0,
+             0x1.a703feab72fefp-6, 0x1.4a491dc501128p-9, 0x1.1711d30fb08adp+1, 50, 59, 4},
+            {0x1.bdf045f4c036p-9, 0x1.76b4572ebceddp-3, 10, 0x1.0d7af139a9898p+1, 0x0p+0,
+             0x1.6a8039be3718bp-3, 0x1.241eb257e1f9ap-8, 0x1.0d7b02428128p+1, 37, 599, 1},
+        },
+        {
+            {0x1.0b25e5d73d5b9p-8, 0x1.33ab5dab6d1bcp-7, 12, 0x1.4a43404cc252dp+1, 0x0p+0,
+             0x1.308bb082bace7p-9, 0x1.64b978104d937p-9, 0x1.4a49f2f19aea6p+1, 1, 7, 0},
+            {0x1.18a8359fa34e7p-8, 0x1.85017056b5345p-5, 107, 0x1.1c1f8d5c569e6p+1, 0x0p+0,
+             0x1.2ba4e2bc292fep-6, 0x1.55cfaafb1a59bp-9, 0x1.1c22a735eb561p+1, 26, 59, 0},
+            {0x1.2c9308e843a22p-8, 0x1.6755108b991b9p-3, 10, 0x1.10c723f66dc8p+1, 0x0p+0,
+             0x1.5b20f31b13468p-3, 0x1.27fe2122d1444p-8, 0x1.10c77591ec17ap+1, 3, 599, 1},
+        },
+    };
+    const core::ScenarioId ids[3] = {core::ScenarioId::OfficeHvac, core::ScenarioId::Industrial,
+                                     core::ScenarioId::Transport};
+    const double alpha = ehdoe::doe::ccd_alpha_value(6, {});
+    const ehdoe::num::Vector coded[3] = {
+        {0, 0, 0, 0, 0, 0}, {1, -1, 1, -1, -1, -1}, {0, 0, 0, 0, 0, -alpha}};
+    for (int s = 0; s < 3; ++s) {
+        const core::Scenario sc = core::Scenario::make(ids[s], 60.0);
+        for (int p = 0; p < 3; ++p) {
+            SCOPED_TRACE(sc.name() + " point " + std::to_string(p));
+            const Golden& g = golden[s][p];
+            const NodeMetrics m =
+                simulate_node(sc.configure(sc.design_space().to_natural(coded[p])));
+            const auto r = core::responses_from_metrics(m);
+            EXPECT_EQ(hex(r.at(core::kRespHarvested)), hex(g.e_harv));
+            EXPECT_EQ(hex(r.at(core::kRespConsumed)), hex(g.e_cons));
+            EXPECT_EQ(hex(r.at(core::kRespPackets)), hex(static_cast<double>(g.packets)));
+            EXPECT_EQ(hex(r.at(core::kRespVmin)), hex(g.v_min));
+            EXPECT_EQ(hex(r.at(core::kRespDowntime)), hex(g.downtime));
+            EXPECT_EQ(hex(r.at(core::kRespTuning)), hex(g.e_tune));
+            EXPECT_EQ(hex(m.energy_leaked), hex(g.e_leaked));
+            EXPECT_EQ(hex(m.v_end), hex(g.v_end));
+            EXPECT_EQ(m.retunes, g.retunes);
+            EXPECT_EQ(m.freq_checks, g.freq_checks);
+            EXPECT_EQ(m.packets_missed, g.packets_missed);
+        }
+    }
+}
 
 TEST(NodeSim, RunsAndProducesSaneMetrics) {
     const NodeMetrics m = simulate_node(base_config());
