@@ -23,7 +23,8 @@ struct RunOutcome {
     std::vector<double> vout;
 };
 
-RunOutcome run_fast(const HarvesterCircuit& c, double h, double t_end, double f_exc) {
+RunOutcome run_fast(const HarvesterCircuit& c, double h, double t_end, double f_exc,
+                    sim::EngineStats* stats = nullptr) {
     auto accel = [f_exc](double t) { return 0.6 * std::sin(2.0 * M_PI * f_exc * t); };
     sim::PwlEngineOptions o;
     o.step = h;
@@ -35,6 +36,7 @@ RunOutcome run_fast(const HarvesterCircuit& c, double h, double t_end, double f_
         out.vout.push_back(c.output_voltage(x));
     });
     out.wall = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    if (stats) *stats = eng.stats();
     return out;
 }
 
@@ -85,7 +87,8 @@ int main() {
     for (double h : {2e-4, 1e-4, 5e-5}) {
         sim::TransientStats st;
         const RunOutcome slow = run_slow(c, h, t_end, f_exc, &st);
-        const RunOutcome fast = run_fast(c, h, t_end, f_exc);
+        sim::EngineStats ss;
+        const RunOutcome fast = run_fast(c, h, t_end, f_exc, &ss);
         // Reference waveform: the baseline itself at this step.
         t.row()
             .cell(core::format_double(h, 0))
@@ -93,7 +96,7 @@ int main() {
             .cell(st.newton_iterations)
             .cell(st.rhs_evaluations)
             .cell(core::format_seconds(fast.wall))
-            .cell(std::size_t{0} /* filled below via stats? keep simple */)
+            .cell(ss.cache_misses)
             .cell(slow.wall / fast.wall, 1)
             .cell(rel_rms(fast.vout, slow.vout), 4);
     }

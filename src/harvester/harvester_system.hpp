@@ -126,14 +126,28 @@ public:
         double equivalent_load = -1.0;
     };
 
+    /// The Thevenin output at one excitation and tuning state: everything
+    /// power() needs except the storage voltage.
+    struct OperatingPoint {
+        double v_oc = 0.0;       ///< open-circuit boosted DC voltage (V)
+        double p_matched = 0.0;  ///< power into a matched load, v = V_oc/2 (W)
+        double r_out = 0.0;      ///< output resistance V_oc^2 / (4 P_matched) (ohm)
+
+        /// Average power delivered into storage held at `v_store`; 0 when
+        /// the open-circuit voltage cannot reach it.
+        double power(double v_store) const;
+    };
+
     explicit PowerFlowModel(Params params);
 
     const Params& params() const { return params_.p; }
 
-    /// Average power delivered into storage held at `v_store`, when the
-    /// excitation is a tone of amplitude `accel_amp` (m/s^2) at `f_exc_hz`
-    /// and the device is tuned to resonate at `f_res_hz`. Returns 0 when the
-    /// boosted open-circuit voltage cannot reach v_store.
+    /// Operating point for a tone of amplitude `accel_amp` (m/s^2) at
+    /// `f_exc_hz` driving the device tuned to resonate at `f_res_hz`: one
+    /// steady-state solve of the linear harvester.
+    OperatingPoint operating_point(double f_exc_hz, double f_res_hz, double accel_amp) const;
+
+    /// operating_point(f_exc_hz, f_res_hz, accel_amp).power(v_store).
     double power(double f_exc_hz, double f_res_hz, double accel_amp, double v_store) const;
 
     /// Open-circuit boosted DC voltage for the operating point (V).

@@ -44,7 +44,13 @@ SteadyState steady_state_response(const MicrogeneratorParams& p, double accel_am
         throw std::invalid_argument("steady_state_response: excitation_hz > 0");
     if (!(load_resistance >= 0.0))
         throw std::invalid_argument("steady_state_response: load_resistance >= 0");
+    return steady_state_response_unchecked(p, accel_amplitude, excitation_hz, load_resistance,
+                                           spring_k);
+}
 
+SteadyState steady_state_response_unchecked(const MicrogeneratorParams& p,
+                                            double accel_amplitude, double excitation_hz,
+                                            double load_resistance, double spring_k) {
     const double w = kTwoPi * excitation_hz;
     const double k = spring_k > 0.0 ? spring_k : p.spring_constant();
     const double cp = p.parasitic_damping();

@@ -64,6 +64,13 @@ SteadyState steady_state_response(const MicrogeneratorParams& params, double acc
                                   double excitation_hz, double load_resistance,
                                   double spring_k = -1.0);
 
+/// steady_state_response without its checks, for a caller that validated
+/// `params` once and checks its own arguments (the power-flow model's
+/// per-substep solve). Same arithmetic, so bitwise equal results.
+SteadyState steady_state_response_unchecked(const MicrogeneratorParams& params,
+                                            double accel_amplitude, double excitation_hz,
+                                            double load_resistance, double spring_k);
+
 /// Load resistance maximizing P_L at resonance for this device
 /// (R_L_opt = R_c + Phi^2 / c_p at w = w0 for the ideal model).
 double optimal_load_resistance(const MicrogeneratorParams& params);

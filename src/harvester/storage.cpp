@@ -20,10 +20,13 @@ void StorageParams::validate() const {
 
 Storage::Storage(StorageParams params) : params_(params) {
     params_.validate();
-    energy_ = 0.5 * params_.capacitance * params_.initial_voltage * params_.initial_voltage;
+    reset();
 }
 
-double Storage::voltage() const { return std::sqrt(2.0 * energy_ / params_.capacitance); }
+void Storage::set_energy(double e) {
+    energy_ = e;
+    voltage_ = std::sqrt(2.0 * energy_ / params_.capacitance);
+}
 
 void Storage::advance(double dt, double p_in, double p_out) {
     if (!(dt >= 0.0)) throw std::invalid_argument("Storage::advance: dt >= 0");
@@ -39,7 +42,7 @@ void Storage::advance(double dt, double p_in, double p_out) {
         const double h = std::min(remaining, max_sub);
         remaining -= h;
 
-        const double v = voltage();
+        const double v = voltage_;
         const double p_leak = v * v / params_.leakage_resistance;
         double e_next = energy_ + (p_in - p_out - p_leak) * h;
 
@@ -60,12 +63,12 @@ void Storage::advance(double dt, double p_in, double p_out) {
             rejected_ += e_next - e_max;
             e_next = e_max;
         }
-        energy_ = e_next;
+        set_energy(e_next);
     }
 }
 
 void Storage::reset() {
-    energy_ = 0.5 * params_.capacitance * params_.initial_voltage * params_.initial_voltage;
+    set_energy(0.5 * params_.capacitance * params_.initial_voltage * params_.initial_voltage);
     leaked_ = rejected_ = delivered_ = accepted_ = 0.0;
 }
 

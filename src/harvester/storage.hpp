@@ -26,7 +26,8 @@ public:
 
     const StorageParams& params() const { return params_; }
 
-    double voltage() const;
+    /// V = sqrt(2 E / C), kept in step with every energy update.
+    double voltage() const { return voltage_; }
     /// Stored energy E = 1/2 C V^2 (J).
     double energy() const { return energy_; }
 
@@ -50,8 +51,11 @@ public:
     void reset();
 
 private:
+    void set_energy(double e);
+
     StorageParams params_;
-    double energy_;
+    double energy_ = 0.0;
+    double voltage_ = 0.0;
     double leaked_ = 0.0;
     double rejected_ = 0.0;
     double delivered_ = 0.0;

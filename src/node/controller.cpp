@@ -28,8 +28,12 @@ CheckOutcome TuningController::check(double now, double true_freq_hz, double v_s
                                      harvester::TuningActuator& actuator) {
     ++checks_;
     CheckOutcome out;
-    // Zero-crossing estimator: unbiased with Gaussian resolution error.
-    out.estimated_hz = true_freq_hz + num::normal(rng_, 0.0, params_.estimator_sigma_hz);
+    // Zero-crossing estimator: unbiased with Gaussian resolution error. An
+    // exact estimator (sigma 0) draws nothing: std::normal_distribution
+    // requires sigma > 0.
+    out.estimated_hz = params_.estimator_sigma_hz > 0.0
+                           ? true_freq_hz + num::normal(rng_, 0.0, params_.estimator_sigma_hz)
+                           : true_freq_hz;
 
     actuator.update(now);
     const double f_res_now = map_->frequency(actuator.position());

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace ehdoe::node {
@@ -49,22 +50,34 @@ NodeMetrics NodeSimulation::execute(double trace_dt, std::vector<TracePoint>* tr
     // Excitation amplitude for the power-flow model: treat the source as a
     // tone of equivalent RMS at its instantaneous dominant frequency.
     const double accel_amp = vib.rms_amplitude() * M_SQRT2;
+    const double p_sleep = cfg_.power.storage_power(NodeState::Sleep);
+
+    // A substep recomputes only what its inputs moved. Memo keys compare
+    // with ==, which reproduces the recomputed bits: an unset (NaN) key
+    // never matches, and +0 and -0 give the same frequency and power.
+    constexpr double kUnset = std::numeric_limits<double>::quiet_NaN();
 
     // Resonant frequency follows the (possibly moving) magnet position; when
     // tuning is disabled the device stays at its configured resonance.
     const double fixed_res = cfg_.initial_resonance_hz > 0.0
                                  ? cfg_.initial_resonance_hz
                                  : cfg_.harvester.generator.natural_freq_hz;
+    double res_pos = kUnset, res_hz = fixed_res;  // tuning-map frequency at res_pos
     auto f_res_now = [&](double t) {
         if (!cfg_.tuning_enabled) return fixed_res;
         actuator.update(t);
-        return cfg_.tuning_map.frequency(actuator.position());
+        if (!(actuator.position() == res_pos)) {
+            res_pos = actuator.position();
+            res_hz = cfg_.tuning_map.frequency(res_pos);
+        }
+        return res_hz;
     };
 
     sim::EventQueue queue;
 
     // --- firmware task -----------------------------------------------------
-    // Self-rescheduling with the firmware's adaptive period.
+    // Self-rescheduling with the firmware's adaptive period. Both recurring
+    // callbacks are queued through std::ref, so no event copies a closure.
     std::function<void(double)> task_fn = [&](double t) {
         const TaskDecision d = firmware.decide(storage.voltage(), manager.alive());
         switch (d) {
@@ -82,10 +95,10 @@ NodeMetrics NodeSimulation::execute(double trace_dt, std::vector<TracePoint>* tr
                 break;
         }
         if (t + firmware.current_period() < cfg_.duration) {
-            queue.schedule(t + firmware.current_period(), task_fn);
+            queue.schedule(t + firmware.current_period(), std::ref(task_fn));
         }
     };
-    queue.schedule(firmware.current_period(), task_fn);
+    queue.schedule(firmware.current_period(), std::ref(task_fn));
 
     // --- tuning controller check -------------------------------------------
     std::function<void(double)> check_fn = [&](double t) {
@@ -99,15 +112,17 @@ NodeMetrics NodeSimulation::execute(double trace_dt, std::vector<TracePoint>* tr
             controller.check(t, vib.dominant_frequency(t), storage.voltage(), actuator);
         }
         if (t + cfg_.controller.check_period < cfg_.duration) {
-            queue.schedule(t + cfg_.controller.check_period, check_fn);
+            queue.schedule(t + cfg_.controller.check_period, std::ref(check_fn));
         }
     };
-    if (cfg_.tuning_enabled) queue.schedule(cfg_.controller.check_period, check_fn);
+    if (cfg_.tuning_enabled) queue.schedule(cfg_.controller.check_period, std::ref(check_fn));
 
     // --- main loop: continuous advance between events -----------------------
     double t = 0.0;
     double next_trace = 0.0;
     double actuator_energy_prev = 0.0;
+    harvester::PowerFlowModel::OperatingPoint op;  // at (op_f_exc, op_f_res)
+    double op_f_exc = kUnset, op_f_res = kUnset;
 
     auto record = [&](double now, double p_h) {
         if (trace && now >= next_trace) {
@@ -125,12 +140,15 @@ NodeMetrics NodeSimulation::execute(double trace_dt, std::vector<TracePoint>* tr
             const double h = std::min(cfg_.max_substep, t_event - t);
             const double f_exc = vib.dominant_frequency(t);
             const double f_res = f_res_now(t);
-            const double v = storage.voltage();
-            const double p_h = pf.power(f_exc, f_res, accel_amp, v);
+            if (!(f_exc == op_f_exc && f_res == op_f_res)) {
+                op = pf.operating_point(f_exc, f_res, accel_amp);
+                op_f_exc = f_exc;
+                op_f_res = f_res;
+            }
+            const double p_h = op.power(storage.voltage());
 
             // Baseline electronics draw: sleep (alive) or nothing (off).
-            const double p_base =
-                manager.alive() ? cfg_.power.storage_power(NodeState::Sleep) : 0.0;
+            const double p_base = manager.alive() ? p_sleep : 0.0;
             // Actuator draw while a move is in flight.
             actuator.update(t + h);
             const double e_act = actuator.energy_consumed(t + h) - actuator_energy_prev;

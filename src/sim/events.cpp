@@ -10,16 +10,10 @@ namespace ehdoe::sim {
 std::uint64_t EventQueue::schedule(double when, Callback cb, int priority) {
     if (when < now_) throw std::invalid_argument("EventQueue::schedule: event in the past");
     if (!cb) throw std::invalid_argument("EventQueue::schedule: empty callback");
-    auto entry = std::make_unique<Entry>();
-    entry->when = when;
-    entry->priority = priority;
-    entry->seq = next_seq_++;
-    entry->cb = std::move(cb);
-    Entry* raw = entry.get();
-    storage_.push_back(std::move(entry));
-    queue_.push(raw);
-    ++live_count_;
-    return raw->seq;
+    const std::uint64_t seq = next_seq_++;
+    heap_.push_back(Entry{when, priority, seq, std::move(cb)});
+    std::push_heap(heap_.begin(), heap_.end(), Order{});
+    return seq;
 }
 
 std::uint64_t EventQueue::schedule_in(double delay, Callback cb, int priority) {
@@ -28,65 +22,35 @@ std::uint64_t EventQueue::schedule_in(double delay, Callback cb, int priority) {
 }
 
 bool EventQueue::cancel(std::uint64_t id) {
-    // Linear scan over live entries; queues here hold only a handful of
-    // pending events (a few tasks + controller checks), so this is cheap.
-    for (auto& e : storage_) {
-        if (e && e->seq == id && !e->cancelled) {
-            e->cancelled = true;
-            --live_count_;
-            return true;
-        }
-    }
-    return false;
+    // Linear scan; queues here hold only a handful of pending events (a few
+    // tasks + controller checks), so this is cheap.
+    const auto it = std::find_if(heap_.begin(), heap_.end(),
+                                 [id](const Entry& e) { return e.seq == id; });
+    if (it == heap_.end()) return false;
+    heap_.erase(it);
+    std::make_heap(heap_.begin(), heap_.end(), Order{});
+    return true;
 }
 
 double EventQueue::next_time() const {
-    // Skip cancelled heads without mutating (const) — peek via copy of top
-    // pointers is not possible with std::priority_queue, so report the head
-    // even if cancelled; callers use empty()/run_next() for exact control.
-    if (live_count_ == 0) return std::numeric_limits<double>::infinity();
-    return queue_.empty() ? std::numeric_limits<double>::infinity() : queue_.top()->when;
+    return heap_.empty() ? std::numeric_limits<double>::infinity() : heap_.front().when;
 }
 
 bool EventQueue::run_next() {
-    while (!queue_.empty()) {
-        Entry* e = queue_.top();
-        queue_.pop();
-        if (e->cancelled) continue;
-        now_ = e->when;
-        --live_count_;
-        ++dispatched_;
-        Callback cb = std::move(e->cb);
-        e->cancelled = true;  // mark consumed
-        cb(now_);
-        // Opportunistic compaction when most storage is dead. The heap may
-        // still hold raw pointers to cancelled entries (they are only
-        // discarded lazily on pop), so it must be rebuilt from the
-        // surviving live entries before the dead ones are freed.
-        if (storage_.size() > 1024 && live_count_ * 4 < storage_.size()) {
-            storage_.erase(
-                std::remove_if(storage_.begin(), storage_.end(),
-                               [](const std::unique_ptr<Entry>& p) { return p->cancelled; }),
-                storage_.end());
-            std::priority_queue<Entry*, std::vector<Entry*>, Order> rebuilt;
-            for (const auto& p : storage_) rebuilt.push(p.get());
-            queue_ = std::move(rebuilt);
-        }
-        return true;
-    }
-    return false;
+    if (heap_.empty()) return false;
+    std::pop_heap(heap_.begin(), heap_.end(), Order{});
+    // Take the entry off the heap before running it: the callback may
+    // schedule or cancel events.
+    const Entry e = std::move(heap_.back());
+    heap_.pop_back();
+    now_ = e.when;
+    ++dispatched_;
+    e.cb(now_);
+    return true;
 }
 
 void EventQueue::run_until(double t_end) {
-    while (!queue_.empty()) {
-        Entry* head = queue_.top();
-        if (head->cancelled) {
-            queue_.pop();
-            continue;
-        }
-        if (head->when > t_end) break;
-        run_next();
-    }
+    while (!heap_.empty() && heap_.front().when <= t_end) run_next();
     if (t_end > now_) now_ = t_end;
 }
 

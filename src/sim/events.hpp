@@ -12,8 +12,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <queue>
 #include <vector>
 
 namespace ehdoe::sim {
@@ -37,8 +35,9 @@ public:
     /// Current simulation time.
     double now() const { return now_; }
 
-    bool empty() const { return live_count_ == 0; }
-    std::size_t pending() const { return live_count_; }
+    bool empty() const { return heap_.empty(); }
+    std::size_t pending() const { return heap_.size(); }
+    /// Time of the next pending event; +infinity when there is none.
     double next_time() const;
 
     /// Pop and run the next event. Returns false when the queue is empty.
@@ -56,22 +55,20 @@ private:
         int priority;
         std::uint64_t seq;
         Callback cb;
-        bool cancelled = false;
     };
     struct Order {
-        bool operator()(const Entry* a, const Entry* b) const {
-            if (a->when != b->when) return a->when > b->when;
-            if (a->priority != b->priority) return a->priority > b->priority;
-            return a->seq > b->seq;
+        bool operator()(const Entry& a, const Entry& b) const {
+            if (a.when != b.when) return a.when > b.when;
+            if (a.priority != b.priority) return a.priority > b.priority;
+            return a.seq > b.seq;
         }
     };
 
-    std::vector<std::unique_ptr<Entry>> storage_;
-    std::priority_queue<Entry*, std::vector<Entry*>, Order> queue_;
+    /// The pending events, by value, as a binary heap whose front runs next.
+    std::vector<Entry> heap_;
     double now_ = 0.0;
     std::uint64_t next_seq_ = 0;
     std::uint64_t dispatched_ = 0;
-    std::size_t live_count_ = 0;
 };
 
 /// Convenience: schedule a periodic task with fixed period, starting at

@@ -23,6 +23,7 @@ TEST(Controller, RetunesWhenOutsideDeadband) {
     TuningController ctl(p, &map);
     TuningActuator act(ActuatorParams{}, map.separation_for(70.0));
     const CheckOutcome out = ctl.check(0.0, 78.0, 3.0, act);
+    EXPECT_EQ(out.estimated_hz, 78.0);  // an exact estimator reports the true frequency
     EXPECT_TRUE(out.retuned);
     EXPECT_NEAR(out.target_hz, 78.0, 1e-9);
     EXPECT_GT(out.move_time, 0.0);

@@ -189,6 +189,13 @@ TEST(PowerFlow, CalibrationScalesModel) {
     EXPECT_THROW(pf.calibrate(72.0, 72.0, 0.6, 2.6, -1.0), std::invalid_argument);
 }
 
+TEST(PowerFlow, RejectsInvalidArguments) {
+    PowerFlowModel pf({MicrogeneratorParams{}, MultiplierParams{}, 0.85, -1.0});
+    EXPECT_THROW(pf.operating_point(72.0, 72.0, -0.1), std::invalid_argument);
+    EXPECT_THROW(pf.operating_point(0.0, 72.0, 0.6), std::invalid_argument);
+    EXPECT_THROW(pf.power(72.0, 72.0, 0.6, -1.0), std::invalid_argument);
+}
+
 TEST(PowerFlow, AgreesWithCircuitWithinFactor) {
     // Cross-validation of the fast model against the circuit simulation:
     // charge a storage cap near v_store and compare average charging power.
