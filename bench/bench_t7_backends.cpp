@@ -1,8 +1,7 @@
-// T7 — evaluation-backend sweep: the same S1 CCD run through every
-// execution strategy of the core::EvalBackend layer — in-process thread
-// pool (1 and all hardware threads), the forked subprocess worker pool, and
-// a persistent on-disk cache both cold (populating) and warm (a fresh
-// runner restoring the snapshot, as a new process would). Checks the layer
+// T7 — evaluation-backend sweep: the same S1 CCD run through the local
+// layers of the core::EvalBackend stack — in-process thread pool (1 and all
+// hardware threads) and a persistent on-disk cache both cold (populating)
+// and warm (a fresh runner restoring the snapshot, as a new process would). Checks the layer
 // contract: bitwise-identical responses everywhere, and a warm cache that
 // serves the whole design without a single simulation.
 //
@@ -45,7 +44,7 @@ int main(int argc, char** argv) {
 
     const std::size_t hw = ThreadPool::hardware_threads();
     std::cout << "T7 - evaluation backends over the S1 CCD (48 runs, 600 s horizon;\n"
-              << hw << " hardware threads). In-process vs subprocess vs persistent cache.\n\n";
+              << hw << " hardware threads). In-process vs persistent cache.\n\n";
 
     const Scenario sc = Scenario::make(ScenarioId::OfficeHvac, 600.0);
     const doe::DesignSpace space = sc.design_space();
@@ -64,8 +63,6 @@ int main(int argc, char** argv) {
         configs.push_back({"in-process x1", o});
         o.threads = hw;
         configs.push_back({"in-process x" + std::to_string(hw), o});
-        o.backend = BackendKind::Subprocess;
-        configs.push_back({"subprocess x" + std::to_string(hw), o});
         doe::RunnerOptions c;
         c.threads = hw;
         c.cache_file = cache_file;

@@ -9,8 +9,8 @@
 // A heterogeneous-farm case follows the sweep: one deliberately slowed
 // shard (sleep-handicapped simulation, same fingerprint — the arithmetic
 // and therefore the bits are untouched) paired with a fast one, evaluated
-// under the legacy modulo assignment and under throughput-weighted
-// sharding with calibrated explicit weights. The weighted run must stop
+// under uniform weights (exactly the i mod n split) and under
+// throughput-weighted sharding with calibrated explicit weights. The weighted run must stop
 // idling the fast shard, and both must stay bitwise identical.
 //
 // On a multi-core host the wall time shrinks with the shard count; on a
@@ -166,9 +166,9 @@ int main() {
     }
     // ----------------------------------------------------------------------
     // Heterogeneous farm: one shard handicapped by a 10 ms sleep per point
-    // (same arithmetic, same fingerprint, same bits — only slower). The
-    // modulo assignment splits the batch evenly and idles the fast shard;
-    // weighted sharding with calibrated explicit weights shifts work to it.
+    // (same arithmetic, same fingerprint, same bits — only slower). Uniform
+    // weights split the batch evenly (exactly i mod n) and idle the fast
+    // shard; calibrated explicit weights shift work to it.
     // ----------------------------------------------------------------------
     const auto base_sim = sc.make_simulation();
     net::EvalServerOptions slow_opts;
@@ -207,18 +207,16 @@ int main() {
         measured_pps.push_back(wall > 0.0 ? static_cast<double>(points.size()) / wall : 1.0);
     }
 
-    auto run_hetero = [&](net::ShardingPolicy policy, const std::vector<double>& weights) {
+    auto run_hetero = [&](const std::vector<double>& weights) {
         net::RemoteBackendOptions ho;
         ho.endpoints = hetero_farm;
         ho.fingerprint = fp;
-        ho.sharding = policy;
         ho.shard_weights = weights;
         doe::BatchRunner runner(std::make_shared<net::RemoteBackend>(ho));
         return runner.run_design(space, design);
     };
-    const doe::RunResults hetero_modulo = run_hetero(net::ShardingPolicy::Modulo, {});
-    const doe::RunResults hetero_weighted =
-        run_hetero(net::ShardingPolicy::Weighted, measured_pps);
+    const doe::RunResults hetero_modulo = run_hetero({1.0, 1.0});
+    const doe::RunResults hetero_weighted = run_hetero(measured_pps);
     const bool hetero_identical =
         num::approx_equal(hetero_modulo.responses, reference.responses, 0.0) &&
         num::approx_equal(hetero_weighted.responses, reference.responses, 0.0);

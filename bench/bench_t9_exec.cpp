@@ -1,11 +1,11 @@
 // T9 — external-simulator evaluation: the S1 CCD driven through the mock
 // HDL co-simulator (tools/mock_hdl_sim_main.cpp, one real process per
 // point) three ways — in-process reference, exec::ExecBackend launching
-// the simulator locally, and exec-over-remote (a loopback eval-server in
-// `--mode exec` hosting the same recipe behind the v4 batch wire). The
-// mock prints hexfloats, so all three must land bitwise identical; the
-// wall-clock rows measure what process launch and the wire each cost on
-// top of the raw arithmetic.
+// the simulator locally, and exec-over-remote (a loopback eval-server
+// started with `--recipe`, hosting the same recipe behind the batch
+// wire). The mock prints hexfloats, so all three must land bitwise
+// identical; the wall-clock rows measure what process launch and the wire
+// each cost on top of the raw arithmetic.
 //
 // Appends one JSONL line to the tracked perf-trajectory ledger
 // bench/history/t9_exec.jsonl (see bench/history/README.md); the CI perf
@@ -151,7 +151,7 @@ int main() {
     }
 
     // Exec-over-remote: a loopback eval-server hosts the recipe; points
-    // travel the v4 batch wire, the simulator runs server-side.
+    // travel the batch wire, the simulator runs server-side.
     {
         net::EvalServerOptions so;
         so.workers = 2;

@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "core/inprocess_backend.hpp"
-#include "core/subprocess_backend.hpp"
 
 namespace ehdoe::core {
 
@@ -19,15 +18,9 @@ ResponseMap simulate_replicated(const Simulation& sim, const Vector& natural,
     return acc;
 }
 
-std::shared_ptr<EvalBackend> make_backend(Simulation sim, BackendKind kind,
+std::shared_ptr<EvalBackend> make_backend(Simulation sim, BackendKind /*kind*/,
                                           const BackendOptions& options) {
-    switch (kind) {
-        case BackendKind::InProcess:
-            return std::make_shared<InProcessBackend>(std::move(sim), options);
-        case BackendKind::Subprocess:
-            return std::make_shared<SubprocessBackend>(std::move(sim), options);
-    }
-    throw std::invalid_argument("make_backend: unknown backend kind");
+    return std::make_shared<InProcessBackend>(std::move(sim), options);
 }
 
 }  // namespace ehdoe::core

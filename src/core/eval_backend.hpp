@@ -9,9 +9,9 @@
 //
 //  * InProcessBackend   (inprocess_backend.hpp)  — core::ThreadPool fan-out
 //    inside the current address space; the default.
-//  * SubprocessBackend  (subprocess_backend.hpp) — a pool of forked worker
-//    processes speaking a length-prefixed pipe protocol; the stepping stone
-//    to the paper's external HDL co-simulations.
+//  * exec::ExecBackend  (exec/exec_backend.hpp)  — one external simulator
+//    process per point, described by a recipe: the paper's HDL
+//    co-simulations, crash-isolated from the toolkit.
 //  * PersistentCache    (persistent_cache.hpp)   — a decorator that
 //    snapshots/restores a memo table to a versioned binary file keyed by a
 //    simulation fingerprint, so repeated CLI/CI runs amortize simulations
@@ -60,25 +60,20 @@ struct BatchProgress {
 
 /// Execution knobs shared by every backend.
 struct BackendOptions {
-    /// Workers (threads or processes); 1 = serial, 0 = all hardware threads.
+    /// Workers (threads, or concurrent simulator processes for exec); 1 =
+    /// serial, 0 = all hardware threads.
     std::size_t threads = 1;
     /// Points per work batch; 0 picks a size that gives each worker a few
     /// batches for load balance.
     std::size_t batch_size = 0;
     /// Replicates per point (responses averaged inside the backend).
     std::size_t replicates = 1;
-    /// Crashed-worker respawn budget across the backend's lifetime
-    /// (process-pool backends only; in-process execution ignores it). A
-    /// worker killed by a point is replaced at the start of the next
-    /// evaluate() while budget remains, so long runs do not decay to
-    /// serial; 0 retires crashed workers for good.
-    std::size_t worker_respawns = 3;
     /// Invoked after every completed batch (from worker threads, serialized).
     std::function<void(const BatchProgress&)> on_batch;
 };
 
 /// Abstract evaluation backend. Implementations own their execution
-/// resources (pool, worker processes, cache file) and lifetime counters.
+/// resources (pool, simulator processes, cache file) and lifetime counters.
 class EvalBackend {
 public:
     virtual ~EvalBackend() = default;
@@ -88,9 +83,9 @@ public:
     /// that for sharding but must not require it for correctness.
     virtual std::vector<ResponseMap> evaluate(const std::vector<Vector>& points) = 0;
 
-    /// Human-readable identity for reports ("in-process", "subprocess", ...).
+    /// Human-readable identity for reports ("in-process", "exec", ...).
     virtual std::string name() const = 0;
-    /// Resolved parallelism (pool threads / worker processes).
+    /// Resolved parallelism (pool threads / concurrent processes).
     virtual std::size_t concurrency() const = 0;
     /// Lifetime raw simulator invocations (each replicate counts).
     virtual std::size_t simulations() const = 0;
@@ -100,8 +95,11 @@ public:
     virtual std::size_t batches() const { return 0; }
 };
 
-/// The execution strategies make_backend() can build.
-enum class BackendKind { InProcess, Subprocess };
+/// The execution strategies make_backend() can build. In-process is the
+/// only one (exec runs through exec::ExecBackend); the enum and
+/// make_backend() remain only because perfbench/src/farm_store.cpp calls
+/// both — delete them together with that call.
+enum class BackendKind { InProcess };
 
 /// Replicate loop + averaging shared by every executing backend; this is the
 /// exact arithmetic the contract's "bitwise identical" promise refers to.

@@ -2,9 +2,8 @@
 //
 // The structured event journal: a timestamped JSONL record of the
 // operationally significant events that used to vanish into stderr —
-// redials, rejoins, failover re-dispatches, worker respawns, exec
-// timeouts/relaunches, segment quarantines, protocol downgrades. One JSON
-// object per line:
+// redials, rejoins, failover re-dispatches, exec timeouts/relaunches,
+// segment quarantines. One JSON object per line:
 //
 //   {"t_us":12345,"wall_ms":1726… ,"process":"ehdoe-eval-server",
 //    "kind":"redial","endpoint":"127.0.0.1:4217"}

@@ -17,7 +17,6 @@ DesignFlow::DesignFlow(doe::DesignSpace space, doe::Simulation simulation, Optio
     if (!simulation && options_.endpoints.empty() && options_.recipe_file.empty())
         throw std::invalid_argument("DesignFlow: simulation required");
     doe::RunnerOptions ro;
-    ro.backend = options_.backend;
     ro.recipe_file = options_.recipe_file;
     ro.endpoints = options_.endpoints;
     ro.redial_seconds = options_.redial_seconds;

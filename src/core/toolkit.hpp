@@ -55,10 +55,6 @@ public:
         /// axial points must stay on the cube.
         doe::CcdOptions ccd{doe::CcdVariant::FaceCentred, doe::CcdAlpha::Rotatable, 4, true};
         rsm::ModelOrder order = rsm::ModelOrder::Quadratic;
-        /// Evaluation backend of the batch engine: in-process thread pool
-        /// (default) or a pool of forked worker processes. Ignored when
-        /// `endpoints` or `recipe_file` is non-empty.
-        core::BackendKind backend = core::BackendKind::InProcess;
         /// External-simulator recipe file (exec/sim_recipe.hpp); non-empty
         /// drives every simulation batch of the flow through co-simulator
         /// processes launched per point (exec::ExecBackend) — the
@@ -74,8 +70,8 @@ public:
         /// batches so a restarted eval-server rejoins the flow (0 = every
         /// batch, negative = never).
         double redial_seconds = 1.0;
-        /// Workers (threads or processes) of the batch engine; 0 = all
-        /// hardware.
+        /// Workers (threads, or concurrent simulator processes with
+        /// `recipe_file`) of the batch engine; 0 = all hardware.
         std::size_t runner_threads = 1;
         /// Points per work batch; 0 = auto.
         std::size_t runner_batch_size = 0;

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "core/event_log.hpp"
+#include "core/inprocess_backend.hpp"
 #include "core/persistent_cache.hpp"
 #include "core/telemetry.hpp"
 #include "exec/exec_backend.hpp"
@@ -26,16 +27,15 @@ std::vector<double> cache_key(const Vector& natural) {
 BatchRunner::BatchRunner(Simulation sim, RunnerOptions options)
     : options_(std::move(options)) {
     // Remote and exec stacks own the simulation themselves (the servers /
-    // the recipe's command); only local in-process/subprocess execution
-    // needs the closure.
+    // the recipe's command); only local in-process execution needs the
+    // closure.
     if (!sim && options_.endpoints.empty() && options_.recipe_file.empty())
         throw std::invalid_argument("BatchRunner: simulation required");
     if (options_.replicates == 0) throw std::invalid_argument("BatchRunner: replicates >= 1");
 
     // Tracing must be live before the backend stack is built so
     // construction-time work (remote handshakes, recipe parsing, cache
-    // loads) lands in the trace too. Same for the event journal: a
-    // construction-time version downgrade is an event worth keeping.
+    // loads) lands in the trace too. Same for the event journal.
     if (!options_.trace_file.empty()) {
         core::telemetry::enable();
         core::telemetry::set_process_label("ehdoe-client");
@@ -89,7 +89,7 @@ BatchRunner::BatchRunner(Simulation sim, RunnerOptions options)
         bo.batch_size = options_.batch_size;
         bo.replicates = options_.replicates;
         bo.on_batch = std::move(on_batch);
-        backend_ = core::make_backend(std::move(sim), options_.backend, bo);
+        backend_ = std::make_shared<core::InProcessBackend>(std::move(sim), std::move(bo));
     }
     // The replicate count (and the recipe revision, for exec stacks) is
     // part of the result identity: entries hold replicate-averaged

@@ -6,8 +6,9 @@
 // free functions here are thin wrappers over the batch evaluation engine
 // (doe::BatchRunner, batch_runner.hpp), which orchestrates dedup +
 // memoization on top of a pluggable core::EvalBackend: in-process
-// thread-pooled execution (default), a forked worker-process pool, and an
-// optional persistent on-disk cache layer (see RunnerOptions).
+// thread-pooled execution (default), external simulator processes (exec),
+// remote eval-server shards, and optional persistent and shared result
+// tiers (see RunnerOptions).
 #pragma once
 
 #include <functional>
@@ -48,11 +49,6 @@ struct RunResults {
 };
 
 struct RunnerOptions {
-    /// Execution strategy: in-process thread pool (default) or a pool of
-    /// forked worker processes (the stepping stone to external HDL
-    /// co-simulations). Ignored when `endpoints` or `recipe_file` is
-    /// non-empty.
-    core::BackendKind backend = core::BackendKind::InProcess;
     /// External-simulator recipe file (exec/sim_recipe.hpp); non-empty
     /// routes evaluation through an exec::ExecBackend that launches one
     /// co-simulator process per point (x replicates) instead of calling
@@ -73,9 +69,10 @@ struct RunnerOptions {
     /// batches so a restarted eval-server rejoins a long run (0 = every
     /// batch, negative = never).
     double redial_seconds = 1.0;
-    /// Number of workers (threads or processes); 1 = serial, 0 = all
-    /// hardware threads. Simulations must be thread-safe pure functions of
-    /// their input (all toolkit simulations are).
+    /// Number of workers (threads, or concurrent simulator processes with
+    /// `recipe_file`); 1 = serial, 0 = all hardware threads. Simulations
+    /// must be thread-safe pure functions of their input (all toolkit
+    /// simulations are).
     std::size_t threads = 1;
     /// Replicates per design point (responses averaged; useful when the
     /// simulation itself is stochastic).

@@ -8,7 +8,7 @@
 // every other execution strategy, so the whole stack above it
 // (BatchRunner dedup/memoization, PersistentCache, RemoteBackend sharding,
 // DesignFlow) applies to external simulators unchanged. The eval-server
-// daemon serves the same runner in `--mode exec`, so remote shards can
+// daemon serves the same runner under `--recipe`, so remote shards can
 // host exec workloads too.
 //
 // Concurrency: `BackendOptions::threads` points run at once, fanned out
@@ -42,9 +42,9 @@ class ExecBackend : public core::EvalBackend {
 public:
     /// Validates the recipe and creates the scratch root. `options.threads`
     /// bounds concurrent simulator processes (0 = all hardware threads);
-    /// `options.replicates` launches run per point, averaged; the other
-    /// knobs (`batch_size`, `worker_respawns`) do not apply — the recipe's
-    /// own `retries` bounds relaunches.
+    /// `options.replicates` launches run per point, averaged;
+    /// `batch_size` does not apply — the recipe's own `retries` bounds
+    /// relaunches.
     ExecBackend(SimRecipe recipe, core::BackendOptions options);
     ~ExecBackend() override;
 

@@ -300,8 +300,8 @@ ExecRunner::LaunchResult ExecRunner::launch_once(const Vector& natural, std::siz
     for (const std::string& a : argv_strings) argv.push_back(const_cast<char*>(a.c_str()));
     argv.push_back(nullptr);
 
-    // Snapshot the process's parent-side transport fds (TCP listeners,
-    // worker pipes) before forking: a long-lived simulator must not hold
+    // Snapshot the process's parent-side transport fds (TCP listeners and
+    // connections) before forking: a long-lived simulator must not hold
     // an inherited listener open past its owner's death.
     const std::vector<int> parent_fds = net::snapshot_parent_fds();
 

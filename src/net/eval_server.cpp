@@ -7,18 +7,15 @@
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
 #include <deque>
 #include <stdexcept>
 #include <utility>
 
-#include "core/event_log.hpp"
 #include "core/telemetry.hpp"
 #include "core/thread_pool.hpp"
 #include "exec/exec_runner.hpp"
@@ -37,118 +34,14 @@ void set_nonblocking(int fd) {
     if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
+/// The refusal a hello or stats request at any version other than
+/// kProtocolVersion gets.
+std::string version_mismatch(std::uint32_t client_version) {
+    return "protocol version mismatch: server speaks " + std::to_string(kProtocolVersion) +
+           ", client sent " + std::to_string(client_version);
+}
+
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// Forked pipe-worker pool (subprocess worker mode). A free-list of workers
-// speaking the wire protocol over socketpairs; evaluate() checks one out,
-// does a synchronous round-trip and checks it back in. A crashed worker is
-// reaped, reported as an error result for its point, and replaced while the
-// respawn budget lasts.
-// ---------------------------------------------------------------------------
-
-struct EvalServer::PipeWorkerPool {
-    struct Worker {
-        pid_t pid = -1;
-        int fd = -1;
-    };
-
-    PipeWorkerPool(const core::Simulation& sim, std::size_t count, std::size_t replicates,
-                   std::size_t respawn_budget)
-        : sim_(sim), replicates_(replicates), respawn_budget_(respawn_budget) {
-        for (std::size_t i = 0; i < count; ++i) {
-            const ForkedWorker w = fork_eval_worker(sim_, replicates_);
-            free_.push_back({w.pid, w.fd});
-        }
-        live_ = count;
-    }
-
-    ~PipeWorkerPool() {
-        std::lock_guard<std::mutex> lock(mutex_);
-        for (const Worker& w : free_) retire(w);
-        free_.clear();
-        // Checked-out workers belong to in-flight evaluations; stop() drains
-        // the thread pool before the pool is destroyed, so none remain here.
-    }
-
-    EvalResult evaluate(const Vector& point) {
-        Worker w;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            cv_.wait(lock, [&] { return !free_.empty() || live_ == 0; });
-            if (free_.empty()) {
-                EvalResult dead;
-                dead.error = "eval-server: no live workers remain on this shard";
-                return dead;
-            }
-            w = free_.front();
-            free_.pop_front();
-        }
-
-        EvalResult result;
-        const bool io_ok = write_request(w.fd, point) && read_result(w.fd, result);
-        if (io_ok) {
-            std::lock_guard<std::mutex> lock(mutex_);
-            free_.push_back(w);
-            cv_.notify_one();
-            return result;
-        }
-
-        // The worker crashed mid-point: reap it, answer the request with a
-        // clean error frame, and respawn while the budget lasts.
-        result = EvalResult{};
-        result.error =
-            "eval-server: worker (pid " + std::to_string(w.pid) + ") died evaluating the point";
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            retire(w);
-            --live_;
-            if (respawns_ < respawn_budget_) {
-                const ForkedWorker fresh = fork_eval_worker(sim_, replicates_);
-                free_.push_back({fresh.pid, fresh.fd});
-                ++live_;
-                ++respawns_;
-                core::event_log::Event("worker_respawn")
-                    .field("died_pid", static_cast<std::uint64_t>(w.pid))
-                    .field("respawned_pid", static_cast<std::uint64_t>(fresh.pid))
-                    .field("respawns", static_cast<std::uint64_t>(respawns_));
-            }
-            cv_.notify_all();
-        }
-        return result;
-    }
-
-    std::size_t live() const {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return live_;
-    }
-
-    std::size_t respawns() const {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return respawns_;
-    }
-
-private:
-    static void retire(const Worker& w) {
-        if (w.fd >= 0) {
-            unregister_parent_fd(w.fd);
-            ::close(w.fd);
-        }
-        if (w.pid > 0) {
-            int status = 0;
-            ::waitpid(w.pid, &status, 0);
-        }
-    }
-
-    const core::Simulation& sim_;
-    std::size_t replicates_;
-    std::size_t respawn_budget_;
-    mutable std::mutex mutex_;
-    std::condition_variable cv_;
-    std::deque<Worker> free_;
-    std::size_t live_ = 0;
-    std::size_t respawns_ = 0;
-};
 
 // ---------------------------------------------------------------------------
 // Per-connection state. Owned and touched by the event thread only; worker
@@ -175,8 +68,6 @@ struct EvalServer::ConnState {
     int fd = -1;
     std::uint64_t id = 0;
     Phase phase = Phase::Magic;
-    /// Negotiated framing for Phase::Eval (the hello's version).
-    std::uint32_t version = kProtocolVersion;
     std::chrono::steady_clock::time_point opened_at{};
     /// Gathered input not yet consumed by the parser. `in_pos` marks the
     /// parsed prefix; the buffer is compacted after each parse pass.
@@ -207,29 +98,16 @@ EvalServer::EvalServer(core::Simulation sim, EvalServerOptions options)
 
 EvalServer::~EvalServer() { stop(); }
 
-std::uint32_t EvalServer::max_version() const {
-    std::uint32_t v = options_.max_protocol_version;
-    if (v > kProtocolVersion) v = kProtocolVersion;
-    if (v < kMinProtocolVersion) v = kMinProtocolVersion;
-    return v;
-}
-
 void EvalServer::start() {
     if (running_.load()) throw std::logic_error("EvalServer: already started");
     stopping_.store(false);
 
-    // Fork the pipe workers (if any) before the listener and thread pool
-    // exist: fork-before-threads, and the workers must not inherit sockets.
-    // Exec mode forks fresh simulator processes per point instead (a
-    // fork+exec from a threaded process is safe — nothing of the parent
-    // image survives the exec).
+    // Exec mode forks a fresh simulator process per point (a fork+exec
+    // from a threaded process is safe — nothing of the parent image
+    // survives the exec).
     if (options_.recipe) {
         exec_runner_ = std::make_unique<exec::ExecRunner>(*options_.recipe,
                                                           options_.replicates);
-    } else if (options_.worker_kind == core::BackendKind::Subprocess) {
-        pipe_workers_ = std::make_unique<PipeWorkerPool>(sim_, options_.workers,
-                                                         options_.replicates,
-                                                         options_.worker_respawns);
     }
     pool_ = std::make_unique<core::ThreadPool>(options_.workers);
 
@@ -332,8 +210,7 @@ core::metrics::RingSnapshot EvalServer::metrics_snapshot() const {
 }
 
 std::size_t EvalServer::worker_respawns() const {
-    if (exec_runner_) return exec_runner_->relaunches();
-    return pipe_workers_ ? pipe_workers_->respawns() : 0;
+    return exec_runner_ ? exec_runner_->relaunches() : 0;
 }
 
 std::size_t EvalServer::points_timed_out() const {
@@ -402,8 +279,7 @@ void EvalServer::stop() {
         ::close(epoll_fd_);
         epoll_fd_ = -1;
     }
-    pipe_workers_.reset();  // closes pipes; workers _exit(0) on EOF
-    exec_runner_.reset();   // removes the (now empty) scratch root
+    exec_runner_.reset();  // removes the (now empty) scratch root
 }
 
 EvalResult EvalServer::evaluate_one(const Vector& point) {
@@ -414,8 +290,8 @@ EvalResult EvalServer::evaluate_one(const Vector& point) {
         ~InFlight() { n.fetch_sub(1); }
     } occupancy(in_flight_);
 
-    // Wall time per point feeds the lifetime latency histogram the v5
-    // stats reply serves (always on — monitoring state, like the
+    // Wall time per point feeds the lifetime latency histogram the stats
+    // reply serves (always on — monitoring state, like the
     // counters); the span only records when tracing is enabled.
     core::telemetry::Span span("eval", "server");
     const std::uint64_t eval_start = core::telemetry::now_us();
@@ -438,7 +314,6 @@ EvalResult EvalServer::evaluate_one(const Vector& point) {
         result.error = std::move(outcome.error);
         return result;
     }
-    if (pipe_workers_) return pipe_workers_->evaluate(point);
     EvalResult result;
     try {
         result.responses = core::simulate_replicated(sim_, point, options_.replicates);
@@ -488,10 +363,8 @@ bool EvalServer::process_hello(ConnState& conn, const Hello& hello) {
     // rejection is counted *before* the welcome frame goes out, so a
     // client that has observed the refusal also observes the counter.
     std::string refusal;
-    if (hello.version < kMinProtocolVersion || hello.version > max_version()) {
-        refusal = "protocol version mismatch: server speaks " +
-                  std::to_string(max_version()) + ", client sent " +
-                  std::to_string(hello.version);
+    if (hello.version != kProtocolVersion) {
+        refusal = version_mismatch(hello.version);
     } else if (hello.fingerprint != options_.fingerprint) {
         refusal = "scenario fingerprint mismatch: server evaluates '" +
                   options_.fingerprint + "', client wants '" + hello.fingerprint + "'";
@@ -507,28 +380,22 @@ bool EvalServer::process_hello(ConnState& conn, const Hello& hello) {
         conn.close_after_flush = true;
         return true;
     }
-    // The v5 welcome carries a sample of this process's telemetry clock,
+    // The welcome carries a sample of this process's telemetry clock,
     // taken here at encode time — the anchor ehdoe-trace uses to shift
     // this server's trace onto the client's timeline.
-    encode_welcome(conn.out, kStatusOk, "", hello.version, core::telemetry::now_us());
+    encode_welcome(conn.out, kStatusOk, "", core::telemetry::now_us());
     core::telemetry::instant("handshake", "server");
-    conn.version = hello.version;
     conn.phase = ConnState::Phase::Eval;  // lifts the pre-handshake deadline
     return true;
 }
 
 void EvalServer::process_stats_request(ConnState& conn, std::uint32_t version) {
-    if (version < kMinProtocolVersion || version > max_version()) {
+    if (version != kProtocolVersion) {
         rejected_.fetch_add(1);
-        encode_stats_reply(conn.out, kStatusError, ShardStats{},
-                           "protocol version mismatch: server speaks " +
-                               std::to_string(max_version()) + ", client sent " +
-                               std::to_string(version));
+        encode_stats_reply(conn.out, kStatusError, ShardStats{}, version_mismatch(version));
     } else {
         stats_served_.fetch_add(1);
-        // The reply takes the shape of the *requested* version: a v4
-        // monitor polling this server keeps parsing through the rollout.
-        encode_stats_reply(conn.out, kStatusOk, stats(), "", version);
+        encode_stats_reply(conn.out, kStatusOk, stats(), "");
     }
     conn.phase = ConnState::Phase::Drain;
     conn.close_after_flush = true;
@@ -602,11 +469,10 @@ bool EvalServer::parse_input(ConnState& conn) {
                 break;
             }
             case ConnState::Phase::Eval: {
-                // batch request := u64 count, u64 dim, count*dim x f64 (the
-                // only eval framing since v4 became the floor). Each length
-                // validates the moment its bytes arrive, so a hostile
-                // header dies before the peer sends (or we buffer) another
-                // byte.
+                // batch request := u64 count, u64 dim, count*dim x f64. Each
+                // length validates the moment its bytes arrive, so a
+                // hostile header dies before the peer sends (or we buffer)
+                // another byte.
                 if (available() < 8) break;
                 const std::uint64_t count = peek_u64(0);
                 if (count == 0 || count > kSaneLimit) {

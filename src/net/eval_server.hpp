@@ -1,16 +1,15 @@
 // ehdoe/net/eval_server.hpp
 //
 // The eval-server daemon: one shard of the distributed evaluation service.
-// Listens on a TCP socket, hosts a pool of in-process or forked-subprocess
-// workers — or, in exec mode, drives an *external simulator process* per
-// point from a SimRecipe (exec/) — and serves the versioned wire protocol
-// (net/wire.hpp):
+// Listens on a TCP socket, hosts a pool of in-process worker threads — or,
+// in exec mode, drives an *external simulator process* per point from a
+// SimRecipe (exec/) — and serves the wire protocol (net/wire.hpp):
 //
 //   client                         server
-//     | -- hello (version, fp, reps) ->|   handshake: mismatched protocol
-//     | <- welcome (ok / reject) ------|   version, scenario fingerprint or
-//     | -- batch request (k points) -->|   replicate count is rejected with
-//     | <- batch result (k frames) ----|   a message, never served garbage
+//     | -- hello (version, fp, reps) ->|   handshake: a protocol version
+//     | <- welcome (ok / reject) ------|   other than kProtocolVersion, or a
+//     | -- batch request (k points) -->|   mismatched fingerprint or replicate
+//     | <- batch result (k frames) ----|   count, is refused with a message
 //
 // One epoll-driven event thread multiplexes every connection: it accepts,
 // parses handshakes and request frames incrementally off per-connection
@@ -21,23 +20,21 @@
 //
 // Requests pipeline: a client may keep several frames in flight per
 // connection; responses come back in request order (FIFO per connection).
-// Every supported version (v4+) moves whole sub-batches per frame; the
-// handshake's version picks the *reply shapes* (a v5 welcome carries the
-// server clock sample, a v5 stats reply the latency histogram). Points
-// from one frame — and from concurrent connections — evaluate in parallel
-// up to the configured worker count.
+// Each frame carries a whole sub-batch. Points from one frame — and from
+// concurrent connections — evaluate in parallel up to the configured
+// worker count.
 //
 // Observability: every evaluated point's wall time feeds a lifetime
-// latency histogram (core/telemetry.hpp) served in the v5 stats reply;
+// latency histogram (core/telemetry.hpp) served in the stats reply;
 // with tracing enabled the accept/handshake/eval path records spans.
 // Both are strictly observational — results are bitwise identical either
 // way.
 //
 // A simulation that throws answers *that* point with an error frame; the
-// connection (and the server) stays up. With subprocess workers, a worker
-// that crashes outright also answers with an error frame, and the worker
-// is replaced while the bounded respawn budget lasts — one poisoned point
-// cannot take the shard down. The ehdoe-eval-server binary
+// connection (and the server) stays up. In exec mode a simulator process
+// that crashes or times out is likewise one error frame (after the
+// recipe's relaunch budget) — one poisoned point cannot take the shard
+// down. The ehdoe-eval-server binary
 // (tools/eval_server_main.cpp) wraps this class behind CLI flags.
 //
 // A connection that opens with the stats magic instead of the eval
@@ -78,12 +75,8 @@ struct EvalServerOptions {
     /// TCP port; 0 binds an ephemeral port, readable via port() after
     /// start().
     std::uint16_t port = 0;
-    /// Evaluation workers (threads or processes); 0 = all hardware threads.
+    /// Evaluation worker threads; 0 = all hardware threads.
     std::size_t workers = 1;
-    /// Where workers run: in-process thread pool, or forked worker
-    /// processes (the crash-isolated mode for external co-simulators).
-    /// Ignored when `recipe` is set.
-    core::BackendKind worker_kind = core::BackendKind::InProcess;
     /// Exec mode: serve an external simulator described by this recipe
     /// (exec/sim_recipe.hpp) instead of an in-process Simulation — each
     /// point becomes one simulator process launch (x replicates), run by a
@@ -93,18 +86,11 @@ struct EvalServerOptions {
     std::optional<exec::SimRecipe> recipe;
     /// Replicates averaged per point; part of the handshake identity.
     std::size_t replicates = 1;
-    /// Crashed subprocess-worker respawn budget (see BackendOptions).
-    std::size_t worker_respawns = 3;
     /// Simulation identity (e.g. Scenario::fingerprint()); a client whose
     /// hello carries a different fingerprint is rejected at handshake.
     std::string fingerprint;
-    /// Newest protocol version this server admits (clamped to
-    /// [kMinProtocolVersion, kProtocolVersion]). The default serves the
-    /// full supported range; pinning kMinProtocolVersion emulates a
-    /// previous-version server for rollout/negotiation testing.
-    std::uint32_t max_protocol_version = kProtocolVersion;
     /// Metrics sampling interval (core/metrics.hpp): > 0 runs a sampler
-    /// thread appending one snapshot row per interval to the ring the v7
+    /// thread appending one snapshot row per interval to the ring the
     /// stats reply carries. 0 (default) disables sampling entirely.
     /// Strictly observational either way.
     double metrics_interval_seconds = 0.0;
@@ -123,7 +109,7 @@ public:
 
     /// Bind + listen + start the event loop. Throws on bind failure.
     void start();
-    /// Shut every connection down, join the event thread, reap workers.
+    /// Shut every connection down, join the event thread, drain the pool.
     /// Idempotent.
     void stop();
     bool running() const { return running_.load(); }
@@ -137,10 +123,9 @@ public:
     std::size_t handshakes_rejected() const { return rejected_.load(); }
     /// Points answered with a result frame (simulations = this x replicates).
     std::size_t points_served() const { return served_.load(); }
-    /// Points answered with an error frame (sim threw or worker crashed).
+    /// Points answered with an error frame (sim threw or simulator failed).
     std::size_t points_failed() const { return failed_.load(); }
-    /// Crashed subprocess workers replaced so far, or exec simulators
-    /// relaunched after nonzero exits (0 for in-process pools).
+    /// Exec simulators relaunched after nonzero exits (0 in-process).
     std::size_t worker_respawns() const;
     /// Points whose simulator hit the exec recipe's timeout (exec mode).
     std::size_t points_timed_out() const;
@@ -150,13 +135,13 @@ public:
     std::size_t stats_served() const { return stats_served_.load(); }
 
     /// Snapshot of this server's lifetime eval-latency histogram (wall
-    /// time per point, microseconds) — what the v5 stats reply carries.
+    /// time per point, microseconds) — what the stats reply carries.
     core::telemetry::LatencyHistogram latency_histogram() const;
 
     /// Force one metrics sample now (deterministic tests; no-op when
     /// metrics sampling is disabled).
     void sample_metrics_now();
-    /// Snapshot of the metrics ring — what the v7 stats reply carries
+    /// Snapshot of the metrics ring — what the stats reply carries
     /// (empty when sampling is disabled).
     core::metrics::RingSnapshot metrics_snapshot() const;
 
@@ -165,7 +150,6 @@ public:
     ShardStats stats() const;
 
 private:
-    struct PipeWorkerPool;
     struct ConnState;
     struct PendingFrame;
 
@@ -188,7 +172,6 @@ private:
     void close_conn(std::uint64_t id);
     /// Worker-side: mark a frame's connection ready and wake the loop.
     void notify_frame_done(std::uint64_t conn_id);
-    std::uint32_t max_version() const;
     EvalResult evaluate_one(const Vector& point);
 
     core::Simulation sim_;
@@ -203,7 +186,6 @@ private:
     std::thread event_thread_;
 
     std::unique_ptr<core::ThreadPool> pool_;
-    std::unique_ptr<PipeWorkerPool> pipe_workers_;
     std::unique_ptr<exec::ExecRunner> exec_runner_;
 
     /// Connections by id; touched only by the event thread.

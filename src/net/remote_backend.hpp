@@ -2,7 +2,7 @@
 //
 // The client half of the distributed evaluation service: a core::EvalBackend
 // that shards every batch across N eval-server endpoints (net/eval_server.hpp)
-// over persistent TCP connections speaking the versioned wire protocol.
+// over persistent TCP connections speaking the wire protocol (net/wire.hpp).
 //
 //  * Deterministic weighted sharding — the points of a batch are assigned
 //    to the live endpoints by a smooth weighted round-robin whose weights
@@ -22,11 +22,7 @@
 //  * Batched frames — every connection ships its whole sub-batch as one
 //    request frame and receives one result frame back (scatter/gather
 //    through a reused scratch buffer), so the per-point syscall pair and
-//    round-trip collapse to one per sub-batch. Each endpoint negotiates
-//    its version at handshake: the client leads with the newest protocol
-//    and re-dials at the version an older server names in its rejection,
-//    so a mixed-version farm (v4/v5 reply shapes) keeps serving while it
-//    rolls forward.
+//    round-trip collapse to one per sub-batch.
 //
 //  * Pipelined connections — each endpoint keeps up to `pipeline` frames
 //    in flight (responses return in FIFO order), hiding the network
@@ -49,7 +45,8 @@
 //  * Handshake — construction connects and handshakes every endpoint
 //    (protocol version, simulation fingerprint, replicate count); any
 //    mismatch throws with the server's rejection message instead of
-//    exchanging garbage frames.
+//    exchanging garbage frames. The version must equal the server's
+//    kProtocolVersion exactly: there is no downgrade.
 //
 //  * Observability — shard_stats() polls every configured endpoint with
 //    the stats frame (a fresh connection outside the eval path) and merges
@@ -77,21 +74,17 @@ struct Endpoint {
     std::uint16_t port = 0;
 };
 
-/// Parse "host:port" (host defaults to 127.0.0.1 for ":port").
+/// Parse "host:port" (host defaults to 127.0.0.1 for ":port"). Throws
+/// std::invalid_argument on a malformed spec.
 Endpoint parse_endpoint(const std::string& spec);
 
-/// How batch points map onto live shards.
-enum class ShardingPolicy {
-    /// Smooth weighted round-robin over per-shard weights: explicit
-    /// `shard_weights`, else catch-up weights derived from each shard's
-    /// recorded-serve-ledger deficit against the balanced share (a shard
-    /// that recorded fewer serves takes more until the ledger levels
-    /// out). With uniform weights this IS i mod n.
-    Weighted,
-    /// The legacy raw i mod n_live assignment (weights ignored); kept for
-    /// A/B benchmarking on heterogeneous farms.
-    Modulo,
-};
+/// Resolve + connect one endpoint, with TCP_NODELAY set; no handshake. The
+/// one dialer of every client (eval, stats and store connections).
+/// `timeout_seconds` > 0 bounds the connect and all later I/O on the fd
+/// (SO_SNDTIMEO covers connect() on Linux), so a SYN-dropping host fails in
+/// seconds instead of the kernel's minutes. Throws std::runtime_error with
+/// a transport diagnosis.
+int connect_tcp(const Endpoint& endpoint, int timeout_seconds);
 
 /// The deterministic smooth weighted round-robin: the shard slot (index
 /// into `weights`) each of `n` points is assigned to. Pure function — ties
@@ -128,17 +121,11 @@ struct RemoteBackendOptions {
     std::size_t replicates = 1;
     /// Max frames in flight per connection (a frame is a whole sub-batch).
     std::size_t pipeline = 4;
-    /// Wire protocol version to speak: 0 auto-negotiates (lead with
-    /// kProtocolVersion, re-dial at the version a rejecting server names),
-    /// or pin a version in [kMinProtocolVersion, kProtocolVersion] — e.g. 4
-    /// to emulate a previous-cycle client against a mixed farm.
-    std::uint32_t protocol_version = 0;
-    /// Assignment policy; Weighted unless benchmarking against Modulo.
-    ShardingPolicy sharding = ShardingPolicy::Weighted;
     /// Explicit per-endpoint weights (parallel to `endpoints`), e.g.
-    /// operator-measured points/second of a heterogeneous farm. Empty:
-    /// weights derive from the recorded serve ledger. Must be positive and
-    /// match endpoints.size() when non-empty.
+    /// operator-measured points/second of a heterogeneous farm; uniform
+    /// weights assign exactly i mod n. Empty: weights derive from the
+    /// recorded serve ledger. Must be positive and match endpoints.size()
+    /// when non-empty.
     std::vector<double> shard_weights;
     /// Re-dial dead endpoints at most this often, checked between batches
     /// (0 = every batch, negative = never — a dead shard then stays dead
@@ -171,9 +158,6 @@ public:
     std::size_t batches() const override { return batches_; }
 
     std::size_t live_endpoints() const;
-    /// The negotiated wire protocol version of each configured endpoint
-    /// (parallel to options().endpoints); a re-dialed endpoint re-negotiates.
-    std::vector<std::uint32_t> negotiated_versions() const;
     const RemoteBackendOptions& options() const { return options_; }
 
     /// Re-dial attempts made (between batches) against dead endpoints.

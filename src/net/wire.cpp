@@ -1,13 +1,10 @@
 #include "net/wire.hpp"
 
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
 #include <mutex>
 #include <set>
-#include <stdexcept>
 
 namespace ehdoe::net {
 
@@ -56,33 +53,6 @@ bool write_u64(int fd, std::uint64_t v) { return write_all(fd, &v, sizeof v); }
 // Evaluation frames
 // ---------------------------------------------------------------------------
 
-bool write_request(int fd, const Vector& natural) {
-    return write_u64(fd, natural.size()) &&
-           write_all(fd, natural.data(), sizeof(double) * natural.size());
-}
-
-bool read_request(int fd, Vector& natural) {
-    std::uint64_t dim = 0;
-    if (!read_u64(fd, dim) || dim > kSaneLimit) return false;
-    natural = Vector(static_cast<std::size_t>(dim));
-    return read_exact(fd, natural.data(), sizeof(double) * natural.size());
-}
-
-bool write_result(int fd, const EvalResult& result) {
-    if (!write_u64(fd, result.ok ? kStatusOk : kStatusError)) return false;
-    if (result.ok) {
-        if (!write_u64(fd, result.responses.size())) return false;
-        for (const auto& [name, value] : result.responses) {
-            if (!write_u64(fd, name.size()) || !write_all(fd, name.data(), name.size()) ||
-                !write_all(fd, &value, sizeof value))
-                return false;
-        }
-        return true;
-    }
-    return write_u64(fd, result.error.size()) &&
-           write_all(fd, result.error.data(), result.error.size());
-}
-
 bool read_result(int fd, EvalResult& result) {
     result = EvalResult{};
     std::uint64_t status = kStatusError;
@@ -110,7 +80,7 @@ bool read_result(int fd, EvalResult& result) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch frames (protocol v4)
+// Batch frames
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -125,7 +95,7 @@ void append_bytes(std::vector<unsigned char>& out, const void* data, std::size_t
     out.insert(out.end(), p, p + len);
 }
 
-/// The v7 metrics-ring block shared by the eval and store stats replies.
+/// The metrics-ring block shared by the eval and store stats replies.
 /// Encoding clamps to the wire caps (a correctly configured server never
 /// hits them: the caps exist for the *reader*, which validates every
 /// length before allocating).
@@ -162,8 +132,8 @@ void append_metrics_ring(std::vector<unsigned char>& out,
     }
 }
 
-/// Decode one v7 metrics-ring block; every length is checked against its
-/// cap before any allocation (the v5 histogram discipline).
+/// Decode one metrics-ring block; every length is checked against its cap
+/// before any allocation (the histogram discipline).
 bool read_metrics_ring(int fd, core::metrics::RingSnapshot& ring) {
     ring = core::metrics::RingSnapshot{};
     if (!read_u64(fd, ring.interval_us) || !read_u64(fd, ring.first_seq)) return false;
@@ -260,7 +230,6 @@ bool read_batch_result(int fd, std::size_t expected, std::vector<EvalResult>& re
     if (!read_u64(fd, count) || count != expected) return false;
     results.resize(static_cast<std::size_t>(count));
     for (EvalResult& r : results) {
-        // Each body is exactly one v3 response frame (status + payload).
         if (!read_result(fd, r)) return false;
     }
     return true;
@@ -294,11 +263,10 @@ bool read_hello_body(int fd, Hello& hello) {
 }
 
 void encode_welcome(std::vector<unsigned char>& out, std::uint64_t status,
-                    const std::string& message, std::uint32_t version,
-                    std::uint64_t server_now_us) {
+                    const std::string& message, std::uint64_t server_now_us) {
     append_u64(out, status);
     if (status == kStatusOk) {
-        if (version >= 5) append_u64(out, server_now_us);
+        append_u64(out, server_now_us);
         return;
     }
     append_u64(out, message.size());
@@ -306,20 +274,17 @@ void encode_welcome(std::vector<unsigned char>& out, std::uint64_t status,
 }
 
 bool write_welcome(int fd, std::uint64_t status, const std::string& message,
-                   std::uint32_t version, std::uint64_t server_now_us) {
+                   std::uint64_t server_now_us) {
     if (!write_u64(fd, status)) return false;
-    if (status == kStatusOk) {
-        return version >= 5 ? write_u64(fd, server_now_us) : true;
-    }
+    if (status == kStatusOk) return write_u64(fd, server_now_us);
     return write_u64(fd, message.size()) && write_all(fd, message.data(), message.size());
 }
 
-bool read_welcome(int fd, std::uint64_t& status, std::string& message, std::uint32_t version,
+bool read_welcome(int fd, std::uint64_t& status, std::string& message,
                   std::uint64_t* server_now_us) {
     message.clear();
     if (!read_u64(fd, status)) return false;
     if (status == kStatusOk) {
-        if (version < 5) return true;
         std::uint64_t ts = 0;
         if (!read_u64(fd, ts)) return false;
         if (server_now_us) *server_now_us = ts;
@@ -366,8 +331,7 @@ bool read_stats_request_body(int fd, std::uint32_t& version) {
 }
 
 void encode_stats_reply(std::vector<unsigned char>& out, std::uint64_t status,
-                        const ShardStats& stats, const std::string& message,
-                        std::uint32_t version) {
+                        const ShardStats& stats, const std::string& message) {
     append_u64(out, status);
     if (status != kStatusOk) {
         append_u64(out, message.size());
@@ -383,7 +347,6 @@ void encode_stats_reply(std::vector<unsigned char>& out, std::uint64_t status,
     append_u64(out, stats.in_flight);
     append_u64(out, stats.connections_accepted);
     append_bytes(out, &stats.uptime_seconds, sizeof stats.uptime_seconds);
-    if (version < 5) return;  // a v4 requester gets exactly the v4 shape
     append_u64(out, stats.latency_buckets.size());
     for (const auto& [index, count] : stats.latency_buckets) {
         append_u64(out, index);
@@ -392,19 +355,17 @@ void encode_stats_reply(std::vector<unsigned char>& out, std::uint64_t status,
     append_bytes(out, &stats.latency_p50_us, sizeof stats.latency_p50_us);
     append_bytes(out, &stats.latency_p95_us, sizeof stats.latency_p95_us);
     append_bytes(out, &stats.latency_p99_us, sizeof stats.latency_p99_us);
-    if (version < 7) return;  // a v5/v6 requester gets exactly that shape
     append_metrics_ring(out, stats.metrics);
 }
 
 bool write_stats_reply(int fd, std::uint64_t status, const ShardStats& stats,
-                       const std::string& message, std::uint32_t version) {
+                       const std::string& message) {
     std::vector<unsigned char> scratch;
-    encode_stats_reply(scratch, status, stats, message, version);
+    encode_stats_reply(scratch, status, stats, message);
     return write_all(fd, scratch.data(), scratch.size());
 }
 
-bool read_stats_reply(int fd, std::uint64_t& status, ShardStats& stats, std::string& message,
-                      std::uint32_t version) {
+bool read_stats_reply(int fd, std::uint64_t& status, ShardStats& stats, std::string& message) {
     message.clear();
     stats = ShardStats{};
     if (!read_u64(fd, status)) return false;
@@ -421,8 +382,7 @@ bool read_stats_reply(int fd, std::uint64_t& status, ShardStats& stats, std::str
           read_u64(fd, stats.connections_accepted) &&
           read_exact(fd, &stats.uptime_seconds, sizeof stats.uptime_seconds)))
         return false;
-    if (version < 5) return true;
-    // v5 latency histogram: the bucket count and every index are validated
+    // Latency histogram: the bucket count and every index are validated
     // before any allocation — a frame claiming more buckets than the
     // telemetry histogram owns is corrupt, not large.
     std::uint64_t n = 0;
@@ -439,13 +399,12 @@ bool read_stats_reply(int fd, std::uint64_t& status, ShardStats& stats, std::str
           read_exact(fd, &stats.latency_p95_us, sizeof stats.latency_p95_us) &&
           read_exact(fd, &stats.latency_p99_us, sizeof stats.latency_p99_us)))
         return false;
-    if (version < 7) return true;
-    // v7 metrics ring, validated before allocation like the histogram.
+    // Metrics ring, validated before allocation like the histogram.
     return read_metrics_ring(fd, stats.metrics);
 }
 
 // ---------------------------------------------------------------------------
-// Store frames (protocol v6)
+// Store frames
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -617,7 +576,7 @@ bool read_store_put_reply(int fd, std::uint64_t& status, std::uint64_t& appended
 bool write_store_stats_request(int fd) { return write_u64(fd, kStoreOpStats); }
 
 bool write_store_stats_reply(int fd, std::uint64_t status, const StoreStats& stats,
-                             const std::string& message, std::uint32_t version) {
+                             const std::string& message) {
     std::vector<unsigned char> scratch;
     append_u64(scratch, status);
     if (status == kStatusOk) {
@@ -630,7 +589,7 @@ bool write_store_stats_reply(int fd, std::uint64_t status, const StoreStats& sta
         append_u64(scratch, stats.records_appended);
         append_u64(scratch, stats.connections_accepted);
         append_bytes(scratch, &stats.uptime_seconds, sizeof stats.uptime_seconds);
-        if (version >= 7) append_metrics_ring(scratch, stats.metrics);
+        append_metrics_ring(scratch, stats.metrics);
     } else {
         append_u64(scratch, message.size());
         append_bytes(scratch, message.data(), message.size());
@@ -639,7 +598,7 @@ bool write_store_stats_reply(int fd, std::uint64_t status, const StoreStats& sta
 }
 
 bool read_store_stats_reply(int fd, std::uint64_t& status, StoreStats& stats,
-                            std::string& message, std::uint32_t version) {
+                            std::string& message) {
     message.clear();
     stats = StoreStats{};
     if (!read_u64(fd, status)) return false;
@@ -651,68 +610,7 @@ bool read_store_stats_reply(int fd, std::uint64_t& status, StoreStats& stats,
           read_u64(fd, stats.connections_accepted) &&
           read_exact(fd, &stats.uptime_seconds, sizeof stats.uptime_seconds)))
         return false;
-    if (version < 7) return true;
     return read_metrics_ring(fd, stats.metrics);
-}
-
-// ---------------------------------------------------------------------------
-// Worker loop
-// ---------------------------------------------------------------------------
-
-[[noreturn]] void eval_worker_loop(int fd, const Simulation& sim, std::size_t replicates) {
-    for (;;) {
-        Vector point;
-        if (!read_request(fd, point)) ::_exit(0);  // parent closed: clean shutdown
-
-        EvalResult result;
-        try {
-            result.responses = core::simulate_replicated(sim, point, replicates);
-            result.ok = true;
-        } catch (const std::exception& e) {
-            result.error = e.what();
-        } catch (...) {
-            result.error = "unknown exception in worker simulation";
-        }
-
-        if (!write_result(fd, result)) ::_exit(2);  // parent vanished mid-frame
-    }
-}
-
-ForkedWorker fork_eval_worker(const Simulation& sim, std::size_t replicates) {
-    int fds[2];
-    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0)
-        throw std::runtime_error("fork_eval_worker: socketpair failed");
-
-    // Snapshot every parent-side transport fd in the process *before*
-    // forking: the child closes them lock-free (taking a mutex after fork
-    // could deadlock if another thread held it at fork time).
-    const std::vector<int> parent_fds = snapshot_parent_fds();
-
-    // Flush stdio so the child does not replay buffered output.
-    std::fflush(stdout);
-    std::fflush(stderr);
-
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-        ::close(fds[0]);
-        ::close(fds[1]);
-        throw std::runtime_error("fork_eval_worker: fork failed");
-    }
-    if (pid == 0) {
-        // Child: drop every parent-side transport in the process (its own
-        // pair's parent end included), keep only its worker end.
-        for (const int fd : parent_fds) ::close(fd);
-        ::close(fds[0]);
-        eval_worker_loop(fds[1], sim, replicates);
-    }
-
-    // Parent.
-    ::close(fds[1]);
-    register_parent_fd(fds[0]);
-    ForkedWorker w;
-    w.pid = pid;
-    w.fd = fds[0];
-    return w;
 }
 
 // ---------------------------------------------------------------------------

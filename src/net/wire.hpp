@@ -1,82 +1,72 @@
 // ehdoe/net/wire.hpp
 //
-// The evaluation wire protocol: one length-prefixed binary frame codec
-// shared by every process boundary the toolkit crosses —
+// The evaluation wire protocol: one length-prefixed binary frame codec for
+// the TCP connections between net::RemoteBackend / store::StoreClient and
+// the eval and store daemons.
 //
-//  * core::SubprocessBackend's forked worker pipes (AF_UNIX socketpair),
-//  * net::EvalServer's forked worker pipes, and
-//  * the TCP connections between net::RemoteBackend and net::EvalServer.
+// Every peer ships from this repository, so the protocol has exactly one
+// version, kProtocolVersion: a daemon accepts an eval hello, a stats
+// request or a store hello only at that version and refuses any other with
+// a message naming both versions ("... server speaks N, client sent M"),
+// counted in handshakes_rejected. A refused client throws with the
+// server's message; there is no downgrade.
 //
-// Frames (host-endian, binary):
+// Frames (host-endian, binary). A response body is the unit every result
+// frame carries:
 //
-//   request   := u64 dim, dim x f64                  (client -> evaluator)
-//   response  := u64 status                          (evaluator -> client)
+//   response  := u64 status
 //                status 0: u64 n, n x { u64 name_len, bytes, f64 value }
 //                status 1: u64 msg_len, bytes        (simulation failed)
 //
-// Protocol v4 adds multi-point batch frames: one request frame carries a
-// shard's whole sub-batch and one result frame carries all its responses,
-// so the per-point framing overhead (a syscall pair and a network
-// round-trip per point) collapses to one per sub-batch. Both sides
+// One request frame carries a shard's whole sub-batch and one result frame
+// carries all its responses, so the framing overhead (a syscall pair and a
+// network round-trip) is paid once per sub-batch. Both sides
 // scatter/gather through reused scratch buffers — encode builds the whole
 // frame in one contiguous buffer and writes it with a single send.
 //
 //   batch request := u64 count, u64 dim, count*dim x f64   (points, row-major)
-//   batch result  := u64 count, count x response-body      (request order)
+//   batch result  := u64 count, count x response           (request order)
 //
-// Which shapes a TCP connection speaks is fixed by the handshake: a
-// server accepts any hello version in [kMinProtocolVersion,
-// kProtocolVersion] and serves that connection at the client's version, so
-// v4 peers interoperate with v5 servers (and a v5 client downgrades to a
-// v4-only server by re-dialing at the version the rejection message
-// names).
-//
-// TCP connections additionally start with a handshake so mismatched peers
-// are rejected cleanly instead of exchanging garbage frames:
+// Eval connections start with a handshake so mismatched peers are rejected
+// cleanly instead of exchanging garbage frames:
 //
 //   hello     := 6-byte magic "EHDOEN", u32 protocol version,
 //                u64 fp_len, bytes (simulation fingerprint),
 //                u64 replicates                      (client -> server)
 //   welcome   := u64 status; status != 0: u64 msg_len, bytes
-//                v5, status 0: u64 server_now_us — a sample of the
-//                server's monotonic telemetry clock taken while encoding
-//                the welcome, the clock-offset anchor ehdoe-trace uses to
+//                status 0: u64 server_now_us — a sample of the server's
+//                monotonic telemetry clock taken while encoding the
+//                welcome, the clock-offset anchor ehdoe-trace uses to
 //                merge client and server trace files onto one timeline
 //
 // A second connection kind serves farm monitoring *outside* the FIFO eval
 // path: a peer that opens with the stats magic gets one stats reply and the
 // connection closes — no handshake, no eval frames, no interleaving with
-// pipelined evaluation connections. The reply takes the shape of the
-// *requested* version, so a v4 monitor keeps parsing a v5 server:
+// pipelined evaluation connections:
 //
 //   stats req := 6-byte magic "EHDOES", u32 protocol version
 //   stats rep := u64 status
 //                status 0: u32 version, u64 points_served, u64 points_failed,
 //                          u64 handshakes_rejected, u64 worker_respawns,
 //                          u64 points_timed_out, u64 in_flight,
-//                          u64 connections_accepted, f64 uptime_seconds
-//                v5, status 0 continues with the server's eval-latency
-//                histogram (core/telemetry.hpp log buckets, microseconds):
+//                          u64 connections_accepted, f64 uptime_seconds,
+//                          then the server's eval-latency histogram
+//                          (core/telemetry.hpp log buckets, microseconds):
 //                          u64 n, n x { u64 bucket_index, u64 count },
-//                          f64 p50_us, f64 p95_us, f64 p99_us
-//                v7, status 0 continues with the server's metrics ring
-//                (core/metrics.hpp periodic snapshots, oldest first):
+//                          f64 p50_us, f64 p95_us, f64 p99_us,
+//                          then the server's metrics ring (core/metrics.hpp
+//                          periodic snapshots, oldest first):
 //                          u64 interval_us, u64 first_seq,
 //                          u64 n_series, n_series x { u64 name_len, bytes },
 //                          u64 n_rows, n_rows x { u64 t_us, n_series x f64 }
 //                status != 0: u64 msg_len, bytes     (e.g. version mismatch)
 //
-// Forked pipe workers skip the handshake — fork() guarantees both ends run
-// the same binary with the same closure. Closing the client side of any
-// transport is the shutdown signal; eval_worker_loop() _exits cleanly on
-// EOF.
+// Closing the client side of a connection is the shutdown signal.
 //
 // Determinism note: values travel as raw f64 bits, so a response is bitwise
 // identical no matter which process or host (same binary, same libm)
 // produced it.
 #pragma once
-
-#include <sys/types.h>
 
 #include <cstdint>
 #include <string>
@@ -88,40 +78,16 @@
 namespace ehdoe::net {
 
 using core::ResponseMap;
-using core::Simulation;
 using num::Vector;
 
 // ---------------------------------------------------------------------------
 // Protocol constants
 // ---------------------------------------------------------------------------
 
-/// v2: the stats connection kind ("EHDOES") joined the protocol.
-/// v3: the stats reply grew points_timed_out + in_flight (exec-based
-///     external simulators joined the farm; load/occupancy is display-only
-///     and stays outside the determinism contract).
-/// v4: multi-point batch frames — one request frame per sub-batch, one
-///     result frame with all its responses (the wire hot-path overhaul).
-/// v5: observability — the OK welcome carries a server clock sample (trace
-///     merging), the stats reply carries the server's eval-latency
-///     histogram + p50/p95/p99. Eval framing is unchanged from v4.
-/// v6: the store connection kind ("EHDOER") joined the protocol — the
-///     shared result store's get-batch/put-batch/stats frames. Eval and
-///     stats framing are unchanged from v5.
-/// v7: the health plane — eval and store stats replies carry the server's
-///     metrics ring (core/metrics.hpp: recent periodic snapshots of its
-///     counter/gauge series), pre-allocation-validated like the v5
-///     histogram payload. Eval, handshake and store data framing are
-///     unchanged from v6.
+/// The one protocol version every peer speaks; a hello or stats request at
+/// any other version is refused. Bump it whenever any frame changes layout
+/// (7 = the stats replies carry the metrics ring).
 inline constexpr std::uint32_t kProtocolVersion = 7;
-/// Oldest hello version a server still accepts; such a connection is
-/// served with that version's reply shapes (v4 = no welcome clock sample,
-/// no stats histogram), so a fleet can roll the protocol forward one
-/// version at a time. v3 single-point framing completed its deprecation
-/// cycle and is no longer served.
-inline constexpr std::uint32_t kMinProtocolVersion = 4;
-/// Oldest hello version a *store* server accepts: the store connection
-/// kind did not exist before v6, so store peers cannot downgrade below it.
-inline constexpr std::uint32_t kStoreMinProtocolVersion = 6;
 inline constexpr char kHandshakeMagic[6] = {'E', 'H', 'D', 'O', 'E', 'N'};
 inline constexpr char kStatsMagic[6] = {'E', 'H', 'D', 'O', 'E', 'S'};
 inline constexpr char kStoreMagic[6] = {'E', 'H', 'D', 'O', 'E', 'R'};
@@ -138,8 +104,8 @@ inline constexpr std::uint64_t kSaneLimit = 1u << 24;
 /// frame claiming more is corrupt and fails before any allocation).
 inline constexpr std::uint64_t kMaxHistogramBuckets = 1024;
 
-/// Caps on the v7 metrics-ring payload, each validated before any
-/// allocation (the v5 histogram discipline): a server samples a handful of
+/// Caps on the metrics-ring payload, each validated before any allocation
+/// (the histogram discipline): a server samples a handful of
 /// series into a ring of at most ~120 rows, so a frame claiming more is
 /// corrupt, not large.
 inline constexpr std::uint64_t kMaxMetricSeries = 64;
@@ -149,7 +115,7 @@ inline constexpr std::uint64_t kMaxMetricSamples = 1024;
 // ---------------------------------------------------------------------------
 // Low-level I/O: loop until the full buffer moved; false on EOF/hard error.
 // recv/send with MSG_NOSIGNAL so a dead peer surfaces as an error, never as
-// SIGPIPE. Works on any SOCK_STREAM fd (socketpair and TCP alike).
+// SIGPIPE. Works on any SOCK_STREAM fd.
 // ---------------------------------------------------------------------------
 
 bool read_exact(int fd, void* buf, std::size_t len);
@@ -168,17 +134,14 @@ struct EvalResult {
     std::string error;
 };
 
-bool write_request(int fd, const Vector& natural);
-/// False on EOF (clean shutdown) and on any broken frame.
-bool read_request(int fd, Vector& natural);
-
-bool write_result(int fd, const EvalResult& result);
+/// Decode one response body (status + payload); false on EOF and on any
+/// broken body.
 bool read_result(int fd, EvalResult& result);
 
 // ---------------------------------------------------------------------------
-// Batch frames (protocol v4). Encoders append to a caller-owned buffer so
-// hot paths reuse one allocation across batches; the write_* wrappers clear
-// the scratch, encode, and push the whole frame with a single send.
+// Batch frames. Encoders append to a caller-owned buffer so hot paths reuse
+// one allocation across batches; the write_* wrappers clear the scratch,
+// encode, and push the whole frame with a single send.
 // ---------------------------------------------------------------------------
 
 /// Append one batch request frame carrying points[indices[0..k)] (all of
@@ -192,8 +155,8 @@ bool write_batch_request(int fd, const std::vector<Vector>& points,
 /// EvalServer parses the same layout incrementally off its epoll buffers).
 bool read_batch_request(int fd, std::vector<Vector>& points);
 
-/// Append one response body (the bytes after a v3 status would travel
-/// identically) to `out`; batch results are `u64 count` + count bodies.
+/// Append one response body to `out`; batch results are `u64 count` +
+/// count bodies.
 void encode_result(std::vector<unsigned char>& out, const EvalResult& result);
 void encode_batch_result(std::vector<unsigned char>& out,
                          const std::vector<EvalResult>& results);
@@ -205,7 +168,7 @@ bool write_batch_result(int fd, const std::vector<EvalResult>& results,
 bool read_batch_result(int fd, std::size_t expected, std::vector<EvalResult>& results);
 
 // ---------------------------------------------------------------------------
-// Handshake frames (TCP only)
+// Handshake frames
 // ---------------------------------------------------------------------------
 
 struct Hello {
@@ -218,24 +181,19 @@ bool write_hello(int fd, const Hello& hello);
 bool read_hello(int fd, Hello& hello);
 
 /// status kStatusOk accepts; anything else carries a rejection message.
-/// `version` is the connection's negotiated version: from v5 on, an OK
-/// welcome carries `server_now_us` — the server's monotonic telemetry
-/// clock sampled at encode time (the trace-merge clock anchor). Readers at
-/// v5 receive it through `server_now_us` when non-null.
+/// An OK welcome carries `server_now_us` — the server's monotonic
+/// telemetry clock sampled at encode time (the trace-merge clock anchor);
+/// readers receive it through `server_now_us` when non-null.
 bool write_welcome(int fd, std::uint64_t status, const std::string& message,
-                   std::uint32_t version = kMinProtocolVersion,
                    std::uint64_t server_now_us = 0);
 bool read_welcome(int fd, std::uint64_t& status, std::string& message,
-                  std::uint32_t version = kMinProtocolVersion,
                   std::uint64_t* server_now_us = nullptr);
 /// Buffer-encode form of write_welcome, for non-blocking writers.
 void encode_welcome(std::vector<unsigned char>& out, std::uint64_t status,
-                    const std::string& message,
-                    std::uint32_t version = kMinProtocolVersion,
-                    std::uint64_t server_now_us = 0);
+                    const std::string& message, std::uint64_t server_now_us = 0);
 
 // ---------------------------------------------------------------------------
-// Connection-kind dispatch and the stats frame (TCP only). A server reads
+// Connection-kind dispatch and the stats frame. A server reads
 // the 6-byte opening magic once and branches: eval connections continue with
 // the hello body, stats connections with the stats-request body. Anything
 // else is a broken or alien peer.
@@ -255,7 +213,7 @@ struct ShardStats {
     std::uint64_t points_served = 0;           ///< result frames answered
     std::uint64_t points_failed = 0;           ///< error frames answered
     std::uint64_t handshakes_rejected = 0;
-    /// Crashed subprocess workers replaced / exec simulators relaunched.
+    /// Exec simulators relaunched after a failed launch (0 in-process).
     std::uint64_t worker_respawns = 0;
     /// Points whose simulator hit the exec recipe's wall-clock timeout.
     std::uint64_t points_timed_out = 0;
@@ -264,17 +222,16 @@ struct ShardStats {
     std::uint64_t in_flight = 0;
     std::uint64_t connections_accepted = 0;
     double uptime_seconds = 0.0;  ///< since the server start()ed
-    /// v5: the server's lifetime eval-latency histogram as sparse
+    /// The server's lifetime eval-latency histogram as sparse
     /// (bucket_index, count) pairs (core::telemetry::LatencyHistogram log
-    /// buckets, microseconds) plus exact-rank percentiles. Empty/zero when
-    /// the reply was requested at v4.
+    /// buckets, microseconds) plus exact-rank percentiles.
     std::vector<std::pair<std::uint64_t, std::uint64_t>> latency_buckets;
     double latency_p50_us = 0.0;
     double latency_p95_us = 0.0;
     double latency_p99_us = 0.0;
-    /// v7: the server's metrics ring — recent periodic snapshots of its
-    /// counter/gauge series (core/metrics.hpp). Empty when the reply was
-    /// requested below v7 or the server samples no metrics.
+    /// The server's metrics ring — recent periodic snapshots of its
+    /// counter/gauge series (core/metrics.hpp). Empty when the server
+    /// samples no metrics.
     core::metrics::RingSnapshot metrics;
 };
 
@@ -282,30 +239,24 @@ bool write_stats_request(int fd, std::uint32_t version = kProtocolVersion);
 /// The version field after the magic.
 bool read_stats_request_body(int fd, std::uint32_t& version);
 
-/// status kStatusOk carries `stats`; anything else carries a message. The
-/// reply's shape follows the *requested* version (`version`): from v5 on,
-/// an OK reply appends the latency histogram + percentiles. Reader and
-/// writer must pass the same version the request named.
+/// status kStatusOk carries `stats`; anything else carries a message.
 bool write_stats_reply(int fd, std::uint64_t status, const ShardStats& stats,
-                       const std::string& message,
-                       std::uint32_t version = kMinProtocolVersion);
-bool read_stats_reply(int fd, std::uint64_t& status, ShardStats& stats, std::string& message,
-                      std::uint32_t version = kMinProtocolVersion);
+                       const std::string& message);
+bool read_stats_reply(int fd, std::uint64_t& status, ShardStats& stats, std::string& message);
 /// Buffer-encode form of write_stats_reply, for non-blocking writers.
 void encode_stats_reply(std::vector<unsigned char>& out, std::uint64_t status,
-                        const ShardStats& stats, const std::string& message,
-                        std::uint32_t version = kMinProtocolVersion);
+                        const ShardStats& stats, const std::string& message);
 
 // ---------------------------------------------------------------------------
-// Store frames (protocol v6, TCP only). A third connection kind serves the
+// Store frames. A third connection kind serves the
 // farm-wide result store: a peer opening with the store magic speaks
 // opcode-framed get-batch/put-batch/stats requests over one pipelined
 // connection (FIFO, like eval). Keys are opaque byte strings (in practice
 // the cache identity + hexfloat-exact point, see store/store_backend.hpp)
-// and values are response maps, reusing the v5 response-body codec:
+// and values are response maps, reusing the response-body codec:
 //
 //   store hello := 6-byte magic "EHDOER", u32 protocol version
-//   welcome     := (the eval welcome frame, version-shaped)
+//   welcome     := (the eval welcome frame)
 //   request     := u64 opcode, opcode body:
 //     get (0)   := u64 count, count x { u64 key_len, bytes }
 //     put (1)   := u64 count, count x { u64 key_len, bytes,
@@ -320,10 +271,8 @@ void encode_stats_reply(std::vector<unsigned char>& out, std::uint64_t status,
 //     stats, status 0 := u64 keys, u64 segments, u64 quarantined_segments,
 //                    u64 gets_served, u64 get_hits, u64 puts_received,
 //                    u64 records_appended, u64 connections_accepted,
-//                    f64 uptime_seconds
-//                    v7 continues with the store's metrics ring (the same
-//                    layout as the v7 eval stats reply); the shape follows
-//                    the connection's negotiated version.
+//                    f64 uptime_seconds, then the store's metrics ring
+//                    (the same layout as in the eval stats reply)
 //
 // Every length field is checked against kSaneLimit before allocation, and
 // a whole get/put frame additionally runs against a cumulative kSaneLimit
@@ -358,7 +307,7 @@ struct StoreStats {
     std::uint64_t records_appended = 0;      ///< entries newly appended
     std::uint64_t connections_accepted = 0;
     double uptime_seconds = 0.0;  ///< since the server start()ed
-    /// v7: the store's metrics ring (empty below v7 / sampling off).
+    /// The store's metrics ring (empty when sampling is off).
     core::metrics::RingSnapshot metrics;
 };
 
@@ -388,44 +337,16 @@ bool read_store_put_reply(int fd, std::uint64_t& status, std::uint64_t& appended
                           std::string& message);
 
 bool write_store_stats_request(int fd);
-/// The reply's shape follows the store connection's negotiated `version`:
-/// from v7 on an OK reply appends the metrics ring. Reader and writer must
-/// pass the version the handshake agreed.
 bool write_store_stats_reply(int fd, std::uint64_t status, const StoreStats& stats,
-                             const std::string& message,
-                             std::uint32_t version = kStoreMinProtocolVersion);
+                             const std::string& message);
 bool read_store_stats_reply(int fd, std::uint64_t& status, StoreStats& stats,
-                            std::string& message,
-                            std::uint32_t version = kStoreMinProtocolVersion);
+                            std::string& message);
 
 // ---------------------------------------------------------------------------
-// The worker side of the protocol: serve request frames until EOF. Shared
-// by every forked pipe worker (SubprocessBackend and EvalServer). Never
-// returns; _exit(0) on clean shutdown, _exit(2) when the parent vanishes
-// mid-frame.
-// ---------------------------------------------------------------------------
-
-[[noreturn]] void eval_worker_loop(int fd, const Simulation& sim, std::size_t replicates);
-
-/// Fork one pipe worker running eval_worker_loop over a fresh socketpair.
-/// Returns the parent side (already registered with the fork-hygiene
-/// registry below); the child never returns. Throws on socketpair/fork
-/// failure. Fork early, before the embedding application spawns threads.
-/// The crash-respawn paths do fork from an already-threaded process; that
-/// is safe on glibc (malloc registers atfork handlers, and the child only
-/// closes fds and enters the worker loop) but relies on the Simulation
-/// closure not sharing locks with other threads — keep simulations pure,
-/// as the backend contract already demands.
-struct ForkedWorker {
-    pid_t pid = -1;
-    int fd = -1;  ///< parent side of the socketpair
-};
-ForkedWorker fork_eval_worker(const Simulation& sim, std::size_t replicates);
-
-// ---------------------------------------------------------------------------
-// Fork hygiene: parent-side fds (command sockets, TCP listeners, accepted
-// connections) that a freshly forked worker must close so unrelated
-// transports see EOF when their own parent end closes. Registered by every
+// Fork hygiene: parent-side fds (TCP listeners, accepted and dialed
+// connections) that a freshly forked child — an exec simulator launch — must
+// close so unrelated transports see EOF when their own parent end closes.
+// Registered by every
 // component that owns such an fd; snapshot_parent_fds() is taken in the
 // parent immediately before fork() and closed in the child lock-free.
 // ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@
 //   in-memory memo (BatchRunner)        per-run dedup
 //     -> local snapshot (PersistentCache)   per-machine, per-file
 //       -> store service (StoreBackend)     farm-wide, one daemon
-//         -> simulate (in-process / subprocess / remote / exec)
+//         -> simulate (in-process / remote / exec)
 //
 // Keys are content addresses: the full cache identity — exactly the
 // PersistentCache fingerprint, i.e. Scenario::fingerprint() (+ "/recipe="

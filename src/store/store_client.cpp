@@ -1,108 +1,29 @@
 #include "store/store_client.hpp"
 
-#include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
-#include <cstdlib>
 #include <stdexcept>
 
-#include "core/event_log.hpp"
+#include "net/remote_backend.hpp"
 
 namespace ehdoe::store {
 
 using namespace ehdoe::net;
 
-namespace {
-
-/// Extract N from a "... server speaks N, ..." refusal — the negotiation
-/// hook an older store leaves in its version rejection (the eval client's
-/// parse, same needle).
-bool parse_server_speaks(const std::string& message, std::uint32_t& version) {
-    static const std::string kNeedle = "server speaks ";
-    const auto at = message.find(kNeedle);
-    if (at == std::string::npos) return false;
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(message.c_str() + at + kNeedle.size(), &end, 10);
-    if (end == message.c_str() + at + kNeedle.size() || v == 0) return false;
-    version = static_cast<std::uint32_t>(v);
-    return true;
-}
-
-/// Resolve + connect with bounded connect and I/O times (SO_SNDTIMEO
-/// covers connect() on Linux). Same shape as the eval client's dialer.
-int connect_tcp(const std::string& host, std::uint16_t port, int timeout_seconds) {
-    addrinfo hints{};
-    hints.ai_family = AF_INET;
-    hints.ai_socktype = SOCK_STREAM;
-    addrinfo* found = nullptr;
-    const std::string port_str = std::to_string(port);
-    if (::getaddrinfo(host.c_str(), port_str.c_str(), &hints, &found) != 0 || !found)
-        throw std::runtime_error("cannot resolve store endpoint " + host + ":" + port_str);
-
-    int fd = -1;
-    for (addrinfo* ai = found; ai; ai = ai->ai_next) {
-        fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
-        if (fd < 0) continue;
-        if (timeout_seconds > 0) {
-            timeval timeout{};
-            timeout.tv_sec = timeout_seconds;
-            ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
-            ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof timeout);
-        }
-        if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) break;
-        ::close(fd);
-        fd = -1;
-    }
-    ::freeaddrinfo(found);
-    if (fd < 0)
-        throw std::runtime_error("store endpoint " + host + ":" + port_str +
-                                 " is unreachable");
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    return fd;
-}
-
-}  // namespace
-
 StoreClient::StoreClient(const std::string& host, std::uint16_t port, int timeout_seconds)
     : endpoint_(host + ":" + std::to_string(port)) {
-    // Lead with the newest protocol; when an older store names the version
-    // it speaks in its refusal, re-dial once at that version (mirrors the
-    // eval client's negotiation, so a mixed-version farm keeps its store).
-    std::uint32_t version = kProtocolVersion;
-    for (;;) {
-        fd_ = connect_tcp(host, port, timeout_seconds);
-        std::uint64_t status = kStatusError;
-        std::string message;
-        if (!write_store_hello(fd_, version) ||
-            !read_welcome(fd_, status, message, version)) {
-            ::close(fd_);
-            fd_ = -1;
-            throw std::runtime_error("store " + endpoint_ + ": handshake transport failure");
-        }
-        if (status == kStatusOk) break;
+    fd_ = connect_tcp(Endpoint{host, port}, timeout_seconds);
+    std::uint64_t status = kStatusError;
+    std::string message;
+    if (!write_store_hello(fd_) || !read_welcome(fd_, status, message)) {
         ::close(fd_);
-        fd_ = -1;
-        std::uint32_t server_version = 0;
-        if (parse_server_speaks(message, server_version) &&
-            server_version >= kStoreMinProtocolVersion && server_version < version) {
-            core::event_log::Event("version_downgrade")
-                .field("component", "store")
-                .field("endpoint", endpoint_)
-                .field("from", static_cast<std::uint64_t>(version))
-                .field("to", static_cast<std::uint64_t>(server_version));
-            version = server_version;
-            continue;
-        }
-        throw std::runtime_error("store " + endpoint_ + " refused the handshake: " +
-                                 message);
+        throw std::runtime_error("store " + endpoint_ + ": handshake transport failure");
     }
-    version_ = version;
-    // The connection must never leak into forked pipe workers.
+    if (status != kStatusOk) {
+        ::close(fd_);
+        throw std::runtime_error("store " + endpoint_ + " refused the handshake: " + message);
+    }
+    // The connection must never leak into forked simulator launches.
     register_parent_fd(fd_);
 }
 
@@ -139,8 +60,7 @@ StoreStats StoreClient::stats() {
     StoreStats stats;
     std::uint64_t status = kStatusError;
     std::string message;
-    if (!write_store_stats_request(fd_) ||
-        !read_store_stats_reply(fd_, status, stats, message, version_))
+    if (!write_store_stats_request(fd_) || !read_store_stats_reply(fd_, status, stats, message))
         throw std::runtime_error("store " + endpoint_ + ": stats round-trip failed");
     if (status != kStatusOk)
         throw std::runtime_error("store " + endpoint_ + " rejected stats: " + message);
@@ -149,21 +69,9 @@ StoreStats StoreClient::stats() {
 
 bool query_store_stats(const std::string& endpoint, net::StoreStats& stats,
                        std::string& error) {
-    const auto colon = endpoint.rfind(':');
-    if (colon == std::string::npos || colon == 0 || colon + 1 == endpoint.size()) {
-        error = "bad store endpoint '" + endpoint + "' (want HOST:PORT)";
-        return false;
-    }
-    char* end = nullptr;
-    const unsigned long port = std::strtoul(endpoint.c_str() + colon + 1, &end, 10);
-    if (*end != '\0' || port == 0 || port > 65535) {
-        error = "bad store endpoint '" + endpoint + "' (want HOST:PORT)";
-        return false;
-    }
     try {
-        StoreClient client(endpoint.substr(0, colon),
-                           static_cast<std::uint16_t>(port),
-                           /*timeout_seconds=*/5);
+        const Endpoint ep = parse_endpoint(endpoint);
+        StoreClient client(ep.host, ep.port, /*timeout_seconds=*/5);
         stats = client.stats();
         return true;
     } catch (const std::exception& e) {

@@ -18,8 +18,9 @@ namespace ehdoe::store {
 
 class StoreClient {
   public:
-    /// Connects and handshakes; throws when the endpoint is unreachable,
-    /// is not a store server, or refuses the protocol version.
+    /// Connects (net::connect_tcp, the eval client's dialer) and
+    /// handshakes at kProtocolVersion; throws when the endpoint is
+    /// unreachable, is not a store server, or refuses the version.
     StoreClient(const std::string& host, std::uint16_t port, int timeout_seconds = 30);
     ~StoreClient();
 
@@ -34,22 +35,17 @@ class StoreClient {
     net::StoreStats stats();
 
     const std::string& endpoint() const { return endpoint_; }
-    /// The protocol version this connection settled on: the client leads
-    /// with the newest version and, when an older store names the version
-    /// it speaks in its refusal, re-dials once at that version.
-    std::uint32_t version() const { return version_; }
 
   private:
     int fd_ = -1;
     std::string endpoint_;
-    std::uint32_t version_ = 0;
     std::vector<unsigned char> scratch_;
 };
 
-/// One-shot stats poll of a store endpoint ("HOST:PORT"): dial, stats
-/// round-trip, close. False with a diagnosis in `error` on any failure —
-/// the monitoring-path shape (ehdoe-farm-stats, ehdoe-metrics-export),
-/// never throws.
+/// One-shot stats poll of a store endpoint ("HOST:PORT", or ":PORT" for
+/// loopback — net::parse_endpoint): dial, stats round-trip, close. False
+/// with a diagnosis in `error` on any failure — the monitoring-path shape
+/// (ehdoe-farm-stats, ehdoe-metrics-export), never throws.
 bool query_store_stats(const std::string& endpoint, net::StoreStats& stats,
                        std::string& error);
 

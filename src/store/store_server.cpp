@@ -53,7 +53,7 @@ void StoreServer::start() {
         port_ = ntohs(bound.sin_port);
     }
     // A farm client embedding this server must not leak the listener (or
-    // any accepted connection) into its forked pipe workers.
+    // any accepted connection) into its forked simulator launches.
     register_parent_fd(listen_fd_);
     started_at_ = std::chrono::steady_clock::now();
     stopping_.store(false);
@@ -173,15 +173,14 @@ void StoreServer::serve_connection(int fd) {
         handshakes_rejected_.fetch_add(1);
         return;
     }
-    if (version < kStoreMinProtocolVersion || version > kProtocolVersion) {
+    if (version != kProtocolVersion) {
         handshakes_rejected_.fetch_add(1);
         write_welcome(fd, kStatusError,
                       "store server speaks " + std::to_string(kProtocolVersion) +
-                          ", client sent " + std::to_string(version),
-                      kMinProtocolVersion);
+                          ", client sent " + std::to_string(version));
         return;
     }
-    if (!write_welcome(fd, kStatusOk, "", version)) return;
+    if (!write_welcome(fd, kStatusOk, "")) return;
 
     std::vector<unsigned char> scratch;
     std::vector<std::string> keys;
@@ -240,9 +239,7 @@ void StoreServer::serve_connection(int fd) {
                                                   started_at_)
                         .count();
                 if (metrics_) stats.metrics = metrics_->snapshot();
-                // The reply shape follows the version this connection
-                // negotiated: a v6 client gets exactly the v6 frame.
-                if (!write_store_stats_reply(fd, kStatusOk, stats, "", version)) return;
+                if (!write_store_stats_reply(fd, kStatusOk, stats, "")) return;
                 break;
             }
             default:

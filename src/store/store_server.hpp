@@ -1,7 +1,8 @@
 // ehdoe/store/store_server.hpp
 //
 // The shared result store daemon: one SegmentLog served over TCP to every
-// farm client that opens a store connection ("EHDOER" magic, protocol v6).
+// farm client that opens a store connection ("EHDOER" magic, at exactly
+// net::kProtocolVersion).
 // A connection is pipelined FIFO like an eval connection — the client
 // writes opcode-framed get-batch / put-batch / stats requests and reads
 // replies in order until either side closes.
@@ -42,7 +43,7 @@ struct StoreServerOptions {
     std::size_t max_segment_bytes = 8u << 20;
     bool verbose = true;
     /// Metrics sampling interval (core/metrics.hpp): > 0 runs a sampler
-    /// thread appending one snapshot row per interval to the ring the v7
+    /// thread appending one snapshot row per interval to the ring the
     /// store-stats reply carries. 0 (default) disables sampling entirely.
     double metrics_interval_seconds = 0.0;
     /// Ring capacity in rows (clamped to the wire's kMaxMetricSamples).
@@ -81,8 +82,8 @@ class StoreServer {
     /// Force one metrics sample now (deterministic tests; no-op when
     /// metrics sampling is disabled).
     void sample_metrics_now();
-    /// Snapshot of the metrics ring — what the v7 store-stats reply
-    /// carries (empty when sampling is disabled).
+    /// Snapshot of the metrics ring — what the store-stats reply carries
+    /// (empty when sampling is disabled).
     core::metrics::RingSnapshot metrics_snapshot() const;
 
   private:

@@ -1,14 +1,11 @@
 // Evaluation-backend layer tests: cross-backend bitwise equivalence on the
-// S1 CCD, persistent-cache round-trip/invalidation/corruption recovery, and
-// subprocess failure semantics (sim errors and worker crashes surface as
-// clean errors in design order).
+// S1 CCD and persistent-cache round-trip/invalidation/corruption recovery.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -17,9 +14,9 @@
 #include <string>
 
 #include "core/eval_backend.hpp"
+#include "core/inprocess_backend.hpp"
 #include "core/persistent_cache.hpp"
 #include "core/scenario.hpp"
-#include "core/subprocess_backend.hpp"
 #include "core/toolkit.hpp"
 #include "doe/batch_runner.hpp"
 #include "doe/composite.hpp"
@@ -65,9 +62,8 @@ private:
     std::string path_;
 };
 
-RunnerOptions with(core::BackendKind kind, std::size_t workers) {
+RunnerOptions with_threads(std::size_t workers) {
     RunnerOptions o;
-    o.backend = kind;
     o.threads = workers;
     return o;
 }
@@ -77,8 +73,8 @@ RunnerOptions with(core::BackendKind kind, std::size_t workers) {
 // ---------------------------------------------------------------------------
 // Cross-backend equivalence on the real scenario (the acceptance criterion):
 // the S1 CCD's responses are bitwise identical across InProcess (1 and N
-// threads), Subprocess, and a cold+warm persistent cache — and the warm run
-// is simulation-free.
+// threads) and a cold+warm persistent cache — and the warm run is
+// simulation-free.
 // ---------------------------------------------------------------------------
 TEST(EvalBackendEquivalence, S1CcdBitwiseIdenticalAcrossBackends) {
     const core::Scenario sc = core::Scenario::make(core::ScenarioId::OfficeHvac, 30.0);
@@ -87,30 +83,20 @@ TEST(EvalBackendEquivalence, S1CcdBitwiseIdenticalAcrossBackends) {
     TempFile cache("ehdoe-equiv");
 
     const RunResults base =
-        BatchRunner(sc.make_simulation(), with(core::BackendKind::InProcess, 1))
-            .run_design(space, ccd);
+        BatchRunner(sc.make_simulation(), with_threads(1)).run_design(space, ccd);
     EXPECT_EQ(base.design.runs(), 48u);
     EXPECT_EQ(base.simulations, 45u);  // 4 centre replicates, 3 from the cache
     EXPECT_EQ(base.cache_hits, 3u);
 
     {
         const RunResults threaded =
-            BatchRunner(sc.make_simulation(), with(core::BackendKind::InProcess, 4))
-                .run_design(space, ccd);
+            BatchRunner(sc.make_simulation(), with_threads(4)).run_design(space, ccd);
         EXPECT_EQ(threaded.response_names, base.response_names);
         EXPECT_TRUE(num::approx_equal(threaded.responses, base.responses, 0.0));
     }
     {
-        const RunResults forked =
-            BatchRunner(sc.make_simulation(), with(core::BackendKind::Subprocess, 2))
-                .run_design(space, ccd);
-        EXPECT_EQ(forked.response_names, base.response_names);
-        EXPECT_TRUE(num::approx_equal(forked.responses, base.responses, 0.0));
-        EXPECT_EQ(forked.simulations, 45u);
-    }
-    {
         // Cold persistent run populates the snapshot on destruction...
-        RunnerOptions o = with(core::BackendKind::InProcess, 2);
+        RunnerOptions o = with_threads(2);
         o.cache_file = cache.path();
         o.cache_fingerprint = sc.fingerprint();
         const RunResults cold =
@@ -121,7 +107,7 @@ TEST(EvalBackendEquivalence, S1CcdBitwiseIdenticalAcrossBackends) {
     {
         // ...and the warm run (a fresh runner: a new process in real use)
         // serves the whole design without a single simulation.
-        RunnerOptions o = with(core::BackendKind::InProcess, 2);
+        RunnerOptions o = with_threads(2);
         o.cache_file = cache.path();
         o.cache_fingerprint = sc.fingerprint();
         BatchRunner warm(sc.make_simulation(), o);
@@ -129,152 +115,6 @@ TEST(EvalBackendEquivalence, S1CcdBitwiseIdenticalAcrossBackends) {
         EXPECT_TRUE(num::approx_equal(r.responses, base.responses, 0.0));
         EXPECT_EQ(r.simulations, 0u);
         EXPECT_EQ(r.cache_hits, ccd.runs());
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Subprocess backend
-// ---------------------------------------------------------------------------
-TEST(SubprocessBackend, MatchesInProcessBitwise) {
-    const Design d = full_factorial(2, 7);  // 49 distinct points
-    const RunResults base = BatchRunner(transcendental_sim()).run_design(kSpace, d);
-    const RunResults sub =
-        BatchRunner(transcendental_sim(), with(core::BackendKind::Subprocess, 3))
-            .run_design(kSpace, d);
-    EXPECT_TRUE(num::approx_equal(sub.responses, base.responses, 0.0));
-    EXPECT_EQ(sub.simulations, 49u);
-}
-
-TEST(SubprocessBackend, ReplicatesAverageInWorkers) {
-    RunnerOptions o = with(core::BackendKind::Subprocess, 2);
-    o.replicates = 3;
-    BatchRunner runner(transcendental_sim(), o);
-    num::Matrix pts(2, 2);
-    pts(1, 0) = 4.0;
-    const RunResults r = runner.run_points(kSpace, pts);
-    EXPECT_EQ(r.simulations, 6u);  // 2 points x 3 replicates, counted raw
-}
-
-TEST(SubprocessBackend, ProgressReportsEveryPoint) {
-    RunnerOptions o = with(core::BackendKind::Subprocess, 2);
-    std::atomic<std::size_t> reports{0};
-    std::atomic<std::size_t> last_done{0};
-    o.on_batch = [&](const BatchProgress& p) {
-        reports.fetch_add(1);
-        last_done.store(p.points_done);
-        EXPECT_EQ(p.points_total, 9u);
-        EXPECT_GE(p.elapsed_seconds, 0.0);
-    };
-    BatchRunner runner(transcendental_sim(), o);
-    runner.run_design(kSpace, full_factorial(2, 3));  // 9 distinct points
-    EXPECT_EQ(reports.load(), 9u);
-    EXPECT_EQ(last_done.load(), 9u);
-}
-
-TEST(SubprocessBackend, SimulationErrorArrivesInDesignOrder) {
-    const Simulation failing = [](const Vector& nat) -> std::map<std::string, double> {
-        if (nat[0] > 7.0) throw std::invalid_argument("diverged hard");
-        return {{"f", nat[0]}};
-    };
-    BatchRunner runner(failing, with(core::BackendKind::Subprocess, 2));
-    const Design d = full_factorial(2, 4);  // natural x spans 0..10
-    try {
-        runner.run_design(kSpace, d);
-        FAIL() << "expected a propagated simulation error";
-    } catch (const std::runtime_error& e) {
-        // The worker's message crosses the process boundary.
-        EXPECT_NE(std::string(e.what()).find("diverged hard"), std::string::npos) << e.what();
-    }
-    // A failed run commits nothing to the memo cache.
-    EXPECT_EQ(runner.cache_size(), 0u);
-}
-
-TEST(SubprocessBackend, WorkerCrashIsACleanError) {
-    // The worker process dies outright (simulating a crashed external HDL
-    // co-simulation); the parent reports it instead of hanging or dying.
-    // Exactly one lethal point (natural (10, 5)): at most one worker dies.
-    const Simulation crashing = [](const Vector& nat) -> std::map<std::string, double> {
-        if (nat[0] > 9.0 && nat[1] > 4.9) ::_exit(3);
-        return {{"f", nat[0] + nat[1]}};
-    };
-    core::BackendOptions bo;
-    bo.threads = 2;
-    auto backend = std::make_shared<core::SubprocessBackend>(crashing, bo);
-    BatchRunner runner(backend);
-    const Design d = full_factorial(2, 5);
-    try {
-        runner.run_design(kSpace, d);
-        FAIL() << "expected a worker-crash error";
-    } catch (const std::runtime_error& e) {
-        EXPECT_NE(std::string(e.what()).find("died while evaluating point"),
-                  std::string::npos)
-            << e.what();
-    }
-    EXPECT_LT(backend->live_workers(), 2u);
-
-    // Surviving workers keep serving points that avoid the crash.
-    ASSERT_GE(backend->live_workers(), 1u);
-    num::Matrix safe(1, 2);  // coded (0,0) -> natural (5,0)
-    const RunResults ok = runner.run_points(kSpace, safe);
-    EXPECT_DOUBLE_EQ(ok.responses(0, 0), 5.0);
-}
-
-TEST(SubprocessBackend, CrashedWorkerRespawnsAtNextEvaluate) {
-    // A worker killed by a point is replaced at the start of the next
-    // evaluate() while the respawn budget lasts, so long runs keep their
-    // parallelism instead of decaying to serial.
-    const Simulation crashing = [](const Vector& nat) -> std::map<std::string, double> {
-        if (nat[0] > 9.0 && nat[1] > 4.9) ::_exit(3);
-        return {{"f", nat[0] + nat[1]}};
-    };
-    core::BackendOptions bo;
-    bo.threads = 2;
-    bo.worker_respawns = 2;
-    auto backend = std::make_shared<core::SubprocessBackend>(crashing, bo);
-    BatchRunner runner(backend);
-
-    EXPECT_THROW(runner.run_design(kSpace, full_factorial(2, 5)), std::runtime_error);
-    EXPECT_EQ(backend->live_workers(), 1u);  // the crash itself still costs the batch
-
-    num::Matrix safe(1, 2);  // coded (0,0) -> natural (5,0)
-    const RunResults ok = runner.run_points(kSpace, safe);
-    EXPECT_DOUBLE_EQ(ok.responses(0, 0), 5.0);
-    EXPECT_EQ(backend->live_workers(), 2u);  // pool is whole again
-    EXPECT_EQ(backend->respawns(), 1u);
-}
-
-TEST(SubprocessBackend, RespawnBudgetExhaustsToRetirement) {
-    const Simulation crashing = [](const Vector& nat) -> std::map<std::string, double> {
-        if (nat[0] > 9.0) ::_exit(3);
-        return {{"f", nat[0]}};
-    };
-    core::BackendOptions bo;
-    bo.threads = 1;
-    bo.worker_respawns = 1;
-    auto backend = std::make_shared<core::SubprocessBackend>(crashing, bo);
-    RunnerOptions ro;
-    ro.memoize = false;  // every call must reach the backend
-    BatchRunner runner(backend, ro);
-
-    num::Matrix lethal(1, 2);
-    lethal(0, 0) = 1.0;  // coded +1 -> natural x = 10
-    num::Matrix safe(1, 2);
-
-    EXPECT_THROW(runner.run_points(kSpace, lethal), std::runtime_error);
-    EXPECT_EQ(backend->live_workers(), 0u);
-
-    // One respawn left: the next evaluate restores the pool...
-    EXPECT_NO_THROW(runner.run_points(kSpace, safe));
-    EXPECT_EQ(backend->respawns(), 1u);
-
-    // ...but after the budget is spent, a second crash retires it for good.
-    EXPECT_THROW(runner.run_points(kSpace, lethal), std::runtime_error);
-    EXPECT_EQ(backend->live_workers(), 0u);
-    try {
-        runner.run_points(kSpace, safe);
-        FAIL() << "expected a no-live-workers error";
-    } catch (const std::runtime_error& e) {
-        EXPECT_NE(std::string(e.what()).find("no live workers"), std::string::npos) << e.what();
     }
 }
 
@@ -480,7 +320,7 @@ TEST(PersistentCache, ConcurrentSaversNeverCorruptTheSnapshot) {
         ASSERT_GE(pid, 0);
         if (pid == 0) {
             core::BackendOptions bo;
-            auto inner = core::make_backend(plain, core::BackendKind::InProcess, bo);
+            auto inner = std::make_shared<core::InProcessBackend>(plain, bo);
             core::PersistentCache mine(inner, cache.path(), fp, false);
             std::vector<Vector> points;
             for (int i = 0; i < 5; ++i) {
@@ -504,7 +344,7 @@ TEST(PersistentCache, ConcurrentSaversNeverCorruptTheSnapshot) {
             ::usleep(1000);  // the children have not saved yet
             continue;
         }
-        core::PersistentCache reader(core::make_backend(plain, core::BackendKind::InProcess, bo),
+        core::PersistentCache reader(std::make_shared<core::InProcessBackend>(plain, bo),
                                      cache.path(), fp, false);
         EXPECT_TRUE(reader.restored()) << "probe " << probe << " saw a torn snapshot";
         probes_restored += reader.restored() ? 1 : 0;
@@ -522,7 +362,7 @@ TEST(PersistentCache, ConcurrentSaversNeverCorruptTheSnapshot) {
     // exact union of their tables — all 10 entries, not just whichever
     // writer renamed last.
     core::PersistentCache final_reader(
-        core::make_backend(plain, core::BackendKind::InProcess, bo), cache.path(), fp, false);
+        std::make_shared<core::InProcessBackend>(plain, bo), cache.path(), fp, false);
     EXPECT_TRUE(final_reader.restored());
     EXPECT_EQ(final_reader.size(), 10u)
         << "a racing saver dropped another writer's entries";

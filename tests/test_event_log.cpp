@@ -118,7 +118,6 @@ TEST_F(EventLogTest, EveryEventKindParsesWithThePrologue) {
     Event("failover_redispatch")
         .field("endpoint", "127.0.0.1:4217")
         .field("pending", std::uint64_t{12});
-    Event("worker_respawn").field("worker", std::uint64_t{2}).field("exit", "signal 9");
     Event("exec_timeout").field("point", std::uint64_t{5}).field("timeout_seconds", 1.5);
     Event("exec_relaunch")
         .field("point", std::uint64_t{5})
@@ -127,30 +126,24 @@ TEST_F(EventLogTest, EveryEventKindParsesWithThePrologue) {
     Event("segment_quarantine")
         .field("segment", "segment-000001.log")
         .field("records_recovered", std::uint64_t{41});
-    Event("version_downgrade")
-        .field("component", "store")
-        .field("endpoint", "127.0.0.1:4230")
-        .field("from", std::uint64_t{7})
-        .field("to", std::uint64_t{6});
     // Values needing escapes must not break the line's JSON.
     Event("redial").field("error", "connect: \"refused\"\nafter 2 tries \\ EOF");
     core::event_log::close();
 
     const std::vector<std::string> lines = journal_lines(path);
-    ASSERT_EQ(lines.size(), 10u);
+    ASSERT_EQ(lines.size(), 8u);
     const std::set<std::string> kinds = kinds_of(lines);
-    for (const char* kind :
-         {"listening", "redial", "rejoin", "failover_redispatch", "worker_respawn",
-          "exec_timeout", "exec_relaunch", "segment_quarantine", "version_downgrade"}) {
+    for (const char* kind : {"listening", "redial", "rejoin", "failover_redispatch",
+                             "exec_timeout", "exec_relaunch", "segment_quarantine"}) {
         EXPECT_TRUE(kinds.count(kind)) << kind;
     }
     // Kind-specific fields survive with their types.
     const core::JsonValue rejoin = parsed_event(lines[2]);
     EXPECT_EQ(core::json_lookup(rejoin, "process")->string, "schema-test");
     EXPECT_EQ(core::json_lookup(rejoin, "version")->number, 7.0);
-    const core::JsonValue timeout = parsed_event(lines[5]);
+    const core::JsonValue timeout = parsed_event(lines[4]);
     EXPECT_EQ(core::json_lookup(timeout, "timeout_seconds")->number, 1.5);
-    const core::JsonValue escaped = parsed_event(lines[9]);
+    const core::JsonValue escaped = parsed_event(lines[7]);
     EXPECT_EQ(core::json_lookup(escaped, "error")->string,
               "connect: \"refused\"\nafter 2 tries \\ EOF");
 }
@@ -189,7 +182,7 @@ TEST(EventJournalMerge, DaemonJournalAnchorsOntoTheClientTimeline) {
         "{\"t_us\":100,\"wall_ms\":1726000000000,\"process\":\"ehdoe-eval-server\","
         "\"kind\":\"listening\",\"endpoint\":\"0.0.0.0:9001\"}\n"
         "{\"t_us\":700,\"wall_ms\":1726000000600,\"process\":\"ehdoe-eval-server\","
-        "\"kind\":\"worker_respawn\",\"worker\":2}\n";
+        "\"kind\":\"exec_relaunch\",\"attempt\":2}\n";
 
     const core::TraceMergeResult merged = core::merge_traces(client, {}, {journal});
     EXPECT_TRUE(merged.warnings.empty())
@@ -199,19 +192,19 @@ TEST(EventJournalMerge, DaemonJournalAnchorsOntoTheClientTimeline) {
     const core::JsonValue trace = core::parse_json(merged.json);
     const core::JsonValue* events = core::json_lookup(trace, "traceEvents");
     ASSERT_NE(events, nullptr);
-    bool respawn_seen = false;
+    bool relaunch_seen = false;
     for (const core::JsonValue& e : events->array) {
         const core::JsonValue* name = core::json_lookup(e, "name");
-        if (!name || name->string != "worker_respawn") continue;
-        respawn_seen = true;
+        if (!name || name->string != "exec_relaunch") continue;
+        relaunch_seen = true;
         // Shifted by the handshake's offset_us onto the client clock, in a
         // journal lane of its own, with the kind-specific field preserved.
         EXPECT_EQ(core::json_lookup(e, "ts")->number, 1200.0);
         EXPECT_GE(core::json_lookup(e, "pid")->number, 100.0);
         EXPECT_EQ(core::json_lookup(e, "ph")->string, "i");
-        EXPECT_EQ(core::json_lookup(e, "args.worker")->number, 2.0);
+        EXPECT_EQ(core::json_lookup(e, "args.attempt")->number, 2.0);
     }
-    EXPECT_TRUE(respawn_seen);
+    EXPECT_TRUE(relaunch_seen);
 
     // A client journal (no "listening" kind) merges unshifted, silently.
     const std::string client_journal =

@@ -275,7 +275,7 @@ TEST(ExecEquivalence, ExecModeEvalServerShardMatchesInProcess) {
 }
 
 // ---------------------------------------------------------------------------
-// Against real `ehdoe-eval-server --mode exec` daemons (the CI exec smoke):
+// Against real `ehdoe-eval-server --recipe` daemons (the CI exec smoke):
 // gated on EHDOE_TEST_EXEC_ENDPOINTS / EHDOE_TEST_EXEC_FINGERPRINT.
 // ---------------------------------------------------------------------------
 TEST(ExternalExecServer, S1CcdMatchesInProcess) {

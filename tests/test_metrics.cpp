@@ -1,10 +1,9 @@
 // The farm health plane's data model and wire (PR-10): the metric
 // registry's ring semantics (wrap, sequence numbers, registration-order
 // columns, the pre-sample hook), the window/delta reductions the monitors
-// build on, the v7 stats-reply ring codec (round trip at v7, shape-stable
-// absence below v7, for eval and store replies alike), live servers
-// serving their rings through the stats connection, and the Prometheus
-// text-exposition helpers.
+// build on, the stats-reply ring codec (round trip, for eval and store
+// replies alike), live servers serving their rings through the stats
+// connection, and the Prometheus text-exposition helpers.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -194,7 +193,7 @@ TEST(MetricsAlgebra, WindowValueIsTheMedianOfPositiveSamples) {
 }
 
 // ---------------------------------------------------------------------------
-// The v7 stats wire. A socketpair is transport enough: the codec is the
+// The stats wire. A socketpair is transport enough: the codec is the
 // same read_exact/write_all discipline TCP uses.
 // ---------------------------------------------------------------------------
 namespace {
@@ -231,45 +230,18 @@ TEST(MetricsWire, EvalStatsReplyRoundTripsTheRingAtV7) {
     out.latency_p95_us = 450.0;
     out.latency_p99_us = 900.0;
     out.metrics = sample_ring();
-    ASSERT_TRUE(net::write_stats_reply(sv[0], net::kStatusOk, out, "", 7));
+    ASSERT_TRUE(net::write_stats_reply(sv[0], net::kStatusOk, out, ""));
 
     net::ShardStats in;
     std::uint64_t status = net::kStatusError;
     std::string message;
-    ASSERT_TRUE(net::read_stats_reply(sv[1], status, in, message, 7));
+    ASSERT_TRUE(net::read_stats_reply(sv[1], status, in, message));
     EXPECT_EQ(status, net::kStatusOk);
     EXPECT_EQ(in.points_served, 1234u);
     EXPECT_EQ(in.latency_buckets, out.latency_buckets);
     expect_ring_eq(in.metrics, out.metrics);
     ::close(sv[0]);
     ::close(sv[1]);
-}
-
-TEST(MetricsWire, EvalStatsReplyBelowV7CarriesNoRing) {
-    // A v5/v6 monitor and a v7 server agree on the v5 frame: the writer
-    // must not emit the ring and the reader must not expect one.
-    for (const std::uint32_t version : {std::uint32_t{5}, std::uint32_t{6}}) {
-        int sv[2];
-        ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-        net::ShardStats out;
-        out.points_served = 9;
-        out.metrics = sample_ring();
-        ASSERT_TRUE(net::write_stats_reply(sv[0], net::kStatusOk, out, "", version));
-        ::shutdown(sv[0], SHUT_WR);  // EOF after the frame: no trailing bytes
-
-        net::ShardStats in;
-        std::uint64_t status = net::kStatusError;
-        std::string message;
-        ASSERT_TRUE(net::read_stats_reply(sv[1], status, in, message, version));
-        EXPECT_EQ(status, net::kStatusOk);
-        EXPECT_EQ(in.points_served, 9u);
-        EXPECT_TRUE(in.metrics.empty()) << "v" << version << " reply grew a ring";
-        // The writer really stopped at the v5 shape: the stream is at EOF.
-        char byte = 0;
-        EXPECT_EQ(::recv(sv[1], &byte, 1, 0), 0);
-        ::close(sv[0]);
-        ::close(sv[1]);
-    }
 }
 
 TEST(MetricsWire, StoreStatsReplyRoundTripsTheRingAtV7) {
@@ -281,38 +253,16 @@ TEST(MetricsWire, StoreStatsReplyRoundTripsTheRingAtV7) {
     out.segments = 2;
     out.get_hits = 44;
     out.metrics = sample_ring();
-    ASSERT_TRUE(net::write_store_stats_reply(sv[0], net::kStatusOk, out, "", 7));
+    ASSERT_TRUE(net::write_store_stats_reply(sv[0], net::kStatusOk, out, ""));
 
     net::StoreStats in;
     std::uint64_t status = net::kStatusError;
     std::string message;
-    ASSERT_TRUE(net::read_store_stats_reply(sv[1], status, in, message, 7));
+    ASSERT_TRUE(net::read_store_stats_reply(sv[1], status, in, message));
     EXPECT_EQ(status, net::kStatusOk);
     EXPECT_EQ(in.keys, 45u);
     EXPECT_EQ(in.get_hits, 44u);
     expect_ring_eq(in.metrics, out.metrics);
-    ::close(sv[0]);
-    ::close(sv[1]);
-}
-
-TEST(MetricsWire, StoreStatsReplyAtV6CarriesNoRing) {
-    int sv[2];
-    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-    net::StoreStats out;
-    out.keys = 3;
-    out.metrics = sample_ring();
-    ASSERT_TRUE(net::write_store_stats_reply(sv[0], net::kStatusOk, out, "", 6));
-    ::shutdown(sv[0], SHUT_WR);
-
-    net::StoreStats in;
-    std::uint64_t status = net::kStatusError;
-    std::string message;
-    ASSERT_TRUE(net::read_store_stats_reply(sv[1], status, in, message, 6));
-    EXPECT_EQ(status, net::kStatusOk);
-    EXPECT_EQ(in.keys, 3u);
-    EXPECT_TRUE(in.metrics.empty());
-    char byte = 0;
-    EXPECT_EQ(::recv(sv[1], &byte, 1, 0), 0) << "a v6 reply must end at the v6 shape";
     ::close(sv[0]);
     ::close(sv[1]);
 }

@@ -3,8 +3,8 @@
 // farm run over a warm store performs zero simulations and is bitwise
 // identical), racing put-batch writers converging to the union, corrupt
 // segments degrading to re-simulation (never failing a run), a store dying
-// mid-run falling through to the inner backend, and handshake rejection of
-// alien peers and stale protocol versions.
+// mid-run falling through to the inner backend, handshake rejection of
+// alien peers and other protocol versions, and the ":PORT" stats poll.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -23,7 +23,7 @@
 #include <string>
 #include <vector>
 
-#include "core/eval_backend.hpp"
+#include "core/inprocess_backend.hpp"
 #include "core/scenario.hpp"
 #include "doe/batch_runner.hpp"
 #include "doe/composite.hpp"
@@ -337,7 +337,7 @@ TEST(StoreService, StoreDyingMidRunFallsThroughToTheInnerBackend) {
     auto server = start_store(dir);
 
     core::BackendOptions bo;
-    auto inner = core::make_backend(transcendental_sim(), core::BackendKind::InProcess, bo);
+    auto inner = std::make_shared<core::InProcessBackend>(transcendental_sim(), bo);
     store::StoreBackendOptions so;
     so.host = "127.0.0.1";
     so.port = server->port();
@@ -372,7 +372,7 @@ TEST(StoreService, StoreDyingMidRunFallsThroughToTheInnerBackend) {
 TEST(StoreService, UnreachableStoreIsALoudConstructionError) {
     const std::uint16_t port = dead_port();
     core::BackendOptions bo;
-    auto inner = core::make_backend(transcendental_sim(), core::BackendKind::InProcess, bo);
+    auto inner = std::make_shared<core::InProcessBackend>(transcendental_sim(), bo);
     store::StoreBackendOptions so;
     so.host = "127.0.0.1";
     so.port = port;
@@ -428,8 +428,9 @@ TEST(StoreService, SnapshotAndStoreTiersEachServeAWarmRunAlone) {
 }
 
 // ---------------------------------------------------------------------------
-// Handshake hardening: the store daemon must reject alien peers and stale
-// protocol versions without disturbing the log or other connections.
+// Handshake hardening: the store daemon must reject alien peers and any
+// protocol version but its own without disturbing the log or other
+// connections.
 // ---------------------------------------------------------------------------
 TEST(StoreService, EvalMagicIsRejectedByTheStoreServer) {
     TempDir dir("ehdoe-storesvc-alien");
@@ -454,14 +455,29 @@ TEST(StoreService, PreStoreProtocolVersionIsRefusedWithAClearMessage) {
     TempDir dir("ehdoe-storesvc-version");
     auto server = start_store(dir);
     const int fd = net_test::raw_connect(server->port());
-    // v5 predates the store connection kind; the hello must be refused.
-    ASSERT_TRUE(net::write_store_hello(fd, net::kStoreMinProtocolVersion - 1));
+    // A hello from a newer build: only kProtocolVersion is served.
+    ASSERT_TRUE(net::write_store_hello(fd, net::kProtocolVersion + 1));
     std::uint64_t status = 0;
     std::string message;
-    ASSERT_TRUE(net::read_welcome(fd, status, message, net::kMinProtocolVersion));
+    ASSERT_TRUE(net::read_welcome(fd, status, message));
     EXPECT_NE(status, net::kStatusOk);
     EXPECT_NE(message.find("store server speaks"), std::string::npos) << message;
     ::close(fd);
     EXPECT_GE(server->handshakes_rejected(), 1u);
+    server->stop();
+}
+
+// ":PORT" is loopback shorthand, as for every eval endpoint: the monitoring
+// CLIs' --store :PORT must poll a live store, not report it down.
+TEST(StoreService, StatsPollAcceptsTheColonPortShorthand) {
+    TempDir dir("ehdoe-storesvc-shorthand");
+    auto server = start_store(dir);
+    store::StoreClient("127.0.0.1", server->port()).put({{"k", {{"f", 1.0}}}});
+
+    net::StoreStats stats;
+    std::string error;
+    ASSERT_TRUE(store::query_store_stats(":" + std::to_string(server->port()), stats, error))
+        << error;
+    EXPECT_EQ(stats.keys, 1u);
     server->stop();
 }

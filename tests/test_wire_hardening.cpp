@@ -2,7 +2,9 @@
 // frame truncated mid-payload must fail its connection cleanly — no
 // allocation blow-up, no hang, no collateral damage to other connections.
 // Covers both directions of read_exact/frame decode: hostile client against
-// EvalServer, and hostile (fake) server against RemoteBackend.
+// EvalServer, and hostile (fake) server against RemoteBackend. Also pins the
+// exact-version handshake: every connection kind refuses any version but
+// kProtocolVersion.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -11,6 +13,7 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -23,6 +26,7 @@
 #include "net/remote_backend.hpp"
 #include "net/wire.hpp"
 #include "net_test_utils.hpp"
+#include "store/store_server.hpp"
 
 using namespace ehdoe;
 using namespace ehdoe::doe;
@@ -49,9 +53,23 @@ bool peer_closed(int fd) {
     return ::recv(fd, &byte, 1, 0) <= 0;
 }
 
+/// Complete an eval handshake on a raw socket; returns the accepted fd (the
+/// welcome's clock sample is consumed and discarded).
+int handshaken_connect(const net::EvalServer& server, const std::string& fingerprint) {
+    const int fd = raw_connect(server.port());
+    net::Hello hello;
+    hello.fingerprint = fingerprint;
+    EXPECT_TRUE(net::write_hello(fd, hello));
+    std::uint64_t status = net::kStatusError;
+    std::string message;
+    EXPECT_TRUE(net::read_welcome(fd, status, message));
+    EXPECT_EQ(status, net::kStatusOk) << message;
+    return fd;
+}
+
 /// A fake eval-server speaking just enough protocol to hand the client one
 /// poisoned response. Accepts one connection, answers the handshake, reads
-/// one request, writes `poison` raw bytes, then closes.
+/// one batch request, writes `poison` raw bytes, then closes.
 class PoisonServer {
 public:
     explicit PoisonServer(std::vector<unsigned char> poison) : poison_(std::move(poison)) {
@@ -83,12 +101,9 @@ private:
         const int fd = ::accept(listen_fd_, nullptr, nullptr);
         if (fd < 0) return;
         net::Hello hello;
-        // Echo the hello's version so the welcome has the shape the client
-        // expects (a v5 client reads the trailing clock sample).
-        if (net::read_hello(fd, hello) &&
-            net::write_welcome(fd, net::kStatusOk, "", hello.version)) {
-            Vector request;
-            if (net::read_request(fd, request)) {
+        if (net::read_hello(fd, hello) && net::write_welcome(fd, net::kStatusOk, "")) {
+            std::vector<Vector> request;
+            if (net::read_batch_request(fd, request)) {
                 net::write_all(fd, poison_.data(), poison_.size());
             }
         }
@@ -115,17 +130,7 @@ void push_u64(std::vector<unsigned char>& bytes, std::uint64_t v) {
 TEST(WireHardening, ServerDropsOversizedRequestDimensionWithoutAllocating) {
     auto server = start_server(identity_sim(), "sim-id");
 
-    const int fd = raw_connect(server->port());
-    net::Hello hello;
-    hello.fingerprint = "sim-id";
-    ASSERT_TRUE(net::write_hello(fd, hello));
-    std::uint64_t status = net::kStatusError;
-    std::string message;
-    std::uint64_t server_now_us = 0;
-    ASSERT_TRUE(
-        net::read_welcome(fd, status, message, net::kProtocolVersion, &server_now_us));
-    ASSERT_EQ(status, net::kStatusOk);
-
+    const int fd = handshaken_connect(*server, "sim-id");
     // A request claiming 2^60 points: the sane-limit check must fail
     // the connection before any allocation is attempted.
     ASSERT_TRUE(net::write_u64(fd, std::uint64_t{1} << 60));
@@ -141,17 +146,7 @@ TEST(WireHardening, ServerDropsOversizedRequestDimensionWithoutAllocating) {
 TEST(WireHardening, ServerDropsRequestTruncatedMidFrame) {
     auto server = start_server(identity_sim(), "sim-id");
 
-    const int fd = raw_connect(server->port());
-    net::Hello hello;
-    hello.fingerprint = "sim-id";
-    ASSERT_TRUE(net::write_hello(fd, hello));
-    std::uint64_t status = net::kStatusError;
-    std::string message;
-    std::uint64_t server_now_us = 0;
-    ASSERT_TRUE(
-        net::read_welcome(fd, status, message, net::kProtocolVersion, &server_now_us));
-    ASSERT_EQ(status, net::kStatusOk);
-
+    const int fd = handshaken_connect(*server, "sim-id");
     // Claim two points, deliver a torso, vanish.
     ASSERT_TRUE(net::write_u64(fd, 2));
     const double half = 1.0;
@@ -162,6 +157,53 @@ TEST(WireHardening, ServerDropsRequestTruncatedMidFrame) {
 
     EXPECT_EQ(server->points_served(), 0u);  // the torso never reached a worker
     EXPECT_TRUE(server->running());
+}
+
+// A batch claiming 2^50 points: the sane-limit check must fail the
+// connection on the count field alone, before the dim even arrives.
+TEST(WireHardening, OversizedBatchPointCountDropsConnection) {
+    auto server = start_server(identity_sim(), "sim-id");
+
+    const int fd = handshaken_connect(*server, "sim-id");
+    ASSERT_TRUE(net::write_u64(fd, std::uint64_t{1} << 50));
+    EXPECT_TRUE(peer_closed(fd));
+    ::close(fd);
+    EXPECT_EQ(server->points_served(), 0u);
+
+    // An honest client is still served.
+    BatchRunner runner(identity_sim(), remote_options({endpoint_of(*server)}, "sim-id"));
+    EXPECT_EQ(runner.run_design(kSpace, doe::full_factorial(2, 2)).simulations, 4u);
+    EXPECT_EQ(server->points_served(), 4u);
+}
+
+// count and dim each pass the per-field limit, but their product would
+// demand a gigabyte-scale allocation: the area check fails it first.
+TEST(WireHardening, OversizedBatchAreaDropsConnection) {
+    auto server = start_server(identity_sim(), "sim-id");
+
+    const int fd = handshaken_connect(*server, "sim-id");
+    ASSERT_TRUE(net::write_u64(fd, std::uint64_t{1} << 20));
+    ASSERT_TRUE(net::write_u64(fd, std::uint64_t{1} << 20));
+    EXPECT_TRUE(peer_closed(fd));
+    ::close(fd);
+    EXPECT_EQ(server->points_served(), 0u);
+}
+
+TEST(WireHardening, TruncatedMidSubBatchDropsConnection) {
+    auto server = start_server(identity_sim(), "sim-id");
+
+    const int fd = handshaken_connect(*server, "sim-id");
+    // Claim three 2-dim points, deliver a point and a half, vanish.
+    ASSERT_TRUE(net::write_u64(fd, 3));
+    ASSERT_TRUE(net::write_u64(fd, 2));
+    const double coords[3] = {1.0, 2.0, 3.0};
+    ASSERT_TRUE(net::write_all(fd, coords, sizeof coords));
+    ::shutdown(fd, SHUT_WR);
+    EXPECT_TRUE(peer_closed(fd));
+    ::close(fd);
+    // Nothing of the truncated sub-batch reached the workers.
+    EXPECT_EQ(server->points_served(), 0u);
+    EXPECT_EQ(server->points_failed(), 0u);
 }
 
 TEST(WireHardening, ServerRejectsOversizedHelloFingerprintLength) {
@@ -181,6 +223,65 @@ TEST(WireHardening, ServerRejectsOversizedHelloFingerprintLength) {
 
     EXPECT_GE(server->handshakes_rejected(), 1u);
     EXPECT_TRUE(server->running());
+}
+
+// ---------------------------------------------------------------------------
+// Exact-version handshake: an eval hello, a stats request and a store hello
+// one version behind are each refused on their own connection, with a
+// message naming both versions, and counted once.
+// ---------------------------------------------------------------------------
+TEST(WireHardening, EveryConnectionKindRefusesThePreviousProtocolVersion) {
+    const std::uint32_t stale = net::kProtocolVersion - 1;
+    const std::string both_versions = std::to_string(net::kProtocolVersion) +
+                                      ", client sent " + std::to_string(stale);
+    auto server = start_server(identity_sim(), "sim-id");
+
+    int fd = raw_connect(server->port());
+    net::Hello hello;
+    hello.version = stale;
+    hello.fingerprint = "sim-id";
+    ASSERT_TRUE(net::write_hello(fd, hello));
+    std::uint64_t status = net::kStatusOk;
+    std::string message;
+    ASSERT_TRUE(net::read_welcome(fd, status, message));
+    EXPECT_EQ(status, net::kStatusError);
+    EXPECT_NE(message.find("server speaks " + both_versions), std::string::npos) << message;
+    EXPECT_TRUE(peer_closed(fd));
+    ::close(fd);
+    EXPECT_EQ(server->handshakes_rejected(), 1u);
+
+    fd = raw_connect(server->port());
+    ASSERT_TRUE(net::write_stats_request(fd, stale));
+    net::ShardStats stats;
+    ASSERT_TRUE(net::read_stats_reply(fd, status, stats, message));
+    EXPECT_EQ(status, net::kStatusError);
+    EXPECT_NE(message.find("server speaks " + both_versions), std::string::npos) << message;
+    EXPECT_TRUE(peer_closed(fd));
+    ::close(fd);
+    EXPECT_EQ(server->handshakes_rejected(), 2u);
+    EXPECT_EQ(server->stats_served(), 0u);
+
+    const std::string dir = (std::filesystem::temp_directory_path() /
+                             ("ehdoe-wire-version-" + std::to_string(::getpid())))
+                                .string();
+    {
+        store::StoreServerOptions so;
+        so.dir = dir;
+        so.verbose = false;
+        store::StoreServer store(so);
+        store.start();
+        fd = raw_connect(store.port());
+        ASSERT_TRUE(net::write_store_hello(fd, stale));
+        ASSERT_TRUE(net::read_welcome(fd, status, message));
+        EXPECT_EQ(status, net::kStatusError);
+        EXPECT_NE(message.find("store server speaks " + both_versions), std::string::npos)
+            << message;
+        EXPECT_TRUE(peer_closed(fd));
+        ::close(fd);
+        store.stop();
+        EXPECT_EQ(store.handshakes_rejected(), 1u);
+    }
+    std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -244,8 +345,8 @@ TEST(WireHardening, ClientDropsResultWithUnknownStatus) {
 
 namespace {
 
-/// Serve one stats connection with a hand-rolled OK reply: the full v4
-/// counter body followed by `tail` (a poisoned v5 histogram section), then
+/// Serve one stats connection with a hand-rolled OK reply: the full
+/// counter body followed by `tail` (a poisoned histogram section), then
 /// close. Expects query_shard_stats to fail cleanly — no allocation
 /// blow-up, no hang.
 void expect_stats_tail_failure(std::vector<unsigned char> tail) {
@@ -294,7 +395,7 @@ void expect_stats_tail_failure(std::vector<unsigned char> tail) {
 
 }  // namespace
 
-// A v5 stats reply claiming 2^59 histogram buckets: the bucket-count
+// A stats reply claiming 2^59 histogram buckets: the bucket-count
 // limit must fail the read before any reserve() is attempted.
 TEST(WireHardening, StatsReplyWithOversizedHistogramCountFailsCleanly) {
     std::vector<unsigned char> tail;
@@ -328,10 +429,10 @@ void push_f64(std::vector<unsigned char>& bytes, double v) {
     bytes.insert(bytes.end(), p, p + sizeof v);
 }
 
-/// A valid-but-empty v5 histogram section (0 buckets, 3 percentiles): the
-/// v7 ring poisons below must get *past* the v5 block to prove the ring
+/// A valid-but-empty histogram section (0 buckets, 3 percentiles): the ring
+/// poisons below must get *past* the histogram block to prove the ring
 /// fields themselves are validated.
-std::vector<unsigned char> empty_v5_block() {
+std::vector<unsigned char> empty_histogram_block() {
     std::vector<unsigned char> bytes;
     bytes.reserve(32);   // 4 fields; also quiets GCC 12's overflow false positive
     push_u64(bytes, 0);  // no histogram buckets
@@ -343,10 +444,10 @@ std::vector<unsigned char> empty_v5_block() {
 
 }  // namespace
 
-// A v7 stats reply claiming 2^40 metric series: kMaxMetricSeries must fail
+// A stats reply claiming 2^40 metric series: kMaxMetricSeries must fail
 // the read before any allocation.
 TEST(WireHardening, StatsReplyWithOversizedMetricSeriesCountFailsCleanly) {
-    std::vector<unsigned char> tail = empty_v5_block();
+    std::vector<unsigned char> tail = empty_histogram_block();
     push_u64(tail, 1'000'000);  // interval_us
     push_u64(tail, 0);          // first_seq
     push_u64(tail, std::uint64_t{1} << 40);
@@ -355,7 +456,7 @@ TEST(WireHardening, StatsReplyWithOversizedMetricSeriesCountFailsCleanly) {
 
 // A series name longer than kMaxMetricNameLen is corrupt, not verbose.
 TEST(WireHardening, StatsReplyWithOversizedMetricNameFailsCleanly) {
-    std::vector<unsigned char> tail = empty_v5_block();
+    std::vector<unsigned char> tail = empty_histogram_block();
     push_u64(tail, 1'000'000);
     push_u64(tail, 0);
     push_u64(tail, 1);                         // one series...
@@ -366,7 +467,7 @@ TEST(WireHardening, StatsReplyWithOversizedMetricNameFailsCleanly) {
 // More ring rows than kMaxMetricSamples is corrupt — the ring is bounded
 // by design.
 TEST(WireHardening, StatsReplyWithOversizedMetricRowCountFailsCleanly) {
-    std::vector<unsigned char> tail = empty_v5_block();
+    std::vector<unsigned char> tail = empty_histogram_block();
     push_u64(tail, 1'000'000);
     push_u64(tail, 0);
     push_u64(tail, 1);  // one series, named "s"
@@ -378,7 +479,7 @@ TEST(WireHardening, StatsReplyWithOversizedMetricRowCountFailsCleanly) {
 
 // A ring cut short mid-row fails the read, never hangs.
 TEST(WireHardening, StatsReplyTruncatedMidMetricRowFailsCleanly) {
-    std::vector<unsigned char> tail = empty_v5_block();
+    std::vector<unsigned char> tail = empty_histogram_block();
     push_u64(tail, 1'000'000);
     push_u64(tail, 0);
     push_u64(tail, 1);
@@ -407,7 +508,7 @@ TEST(WireHardening, StoreStatsReplyWithOversizedRingFailsCleanly) {
     net::StoreStats stats;
     std::uint64_t status = net::kStatusError;
     std::string message;
-    EXPECT_FALSE(net::read_store_stats_reply(sv[1], status, stats, message, 7));
+    EXPECT_FALSE(net::read_store_stats_reply(sv[1], status, stats, message));
     ::close(sv[0]);
     ::close(sv[1]);
 }
@@ -450,4 +551,33 @@ TEST(WireHardening, StatsQueryFailsCleanlyOnOversizedRejectionMessage) {
     EXPECT_FALSE(error.empty());
     fake.join();
     ::close(listen_fd);
+}
+
+// The stats reply carries the shard's eval-latency histogram and
+// percentiles once it has served points.
+TEST(WireHardening, StatsReplyCarriesLatencyHistogram) {
+    auto server = start_server(identity_sim(), "sim-id");
+    BatchRunner runner(identity_sim(), remote_options({endpoint_of(*server)}, "sim-id"));
+    ASSERT_EQ(runner.run_design(kSpace, doe::full_factorial(2, 2)).simulations, 4u);
+
+    const int fd = raw_connect(server->port());
+    ASSERT_TRUE(net::write_stats_request(fd));
+    std::uint64_t status = net::kStatusError;
+    net::ShardStats stats;
+    std::string message;
+    ASSERT_TRUE(net::read_stats_reply(fd, status, stats, message));
+    ::close(fd);
+    EXPECT_EQ(status, net::kStatusOk);
+    EXPECT_EQ(stats.points_served, 4u);
+    ASSERT_FALSE(stats.latency_buckets.empty());
+    std::uint64_t total = 0;
+    for (const auto& [index, count] : stats.latency_buckets) {
+        EXPECT_LT(index, net::kMaxHistogramBuckets);
+        total += count;
+    }
+    EXPECT_EQ(total, 4u);  // one sample per served point
+    // Percentiles are bucket floors: a sub-microsecond eval legitimately
+    // reports 0, so only the ordering is asserted.
+    EXPECT_GE(stats.latency_p95_us, stats.latency_p50_us);
+    EXPECT_GE(stats.latency_p99_us, stats.latency_p95_us);
 }

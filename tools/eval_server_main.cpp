@@ -5,8 +5,8 @@
 // clients can shard design evaluations across machines:
 //
 //   ehdoe-eval-server --scenario S1 --port 4217 --workers 4
-//   ehdoe-eval-server --scenario S2 --duration 600 --mode subprocess
-//   ehdoe-eval-server --mode exec --recipe s1.recipe --port 4217
+//   ehdoe-eval-server --scenario S2 --duration 600
+//   ehdoe-eval-server --recipe s1.recipe --port 4217
 //
 // Flags:
 //   --scenario S1|S2|S3   canonical scenario to serve (default S1; unused
@@ -16,12 +16,9 @@
 //   --port PORT           TCP port; 0 picks an ephemeral port (default 0)
 //   --workers N           evaluation workers, >= 1 (default: all hardware
 //                         threads when the flag is omitted)
-//   --mode inprocess|subprocess|exec
-//                         worker pool kind (default inprocess; subprocess
-//                         isolates simulator crashes in forked processes;
-//                         exec launches an external co-simulator process
-//                         per point from --recipe)
-//   --recipe FILE         external-simulator recipe (requires --mode exec)
+//   --recipe FILE         exec mode: launch the external co-simulator this
+//                         recipe describes once per point, instead of
+//                         evaluating the scenario in-process
 //   --fingerprint STR     handshake identity override (default: the
 //                         scenario fingerprint, or "exec:" + the recipe's
 //                         content hash in exec mode)
@@ -31,7 +28,7 @@
 //                         Chrome trace-event JSON file on shutdown; merge
 //                         with the client's trace via ehdoe-trace
 //   --metrics-interval S  sample the health-plane metrics ring every S
-//                         seconds (core/metrics.hpp; served in the v7
+//                         seconds (core/metrics.hpp; served in the
 //                         stats reply, rendered by ehdoe-farm-top /
 //                         ehdoe-metrics-export). Default: disabled.
 //   --events FILE         append this shard's structured event journal
@@ -69,7 +66,7 @@ void handle_signal(int) { g_stop = 1; }
 int usage(const char* argv0) {
     std::cerr << "usage: " << argv0
               << " [--scenario S1|S2|S3] [--duration s] [--host addr] [--port p]\n"
-                 "       [--workers n] [--mode inprocess|subprocess|exec] [--recipe file]\n"
+                 "       [--workers n] [--recipe file]\n"
                  "       [--fingerprint str] [--replicates n] [--trace file]\n"
                  "       [--metrics-interval s] [--events file] [--print-fingerprint]\n";
     return 2;
@@ -86,7 +83,6 @@ int main(int argc, char** argv) {
     std::string scenario_name = "S1";
     double duration = -1.0;
     bool print_fingerprint = false;
-    std::string mode = "inprocess";
     std::string recipe_path;
     std::string fingerprint_override;
     std::string trace_path;
@@ -133,13 +129,6 @@ int main(int argc, char** argv) {
             if (!tools::parse_count_arg(v, 1, options.replicates))
                 return flag_error("--replicates must be a positive integer, got '" +
                                   std::string(v) + "'");
-        } else if (arg == "--mode") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            mode = v;
-            if (mode != "inprocess" && mode != "subprocess" && mode != "exec")
-                return flag_error("unknown --mode '" + mode +
-                                  "' (expected inprocess, subprocess or exec)");
         } else if (arg == "--recipe") {
             const char* v = next();
             if (!v) return usage(argv[0]);
@@ -171,14 +160,9 @@ int main(int argc, char** argv) {
         }
     }
 
-    if (mode == "exec" && recipe_path.empty())
-        return flag_error("--mode exec requires --recipe FILE");
-    if (mode != "exec" && !recipe_path.empty())
-        return flag_error("--recipe only applies to --mode exec");
-
     core::Simulation sim;
     std::string workload;
-    if (mode == "exec") {
+    if (!recipe_path.empty()) {
         try {
             options.recipe = exec::SimRecipe::parse_file(recipe_path);
         } catch (const std::exception& e) {
@@ -195,8 +179,6 @@ int main(int argc, char** argv) {
         }
         const core::Scenario scenario = core::Scenario::make(id, duration);
         options.fingerprint = scenario.fingerprint();
-        options.worker_kind = mode == "subprocess" ? core::BackendKind::Subprocess
-                                                   : core::BackendKind::InProcess;
         sim = scenario.make_simulation();
         workload = "scenario=" + scenario_name;
     }
@@ -240,7 +222,7 @@ int main(int argc, char** argv) {
         core::telemetry::instant("listening", "server", "endpoint", endpoint_label);
         core::event_log::Event("listening").field("endpoint", endpoint_label);
         std::cout << "listening on " << endpoint_label << " "
-                  << workload << " workers=" << server.options().workers << " mode=" << mode
+                  << workload << " workers=" << server.options().workers
                   << " replicates=" << options.replicates << " fingerprint="
                   << options.fingerprint << std::endl;
 

@@ -4,9 +4,9 @@
 // protocol (net/wire.hpp, "EHDOES" connection kind) and prints one table
 // row per shard: points served/failed, handshake rejects, worker respawns
 // (exec mode: simulator relaunches), timed-out points, in-flight points
-// (worker occupancy), connections, uptime, and — from v5 servers — the
-// p50/p95/p99 of the shard's lifetime per-point eval latency (ms; "-" on
-// a shard that has served nothing yet or speaks v4). The stats path is
+// (worker occupancy), connections, uptime, and the p50/p95/p99 of the
+// shard's lifetime per-point eval latency (ms; "-" on a shard that has
+// served nothing yet). The stats path is
 // served outside the FIFO eval pipeline, so polling a loaded farm never
 // delays evaluation traffic; everything shown is display-only and stays
 // outside the determinism contract.
@@ -24,15 +24,16 @@
 //                     (repeatable): keys/segments/quarantined/hit-rate
 //                     columns, and a "stores" array under --json
 //   --straggler-k K   flag a shard as a straggler when its windowed p99
-//                     (the v7 metrics ring; lifetime p99 on older shards)
+//                     (the metrics ring; lifetime p99 on ringless shards)
 //                     exceeds K x the farm median (default 2.0, >= 2
 //                     shards required)
 //   --csv             emit CSV instead of the aligned table
 //   --json            emit one JSON object per poll (single line), with a
 //                     per-shard array — machine consumption without
 //                     table/CSV scraping. Schema documented in README.md
-//                     ("Observability"); v5 shards add latency percentiles
-//                     and the sparse histogram buckets. stdout carries
+//                     ("Observability"); shards that served points add
+//                     latency percentiles and the sparse histogram
+//                     buckets. stdout carries
 //                     ONLY the JSON objects; a down shard mid-watch is
 //                     diagnosed on stderr.
 //
@@ -92,7 +93,7 @@ std::string json_escape(const std::string& s) {
 
 /// The straggler signal the future occupancy-aware scheduler will consume:
 /// a shard whose windowed p99 (median of the positive p99 samples in its
-/// v7 metrics ring; lifetime p99 when the shard has no ring) exceeds k x
+/// metrics ring; lifetime p99 when the shard has no ring) exceeds k x
 /// the farm median. Needs >= 2 shards with a latency signal — one shard
 /// has no farm to straggle behind.
 std::vector<char> straggler_flags(const std::vector<net::ShardStats>& stats,
@@ -191,7 +192,7 @@ bool poll_once(const std::vector<net::Endpoint>& endpoints,
                        ",\"uptime_seconds\":" + uptime;
                 out += std::string(",\"straggler\":") + (stragglers[i] ? "true" : "false");
                 // Latency fields only when the shard reported a histogram
-                // (a v4 shard, or one that served nothing, omits them).
+                // (a shard that served nothing omits them).
                 if (!s.latency_buckets.empty()) {
                     char p50[32], p95[32], p99[32];
                     std::snprintf(p50, sizeof p50, "%.1f", s.latency_p50_us);

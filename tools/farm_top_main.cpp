@@ -2,7 +2,7 @@
 //
 // Polls eval-server shards (and optionally store daemons) every interval
 // and redraws one screen: per-shard throughput, occupancy and latency
-// *trends* computed from the v7 metrics ring (core/metrics.hpp) rather
+// *trends* computed from the metrics ring (core/metrics.hpp) rather
 // than lifetime counters — the rate column is the last sampled interval's
 // serve rate, the spark column the ring's recent serve deltas, and the
 // p99 column the windowed (median-of-ring) percentile. Shards that speak
@@ -136,7 +136,7 @@ void draw(const std::vector<net::Endpoint>& endpoints,
                 metrics::last_delta(ring, static_cast<std::size_t>(served_col));
             rate = fmt1(delta / (static_cast<double>(ring.interval_us) / 1e6));
         } else if (!ringed && s.uptime_seconds > 0.0) {
-            // Pre-v7 shard: lifetime average, marked as such.
+            // Ringless shard (sampling off): lifetime average, marked as such.
             rate = "~" + fmt1(static_cast<double>(s.points_served) / s.uptime_seconds);
         }
         auto pct_cell = [&](int col, double lifetime_us) -> std::string {

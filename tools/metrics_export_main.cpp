@@ -23,7 +23,7 @@
 //
 // Without --port/--textfile one exposition goes to stdout. Every family
 // carries an `endpoint` label; `ehdoe_up` says which endpoints answered.
-// v7 daemons (metrics ring) add windowed gauges (ehdoe_eval_window_*)
+// Daemons sampling a metrics ring add windowed gauges (ehdoe_eval_window_*)
 // computed from ring deltas. Diagnostics go to stderr.
 //
 // Exit status (stdout/textfile modes): 0 when every endpoint answered,
@@ -161,7 +161,7 @@ std::string render(const std::vector<EvalPoll>& evals, const std::vector<StorePo
         }
     }
 
-    // Lifetime latency percentiles (v5+ shards that served something).
+    // Lifetime latency percentiles (shards that served something).
     struct LatencyFamily {
         const char* name;
         const char* help;
@@ -183,7 +183,7 @@ std::string render(const std::vector<EvalPoll>& evals, const std::vector<StorePo
         }
     }
 
-    // Windowed gauges from the v7 metrics ring: the shard's typical recent
+    // Windowed gauges from the metrics ring: the shard's typical recent
     // p99 and its last-interval throughput — trend, not lifetime.
     metrics::append_exposition_header(out, "ehdoe_eval_window_p99_us",
                                       "Windowed per-point latency p99 (us; median of the "

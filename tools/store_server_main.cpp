@@ -1,7 +1,7 @@
 // ehdoe-store-server — the farm-wide shared result store daemon.
 //
 // Hosts one append-only segment-log store (store/segment_log.hpp) behind
-// the store connection kind of the TCP wire protocol (v6), so any number
+// the store connection kind of the TCP wire protocol, so any number
 // of farm runs — on this machine or others — share one content-addressed
 // result table and never pay for the same simulation twice:
 //
@@ -20,7 +20,7 @@
 //                         quarantined files), print a summary and exit —
 //                         run it while no server owns the directory
 //   --metrics-interval S  sample the health-plane metrics ring every S
-//                         seconds (core/metrics.hpp; served in the v7
+//                         seconds (core/metrics.hpp; served in the
 //                         store-stats reply). Default: disabled.
 //   --events FILE         append the structured event journal (JSONL,
 //                         core/event_log.hpp) here — segment quarantines

@@ -3,7 +3,7 @@
 // Takes the Chrome trace-event JSON a traced run wrote on the client side
 // (RunnerOptions::trace_file / DesignFlow::Options::trace_file) plus the
 // per-shard traces of the eval-servers it talked to (ehdoe-eval-server
-// --trace), shifts every server's events onto the client clock (the v5
+// --trace), shifts every server's events onto the client clock (the
 // handshake's clock sample, see core/trace_merge.hpp), and writes one
 // merged trace any Chrome-trace viewer (chrome://tracing, Perfetto)
 // renders as a lane per process:
@@ -24,8 +24,8 @@
 //
 // The summary (stdout) gives, per client batch: wall time, server evals
 // covered, the busiest shard's busy time and the longest network receive.
-// Clock-anchor problems (a shard the client never dialled, a pre-v5
-// handshake) are warnings on stderr; the shard merges unshifted.
+// Clock-anchor problems (a shard the client never dialled) are warnings
+// on stderr; the shard merges unshifted.
 //
 // Exit status: 0 on success (warnings included), 1 on unreadable or
 // malformed input, 2 on usage errors.
