@@ -71,7 +71,7 @@ int main() {
     so.verbose = false;
     // Health-plane sampling stays live but parked (one manual sample per
     // row instead of a timer) so the ledger records the store's own
-    // hit-rate view of the sweep — the same ring ehdoe-farm-top renders.
+    // hit-rate view of the sweep — the same ring `ehdoe-farm top` renders.
     so.metrics_interval_seconds = 3600.0;
     store::StoreServer server(std::move(so));
     server.start();

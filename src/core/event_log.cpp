@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <mutex>
 
+#include "core/perf_gate.hpp"
 #include "core/telemetry.hpp"
 
 namespace ehdoe::core::event_log {
@@ -24,26 +25,6 @@ struct Journal {
 Journal& journal() {
     static Journal* j = new Journal();
     return *j;
-}
-
-void append_escaped(std::string& out, const std::string& text) {
-    for (const char c : text) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\r': out += "\\r"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
 }
 
 void append_number(std::string& out, double v) {
@@ -111,10 +92,10 @@ Event::Event(const char* kind) {
     line_ += ",\"process\":\"";
     {
         std::lock_guard<std::mutex> lock(j.mu);
-        append_escaped(line_, j.label);
+        append_json_escaped(line_, j.label);
     }
     line_ += "\",\"kind\":\"";
-    append_escaped(line_, kind);
+    append_json_escaped(line_, kind);
     line_ += '"';
 }
 
@@ -133,9 +114,9 @@ Event::~Event() {
 Event& Event::field(const char* key, const std::string& value) {
     if (!live_) return *this;
     line_ += ",\"";
-    append_escaped(line_, key);
+    append_json_escaped(line_, key);
     line_ += "\":\"";
-    append_escaped(line_, value);
+    append_json_escaped(line_, value);
     line_ += '"';
     return *this;
 }
@@ -147,7 +128,7 @@ Event& Event::field(const char* key, const char* value) {
 Event& Event::field(const char* key, std::uint64_t value) {
     if (!live_) return *this;
     line_ += ",\"";
-    append_escaped(line_, key);
+    append_json_escaped(line_, key);
     line_ += "\":";
     char buf[32];
     std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(value));
@@ -158,7 +139,7 @@ Event& Event::field(const char* key, std::uint64_t value) {
 Event& Event::field(const char* key, double value) {
     if (!live_) return *this;
     line_ += ",\"";
-    append_escaped(line_, key);
+    append_json_escaped(line_, key);
     line_ += "\":";
     append_number(line_, value);
     return *this;

@@ -17,7 +17,7 @@
 //
 // The Prometheus text helpers at the bottom render exposition-format
 // metric families (`# HELP`/`# TYPE` headers, escaped label values,
-// `%.17g` sample lines); ehdoe-metrics-export composes them over every
+// `%.17g` sample lines); `ehdoe-farm export` composes them over every
 // polled endpoint so the daemons themselves stay HTTP-free.
 #pragma once
 

@@ -1,6 +1,7 @@
 #include "core/perf_gate.hpp"
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -204,6 +205,26 @@ private:
 }  // namespace
 
 JsonValue parse_json(const std::string& text) { return JsonParser(text).parse(); }
+
+void append_json_escaped(std::string& out, const std::string& text) {
+    for (const char c : text) {
+        switch (c) {
+            case '"': out += "\\\""; break;
+            case '\\': out += "\\\\"; break;
+            case '\n': out += "\\n"; break;
+            case '\r': out += "\\r"; break;
+            case '\t': out += "\\t"; break;
+            default:
+                if (static_cast<unsigned char>(c) < 0x20) {
+                    char buf[8];
+                    std::snprintf(buf, sizeof buf, "\\u%04x", c);
+                    out += buf;
+                } else {
+                    out += c;
+                }
+        }
+    }
+}
 
 const JsonValue* json_lookup(const JsonValue& root, const std::string& path) {
     const JsonValue* at = &root;

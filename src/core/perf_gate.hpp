@@ -59,6 +59,12 @@ JsonValue parse_json(const std::string& text);
 /// nullptr when any step is absent or mistyped.
 const JsonValue* json_lookup(const JsonValue& root, const std::string& path);
 
+/// Append `text` as the body of a JSON string (no surrounding quotes):
+/// quotes and backslashes escaped, \n \r \t by name, every other control
+/// byte as \u00XX. The escaper of every JSON writer in the repository
+/// (traces, the event journal, merged traces, ehdoe-farm stats --json).
+void append_json_escaped(std::string& out, const std::string& text);
+
 struct GateViolation {
     std::string ledger;   ///< gate-file key (ledger filename)
     std::string path;     ///< field the failed check addressed ("" = the ledger)

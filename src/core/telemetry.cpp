@@ -12,6 +12,8 @@
 #include <mutex>
 #include <stdexcept>
 
+#include "core/perf_gate.hpp"
+
 namespace ehdoe::core::telemetry {
 
 namespace {
@@ -74,26 +76,6 @@ void record(TraceEvent&& ev) {
     ev.tid = buf.tid;
     std::lock_guard<std::mutex> lock(buf.mutex);
     buf.events.push_back(std::move(ev));
-}
-
-void append_json_escaped(std::string& out, const std::string& s) {
-    for (const char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\r': out += "\\r"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char hex[8];
-                    std::snprintf(hex, sizeof hex, "\\u%04x", c);
-                    out += hex;
-                } else {
-                    out += c;
-                }
-        }
-    }
 }
 
 void append_arg_key(std::string& args, const char* key) {

@@ -16,26 +16,6 @@ namespace ehdoe::core {
 
 namespace {
 
-void append_escaped(std::string& out, const std::string& s) {
-    for (const char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\r': out += "\\r"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
-}
-
 void append_number(std::string& out, double v) {
     // Integers (timestamps, counts) print without an exponent or trailing
     // zeros; everything else keeps full double precision.
@@ -57,7 +37,7 @@ void append_json(std::string& out, const JsonValue& v) {
         case JsonValue::Kind::Number: append_number(out, v.number); break;
         case JsonValue::Kind::String:
             out += '"';
-            append_escaped(out, v.string);
+            append_json_escaped(out, v.string);
             out += '"';
             break;
         case JsonValue::Kind::Array:
@@ -73,7 +53,7 @@ void append_json(std::string& out, const JsonValue& v) {
             for (std::size_t i = 0; i < v.object.size(); ++i) {
                 if (i) out += ',';
                 out += '"';
-                append_escaped(out, v.object[i].first);
+                append_json_escaped(out, v.object[i].first);
                 out += "\":";
                 append_json(out, v.object[i].second);
             }

@@ -41,7 +41,7 @@
 // handshake is answered with one stats frame (per-server counters +
 // uptime) and closed — the monitoring path never enters the FIFO eval
 // pipeline, so a farm dashboard polling stats cannot delay evaluation
-// traffic (ehdoe-farm-stats, tools/farm_stats_main.cpp).
+// traffic (ehdoe-farm, tools/farm_main.cpp).
 #pragma once
 
 #include <atomic>

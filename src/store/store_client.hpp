@@ -45,7 +45,7 @@ class StoreClient {
 /// One-shot stats poll of a store endpoint ("HOST:PORT", or ":PORT" for
 /// loopback — net::parse_endpoint): dial, stats round-trip, close. False
 /// with a diagnosis in `error` on any failure — the monitoring-path shape
-/// (ehdoe-farm-stats, ehdoe-metrics-export), never throws.
+/// (ehdoe-farm), never throws.
 bool query_store_stats(const std::string& endpoint, net::StoreStats& stats,
                        std::string& error);
 

@@ -127,7 +127,7 @@ TEST_F(EventLogTest, EveryEventKindParsesWithThePrologue) {
         .field("segment", "segment-000001.log")
         .field("records_recovered", std::uint64_t{41});
     // Values needing escapes must not break the line's JSON.
-    Event("redial").field("error", "connect: \"refused\"\nafter 2 tries \\ EOF");
+    Event("redial").field("error", "connect: \"refused\"\nafter 2 tries \\ EOF\x01");
     core::event_log::close();
 
     const std::vector<std::string> lines = journal_lines(path);
@@ -145,7 +145,9 @@ TEST_F(EventLogTest, EveryEventKindParsesWithThePrologue) {
     EXPECT_EQ(core::json_lookup(timeout, "timeout_seconds")->number, 1.5);
     const core::JsonValue escaped = parsed_event(lines[7]);
     EXPECT_EQ(core::json_lookup(escaped, "error")->string,
-              "connect: \"refused\"\nafter 2 tries \\ EOF");
+              "connect: \"refused\"\nafter 2 tries \\ EOF\x01");
+    // Control bytes without a short escape go out as \u00XX.
+    EXPECT_NE(lines[7].find("EOF\\u0001\""), std::string::npos) << lines[7];
 }
 
 TEST_F(EventLogTest, ClosedJournalWritesNothingAndEventsAreFreeToBuild) {

@@ -125,7 +125,7 @@ TEST(FarmElasticity, KilledAndRestartedShardRejoinsAndServesPoints) {
     EXPECT_GT(rejoined_share, 50u);
 
     // The restarted shard served real points after its rejoin — read its
-    // counters over the wire, exactly as ehdoe-farm-stats would.
+    // counters over the wire, exactly as `ehdoe-farm stats` would.
     net::ShardStats stats;
     std::string error;
     ASSERT_TRUE(net::query_shard_stats(net::parse_endpoint(endpoint_of(*s2)), stats, error))
@@ -301,7 +301,7 @@ TEST(FarmElasticity, ShardStatsAggregatesClientAndServerViews) {
     EXPECT_EQ(client_ledger, 25u);
 
     // The same view surfaces through a cache-decorated stack.
-    TempFile cache("ehdoe-farm-stats-agg");
+    TempFile cache("ehdoe-farm-agg");
     RunnerOptions o = remote_options({endpoint_of(*s1)}, fp);
     o.cache_file = cache.path();
     BatchRunner cached(transcendental_sim(), o);

@@ -136,7 +136,7 @@ TEST(MetricsRegistry, PreSampleHookRunsBeforeProbesEachSample) {
 }
 
 // ---------------------------------------------------------------------------
-// Ring reductions — what farm-top, metrics-export and the straggler test
+// Ring reductions — what `ehdoe-farm top`, `export` and the straggler test
 // compute from a snapshot.
 // ---------------------------------------------------------------------------
 namespace {

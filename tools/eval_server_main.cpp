@@ -29,8 +29,8 @@
 //                         with the client's trace via ehdoe-trace
 //   --metrics-interval S  sample the health-plane metrics ring every S
 //                         seconds (core/metrics.hpp; served in the
-//                         stats reply, rendered by ehdoe-farm-top /
-//                         ehdoe-metrics-export). Default: disabled.
+//                         stats reply, rendered by ehdoe-farm top /
+//                         export). Default: disabled.
 //   --events FILE         append this shard's structured event journal
 //                         (JSONL, core/event_log.hpp) here; interleave
 //                         with traces via ehdoe-trace --events
@@ -103,7 +103,9 @@ int main(int argc, char** argv) {
         } else if (arg == "--duration") {
             const char* v = next();
             if (!v) return usage(argv[0]);
-            duration = std::atof(v);
+            if (!tools::parse_double_arg(v, duration) || duration <= 0.0)
+                return flag_error("--duration must be a positive number of seconds, got '" +
+                                  std::string(v) + "'");
         } else if (arg == "--host") {
             const char* v = next();
             if (!v) return usage(argv[0]);

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 
@@ -41,13 +42,13 @@ inline bool parse_count_arg(const char* text, long min_value, std::size_t& out) 
 }
 
 /// The whole of `text` as one finite decimal double ("2", "0.5", "1e-3");
-/// false on empty input, trailing junk ("4x17") or overflow.
+/// false on empty input, trailing junk ("4x17"), overflow, "inf" or "nan".
 inline bool parse_double_arg(const char* text, double& out) {
     if (!text || *text == '\0') return false;
     char* end = nullptr;
     errno = 0;
     const double value = std::strtod(text, &end);
-    if (*end != '\0' || errno == ERANGE) return false;
+    if (*end != '\0' || errno == ERANGE || !std::isfinite(value)) return false;
     out = value;
     return true;
 }
