@@ -13,7 +13,8 @@
 //   EHDOE_TRACE_FILE      record the client-side trace here (merge with
 //                         the servers' --trace files via ehdoe-trace);
 //   EHDOE_EVENT_LOG       append the client-side event journal (JSONL)
-//                         here (interleave via ehdoe-trace --events);
+//                         here; under EHDOE_TRACE_FILE the same incidents
+//                         are trace instants too;
 //   EHDOE_STORE_ENDPOINT  host:port of an ehdoe-store-server — consult
 //                         the shared result store before simulating and
 //                         publish fresh results back, so a second run

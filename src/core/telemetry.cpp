@@ -1,12 +1,16 @@
 #include "core/telemetry.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <mutex>
@@ -78,18 +82,70 @@ void record(TraceEvent&& ev) {
     buf.events.push_back(std::move(ev));
 }
 
+/// The one `"k":v` renderer — span args, counter values, Event fields and
+/// the journal prologue: one fragment appended to a comma-joined list, the
+/// key escaped. Doubles print as %.17g and non-finite values as 0, so every
+/// fragment is valid JSON.
 void append_arg_key(std::string& args, const char* key) {
     if (!args.empty()) args += ',';
     args += '"';
-    args += key;
+    append_json_escaped(args, key);
     args += "\":";
 }
 
-std::string format_number(double v) {
-    if (!std::isfinite(v)) return "0";
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
+void append_arg(std::string& args, const char* key, std::uint64_t value) {
+    append_arg_key(args, key);
+    args += std::to_string(value);
+}
+
+void append_arg(std::string& args, const char* key, std::int64_t value) {
+    append_arg_key(args, key);
+    args += std::to_string(value);
+}
+
+void append_arg(std::string& args, const char* key, double value) {
+    append_arg_key(args, key);
+    if (!std::isfinite(value)) {
+        args += '0';
+        return;
+    }
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.17g", value);
+    args += buf;
+}
+
+void append_arg(std::string& args, const char* key, const std::string& value) {
+    append_arg_key(args, key);
+    args += '"';
+    append_json_escaped(args, value);
+    args += '"';
+}
+
+/// One open journal file, shared by every Journal on it.
+struct JournalFile {
+    std::FILE* stream = nullptr;
+    dev_t dev = 0;
+    ino_t ino = 0;
+    std::size_t refs = 0;
+};
+
+struct Journals {
+    std::mutex mutex;
+    std::vector<JournalFile> files;  ///< guarded by mutex
+    /// !files.empty(), readable without the lock: Events skip all journal
+    /// work when it is false.
+    std::atomic<bool> any_open{false};
+};
+
+Journals& journals() {
+    static Journals* j = new Journals();  // leaked: usable during exit
+    return *j;
+}
+
+std::uint64_t wall_ms_now() {
+    return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::milliseconds>(
+                                          std::chrono::system_clock::now().time_since_epoch())
+                                          .count());
 }
 
 }  // namespace
@@ -159,29 +215,19 @@ Span::~Span() {
 }
 
 void Span::arg(const char* key, std::uint64_t value) {
-    if (!live_) return;
-    append_arg_key(args_, key);
-    args_ += std::to_string(value);
+    if (live_) append_arg(args_, key, value);
 }
 
 void Span::arg(const char* key, std::int64_t value) {
-    if (!live_) return;
-    append_arg_key(args_, key);
-    args_ += std::to_string(value);
+    if (live_) append_arg(args_, key, value);
 }
 
 void Span::arg(const char* key, double value) {
-    if (!live_) return;
-    append_arg_key(args_, key);
-    args_ += format_number(value);
+    if (live_) append_arg(args_, key, value);
 }
 
 void Span::arg(const char* key, const std::string& value) {
-    if (!live_) return;
-    append_arg_key(args_, key);
-    args_ += '"';
-    append_json_escaped(args_, value);
-    args_ += '"';
+    if (live_) append_arg(args_, key, value);
 }
 
 void instant(const char* name, const char* cat) {
@@ -194,20 +240,6 @@ void instant(const char* name, const char* cat) {
     record(std::move(ev));
 }
 
-void instant(const char* name, const char* cat, const char* key, const std::string& value) {
-    if (!enabled()) return;
-    TraceEvent ev;
-    ev.name = name;
-    ev.cat = cat;
-    ev.phase = 'i';
-    ev.ts = now_us();
-    append_arg_key(ev.args, key);
-    ev.args += '"';
-    append_json_escaped(ev.args, value);
-    ev.args += '"';
-    record(std::move(ev));
-}
-
 void counter(const char* name, const char* cat, double value) {
     if (!enabled()) return;
     TraceEvent ev;
@@ -215,9 +247,109 @@ void counter(const char* name, const char* cat, double value) {
     ev.cat = cat;
     ev.phase = 'C';
     ev.ts = now_us();
-    append_arg_key(ev.args, "value");
-    ev.args += format_number(value);
+    append_arg(ev.args, "value", value);
     record(std::move(ev));
+}
+
+// ---------------------------------------------------------------------------
+// Event / Journal
+// ---------------------------------------------------------------------------
+
+Event::Event(const char* kind)
+    : kind_(kind),
+      trace_(enabled()),
+      journal_(journals().any_open.load(std::memory_order_relaxed)) {
+    if (trace_ || journal_) t_us_ = now_us();
+}
+
+Event::~Event() {
+    if (journal_) {
+        std::string line = "{\"t_us\":" + std::to_string(t_us_);
+        append_arg(line, "wall_ms", wall_ms_now());
+        {
+            Registry& r = registry();
+            std::lock_guard<std::mutex> lock(r.mutex);
+            append_arg(line, "process",
+                       r.process_label.empty() ? std::string("ehdoe") : r.process_label);
+        }
+        append_arg(line, "kind", std::string(kind_));
+        if (!fields_.empty()) line += ',' + fields_;
+        line += "}\n";
+        Journals& j = journals();
+        std::lock_guard<std::mutex> lock(j.mutex);
+        for (const JournalFile& f : j.files) {
+            std::fwrite(line.data(), 1, line.size(), f.stream);
+            std::fflush(f.stream);
+        }
+    }
+    if (trace_) {
+        TraceEvent ev;
+        ev.name = kind_;
+        ev.cat = "event";
+        ev.phase = 'i';
+        ev.ts = t_us_;
+        ev.args = std::move(fields_);
+        record(std::move(ev));
+    }
+}
+
+Event& Event::field(const char* key, const std::string& value) {
+    if (trace_ || journal_) append_arg(fields_, key, value);
+    return *this;
+}
+
+Event& Event::field(const char* key, const char* value) {
+    return field(key, std::string(value));
+}
+
+Event& Event::field(const char* key, std::uint64_t value) {
+    if (trace_ || journal_) append_arg(fields_, key, value);
+    return *this;
+}
+
+Event& Event::field(const char* key, double value) {
+    if (trace_ || journal_) append_arg(fields_, key, value);
+    return *this;
+}
+
+Journal::Journal(const std::string& path) {
+    const auto fail = [&path](int fd) {
+        const int err = errno;
+        if (fd >= 0) ::close(fd);
+        return std::runtime_error("cannot open event journal '" + path +
+                                  "': " + std::strerror(err));
+    };
+    // O_CLOEXEC: exec launches fork while journals are open, and a
+    // simulator must not hold the journal past its execvp.
+    const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
+    struct stat st {};
+    if (fd < 0 || ::fstat(fd, &st) != 0) throw fail(fd);
+    Journals& j = journals();
+    std::lock_guard<std::mutex> lock(j.mutex);
+    for (JournalFile& f : j.files) {
+        if (f.dev == st.st_dev && f.ino == st.st_ino) {
+            ::close(fd);
+            ++f.refs;
+            stream_ = f.stream;
+            return;
+        }
+    }
+    stream_ = ::fdopen(fd, "a");
+    if (!stream_) throw fail(fd);
+    j.files.push_back({stream_, st.st_dev, st.st_ino, 1});
+    j.any_open.store(true, std::memory_order_relaxed);
+}
+
+Journal::~Journal() {
+    Journals& j = journals();
+    std::lock_guard<std::mutex> lock(j.mutex);
+    const auto it = std::find_if(j.files.begin(), j.files.end(),
+                                 [this](const JournalFile& f) { return f.stream == stream_; });
+    if (it != j.files.end() && --it->refs == 0) {
+        std::fclose(it->stream);
+        j.files.erase(it);
+    }
+    j.any_open.store(!j.files.empty(), std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------

@@ -100,8 +100,9 @@ public:
         /// via ehdoe-trace. Strictly observational — results are bitwise
         /// identical with tracing on or off.
         std::string trace_file;
-        /// Non-empty opens the structured event journal here (JSONL; see
-        /// core/event_log.hpp). Strictly observational, like trace_file.
+        /// Non-empty opens the event journal here for the flow's lifetime
+        /// (JSONL, core::telemetry::Journal); construction throws when the
+        /// file cannot be opened. Strictly observational, like trace_file.
         std::string event_log_file;
         std::uint64_t seed = 2013;
     };

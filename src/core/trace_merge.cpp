@@ -139,30 +139,10 @@ std::int64_t anchor_offset(const std::map<std::string, std::int64_t>& offset_of,
     return 0;
 }
 
-JsonValue json_string(const std::string& s) {
-    JsonValue v;
-    v.kind = JsonValue::Kind::String;
-    v.string = s;
-    return v;
-}
-
-JsonValue json_number(double n) {
-    JsonValue v;
-    v.kind = JsonValue::Kind::Number;
-    v.number = n;
-    return v;
-}
-
 }  // namespace
 
 TraceMergeResult merge_traces(const std::string& client_json,
                               const std::vector<std::string>& server_jsons) {
-    return merge_traces(client_json, server_jsons, {});
-}
-
-TraceMergeResult merge_traces(const std::string& client_json,
-                              const std::vector<std::string>& server_jsons,
-                              const std::vector<std::string>& journal_jsonls) {
     TraceMergeResult result;
 
     std::vector<JsonValue> client_events =
@@ -215,8 +195,7 @@ TraceMergeResult merge_traces(const std::string& client_json,
         result.server_events += events.size();
 
         // Which client endpoint is this server? Its "listening" instant
-        // says what it bound; match exactly, then by ":port" suffix (a
-        // 0.0.0.0 bind dialled via a concrete address).
+        // says what it bound.
         std::string endpoint;
         for (const JsonValue& ev : events) {
             if (get_string(ev, "name") == "listening") {
@@ -229,8 +208,8 @@ TraceMergeResult merge_traces(const std::string& client_json,
         if (!anchored) {
             result.warnings.push_back(
                 label + (endpoint.empty() ? "" : " (" + endpoint + ")") +
-                ": no clock anchor in the client trace (pre-v5 handshake, or the "
-                "endpoint never dialled) — merged unshifted");
+                ": no clock anchor in the client trace (no \"listening\" instant, or "
+                "an endpoint the client never dialled) — merged unshifted");
         }
 
         const double pid = static_cast<double>(2 + k);
@@ -247,93 +226,6 @@ TraceMergeResult merge_traces(const std::string& client_json,
                 ++result.eval_spans;
             }
             merged.push_back(std::move(ev));
-        }
-    }
-
-    // Interleave event journals (JSONL) as instant events, one lane each.
-    for (std::size_t j = 0; j < journal_jsonls.size(); ++j) {
-        const std::string label = "journal #" + std::to_string(j);
-        std::vector<JsonValue> lines;
-        std::string process;
-        std::string endpoint;
-        bool is_daemon = false;
-        std::size_t malformed = 0;
-        std::istringstream in(journal_jsonls[j]);
-        std::string line;
-        while (std::getline(in, line)) {
-            if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-            JsonValue obj;
-            try {
-                obj = parse_json(line);
-            } catch (const std::exception&) {
-                ++malformed;
-                continue;
-            }
-            if (obj.kind != JsonValue::Kind::Object) {
-                ++malformed;
-                continue;
-            }
-            if (process.empty()) process = get_string(obj, "process");
-            if (get_string(obj, "kind") == "listening") {
-                is_daemon = true;
-                if (endpoint.empty()) endpoint = get_string(obj, "endpoint");
-            }
-            lines.push_back(std::move(obj));
-        }
-        if (malformed > 0) {
-            result.warnings.push_back(label + ": skipped " + std::to_string(malformed) +
-                                      " malformed line(s)");
-        }
-
-        // A daemon journal (it announced what it bound) shifts onto the
-        // client clock via the same handshake anchor a server trace uses;
-        // a client-side journal already shares the client clock.
-        std::int64_t offset = 0;
-        if (is_daemon) {
-            bool anchored = false;
-            offset = anchor_offset(offset_of, endpoint, anchored);
-            if (!anchored) {
-                result.warnings.push_back(
-                    label + (endpoint.empty() ? "" : " (" + endpoint + ")") +
-                    ": no clock anchor in the client trace — merged unshifted");
-            }
-        }
-
-        const double pid = static_cast<double>(100 + j);
-        JsonValue meta;
-        meta.kind = JsonValue::Kind::Object;
-        meta.object.emplace_back("name", json_string("process_name"));
-        meta.object.emplace_back("ph", json_string("M"));
-        meta.object.emplace_back("pid", json_number(pid));
-        JsonValue meta_args;
-        meta_args.kind = JsonValue::Kind::Object;
-        meta_args.object.emplace_back(
-            "name", json_string("events:" + (process.empty() ? label : process)));
-        meta.object.emplace_back("args", std::move(meta_args));
-        merged.push_back(std::move(meta));
-
-        for (JsonValue& obj : lines) {
-            JsonValue ev;
-            ev.kind = JsonValue::Kind::Object;
-            const std::string kind = get_string(obj, "kind");
-            ev.object.emplace_back("name",
-                                   json_string(kind.empty() ? std::string("event") : kind));
-            ev.object.emplace_back("ph", json_string("i"));
-            ev.object.emplace_back("s", json_string("g"));
-            ev.object.emplace_back("cat", json_string("journal"));
-            ev.object.emplace_back(
-                "ts", json_number(get_number(obj, "t_us") + static_cast<double>(offset)));
-            ev.object.emplace_back("pid", json_number(pid));
-            ev.object.emplace_back("tid", json_number(0.0));
-            JsonValue args;
-            args.kind = JsonValue::Kind::Object;
-            for (auto& [key, value] : obj.object) {
-                if (key == "t_us" || key == "kind") continue;
-                args.object.emplace_back(key, std::move(value));
-            }
-            ev.object.emplace_back("args", std::move(args));
-            merged.push_back(std::move(ev));
-            ++result.journal_events;
         }
     }
 
@@ -389,12 +281,6 @@ TraceMergeResult merge_traces(const std::string& client_json,
 
 TraceMergeResult merge_trace_files(const std::string& client_path,
                                    const std::vector<std::string>& server_paths) {
-    return merge_trace_files(client_path, server_paths, {});
-}
-
-TraceMergeResult merge_trace_files(const std::string& client_path,
-                                   const std::vector<std::string>& server_paths,
-                                   const std::vector<std::string>& journal_paths) {
     auto slurp = [](const std::string& path) {
         std::ifstream in(path, std::ios::binary);
         if (!in) throw std::runtime_error("cannot read trace file '" + path + "'");
@@ -405,10 +291,7 @@ TraceMergeResult merge_trace_files(const std::string& client_path,
     std::vector<std::string> servers;
     servers.reserve(server_paths.size());
     for (const std::string& path : server_paths) servers.push_back(slurp(path));
-    std::vector<std::string> journals;
-    journals.reserve(journal_paths.size());
-    for (const std::string& path : journal_paths) journals.push_back(slurp(path));
-    return merge_traces(slurp(client_path), servers, journals);
+    return merge_traces(slurp(client_path), servers);
 }
 
 }  // namespace ehdoe::core

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/event_log.hpp"
 #include "core/inprocess_backend.hpp"
 #include "core/persistent_cache.hpp"
 #include "core/telemetry.hpp"
@@ -33,17 +32,10 @@ BatchRunner::BatchRunner(Simulation sim, RunnerOptions options)
         throw std::invalid_argument("BatchRunner: simulation required");
     if (options_.replicates == 0) throw std::invalid_argument("BatchRunner: replicates >= 1");
 
-    // Tracing must be live before the backend stack is built so
-    // construction-time work (remote handshakes, recipe parsing, cache
-    // loads) lands in the trace too. Same for the event journal.
-    if (!options_.trace_file.empty()) {
-        core::telemetry::enable();
-        core::telemetry::set_process_label("ehdoe-client");
-    }
-    if (!options_.event_log_file.empty()) {
-        core::event_log::open(options_.event_log_file);
-        core::event_log::set_process_label("ehdoe-client");
-    }
+    // Tracing and the journal must be live before the backend stack is
+    // built so construction-time work (remote handshakes, recipe parsing,
+    // cache loads) lands in them too.
+    open_sinks();
 
     // Fold the orchestrator's memo hits of the call in flight into the
     // backend's progress reports (backends only see unique misses).
@@ -122,22 +114,21 @@ BatchRunner::BatchRunner(std::shared_ptr<core::EvalBackend> backend, RunnerOptio
     : options_(std::move(options)), backend_(std::move(backend)) {
     if (!backend_) throw std::invalid_argument("BatchRunner: backend required");
     persistent_ = dynamic_cast<core::PersistentCache*>(backend_.get());
-    if (!options_.trace_file.empty()) {
-        core::telemetry::enable();
-        core::telemetry::set_process_label("ehdoe-client");
-    }
-    if (!options_.event_log_file.empty()) {
-        core::event_log::open(options_.event_log_file);
-        core::event_log::set_process_label("ehdoe-client");
-    }
+    open_sinks();
 }
 
 BatchRunner::~BatchRunner() {
     if (!options_.trace_file.empty()) {
         core::telemetry::write_json(options_.trace_file);
     }
+}
+
+void BatchRunner::open_sinks() {
+    if (options_.trace_file.empty() && options_.event_log_file.empty()) return;
+    core::telemetry::set_process_label("ehdoe-client");
+    if (!options_.trace_file.empty()) core::telemetry::enable();
     if (!options_.event_log_file.empty()) {
-        core::event_log::close();
+        journal_ = std::make_unique<core::telemetry::Journal>(options_.event_log_file);
     }
 }
 

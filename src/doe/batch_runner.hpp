@@ -34,6 +34,10 @@ namespace ehdoe::core {
 class PersistentCache;
 }
 
+namespace ehdoe::core::telemetry {
+class Journal;
+}
+
 namespace ehdoe::net {
 struct ShardReport;
 }
@@ -104,8 +108,13 @@ public:
 
 private:
     std::vector<ResponseMap> evaluate_rows(const std::vector<Vector>& rows);
+    /// Enable tracing and open this runner's journal, as the options ask.
+    void open_sinks();
 
     RunnerOptions options_;
+    /// This runner's event journal (options_.event_log_file); declared
+    /// before backend_ so it outlives the stack's last incident.
+    std::unique_ptr<core::telemetry::Journal> journal_;
     std::shared_ptr<core::EvalBackend> backend_;
     /// Non-owning view of the persistent layer inside backend_, if any.
     core::PersistentCache* persistent_ = nullptr;

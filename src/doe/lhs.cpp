@@ -55,18 +55,6 @@ Design latin_hypercube(std::size_t runs, std::size_t k, std::uint64_t seed,
     return latin_hypercube(runs, k, rng, options);
 }
 
-Design monte_carlo(std::size_t runs, std::size_t k, num::Rng& rng) {
-    if (runs == 0) throw std::invalid_argument("monte_carlo: runs >= 1");
-    if (k == 0) throw std::invalid_argument("monte_carlo: k >= 1");
-    Design d;
-    d.kind = "monte-carlo(n=" + std::to_string(runs) + ")";
-    d.points = Matrix(runs, k);
-    for (std::size_t i = 0; i < runs; ++i) {
-        for (std::size_t f = 0; f < k; ++f) d.points(i, f) = num::uniform(rng, -1.0, 1.0);
-    }
-    return d;
-}
-
 bool is_latin(const Design& design, double tol) {
     const std::size_t n = design.runs();
     if (n == 0) return false;

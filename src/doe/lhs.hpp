@@ -29,9 +29,6 @@ Design latin_hypercube(std::size_t runs, std::size_t k, num::Rng& rng,
 Design latin_hypercube(std::size_t runs, std::size_t k, std::uint64_t seed,
                        const LhsOptions& options = {});
 
-/// Plain uniform Monte Carlo design (for comparison in the T2 bench).
-Design monte_carlo(std::size_t runs, std::size_t k, num::Rng& rng);
-
 /// Verify the Latin property: each column has exactly one point per
 /// stratum. Used by tests and by the runner's design validation.
 bool is_latin(const Design& design, double tol = 1e-9);

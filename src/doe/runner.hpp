@@ -111,11 +111,13 @@ struct RunnerOptions {
     /// destruction. Strictly observational: results are bitwise identical
     /// with tracing on or off. Merge with per-server traces via ehdoe-trace.
     std::string trace_file;
-    /// Non-empty opens the structured event journal (core/event_log.hpp)
-    /// here for the runner's lifetime: one JSONL line per farm incident
-    /// (redial, rejoin, failover re-dispatch, exec timeout/relaunch, ...).
-    /// Strictly observational, like trace_file. Interleave with traces via
-    /// ehdoe-trace --events.
+    /// Non-empty opens a core::telemetry::Journal here for the runner's
+    /// lifetime: one JSONL line per farm incident (redial, rejoin, failover
+    /// re-dispatch, exec timeout/relaunch, ...). Runners alive at the same
+    /// time each keep their own journal, and runners on one file share it.
+    /// Construction throws when the file cannot be opened. Strictly
+    /// observational, like trace_file; with tracing on, the same incidents
+    /// are trace instants too.
     std::string event_log_file;
 };
 

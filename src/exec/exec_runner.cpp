@@ -18,7 +18,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "core/event_log.hpp"
 #include "net/wire.hpp"
 
 namespace ehdoe::exec {
@@ -178,8 +177,7 @@ ExecOutcome ExecRunner::run_point(const Vector& natural, std::size_t index) {
                 }
                 if (run.timed_out) {
                     timeouts_.fetch_add(1);
-                    core::telemetry::instant("timeout", "exec");
-                    core::event_log::Event("exec_timeout")
+                    core::telemetry::Event("exec_timeout")
                         .field("point", static_cast<std::uint64_t>(index))
                         .field("timeout_seconds", recipe_.timeout_seconds);
                     outcome.timed_out = true;
@@ -194,8 +192,7 @@ ExecOutcome ExecRunner::run_point(const Vector& natural, std::size_t index) {
                     const std::string stderr_tail = tail_of(workdir + "/stderr.txt");
                     if (attempt < recipe_.retries) {
                         relaunches_.fetch_add(1);
-                        core::telemetry::instant("retry", "exec");
-                        core::event_log::Event("exec_relaunch")
+                        core::telemetry::Event("exec_relaunch")
                             .field("point", static_cast<std::uint64_t>(index))
                             .field("attempt", static_cast<std::uint64_t>(attempt + 1))
                             .field("exit",

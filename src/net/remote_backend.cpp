@@ -16,7 +16,6 @@
 #include <thread>
 #include <utility>
 
-#include "core/event_log.hpp"
 #include "core/telemetry.hpp"
 
 namespace ehdoe::net {
@@ -268,8 +267,7 @@ void RemoteBackend::maybe_redial() {
             continue;
         c->last_redial = now;
         ++redials_;
-        core::telemetry::instant("redial", "net", "endpoint", endpoint_label(c->endpoint));
-        core::event_log::Event("redial").field("endpoint", endpoint_label(c->endpoint));
+        core::telemetry::Event("redial").field("endpoint", endpoint_label(c->endpoint));
         try {
             // Full reconnect + re-handshake: a restarted server must prove
             // it still speaks the protocol/fingerprint/replicates before it
@@ -286,7 +284,7 @@ void RemoteBackend::maybe_redial() {
                 c->alive = true;
             }
             ++rejoins_;
-            core::event_log::Event("rejoin")
+            core::telemetry::Event("rejoin")
                 .field("endpoint", endpoint_label(c->endpoint))
                 .field("version", static_cast<std::uint64_t>(kProtocolVersion));
         } catch (const std::exception&) {
@@ -470,7 +468,7 @@ std::vector<core::ResponseMap> RemoteBackend::evaluate(const std::vector<Vector>
             pending.insert(pending.end(), frame.begin(), frame.end());
         }
         c.to_send.clear();
-        core::event_log::Event("failover_redispatch")
+        core::telemetry::Event("failover_redispatch")
             .field("endpoint", endpoint_label(c.endpoint))
             .field("pending", static_cast<std::uint64_t>(pending.size()));
 

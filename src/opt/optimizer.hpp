@@ -2,8 +2,8 @@
 //
 // Common vocabulary for the optimizers: box-constrained minimization of a
 // black-box objective. Two families live here:
-//  * cheap local searches used *on the RSM* (Nelder-Mead, projected
-//    gradient, Hooke-Jeeves) where an evaluation costs nanoseconds;
+//  * cheap local searches used *on the RSM* (Nelder-Mead, Hooke-Jeeves)
+//    where an evaluation costs nanoseconds;
 //  * the classical global heuristics (GA, SA) the abstract cites as the
 //    too-slow status quo when run *directly on the simulator* — the T5
 //    bench quantifies exactly that comparison.

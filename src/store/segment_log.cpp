@@ -12,7 +12,7 @@
 #include <system_error>
 #include <vector>
 
-#include "core/event_log.hpp"
+#include "core/telemetry.hpp"
 
 namespace fs = std::filesystem;
 
@@ -270,7 +270,7 @@ void SegmentLog::scan_locked() {
         // that scanned clean before the damage, never fail the open.
         fs::rename(path, fs::path(path.string() + ".quarantined"), ec);
         ++counters_.quarantined_segments;
-        core::event_log::Event("segment_quarantine")
+        core::telemetry::Event("segment_quarantine")
             .field("segment", path.filename().string())
             .field("records_recovered", static_cast<std::uint64_t>(restored));
         if (options_.verbose)

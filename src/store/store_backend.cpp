@@ -4,7 +4,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/event_log.hpp"
+#include "core/telemetry.hpp"
 
 namespace ehdoe::store {
 
@@ -33,7 +33,7 @@ StoreBackend::StoreBackend(std::shared_ptr<core::EvalBackend> inner,
 
 void StoreBackend::note_store_failure(const std::string& what) {
     client_.reset();
-    core::event_log::Event("redial")
+    core::telemetry::Event("redial")
         .field("component", "store")
         .field("endpoint", options_.host + ":" + std::to_string(options_.port))
         .field("error", what);
@@ -57,7 +57,7 @@ void StoreBackend::maybe_redial() {
         client_ = std::make_unique<StoreClient>(options_.host, options_.port,
                                                 options_.timeout_seconds);
         failure_logged_ = false;
-        core::event_log::Event("rejoin")
+        core::telemetry::Event("rejoin")
             .field("component", "store")
             .field("endpoint", options_.host + ":" + std::to_string(options_.port));
         std::fprintf(stderr, "[ehdoe-store] %s:%u is back; resuming store lookups\n",

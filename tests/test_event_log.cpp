@@ -1,28 +1,36 @@
-// The structured event journal (core/event_log.hpp): every event kind the
-// toolkit emits parses as one JSON object with the standard prologue, the
-// journal interleaves onto a merged trace timeline via its "listening"
-// clock anchor (`ehdoe-trace --events`), forced kill/redial incidents land
-// in it, and — the acceptance criterion — turning the journal AND the
-// metrics ring on changes no result bit across the in-process, exec,
-// remote and store-backed stacks.
+// The event journal (core::telemetry::Journal + Event): every event kind
+// the toolkit emits is one JSON line with the standard prologue and the
+// journal's exact bytes; one Event is one trace instant and one line in
+// every open journal, on one clock; journals are scoped (two live runners
+// each keep theirs, runners on one file share it, an unopenable path
+// throws, the descriptor is close-on-exec); forced kill/redial incidents
+// land in the journal; and — the determinism contract — turning the
+// journal AND the metrics ring on changes no result bit across the
+// in-process, exec, remote and store-backed stacks.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
+#include <optional>
+#include <regex>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "core/event_log.hpp"
 #include "core/perf_gate.hpp"
 #include "core/scenario.hpp"
-#include "core/trace_merge.hpp"
+#include "core/telemetry.hpp"
+#include "core/toolkit.hpp"
 #include "doe/batch_runner.hpp"
 #include "doe/composite.hpp"
 #include "doe/design.hpp"
@@ -73,11 +81,16 @@ std::set<std::string> kinds_of(const std::vector<std::string>& lines) {
     return kinds;
 }
 
-/// Every test closes the process-global journal so suites stay
-/// order-independent.
+/// Tracing and the process label are process-global; every test restores
+/// the defaults so suites stay order-independent. Journals are scoped and
+/// close themselves.
 class EventLogTest : public ::testing::Test {
 protected:
-    void TearDown() override { core::event_log::close(); }
+    void TearDown() override {
+        core::telemetry::disable();
+        core::telemetry::reset();
+        core::telemetry::set_process_label("");
+    }
 };
 
 /// The S1 CCD in natural units — the canonical workload of the
@@ -107,28 +120,27 @@ void expect_identical(const std::vector<doe::ResponseMap>& got,
 TEST_F(EventLogTest, EveryEventKindParsesWithThePrologue) {
     exec_test::TempDir dir("eventlog-schema");
     const std::string path = dir.path() + "/events.jsonl";
-    ASSERT_TRUE(core::event_log::open(path));
-    ASSERT_TRUE(core::event_log::enabled());
-    core::event_log::set_process_label("schema-test");
-
-    using core::event_log::Event;
-    Event("listening").field("endpoint", "127.0.0.1:4217");
-    Event("redial").field("endpoint", "127.0.0.1:4217");
-    Event("rejoin").field("endpoint", "127.0.0.1:4217").field("version", std::uint64_t{7});
-    Event("failover_redispatch")
-        .field("endpoint", "127.0.0.1:4217")
-        .field("pending", std::uint64_t{12});
-    Event("exec_timeout").field("point", std::uint64_t{5}).field("timeout_seconds", 1.5);
-    Event("exec_relaunch")
-        .field("point", std::uint64_t{5})
-        .field("attempt", std::uint64_t{2})
-        .field("exit", "status 3");
-    Event("segment_quarantine")
-        .field("segment", "segment-000001.log")
-        .field("records_recovered", std::uint64_t{41});
-    // Values needing escapes must not break the line's JSON.
-    Event("redial").field("error", "connect: \"refused\"\nafter 2 tries \\ EOF\x01");
-    core::event_log::close();
+    core::telemetry::set_process_label("schema-test");
+    {
+        core::telemetry::Journal journal(path);
+        using core::telemetry::Event;
+        Event("listening").field("endpoint", "127.0.0.1:4217");
+        Event("redial").field("endpoint", "127.0.0.1:4217");
+        Event("rejoin").field("endpoint", "127.0.0.1:4217").field("version", std::uint64_t{7});
+        Event("failover_redispatch")
+            .field("endpoint", "127.0.0.1:4217")
+            .field("pending", std::uint64_t{12});
+        Event("exec_timeout").field("point", std::uint64_t{5}).field("timeout_seconds", 1.5);
+        Event("exec_relaunch")
+            .field("point", std::uint64_t{5})
+            .field("attempt", std::uint64_t{2})
+            .field("exit", "status 3");
+        Event("segment_quarantine")
+            .field("segment", "segment-000001.log")
+            .field("records_recovered", std::uint64_t{41});
+        // Values needing escapes must not break the line's JSON.
+        Event("redial").field("error", "connect: \"refused\"\nafter 2 tries \\ EOF\x01");
+    }
 
     const std::vector<std::string> lines = journal_lines(path);
     ASSERT_EQ(lines.size(), 8u);
@@ -146,82 +158,173 @@ TEST_F(EventLogTest, EveryEventKindParsesWithThePrologue) {
     const core::JsonValue escaped = parsed_event(lines[7]);
     EXPECT_EQ(core::json_lookup(escaped, "error")->string,
               "connect: \"refused\"\nafter 2 tries \\ EOF\x01");
-    // Control bytes without a short escape go out as \u00XX.
-    EXPECT_NE(lines[7].find("EOF\\u0001\""), std::string::npos) << lines[7];
+
+    // The bytes readers grep for: keys, key order and value formats are
+    // fixed; only the two clock readings vary from run to run.
+    const std::string head = R"({"t_us":T,"wall_ms":W,"process":"schema-test","kind":)";
+    const std::vector<std::string> want = {
+        head + R"("listening","endpoint":"127.0.0.1:4217"})",
+        head + R"("redial","endpoint":"127.0.0.1:4217"})",
+        head + R"("rejoin","endpoint":"127.0.0.1:4217","version":7})",
+        head + R"("failover_redispatch","endpoint":"127.0.0.1:4217","pending":12})",
+        head + R"("exec_timeout","point":5,"timeout_seconds":1.5})",
+        head + R"("exec_relaunch","point":5,"attempt":2,"exit":"status 3"})",
+        head + R"("segment_quarantine","segment":"segment-000001.log","records_recovered":41})",
+        // Control bytes without a short escape go out as \u00XX.
+        head + R"("redial","error":"connect: \"refused\"\nafter 2 tries \\ EOF\u0001"})",
+    };
+    const std::regex clocks(R"re(^\{"t_us":[0-9]+,"wall_ms":[0-9]+,)re");
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        EXPECT_EQ(std::regex_replace(lines[i], clocks, R"({"t_us":T,"wall_ms":W,)"), want[i]);
+    }
 }
 
 TEST_F(EventLogTest, ClosedJournalWritesNothingAndEventsAreFreeToBuild) {
-    ASSERT_FALSE(core::event_log::enabled());
-    // Emission sites construct Events unconditionally; with the journal
-    // closed this must be a no-op, not a crash or a stray file.
-    core::event_log::Event("redial").field("endpoint", "127.0.0.1:1");
+    // Emission sites construct Events unconditionally; with tracing off and
+    // no journal open this must be a no-op, not a crash or a stray record.
+    ASSERT_FALSE(core::telemetry::enabled());
+    core::telemetry::Event("redial").field("endpoint", "127.0.0.1:1");
+    EXPECT_EQ(core::telemetry::event_count(), 0u);
 
     exec_test::TempDir dir("eventlog-closed");
     const std::string path = dir.path() + "/events.jsonl";
-    ASSERT_TRUE(core::event_log::open(path));
-    core::event_log::close();
-    EXPECT_FALSE(core::event_log::enabled());
-    core::event_log::Event("redial").field("endpoint", "127.0.0.1:1");
-    EXPECT_TRUE(journal_lines(path).empty()) << "events after close() must not write";
+    { core::telemetry::Journal journal(path); }
+    core::telemetry::Event("redial").field("endpoint", "127.0.0.1:1");
+    EXPECT_TRUE(journal_lines(path).empty()) << "events after the journal closed must not write";
+    // The default label names the process until one is set.
+    {
+        core::telemetry::Journal journal(path);
+        core::telemetry::Event("redial");
+    }
+    const std::vector<std::string> lines = journal_lines(path);
+    ASSERT_EQ(lines.size(), 1u);
+    EXPECT_EQ(core::json_lookup(parsed_event(lines[0]), "process")->string, "ehdoe");
+}
 
-    // An unopenable path stays disabled instead of crashing later writes.
-    EXPECT_FALSE(core::event_log::open(dir.path() + "/no/such/dir/e.jsonl"));
-    EXPECT_FALSE(core::event_log::enabled());
+// One Event, both sinks: the trace instant and the journal line carry the
+// same kind, fields and timestamp.
+TEST_F(EventLogTest, EventIsOneTraceInstantAndOneJournalLine) {
+    exec_test::TempDir dir("eventlog-trace");
+    const std::string path = dir.path() + "/events.jsonl";
+    core::telemetry::enable();
+    core::telemetry::reset();
+    {
+        core::telemetry::Journal journal(path);
+        core::telemetry::Event("exec_relaunch").field("attempt", std::uint64_t{2});
+    }
+    const std::string trace_path = dir.path() + "/trace.json";
+    ASSERT_TRUE(core::telemetry::write_json(trace_path));
+
+    std::ifstream in(trace_path);
+    std::stringstream body;
+    body << in.rdbuf();
+    const core::JsonValue trace = core::parse_json(body.str());
+    std::vector<const core::JsonValue*> instants;
+    for (const core::JsonValue& e : core::json_lookup(trace, "traceEvents")->array) {
+        const core::JsonValue* name = core::json_lookup(e, "name");
+        if (name && name->string == "exec_relaunch") instants.push_back(&e);
+    }
+    ASSERT_EQ(instants.size(), 1u);
+    EXPECT_EQ(core::json_lookup(*instants[0], "ph")->string, "i");
+    EXPECT_EQ(core::json_lookup(*instants[0], "cat")->string, "event");
+    EXPECT_EQ(core::json_lookup(*instants[0], "args.attempt")->number, 2.0);
+
+    const std::vector<std::string> lines = journal_lines(path);
+    ASSERT_EQ(lines.size(), 1u);
+    const core::JsonValue line = parsed_event(lines[0]);
+    EXPECT_EQ(core::json_lookup(*instants[0], "ts")->number,
+              core::json_lookup(line, "t_us")->number);
 }
 
 // ---------------------------------------------------------------------------
-// Timeline interleaving: `ehdoe-trace --events` anchors a daemon journal
-// through its "listening" event, exactly like a server trace file.
+// Scoped sinks: each journal lives exactly as long as its owner.
 // ---------------------------------------------------------------------------
-TEST(EventJournalMerge, DaemonJournalAnchorsOntoTheClientTimeline) {
-    const std::string client = R"({"traceEvents":[
-        {"name":"handshake","cat":"net","ph":"X","ts":1000,"dur":50,"pid":7,"tid":1,
-         "args":{"endpoint":"127.0.0.1:9001","version":7,"offset_us":500}}
-    ]})";
-    // A daemon journal: the wildcard-bound "listening" anchor plus one
-    // incident, both on the server's clock.
-    const std::string journal =
-        "{\"t_us\":100,\"wall_ms\":1726000000000,\"process\":\"ehdoe-eval-server\","
-        "\"kind\":\"listening\",\"endpoint\":\"0.0.0.0:9001\"}\n"
-        "{\"t_us\":700,\"wall_ms\":1726000000600,\"process\":\"ehdoe-eval-server\","
-        "\"kind\":\"exec_relaunch\",\"attempt\":2}\n";
+TEST_F(EventLogTest, TwoConcurrentRunnersEachKeepTheirJournal) {
+    const core::Scenario sc = core::Scenario::make(core::ScenarioId::OfficeHvac, 30.0);
+    exec_test::TempDir dir("eventlog-two-runners");
+    doe::RunnerOptions a_opts;
+    a_opts.event_log_file = dir.path() + "/a.jsonl";
+    doe::RunnerOptions b_opts;
+    b_opts.event_log_file = dir.path() + "/b.jsonl";
 
-    const core::TraceMergeResult merged = core::merge_traces(client, {}, {journal});
-    EXPECT_TRUE(merged.warnings.empty())
-        << (merged.warnings.empty() ? "" : merged.warnings.front());
-    EXPECT_EQ(merged.journal_events, 2u);
+    auto a = std::make_unique<doe::BatchRunner>(sc.make_simulation(), a_opts);
+    auto b = std::make_unique<doe::BatchRunner>(sc.make_simulation(), b_opts);
+    core::telemetry::Event("redial").field("endpoint", "first");
+    a.reset();
+    core::telemetry::Event("redial").field("endpoint", "second");
+    b.reset();
 
-    const core::JsonValue trace = core::parse_json(merged.json);
-    const core::JsonValue* events = core::json_lookup(trace, "traceEvents");
-    ASSERT_NE(events, nullptr);
-    bool relaunch_seen = false;
-    for (const core::JsonValue& e : events->array) {
-        const core::JsonValue* name = core::json_lookup(e, "name");
-        if (!name || name->string != "exec_relaunch") continue;
-        relaunch_seen = true;
-        // Shifted by the handshake's offset_us onto the client clock, in a
-        // journal lane of its own, with the kind-specific field preserved.
-        EXPECT_EQ(core::json_lookup(e, "ts")->number, 1200.0);
-        EXPECT_GE(core::json_lookup(e, "pid")->number, 100.0);
-        EXPECT_EQ(core::json_lookup(e, "ph")->string, "i");
-        EXPECT_EQ(core::json_lookup(e, "args.attempt")->number, 2.0);
-    }
-    EXPECT_TRUE(relaunch_seen);
+    const std::vector<std::string> a_lines = journal_lines(a_opts.event_log_file);
+    const std::vector<std::string> b_lines = journal_lines(b_opts.event_log_file);
+    ASSERT_EQ(a_lines.size(), 1u);
+    EXPECT_EQ(core::json_lookup(parsed_event(a_lines[0]), "endpoint")->string, "first");
+    ASSERT_EQ(b_lines.size(), 2u);
+    EXPECT_EQ(core::json_lookup(parsed_event(b_lines[0]), "endpoint")->string, "first");
+    EXPECT_EQ(core::json_lookup(parsed_event(b_lines[1]), "endpoint")->string, "second");
+}
 
-    // A client journal (no "listening" kind) merges unshifted, silently.
-    const std::string client_journal =
-        "{\"t_us\":1500,\"wall_ms\":1726000000000,\"process\":\"ehdoe-client\","
-        "\"kind\":\"redial\",\"endpoint\":\"127.0.0.1:9001\"}\n";
-    const core::TraceMergeResult merged2 = core::merge_traces(client, {}, {client_journal});
-    EXPECT_TRUE(merged2.warnings.empty());
-    EXPECT_EQ(merged2.journal_events, 1u);
-    const core::JsonValue trace2 = core::parse_json(merged2.json);
-    for (const core::JsonValue& e : core::json_lookup(trace2, "traceEvents")->array) {
-        const core::JsonValue* name = core::json_lookup(e, "name");
-        if (name && name->string == "redial") {
-            EXPECT_EQ(core::json_lookup(e, "ts")->number, 1500.0);
+// doe::run_design builds one runner per call from the caller's options,
+// so concurrent calls put two runners on one file: each line once.
+TEST_F(EventLogTest, TwoRunnersOnOneFileWriteEachEventOnce) {
+    const core::Scenario sc = core::Scenario::make(core::ScenarioId::OfficeHvac, 30.0);
+    exec_test::TempDir dir("eventlog-one-file");
+    doe::RunnerOptions a_opts;
+    a_opts.event_log_file = dir.path() + "/e.jsonl";
+    doe::RunnerOptions b_opts;
+    b_opts.event_log_file = dir.path() + "/./e.jsonl";  // another spelling, same file
+
+    auto a = std::make_unique<doe::BatchRunner>(sc.make_simulation(), a_opts);
+    auto b = std::make_unique<doe::BatchRunner>(sc.make_simulation(), b_opts);
+    core::telemetry::Event("redial").field("endpoint", "both");
+    a.reset();
+    core::telemetry::Event("redial").field("endpoint", "b only");
+    b.reset();
+    core::telemetry::Event("redial").field("endpoint", "none");
+
+    const std::vector<std::string> lines = journal_lines(a_opts.event_log_file);
+    ASSERT_EQ(lines.size(), 2u);
+    EXPECT_EQ(core::json_lookup(parsed_event(lines[0]), "endpoint")->string, "both");
+    EXPECT_EQ(core::json_lookup(parsed_event(lines[1]), "endpoint")->string, "b only");
+}
+
+TEST_F(EventLogTest, UnopenableJournalPathThrowsNamingIt) {
+    const core::Scenario sc = core::Scenario::make(core::ScenarioId::OfficeHvac, 30.0);
+    exec_test::TempDir dir("eventlog-unopenable");
+    const std::string bad = dir.path() + "/no/such/dir/e.jsonl";
+    auto expect_names_path = [&](const std::function<void()>& construct) {
+        try {
+            construct();
+            ADD_FAILURE() << "constructed with an unopenable journal";
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find(bad), std::string::npos) << e.what();
+        }
+    };
+    doe::RunnerOptions ro;
+    ro.event_log_file = bad;
+    expect_names_path([&] { doe::BatchRunner runner(sc.make_simulation(), ro); });
+    core::DesignFlow::Options fo;
+    fo.event_log_file = bad;
+    expect_names_path([&] { core::DesignFlow flow(sc.design_space(), sc.make_simulation(), fo); });
+}
+
+// Launched simulators must not inherit the journal: its descriptor is
+// close-on-exec.
+TEST_F(EventLogTest, JournalDescriptorIsCloseOnExec) {
+    exec_test::TempDir dir("eventlog-cloexec");
+    const std::string path = dir.path() + "/events.jsonl";
+    core::telemetry::Journal journal(path);
+    const std::filesystem::path target = std::filesystem::canonical(path);
+    int found = -1;
+    for (const auto& entry : std::filesystem::directory_iterator("/proc/self/fd")) {
+        std::error_code ec;
+        if (std::filesystem::read_symlink(entry.path(), ec) == target) {
+            found = std::stoi(entry.path().filename().string());
         }
     }
+    ASSERT_GE(found, 0) << "no descriptor open on " << target;
+    const int flags = ::fcntl(found, F_GETFD);
+    ASSERT_GE(flags, 0);
+    EXPECT_TRUE(flags & FD_CLOEXEC);
 }
 
 // ---------------------------------------------------------------------------
@@ -238,8 +341,8 @@ TEST_F(EventLogTest, KillAndRestartIncidentsLandInTheJournal) {
 
     exec_test::TempDir dir("eventlog-incidents");
     const std::string path = dir.path() + "/events.jsonl";
-    ASSERT_TRUE(core::event_log::open(path));
-    core::event_log::set_process_label("ehdoe-client");
+    std::optional<core::telemetry::Journal> journal(std::in_place, path);
+    core::telemetry::set_process_label("ehdoe-client");
 
     auto s1 = net_test::start_server(slow, fp);
     auto s2 = net_test::start_server(slow, fp);
@@ -272,7 +375,7 @@ TEST_F(EventLogTest, KillAndRestartIncidentsLandInTheJournal) {
     // The grids share their 4 corners; the runner's memo covers those.
     EXPECT_EQ(r2.simulations, 96u);
     EXPECT_GE(backend->rejoins(), 1u);
-    core::event_log::close();
+    journal.reset();
 
     const std::vector<std::string> lines = journal_lines(path);
     ASSERT_FALSE(lines.empty());

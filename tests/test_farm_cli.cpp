@@ -3,7 +3,7 @@
 // their metrics rings by hand so every number is deterministic) — each
 // view's output and exit status, usage errors, and the export view's
 // serve mode with an idle client connected — plus the eval-server
-// daemon's strict --duration parsing.
+// daemon's strict --duration and --events handling.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -437,4 +437,12 @@ TEST_F(EvalServerCli, DurationMustBeAPositiveNumber) {
         std::snprintf(expected, sizeof expected, "/duration=%.6f/", std::stod(good));
         EXPECT_NE(r.out.find(expected), std::string::npos) << r.out;
     }
+}
+
+// A journal the daemon cannot open is a usage error, not a silent no-op.
+TEST_F(EvalServerCli, UnopenableEventsFileExitsTwo) {
+    const std::string bad = dir_ + "/no/such/dir/e.jsonl";
+    const Outcome r = run({EHDOE_EVAL_SERVER_BIN, "--port", "0", "--events", bad});
+    EXPECT_EQ(r.exit, 2);
+    EXPECT_NE(r.err.find("cannot open --events file '" + bad + "'"), std::string::npos) << r.err;
 }

@@ -63,18 +63,6 @@ TEST(Lhs, Validation) {
     EXPECT_THROW(latin_hypercube(10, 0, rng), std::invalid_argument);
 }
 
-TEST(MonteCarlo, UniformCube) {
-    ehdoe::num::Rng rng = ehdoe::num::make_rng(3);
-    const Design d = monte_carlo(100, 2, rng);
-    EXPECT_EQ(d.runs(), 100u);
-    for (std::size_t i = 0; i < d.runs(); ++i) {
-        EXPECT_GE(d.points(i, 0), -1.0);
-        EXPECT_LT(d.points(i, 0), 1.0);
-    }
-    // MC is (almost surely) not latin.
-    EXPECT_FALSE(is_latin(d));
-}
-
 class LhsSizeP : public ::testing::TestWithParam<int> {};
 
 TEST_P(LhsSizeP, LatinAcrossSizes) {

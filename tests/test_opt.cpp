@@ -12,7 +12,6 @@
 #include "doe/batch_runner.hpp"
 #include "opt/anneal.hpp"
 #include "opt/genetic.hpp"
-#include "opt/gradient.hpp"
 #include "opt/nelder_mead.hpp"
 #include "opt/pattern.hpp"
 
@@ -92,21 +91,6 @@ TEST(NelderMead, GoldenTrajectoryIsBitwiseStable) {
     EXPECT_EQ(r.evaluations, 96u);
     EXPECT_EQ(r.iterations, 51u);
     EXPECT_TRUE(r.converged);
-}
-
-TEST(GradientDescent, AnalyticGradient) {
-    const GradientFn grad = [](const Vector& x) {
-        return Vector{2.0 * (x[0] - 0.3), 4.0 * (x[1] + 0.4)};
-    };
-    const OptResult r = gradient_descent(bowl, grad, kCube2, Vector{-0.8, 0.8});
-    EXPECT_NEAR(r.x[0], 0.3, 1e-5);
-    EXPECT_NEAR(r.x[1], -0.4, 1e-5);
-}
-
-TEST(GradientDescent, NumericGradient) {
-    const OptResult r = gradient_descent(bowl, kCube2, Vector{-0.8, 0.8});
-    EXPECT_NEAR(r.x[0], 0.3, 1e-4);
-    EXPECT_NEAR(r.value, 1.0, 1e-6);
 }
 
 TEST(PatternSearch, FindsBowlMinimum) {
@@ -320,15 +304,11 @@ TEST_P(LocalOptP, RotatedQuadraticFromCorners) {
     };
     for (double cx : {-0.9, 0.9}) {
         for (double cy : {-0.9, 0.9}) {
-            OptResult r;
-            switch (GetParam()) {
-                case 0: r = nelder_mead(f, kCube2, Vector{cx, cy}); break;
-                case 1: r = pattern_search(f, kCube2, Vector{cx, cy}); break;
-                default: r = gradient_descent(f, kCube2, Vector{cx, cy}); break;
-            }
+            const OptResult r = GetParam() == 0 ? nelder_mead(f, kCube2, Vector{cx, cy})
+                                                : pattern_search(f, kCube2, Vector{cx, cy});
             EXPECT_LT(r.value, 1e-5);
         }
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Methods, LocalOptP, ::testing::Values(0, 1, 2));
+INSTANTIATE_TEST_SUITE_P(Methods, LocalOptP, ::testing::Values(0, 1));

@@ -341,8 +341,8 @@ TEST_F(TelemetryTest, TracingOnVsOffBitwiseIdenticalRemote) {
     ASSERT_EQ(traced.size(), base.size());
     for (std::size_t i = 0; i < base.size(); ++i) EXPECT_EQ(traced[i], base[i]);
 
-    // The client side of the wire shows up: a handshake carrying the v5
-    // clock offset, dispatches and receives.
+    // The client side of the wire shows up: a handshake carrying the
+    // welcome's clock offset, dispatches and receives.
     const core::JsonValue trace = core::parse_json(slurp(on.trace_file));
     const auto handshakes = events_named(trace, "handshake");
     ASSERT_GE(handshakes.size(), 1u);

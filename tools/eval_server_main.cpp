@@ -31,9 +31,10 @@
 //                         seconds (core/metrics.hpp; served in the
 //                         stats reply, rendered by ehdoe-farm top /
 //                         export). Default: disabled.
-//   --events FILE         append this shard's structured event journal
-//                         (JSONL, core/event_log.hpp) here; interleave
-//                         with traces via ehdoe-trace --events
+//   --events FILE         append this shard's event journal (JSONL,
+//                         core::telemetry::Journal) here; with --trace the
+//                         same incidents are instants in the trace, which
+//                         ehdoe-trace shifts onto the client's timeline
 //   --print-fingerprint   print the served fingerprint and exit
 //
 // On startup the daemon prints one "listening on HOST:PORT ..." line
@@ -45,10 +46,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <thread>
 
-#include "core/event_log.hpp"
 #include "core/scenario.hpp"
 #include "core/telemetry.hpp"
 #include "exec/sim_recipe.hpp"
@@ -205,24 +206,24 @@ int main(int argc, char** argv) {
     }
 
     try {
-        if (!trace_path.empty()) {
-            core::telemetry::enable();
-            core::telemetry::set_process_label("ehdoe-eval-server");
-        }
+        core::telemetry::set_process_label("ehdoe-eval-server");
+        if (!trace_path.empty()) core::telemetry::enable();
+        std::optional<core::telemetry::Journal> journal;
         if (!events_path.empty()) {
-            if (!core::event_log::open(events_path))
+            try {
+                journal.emplace(events_path);
+            } catch (const std::exception&) {
                 return flag_error("cannot open --events file '" + events_path + "'");
-            core::event_log::set_process_label("ehdoe-eval-server");
+            }
         }
         net::EvalServer server(std::move(sim), options);
         server.start();
         const std::string endpoint_label =
             options.host + ":" + std::to_string(server.port());
-        // The merge tool (core/trace_merge.hpp) matches this instant's
-        // endpoint against the client's handshake spans to anchor clocks;
-        // the journal's copy anchors `ehdoe-trace --events` the same way.
-        core::telemetry::instant("listening", "server", "endpoint", endpoint_label);
-        core::event_log::Event("listening").field("endpoint", endpoint_label);
+        // In the trace this is the instant the merge tool
+        // (core/trace_merge.hpp) matches against the client's handshake
+        // spans to anchor this shard's clock.
+        core::telemetry::Event("listening").field("endpoint", endpoint_label);
         std::cout << "listening on " << endpoint_label << " "
                   << workload << " workers=" << server.options().workers
                   << " replicates=" << options.replicates << " fingerprint="
@@ -240,7 +241,6 @@ int main(int argc, char** argv) {
         if (!trace_path.empty() && !core::telemetry::write_json(trace_path)) {
             std::cerr << "ehdoe-eval-server: cannot write trace file '" << trace_path << "'\n";
         }
-        core::event_log::close();
     } catch (const std::exception& e) {
         std::cerr << "ehdoe-eval-server: " << e.what() << "\n";
         return 1;

@@ -22,8 +22,9 @@
 //   --metrics-interval S  sample the health-plane metrics ring every S
 //                         seconds (core/metrics.hpp; served in the
 //                         store-stats reply). Default: disabled.
-//   --events FILE         append the structured event journal (JSONL,
-//                         core/event_log.hpp) here — segment quarantines
+//   --events FILE         append the event journal (JSONL,
+//                         core::telemetry::Journal) here — segment
+//                         quarantines found by the startup recovery scan
 //                         land in it
 //
 // On startup the daemon prints one "listening on HOST:PORT ..." line
@@ -33,10 +34,11 @@
 #include <csignal>
 #include <cstdint>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <thread>
 
-#include "core/event_log.hpp"
+#include "core/telemetry.hpp"
 #include "store/store_server.hpp"
 #include "flag_parse.hpp"
 
@@ -113,12 +115,16 @@ int main(int argc, char** argv) {
     }
     if (options.dir.empty()) return flag_error("--dir PATH is required");
 
+    core::telemetry::set_process_label("ehdoe-store-server");
+    // Open before the recovery scan runs (the StoreServer ctor): a
+    // quarantine found on startup must land in the journal too.
+    std::optional<core::telemetry::Journal> journal;
     if (!events_path.empty()) {
-        // Open before the recovery scan runs (the StoreServer ctor): a
-        // quarantine found on startup must land in the journal too.
-        if (!core::event_log::open(events_path))
+        try {
+            journal.emplace(events_path);
+        } catch (const std::exception&) {
             return flag_error("cannot open --events file '" + events_path + "'");
-        core::event_log::set_process_label("ehdoe-store-server");
+        }
     }
 
     try {
@@ -136,9 +142,7 @@ int main(int argc, char** argv) {
 
         store::StoreServer server(options);
         server.start();
-        // The journal's "listening" event is the clock anchor ehdoe-trace
-        // --events matches against the client's handshake spans.
-        core::event_log::Event("listening")
+        core::telemetry::Event("listening")
             .field("endpoint", options.host + ":" + std::to_string(server.port()));
         const store::SegmentLogCounters restored = server.log().counters();
         std::cout << "listening on " << options.host << ":" << server.port() << " dir="
@@ -157,7 +161,6 @@ int main(int argc, char** argv) {
                   << server.gets_served() << " gets (" << server.get_hits()
                   << " hits) over " << server.connections_accepted() << " connections\n";
         server.stop();
-        core::event_log::close();
     } catch (const std::exception& e) {
         std::cerr << "ehdoe-store-server: " << e.what() << "\n";
         return 1;

@@ -9,16 +9,16 @@
 // renders as a lane per process:
 //
 //   ehdoe-trace --client run.json --server shard1.json --server shard2.json
-//               --events run.events.jsonl --output merged.json
+//               --output merged.json
+//
+// A traced process records its incidents (redials, exec relaunches, ...)
+// as instants in its own trace, so a shard's incidents shift onto the
+// client clock with the rest of its trace.
 //
 // Flags:
 //   --client FILE     the client-side trace (required)
 //   --server FILE     one per shard trace; repeatable (none is fine — the
 //                     client trace alone still normalizes + summarizes)
-//   --events FILE     one event journal (core/event_log.hpp JSONL) to
-//                     interleave as a lane of instants; repeatable. A
-//                     daemon journal (it holds a "listening" event) is
-//                     shifted onto the client clock like a server trace.
 //   --output FILE     merged trace destination (default: trace_merged.json)
 //   --quiet           suppress the per-batch critical-path summary
 //
@@ -42,7 +42,7 @@ namespace {
 int usage(const char* argv0) {
     std::cerr << "usage: " << argv0
               << " --client trace.json [--server shard.json ...]\n"
-                 "       [--events journal.jsonl ...] [--output merged.json] [--quiet]\n";
+                 "       [--output merged.json] [--quiet]\n";
     return 2;
 }
 
@@ -51,7 +51,6 @@ int usage(const char* argv0) {
 int main(int argc, char** argv) {
     std::string client_path;
     std::vector<std::string> server_paths;
-    std::vector<std::string> journal_paths;
     std::string output_path = "trace_merged.json";
     bool quiet = false;
 
@@ -69,10 +68,6 @@ int main(int argc, char** argv) {
             const char* v = next();
             if (!v) return usage(argv[0]);
             server_paths.push_back(v);
-        } else if (arg == "--events") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            journal_paths.push_back(v);
         } else if (arg == "--output") {
             const char* v = next();
             if (!v) return usage(argv[0]);
@@ -87,7 +82,7 @@ int main(int argc, char** argv) {
 
     try {
         const ehdoe::core::TraceMergeResult merged =
-            ehdoe::core::merge_trace_files(client_path, server_paths, journal_paths);
+            ehdoe::core::merge_trace_files(client_path, server_paths);
         for (const std::string& warning : merged.warnings) {
             std::cerr << "ehdoe-trace: warning: " << warning << "\n";
         }
@@ -100,10 +95,7 @@ int main(int argc, char** argv) {
         }
         std::cout << "merged " << merged.client_events << " client + " << merged.server_events
                   << " server events (" << merged.eval_spans << " evals, " << merged.batches
-                  << " batches";
-        if (merged.journal_events > 0)
-            std::cout << ", " << merged.journal_events << " journal events";
-        std::cout << ") -> " << output_path << "\n";
+                  << " batches) -> " << output_path << "\n";
         if (!quiet && !merged.summary.empty()) std::cout << merged.summary;
     } catch (const std::exception& e) {
         std::cerr << "ehdoe-trace: " << e.what() << "\n";
