@@ -2,11 +2,39 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <string>
 
 #include "numerics/expm.hpp"
 #include "numerics/matrix.hpp"
 
 using namespace ehdoe::num;
+
+namespace {
+
+std::string hex(double v) {
+    char buf[40];
+    std::snprintf(buf, sizeof buf, "%a", v);
+    return buf;
+}
+
+/// FNV-1a over the bit patterns of `m`, row-major.
+std::uint64_t bits_digest(const Matrix& m) {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (std::size_t i = 0; i < m.rows() * m.cols(); ++i) {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, m.data() + i, sizeof bits);
+        for (int k = 0; k < 8; ++k) {
+            h ^= (bits >> (8 * k)) & 0xffu;
+            h *= 0x100000001b3ull;
+        }
+    }
+    return h;
+}
+
+}  // namespace
 
 TEST(Expm, ZeroMatrixGivesIdentity) {
     EXPECT_TRUE(approx_equal(expm(Matrix(3, 3)), Matrix::identity(3), 1e-14));
@@ -52,6 +80,32 @@ TEST(Expm, GroupProperty) {
     const Matrix e1 = expm(a);
     const Matrix ehalf = expm(a * 0.5);
     EXPECT_TRUE(approx_equal(ehalf * ehalf, e1, 1e-12));
+}
+
+TEST(Expm, GoldenWithSignedZerosIsBitwiseStable) {
+    // A matrix with +0.0 and -0.0 entries and an all-zero last row, as in
+    // the augmented [A B; 0 0] of discretize_zoh, once with 7 squarings and
+    // once scaled below the squaring threshold: every bit, signed zeros
+    // included, is pinned.
+    const Matrix a{{-1.5, 0.25, -0.0, 3.0},
+                   {0.0, -40.0, 0.5, -0.0},
+                   {0.125, -0.0, -3.0, 1.5},
+                   {-0.0, 0.0, -0.0, 0.0}};
+    const Matrix e1 = expm(a);
+    EXPECT_EQ(bits_digest(e1), 0xd7efb8945c59c670ull);
+    EXPECT_EQ(hex(e1(0, 0)), hex(0x1.c90717e7de0f1p-3));
+    EXPECT_EQ(hex(e1(0, 3)), hex(0x1.8ded3b5e1de6ap+0));
+    const Matrix e2 = expm(a * 1e-3);
+    EXPECT_EQ(bits_digest(e2), 0x8cd9d429234b3009ull);
+    EXPECT_EQ(hex(e2(0, 0)), hex(0x1.ff3b8a14fb022p-1));
+    EXPECT_EQ(hex(e2(0, 3)), hex(0x1.88ebd6594524cp-9));
+    for (const Matrix* e : {&e1, &e2}) {
+        for (std::size_t i = 0; i < 16; ++i) {
+            if (e->data()[i] == 0.0) {
+                EXPECT_FALSE(std::signbit(e->data()[i])) << i;
+            }
+        }
+    }
 }
 
 TEST(Expm, NonSquareThrows) { EXPECT_THROW(expm(Matrix(2, 3)), std::invalid_argument); }

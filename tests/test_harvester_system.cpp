@@ -3,8 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "harvester/harvester_system.hpp"
+#include "numerics/expm.hpp"
 #include "sim/transient.hpp"
 
 using namespace ehdoe::harvester;
@@ -15,6 +21,46 @@ constexpr double kTwoPi = 2.0 * M_PI;
 
 std::function<double(double)> sine_accel(double amp, double f) {
     return [amp, f](double t) { return amp * std::sin(kTwoPi * f * t); };
+}
+
+std::string hex(double v) {
+    char buf[40];
+    std::snprintf(buf, sizeof buf, "%a", v);
+    return buf;
+}
+
+std::vector<std::string> hex(const std::vector<double>& v) {
+    std::vector<std::string> out;
+    for (double d : v) out.push_back(hex(d));
+    return out;
+}
+
+/// FNV-1a over the bit patterns of `m`, row-major: signed zeros and NaN
+/// payloads count, so equal digests mean bitwise-equal matrices.
+std::uint64_t bits_digest(std::uint64_t h, const ehdoe::num::Matrix& m) {
+    for (std::size_t i = 0; i < m.rows() * m.cols(); ++i) {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, m.data() + i, sizeof bits);
+        for (int k = 0; k < 8; ++k) {
+            h ^= (bits >> (8 * k)) & 0xffu;
+            h *= 0x100000001b3ull;
+        }
+    }
+    return h;
+}
+
+std::size_t negative_zeros(const ehdoe::num::Matrix& m) {
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < m.rows() * m.cols(); ++i)
+        if (m.data()[i] == 0.0 && std::signbit(m.data()[i])) ++n;
+    return n;
+}
+
+/// The engine goldens' circuit: T1's 5-stage multiplier into 50 uF.
+HarvesterCircuitParams golden_params() {
+    HarvesterCircuitParams p;
+    p.storage_capacitance = 50e-6;
+    return p;
 }
 }  // namespace
 
@@ -105,6 +151,114 @@ TEST(Engines, FastAndBaselineAgree) {
         mden += z_slow[i] * z_slow[i];
     }
     EXPECT_LT(std::sqrt(mnum / mden), 0.08);
+}
+
+TEST(Engines, PwlGoldenIsBitwiseStable) {
+    // The PWL engine on the golden circuit, 0.6 m/s^2 at 65 Hz, 0.4 s at
+    // h = 2e-4, tuned to 68 Hz and retuned to 65 Hz at 0.2 s (the cache is
+    // invalidated, so every segment is discretized again). Output samples
+    // every 200 steps, the final state and every EngineStats field, pinned
+    // as hexfloats: a faster step or discretization must not move a bit.
+    HarvesterCircuit c(golden_params());
+    c.set_resonant_frequency(68.0);
+    const auto accel = sine_accel(0.6, 65.0);
+    ehdoe::sim::PwlStateSpaceEngine eng(c.make_pwl_system(), {2e-4, true, 4});
+    eng.set_state(c.initial_state(0.5));
+    std::vector<double> samples;
+    std::size_t steps = 0;
+    const auto observe = [&](double, const Vector& x) {
+        if (++steps % 200 == 0) samples.push_back(c.output_voltage(x));
+    };
+    eng.run(0.2, c.make_input(accel), observe);
+    c.set_resonant_frequency(65.0);
+    eng.invalidate_cache();
+    eng.run(0.4, c.make_input(accel), observe);
+
+    EXPECT_EQ(hex(samples),
+              hex({0x1.eeee13c06016cp-2, 0x1.e4f6cd303e292p-2, 0x1.e22f9a1abc11bp-2,
+                   0x1.e0922a89f4f42p-2, 0x1.e148e2ae4085ep-2, 0x1.e0ce90c72176bp-2,
+                   0x1.dfe68da0e2cf1p-2, 0x1.e729857ee1e1ap-2, 0x1.e6877b03e956bp-2,
+                   0x1.f2e2ca07795a7p-2}));
+    EXPECT_EQ(hex(eng.state().std()),
+              hex({0x1.4095dbd3a5a1fp-14, -0x1.a18af0b27f58ep-10, -0x1.7df04e3121db3p-17,
+                   -0x1.3d254b44f47aep-6, 0x1.fd43d924e6b6p-6, 0x1.1457fffed507fp-3,
+                   0x1.b67e6b8dde98fp-3, 0x1.246504cad9b38p-2, 0x1.723de0b25eb29p-2,
+                   0x1.42d785611a5cdp-3, 0x1.0def1b2a3c459p-2, 0x1.603fc5faf9a7ep-2,
+                   0x1.a70ffbc4e66ffp-2, 0x1.f2e2ca07795a7p-2}));
+    const ehdoe::sim::EngineStats& s = eng.stats();
+    EXPECT_EQ(s.steps, 2000u);
+    EXPECT_EQ(s.segment_changes, 517u);
+    EXPECT_EQ(s.cache_hits, 2416u);
+    EXPECT_EQ(s.cache_misses, 58u);
+    EXPECT_EQ(s.retried_steps, 474u);
+}
+
+TEST(Engines, NewtonGoldenIsBitwiseStable) {
+    // The Newton-Raphson engine on the golden circuit at its natural 65 Hz,
+    // 0.02 s at h = 5e-5 with the default options: output samples every 40
+    // steps, the final state and every TransientStats field. Reusing work
+    // buffers must leave every RHS call, iterate and counter as it was.
+    HarvesterCircuit c(golden_params());
+    ehdoe::sim::TransientOptions o;
+    o.step = 5e-5;
+    ehdoe::sim::TransientEngine eng(c.make_nonlinear_rhs(sine_accel(0.6, 65.0)), c.state_dim(), o);
+    eng.set_state(c.initial_state(0.5));
+    std::vector<double> samples;
+    std::size_t steps = 0;
+    eng.run(0.02, [&](double, const Vector& x) {
+        if (++steps % 40 == 0) samples.push_back(c.output_voltage(x));
+    });
+
+    EXPECT_EQ(hex(samples),
+              hex({0x1.f500e6e9b6bfp-2, 0x1.f4e0e13c893b2p-2, 0x1.f4c0a5e77c78bp-2,
+                   0x1.f4a09a02ed954p-2, 0x1.f480e859ff1c3p-2, 0x1.f4615fa1d40cdp-2,
+                   0x1.f441dc2608847p-2, 0x1.f4222a103c987p-2, 0x1.f400fbbb69954p-2,
+                   0x1.f3db6ce0b1684p-2}));
+    EXPECT_EQ(hex(eng.state().std()),
+              hex({-0x1.66c1da535cb32p-18, -0x1.71da1dd9d51dfp-8, -0x1.9720c8f3e23e5p-20,
+                   -0x1.587facb35e726p-4, -0x1.373e6ad41ab98p-4, 0x1.ac8655caa9d02p-7,
+                   0x1.8f5493b386753p-4, 0x1.739d663e3e97fp-3, 0x1.129626b4c59b4p-2,
+                   0x1.f41c024134352p-4, 0x1.9909cfcf712e9p-3, 0x1.1e00bc78677fbp-2,
+                   0x1.6f6949f49a7e9p-2, 0x1.f3db6ce0b1684p-2}));
+    const ehdoe::sim::TransientStats& s = eng.stats();
+    EXPECT_EQ(s.steps, 400u);
+    EXPECT_EQ(s.newton_iterations, 1012u);
+    EXPECT_EQ(s.jacobian_builds, 612u);
+    EXPECT_EQ(s.lu_factorizations, 612u);
+    EXPECT_EQ(s.rhs_evaluations, 9980u);
+    EXPECT_EQ(s.nonconverged_steps, 0u);
+}
+
+TEST(Engines, DiscretizationGoldenIsBitwiseStable) {
+    // Ad/Bd of the golden circuit's ZOH discretization at h = 2e-4 for five
+    // diode patterns (all off, all on, alternating both ways, the first four
+    // on): a digest of every bit pattern, the count of -0.0 entries and two
+    // readable entries.
+    struct Golden {
+        std::uint32_t seg;
+        std::uint64_t digest;
+        std::size_t negative_zeros;
+        double ad00, bd10;
+    };
+    const Golden golden[] = {
+        {0x000u, 0x297f461173ef8b3aull, 0, 0x1.fe4b842799d2cp-1, -0x1.a23419a310f74p-13},
+        {0x3ffu, 0x0a9c4e94b44e4cbbull, 0, 0x1.fe4bb4f70ef63p-1, -0x1.a1ba39697416ep-13},
+        {0x155u, 0x25cf6a47684d1b3cull, 0, 0x1.fe4bb4ccd94e1p-1, -0x1.a1ba982954ap-13},
+        {0x2aau, 0x1278616c294cafa1ull, 0, 0x1.fe4bb4c3875d4p-1, -0x1.a1bab38cc7ba8p-13},
+        {0x00fu, 0xd164cc5dc23f5bcfull, 0, 0x1.fe4bb4d75dffp-1, -0x1.a1ba7677ee372p-13},
+    };
+    HarvesterCircuit c(golden_params());
+    const ehdoe::sim::PwlSystem sys = c.make_pwl_system();
+    for (const Golden& g : golden) {
+        SCOPED_TRACE("segment " + std::to_string(g.seg));
+        ehdoe::num::Matrix a(sys.state_dim, sys.state_dim), b(sys.state_dim, sys.input_dim);
+        sys.assemble(g.seg, a, b);
+        const ehdoe::num::Discretized d = ehdoe::num::discretize_zoh(a, b, 2e-4);
+        EXPECT_EQ(bits_digest(bits_digest(0xcbf29ce484222325ull, d.ad), d.bd), g.digest);
+        EXPECT_EQ(negative_zeros(d.ad) + negative_zeros(d.bd), g.negative_zeros);
+        EXPECT_EQ(hex(d.ad(0, 0)), hex(g.ad00));
+        EXPECT_EQ(hex(d.bd(1, 0)), hex(g.bd10));
+    }
 }
 
 TEST(Engines, FastEngineMuchCheaper) {
