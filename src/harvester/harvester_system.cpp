@@ -1,5 +1,6 @@
 #include "harvester/harvester_system.hpp"
 
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -131,22 +132,22 @@ num::OdeRhs HarvesterCircuit::make_nonlinear_rhs(std::function<double(double)> a
     const double l = std::max(g.coil_inductance, 1e-6);
     const std::size_t m_nodes = net_.num_nodes();
 
+    // The returned vector is the only allocation per call: node voltages
+    // are read in place and injections accumulate on the stack.
     return [this, accel = std::move(accel), load_current = std::move(load_current), g, l,
-            m_nodes](double t, const num::Vector& x) {
+            c_p = g.parasitic_damping(), m_nodes](double t, const num::Vector& x) {
         num::Vector dx(x.size());
         const double z = x[0], w = x[1], il = x[2];
         const double v0 = x[idx_node(net_.node_v0())];
 
         dx[0] = w;
-        dx[1] = (-spring_k_ * z - g.parasitic_damping() * w - g.coupling * il) / g.mass -
-                accel(t);
+        dx[1] = (-spring_k_ * z - c_p * w - g.coupling * il) / g.mass - accel(t);
         dx[2] = (g.coupling * w - g.coil_resistance * il - v0) / l;
 
         // Node injections.
-        num::Vector v(m_nodes);
-        for (std::size_t r = 0; r < m_nodes; ++r) v[r] = x[idx_node(r)];
-        num::Vector inject(m_nodes);
-        net_.add_shockley_currents(v, inject);
+        const double* v = x.data() + idx_node(0);
+        std::array<double, MultiplierParams::kMaxNodes> inject{};
+        net_.add_shockley_currents(v, inject.data());
         inject[net_.node_v0()] += il;
         const double vout = v[net_.output_node()];
         inject[net_.output_node()] -= vout / params_.storage_leakage;

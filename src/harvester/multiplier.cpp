@@ -24,7 +24,7 @@ double DiodeParams::pwl_current(double v) const {
 }
 
 void MultiplierParams::validate() const {
-    if (stages == 0 || stages > 15)
+    if (stages == 0 || stages > kMaxStages)
         throw std::invalid_argument("MultiplierParams: stages in 1..15");
     if (!(stage_capacitance > 0.0))
         throw std::invalid_argument("MultiplierParams: stage_capacitance > 0");
@@ -95,11 +95,18 @@ double MultiplierNetwork::branch_voltage(std::size_t k, const num::Vector& v) co
 }
 
 void MultiplierNetwork::add_shockley_currents(const num::Vector& v, num::Vector& inject) const {
-    for (std::size_t k = 0; k < diodes_.size(); ++k) {
-        const double i = params_.diode.shockley_current(branch_voltage(k, v));
-        const DiodeBranch& d = diodes_[k];
-        if (d.anode >= 0) inject[static_cast<std::size_t>(d.anode)] -= i;
-        if (d.cathode >= 0) inject[static_cast<std::size_t>(d.cathode)] += i;
+    if (v.size() != num_nodes() || inject.size() != num_nodes())
+        throw std::invalid_argument("MultiplierNetwork::add_shockley_currents: size mismatch");
+    add_shockley_currents(v.data(), inject.data());
+}
+
+void MultiplierNetwork::add_shockley_currents(const double* v, double* inject) const {
+    for (const DiodeBranch& d : diodes_) {
+        const double va = d.anode >= 0 ? v[d.anode] : 0.0;
+        const double vc = d.cathode >= 0 ? v[d.cathode] : 0.0;
+        const double i = params_.diode.shockley_current(va - vc);
+        if (d.anode >= 0) inject[d.anode] -= i;
+        if (d.cathode >= 0) inject[d.cathode] += i;
     }
 }
 

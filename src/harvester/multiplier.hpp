@@ -52,6 +52,11 @@ struct DiodeParams {
 
 /// Multiplier electrical parameters.
 struct MultiplierParams {
+    /// validate() accepts 1..kMaxStages stages, so a network has at most
+    /// kMaxNodes nodes.
+    static constexpr std::size_t kMaxStages = 15;
+    static constexpr std::size_t kMaxNodes = 1 + 2 * kMaxStages;
+
     std::size_t stages = 5;            ///< N
     double stage_capacitance = 22e-6;  ///< Cp_j = Cs_j (F)
     double parasitic_capacitance = 10e-9;  ///< AC-node-to-ground (F)
@@ -98,6 +103,9 @@ public:
 
     /// Sum Shockley diode currents into `inject` (size num_nodes).
     void add_shockley_currents(const num::Vector& v, num::Vector& inject) const;
+    /// The same on raw node arrays of num_nodes() entries: node voltages
+    /// `v` in, currents added to `inject`. No allocation, no bounds checks.
+    void add_shockley_currents(const double* v, double* inject) const;
 
     /// Stamp PWL companion conductances for on/off pattern `seg` into G
     /// (num_nodes square) and the constant-injection vector s.

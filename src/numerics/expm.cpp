@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "numerics/linalg.hpp"
 
@@ -34,22 +35,36 @@ Matrix expm(const Matrix& a) {
         1.0 / 665280.0,
     };
 
-    // Horner-style: N = sum c_k A^k, D = sum c_k (-A)^k.
+    // N = sum c_k A^k, D = sum c_k (-A)^k, accumulated in place: each entry
+    // adds ak * c_k exactly as `nmat += ak * c[k]` would.
     Matrix ak = Matrix::identity(n);
-    Matrix nmat = Matrix::identity(n) * c[0];
-    Matrix dmat = Matrix::identity(n) * c[0];
+    Matrix work(n, n);
+    Matrix nmat = Matrix::identity(n);
+    nmat *= c[0];
+    Matrix dmat = nmat;
     double sign = 1.0;
     for (int k = 1; k <= 6; ++k) {
-        ak = ak * as;
+        multiply_into(ak, as, work);
+        std::swap(ak, work);
         sign = -sign;
-        nmat += ak * c[k];
-        dmat += ak * (c[k] * sign);
+        const double cn = c[k];
+        const double cd = c[k] * sign;
+        const double* akd = ak.data();
+        double* nd = nmat.data();
+        double* dd = dmat.data();
+        for (std::size_t e = 0; e < n * n; ++e) {
+            nd[e] += akd[e] * cn;
+            dd[e] += akd[e] * cd;
+        }
     }
 
-    Matrix f = LuFactor(dmat).solve(nmat);
+    Matrix f = LuFactor(std::move(dmat)).solve(nmat);
 
     // Squaring phase: e^A = (e^{A/2^s})^{2^s}.
-    for (int i = 0; i < s; ++i) f = f * f;
+    for (int i = 0; i < s; ++i) {
+        multiply_into(f, f, work);
+        std::swap(f, work);
+    }
     return f;
 }
 

@@ -8,6 +8,13 @@
 //
 // so e^{Ah} (and the associated integral operator) are the workhorses of the
 // fast simulator. Matrices are small (order < ~30), so dense Padé is ideal.
+//
+// The products, Padé sums and squarings run in a few work matrices
+// allocated once per call (num::multiply_into, in-place sums); nothing is
+// allocated per product, per term or per column. Every entry is computed
+// by the same operations in the same order as the textbook expressions
+// with Matrix temporaries, so the bits are theirs: goldens in test_expm and
+// test_harvester_system pin them, signed zeros included.
 #pragma once
 
 #include "numerics/matrix.hpp"

@@ -10,11 +10,19 @@ namespace ehdoe::num {
 
 // ---------------------------------------------------------------- LuFactor
 
-LuFactor::LuFactor(Matrix a) : lu_(std::move(a)) {
+LuFactor::LuFactor(Matrix a) : lu_(std::move(a)) { eliminate(); }
+
+void LuFactor::factor(const Matrix& a) {
+    lu_ = a;
+    eliminate();
+}
+
+void LuFactor::eliminate() {
     if (!lu_.square()) throw std::invalid_argument("LuFactor: matrix must be square");
     const std::size_t n = lu_.rows();
     perm_.resize(n);
     std::iota(perm_.begin(), perm_.end(), std::size_t{0});
+    sign_ = 1;
 
     for (std::size_t k = 0; k < n; ++k) {
         // Partial pivot: largest |a_ik| in column k at or below the diagonal.
@@ -44,31 +52,42 @@ LuFactor::LuFactor(Matrix a) : lu_(std::move(a)) {
     }
 }
 
-Vector LuFactor::solve(const Vector& b) const {
+void LuFactor::substitute(const double* b, std::size_t bs, double* x, std::size_t xs) const {
     const std::size_t n = dim();
-    if (b.size() != n) throw std::invalid_argument("LuFactor::solve: size mismatch");
-    Vector x(n);
     // Apply permutation and forward-substitute L y = P b.
     for (std::size_t i = 0; i < n; ++i) {
-        double s = b[perm_[i]];
+        double s = b[perm_[i] * bs];
         const double* lrow = lu_.row_ptr(i);
-        for (std::size_t j = 0; j < i; ++j) s -= lrow[j] * x[j];
-        x[i] = s;
+        for (std::size_t j = 0; j < i; ++j) s -= lrow[j] * x[j * xs];
+        x[i * xs] = s;
     }
     // Back-substitute U x = y.
     for (std::size_t ii = n; ii-- > 0;) {
-        double s = x[ii];
+        double s = x[ii * xs];
         const double* urow = lu_.row_ptr(ii);
-        for (std::size_t j = ii + 1; j < n; ++j) s -= urow[j] * x[j];
-        x[ii] = s / urow[ii];
+        for (std::size_t j = ii + 1; j < n; ++j) s -= urow[j] * x[j * xs];
+        x[ii * xs] = s / urow[ii];
     }
+}
+
+Vector LuFactor::solve(const Vector& b) const {
+    Vector x;
+    solve(b, x);
     return x;
+}
+
+void LuFactor::solve(const Vector& b, Vector& x) const {
+    if (b.size() != dim()) throw std::invalid_argument("LuFactor::solve: size mismatch");
+    if (&b == &x) throw std::invalid_argument("LuFactor::solve: output aliases input");
+    x.resize(dim());
+    substitute(b.data(), 1, x.data(), 1);
 }
 
 Matrix LuFactor::solve(const Matrix& b) const {
     if (b.rows() != dim()) throw std::invalid_argument("LuFactor::solve: size mismatch");
     Matrix x(b.rows(), b.cols());
-    for (std::size_t j = 0; j < b.cols(); ++j) x.set_col(j, solve(b.col(j)));
+    for (std::size_t j = 0; j < b.cols(); ++j)
+        substitute(b.data() + j, b.cols(), x.data() + j, x.cols());
     return x;
 }
 

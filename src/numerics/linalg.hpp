@@ -16,17 +16,28 @@ namespace ehdoe::num {
 
 /// LU factorization with partial pivoting: P*A = L*U.
 /// Factorization is stored packed (L below the diagonal with implicit unit
-/// diagonal, U on and above).
+/// diagonal, U on and above). The constructor and factor() run one
+/// elimination, and every solve runs one substitution, so a factorization
+/// reused through factor() and solve(b, x) is bitwise equal to a fresh one
+/// and allocates nothing once it has held a matrix of its size.
 class LuFactor {
 public:
+    /// No factorization yet; call factor() before solving.
+    LuFactor() = default;
     /// Factor `a`; throws std::invalid_argument if `a` is not square and
     /// std::runtime_error if it is numerically singular.
     explicit LuFactor(Matrix a);
 
+    /// Factor `a` into the storage this object already owns. Throws like the
+    /// constructor; after a throw no usable factorization is held.
+    void factor(const Matrix& a);
+
     std::size_t dim() const { return lu_.rows(); }
     /// Solve A x = b.
     Vector solve(const Vector& b) const;
-    /// Solve A X = B column-wise.
+    /// Solve A x = b into `x` (resized to dim(); must not be `b`).
+    void solve(const Vector& b, Vector& x) const;
+    /// Solve A X = B column-wise, in place in the result (no column copies).
     Matrix solve(const Matrix& b) const;
     /// det(A), including the permutation sign.
     double determinant() const;
@@ -36,6 +47,12 @@ public:
     double rcond_estimate() const;
 
 private:
+    /// Partial-pivoting elimination of lu_ in place.
+    void eliminate();
+    /// Forward and back substitution for one right-hand side: b and x are
+    /// read and written with strides `bs` and `xs`.
+    void substitute(const double* b, std::size_t bs, double* x, std::size_t xs) const;
+
     Matrix lu_;
     std::vector<std::size_t> perm_;
     int sign_ = 1;

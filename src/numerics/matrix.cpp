@@ -216,8 +216,19 @@ Matrix operator*(Matrix lhs, double s) { lhs *= s; return lhs; }
 Matrix operator*(double s, Matrix rhs) { rhs *= s; return rhs; }
 
 Matrix operator*(const Matrix& a, const Matrix& b) {
+    Matrix c;
+    multiply_into(a, b, c);
+    return c;
+}
+
+void multiply_into(const Matrix& a, const Matrix& b, Matrix& c) {
     if (a.cols() != b.rows()) throw_shape("matrix *");
-    Matrix c(a.rows(), b.cols());
+    if (&c == &a || &c == &b) throw_shape("matrix * into one of its factors");
+    if (c.rows() != a.rows() || c.cols() != b.cols()) {
+        c = Matrix(a.rows(), b.cols());
+    } else {
+        c.fill(0.0);
+    }
     // i-k-j loop order: streams through b's rows, good locality for row-major.
     for (std::size_t i = 0; i < a.rows(); ++i) {
         for (std::size_t k = 0; k < a.cols(); ++k) {
@@ -228,7 +239,6 @@ Matrix operator*(const Matrix& a, const Matrix& b) {
             for (std::size_t j = 0; j < b.cols(); ++j) crow[j] += aik * brow[j];
         }
     }
-    return c;
 }
 
 Vector operator*(const Matrix& a, const Vector& x) {

@@ -155,6 +155,10 @@ Matrix operator*(double s, Matrix rhs);
 
 /// Matrix-matrix product; throws on inner-dimension mismatch.
 Matrix operator*(const Matrix& a, const Matrix& b);
+/// The same product, bit for bit, into `c`: reshaped to a.rows() x b.cols()
+/// if it has another shape, so nothing is allocated once it has this one.
+/// `c` must be neither factor.
+void multiply_into(const Matrix& a, const Matrix& b, Matrix& c);
 /// Matrix-vector product.
 Vector operator*(const Matrix& a, const Vector& x);
 

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "numerics/linalg.hpp"
-
 namespace ehdoe::num {
 
 namespace {
@@ -151,89 +149,6 @@ OdeSolution integrate_rkf45(const OdeRhs& f, Vector x0, double t0, double t1,
         double factor = err > 0.0 ? safety * std::pow(err, -0.2) : 4.0;
         factor = std::clamp(factor, 0.2, 4.0);
         h = std::clamp(h * factor, opt.h_min, opt.h_max);
-    }
-    return sol;
-}
-
-OdeSolution integrate_trapezoidal(const OdeRhs& f, Vector x0, double t0, double t1,
-                                  double h, const TrapezoidalOptions& opt) {
-    check_span(t0, t1, h);
-    const std::size_t n = x0.size();
-    OdeSolution sol;
-    sol.t.push_back(t0);
-    sol.x.push_back(x0);
-
-    double t = t0;
-    Vector x = std::move(x0);
-
-    while (t < t1 - 1e-15) {
-        const double step = std::min(h, t1 - t);
-        const double tn = t + step;
-        const Vector fx = f(t, x);
-        ++sol.rhs_evaluations;
-
-        // Solve g(y) = y - x - step/2 (f(t,x) + f(tn,y)) = 0 with damped Newton,
-        // numerical Jacobian refreshed every iteration (the expensive part the
-        // state-space engine of [4] eliminates).
-        Vector y = x;
-        y.axpy(step, fx);  // explicit Euler predictor
-
-        bool converged = false;
-        for (int it = 0; it < opt.max_newton_iters; ++it) {
-            ++sol.newton_iterations;
-            Vector fy = f(tn, y);
-            ++sol.rhs_evaluations;
-            Vector g(n);
-            for (std::size_t i = 0; i < n; ++i)
-                g[i] = y[i] - x[i] - 0.5 * step * (fx[i] + fy[i]);
-            if (g.norm_inf() < opt.newton_tol * (1.0 + y.norm_inf())) {
-                converged = true;
-                break;
-            }
-
-            // J = I - step/2 * df/dy, forward differences.
-            Matrix jac(n, n);
-            for (std::size_t j = 0; j < n; ++j) {
-                const double dy = opt.fd_eps * (1.0 + std::fabs(y[j]));
-                Vector yp = y;
-                yp[j] += dy;
-                Vector fp = f(tn, yp);
-                ++sol.rhs_evaluations;
-                for (std::size_t i = 0; i < n; ++i) {
-                    jac(i, j) = (i == j ? 1.0 : 0.0) - 0.5 * step * (fp[i] - fy[i]) / dy;
-                }
-            }
-
-            Vector dxn = LuFactor(jac).solve(g);
-            // Damped update: halve until the residual shrinks (or give up damping).
-            double lambda = 1.0;
-            const double g0 = g.norm_inf();
-            for (int back = 0; back < 8; ++back) {
-                Vector yt = y;
-                yt.axpy(-lambda, dxn);
-                Vector gt_f = f(tn, yt);
-                ++sol.rhs_evaluations;
-                double gt = 0.0;
-                for (std::size_t i = 0; i < n; ++i)
-                    gt = std::max(gt, std::fabs(yt[i] - x[i] - 0.5 * step * (fx[i] + gt_f[i])));
-                if (gt < g0 || back == 7) {
-                    y = std::move(yt);
-                    break;
-                }
-                lambda *= 0.5;
-            }
-        }
-        if (!converged) {
-            // Accept the last iterate; trapezoidal with small h rarely gets
-            // here, but hard nonlinearities (diode turn-on) may stall — the
-            // caller can detect via newton_iterations blow-up.
-        }
-
-        t = tn;
-        x = std::move(y);
-        ++sol.steps_taken;
-        sol.t.push_back(t);
-        sol.x.push_back(x);
     }
     return sol;
 }

@@ -2,14 +2,14 @@
 //
 // Time-domain integrators for initial value problems x' = f(t, x).
 //
-// Four methods, matching the engines the toolkit compares:
+// Three explicit methods:
 //  * explicit Euler       — reference / teaching only
 //  * classic RK4          — fixed-step workhorse for smooth mechanics
 //  * RKF45                — adaptive, used by validation runs
-//  * implicit trapezoidal — the "traditional analogue simulation" method:
-//                           A-stable, one damped-Newton solve per step; this
-//                           is the costly baseline the paper's fast engine
-//                           is measured against.
+//
+// The implicit trapezoidal method with a damped Newton solve per step, the
+// costly baseline the paper's fast engine is measured against, is
+// sim::TransientEngine (sim/transient.hpp).
 #pragma once
 
 #include <cstddef>
@@ -28,7 +28,6 @@ struct OdeSolution {
     std::vector<double> t;
     std::vector<Vector> x;
     std::size_t rhs_evaluations = 0;   ///< cost accounting for the benches
-    std::size_t newton_iterations = 0; ///< implicit methods only
     std::size_t steps_taken = 0;
     std::size_t steps_rejected = 0;    ///< adaptive methods only
 
@@ -54,15 +53,5 @@ struct Rkf45Options {
 };
 OdeSolution integrate_rkf45(const OdeRhs& f, Vector x0, double t0, double t1,
                             const Rkf45Options& opt = {});
-
-/// Implicit trapezoidal rule with a damped-Newton inner solve and numerical
-/// Jacobian; this is the classical SPICE-style transient method.
-struct TrapezoidalOptions {
-    double newton_tol = 1e-10;      ///< residual infinity-norm convergence
-    int max_newton_iters = 50;
-    double fd_eps = 1e-7;           ///< finite-difference Jacobian perturbation
-};
-OdeSolution integrate_trapezoidal(const OdeRhs& f, Vector x0, double t0, double t1,
-                                  double h, const TrapezoidalOptions& opt = {});
 
 }  // namespace ehdoe::num

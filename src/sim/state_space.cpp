@@ -1,6 +1,7 @@
 #include "sim/state_space.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 namespace ehdoe::sim {
 
@@ -8,6 +9,7 @@ PwlStateSpaceEngine::PwlStateSpaceEngine(PwlSystem system, PwlEngineOptions opti
     : sys_(std::move(system)),
       opt_(options),
       x_(sys_.state_dim),
+      x_next_(sys_.state_dim),
       scratch_a_(sys_.state_dim, sys_.state_dim),
       scratch_b_(sys_.state_dim, sys_.input_dim) {
     if (sys_.state_dim == 0) throw std::invalid_argument("PwlStateSpaceEngine: empty system");
@@ -30,10 +32,8 @@ void PwlStateSpaceEngine::set_state(Vector x) {
 }
 
 void PwlStateSpaceEngine::invalidate_cache() {
-    // Bump the epoch rather than clearing: old entries become unreachable and
-    // are dropped lazily, which keeps invalidation O(1) during tuning bursts.
-    ++epoch_;
-    if (cache_.size() > 4096) cache_.clear();
+    cache_.clear();
+    held_ = nullptr;
 }
 
 std::uint32_t PwlStateSpaceEngine::classify(const Vector& x) const {
@@ -45,20 +45,39 @@ std::uint32_t PwlStateSpaceEngine::classify(const Vector& x) const {
 }
 
 const num::Discretized& PwlStateSpaceEngine::discretization(std::uint32_t seg) {
-    const std::uint64_t key = (epoch_ << 32) | seg;
-    auto it = cache_.find(key);
+    if (held_ && held_seg_ == seg) {
+        ++stats_.cache_hits;
+        return *held_;
+    }
+    auto it = cache_.find(seg);
     if (it != cache_.end()) {
         ++stats_.cache_hits;
-        return it->second;
+    } else {
+        ++stats_.cache_misses;
+        scratch_a_.fill(0.0);
+        scratch_b_.fill(0.0);
+        sys_.assemble(seg, scratch_a_, scratch_b_);
+        it = cache_.emplace(seg, num::discretize_zoh(scratch_a_, scratch_b_, opt_.step)).first;
     }
-    ++stats_.cache_misses;
-    scratch_a_.fill(0.0);
-    scratch_b_.fill(0.0);
-    sys_.assemble(seg, scratch_a_, scratch_b_);
-    auto [pos, inserted] =
-        cache_.emplace(key, num::discretize_zoh(scratch_a_, scratch_b_, opt_.step));
-    (void)inserted;
-    return pos->second;
+    held_ = &it->second;
+    held_seg_ = seg;
+    return *held_;
+}
+
+void PwlStateSpaceEngine::advance(const num::Discretized& d, const Vector& u) {
+    // Row by row, Ad*x and Bd*u each summed from 0.0 and then added: the
+    // bits of `d.ad * x_ + d.bd * u`, without the two temporaries.
+    const std::size_t n = x_.size();
+    const std::size_t m = u.size();
+    for (std::size_t i = 0; i < n; ++i) {
+        const double* arow = d.ad.row_ptr(i);
+        double sa = 0.0;
+        for (std::size_t j = 0; j < n; ++j) sa += arow[j] * x_[j];
+        const double* brow = d.bd.row_ptr(i);
+        double sb = 0.0;
+        for (std::size_t j = 0; j < m; ++j) sb += brow[j] * u[j];
+        x_next_[i] = sa + sb;
+    }
 }
 
 void PwlStateSpaceEngine::step(const Vector& u) {
@@ -66,12 +85,9 @@ void PwlStateSpaceEngine::step(const Vector& u) {
         throw std::invalid_argument("PwlStateSpaceEngine::step: input dimension mismatch");
 
     std::uint32_t seg = seg_;
-    Vector x_new;
     for (int attempt = 0;; ++attempt) {
-        const num::Discretized& d = discretization(seg);
-        x_new = d.ad * x_;
-        x_new += d.bd * u;
-        const std::uint32_t seg_after = classify(x_new);
+        advance(discretization(seg), u);
+        const std::uint32_t seg_after = classify(x_next_);
         if (seg_after == seg || attempt >= opt_.max_retries || !opt_.retry_on_segment_change) {
             if (seg_after != seg) ++stats_.segment_changes;
             seg = seg_after;
@@ -85,7 +101,7 @@ void PwlStateSpaceEngine::step(const Vector& u) {
         seg = seg_after;
     }
 
-    x_ = std::move(x_new);
+    std::swap(x_, x_next_);
     seg_ = seg;
     t_ += opt_.step;
     ++stats_.steps;

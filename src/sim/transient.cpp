@@ -1,15 +1,21 @@
 #include "sim/transient.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <optional>
 #include <stdexcept>
-
-#include "numerics/linalg.hpp"
+#include <utility>
 
 namespace ehdoe::sim {
 
 TransientEngine::TransientEngine(num::OdeRhs rhs, std::size_t state_dim, TransientOptions options)
-    : rhs_(std::move(rhs)), opt_(options), x_(state_dim) {
+    : rhs_(std::move(rhs)),
+      opt_(options),
+      x_(state_dim),
+      y_(state_dim),
+      yt_(state_dim),
+      g_(state_dim),
+      dx_(state_dim),
+      jac_(state_dim, state_dim) {
     if (!rhs_) throw std::invalid_argument("TransientEngine: missing rhs");
     if (state_dim == 0) throw std::invalid_argument("TransientEngine: empty state");
     if (!(opt_.step > 0.0)) throw std::invalid_argument("TransientEngine: step must be positive");
@@ -27,71 +33,72 @@ void TransientEngine::step() {
     const double h = opt_.step;
     const double tn = t_ + h;
 
-    const Vector fx = rhs_(t_, x_);
+    fx_ = rhs_(t_, x_);
     ++stats_.rhs_evaluations;
 
     // Predictor: explicit Euler.
-    Vector y = x_;
-    y.axpy(h, fx);
+    y_ = x_;
+    y_.axpy(h, fx_);
 
-    std::optional<num::LuFactor> lu;
+    bool have_lu = false;
     int iters_since_jacobian = opt_.jacobian_reuse;  // force a build on entry
 
     bool converged = false;
-    Vector fy = rhs_(tn, y);
+    fy_ = rhs_(tn, y_);
     ++stats_.rhs_evaluations;
 
     for (int it = 0; it < opt_.max_newton_iters; ++it) {
         ++stats_.newton_iterations;
 
-        Vector g(n);
-        for (std::size_t i = 0; i < n; ++i) g[i] = y[i] - x_[i] - 0.5 * h * (fx[i] + fy[i]);
-        const double gnorm = g.norm_inf();
-        if (gnorm < opt_.newton_tol * (1.0 + y.norm_inf())) {
+        for (std::size_t i = 0; i < n; ++i) g_[i] = y_[i] - x_[i] - 0.5 * h * (fx_[i] + fy_[i]);
+        const double gnorm = g_.norm_inf();
+        if (gnorm < opt_.newton_tol * (1.0 + y_.norm_inf())) {
             converged = true;
             break;
         }
 
-        if (iters_since_jacobian >= opt_.jacobian_reuse || !lu) {
+        if (iters_since_jacobian >= opt_.jacobian_reuse || !have_lu) {
             // J = I - h/2 * df/dy by forward differences — the expensive part
-            // (n extra RHS evaluations + one LU) the PWL engine avoids.
-            Matrix jac(n, n);
+            // (n extra RHS evaluations + one LU) the PWL engine avoids. Each
+            // column perturbs y_[j] in place and writes the same double back.
             for (std::size_t j = 0; j < n; ++j) {
-                const double dy = opt_.fd_eps * (1.0 + std::fabs(y[j]));
-                Vector yp = y;
-                yp[j] += dy;
-                const Vector fp = rhs_(tn, yp);
+                const double yj = y_[j];
+                const double dy = opt_.fd_eps * (1.0 + std::fabs(yj));
+                y_[j] = yj + dy;
+                const Vector fp = rhs_(tn, y_);
+                y_[j] = yj;
                 ++stats_.rhs_evaluations;
                 for (std::size_t i = 0; i < n; ++i) {
-                    jac(i, j) = (i == j ? 1.0 : 0.0) - 0.5 * h * (fp[i] - fy[i]) / dy;
+                    jac_(i, j) = (i == j ? 1.0 : 0.0) - 0.5 * h * (fp[i] - fy_[i]) / dy;
                 }
             }
             ++stats_.jacobian_builds;
             try {
-                lu.emplace(std::move(jac));
+                lu_.factor(jac_);
                 ++stats_.lu_factorizations;
             } catch (const std::runtime_error&) {
                 break;  // singular iteration matrix; accept best iterate
             }
+            have_lu = true;
             iters_since_jacobian = 0;
         }
         ++iters_since_jacobian;
 
-        const Vector dx = lu->solve(g);
+        lu_.solve(g_, dx_);
 
         // Damped update.
         double lambda = 1.0;
         for (int back = 0; back < 6; ++back) {
-            Vector yt = y;
-            yt.axpy(-lambda, dx);
-            Vector ft = rhs_(tn, yt);
+            yt_ = y_;
+            yt_.axpy(-lambda, dx_);
+            Vector ft = rhs_(tn, yt_);
             ++stats_.rhs_evaluations;
             double gt = 0.0;
             for (std::size_t i = 0; i < n; ++i)
-                gt = std::max(gt, std::fabs(yt[i] - x_[i] - 0.5 * h * (fx[i] + ft[i])));
+                gt = std::max(gt, std::fabs(yt_[i] - x_[i] - 0.5 * h * (fx_[i] + ft[i])));
             if (gt < gnorm || back == 5) {
-                y = std::move(yt);
-                fy = std::move(ft);
+                std::swap(y_, yt_);
+                fy_ = std::move(ft);
                 break;
             }
             lambda *= 0.5;
@@ -99,7 +106,7 @@ void TransientEngine::step() {
     }
 
     if (!converged) ++stats_.nonconverged_steps;
-    x_ = std::move(y);
+    std::swap(x_, y_);
     t_ = tn;
     ++stats_.steps;
 }

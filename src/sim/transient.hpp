@@ -9,10 +9,22 @@
 // The engine wraps a nonlinear ODE right-hand side x' = f(t, x) produced by
 // the circuit assembly in ehdoe::harvester and adds the accounting the T1
 // bench reports (Newton iterations, Jacobian builds, LU solves).
+//
+// It keeps the textbook cost structure, n + 1 RHS calls (n finite-difference
+// columns and a damped trial) and one LU factorization per Newton iteration
+// at the default jacobian_reuse = 1, only without allocation: f(t, x),
+// f(tn, y), the iterate, the damping trial, the residual, the Newton
+// update, the Jacobian and its LU live in members sized at construction or
+// on the first step. A finite-difference column perturbs y[j] in place and
+// writes the same double back, so each RHS call sees the bits it always
+// saw, and the one allocation left per call is the vector num::OdeRhs
+// returns. The goldens in test_harvester_system pin the waveform and every
+// counter.
 #pragma once
 
 #include <functional>
 
+#include "numerics/linalg.hpp"
 #include "numerics/matrix.hpp"
 #include "numerics/ode.hpp"
 
@@ -63,6 +75,12 @@ private:
     Vector x_;
     double t_ = 0.0;
     TransientStats stats_;
+    // Work buffers reused by every step: f(t, x), f(tn, y), the iterate y,
+    // the damping trial, the residual g, the Newton update, the Jacobian
+    // and its LU factorization.
+    Vector fx_, fy_, y_, yt_, g_, dx_;
+    Matrix jac_;
+    num::LuFactor lu_;
 };
 
 }  // namespace ehdoe::sim

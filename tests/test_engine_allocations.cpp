@@ -1,0 +1,107 @@
+// Allocation counts of the circuit engines' steps. This suite replaces the
+// global operator new to count heap allocations, so it is its own binary.
+#include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstddef>
+#include <cstdlib>
+#include <new>
+
+#include "harvester/harvester_system.hpp"
+#include "sim/state_space.hpp"
+#include "sim/transient.hpp"
+
+namespace {
+std::size_t g_allocations = 0;
+
+void* counted_alloc(std::size_t n) {
+    ++g_allocations;
+    return std::malloc(n ? n : 1);
+}
+}  // namespace
+
+// Every form the suite can reach, so allocation and release always pair
+// malloc with free (the sanitizers check that pairing).
+void* operator new(std::size_t n) {
+    if (void* p = counted_alloc(n)) return p;
+    throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) {
+    if (void* p = counted_alloc(n)) return p;
+    throw std::bad_alloc();
+}
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept { return counted_alloc(n); }
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept { return counted_alloc(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+
+using namespace ehdoe;
+using harvester::HarvesterCircuit;
+using harvester::HarvesterCircuitParams;
+
+namespace {
+
+HarvesterCircuitParams circuit_params() {
+    HarvesterCircuitParams p;
+    p.storage_capacitance = 50e-6;
+    return p;
+}
+
+double accel(double t) { return 0.6 * std::sin(2.0 * M_PI * 65.0 * t); }
+
+}  // namespace
+
+TEST(EngineAllocations, NewtonStepAllocatesOncePerRhsCall) {
+    // The harvester RHS returns its derivative by value, the one allocation
+    // num::OdeRhs forces. Everything else a step needs lives in buffers the
+    // engine sized on its first step. A load current exercises every term.
+    HarvesterCircuit c(circuit_params());
+    sim::TransientOptions o;
+    o.step = 5e-5;
+    sim::TransientEngine eng(
+        c.make_nonlinear_rhs(accel, [](double t) { return 2e-4 * (1.0 + std::sin(40.0 * t)); }),
+        c.state_dim(), o);
+    eng.set_state(c.initial_state(0.5));
+    eng.step();
+    ASSERT_GT(eng.stats().lu_factorizations, 0u);
+    const std::size_t rhs_before = eng.stats().rhs_evaluations;
+
+    const std::size_t before = g_allocations;
+    for (int i = 0; i < 200; ++i) eng.step();
+    const std::size_t allocations = g_allocations - before;
+
+    const std::size_t rhs_calls = eng.stats().rhs_evaluations - rhs_before;
+    EXPECT_GT(rhs_calls, 200u * c.state_dim());  // Jacobians were rebuilt
+    EXPECT_EQ(allocations, rhs_calls);
+}
+
+TEST(EngineAllocations, CachedPwlStepAllocatesOnlyTheInputSample) {
+    // The second pass over the same 0.1 s finds every segment cached, so a
+    // step allocates nothing; the one allocation per step is the Vector the
+    // input sampler returns.
+    HarvesterCircuit c(circuit_params());
+    sim::PwlEngineOptions o;
+    o.step = 2e-4;
+    sim::PwlStateSpaceEngine eng(c.make_pwl_system(), o);
+    const auto input = c.make_input(accel);
+    eng.set_state(c.initial_state(0.5));
+    eng.run(0.1, input);
+    eng.set_state(c.initial_state(0.5));
+    eng.set_time(0.0);
+    const sim::EngineStats warm = eng.stats();
+    double v_sum = 0.0;
+
+    const std::size_t before = g_allocations;
+    eng.run(0.1, input, [&](double, const num::Vector& x) { v_sum += c.output_voltage(x); });
+    const std::size_t allocations = g_allocations - before;
+
+    const sim::EngineStats& s = eng.stats();
+    EXPECT_EQ(s.cache_misses, warm.cache_misses);
+    EXPECT_GT(s.retried_steps, warm.retried_steps);  // switching steps were redone
+    EXPECT_EQ(allocations, s.steps - warm.steps);
+    EXPECT_GT(v_sum, 0.0);
+}

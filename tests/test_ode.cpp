@@ -67,31 +67,6 @@ TEST(Rkf45, AdaptsStepOnStiffness) {
     EXPECT_LT(s.steps_taken, 5000u);
 }
 
-TEST(Trapezoidal, SecondOrderConvergence) {
-    const double e1 = std::fabs(integrate_trapezoidal(kDecay, Vector{1.0}, 0.0, 1.0, 1e-1)
-                                    .final_state()[0] - std::exp(-1.0));
-    const double e2 = std::fabs(integrate_trapezoidal(kDecay, Vector{1.0}, 0.0, 1.0, 5e-2)
-                                    .final_state()[0] - std::exp(-1.0));
-    EXPECT_GT(e1 / e2, 3.0);  // ~4x per halving
-    EXPECT_LT(e1 / e2, 5.0);
-}
-
-TEST(Trapezoidal, StableOnVeryStiffProblem) {
-    // lambda = -1e5 with h = 1e-2: explicit methods explode, trapezoidal
-    // stays bounded.
-    const OdeRhs stiff = [](double, const Vector& x) { return Vector{-1e5 * x[0]}; };
-    const OdeSolution s = integrate_trapezoidal(stiff, Vector{1.0}, 0.0, 0.1, 1e-2);
-    EXPECT_LT(std::fabs(s.final_state()[0]), 1.0);
-    EXPECT_GT(s.newton_iterations, 0u);
-}
-
-TEST(Trapezoidal, CountsNewtonWork) {
-    const OdeSolution s =
-        integrate_trapezoidal(oscillator(3.0), Vector{1.0, 0.0}, 0.0, 1.0, 1e-2);
-    EXPECT_GE(s.newton_iterations, s.steps_taken);  // at least one per step
-    EXPECT_GT(s.rhs_evaluations, s.newton_iterations);
-}
-
 TEST(OdeSolution, InterpolatesDenseOutput) {
     const OdeSolution s = integrate_rk4(kDecay, Vector{1.0}, 0.0, 1.0, 1e-2);
     const Vector mid = s.at(0.5);
@@ -103,8 +78,7 @@ TEST(OdeSolution, InterpolatesDenseOutput) {
 TEST(Ode, ValidatesArguments) {
     EXPECT_THROW(integrate_rk4(kDecay, Vector{1.0}, 1.0, 0.0, 1e-2), std::invalid_argument);
     EXPECT_THROW(integrate_rk4(kDecay, Vector{1.0}, 0.0, 1.0, -1e-2), std::invalid_argument);
-    EXPECT_THROW(integrate_trapezoidal(kDecay, Vector{1.0}, 0.0, 1.0, 0.0),
-                 std::invalid_argument);
+    EXPECT_THROW(integrate_euler(kDecay, Vector{1.0}, 0.0, 1.0, 0.0), std::invalid_argument);
 }
 
 // Property: all integrators agree on a smooth nonlinear problem.
@@ -120,8 +94,6 @@ TEST_P(IntegratorAgreementP, LogisticGrowth) {
     const double exact = 1.0 / (1.0 + (1.0 / x0 - 1.0) * std::exp(-r * t1));
     EXPECT_NEAR(integrate_rk4(rhs, Vector{x0}, 0.0, t1, 1e-3).final_state()[0], exact, 1e-8);
     EXPECT_NEAR(integrate_rkf45(rhs, Vector{x0}, 0.0, t1).final_state()[0], exact, 1e-5);
-    EXPECT_NEAR(integrate_trapezoidal(rhs, Vector{x0}, 0.0, t1, 1e-3).final_state()[0], exact,
-                1e-5);
 }
 
 INSTANTIATE_TEST_SUITE_P(Rates, IntegratorAgreementP, ::testing::Values(0.5, 1.0, 2.0, 4.0));

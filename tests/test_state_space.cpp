@@ -74,6 +74,7 @@ TEST(PwlEngine, InvalidateCacheForcesRebuild) {
     eng.invalidate_cache();
     eng.step(u);
     EXPECT_EQ(eng.stats().cache_misses, 2u);
+    EXPECT_EQ(eng.cache_size(), 1u);  // the stale discretization is freed
 }
 
 TEST(PwlEngine, SwitchTurnsOnAndCharges) {
