@@ -319,8 +319,8 @@ Journal::Journal(const std::string& path) {
         return std::runtime_error("cannot open event journal '" + path +
                                   "': " + std::strerror(err));
     };
-    // O_CLOEXEC: exec launches fork while journals are open, and a
-    // simulator must not hold the journal past its execvp.
+    // O_CLOEXEC, like every descriptor the library owns: a simulator
+    // spawned while the journal is open must not inherit it.
     const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
     struct stat st {};
     if (fd < 0 || ::fstat(fd, &st) != 0) throw fail(fd);

@@ -102,16 +102,14 @@ void EvalServer::start() {
     if (running_.load()) throw std::logic_error("EvalServer: already started");
     stopping_.store(false);
 
-    // Exec mode forks a fresh simulator process per point (a fork+exec
-    // from a threaded process is safe — nothing of the parent image
-    // survives the exec).
+    // Exec mode spawns a fresh simulator process per point.
     if (options_.recipe) {
         exec_runner_ = std::make_unique<exec::ExecRunner>(*options_.recipe,
                                                           options_.replicates);
     }
     pool_ = std::make_unique<core::ThreadPool>(options_.workers);
 
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (listen_fd_ < 0) throw std::runtime_error("EvalServer: socket failed");
     const int one = 1;
     ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
@@ -140,8 +138,8 @@ void EvalServer::start() {
     }
     set_nonblocking(listen_fd_);
 
-    epoll_fd_ = ::epoll_create1(0);
-    wake_fd_ = ::eventfd(0, EFD_NONBLOCK);
+    epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+    wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
     if (epoll_fd_ < 0 || wake_fd_ < 0) {
         ::close(listen_fd_);
         listen_fd_ = -1;
@@ -157,8 +155,6 @@ void EvalServer::start() {
     ev.data.u64 = 1;  // wake eventfd
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
 
-    register_parent_fd(listen_fd_);
-    register_parent_fd(wake_fd_);
     started_at_ = std::chrono::steady_clock::now();
     setup_metrics();
     running_.store(true);
@@ -266,12 +262,10 @@ void EvalServer::stop() {
     pool_.reset();
 
     if (listen_fd_ >= 0) {
-        unregister_parent_fd(listen_fd_);
         ::close(listen_fd_);
         listen_fd_ = -1;
     }
     if (wake_fd_ >= 0) {
-        unregister_parent_fd(wake_fd_);
         ::close(wake_fd_);
         wake_fd_ = -1;
     }
@@ -594,7 +588,6 @@ void EvalServer::close_conn(std::uint64_t id) {
     if (it == conn_states_.end()) return;
     const int fd = it->second->fd;
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-    unregister_parent_fd(fd);
     ::close(fd);
     // Frames the pool is still filling stay alive through their shared_ptr
     // and complete into discarded storage.
@@ -603,7 +596,7 @@ void EvalServer::close_conn(std::uint64_t id) {
 
 void EvalServer::handle_accept() {
     for (;;) {
-        const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK);
+        const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
         if (fd < 0) {
             // Transient failures must not kill a long-lived daemon: a peer
             // that RSTs before we accept (ECONNABORTED), a signal, or a
@@ -614,7 +607,6 @@ void EvalServer::handle_accept() {
         }
         const int one = 1;
         ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-        register_parent_fd(fd);
         connections_.fetch_add(1);
         core::telemetry::instant("accept", "server");
 

@@ -55,7 +55,7 @@ int connect_tcp(const Endpoint& endpoint, int timeout_seconds) {
 
     int fd = -1;
     for (addrinfo* ai = found; ai; ai = ai->ai_next) {
-        fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
+        fd = ::socket(ai->ai_family, ai->ai_socktype | SOCK_CLOEXEC, ai->ai_protocol);
         if (fd < 0) continue;
         if (timeout_seconds > 0) {
             timeval timeout{};
@@ -223,25 +223,18 @@ RemoteBackend::RemoteBackend(RemoteBackendOptions options) : options_(std::move(
             conn->endpoint = e;
             conn->slot = conns_.size();
             conn->fd = connect_endpoint(e, options_);
-            register_parent_fd(conn->fd);
             conn->alive = true;
             conns_.push_back(std::move(conn));
         }
     } catch (...) {
-        for (auto& c : conns_) {
-            unregister_parent_fd(c->fd);
-            ::close(c->fd);
-        }
+        for (auto& c : conns_) ::close(c->fd);
         throw;
     }
 }
 
 RemoteBackend::~RemoteBackend() {
     for (auto& c : conns_) {
-        if (c->fd >= 0) {
-            unregister_parent_fd(c->fd);
-            ::close(c->fd);
-        }
+        if (c->fd >= 0) ::close(c->fd);
     }
 }
 
@@ -273,12 +266,8 @@ void RemoteBackend::maybe_redial() {
             // it still speaks the protocol/fingerprint/replicates before it
             // gets work again.
             const int fd = connect_endpoint(c->endpoint, options_);
-            if (c->fd >= 0) {
-                unregister_parent_fd(c->fd);
-                ::close(c->fd);
-            }
+            if (c->fd >= 0) ::close(c->fd);
             c->fd = fd;
-            register_parent_fd(c->fd);
             {
                 std::lock_guard<std::mutex> lock(state_mutex_);
                 c->alive = true;

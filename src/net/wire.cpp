@@ -3,17 +3,8 @@
 #include <sys/socket.h>
 
 #include <cerrno>
-#include <mutex>
-#include <set>
 
 namespace ehdoe::net {
-
-namespace {
-
-std::mutex g_parent_fds_mutex;
-std::set<int> g_parent_fds;
-
-}  // namespace
 
 bool read_exact(int fd, void* buf, std::size_t len) {
     auto* p = static_cast<unsigned char*>(buf);
@@ -611,25 +602,6 @@ bool read_store_stats_reply(int fd, std::uint64_t& status, StoreStats& stats,
           read_exact(fd, &stats.uptime_seconds, sizeof stats.uptime_seconds)))
         return false;
     return read_metrics_ring(fd, stats.metrics);
-}
-
-// ---------------------------------------------------------------------------
-// Fork hygiene
-// ---------------------------------------------------------------------------
-
-void register_parent_fd(int fd) {
-    std::lock_guard<std::mutex> lock(g_parent_fds_mutex);
-    g_parent_fds.insert(fd);
-}
-
-void unregister_parent_fd(int fd) {
-    std::lock_guard<std::mutex> lock(g_parent_fds_mutex);
-    g_parent_fds.erase(fd);
-}
-
-std::vector<int> snapshot_parent_fds() {
-    std::lock_guard<std::mutex> lock(g_parent_fds_mutex);
-    return std::vector<int>(g_parent_fds.begin(), g_parent_fds.end());
 }
 
 }  // namespace ehdoe::net

@@ -342,17 +342,4 @@ bool write_store_stats_reply(int fd, std::uint64_t status, const StoreStats& sta
 bool read_store_stats_reply(int fd, std::uint64_t& status, StoreStats& stats,
                             std::string& message);
 
-// ---------------------------------------------------------------------------
-// Fork hygiene: parent-side fds (TCP listeners, accepted and dialed
-// connections) that a freshly forked child — an exec simulator launch — must
-// close so unrelated transports see EOF when their own parent end closes.
-// Registered by every
-// component that owns such an fd; snapshot_parent_fds() is taken in the
-// parent immediately before fork() and closed in the child lock-free.
-// ---------------------------------------------------------------------------
-
-void register_parent_fd(int fd);
-void unregister_parent_fd(int fd);
-std::vector<int> snapshot_parent_fds();
-
 }  // namespace ehdoe::net

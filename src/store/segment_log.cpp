@@ -295,7 +295,7 @@ void SegmentLog::scan_locked() {
 
 void SegmentLog::open_active_locked(std::size_t seq, std::size_t resume_bytes) {
     active_path_ = (fs::path(dir_) / segment_name(seq)).string();
-    active_ = std::fopen(active_path_.c_str(), "ab");
+    active_ = std::fopen(active_path_.c_str(), "abe");
     if (!active_)
         throw std::runtime_error("SegmentLog: cannot open " + active_path_ + " for append");
     active_seq_ = seq;
@@ -356,7 +356,7 @@ void SegmentLog::compact() {
     const fs::path dir(dir_);
     const fs::path tmp = dir / "compact.tmp";
     {
-        std::FILE* out = std::fopen(tmp.c_str(), "wb");
+        std::FILE* out = std::fopen(tmp.c_str(), "wbe");
         if (!out) throw std::runtime_error("SegmentLog: cannot open " + tmp.string());
         std::vector<unsigned char> body;
         for (const auto& [key, responses] : index_) {

@@ -23,15 +23,10 @@ StoreClient::StoreClient(const std::string& host, std::uint16_t port, int timeou
         ::close(fd_);
         throw std::runtime_error("store " + endpoint_ + " refused the handshake: " + message);
     }
-    // The connection must never leak into forked simulator launches.
-    register_parent_fd(fd_);
 }
 
 StoreClient::~StoreClient() {
-    if (fd_ >= 0) {
-        unregister_parent_fd(fd_);
-        ::close(fd_);
-    }
+    if (fd_ >= 0) ::close(fd_);
 }
 
 std::vector<StoreLookup> StoreClient::get(const std::vector<std::string>& keys) {

@@ -27,7 +27,7 @@ StoreServer::~StoreServer() { stop(); }
 
 void StoreServer::start() {
     if (listen_fd_ >= 0) return;
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (listen_fd_ < 0) throw std::runtime_error("StoreServer: socket failed");
     const int one = 1;
     ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
@@ -52,9 +52,6 @@ void StoreServer::start() {
     if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
         port_ = ntohs(bound.sin_port);
     }
-    // A farm client embedding this server must not leak the listener (or
-    // any accepted connection) into its forked simulator launches.
-    register_parent_fd(listen_fd_);
     started_at_ = std::chrono::steady_clock::now();
     stopping_.store(false);
     setup_metrics();
@@ -106,7 +103,6 @@ void StoreServer::stop() {
     stopping_.store(true);
     // Break the blocking accept(): shutdown() wakes it, close() frees it.
     ::shutdown(listen_fd_, SHUT_RDWR);
-    unregister_parent_fd(listen_fd_);
     ::close(listen_fd_);
     metrics_sampler_.reset();
     if (accept_thread_.joinable()) accept_thread_.join();
@@ -125,7 +121,7 @@ void StoreServer::stop() {
 
 void StoreServer::accept_loop() {
     for (;;) {
-        const int fd = ::accept(listen_fd_, nullptr, nullptr);
+        const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
         if (fd < 0) {
             if (stopping_.load()) return;
             if (errno == EINTR || errno == ECONNABORTED) continue;
@@ -136,7 +132,6 @@ void StoreServer::accept_loop() {
             return;
         }
         connections_accepted_.fetch_add(1);
-        register_parent_fd(fd);
         auto done = std::make_shared<std::atomic<bool>>(false);
         std::lock_guard<std::mutex> lock(connections_mutex_);
         // Opportunistically reap finished connections so a long-lived
@@ -154,7 +149,6 @@ void StoreServer::accept_loop() {
         conn.done = done;
         conn.thread = std::thread([this, fd, done] {
             serve_connection(fd);
-            unregister_parent_fd(fd);
             ::close(fd);
             done->store(true);
         });

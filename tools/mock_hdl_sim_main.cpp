@@ -34,6 +34,9 @@
 //   --output FILE       write responses to FILE instead of stdout
 //   --crlf              terminate output lines with \r\n (a Windows-style
 //                       co-simulator; the runner must parse it identically)
+//   --report-fds        also print `open_fds=A,B,...`: the descriptors this
+//                       process was started with (descriptor-leak tests)
+#include <dirent.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -55,8 +58,23 @@ namespace {
 int usage(const char* argv0) {
     std::cerr << "usage: " << argv0
               << " [--deck file] [--output file] [--fail-every n] [--fail-marker file]\n"
-                 "       [--hang] [--hang-index k] [--garbage-index k] [--crlf]\n";
+                 "       [--hang] [--hang-index k] [--garbage-index k] [--crlf] [--report-fds]\n";
     return 2;
+}
+
+/// The open descriptors, comma-separated, minus the one listing them.
+std::string open_fds() {
+    std::string list;
+    DIR* dir = ::opendir("/proc/self/fd");
+    if (!dir) return list;
+    const int self = ::dirfd(dir);
+    while (const dirent* entry = ::readdir(dir)) {
+        if (entry->d_name[0] == '.' || std::atoi(entry->d_name) == self) continue;
+        if (!list.empty()) list += ',';
+        list += entry->d_name;
+    }
+    ::closedir(dir);
+    return list;
 }
 
 }  // namespace
@@ -68,6 +86,7 @@ int main(int argc, char** argv) {
     std::string fail_marker;
     bool hang_always = false;
     bool crlf = false;
+    bool report_fds = false;
     long hang_index = -1;
     long garbage_index = -1;
 
@@ -101,6 +120,8 @@ int main(int argc, char** argv) {
             hang_index = std::atol(v);
         } else if (arg == "--crlf") {
             crlf = true;
+        } else if (arg == "--report-fds") {
+            report_fds = true;
         } else if (arg == "--garbage-index") {
             const char* v = next();
             if (!v) return usage(argv[0]);
@@ -109,6 +130,9 @@ int main(int argc, char** argv) {
             return usage(argv[0]);
         }
     }
+
+    // Listed before this process opens anything of its own.
+    const std::string inherited_fds = report_fds ? open_fds() : std::string();
 
     // ---- read the deck ----------------------------------------------------
     std::string deck_text;
@@ -227,6 +251,7 @@ int main(int argc, char** argv) {
     }
 
     const char* eol = crlf ? "\r\n" : "\n";
+    if (report_fds) *out << "open_fds=" << inherited_fds << eol;
     char buf[64];
     for (const auto& [name, value] : responses) {
         std::snprintf(buf, sizeof buf, "%a", value);
