@@ -3,7 +3,7 @@
 // The batch evaluation orchestrator: the one place in the toolkit where
 // simulator time is accounted for. A BatchRunner turns matrices of design
 // points into response matrices on top of a pluggable core::EvalBackend
-// (in-process thread pool, forked worker processes, persistent on-disk
+// (in-process thread pool, external simulator processes, persistent on-disk
 // cache — see core/eval_backend.hpp). The orchestrator owns what is common
 // to every execution strategy:
 //
