@@ -2,11 +2,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <string>
+#include <vector>
 
+#include "core/scenario.hpp"
 #include "core/toolkit.hpp"
 
 using namespace ehdoe::core;
 namespace doe = ehdoe::doe;
+namespace rsm = ehdoe::rsm;
 using ehdoe::num::Vector;
 
 namespace {
@@ -26,6 +31,12 @@ doe::Simulation make_sim() {
             {"cost", x + 2.0 * y},
         };
     };
+}
+
+std::string hex(double v) {
+    char buf[40];
+    std::snprintf(buf, sizeof buf, "%a", v);
+    return buf;
 }
 
 }  // namespace
@@ -117,4 +128,131 @@ TEST(DesignFlow, CustomDesignRun) {
 
 TEST(DesignFlow, RequiresSimulation) {
     EXPECT_THROW(DesignFlow(make_space(), nullptr), std::invalid_argument);
+}
+
+TEST(DesignFlow, S1GoldenFitsOptimumAndGridAreBitwiseStable) {
+    // S1 at a 120 s horizon under the default options, pinned as hexfloats:
+    // the six quadratic fits, a constrained optimum without confirmation and
+    // E_harv's grid scan both ways. A faster RSM query or simplex must move
+    // neither a bit nor an evaluation.
+    const Scenario sc = Scenario::make(ScenarioId::OfficeHvac, 120.0);
+    DesignFlow flow(sc.design_space(), sc.make_simulation());
+    flow.run_ccd();
+    flow.fit_all();
+    const std::map<std::string, std::vector<double>> coefficients = {
+            {"E_cons",
+             {
+                0x1.5acef32f85fc3p-6, -0x1.4a4ced591c642p-11, -0x1.a846db1481239p-11,
+                0x1.e8f81664d1fa4p-6, 0x1.b9038c39e652cp-8, 0x1.55fd95905f332p-7,
+                -0x1.04c409214cb2ap-6, 0x1.8d325309631a8p-13, 0x1.22fbdd8b90fd8p-13,
+                0x1.2e0a1f5e8ad0fp-13, -0x1.22fbdd8b90e91p-13, -0x1.bf45eeeaf46fbp-16,
+                0x1.00c2b9695eb5fp-12, 0x1.3e02285d7b153p-15, -0x1.00c2b9695e7cdp-12,
+                0x1.ef4f054e4b1ccp-11, 0x1.9ea37d367ad91p-8, 0x1.6b5d6ee965269p-7,
+                0x1.c5ac813706a96p-10, 0x1.6ae674547c68fp-8, -0x1.8fd169ba7dcf6p-13,
+                -0x1.c5ac81370628bp-10, -0x1.65e8f87dee7d2p-11, -0x1.191bc6a0221p-9,
+                0x1.dd9d14c39ce4p-6, -0x1.ae8fa50286ca5p-9, -0x1.3a8827f24c7dcp-9,
+                0x1.5656e6c305a9bp-7,
+             }},
+            {"E_harv",
+             {
+                0x1.ab917b28bbbbbp-8, 0x1.b4f11cfd28206p-15, 0x1.06a81b8633675p-13,
+                -0x1.03e3667d088d7p-13, -0x1.8f80ff9849846p-16, 0x1.7dd80fce14db6p-13,
+                -0x1.aee22cdcc9d99p-10, -0x1.d8df117019c45p-17, 0x1.2114d641f3e36p-18,
+                -0x1.98eb5d93129f5p-22, -0x1.2783553dfa522p-17, -0x1.74b0f7fab7fb9p-18,
+                -0x1.d92883163913fp-20, 0x1.67e08e55537b2p-18, 0x1.2758fdf6e0678p-23,
+                -0x1.06c4ff4aef9e2p-13, -0x1.806b5b2144a58p-16, 0x1.910835eb7c12bp-14,
+                0x1.398896e207693p-16, 0x1.04ec1a98b3c61p-16, 0x1.ac4b347a02066p-17,
+                -0x1.5d982cb321e0cp-14, -0x1.7a0ef654b6a2cp-14, -0x1.ca1333fa91b95p-14,
+                -0x1.13434de542513p-14, 0x1.825971af44c64p-16, -0x1.185d5e23a0138p-16,
+                -0x1.6287eabc7e865p-10,
+             }},
+            {"E_tune",
+             {
+                0x1.31fc817f0a014p-8, -0x1.81a8fb4fb0562p-11, -0x1.f03921c8e6c7dp-11,
+                -0x1.870ea28017ffcp-14, -0x1.a36e2eb1c407dp-16, 0x1.870ea2801818p-14,
+                -0x1.1decc5dc638dep-6, -0x1.d29dc725c4052p-16, 0x1.bda5119ce03afp-16,
+                0x1.9f7f8ca819752p-14, -0x1.bda5119ce0dc8p-16, -0x1.00e6afcce2184p-16,
+                0x1.9f7f8ca8196c3p-14, 0x1.bda5119ce0323p-16, -0x1.9f7f8ca8198eap-14,
+                0x1.0370cdc8754b4p-10, -0x1.bda5119ce0973p-16, 0x1.9f7f8ca8198p-14,
+                0x1.9f7f8ca819738p-14, 0x1.bda5119ce03f8p-16, 0x1.bda5119cdff0bp-16,
+                -0x1.9f7f8ca8199f1p-14, 0x1.e68bd88a8e85fp-10, 0x1.9d231e25065f9p-12,
+                0x1.2380272765e66p-13, 0x1.2380272765dd1p-13, 0x1.2380272765e08p-13,
+                0x1.a986f15c36466p-7,
+             }},
+            {"V_min",
+             {
+                0x1.4706844fa1136p+1, 0x1.4f3bcefffd7fbp-9, 0x1.d03ecb3ebe8dbp-9,
+                -0x1.85371fa36b1eep-4, -0x1.740d7b95522d7p-7, 0x1.273515bf3c1c6p-3,
+                0x1.ea41e24ad570fp-5, -0x1.e31e077f155e5p-10, -0x1.095355e2c5d61p-10,
+                -0x1.2362f9cb5ac4bp-10, -0x1.020d288a6f573p-9, 0x1.2c028cdccd6eap-13,
+                -0x1.096bc3ae89643p-9, -0x1.6293763d347ffp-12, -0x1.685de1b62dd37p-9,
+                -0x1.2edabc45a2eecp-8, -0x1.21e46493211ddp-7, 0x1.005060e03d10ep-4,
+                -0x1.76cf00aa5f51fp-7, 0x1.a4b144eabb19bp-10, 0x1.069a7eb0ae8c3p-9,
+                -0x1.8e0730c1a16cep-5, -0x1.17af9c768e0eep-8, -0x1.793a398748298p-11,
+                -0x1.4d90d43b546bbp-4, 0x1.3afdf9fea4f89p-9, -0x1.16825dc496dedp-5,
+                -0x1.25354286236edp-5,
+             }},
+            {"downtime",
+             {
+                -0x0p+0, -0x0p+0, -0x0p+0,
+                0x0p+0, 0x0p+0, 0x0p+0,
+                0x0p+0, -0x0p+0, -0x0p+0,
+                -0x0p+0, -0x0p+0, -0x0p+0,
+                0x0p+0, 0x0p+0, 0x0p+0,
+                0x0p+0, -0x0p+0, 0x0p+0,
+                -0x0p+0, 0x0p+0, -0x0p+0,
+                -0x0p+0, -0x0p+0, -0x0p+0,
+                -0x0p+0, -0x0p+0, -0x0p+0,
+                -0x0p+0,
+             }},
+            {"packets",
+             {
+                0x1.b39f76166928dp+4, 0x1.a5a5a5a5a59f6p-3, 0x1.4b4b4b4b4b4b9p-2,
+                0x1.014b4b4b4b4afp+6, -0x1.543c3c3c3c3cap+4, 0x1.2da5a5a5a5a5bp+4,
+                0x1.01e1e1e1e1e14p+2, 0x1.4c00000000036p+1, 0x1.bfffffffffcb3p-3,
+                -0x1.0000000000836p-5, -0x1.bffffffffff91p-3, 0x1.3fffffffffe56p-3,
+                0x1.5fffffffffe51p-2, -0x1.40000000001ap-3, -0x1.60000000000f8p-2,
+                0x1.fffffffffeaafp-6, -0x1.528p+4, 0x1.4080000000004p+4,
+                0x1.1200000000029p+2, -0x1.5ffffffffff62p-2, -0x1.4bfffffffffe3p+1,
+                -0x1.11fffffffffefp+2, -0x1.8ef9f7616694bp+1, -0x1.8ef9f7616693fp+1,
+                0x1.af106089e9971p+5, -0x1.1df3eec2cd21ap+0, -0x1.8ef9f7616692ap+1,
+                -0x1.8ef9f76166942p+1,
+             }},
+    };
+    ASSERT_EQ(flow.response_names().size(), coefficients.size());
+    for (const auto& [name, golden] : coefficients) {
+        const Vector& beta = flow.surface(name).fit().coefficients;
+        ASSERT_EQ(beta.size(), golden.size()) << name;
+        for (std::size_t j = 0; j < golden.size(); ++j)
+            EXPECT_EQ(hex(beta[j]), hex(golden[j])) << name << " term " << j;
+    }
+
+    const auto out = flow.optimize(kRespPackets, true,
+                                   {{kRespDowntime, -1e300, 1.0}, {kRespVmin, 2.0, 1e300}}, false);
+    const double coded[6] = {0x1.e24cb0f9f933cp-4, 0x1.0c5fa19c6c6f4p-3, 0x1p+0,
+                             -0x1.ffffffffedbe2p-1, 0x1p+0, 0x1p+0};
+    ASSERT_EQ(out.coded.size(), 6u);
+    for (std::size_t i = 0; i < 6; ++i) EXPECT_EQ(hex(out.coded[i]), hex(coded[i])) << i;
+    EXPECT_EQ(hex(out.predicted), hex(0x1.c4d23686d6e4bp+7));
+    EXPECT_EQ(out.rsm_evaluations, 17382u);
+    const std::map<std::string, double> responses = {
+        {"E_cons", 0x1.26f1a72a97409p-4}, {"E_harv", 0x1.d4d7d035eb0d6p-9},
+        {"E_tune", 0x1.55f5373451c3p-11}, {"V_min", 0x1.44480a8ddcaf9p+1},
+        {"downtime", 0x0p+0},             {"packets", 0x1.c4d23686d6e4bp+7},
+    };
+    ASSERT_EQ(out.predicted_responses.size(), responses.size());
+    for (const auto& [name, golden] : responses)
+        EXPECT_EQ(hex(out.predicted_responses.at(name)), hex(golden)) << name;
+
+    const rsm::ResponseSurface& harv = flow.surface(kRespHarvested);
+    const auto high = harv.grid_best(5, true);
+    const auto low = harv.grid_best(5, false);
+    const double high_coded[6] = {0.0, 1.0, 0.0, -1.0, 1.0, -0.5};
+    const double low_coded[6] = {-1.0, -1.0, 1.0, 1.0, -1.0, 1.0};
+    for (std::size_t i = 0; i < 6; ++i) {
+        EXPECT_EQ(hex(high.coded[i]), hex(high_coded[i])) << i;
+        EXPECT_EQ(hex(low.coded[i]), hex(low_coded[i])) << i;
+    }
+    EXPECT_EQ(hex(high.value), hex(0x1.e01f354de75fdp-8));
+    EXPECT_EQ(hex(low.value), hex(0x1.74b539ae0d22ap-9));
 }
