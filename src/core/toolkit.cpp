@@ -1,5 +1,6 @@
 #include "core/toolkit.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -11,7 +12,9 @@ DesignFlow::DesignFlow(doe::DesignSpace space, doe::Simulation simulation)
     : DesignFlow(std::move(space), std::move(simulation), Options{}) {}
 
 DesignFlow::DesignFlow(doe::DesignSpace space, doe::Simulation simulation, Options options)
-    : space_(std::move(space)), options_(std::move(options)) {
+    : space_(std::move(space)),
+      options_(std::move(options)),
+      model_(space_.dimension(), options_.order) {
     // Remote and exec flows need no local simulation closure — the shards
     // or the recipe's external simulator own the model.
     if (!simulation && options_.endpoints.empty() && options_.recipe_file.empty())
@@ -53,8 +56,7 @@ const rsm::ResponseSurface& DesignFlow::surface(const std::string& response) {
     if (it != surfaces_.end()) return it->second;
     const doe::RunResults& res = results();
     const std::vector<double> y = res.response(response);
-    const rsm::ModelSpec model(space_.dimension(), options_.order);
-    rsm::FitResult fit = rsm::fit_ols(model, res.design.points, y);
+    rsm::FitResult fit = rsm::fit_ols(model_, res.design.points, y);
     auto [pos, inserted] =
         surfaces_.emplace(response, rsm::ResponseSurface(std::move(fit), space_, response));
     (void)inserted;
@@ -88,31 +90,58 @@ std::vector<std::pair<double, double>> DesignFlow::sweep(const std::string& resp
     if (points < 2) throw std::invalid_argument("DesignFlow::sweep: points >= 2");
     const rsm::ResponseSurface& s = surface(response);
     const std::size_t fi = space_.index_of(factor);
+    if (fixed_coded.size() != space_.dimension())
+        throw std::invalid_argument("DesignFlow::sweep: point dimension mismatch");
+    num::Matrix line(points, fixed_coded.size());
+    for (std::size_t i = 0; i < points; ++i) {
+        std::copy(fixed_coded.begin(), fixed_coded.end(), line.row_ptr(i));
+        line(i, fi) = -1.0 + 2.0 * static_cast<double>(i) / static_cast<double>(points - 1);
+    }
+    const std::vector<double> values = s.fit().predict(line);
     std::vector<std::pair<double, double>> out;
     out.reserve(points);
-    num::Vector x = fixed_coded;
-    for (std::size_t i = 0; i < points; ++i) {
-        const double c = -1.0 + 2.0 * static_cast<double>(i) / static_cast<double>(points - 1);
-        x[fi] = c;
-        out.emplace_back(space_.factor(fi).to_natural(c), s.value(x));
-    }
+    for (std::size_t i = 0; i < points; ++i)
+        out.emplace_back(space_.factor(fi).to_natural(line(i, fi)), values[i]);
+    return out;
+}
+
+const double* DesignFlow::coefficients_of(const rsm::ResponseSurface& s) const {
+    if (s.fit().coefficients.size() != model_.num_terms())
+        throw std::invalid_argument("DesignFlow: coefficient count mismatch");
+    return s.fit().coefficients.data();
+}
+
+std::map<std::string, double> DesignFlow::predict_fitted(const num::Vector& coded) const {
+    if (coded.size() != model_.dimension())
+        throw std::invalid_argument("DesignFlow: point dimension mismatch");
+    std::vector<const double*> betas;
+    betas.reserve(surfaces_.size());
+    for (const auto& entry : surfaces_) betas.push_back(coefficients_of(entry.second));
+    std::vector<double> values(betas.size());
+    model_.predict_block(coded.data(), 1, coded.size(), betas.data(), betas.size(),
+                         values.data());
+    std::map<std::string, double> out;
+    std::size_t i = 0;
+    for (const auto& entry : surfaces_) out.emplace_hint(out.end(), entry.first, values[i++]);
     return out;
 }
 
 std::map<std::string, double> DesignFlow::predict_all(const num::Vector& coded) {
     fit_all();
-    std::map<std::string, double> out;
-    for (const auto& [name, s] : surfaces_) out[name] = s.value(coded);
-    return out;
+    return predict_fitted(coded);
 }
 
 OptimizationOutcome DesignFlow::optimize(const std::string& objective, bool maximize,
                                          const std::vector<ResponseConstraint>& constraints,
                                          bool confirm_with_simulation) {
+    const std::size_t k = space_.dimension();
     const rsm::ResponseSurface& obj_surface = surface(objective);
-    // Resolve the constrained surfaces once, before building the closure.
-    std::vector<const rsm::ResponseSurface*> constrained;
-    for (const auto& c : constraints) constrained.push_back(&surface(c.response));
+    // The objective's coefficients, then each constraint's: one block call
+    // per penalised point predicts them all. Their counts are checked here,
+    // once, and every surface shares the flow's term list by construction.
+    std::vector<const double*> betas{coefficients_of(obj_surface)};
+    for (const auto& c : constraints) betas.push_back(coefficients_of(surface(c.response)));
+    std::vector<double> predicted(betas.size());
 
     // Penalty scale: the objective's observed spread keeps the penalty
     // meaningfully dominant without destroying conditioning.
@@ -128,11 +157,11 @@ OptimizationOutcome DesignFlow::optimize(const std::string& objective, bool maxi
     std::size_t rsm_evals = 0;
     auto penalized = [&](const num::Vector& x) {
         ++rsm_evals;
-        double v = obj_surface.value(x);
-        if (maximize) v = -v;
+        model_.predict_block(x.data(), 1, k, betas.data(), betas.size(), predicted.data());
+        double v = maximize ? -predicted[0] : predicted[0];
         for (std::size_t i = 0; i < constraints.size(); ++i) {
             const ResponseConstraint& c = constraints[i];
-            const double r = constrained[i]->value(x);
+            const double r = predicted[i + 1];
             if (r < c.min) {
                 const double d = (c.min - r) / spread;
                 v += penalty_w * d * d;
@@ -146,7 +175,6 @@ OptimizationOutcome DesignFlow::optimize(const std::string& objective, bool maxi
     };
 
     // Multi-start: grid scan winner + centre + 2^min(k,4) alternating corners.
-    const std::size_t k = space_.dimension();
     const auto grid = obj_surface.grid_best(k <= 4 ? 7 : 5, maximize);
     std::vector<num::Vector> starts{grid.coded, num::Vector(k)};
     const std::size_t corner_count = std::size_t{1} << std::min<std::size_t>(k, 4);
@@ -167,9 +195,9 @@ OptimizationOutcome DesignFlow::optimize(const std::string& objective, bool maxi
     OptimizationOutcome out;
     out.coded = best.x;
     out.natural = space_.to_natural(best.x);
-    out.predicted = obj_surface.value(best.x);
+    out.predicted_responses = predict_fitted(best.x);
+    out.predicted = out.predicted_responses.at(objective);
     out.rsm_evaluations = rsm_evals;
-    for (const auto& [name, s] : surfaces_) out.predicted_responses[name] = s.value(best.x);
 
     if (confirm_with_simulation) {
         // Route the confirmation through the batch engine: a winner on an

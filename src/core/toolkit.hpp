@@ -11,6 +11,12 @@
 //   5. explore: sweeps, slices, trade-off queries, constrained
 //      optimization — all on the RSMs, "practically instant",
 //   6. confirm chosen designs with a final simulation.
+//
+// One model per flow: the constructor builds the flow's rsm::ModelSpec and
+// every surface is fitted with it, so all surfaces share one term list and
+// the optimizer's penalty, predict_all() and the optimum's
+// predicted_responses evaluate several surfaces in one block call
+// (rsm::ModelSpec::predict_block), forming each term once per point.
 #pragma once
 
 #include <map>
@@ -146,7 +152,8 @@ public:
     rsm::ValidationReport validate(const std::string& response, std::size_t n_points);
 
     // ---- phase 5: explore --------------------------------------------------
-    /// 1-D sweep of a response along one factor (others fixed, coded units).
+    /// 1-D sweep of a response along one factor (others fixed, coded units),
+    /// all points predicted in one block call.
     std::vector<std::pair<double, double>> sweep(const std::string& response,
                                                  const std::string& factor,
                                                  const num::Vector& fixed_coded,
@@ -154,16 +161,28 @@ public:
 
     /// Constrained optimization on the RSMs (multi-start Nelder-Mead with
     /// quadratic penalties); optionally confirm the winner by simulation.
+    /// Each penalised point predicts the objective and every constraint in
+    /// one block call of the flow's model, with the bits of one value() per
+    /// surface; `predicted_responses` come from one more such call.
     OptimizationOutcome optimize(const std::string& objective, bool maximize,
                                  const std::vector<ResponseConstraint>& constraints = {},
                                  bool confirm_with_simulation = true);
 
-    /// Predict every fitted response at a coded point (instant).
+    /// Predict every fitted response at a coded point (instant): fits them
+    /// all, then predicts them in one block call of the flow's model.
     std::map<std::string, double> predict_all(const num::Vector& coded);
 
 private:
+    /// A fitted surface's coefficients, checked to count one per term of
+    /// `model_`.
+    const double* coefficients_of(const rsm::ResponseSurface& s) const;
+    /// Every fitted surface at `coded`, in one block call of `model_`.
+    std::map<std::string, double> predict_fitted(const num::Vector& coded) const;
+
     doe::DesignSpace space_;
     Options options_;
+    /// The flow's one term list (see the file comment).
+    rsm::ModelSpec model_;
     /// The batch evaluation engine: owns the simulation, the thread pool
     /// and the memoization cache shared by every phase that simulates.
     std::unique_ptr<doe::BatchRunner> runner_;

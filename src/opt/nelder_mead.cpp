@@ -2,11 +2,23 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
 namespace ehdoe::opt {
+
+SimplexPicks simplex_picks(const std::vector<double>& fv) {
+    SimplexPicks p{0, 0, 0};
+    for (std::size_t i = 1; i < fv.size(); ++i) {
+        if (fv[i] < fv[p.best]) p.best = i;
+        if (fv[i] >= fv[p.worst]) p.worst = i;
+    }
+    p.second_worst = p.worst == 0 ? 1 : 0;
+    for (std::size_t i = p.second_worst + 1; i < fv.size(); ++i) {
+        if (i != p.worst && fv[i] >= fv[p.second_worst]) p.second_worst = i;
+    }
+    return p;
+}
 
 OptResult nelder_mead(const Objective& f, const Bounds& bounds, const Vector& x0,
                       const NelderMeadOptions& opt) {
@@ -29,7 +41,6 @@ OptResult nelder_mead(const Objective& f, const Bounds& bounds, const Vector& x0
     for (std::size_t i = 0; i <= k; ++i) fv[i] = obj(xs[i]);
 
     OptResult res;
-    std::vector<std::size_t> order(k + 1);
     // Work vectors for the trial points, reused across iterations; an
     // accepted trial point swaps buffers with the vertex it replaces.
     Vector cen(k), xr(k), xe(k), xc(k);
@@ -43,11 +54,7 @@ OptResult nelder_mead(const Objective& f, const Bounds& bounds, const Vector& x0
     };
 
     for (res.iterations = 0; res.iterations < opt.max_iterations; ++res.iterations) {
-        std::iota(order.begin(), order.end(), std::size_t{0});
-        std::sort(order.begin(), order.end(),
-                  [&](std::size_t a, std::size_t b) { return fv[a] < fv[b]; });
-        const std::size_t best = order[0], worst = order[k],
-                          second_worst = order[k - 1];
+        const auto [best, worst, second_worst] = simplex_picks(fv);
 
         if (std::fabs(fv[worst] - fv[best]) <
             opt.tol * (1.0 + std::fabs(fv[best]))) {

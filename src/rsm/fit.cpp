@@ -36,9 +36,9 @@ double FitResult::predict(const Vector& coded) const {
 std::vector<double> FitResult::predict(const Matrix& coded_points) const {
     check_predict_shape(*this, coded_points.cols());
     std::vector<double> out(coded_points.rows());
-    for (std::size_t i = 0; i < coded_points.rows(); ++i) {
-        out[i] = model.predict(coded_points.row_ptr(i), coefficients.data());
-    }
+    const double* beta = coefficients.data();
+    model.predict_block(coded_points.data(), coded_points.rows(), coded_points.cols(), &beta, 1,
+                        out.data());
     return out;
 }
 

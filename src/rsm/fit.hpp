@@ -32,7 +32,9 @@ struct FitResult {
     /// row times beta, without allocating. Throws std::invalid_argument when
     /// the point or the coefficient vector has the wrong size.
     double predict(const Vector& coded) const;
-    /// Predict at every row of `coded_points`, read in place.
+    /// Predict at every row of `coded_points`, read in place by the block
+    /// kernel (ModelSpec::predict_block): the same bits as row-by-row
+    /// predict(). Same shape checks.
     std::vector<double> predict(const Matrix& coded_points) const;
 };
 

@@ -32,6 +32,8 @@ struct StationaryPoint {
 /// queries and reporting).
 class ResponseSurface {
 public:
+    /// Throws std::invalid_argument unless the fit's model spans the space's
+    /// factors and carries one coefficient per term.
     ResponseSurface(FitResult fit, doe::DesignSpace space, std::string response_name);
 
     const FitResult& fit() const { return fit_; }
@@ -54,12 +56,19 @@ public:
 
     /// Uniform grid slice over two factors with the others fixed:
     /// returns an (n x n) matrix of predictions; rows follow factor `fi`,
-    /// columns follow factor `fj`, both swept lo..hi in coded units.
+    /// columns follow factor `fj`, both swept lo..hi in coded units. All
+    /// n * n points go through the block kernel in one call.
     Matrix slice(std::size_t fi, std::size_t fj, const Vector& fixed_coded, std::size_t n,
                  double lo = -1.0, double hi = 1.0) const;
 
     /// Best point on a uniform grid scan of the full cube (cheap global
-    /// picture before running a local optimizer).
+    /// picture before running a local optimizer). Factor levels are
+    /// -1 + 2 l / (levels - 1); points run in odometer order (factor 0
+    /// fastest) and go through the block kernel (ModelSpec::predict_block)
+    /// several at a time, with the bits of one value() per point. The first
+    /// point strictly better than every earlier one wins, so the earliest of
+    /// tied points does; a scan that beats nothing returns the origin with
+    /// value -1e300 (maximize) or 1e300.
     struct GridBest {
         Vector coded;
         double value;

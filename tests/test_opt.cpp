@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <numeric>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -91,6 +93,30 @@ TEST(NelderMead, GoldenTrajectoryIsBitwiseStable) {
     EXPECT_EQ(r.evaluations, 96u);
     EXPECT_EQ(r.iterations, 51u);
     EXPECT_TRUE(r.converged);
+}
+
+TEST(NelderMead, SimplexPicksMatchSortedOrderOnTies) {
+    // The picks one pass makes against the iota + std::sort order they
+    // replaced (best = order[0], worst = order[k], second-worst =
+    // order[k-1]), on tie-heavy vertex values for every simplex up to
+    // k = 15. The values include -0.0 and 0.0, which compare equal.
+    const double pool[] = {-1.5, -0.0, 0.0, 0.25, 2.0};
+    std::mt19937_64 rng(17);
+    for (std::size_t k = 1; k <= 15; ++k) {
+        std::vector<double> fv(k + 1);
+        std::vector<std::size_t> order(k + 1);
+        for (int trial = 0; trial < 4000; ++trial) {
+            const std::size_t distinct = 1 + rng() % 5;
+            for (double& v : fv) v = pool[rng() % distinct];
+            std::iota(order.begin(), order.end(), std::size_t{0});
+            std::sort(order.begin(), order.end(),
+                      [&](std::size_t a, std::size_t b) { return fv[a] < fv[b]; });
+            const SimplexPicks p = simplex_picks(fv);
+            ASSERT_EQ(p.best, order[0]) << "k = " << k << ", trial " << trial;
+            ASSERT_EQ(p.worst, order[k]) << "k = " << k << ", trial " << trial;
+            ASSERT_EQ(p.second_worst, order[k - 1]) << "k = " << k << ", trial " << trial;
+        }
+    }
 }
 
 TEST(PatternSearch, FindsBowlMinimum) {

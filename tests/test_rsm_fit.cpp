@@ -1,9 +1,12 @@
 // OLS / WLS fit tests: exact polynomial recovery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <utility>
+#include <vector>
 
 #include "doe/composite.hpp"
 #include "doe/lhs.hpp"
@@ -147,24 +150,63 @@ FitResult fit_with(const ModelSpec& model, Vector beta) {
     return FitResult{model, std::move(beta), {}, {}, {}};
 }
 
-// predict() against the reference it replaced: every term evaluated on its
-// own, times its coefficient, summed in term order starting from 0.0.
+// Every term evaluated on its own, times its coefficient, summed in term
+// order starting from 0.0: the reference the kernel replaced.
+double row_dot_beta(const ModelSpec& model, const Vector& x, const Vector& beta) {
+    double ref = 0.0;
+    for (std::size_t j = 0; j < model.num_terms(); ++j) {
+        ref += model.terms()[j].evaluate(x) * beta[j];
+    }
+    return ref;
+}
+
+// predict() and every block shape of predict_block() against the reference:
+// 1..9 coefficient vectors, whole and partial point blocks, points packed
+// or spaced apart.
 void expect_predict_is_row_dot_beta(const ModelSpec& model, std::uint64_t seed) {
     ehdoe::num::Rng rng = ehdoe::num::make_rng(seed);
-    Vector beta(model.num_terms());
-    for (std::size_t j = 0; j < beta.size(); ++j) beta[j] = ehdoe::num::uniform(rng, -40.0, 40.0);
-    const FitResult fit = fit_with(model, beta);
-    const ehdoe::num::Matrix pts = probe_points(model.dimension(), 64, seed + 1);
+    std::vector<Vector> betas(9, Vector(model.num_terms()));
+    for (Vector& beta : betas) {
+        for (std::size_t j = 0; j < beta.size(); ++j) {
+            beta[j] = ehdoe::num::uniform(rng, -40.0, 40.0);
+        }
+    }
+    const FitResult fit = fit_with(model, betas[0]);
+    const std::size_t k = model.dimension();
+    const ehdoe::num::Matrix pts = probe_points(k, 64, seed + 1);
     const std::vector<double> batch = fit.predict(pts);
     ASSERT_EQ(batch.size(), pts.rows());
+    std::vector<std::vector<double>> ref(pts.rows(), std::vector<double>(betas.size()));
     for (std::size_t i = 0; i < pts.rows(); ++i) {
         const Vector x = pts.row(i);
-        double ref = 0.0;
-        for (std::size_t j = 0; j < model.num_terms(); ++j) {
-            ref += model.terms()[j].evaluate(x) * beta[j];
+        for (std::size_t c = 0; c < betas.size(); ++c) ref[i][c] = row_dot_beta(model, x, betas[c]);
+        EXPECT_EQ(bits(fit.predict(x)), bits(ref[i][0])) << model.describe() << " at row " << i;
+        EXPECT_EQ(bits(batch[i]), bits(ref[i][0])) << model.describe() << " at row " << i;
+    }
+
+    // The same points two columns apart, so a block reads with a stride.
+    const std::size_t stride = k + 2;
+    std::vector<double> spaced(pts.rows() * stride, 0.0);
+    for (std::size_t i = 0; i < pts.rows(); ++i) {
+        std::copy(pts.row_ptr(i), pts.row_ptr(i) + k, spaced.begin() + i * stride);
+    }
+    std::vector<const double*> coefficients;
+    for (const Vector& beta : betas) coefficients.push_back(beta.data());
+    const std::pair<std::size_t, std::size_t> blocks[] = {{0, 64}, {0, 1}, {5, 3},
+                                                          {8, 8},  {3, 13}, {40, 17}};
+    for (std::size_t m = 1; m <= betas.size(); ++m) {
+        for (const auto& [first, count] : blocks) {
+            std::vector<double> out(count * m);
+            model.predict_block(spaced.data() + first * stride, count, stride,
+                                coefficients.data(), m, out.data());
+            for (std::size_t i = 0; i < count; ++i) {
+                for (std::size_t c = 0; c < m; ++c) {
+                    EXPECT_EQ(bits(out[i * m + c]), bits(ref[first + i][c]))
+                        << model.describe() << ": " << count << " points from row " << first
+                        << " by " << m << " vectors, point " << i << " vector " << c;
+                }
+            }
         }
-        EXPECT_EQ(bits(fit.predict(x)), bits(ref)) << model.describe() << " at row " << i;
-        EXPECT_EQ(bits(batch[i]), bits(ref)) << model.describe() << " at row " << i;
     }
 }
 
@@ -193,6 +235,20 @@ TEST(Predict, BitwiseEqualsTermOrderSumForEditedModels) {
     expect_predict_is_row_dot_beta(wide, 9);
     const ModelSpec only_constant(2, std::vector<Monomial>{Monomial(2)});
     expect_predict_is_row_dot_beta(only_constant, 10);
+}
+
+TEST(Predict, BitwiseEqualsTermOrderSumPastTheStackSlots) {
+    // More extended-point slots than the kernel keeps on the stack: 70
+    // coordinates, or 69 distinct trailing powers of x1.
+    const ModelSpec wide_linear(70, ModelOrder::Linear);
+    EXPECT_GT(wide_linear.num_slots(), ModelSpec::kStackSlots);
+    expect_predict_is_row_dot_beta(wide_linear, 11);
+    using ehdoe::num::Monomial;
+    std::vector<Monomial> powers{Monomial(2)};
+    for (unsigned e = 2; e <= 70; ++e) powers.push_back(Monomial(std::vector<unsigned>{1, e}));
+    const ModelSpec many_powers(2, std::move(powers));
+    EXPECT_GT(many_powers.num_slots(), ModelSpec::kStackSlots);
+    expect_predict_is_row_dot_beta(many_powers, 12);
 }
 
 TEST(Predict, RejectsWrongShapes) {

@@ -2,8 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "doe/composite.hpp"
+#include "numerics/stats.hpp"
 #include "rsm/surface.hpp"
 
 using namespace ehdoe::rsm;
@@ -11,6 +16,12 @@ using ehdoe::doe::DesignSpace;
 using ehdoe::num::Vector;
 
 namespace {
+
+std::uint64_t bits(double v) {
+    std::uint64_t b;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+}
 
 ResponseSurface make_surface(const std::function<double(const Vector&)>& truth,
                              std::size_t k = 2) {
@@ -118,6 +129,95 @@ TEST(Surface, GridBestFindsExtremes) {
     EXPECT_NEAR(best.value, 5.0, 0.05);
     const auto worst = s.grid_best(21, false);
     EXPECT_LT(worst.value, best.value);
+}
+
+namespace {
+
+// The grid scan as it was before blocks: one value() per point in odometer
+// order, each coordinate formed in place, the first strict best kept.
+ResponseSurface::GridBest odometer_grid_best(const ResponseSurface& s, std::size_t levels,
+                                             bool maximize) {
+    const std::size_t k = s.dimension();
+    std::size_t total = 1;
+    for (std::size_t f = 0; f < k; ++f) total *= levels;
+    ResponseSurface::GridBest best{Vector(k), maximize ? -1e300 : 1e300};
+    std::vector<std::size_t> idx(k, 0);
+    Vector x(k);
+    for (std::size_t it = 0; it < total; ++it) {
+        for (std::size_t f = 0; f < k; ++f) {
+            x[f] = -1.0 + 2.0 * static_cast<double>(idx[f]) / static_cast<double>(levels - 1);
+        }
+        const double v = s.value(x);
+        if (maximize ? v > best.value : v < best.value) {
+            best.value = v;
+            best.coded = x;
+        }
+        for (std::size_t f = 0; f < k; ++f) {
+            if (++idx[f] < levels) break;
+            idx[f] = 0;
+        }
+    }
+    return best;
+}
+
+ResponseSurface surface_with(const ModelSpec& model, Vector beta) {
+    std::vector<ehdoe::doe::Factor> factors;
+    for (std::size_t i = 0; i < model.dimension(); ++i) {
+        factors.push_back({"f" + std::to_string(i), 0.0, 10.0, false});
+    }
+    return ResponseSurface(FitResult{model, std::move(beta), {}, {}, {}}, DesignSpace(factors),
+                           "resp");
+}
+
+}  // namespace
+
+TEST(Surface, GridBestMatchesOdometerScanBitwise) {
+    // A seeded quadratic, a sum of squares (ties between mirrored points)
+    // and x0 alone (whole grid faces tie, so the first strict best must
+    // win), over every level count 2-7 and both directions.
+    using ehdoe::num::Monomial;
+    for (std::size_t k : {1u, 2u, 3u, 6u}) {
+        const ModelSpec quad(k, ModelOrder::Quadratic);
+        ehdoe::num::Rng rng = ehdoe::num::make_rng(40 + k);
+        Vector seeded(quad.num_terms()), squares(quad.num_terms());
+        for (std::size_t j = 0; j < quad.num_terms(); ++j) {
+            seeded[j] = ehdoe::num::uniform(rng, -3.0, 3.0);
+            for (unsigned e : quad.terms()[j].exponents) {
+                if (e == 2) squares[j] = 1.0;
+            }
+        }
+        std::vector<unsigned> x0(k, 0);
+        x0[0] = 1;
+        const ResponseSurface surfaces[] = {
+            surface_with(quad, seeded), surface_with(quad, squares),
+            surface_with(ModelSpec(k, std::vector<Monomial>{Monomial(x0)}), Vector{1.0})};
+        for (const ResponseSurface& s : surfaces) {
+            for (std::size_t levels = 2; levels <= 7; ++levels) {
+                for (bool maximize : {true, false}) {
+                    const auto ref = odometer_grid_best(s, levels, maximize);
+                    const auto got = s.grid_best(levels, maximize);
+                    const std::string where = s.fit().model.describe() + ", " +
+                                              std::to_string(levels) + " levels, " +
+                                              (maximize ? "max" : "min");
+                    EXPECT_EQ(bits(got.value), bits(ref.value)) << where;
+                    ASSERT_EQ(got.coded.size(), k) << where;
+                    for (std::size_t f = 0; f < k; ++f) {
+                        EXPECT_EQ(bits(got.coded[f]), bits(ref.coded[f])) << where << ", f" << f;
+                    }
+                }
+            }
+        }
+    }
+    // x0 alone: the first point of the x0 = +1 face is every other factor
+    // at its low level.
+    const ResponseSurface face = surface_with(
+        ModelSpec(3, std::vector<Monomial>{Monomial(std::vector<unsigned>{1, 0, 0})}),
+        Vector{1.0});
+    const auto best = face.grid_best(5, true);
+    EXPECT_EQ(best.value, 1.0);
+    EXPECT_EQ(best.coded[0], 1.0);
+    EXPECT_EQ(best.coded[1], -1.0);
+    EXPECT_EQ(best.coded[2], -1.0);
 }
 
 TEST(Surface, GradientMatchesFiniteDifference) {
