@@ -10,7 +10,9 @@
 // parallel and memoized — the paper's comparison is against the status quo
 // at its best, and the trajectories are identical to serial evaluation.
 // Appends the comparison as one JSONL line to the tracked perf-trajectory
-// ledger bench/history/t5_optim.jsonl (see bench/history/README.md).
+// ledger bench/history/t5_optim.jsonl (see bench/history/README.md). The
+// DoE + RSM row also records the flow's RSM evaluations, which gates.json
+// pins with its simulator calls: both are exact functions of the code.
 #include <chrono>
 #include <ctime>
 #include <iostream>
@@ -94,13 +96,15 @@ int main() {
     const auto space = sc.design_space();
 
     core::Table t("T5: optimizer comparison");
-    t.headers({"method", "simulator calls", "wall", "best packets (sim-confirmed)"});
+    t.headers({"method", "simulator calls", "RSM evaluations", "wall",
+               "best packets (sim-confirmed)"});
 
     struct MethodResult {
         std::string method;
         std::size_t simulator_calls = 0;
         double wall_seconds = 0.0;
         double best_packets = 0.0;
+        std::size_t rsm_evaluations = 0;
     };
     std::vector<MethodResult> results;
 
@@ -119,10 +123,11 @@ int main() {
         t.row()
             .cell("DoE + RSM (this paper)")
             .cell(flow.simulator_calls())
+            .cell(out.rsm_evaluations)
             .cell(core::format_seconds(wall))
             .cell(out.confirmed.value_or(-1.0), 1);
         results.push_back({"DoE + RSM (this paper)", flow.simulator_calls(), wall,
-                           out.confirmed.value_or(-1.0)});
+                           out.confirmed.value_or(-1.0), out.rsm_evaluations});
     }
 
     // --- direct heuristics --------------------------------------------------
@@ -140,6 +145,7 @@ int main() {
         t.row()
             .cell(name)
             .cell(obj.runner->stats().simulations)
+            .cell(0)
             .cell(core::format_seconds(wall))
             .cell(conf.at(kRespPackets), 1);
         results.push_back({name, obj.runner->stats().simulations, wall, conf.at(kRespPackets)});
@@ -173,6 +179,7 @@ int main() {
         t.row()
             .cell("pattern search (direct)")
             .cell(obj.calls)
+            .cell(0)
             .cell(core::format_seconds(wall))
             .cell(conf.at(kRespPackets), 1);
         results.push_back({"pattern search (direct)", obj.calls, wall, conf.at(kRespPackets)});
@@ -191,6 +198,7 @@ int main() {
         const auto& r = results[i];
         json << (i ? ", " : "") << "{\"method\": \"" << r.method
              << "\", \"simulator_calls\": " << r.simulator_calls
+             << ", \"rsm_evaluations\": " << r.rsm_evaluations
              << ", \"wall_seconds\": " << r.wall_seconds
              << ", \"best_packets\": " << r.best_packets << "}";
     }

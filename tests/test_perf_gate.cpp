@@ -193,6 +193,7 @@ TEST(PerfGate, TrackedGateFileParses) {
     const JsonValue gates = parse_json(text.str());
     ASSERT_EQ(gates.kind, JsonValue::Kind::Object);
     EXPECT_NE(gates.find("t1_engines.jsonl"), nullptr);
+    EXPECT_NE(gates.find("t5_optim.jsonl"), nullptr);
     EXPECT_NE(gates.find("t8_remote.jsonl"), nullptr);
     EXPECT_NE(gates.find("t9_exec.jsonl"), nullptr);
 }
