@@ -2,7 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <random>
+#include <string>
+#include <vector>
 
 #include "numerics/linalg.hpp"
 #include "numerics/stats.hpp"
@@ -23,6 +27,21 @@ Matrix random_spd(std::size_t n, Rng& rng) {
     Matrix spd = mul_at_b(a, a);
     for (std::size_t i = 0; i < n; ++i) spd(i, i) += static_cast<double>(n);
     return spd;
+}
+
+/// Bit patterns of m, row-major: signed zeros and NaN payloads count.
+std::vector<std::uint64_t> bits(const Matrix& m) {
+    std::vector<std::uint64_t> out(m.rows() * m.cols());
+    for (std::size_t e = 0; e < out.size(); ++e) std::memcpy(&out[e], m.data() + e, sizeof(double));
+    return out;
+}
+
+/// One solve(Vector) per column of b: the substitution every column of
+/// solve(Matrix) must reproduce bit for bit.
+Matrix column_solves(const LuFactor& lu, const Matrix& b) {
+    Matrix x(b.rows(), b.cols());
+    for (std::size_t j = 0; j < b.cols(); ++j) x.set_col(j, lu.solve(b.col(j)));
+    return x;
 }
 
 }  // namespace
@@ -65,6 +84,30 @@ TEST(Lu, MatrixRhsSolve) {
     const Matrix b = random_matrix(4, rng);
     const Matrix x = LuFactor(a).solve(b);
     EXPECT_TRUE(approx_equal(a * x, b, 1e-9));
+}
+
+TEST(Lu, MatrixSolveAndInverseMatchColumnSolvesBitwise) {
+    // solve(Matrix) with 1, 3, 17 and 40 right-hand sides, and inverse(),
+    // against one solve(Vector) per column, bit for bit. A zero leading
+    // entry forces a row swap at the first pivot, and random entries swap
+    // more rows after it.
+    Rng rng = make_rng(41);
+    for (std::size_t n : {3u, 17u}) {
+        Matrix a = random_matrix(n, rng);
+        a(0, 0) = 0.0;
+        const LuFactor lu(a);
+        for (std::size_t cols : {1u, 3u, 17u, 40u}) {
+            SCOPED_TRACE(std::to_string(n) + "x" + std::to_string(n) + " with " +
+                         std::to_string(cols) + " columns");
+            Matrix b(n, cols);
+            for (std::size_t i = 0; i < n; ++i)
+                for (std::size_t j = 0; j < cols; ++j) b(i, j) = uniform(rng, -3.0, 3.0);
+            b(n - 1, 0) = -0.0;
+            EXPECT_EQ(bits(lu.solve(b)), bits(column_solves(lu, b)));
+        }
+        EXPECT_EQ(bits(lu.inverse()), bits(column_solves(lu, Matrix::identity(n))));
+        EXPECT_EQ(bits(inverse(a)), bits(column_solves(lu, Matrix::identity(n))));
+    }
 }
 
 TEST(Cholesky, MatchesLuOnSpd) {

@@ -2,12 +2,56 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "numerics/matrix.hpp"
+#include "numerics/stats.hpp"
 
 using namespace ehdoe::num;
+
+namespace {
+
+/// The product as an i-k-j loop that skips a's zero entries: each entry
+/// sums its products from 0.0 in ascending k. multiply_into must keep
+/// these bits.
+Matrix ikj_product(const Matrix& a, const Matrix& b) {
+    Matrix c(a.rows(), b.cols());
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+        for (std::size_t k = 0; k < a.cols(); ++k) {
+            const double aik = a(i, k);
+            if (aik == 0.0) continue;
+            for (std::size_t j = 0; j < b.cols(); ++j) c(i, j) += aik * b(k, j);
+        }
+    }
+    return c;
+}
+
+/// Bit patterns of m, row-major: signed zeros and NaN payloads count.
+std::vector<std::uint64_t> bits(const Matrix& m) {
+    std::vector<std::uint64_t> out(m.rows() * m.cols());
+    for (std::size_t e = 0; e < out.size(); ++e) std::memcpy(&out[e], m.data() + e, sizeof(double));
+    return out;
+}
+
+/// Entries uniform in [-1, 1), a quarter of them exact zeros of either sign.
+Matrix sparse_random(std::size_t rows, std::size_t cols, Rng& rng) {
+    Matrix m(rows, cols);
+    for (std::size_t i = 0; i < rows; ++i) {
+        for (std::size_t j = 0; j < cols; ++j) {
+            const double u = uniform(rng, 0.0, 1.0);
+            m(i, j) = u < 0.125 ? 0.0 : u < 0.25 ? -0.0 : uniform(rng, -1.0, 1.0);
+        }
+    }
+    return m;
+}
+
+}  // namespace
 
 TEST(Vector, ConstructionAndAccess) {
     Vector v(3);
@@ -80,6 +124,47 @@ TEST(Matrix, MultiplyKnown) {
     EXPECT_DOUBLE_EQ(c(0, 1), 22.0);
     EXPECT_DOUBLE_EQ(c(1, 0), 43.0);
     EXPECT_DOUBLE_EQ(c(1, 1), 50.0);
+}
+
+TEST(Matrix, MultiplyIntoKeepsTheIkjSumsBitwise) {
+    // Every entry of the product must equal the i-k-j loop's bit for bit,
+    // for shapes from 1x1 up to 70 inner indices and for 9..33 output
+    // columns. a and b hold signed zeros; one row of b holds +inf, -inf and
+    // NaN (one per column), opposite a column of a that is zero in most
+    // rows, so they reach some entries and are skipped for the others.
+    struct Shape {
+        std::size_t m, k, n;
+    };
+    std::vector<Shape> shapes = {{1, 1, 1}, {3, 5, 2}, {14, 14, 14}, {17, 17, 17}, {3, 70, 12}};
+    for (std::size_t n = 9; n <= 33; ++n) shapes.push_back({5, 7, n});
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const double specials[] = {kInf, -kInf, std::numeric_limits<double>::quiet_NaN(), 0.5};
+    Rng rng = make_rng(2024);
+    Matrix c;  // reused: multiply_into reshapes it to each product
+    for (const Shape& s : shapes) {
+        SCOPED_TRACE(std::to_string(s.m) + "x" + std::to_string(s.k) + " * " +
+                     std::to_string(s.k) + "x" + std::to_string(s.n));
+        Matrix a = sparse_random(s.m, s.k, rng);
+        Matrix b = sparse_random(s.k, s.n, rng);
+        if (s.m == 14) {
+            for (std::size_t k = 0; k < s.k; ++k) {
+                a(3, k) = 0.0;
+                a(9, k) = -0.0;
+            }
+        }
+        if (s.k >= 5) {
+            const std::size_t k0 = s.k / 2;
+            for (std::size_t i = 0; i < s.m; ++i) a(i, k0) = i % 3 == 0 ? 0.75 : i % 2 ? 0.0 : -0.0;
+            for (std::size_t j = 0; j < s.n; ++j) b(k0, j) = specials[j % 4];
+        }
+        const Matrix expected = ikj_product(a, b);
+        multiply_into(a, b, c);
+        EXPECT_EQ(bits(c), bits(expected));
+        c.fill(std::numeric_limits<double>::quiet_NaN());  // same shape: nothing stale survives
+        multiply_into(a, b, c);
+        EXPECT_EQ(bits(c), bits(expected));
+        EXPECT_EQ(bits(a * b), bits(expected));
+    }
 }
 
 TEST(Matrix, MatVec) {
