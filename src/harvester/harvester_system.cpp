@@ -2,6 +2,8 @@
 
 #include <array>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <stdexcept>
 
 #include "numerics/linalg.hpp"
@@ -133,28 +135,42 @@ num::OdeRhs HarvesterCircuit::make_nonlinear_rhs(std::function<double(double)> a
     const std::size_t m_nodes = net_.num_nodes();
 
     // The returned vector is the only allocation per call: node voltages
-    // are read in place and injections accumulate on the stack.
+    // are read in place and injections accumulate on the stack. The closure
+    // keeps each diode's last voltage and current and the last t's
+    // excitation, so a call recomputes only what moved: a finite-difference
+    // column re-evaluates at most four diodes and no excitation.
     return [this, accel = std::move(accel), load_current = std::move(load_current), g, l,
-            c_p = g.parasitic_damping(), m_nodes](double t, const num::Vector& x) {
+            c_p = g.parasitic_damping(), m_nodes, diodes = MultiplierNetwork::ShockleyMemo{},
+            t_bits = std::uint64_t{0}, a_t = 0.0, i_load = 0.0,
+            sampled = false](double t, const num::Vector& x) mutable {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &t, sizeof bits);
+        if (!sampled || bits != t_bits) {
+            a_t = accel(t);
+            if (load_current) i_load = load_current(t);
+            t_bits = bits;
+            sampled = true;
+        }
+
         num::Vector dx(x.size());
         const double z = x[0], w = x[1], il = x[2];
         const double v0 = x[idx_node(net_.node_v0())];
 
         dx[0] = w;
-        dx[1] = (-spring_k_ * z - c_p * w - g.coupling * il) / g.mass - accel(t);
+        dx[1] = (-spring_k_ * z - c_p * w - g.coupling * il) / g.mass - a_t;
         dx[2] = (g.coupling * w - g.coil_resistance * il - v0) / l;
 
         // Node injections.
         const double* v = x.data() + idx_node(0);
         std::array<double, MultiplierParams::kMaxNodes> inject{};
-        net_.add_shockley_currents(v, inject.data());
+        net_.add_shockley_currents(v, inject.data(), diodes);
         inject[net_.node_v0()] += il;
         const double vout = v[net_.output_node()];
         inject[net_.output_node()] -= vout / params_.storage_leakage;
         if (params_.load_resistance > 0.0) {
             inject[net_.output_node()] -= vout / params_.load_resistance;
         }
-        if (load_current) inject[net_.output_node()] -= load_current(t);
+        if (load_current) inject[net_.output_node()] -= i_load;
 
         // v' = Cinv * inject.
         for (std::size_t r = 0; r < m_nodes; ++r) {

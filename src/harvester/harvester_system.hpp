@@ -88,6 +88,15 @@ public:
     /// Nonlinear ODE right-hand side (Shockley diodes) for the transient
     /// baseline. `accel` supplies a(t); `load_current` may be empty (then
     /// only the resistive load in params applies).
+    ///
+    /// The closure bypasses work a call repeats: it re-evaluates a diode
+    /// only when its branch-voltage bits differ from the previous call's,
+    /// and samples `accel` and `load_current` only when t's bits differ
+    /// from the previous call's. Each result is therefore bitwise the one a
+    /// fresh closure returns for the same (t, x), under this contract:
+    ///  * `accel` and `load_current` must be functions of t;
+    ///  * the returned closure must not be called from two threads at once;
+    ///  * a copy carries its own memo, so copies may run on separate threads.
     num::OdeRhs make_nonlinear_rhs(std::function<double(double)> accel,
                                    std::function<double(double)> load_current = {}) const;
 

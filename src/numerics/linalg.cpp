@@ -52,21 +52,21 @@ void LuFactor::eliminate() {
     }
 }
 
-void LuFactor::substitute(const double* b, std::size_t bs, double* x, std::size_t xs) const {
+void LuFactor::substitute(const double* b, double* x) const {
     const std::size_t n = dim();
     // Apply permutation and forward-substitute L y = P b.
     for (std::size_t i = 0; i < n; ++i) {
-        double s = b[perm_[i] * bs];
+        double s = b[perm_[i]];
         const double* lrow = lu_.row_ptr(i);
-        for (std::size_t j = 0; j < i; ++j) s -= lrow[j] * x[j * xs];
-        x[i * xs] = s;
+        for (std::size_t j = 0; j < i; ++j) s -= lrow[j] * x[j];
+        x[i] = s;
     }
     // Back-substitute U x = y.
     for (std::size_t ii = n; ii-- > 0;) {
-        double s = x[ii * xs];
+        double s = x[ii];
         const double* urow = lu_.row_ptr(ii);
-        for (std::size_t j = ii + 1; j < n; ++j) s -= urow[j] * x[j * xs];
-        x[ii * xs] = s / urow[ii];
+        for (std::size_t j = ii + 1; j < n; ++j) s -= urow[j] * x[j];
+        x[ii] = s / urow[ii];
     }
 }
 
@@ -80,14 +80,38 @@ void LuFactor::solve(const Vector& b, Vector& x) const {
     if (b.size() != dim()) throw std::invalid_argument("LuFactor::solve: size mismatch");
     if (&b == &x) throw std::invalid_argument("LuFactor::solve: output aliases input");
     x.resize(dim());
-    substitute(b.data(), 1, x.data(), 1);
+    substitute(b.data(), x.data());
 }
 
 Matrix LuFactor::solve(const Matrix& b) const {
     if (b.rows() != dim()) throw std::invalid_argument("LuFactor::solve: size mismatch");
-    Matrix x(b.rows(), b.cols());
-    for (std::size_t j = 0; j < b.cols(); ++j)
-        substitute(b.data() + j, b.cols(), x.data() + j, x.cols());
+    const std::size_t n = dim();
+    const std::size_t m = b.cols();
+    Matrix x(n, m);
+    // substitute() on every column at once, a row of x at a time: each
+    // entry starts from the same b entry and subtracts the same products in
+    // the same order, so every column has solve(Vector)'s bits.
+    for (std::size_t i = 0; i < n; ++i) {
+        double* xi = x.row_ptr(i);
+        const double* bi = b.row_ptr(perm_[i]);
+        std::copy(bi, bi + m, xi);
+        const double* lrow = lu_.row_ptr(i);
+        for (std::size_t j = 0; j < i; ++j) {
+            const double l = lrow[j];
+            const double* xj = x.row_ptr(j);
+            for (std::size_t c = 0; c < m; ++c) xi[c] -= l * xj[c];
+        }
+    }
+    for (std::size_t ii = n; ii-- > 0;) {
+        double* xi = x.row_ptr(ii);
+        const double* urow = lu_.row_ptr(ii);
+        for (std::size_t j = ii + 1; j < n; ++j) {
+            const double u = urow[j];
+            const double* xj = x.row_ptr(j);
+            for (std::size_t c = 0; c < m; ++c) xi[c] -= u * xj[c];
+        }
+        for (std::size_t c = 0; c < m; ++c) xi[c] /= urow[ii];
+    }
     return x;
 }
 

@@ -37,7 +37,11 @@ public:
     Vector solve(const Vector& b) const;
     /// Solve A x = b into `x` (resized to dim(); must not be `b`).
     void solve(const Vector& b, Vector& x) const;
-    /// Solve A X = B column-wise, in place in the result (no column copies).
+    /// Solve A X = B for every column of B at once, row by row: forward
+    /// substitution over all columns in permuted row order, then back
+    /// substitution and the pivot division. Each column gets the bits
+    /// solve(Vector) gives it, as each entry sees the same subtractions in
+    /// the same order; expm's Padé solve and inverse() run through here.
     Matrix solve(const Matrix& b) const;
     /// det(A), including the permutation sign.
     double determinant() const;
@@ -49,9 +53,9 @@ public:
 private:
     /// Partial-pivoting elimination of lu_ in place.
     void eliminate();
-    /// Forward and back substitution for one right-hand side: b and x are
-    /// read and written with strides `bs` and `xs`.
-    void substitute(const double* b, std::size_t bs, double* x, std::size_t xs) const;
+    /// Forward and back substitution for one right-hand side of dim()
+    /// entries.
+    void substitute(const double* b, double* x) const;
 
     Matrix lu_;
     std::vector<std::size_t> perm_;

@@ -224,19 +224,36 @@ Matrix operator*(const Matrix& a, const Matrix& b) {
 void multiply_into(const Matrix& a, const Matrix& b, Matrix& c) {
     if (a.cols() != b.rows()) throw_shape("matrix *");
     if (&c == &a || &c == &b) throw_shape("matrix * into one of its factors");
-    if (c.rows() != a.rows() || c.cols() != b.cols()) {
-        c = Matrix(a.rows(), b.cols());
-    } else {
-        c.fill(0.0);
-    }
-    // i-k-j loop order: streams through b's rows, good locality for row-major.
+    if (c.rows() != a.rows() || c.cols() != b.cols()) c = Matrix(a.rows(), b.cols());
+    // Each entry sums a(i, k) * b(k, j) from 0.0 over the k with
+    // a(i, k) != 0, in ascending k: the order of an i-k-j loop that skips
+    // a's zeros, hence its bits. A row's sums run kBlock columns at a time
+    // in a local array the compiler keeps in registers, so c is written
+    // once per entry; the columns after the last full block run one by one.
+    constexpr std::size_t kBlock = 8;
+    const std::size_t inner = a.cols();
+    const std::size_t n = b.cols();
+    const std::size_t blocked = n - n % kBlock;
     for (std::size_t i = 0; i < a.rows(); ++i) {
-        for (std::size_t k = 0; k < a.cols(); ++k) {
-            const double aik = a(i, k);
-            if (aik == 0.0) continue;
-            const double* brow = b.row_ptr(k);
-            double* crow = c.row_ptr(i);
-            for (std::size_t j = 0; j < b.cols(); ++j) crow[j] += aik * brow[j];
+        const double* arow = a.row_ptr(i);
+        double* crow = c.row_ptr(i);
+        for (std::size_t j0 = 0; j0 < blocked; j0 += kBlock) {
+            double acc[kBlock] = {};
+            for (std::size_t k = 0; k < inner; ++k) {
+                const double aik = arow[k];
+                if (aik == 0.0) continue;
+                const double* bk = b.row_ptr(k) + j0;
+                for (std::size_t jj = 0; jj < kBlock; ++jj) acc[jj] += aik * bk[jj];
+            }
+            for (std::size_t jj = 0; jj < kBlock; ++jj) crow[j0 + jj] = acc[jj];
+        }
+        for (std::size_t j = blocked; j < n; ++j) {
+            double acc = 0.0;
+            for (std::size_t k = 0; k < inner; ++k) {
+                const double aik = arow[k];
+                if (aik != 0.0) acc += aik * b(k, j);
+            }
+            crow[j] = acc;
         }
     }
 }
