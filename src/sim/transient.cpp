@@ -20,6 +20,12 @@ TransientEngine::TransientEngine(num::OdeRhs rhs, std::size_t state_dim, Transie
     if (state_dim == 0) throw std::invalid_argument("TransientEngine: empty state");
     if (!(opt_.step > 0.0)) throw std::invalid_argument("TransientEngine: step must be positive");
     if (opt_.jacobian_reuse < 1) throw std::invalid_argument("TransientEngine: jacobian_reuse >= 1");
+    // A zero or NaN perturbation makes every Jacobian column 0/0, which the
+    // LU does not flag, and no Newton iteration leaves Euler's predictor.
+    if (!(opt_.fd_eps > 0.0 && std::isfinite(opt_.fd_eps)))
+        throw std::invalid_argument("TransientEngine: fd_eps > 0 and finite");
+    if (opt_.max_newton_iters < 1)
+        throw std::invalid_argument("TransientEngine: max_newton_iters >= 1");
 }
 
 void TransientEngine::set_state(Vector x) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "harvester/multiplier.hpp"
 #include "numerics/linalg.hpp"
@@ -137,6 +138,27 @@ TEST(Network, Validation) {
     p.stage_capacitance = 0.0;
     EXPECT_THROW(MultiplierNetwork(p, 0.0), std::invalid_argument);
     EXPECT_THROW(MultiplierNetwork(MultiplierParams{}, -1.0), std::invalid_argument);
+    // Diode parameters that break shockley_current at ordinary voltages:
+    // n * V_T of zero (NaN at 0 V) or below (reverse bias blows up), and a
+    // knee that is not finite.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double bad : {0.0, -1.05, nan, inf}) {
+        p = MultiplierParams{};
+        p.diode.ideality = bad;
+        EXPECT_THROW(p.validate(), std::invalid_argument) << "ideality " << bad;
+        p = MultiplierParams{};
+        p.diode.thermal_voltage = bad;
+        EXPECT_THROW(MultiplierNetwork(p, 0.0), std::invalid_argument) << "V_T " << bad;
+    }
+    for (double bad : {nan, inf, -inf}) {
+        p = MultiplierParams{};
+        p.diode.linearize_above = bad;
+        EXPECT_THROW(p.validate(), std::invalid_argument) << "linearize_above " << bad;
+    }
+    p = MultiplierParams{};
+    p.diode.linearize_above = -0.2;  // a knee below 0 V is a model choice, not an error
+    EXPECT_NO_THROW(p.validate());
 }
 
 // Property: the capacitance matrix stays SPD across stage counts.

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "sim/transient.hpp"
 
@@ -88,6 +89,22 @@ TEST(Transient, ValidatesArguments) {
     TransientOptions bad;
     bad.step = -1.0;
     EXPECT_THROW(TransientEngine(rhs, 1, bad), std::invalid_argument);
+    // A zero or NaN perturbation makes every Jacobian column 0/0, and no
+    // Newton iteration returns the explicit-Euler predictor as the step.
+    for (double eps : {0.0, -1e-7, std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity()}) {
+        bad = TransientOptions{};
+        bad.fd_eps = eps;
+        EXPECT_THROW(TransientEngine(rhs, 1, bad), std::invalid_argument) << "fd_eps " << eps;
+    }
+    for (int iters : {0, -3}) {
+        bad = TransientOptions{};
+        bad.max_newton_iters = iters;
+        EXPECT_THROW(TransientEngine(rhs, 1, bad), std::invalid_argument) << "iters " << iters;
+    }
+    bad = TransientOptions{};
+    bad.max_newton_iters = 1;
+    EXPECT_NO_THROW(TransientEngine(rhs, 1, bad));
     TransientEngine eng(rhs, 1);
     EXPECT_THROW(eng.set_state(Vector{1.0, 2.0}), std::invalid_argument);
 }
