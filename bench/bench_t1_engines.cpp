@@ -1,17 +1,19 @@
 // T1 — Simulation engine comparison (reproduces the headline of [4]):
 // explicit linearized state-space vs classical Newton-Raphson trapezoidal
 // transient on the identical harvester circuit. Reports CPU time (the
-// median of kRepeats runs), work counters and waveform agreement at several
-// time steps, then each engine's error against a converged NR reference at
-// the equal-accuracy pairing, and appends everything to the perf ledger
-// bench/history/t1_engines.jsonl, whose counters bench/history/gates.json
-// pins exactly.
+// median of kRepeats runs, with their min and max in the ledger), work
+// counters and waveform agreement at several time steps, then each engine's
+// error against a converged NR reference at the equal-accuracy pairing, and
+// appends everything to the perf ledger bench/history/t1_engines.jsonl,
+// whose counters bench/history/gates.json pins exactly and whose two
+// errors it caps at their committed values.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <ctime>
 #include <iostream>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -31,18 +33,32 @@ constexpr double kRefStep = 2.5e-5;  ///< the converged NR reference
 constexpr double kNrEqualStep = 5e-5;
 constexpr double kPwlEqualStep = 2e-4;
 
-/// One engine at one step: the median wall of kRepeats identical runs, the
-/// output waveform (one sample per step) and the engine's counters.
+/// One engine at one step: the median, min and max wall of kRepeats
+/// identical runs, the output waveform (one sample per step) and the
+/// engine's counters.
 template <class Stats>
 struct RunOutcome {
     double wall = 0.0;
+    double wall_min = 0.0;
+    double wall_max = 0.0;
     std::vector<double> vout;
     Stats stats;
+
+    void set_walls(std::vector<double> walls) {
+        std::sort(walls.begin(), walls.end());
+        wall = walls[walls.size() / 2];
+        wall_min = walls.front();
+        wall_max = walls.back();
+    }
 };
 
-double median(std::vector<double> v) {
-    std::sort(v.begin(), v.end());
-    return v[v.size() / 2];
+/// `"wall_s": median, "wall_min_s": min, "wall_max_s": max` of one run.
+template <class Stats>
+std::string walls_json(const RunOutcome<Stats>& r) {
+    std::ostringstream out;
+    out << "\"wall_s\": " << r.wall << ", \"wall_min_s\": " << r.wall_min
+        << ", \"wall_max_s\": " << r.wall_max;
+    return out.str();
 }
 
 RunOutcome<sim::EngineStats> run_fast(const HarvesterCircuit& c, double h, double t_end,
@@ -64,7 +80,7 @@ RunOutcome<sim::EngineStats> run_fast(const HarvesterCircuit& c, double h, doubl
             std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
         out.stats = eng.stats();
     }
-    out.wall = median(walls);
+    out.set_walls(std::move(walls));
     return out;
 }
 
@@ -87,7 +103,7 @@ RunOutcome<sim::TransientStats> run_slow(const HarvesterCircuit& c, double h, do
             std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
         out.stats = eng.stats();
     }
-    out.wall = median(walls);
+    out.set_walls(std::move(walls));
     return out;
 }
 
@@ -153,13 +169,13 @@ int main() {
 
         const sim::TransientStats& ns = slow.stats;
         const sim::EngineStats& ps = fast.stats;
-        json << (i ? ", " : "") << "{\"h\": " << h << ", \"nr\": {\"wall_s\": " << slow.wall
+        json << (i ? ", " : "") << "{\"h\": " << h << ", \"nr\": {" << walls_json(slow)
              << ", \"steps\": " << ns.steps << ", \"newton_iterations\": " << ns.newton_iterations
              << ", \"jacobian_builds\": " << ns.jacobian_builds
              << ", \"lu_factorizations\": " << ns.lu_factorizations
              << ", \"rhs_evaluations\": " << ns.rhs_evaluations
              << ", \"nonconverged_steps\": " << ns.nonconverged_steps
-             << "}, \"pwl\": {\"wall_s\": " << fast.wall << ", \"steps\": " << ps.steps
+             << "}, \"pwl\": {" << walls_json(fast) << ", \"steps\": " << ps.steps
              << ", \"segment_changes\": " << ps.segment_changes
              << ", \"cache_hits\": " << ps.cache_hits << ", \"cache_misses\": " << ps.cache_misses
              << ", \"retried_steps\": " << ps.retried_steps << "}, \"speedup\": "

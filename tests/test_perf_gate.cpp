@@ -192,7 +192,17 @@ TEST(PerfGate, TrackedGateFileParses) {
     text << in.rdbuf();
     const JsonValue gates = parse_json(text.str());
     ASSERT_EQ(gates.kind, JsonValue::Kind::Object);
-    EXPECT_NE(gates.find("t1_engines.jsonl"), nullptr);
+    const JsonValue* t1 = gates.find("t1_engines.jsonl");
+    ASSERT_NE(t1, nullptr);
+    // T1's equal-accuracy errors are bit-deterministic: capped at their
+    // committed values, any change that moves them fails the gate.
+    const JsonValue* t1_caps = t1->find("max");
+    ASSERT_NE(t1_caps, nullptr);
+    for (const char* path : {"equal_accuracy.nr_error", "equal_accuracy.pwl_error"}) {
+        const JsonValue* cap = t1_caps->find(path);
+        ASSERT_NE(cap, nullptr) << path;
+        EXPECT_EQ(cap->kind, JsonValue::Kind::Number) << path;
+    }
     EXPECT_NE(gates.find("t5_optim.jsonl"), nullptr);
     EXPECT_NE(gates.find("t8_remote.jsonl"), nullptr);
     EXPECT_NE(gates.find("t9_exec.jsonl"), nullptr);
