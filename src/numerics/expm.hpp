@@ -11,10 +11,13 @@
 //
 // The products, Padé sums and squarings run in a few work matrices
 // allocated once per call (num::multiply_into, in-place sums); nothing is
-// allocated per product, per term or per column. Every entry is computed
-// by the same operations in the same order as the textbook expressions
-// with Matrix temporaries, so the bits are theirs: goldens in test_expm and
-// test_harvester_system pin them, signed zeros included.
+// allocated per product, per term or per column. The products sum blocks
+// of 8 output columns in registers, and the Padé solve D^-1 N substitutes
+// all n columns of N row by row (LuFactor::solve(Matrix)). Every entry is
+// computed by the same operations in the same order as the textbook
+// expressions with Matrix temporaries and column-by-column solves, so the
+// bits are theirs: goldens in test_expm and test_harvester_system pin them,
+// signed zeros included.
 #pragma once
 
 #include "numerics/matrix.hpp"

@@ -157,7 +157,10 @@ Matrix operator*(double s, Matrix rhs);
 Matrix operator*(const Matrix& a, const Matrix& b);
 /// The same product, bit for bit, into `c`: reshaped to a.rows() x b.cols()
 /// if it has another shape, so nothing is allocated once it has this one.
-/// `c` must be neither factor.
+/// `c` must be neither factor. Each entry sums a(i, k) * b(k, j) from 0.0
+/// over the k with a(i, k) != 0 in ascending k (an i-k-j loop's order, so
+/// its bits for every input, signed zeros, infinities and NaNs included);
+/// a row is summed 8 columns at a time in registers.
 void multiply_into(const Matrix& a, const Matrix& b, Matrix& c);
 /// Matrix-vector product.
 Vector operator*(const Matrix& a, const Vector& x);

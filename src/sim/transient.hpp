@@ -36,8 +36,8 @@ using num::Vector;
 struct TransientOptions {
     double step = 1e-4;          ///< fixed time step
     double newton_tol = 1e-9;    ///< residual convergence (infinity norm)
-    int max_newton_iters = 30;
-    double fd_eps = 1e-7;        ///< Jacobian finite-difference perturbation
+    int max_newton_iters = 30;   ///< >= 1
+    double fd_eps = 1e-7;        ///< Jacobian finite-difference perturbation (> 0, finite)
     /// Rebuild the Jacobian only every `jacobian_reuse` Newton iterations
     /// (1 = every iteration, the textbook method).
     int jacobian_reuse = 1;
