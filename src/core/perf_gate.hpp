@@ -6,10 +6,12 @@
 // raising the bar is a diff, not a CI-config edit:
 //
 //   {
-//     "t8_remote.jsonl": {
+//     "farm.jsonl": {
 //       "require_true": ["contract_ok", "hetero.identical"],
-//       "require_eq":   {"sweep[1].backend": "remote x1"},
-//       "min":          {"sweep[1].speedup": 0.95}
+//       "require_eq":   {"sweep[2].backend": "remote x1",
+//                        "sweep[2].points_served": 45},
+//       "min":          {"sweep[2].speedup": 0.95},
+//       "max":          {"sweep[2].latency_p99_us": 500000}
 //     }
 //   }
 //

@@ -1,6 +1,5 @@
 #include "net/eval_server.hpp"
 
-#include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -109,32 +108,10 @@ void EvalServer::start() {
     }
     pool_ = std::make_unique<core::ThreadPool>(options_.workers);
 
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (listen_fd_ < 0) throw std::runtime_error("EvalServer: socket failed");
-    const int one = 1;
-    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(options_.port);
-    if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-        throw std::runtime_error("EvalServer: bad host '" + options_.host + "'");
-    }
-    if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0 ||
-        ::listen(listen_fd_, 64) != 0) {
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-        throw std::runtime_error("EvalServer: cannot listen on " + options_.host + ":" +
-                                 std::to_string(options_.port));
-    }
-
-    // Resolve the bound port (ephemeral binds) for port().
-    sockaddr_in bound{};
-    socklen_t len = sizeof bound;
-    if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
-        port_ = ntohs(bound.sin_port);
+    try {
+        listen_fd_ = listen_tcp(options_.host, options_.port, port_);
+    } catch (const std::runtime_error& e) {
+        throw std::runtime_error(std::string("EvalServer: ") + e.what());
     }
     set_nonblocking(listen_fd_);
 

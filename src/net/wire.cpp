@@ -1,8 +1,13 @@
 #include "net/wire.hpp"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <cerrno>
+#include <cstring>
+#include <stdexcept>
 
 namespace ehdoe::net {
 
@@ -39,6 +44,35 @@ bool write_all(int fd, const void* buf, std::size_t len) {
 
 bool read_u64(int fd, std::uint64_t& v) { return read_exact(fd, &v, sizeof v); }
 bool write_u64(int fd, std::uint64_t v) { return write_all(fd, &v, sizeof v); }
+
+// ---------------------------------------------------------------------------
+// Listening
+// ---------------------------------------------------------------------------
+
+int listen_tcp(const std::string& host, std::uint16_t port, std::uint16_t& bound_port) {
+    const std::string where = "cannot listen on " + host + ":" + std::to_string(port);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
+        throw std::runtime_error(where + ": bad host");
+    }
+    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    if (fd < 0) throw std::runtime_error(where + ": " + std::strerror(errno));
+    const int one = 1;
+    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+    sockaddr_in bound{};
+    socklen_t len = sizeof bound;
+    if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0 ||
+        ::listen(fd, 64) != 0 ||
+        ::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) != 0) {
+        const int err = errno;
+        ::close(fd);
+        throw std::runtime_error(where + ": " + std::strerror(err));
+    }
+    bound_port = ntohs(bound.sin_port);
+    return fd;
+}
 
 // ---------------------------------------------------------------------------
 // Evaluation frames

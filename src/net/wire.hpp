@@ -124,6 +124,18 @@ bool read_u64(int fd, std::uint64_t& v);
 bool write_u64(int fd, std::uint64_t v);
 
 // ---------------------------------------------------------------------------
+// Listening
+// ---------------------------------------------------------------------------
+
+/// The one TCP listener of the daemons and the exporter: a close-on-exec
+/// socket with SO_REUSEADDR, bound to `host` (an IPv4 address) and `port`
+/// (0 = an ephemeral port) and listening with backlog 64. Stores the port
+/// actually bound in `bound_port` and returns the descriptor. Throws
+/// std::runtime_error naming host:port when the host does not parse or
+/// socket, bind or listen fails; nothing stays open after a throw.
+int listen_tcp(const std::string& host, std::uint16_t port, std::uint16_t& bound_port);
+
+// ---------------------------------------------------------------------------
 // Evaluation frames
 // ---------------------------------------------------------------------------
 

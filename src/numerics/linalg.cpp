@@ -123,17 +123,6 @@ double LuFactor::determinant() const {
 
 Matrix LuFactor::inverse() const { return solve(Matrix::identity(dim())); }
 
-double LuFactor::rcond_estimate() const {
-    double umin = std::numeric_limits<double>::infinity();
-    double umax = 0.0;
-    for (std::size_t i = 0; i < dim(); ++i) {
-        const double u = std::fabs(lu_(i, i));
-        umin = std::min(umin, u);
-        umax = std::max(umax, u);
-    }
-    return umax > 0.0 ? umin / umax : 0.0;
-}
-
 // ---------------------------------------------------------- CholeskyFactor
 
 CholeskyFactor::CholeskyFactor(const Matrix& a) {
@@ -295,12 +284,6 @@ Matrix QrFactor::thin_q() const {
     return q;
 }
 
-double QrFactor::abs_determinant() const {
-    double d = 1.0;
-    for (std::size_t i = 0; i < cols(); ++i) d *= std::fabs(qr_(i, i));
-    return d;
-}
-
 // --------------------------------------------------------- eigen_symmetric
 
 SymmetricEigen eigen_symmetric(const Matrix& a_in, int max_sweeps) {
@@ -366,10 +349,6 @@ SymmetricEigen eigen_symmetric(const Matrix& a_in, int max_sweeps) {
 }
 
 // ------------------------------------------------------------ conveniences
-
-Vector solve(const Matrix& a, const Vector& b) { return LuFactor(a).solve(b); }
-
-Vector lstsq(const Matrix& a, const Vector& b) { return QrFactor(a).solve(b); }
 
 Matrix inverse(const Matrix& a) { return LuFactor(a).inverse(); }
 

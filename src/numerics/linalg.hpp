@@ -47,8 +47,6 @@ public:
     double determinant() const;
     /// Explicit inverse (prefer solve()).
     Matrix inverse() const;
-    /// Growth-based estimate of reciprocal conditioning: min|u_ii|/max|u_ii|.
-    double rcond_estimate() const;
 
 private:
     /// Partial-pivoting elimination of lu_ in place.
@@ -104,9 +102,6 @@ public:
     /// Explicit thin Q (m x n).
     Matrix thin_q() const;
 
-    /// |r_00 * r_11 * ...| — absolute determinant when A is square.
-    double abs_determinant() const;
-
 private:
     Matrix qr_;           // Householder vectors below diagonal, R on/above.
     std::vector<double> beta_;  // Householder scalars.
@@ -122,12 +117,6 @@ struct SymmetricEigen {
 /// internally; convergence to machine precision for the small matrices used
 /// here (k <= ~20 factors).
 SymmetricEigen eigen_symmetric(const Matrix& a, int max_sweeps = 64);
-
-/// Solve the linear system A x = b (convenience wrapper around LuFactor).
-Vector solve(const Matrix& a, const Vector& b);
-
-/// Least squares min ||A x - b|| via QR (convenience wrapper).
-Vector lstsq(const Matrix& a, const Vector& b);
 
 /// Explicit inverse via LU; throws on singular input.
 Matrix inverse(const Matrix& a);

@@ -1,7 +1,5 @@
 #include "store/store_server.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -27,30 +25,10 @@ StoreServer::~StoreServer() { stop(); }
 
 void StoreServer::start() {
     if (listen_fd_ >= 0) return;
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (listen_fd_ < 0) throw std::runtime_error("StoreServer: socket failed");
-    const int one = 1;
-    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(options_.port);
-    if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-        throw std::runtime_error("StoreServer: bad host " + options_.host);
-    }
-    if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0 ||
-        ::listen(listen_fd_, 64) != 0) {
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-        throw std::runtime_error("StoreServer: cannot listen on " + options_.host + ":" +
-                                 std::to_string(options_.port));
-    }
-    sockaddr_in bound{};
-    socklen_t len = sizeof bound;
-    if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
-        port_ = ntohs(bound.sin_port);
+    try {
+        listen_fd_ = listen_tcp(options_.host, options_.port, port_);
+    } catch (const std::runtime_error& e) {
+        throw std::runtime_error(std::string("StoreServer: ") + e.what());
     }
     started_at_ = std::chrono::steady_clock::now();
     stopping_.store(false);

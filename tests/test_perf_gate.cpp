@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -16,8 +17,8 @@ using namespace ehdoe::core;
 
 namespace {
 
-/// The tracked gate spec for t8_remote.jsonl, verbatim from
-/// bench/history/gates.json.
+/// A synthetic gate spec in the shape of the tracked remote-x1 checks: two
+/// contract bits, a row anchor and a speedup floor.
 const char* kT8Gates = R"({
   "t8_remote.jsonl": {
     "require_true": ["contract_ok", "hetero.identical"],
@@ -26,7 +27,7 @@ const char* kT8Gates = R"({
   }
 })";
 
-/// A healthy t8 ledger line shaped like the real bench output.
+/// A healthy line for kT8Gates, with the remote-x1 row at index 1.
 std::string t8_line(double remote_x1_speedup, bool contract_ok = true,
                     bool identical = true) {
     return std::string("{\"bench\": \"t8_remote\", \"contract_ok\": ") +
@@ -204,7 +205,54 @@ TEST(PerfGate, TrackedGateFileParses) {
         EXPECT_EQ(cap->kind, JsonValue::Kind::Number) << path;
     }
     EXPECT_NE(gates.find("t5_optim.jsonl"), nullptr);
-    EXPECT_NE(gates.find("t8_remote.jsonl"), nullptr);
-    EXPECT_NE(gates.find("t9_exec.jsonl"), nullptr);
+
+    // The farm bench's block: both contract bits, the remote-x1 floor and
+    // the latency ceilings at their bounds, and every row's label and exact
+    // counters. The ledgers it retired are no longer gated.
+    const JsonValue* farm = gates.find("farm.jsonl");
+    ASSERT_NE(farm, nullptr);
+    const JsonValue* bits = farm->find("require_true");
+    ASSERT_NE(bits, nullptr);
+    ASSERT_EQ(bits->array.size(), 2u);
+    EXPECT_EQ(bits->array[0].string, "contract_ok");
+    EXPECT_EQ(bits->array[1].string, "hetero.identical");
+    auto number = [&](const char* kind, const std::string& path) {
+        const JsonValue* checks = farm->find(kind);
+        const JsonValue* v = checks ? checks->find(path) : nullptr;
+        EXPECT_TRUE(v && v->kind == JsonValue::Kind::Number) << kind << " " << path;
+        return v && v->kind == JsonValue::Kind::Number ? v->number : -1.0;
+    };
+    EXPECT_EQ(number("min", "sweep[2].speedup"), 0.95);
+    EXPECT_EQ(number("max", "sweep[2].latency_p99_us"), 500000.0);
+    EXPECT_EQ(number("max", "sweep[5].latency_p99_us"), 1000000.0);
+    const struct {
+        const char* label;
+        std::map<std::string, double> counters;
+    } rows[] = {
+        {"in-process x1 (reference)", {{"simulations", 45}, {"cache_hits", 3}}},
+        {"in-process xN", {{"simulations", 45}, {"cache_hits", 3}}},
+        {"remote x1", {{"simulations", 45}, {"points_served", 45}}},
+        {"remote x2", {{"simulations", 45}, {"points_served", 45}}},
+        {"remote x4", {{"simulations", 45}, {"points_served", 45}}},
+        {"exec", {{"simulations", 45}, {"launches", 45}}},
+        {"exec over remote", {{"simulations", 45}, {"points_served", 45}}},
+        {"cold (store+snapshot)", {{"simulations", 45}, {"store_keys", 45}}},
+        {"store warm", {{"simulations", 0}, {"cache_hits", 48}}},
+        {"snapshot warm", {{"simulations", 0}, {"cache_hits", 48}}},
+    };
+    const JsonValue* eq = farm->find("require_eq");
+    ASSERT_NE(eq, nullptr);
+    for (std::size_t i = 0; i < std::size(rows); ++i) {
+        const std::string row = "sweep[" + std::to_string(i) + "].";
+        const JsonValue* label = eq->find(row + "backend");
+        ASSERT_NE(label, nullptr) << row;
+        EXPECT_EQ(label->string, rows[i].label);
+        for (const auto& [name, value] : rows[i].counters) {
+            EXPECT_EQ(number("require_eq", row + name), value) << row << name;
+        }
+    }
+    for (const char* retired : {"t8_remote.jsonl", "t9_exec.jsonl", "t10_store.jsonl"}) {
+        EXPECT_EQ(gates.find(retired), nullptr) << retired;
+    }
 }
 #endif

@@ -4,10 +4,12 @@
 // Covers both directions of read_exact/frame decode: hostile client against
 // EvalServer, and hostile (fake) server against RemoteBackend. Also pins the
 // exact-version handshake: every connection kind refuses any version but
-// kProtocolVersion.
+// kProtocolVersion, and the one listener: both daemons refuse to start on a
+// host or port they cannot listen on.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -16,8 +18,10 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "doe/batch_runner.hpp"
@@ -281,6 +285,50 @@ TEST(WireHardening, EveryConnectionKindRefusesThePreviousProtocolVersion) {
         store.stop();
         EXPECT_EQ(store.handshakes_rejected(), 1u);
     }
+    std::filesystem::remove_all(dir);
+}
+
+// Both daemons listen through net::listen_tcp: a close-on-exec listener
+// on the port the kernel picked, and a start() that throws with the
+// daemon's prefix and host:port when the host does not parse or another
+// listener holds the port.
+TEST(WireHardening, DaemonsThrowWhenTheyCannotListen) {
+    std::uint16_t held = 0;
+    const int holder = net::listen_tcp("127.0.0.1", 0, held);
+    ASSERT_GE(holder, 0);
+    EXPECT_NE(held, 0);
+    EXPECT_NE(::fcntl(holder, F_GETFD) & FD_CLOEXEC, 0);
+
+    const std::string dir = (std::filesystem::temp_directory_path() /
+                             ("ehdoe-wire-listen-" + std::to_string(::getpid())))
+                                .string();
+    auto expect_refusal = [](auto& daemon, const std::string& message) {
+        try {
+            daemon.start();
+            ADD_FAILURE() << "start() must throw: " << message;
+        } catch (const std::runtime_error& e) {
+            EXPECT_EQ(std::string(e.what()).rfind(message, 0), 0u) << e.what();
+        }
+    };
+    const std::vector<std::pair<std::string, std::uint16_t>> refused = {
+        {"not-an-address", 0}, {"127.0.0.1", held}};
+    for (const auto& [host, port] : refused) {
+        const std::string where = "cannot listen on " + host + ":" + std::to_string(port);
+        net::EvalServerOptions eo;
+        eo.host = host;
+        eo.port = port;
+        net::EvalServer eval(identity_sim(), eo);
+        expect_refusal(eval, "EvalServer: " + where);
+
+        store::StoreServerOptions so;
+        so.dir = dir;
+        so.verbose = false;
+        so.host = host;
+        so.port = port;
+        store::StoreServer store(so);
+        expect_refusal(store, "StoreServer: " + where);
+    }
+    ::close(holder);
     std::filesystem::remove_all(dir);
 }
 

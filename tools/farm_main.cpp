@@ -40,8 +40,6 @@
 // textfile: 0 when every endpoint answered the last poll, 1 when any did
 // not. top: 0. export --port: 0 after SIGINT/SIGTERM, 1 when it cannot
 // listen.
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -53,6 +51,7 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -608,28 +607,14 @@ int serve(const std::string& host, std::uint16_t port, const Farm& farm) {
     // Connections are answered one at a time, so a client that connects
     // and sends nothing may hold the loop this long, not forever.
     constexpr int kRequestWaitMs = 1000;
-    const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listen_fd < 0) {
-        std::cerr << "ehdoe-farm: socket failed\n";
-        return 1;
-    }
-    const int one = 1;
-    ::setsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1 ||
-        ::bind(listen_fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0 ||
-        ::listen(listen_fd, 16) != 0) {
+    int listen_fd = -1;
+    std::uint16_t bound_port = 0;
+    try {
+        listen_fd = net::listen_tcp(host, port, bound_port);
+    } catch (const std::runtime_error&) {
         std::cerr << "ehdoe-farm: cannot listen on " << host << ":" << port << "\n";
-        ::close(listen_fd);
         return 1;
     }
-    sockaddr_in bound{};
-    socklen_t len = sizeof bound;
-    std::uint16_t bound_port = port;
-    if (::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&bound), &len) == 0)
-        bound_port = ntohs(bound.sin_port);
     std::cout << "serving on " << host << ":" << bound_port << std::endl;
 
     std::signal(SIGINT, handle_signal);
