@@ -9,9 +9,9 @@
 
 #include "core/report.hpp"
 #include "core/scenario.hpp"
+#include "doe/batch_runner.hpp"
 #include "doe/composite.hpp"
 #include "doe/lhs.hpp"
-#include "doe/runner.hpp"
 #include "harvester/harvester_system.hpp"
 #include "rsm/validate.hpp"
 #include "sim/state_space.hpp"
@@ -116,7 +116,7 @@ int main() {
         doe::RunnerOptions ro;
         ro.threads = 8;
         const doe::Design probe = doe::latin_hypercube(100, 6, 31337);
-        const auto probe_res = doe::run_points(space, probe.points, sim, ro);
+        const auto probe_res = doe::BatchRunner(sim, ro).run_points(space, probe.points);
         const auto y_probe = probe_res.response(kRespConsumed);
 
         core::Table t("A1c: CCD centre-point count vs validation error (E_cons)");
@@ -125,7 +125,8 @@ int main() {
             doe::CcdOptions o;
             o.variant = doe::CcdVariant::FaceCentred;
             o.center_points = nc;
-            const auto res = doe::run_design(space, doe::central_composite(6, o), sim, ro);
+            const auto res =
+                doe::BatchRunner(sim, ro).run_design(space, doe::central_composite(6, o));
             const auto fit = rsm::fit_ols(rsm::ModelSpec(6, rsm::ModelOrder::Quadratic),
                                           res.design.points, res.response(kRespConsumed));
             const auto v = rsm::validate_holdout(fit, probe.points, y_probe);

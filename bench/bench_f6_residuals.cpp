@@ -4,8 +4,8 @@
 
 #include "core/report.hpp"
 #include "core/scenario.hpp"
+#include "doe/batch_runner.hpp"
 #include "doe/composite.hpp"
-#include "doe/runner.hpp"
 #include "numerics/stats.hpp"
 #include "rsm/diagnostics.hpp"
 
@@ -23,7 +23,7 @@ int main() {
     const auto design = doe::central_composite(6, fc);
     doe::RunnerOptions ro;
     ro.threads = 8;
-    const auto res = doe::run_design(space, design, sc.make_simulation(), ro);
+    const auto res = doe::BatchRunner(sc.make_simulation(), ro).run_design(space, design);
     const auto y = res.response(kRespConsumed);
 
     core::Table t("F6a: model order vs fit quality (E_cons)");

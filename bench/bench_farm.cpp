@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <cstdint>
 #include <ctime>
 #include <exception>
 #include <filesystem>
@@ -266,15 +267,23 @@ int main() try {
 
     // The reuse tiers. Every cold run starts a store daemon on a fresh
     // directory and writes a fresh snapshot; the warm rows read the last.
+    // A run through the store counts the gets, hits and puts it served.
     std::unique_ptr<store::StoreServer> store;
     std::string snapshot;
     int cold_runs = 0;
-    auto tiered = [&](const std::string& cache_file, const std::string& store_endpoint) {
+    auto tiered = [&](const std::string& cache_file, bool through_store) {
         doe::RunnerOptions o;
         o.cache_file = cache_file;
         o.cache_fingerprint = fp;
-        o.store_endpoint = store_endpoint;
-        return run(doe::BatchRunner(sc.make_simulation(), o));
+        if (!through_store) return run(doe::BatchRunner(sc.make_simulation(), o));
+        o.store_endpoint = endpoint_of(store->port());
+        const std::uint64_t gets = store->gets_served(), hits = store->get_hits(),
+                            puts = store->puts_received();
+        Sample out = run(doe::BatchRunner(sc.make_simulation(), o));
+        out.counters.emplace_back("store_gets", store->gets_served() - gets);
+        out.counters.emplace_back("store_hits", store->get_hits() - hits);
+        out.counters.emplace_back("store_puts", store->puts_received() - puts);
+        return out;
     };
     const RunFn cold = [&] {
         const std::string dir = scratch.path + "/cold-" + std::to_string(cold_runs++);
@@ -284,14 +293,14 @@ int main() try {
         store = std::make_unique<store::StoreServer>(so);
         store->start();
         snapshot = dir + "/snapshot.ehcache";
-        Sample out = tiered(snapshot, endpoint_of(store->port()));
+        Sample out = tiered(snapshot, true);
         out.counters.emplace_back("store_keys", store->log().size());
         out.ok = store->log().size() == out.r.simulations;  // every distinct point
         return out;
     };
     auto warm = [&](bool from_store) -> RunFn {
         return [&, from_store] {
-            Sample out = from_store ? tiered("", endpoint_of(store->port())) : tiered(snapshot, "");
+            Sample out = from_store ? tiered("", true) : tiered(snapshot, false);
             out.ok = out.r.simulations == 0 && out.r.cache_hits == design.runs();
             return out;
         };

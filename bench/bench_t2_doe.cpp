@@ -33,7 +33,7 @@ int main() {
 
     // Shared validation set.
     const doe::Design probe = doe::latin_hypercube(150, 6, 424242);
-    const doe::RunResults probe_res = doe::run_points(space, probe.points, sim, ro);
+    const doe::RunResults probe_res = doe::BatchRunner(sim, ro).run_points(space, probe.points);
     const auto y_probe = probe_res.response(kRespConsumed);
 
     struct Row {
@@ -57,7 +57,7 @@ int main() {
     std::ostringstream json_rows;
     bool first_row = true;
     for (const Row& r : rows) {
-        const doe::RunResults res = doe::run_design(space, r.design, sim, ro);
+        const doe::RunResults res = doe::BatchRunner(sim, ro).run_design(space, r.design);
         const rsm::ModelSpec model(6, r.order);
         const rsm::FitResult fit = rsm::fit_ols(model, res.design.points, res.response(kRespConsumed));
         const rsm::ValidationReport v = rsm::validate_holdout(fit, probe.points, y_probe);

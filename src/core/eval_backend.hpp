@@ -46,30 +46,13 @@ using ResponseMap = std::map<std::string, double>;
 /// A simulation: natural-units factor vector -> named responses.
 using Simulation = std::function<ResponseMap(const Vector&)>;
 
-/// Snapshot handed to BackendOptions::on_batch every time a work batch
-/// completes. Counters are scoped to the current evaluate() call.
-struct BatchProgress {
-    std::size_t batch_index = 0;      ///< completion order, 0-based
-    std::size_t batch_count = 0;      ///< batches in this call
-    std::size_t points_done = 0;      ///< unique points simulated so far
-    std::size_t points_total = 0;     ///< unique points this call must simulate
-    std::size_t cache_hits = 0;       ///< points served without simulating
-    double elapsed_seconds = 0.0;     ///< since the call started
-    double points_per_second = 0.0;   ///< throughput over elapsed_seconds
-};
-
 /// Execution knobs shared by every backend.
 struct BackendOptions {
     /// Workers (threads, or concurrent simulator processes for exec); 1 =
     /// serial, 0 = all hardware threads.
     std::size_t threads = 1;
-    /// Points per work batch; 0 picks a size that gives each worker a few
-    /// batches for load balance.
-    std::size_t batch_size = 0;
     /// Replicates per point (responses averaged inside the backend).
     std::size_t replicates = 1;
-    /// Invoked after every completed batch (from worker threads, serialized).
-    std::function<void(const BatchProgress&)> on_batch;
 };
 
 /// Abstract evaluation backend. Implementations own their execution

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <exception>
-#include <future>
-#include <mutex>
 #include <stdexcept>
 
 #include "core/thread_pool.hpp"
@@ -23,88 +20,23 @@ InProcessBackend::InProcessBackend(Simulation sim, BackendOptions options)
 InProcessBackend::~InProcessBackend() = default;
 
 std::vector<ResponseMap> InProcessBackend::evaluate(const std::vector<Vector>& points) {
-    const auto t0 = std::chrono::steady_clock::now();
     const std::size_t n = points.size();
     std::vector<ResponseMap> out(n);
 
-    // Chunk the points into batches. Each batch is one pool task; a point is
-    // evaluated serially inside exactly one task, so responses are bitwise
-    // identical for any thread count.
-    std::size_t batch_size = options_.batch_size;
-    if (batch_size == 0) {
-        // Aim for ~4 batches per worker: coarse enough to amortize dispatch,
-        // fine enough that progress reporting stays informative.
-        batch_size = std::max<std::size_t>(
-            1, (n + 4 * threads_ - 1) / std::max<std::size_t>(1, 4 * threads_));
-    }
-    const std::size_t n_batches = n == 0 ? 0 : (n + batch_size - 1) / batch_size;
-
-    std::mutex progress_mutex;
-    std::size_t points_done = 0;
-    std::size_t batches_done = 0;
-    auto report_batch = [&](std::size_t batch_points) {
-        std::lock_guard<std::mutex> lock(progress_mutex);
-        points_done += batch_points;
-        const std::size_t index = batches_done++;
-        if (!options_.on_batch) return;
-        BatchProgress p;
-        p.batch_index = index;
-        p.batch_count = n_batches;
-        p.points_done = points_done;
-        p.points_total = n;
-        p.elapsed_seconds =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-        p.points_per_second =
-            p.elapsed_seconds > 0.0 ? static_cast<double>(points_done) / p.elapsed_seconds : 0.0;
-        options_.on_batch(p);
-    };
-
-    // Batches never throw out of the task: errors (from the simulation or
-    // the user's progress callback) are parked per batch so every in-flight
-    // task can drain before the first failure is rethrown. Batches that
-    // have not started yet bail out once any batch has failed — a throwing
-    // simulation must not burn the rest of a large design.
-    std::vector<std::exception_ptr> batch_errors(n_batches);
-    std::atomic<bool> failed{false};
-    std::atomic<std::size_t> simulations_done{0};
-    auto run_batch = [&](std::size_t b) noexcept {
-        if (failed.load(std::memory_order_relaxed)) return;
-        const std::size_t begin = b * batch_size;
-        const std::size_t end = std::min(begin + batch_size, n);
-        try {
-            for (std::size_t s = begin; s < end; ++s) {
-                out[s] = simulate_replicated(sim_, points[s], options_.replicates);
-                simulations_done.fetch_add(options_.replicates, std::memory_order_relaxed);
-            }
-            report_batch(end - begin);
-        } catch (...) {
-            batch_errors[b] = std::current_exception();
-            failed.store(true, std::memory_order_relaxed);
-        }
-    };
-
-    if (threads_ <= 1 || n_batches <= 1) {
-        for (std::size_t b = 0; b < n_batches; ++b) run_batch(b);
-    } else {
-        if (!pool_) pool_ = std::make_unique<ThreadPool>(threads_);
-        std::vector<std::future<void>> futures;
-        futures.reserve(n_batches);
-        for (std::size_t b = 0; b < n_batches; ++b) {
-            futures.push_back(pool_->submit([&run_batch, b] { run_batch(b); }));
-        }
-        // Wait for *all* batches before looking at errors: tasks reference
-        // stack state, so nothing may outlive this scope.
-        for (auto& f : futures) f.get();
-    }
-
-    simulations_ += simulations_done.load(std::memory_order_relaxed);
-    batches_ += n_batches;
-
-    // Rethrow the first failure in batch (= input) order: deterministic
-    // error reporting under any scheduling.
-    for (const auto& err : batch_errors) {
-        if (err) std::rethrow_exception(err);
-    }
+    // About 4 batches per worker: coarse enough to amortize dispatch, fine
+    // enough to balance load. A point is evaluated serially inside exactly
+    // one batch, so responses are bitwise identical for any thread count.
+    const std::size_t batch_size =
+        std::max<std::size_t>(1, (n + 4 * threads_ - 1) / (4 * threads_));
+    if (threads_ > 1 && !pool_) pool_ = std::make_unique<ThreadPool>(threads_);
+    std::atomic<std::size_t> simulated{0};
+    const std::exception_ptr error = run_chunked(pool_.get(), n, batch_size, [&](std::size_t i) {
+        out[i] = simulate_replicated(sim_, points[i], options_.replicates);
+        simulated.fetch_add(1, std::memory_order_relaxed);
+    });
+    simulations_ += simulated.load(std::memory_order_relaxed) * options_.replicates;
+    batches_ += (n + batch_size - 1) / batch_size;
+    if (error) std::rethrow_exception(error);
     return out;
 }
 

@@ -1,17 +1,15 @@
 // ehdoe/core/inprocess_backend.hpp
 //
 // The default evaluation backend: fans unique points out over a fixed-size
-// core::ThreadPool inside the current process. This is the thread-pooled
-// execution path PR 1 built into doe::BatchRunner, extracted behind the
-// EvalBackend contract:
+// core::ThreadPool inside the current process, through core::run_chunked:
 //
-//  * deterministic — points are chunked into batches, each batch is one pool
-//    task, and a point is evaluated serially inside exactly one task, so
-//    responses are bitwise identical for any thread count;
+//  * deterministic — points are chunked into batches of about four per
+//    worker, each batch is one pool task, and a point is evaluated serially
+//    inside exactly one task, so responses are bitwise identical for any
+//    thread count;
 //  * exception-correct — a throwing simulation aborts the run after all
-//    in-flight batches drain, not-yet-started batches bail out early, and
-//    the first failure in batch (= input) order is rethrown;
-//  * instrumented — a progress/throughput callback fires per completed batch.
+//    in-flight batches drain, not-yet-started batches are skipped, and the
+//    first failure in input order is rethrown.
 #pragma once
 
 #include <memory>

@@ -1,8 +1,9 @@
 // ehdoe/core/thread_pool.hpp
 //
 // A small fixed-size thread pool shared by every layer that fans work out
-// over independent tasks (the DoE batch runner today; future backends
-// tomorrow). Design goals, in order:
+// over independent tasks, and run_chunked(), the one fan-out the executing
+// backends (in-process threads, exec simulator processes) run their points
+// through. Design goals, in order:
 //
 //  * predictable: a fixed set of workers created up front, no dynamic
 //    spawning on the submission path;
@@ -15,6 +16,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <exception>
 #include <functional>
 #include <future>
 #include <mutex>
@@ -56,5 +58,15 @@ private:
     std::vector<std::thread> workers_;
     bool stop_ = false;
 };
+
+/// Run body(i) for every i in [0, n), in chunks of `chunk` consecutive
+/// indices, one pool task per chunk; a chunk runs its indices in order. Runs
+/// inline, in index order, when `pool` is null or there is only one chunk.
+/// Once any chunk has thrown, chunks that have not started are skipped;
+/// every started chunk is waited for, so `body` may reference the caller's
+/// stack. Returns the first exception in index order (null when none threw),
+/// so a failure surfaces the same way under any scheduling.
+std::exception_ptr run_chunked(ThreadPool* pool, std::size_t n, std::size_t chunk,
+                               const std::function<void(std::size_t)>& body);
 
 }  // namespace ehdoe::core

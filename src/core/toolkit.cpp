@@ -24,12 +24,9 @@ DesignFlow::DesignFlow(doe::DesignSpace space, doe::Simulation simulation, Optio
     ro.endpoints = options_.endpoints;
     ro.redial_seconds = options_.redial_seconds;
     ro.threads = options_.runner_threads;
-    ro.batch_size = options_.runner_batch_size;
-    ro.memoize = options_.memoize;
     ro.cache_file = options_.cache_file;
     ro.cache_fingerprint = options_.cache_fingerprint;
     ro.store_endpoint = options_.store_endpoint;
-    ro.on_batch = options_.on_batch;
     ro.trace_file = options_.trace_file;
     ro.event_log_file = options_.event_log_file;
     runner_ = std::make_unique<doe::BatchRunner>(std::move(simulation), std::move(ro));

@@ -79,12 +79,6 @@ public:
         /// Workers (threads, or concurrent simulator processes with
         /// `recipe_file`) of the batch engine; 0 = all hardware.
         std::size_t runner_threads = 1;
-        /// Points per work batch; 0 = auto.
-        std::size_t runner_batch_size = 0;
-        /// Memoize simulations across the whole flow: centre replicates,
-        /// validation re-runs and confirmation of already-simulated points
-        /// cost nothing.
-        bool memoize = true;
         /// Persistent evaluation cache file; non-empty lets repeated
         /// CLI/CI runs of the same flow amortize simulations across
         /// processes. Pair with `cache_fingerprint` (e.g.
@@ -99,8 +93,6 @@ public:
         /// local snapshot and simulation. Keys carry the cache identity,
         /// so hits are bit-identical to local simulation by construction.
         std::string store_endpoint;
-        /// Per-batch progress callback (throughput reporting).
-        std::function<void(const doe::BatchProgress&)> on_batch;
         /// Non-empty records a Chrome trace-event JSON file of the whole
         /// flow here (core/telemetry.hpp); merge with per-server traces
         /// via ehdoe-trace. Strictly observational — results are bitwise

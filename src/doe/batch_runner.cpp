@@ -37,16 +37,6 @@ BatchRunner::BatchRunner(Simulation sim, RunnerOptions options)
     // cache loads) lands in them too.
     open_sinks();
 
-    // Fold the orchestrator's memo hits of the call in flight into the
-    // backend's progress reports (backends only see unique misses).
-    std::function<void(const BatchProgress&)> on_batch;
-    if (options_.on_batch) {
-        on_batch = [this](const BatchProgress& p) {
-            BatchProgress q = p;
-            q.cache_hits = call_hits_;
-            options_.on_batch(q);
-        };
-    }
     // The recipe content hash joins the cache identity: responses cached
     // (or remotely served) under one recipe revision must never silently
     // satisfy another.
@@ -63,7 +53,6 @@ BatchRunner::BatchRunner(Simulation sim, RunnerOptions options)
         ro.fingerprint = options_.cache_fingerprint;
         ro.replicates = options_.replicates;
         ro.redial_seconds = options_.redial_seconds;
-        ro.on_batch = std::move(on_batch);
         backend_ = std::make_shared<net::RemoteBackend>(std::move(ro));
     } else if (!options_.recipe_file.empty()) {
         // Exec execution: the recipe owns the simulation (an external
@@ -73,14 +62,11 @@ BatchRunner::BatchRunner(Simulation sim, RunnerOptions options)
         core::BackendOptions bo;
         bo.threads = options_.threads;
         bo.replicates = options_.replicates;
-        bo.on_batch = std::move(on_batch);
         backend_ = std::make_shared<exec::ExecBackend>(std::move(recipe), std::move(bo));
     } else {
         core::BackendOptions bo;
         bo.threads = options_.threads;
-        bo.batch_size = options_.batch_size;
         bo.replicates = options_.replicates;
-        bo.on_batch = std::move(on_batch);
         backend_ = std::make_shared<core::InProcessBackend>(std::move(sim), std::move(bo));
     }
     // The replicate count (and the recipe revision, for exec stacks) is
@@ -110,11 +96,10 @@ BatchRunner::BatchRunner(Simulation sim, RunnerOptions options)
     }
 }
 
-BatchRunner::BatchRunner(std::shared_ptr<core::EvalBackend> backend, RunnerOptions options)
-    : options_(std::move(options)), backend_(std::move(backend)) {
+BatchRunner::BatchRunner(std::shared_ptr<core::EvalBackend> backend)
+    : backend_(std::move(backend)) {
     if (!backend_) throw std::invalid_argument("BatchRunner: backend required");
     persistent_ = dynamic_cast<core::PersistentCache*>(backend_.get());
-    open_sinks();
 }
 
 BatchRunner::~BatchRunner() {
@@ -163,36 +148,30 @@ std::vector<ResponseMap> BatchRunner::evaluate_rows(const std::vector<Vector>& r
     // Row -> (pending slot) or (direct result already placed in `out`).
     constexpr std::size_t kResolved = static_cast<std::size_t>(-1);
     std::vector<std::size_t> slot_of(n, kResolved);
-    call_hits_ = 0;
+    std::size_t call_hits = 0;
 
     {
         core::telemetry::Span dedup_span("dedup", "runner");
         std::map<std::vector<double>, std::size_t> seen;  // key -> pending slot
         for (std::size_t i = 0; i < n; ++i) {
-            const Vector& point = rows[i];
-            if (!options_.memoize) {
-                slot_of[i] = pending.size();
-                pending.push_back(point);
-                continue;
-            }
-            std::vector<double> key = cache_key(point);
+            std::vector<double> key = cache_key(rows[i]);
             if (const auto hit = cache_.find(key); hit != cache_.end()) {
                 out[i] = hit->second;
-                ++call_hits_;
+                ++call_hits;
                 continue;
             }
             if (const auto dup = seen.find(key); dup != seen.end()) {
                 slot_of[i] = dup->second;
-                ++call_hits_;
+                ++call_hits;
                 continue;
             }
             seen.emplace(std::move(key), pending.size());
             slot_of[i] = pending.size();
-            pending.push_back(point);
+            pending.push_back(rows[i]);
         }
         dedup_span.arg("rows", static_cast<std::uint64_t>(n));
         dedup_span.arg("pending", static_cast<std::uint64_t>(pending.size()));
-        dedup_span.arg("memo_hits", static_cast<std::uint64_t>(call_hits_));
+        dedup_span.arg("memo_hits", static_cast<std::uint64_t>(call_hits));
     }
     batch_span.arg("rows", static_cast<std::uint64_t>(n));
     batch_span.arg("pending", static_cast<std::uint64_t>(pending.size()));
@@ -208,7 +187,7 @@ std::vector<ResponseMap> BatchRunner::evaluate_rows(const std::vector<Vector>& r
     auto account = [&] {
         stats_.points += n;
         stats_.simulations += backend_->simulations() - sims_before;
-        stats_.cache_hits += call_hits_ + (backend_->cache_hits() - bhits_before);
+        stats_.cache_hits += call_hits + (backend_->cache_hits() - bhits_before);
         stats_.batches += backend_->batches() - batches_before;
         stats_.wall_seconds +=
             std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
@@ -226,10 +205,8 @@ std::vector<ResponseMap> BatchRunner::evaluate_rows(const std::vector<Vector>& r
     // Phase 3: commit to the memo table and scatter into design order.
     {
         core::telemetry::Span commit_span("memo-commit", "runner");
-        if (options_.memoize) {
-            for (std::size_t s = 0; s < pending.size(); ++s) {
-                cache_[cache_key(pending[s])] = fresh[s];
-            }
+        for (std::size_t s = 0; s < pending.size(); ++s) {
+            cache_[cache_key(pending[s])] = fresh[s];
         }
         for (std::size_t i = 0; i < n; ++i) {
             if (slot_of[i] != kResolved) out[i] = fresh[slot_of[i]];

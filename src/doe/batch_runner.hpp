@@ -12,15 +12,18 @@
 //    evaluated exactly once, serially within one worker;
 //  * memoized — evaluations are cached keyed on the exact natural-unit
 //    vector, so CCD centre replicates, validation re-runs and optimizer
-//    confirmation visits of already-simulated points are free;
+//    confirmation visits of already-simulated points are free (replicated
+//    design points are therefore identical copies with no pure-error
+//    information; a stochastic simulation averages through `replicates`);
 //  * accounted — lifetime counters (simulations, cache hits, batches, wall
 //    time) aggregate the backend's ledgers with the in-memory memo table;
 //  * exception-correct — a failing point aborts the run after in-flight
 //    work drains, and the first failure in design order reaches the caller.
 //
-// The free functions run_design()/run_points() in runner.hpp are thin
-// wrappers over a per-call BatchRunner; core::DesignFlow holds a persistent
-// one so the cache spans the whole DoE -> RSM -> confirm loop.
+// The memo lives as long as its runner: a runner built per call (as the
+// benches build them) simulates each call afresh, while core::DesignFlow
+// holds a persistent one so the cache spans the whole DoE -> RSM -> confirm
+// loop.
 #pragma once
 
 #include <cstddef>
@@ -59,11 +62,10 @@ public:
     /// options describe; options are fixed for the runner's lifetime (the
     /// cache is only valid for one replicate count).
     explicit BatchRunner(Simulation sim, RunnerOptions options = {});
-    /// Orchestrate over an externally built backend (tests, exotic stacks).
-    /// Backend-kind/cache fields and `on_batch` of `options` are ignored —
-    /// the stack, including any progress callback in its BackendOptions, is
-    /// whatever the caller composed.
-    BatchRunner(std::shared_ptr<core::EvalBackend> backend, RunnerOptions options = {});
+    /// Orchestrate over an externally built backend (tests, exotic stacks):
+    /// the stack is whatever the caller composed, and options() are the
+    /// defaults.
+    explicit BatchRunner(std::shared_ptr<core::EvalBackend> backend);
     ~BatchRunner();
 
     BatchRunner(const BatchRunner&) = delete;
@@ -121,9 +123,6 @@ private:
     /// Exact-match memoization cache; keys are the raw natural coordinates.
     std::map<std::vector<double>, ResponseMap> cache_;
     BatchStats stats_;
-    /// Orchestrator-level cache hits of the call in flight, folded into the
-    /// backend's progress reports.
-    std::size_t call_hits_ = 0;
 };
 
 }  // namespace ehdoe::doe

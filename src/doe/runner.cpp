@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "doe/batch_runner.hpp"
-
 namespace ehdoe::doe {
 
 std::vector<double> RunResults::response(const std::string& name) const {
@@ -18,22 +16,6 @@ std::size_t RunResults::response_index(const std::string& name) const {
         if (response_names[j] == name) return j;
     }
     throw std::invalid_argument("RunResults: unknown response '" + name + "'");
-}
-
-RunResults run_points(const DesignSpace& space, const Matrix& coded_points,
-                      const Simulation& sim, const RunnerOptions& options) {
-    if (!sim) throw std::invalid_argument("run_points: simulation required");
-    if (options.replicates == 0) throw std::invalid_argument("run_points: replicates >= 1");
-    BatchRunner runner(sim, options);
-    return runner.run_points(space, coded_points);
-}
-
-RunResults run_design(const DesignSpace& space, const Design& design, const Simulation& sim,
-                      const RunnerOptions& options) {
-    if (!sim) throw std::invalid_argument("run_design: simulation required");
-    if (options.replicates == 0) throw std::invalid_argument("run_design: replicates >= 1");
-    BatchRunner runner(sim, options);
-    return runner.run_design(space, design);
 }
 
 }  // namespace ehdoe::doe

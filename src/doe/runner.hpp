@@ -1,17 +1,15 @@
 // ehdoe/doe/runner.hpp
 //
-// Executes a design: maps every design point (in natural units) through a
-// user-supplied simulation functor and collects the responses. This is the
-// bridge between the DoE combinatorics and the node co-simulation. The
-// free functions here are thin wrappers over the batch evaluation engine
-// (doe::BatchRunner, batch_runner.hpp), which orchestrates dedup +
-// memoization on top of a pluggable core::EvalBackend: in-process
+// The vocabulary of executing a design: the simulation functor that maps a
+// design point (in natural units) to named responses, the collected
+// responses of a run, and the options that describe the evaluation stack.
+// doe::BatchRunner (batch_runner.hpp) runs designs with them: dedup +
+// memoization on top of a pluggable core::EvalBackend — in-process
 // thread-pooled execution (default), external simulator processes (exec),
 // remote eval-server shards, and optional persistent and shared result
 // tiers (see RunnerOptions).
 #pragma once
 
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -28,10 +26,6 @@ using Simulation = core::Simulation;
 
 /// Named responses of one simulation (replicate-averaged).
 using ResponseMap = core::ResponseMap;
-
-/// Snapshot handed to RunnerOptions::on_batch every time a work batch
-/// completes. Counters are scoped to the current evaluate()/run call.
-using BatchProgress = core::BatchProgress;
 
 /// Collected responses of a design execution, column-per-response.
 struct RunResults {
@@ -77,15 +71,6 @@ struct RunnerOptions {
     /// Replicates per design point (responses averaged; useful when the
     /// simulation itself is stochastic).
     std::size_t replicates = 1;
-    /// Points per work batch; 0 picks a size that gives each worker a few
-    /// batches for load balance.
-    std::size_t batch_size = 0;
-    /// Memoize evaluations keyed on the natural-unit point: repeated points
-    /// (CCD centre replicates, confirmation re-runs, optimizer re-visits)
-    /// are simulated once. Disable for simulations that are intentionally
-    /// stochastic per call — with memoization on, replicated design points
-    /// return identical copies, so they carry no pure-error information.
-    bool memoize = true;
     /// Persistent evaluation cache file; non-empty wraps the backend in a
     /// core::PersistentCache so repeated runs amortize simulations across
     /// processes. Pair with `cache_fingerprint` to identify the simulation.
@@ -104,8 +89,6 @@ struct RunnerOptions {
     /// Construction throws when the store is unreachable; a store dying
     /// *mid-run* degrades to simulation instead of failing the run.
     std::string store_endpoint;
-    /// Invoked after every completed batch (from worker threads, serialized).
-    std::function<void(const BatchProgress&)> on_batch;
     /// Non-empty enables trace recording (core/telemetry.hpp) for the
     /// runner's lifetime and writes a Chrome trace-event JSON file here on
     /// destruction. Strictly observational: results are bitwise identical
@@ -120,13 +103,5 @@ struct RunnerOptions {
     /// are trace instants too.
     std::string event_log_file;
 };
-
-/// Run `sim` at every point of `design` mapped through `space`.
-RunResults run_design(const DesignSpace& space, const Design& design, const Simulation& sim,
-                      const RunnerOptions& options = {});
-
-/// Run `sim` at explicit *coded* points (validation sets, sweeps).
-RunResults run_points(const DesignSpace& space, const Matrix& coded_points,
-                      const Simulation& sim, const RunnerOptions& options = {});
 
 }  // namespace ehdoe::doe

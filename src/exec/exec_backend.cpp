@@ -1,10 +1,7 @@
 #include "exec/exec_backend.hpp"
 
 #include <atomic>
-#include <chrono>
 #include <exception>
-#include <future>
-#include <mutex>
 #include <stdexcept>
 #include <vector>
 
@@ -20,81 +17,24 @@ ExecBackend::ExecBackend(SimRecipe recipe, core::BackendOptions options)
 ExecBackend::~ExecBackend() = default;
 
 std::vector<core::ResponseMap> ExecBackend::evaluate(const std::vector<Vector>& points) {
-    const auto t0 = std::chrono::steady_clock::now();
     const std::size_t n = points.size();
     std::vector<core::ResponseMap> out(n);
-    if (n == 0) return out;
 
-    // Per-point progress, serialized like the other process backends.
-    std::mutex progress_mutex;
-    std::size_t points_done = 0;
-    auto report_point = [&] {
-        std::lock_guard<std::mutex> lock(progress_mutex);
-        const std::size_t index = points_done++;
-        if (!options_.on_batch) return;
-        core::BatchProgress p;
-        p.batch_index = index;
-        p.batch_count = n;
-        p.points_done = points_done;
-        p.points_total = n;
-        p.elapsed_seconds =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-        p.points_per_second =
-            p.elapsed_seconds > 0.0 ? static_cast<double>(points_done) / p.elapsed_seconds : 0.0;
-        options_.on_batch(p);
-    };
-
-    // One pool task per point: each in-flight task is one live simulator
-    // process, so `threads_` bounds process concurrency exactly. Errors are
-    // parked per point and rethrown in input order after every in-flight
-    // launch drains; points not yet started bail out once anything failed,
-    // so one broken simulator does not burn the rest of a large design.
-    std::atomic<bool> failed{false};
-    std::atomic<std::size_t> simulations_done{0};
-    std::atomic<std::size_t> dispatched{0};
-    std::vector<std::string> errors(n);
-    std::vector<unsigned char> has_error(n, 0);
-    std::vector<std::exception_ptr> callback_errors(n);
-
-    auto run_point = [&](std::size_t i) noexcept {
-        if (failed.load(std::memory_order_relaxed)) return;
-        dispatched.fetch_add(1, std::memory_order_relaxed);
+    // One point per task: each in-flight task is one live simulator
+    // process, so `threads_` bounds process concurrency exactly.
+    if (threads_ > 1 && !pool_) pool_ = std::make_unique<core::ThreadPool>(threads_);
+    std::atomic<std::size_t> launched{0};
+    std::atomic<std::size_t> completed{0};
+    const std::exception_ptr error = core::run_chunked(pool_.get(), n, 1, [&](std::size_t i) {
+        launched.fetch_add(1, std::memory_order_relaxed);
         ExecOutcome outcome = runner_.run_point(points[i], i);
-        if (!outcome.ok) {
-            errors[i] = "ExecBackend: " + outcome.error;
-            has_error[i] = 1;
-            failed.store(true, std::memory_order_relaxed);
-            return;
-        }
+        if (!outcome.ok) throw std::runtime_error("ExecBackend: " + outcome.error);
         out[i] = std::move(outcome.responses);
-        simulations_done.fetch_add(options_.replicates, std::memory_order_relaxed);
-        try {
-            report_point();
-        } catch (...) {
-            callback_errors[i] = std::current_exception();
-            failed.store(true, std::memory_order_relaxed);
-        }
-    };
-
-    if (threads_ <= 1) {
-        for (std::size_t i = 0; i < n; ++i) run_point(i);
-    } else {
-        if (!pool_) pool_ = std::make_unique<core::ThreadPool>(threads_);
-        std::vector<std::future<void>> futures;
-        futures.reserve(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            futures.push_back(pool_->submit([&run_point, i] { run_point(i); }));
-        }
-        for (auto& f : futures) f.get();
-    }
-
-    simulations_ += simulations_done.load(std::memory_order_relaxed);
-    batches_ += dispatched.load(std::memory_order_relaxed);
-
-    for (std::size_t i = 0; i < n; ++i) {
-        if (callback_errors[i]) std::rethrow_exception(callback_errors[i]);
-        if (has_error[i]) throw std::runtime_error(errors[i]);
-    }
+        completed.fetch_add(1, std::memory_order_relaxed);
+    });
+    simulations_ += completed.load(std::memory_order_relaxed) * options_.replicates;
+    batches_ += launched.load(std::memory_order_relaxed);
+    if (error) std::rethrow_exception(error);
     return out;
 }
 

@@ -12,9 +12,9 @@
 // host exec workloads too.
 //
 // Concurrency: `BackendOptions::threads` points run at once, fanned out
-// over a core::ThreadPool; each in-flight point is one live simulator
-// process (plus whatever it spawns — its whole process group dies with
-// the recipe timeout).
+// over a core::ThreadPool by core::run_chunked, one point per task; each
+// in-flight point is one live simulator process (plus whatever it spawns —
+// its whole process group dies with the recipe timeout).
 //
 // Failure contract (shared with every backend): a crashed simulator
 // (after the recipe's bounded relaunches), a timeout, or unparseable
@@ -42,9 +42,8 @@ class ExecBackend : public core::EvalBackend {
 public:
     /// Validates the recipe and creates the scratch root. `options.threads`
     /// bounds concurrent simulator processes (0 = all hardware threads);
-    /// `options.replicates` launches run per point, averaged;
-    /// `batch_size` does not apply — the recipe's own `retries` bounds
-    /// relaunches.
+    /// `options.replicates` launches run per point, averaged; the recipe's
+    /// own `retries` bounds relaunches.
     ExecBackend(SimRecipe recipe, core::BackendOptions options);
     ~ExecBackend() override;
 

@@ -140,10 +140,7 @@ void EvalServer::start() {
 
 void EvalServer::setup_metrics() {
     if (!(options_.metrics_interval_seconds > 0.0)) return;
-    std::size_t capacity = options_.metrics_ring_capacity;
-    if (capacity == 0) capacity = 1;
-    if (capacity > kMaxMetricSamples) capacity = static_cast<std::size_t>(kMaxMetricSamples);
-    metrics_ = std::make_unique<core::metrics::Registry>(capacity);
+    metrics_ = std::make_unique<core::metrics::Registry>();
 
     // Interval percentiles come from histogram *deltas*: the pre-sample
     // hook subtracts the previous snapshot once per sample; the three

@@ -90,12 +90,11 @@ struct EvalServerOptions {
     /// hello carries a different fingerprint is rejected at handshake.
     std::string fingerprint;
     /// Metrics sampling interval (core/metrics.hpp): > 0 runs a sampler
-    /// thread appending one snapshot row per interval to the ring the
-    /// stats reply carries. 0 (default) disables sampling entirely.
-    /// Strictly observational either way.
+    /// thread appending one snapshot row per interval to the ring
+    /// (core::metrics::kDefaultRingCapacity rows) the stats reply carries.
+    /// 0 (default) disables sampling entirely. Strictly observational
+    /// either way.
     double metrics_interval_seconds = 0.0;
-    /// Ring capacity in rows (clamped to the wire's kMaxMetricSamples).
-    std::size_t metrics_ring_capacity = core::metrics::kDefaultRingCapacity;
 };
 
 class EvalServer {

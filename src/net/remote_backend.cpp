@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdlib>
 #include <deque>
@@ -83,6 +84,23 @@ namespace {
 /// kernel's TCP patience.
 constexpr int kSideChannelTimeoutSeconds = 5;
 
+/// Max frames in flight per connection (a frame is a whole sub-batch).
+constexpr std::size_t kPipeline = 4;
+
+/// The sum of `weights`; throws unless every weight is finite and positive
+/// and the sum is finite too (an infinite or overflowing weight would turn
+/// the round-robin's accumulators into inf or NaN).
+double checked_weight_sum(const std::vector<double>& weights, const std::string& what) {
+    double total = 0.0;
+    for (const double w : weights) {
+        if (!(w > 0.0) || !std::isfinite(w))
+            throw std::invalid_argument(what + " must be finite and positive");
+        total += w;
+    }
+    if (!std::isfinite(total)) throw std::invalid_argument(what + " must have a finite sum");
+    return total;
+}
+
 /// Connect + handshake one endpoint; throws with the server's message on
 /// refusal, a transport diagnosis otherwise. The connect and handshake
 /// round-trips are time-bounded (a wedged server cannot stall construction
@@ -128,12 +146,7 @@ int connect_endpoint(const Endpoint& endpoint, const RemoteBackendOptions& optio
 std::vector<std::size_t> weighted_assignment(std::size_t n, const std::vector<double>& weights) {
     if (weights.empty())
         throw std::invalid_argument("weighted_assignment: at least one shard required");
-    double total = 0.0;
-    for (const double w : weights) {
-        if (!(w > 0.0))
-            throw std::invalid_argument("weighted_assignment: weights must be positive");
-        total += w;
-    }
+    const double total = checked_weight_sum(weights, "weighted_assignment: weights");
     // Smooth weighted round-robin: every step each slot gains its weight,
     // the largest accumulator wins the point and pays the total back. With
     // uniform weights the winners cycle in slot order — exactly i mod n.
@@ -205,15 +218,11 @@ RemoteBackend::RemoteBackend(RemoteBackendOptions options) : options_(std::move(
         throw std::invalid_argument("RemoteBackend: at least one endpoint required");
     if (options_.replicates == 0)
         throw std::invalid_argument("RemoteBackend: replicates >= 1");
-    if (options_.pipeline == 0) options_.pipeline = 1;
     if (!options_.shard_weights.empty()) {
         if (options_.shard_weights.size() != options_.endpoints.size())
             throw std::invalid_argument(
                 "RemoteBackend: shard_weights must match endpoints (or be empty)");
-        for (const double w : options_.shard_weights) {
-            if (!(w > 0.0))
-                throw std::invalid_argument("RemoteBackend: shard_weights must be positive");
-        }
+        checked_weight_sum(options_.shard_weights, "RemoteBackend: shard_weights");
     }
 
     conns_.reserve(options_.endpoints.size());
@@ -347,7 +356,6 @@ std::vector<ShardReport> RemoteBackend::shard_stats() const {
 }
 
 std::vector<core::ResponseMap> RemoteBackend::evaluate(const std::vector<Vector>& points) {
-    const auto t0 = std::chrono::steady_clock::now();
     const std::size_t n = points.size();
     std::vector<core::ResponseMap> out(n);
     if (n == 0) return out;
@@ -397,39 +405,8 @@ std::vector<core::ResponseMap> RemoteBackend::evaluate(const std::vector<Vector>
     std::size_t dispatched = 0;
     std::vector<std::string> errors(n);
     std::vector<unsigned char> has_error(n, 0);
-    std::vector<std::exception_ptr> callback_errors(n);
 
     auto finished = [&] { return unresolved == 0 || (abort && inflight_total == 0); };
-
-    // Serialized per-point progress reports under their own mutex (parity
-    // with the local backends): the callback must never run under `mu`, or
-    // user code would stall every shard's sender and receiver. Called
-    // outside `mu`; a throwing user callback is parked and rethrown in
-    // input order.
-    std::mutex progress_mutex;
-    std::size_t progress_done = 0;
-    auto report_point = [&](std::size_t idx) {
-        if (!options_.on_batch) return;
-        core::BatchProgress p;
-        std::lock_guard<std::mutex> progress_lock(progress_mutex);
-        const std::size_t done = ++progress_done;
-        p.batch_index = done - 1;
-        p.batch_count = n;
-        p.points_done = done;
-        p.points_total = n;
-        p.elapsed_seconds =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-        p.points_per_second =
-            p.elapsed_seconds > 0.0 ? static_cast<double>(done) / p.elapsed_seconds : 0.0;
-        try {
-            options_.on_batch(p);
-        } catch (...) {
-            std::lock_guard<std::mutex> lock(mu);
-            callback_errors[idx] = std::current_exception();
-            abort = true;
-            cv.notify_all();
-        }
-    };
 
     // Mark a shard dead and re-dispatch everything it still owed — both
     // unsent and in-flight frames (their responses will never arrive) —
@@ -495,7 +472,7 @@ std::vector<core::ResponseMap> RemoteBackend::evaluate(const std::vector<Vector>
                 std::unique_lock<std::mutex> lock(mu);
                 cv.wait(lock, [&] {
                     return c.dead_batch || abort || finished() ||
-                           (!c.to_send.empty() && c.in_flight.size() < options_.pipeline);
+                           (!c.to_send.empty() && c.in_flight.size() < kPipeline);
                 });
                 if (c.dead_batch || abort || finished()) return;
                 frame = c.to_send.front();
@@ -551,38 +528,32 @@ std::vector<core::ResponseMap> RemoteBackend::evaluate(const std::vector<Vector>
                 on_conn_dead(c);
                 return;
             }
-            std::vector<std::size_t> report;  // recorded-ok points, in frame order
-            {
-                std::lock_guard<std::mutex> lock(mu);
-                // The sender may have declared this connection dead between
-                // our read and this lock; its in-flight set was
-                // re-dispatched, so discard the duplicate (re-execution is
-                // bitwise identical).
-                if (c.dead_batch) return;
-                const std::vector<std::size_t> indices = std::move(c.in_flight.front());
-                c.in_flight.pop_front();
-                inflight_total -= indices.size();
-                for (std::size_t j = 0; j < indices.size(); ++j) {
-                    const std::size_t idx = indices[j];
-                    EvalResult& result = results[j];
-                    if (result.ok) {
-                        out[idx] = std::move(result.responses);
-                        ++completed;
-                        --unresolved;
-                        ++c.batch_completed;
-                        report.push_back(idx);
-                    } else {
-                        errors[idx] = "RemoteBackend: simulation failed at point " +
-                                      std::to_string(idx) + " on " +
-                                      endpoint_label(c.endpoint) + ": " + result.error;
-                        has_error[idx] = 1;
-                        abort = true;
-                        --unresolved;
-                    }
+            std::lock_guard<std::mutex> lock(mu);
+            // The sender may have declared this connection dead between our
+            // read and this lock; its in-flight set was re-dispatched, so
+            // discard the duplicate (re-execution is bitwise identical).
+            if (c.dead_batch) return;
+            const std::vector<std::size_t> indices = std::move(c.in_flight.front());
+            c.in_flight.pop_front();
+            inflight_total -= indices.size();
+            for (std::size_t j = 0; j < indices.size(); ++j) {
+                const std::size_t idx = indices[j];
+                EvalResult& result = results[j];
+                if (result.ok) {
+                    out[idx] = std::move(result.responses);
+                    ++completed;
+                    --unresolved;
+                    ++c.batch_completed;
+                } else {
+                    errors[idx] = "RemoteBackend: simulation failed at point " +
+                                  std::to_string(idx) + " on " + endpoint_label(c.endpoint) +
+                                  ": " + result.error;
+                    has_error[idx] = 1;
+                    abort = true;
+                    --unresolved;
                 }
-                cv.notify_all();
             }
-            for (const std::size_t idx : report) report_point(idx);
+            cv.notify_all();
         }
     };
 
@@ -605,7 +576,7 @@ std::vector<core::ResponseMap> RemoteBackend::evaluate(const std::vector<Vector>
     // points eases off until the ledger levels out.
     bool batch_completed_ok = unresolved == 0;
     for (std::size_t i = 0; batch_completed_ok && i < n; ++i) {
-        if (has_error[i] || callback_errors[i]) batch_completed_ok = false;
+        if (has_error[i]) batch_completed_ok = false;
     }
     if (batch_completed_ok) {
         std::lock_guard<std::mutex> lock(state_mutex_);
@@ -613,7 +584,6 @@ std::vector<core::ResponseMap> RemoteBackend::evaluate(const std::vector<Vector>
     }
 
     for (std::size_t i = 0; i < n; ++i) {
-        if (callback_errors[i]) std::rethrow_exception(callback_errors[i]);
         if (has_error[i]) throw std::runtime_error(errors[i]);
     }
     return out;

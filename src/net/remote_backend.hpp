@@ -24,8 +24,8 @@
 //    through a reused scratch buffer), so the per-point syscall pair and
 //    round-trip collapse to one per sub-batch.
 //
-//  * Pipelined connections — each endpoint keeps up to `pipeline` frames
-//    in flight (responses return in FIFO order), hiding the network
+//  * Pipelined connections — each endpoint keeps up to four frames in
+//    flight (responses return in FIFO order), hiding the network
 //    round-trip behind the simulation time.
 //
 //  * Failover — when an endpoint dies mid-batch (connection drops), its
@@ -89,7 +89,9 @@ int connect_tcp(const Endpoint& endpoint, int timeout_seconds);
 /// The deterministic smooth weighted round-robin: the shard slot (index
 /// into `weights`) each of `n` points is assigned to. Pure function — ties
 /// break toward the lower slot, uniform weights yield i mod weights.size().
-/// Exposed for tests and for reasoning about re-run reproducibility.
+/// Throws std::invalid_argument unless every weight is finite and positive
+/// and their sum is finite. Exposed for tests and for reasoning about
+/// re-run reproducibility.
 std::vector<std::size_t> weighted_assignment(std::size_t n, const std::vector<double>& weights);
 
 /// One stats-frame round-trip against an endpoint (fresh connection,
@@ -119,20 +121,16 @@ struct RemoteBackendOptions {
     std::string fingerprint;
     /// Replicates the servers are expected to average (handshake-checked).
     std::size_t replicates = 1;
-    /// Max frames in flight per connection (a frame is a whole sub-batch).
-    std::size_t pipeline = 4;
     /// Explicit per-endpoint weights (parallel to `endpoints`), e.g.
     /// operator-measured points/second of a heterogeneous farm; uniform
     /// weights assign exactly i mod n. Empty: weights derive from the
-    /// recorded serve ledger. Must be positive and match endpoints.size()
-    /// when non-empty.
+    /// recorded serve ledger. Must be finite and positive, with a finite
+    /// sum, and match endpoints.size() when non-empty.
     std::vector<double> shard_weights;
     /// Re-dial dead endpoints at most this often, checked between batches
     /// (0 = every batch, negative = never — a dead shard then stays dead
     /// for the backend's lifetime, the pre-elastic behaviour).
     double redial_seconds = 1.0;
-    /// Invoked per completed point (serialized), like the other backends.
-    std::function<void(const core::BatchProgress&)> on_batch;
 };
 
 class RemoteBackend : public core::EvalBackend {

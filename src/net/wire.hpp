@@ -111,6 +111,8 @@ inline constexpr std::uint64_t kMaxHistogramBuckets = 1024;
 inline constexpr std::uint64_t kMaxMetricSeries = 64;
 inline constexpr std::uint64_t kMaxMetricNameLen = 256;
 inline constexpr std::uint64_t kMaxMetricSamples = 1024;
+static_assert(core::metrics::kDefaultRingCapacity <= kMaxMetricSamples,
+              "the daemons' metrics ring must fit a stats reply");
 
 // ---------------------------------------------------------------------------
 // Low-level I/O: loop until the full buffer moved; false on EOF/hard error.

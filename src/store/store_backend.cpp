@@ -26,8 +26,7 @@ std::string StoreBackend::point_key(const std::string& fingerprint,
 StoreBackend::StoreBackend(std::shared_ptr<core::EvalBackend> inner,
                            StoreBackendOptions options)
     : inner_(std::move(inner)), options_(std::move(options)) {
-    client_ = std::make_unique<StoreClient>(options_.host, options_.port,
-                                            options_.timeout_seconds);
+    client_ = std::make_unique<StoreClient>(options_.host, options_.port);
     last_dial_ = std::chrono::steady_clock::now();
 }
 
@@ -54,8 +53,7 @@ void StoreBackend::maybe_redial() {
         return;
     last_dial_ = now;
     try {
-        client_ = std::make_unique<StoreClient>(options_.host, options_.port,
-                                                options_.timeout_seconds);
+        client_ = std::make_unique<StoreClient>(options_.host, options_.port);
         failure_logged_ = false;
         core::telemetry::Event("rejoin")
             .field("component", "store")

@@ -45,8 +45,6 @@ struct StoreBackendOptions {
     std::string fingerprint;
     /// Minimum seconds between reconnect attempts after a mid-run failure.
     double redial_seconds = 1.0;
-    /// Per-operation I/O timeout on the store connection.
-    int timeout_seconds = 30;
 };
 
 class StoreBackend : public core::EvalBackend {

@@ -3,7 +3,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <stdexcept>
 
@@ -38,10 +37,7 @@ void StoreServer::start() {
 
 void StoreServer::setup_metrics() {
     if (options_.metrics_interval_seconds <= 0.0) return;
-    const std::size_t capacity =
-        std::min(std::max<std::size_t>(options_.metrics_ring_capacity, 2),
-                 static_cast<std::size_t>(net::kMaxMetricSamples));
-    metrics_ = std::make_unique<core::metrics::Registry>(capacity);
+    metrics_ = std::make_unique<core::metrics::Registry>();
     metrics_->set_interval_us(static_cast<std::uint64_t>(
         options_.metrics_interval_seconds * 1e6));
     metrics_->register_series("keys", [this] {

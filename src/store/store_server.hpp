@@ -43,11 +43,10 @@ struct StoreServerOptions {
     std::size_t max_segment_bytes = 8u << 20;
     bool verbose = true;
     /// Metrics sampling interval (core/metrics.hpp): > 0 runs a sampler
-    /// thread appending one snapshot row per interval to the ring the
-    /// store-stats reply carries. 0 (default) disables sampling entirely.
+    /// thread appending one snapshot row per interval to the ring
+    /// (core::metrics::kDefaultRingCapacity rows) the store-stats reply
+    /// carries. 0 (default) disables sampling entirely.
     double metrics_interval_seconds = 0.0;
-    /// Ring capacity in rows (clamped to the wire's kMaxMetricSamples).
-    std::size_t metrics_ring_capacity = core::metrics::kDefaultRingCapacity;
 };
 
 class StoreServer {

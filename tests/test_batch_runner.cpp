@@ -1,5 +1,5 @@
 // Batch evaluation engine tests: determinism under concurrency, memoization
-// of repeated points, batching/progress metrics, exception propagation.
+// of repeated points, exception propagation.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -39,8 +39,7 @@ TEST(BatchRunner, BitwiseIdenticalAcrossThreadCounts) {
     const RunResults base = BatchRunner(transcendental_sim(), serial).run_design(kSpace, d);
     for (std::size_t threads : {2u, 4u, 8u}) {
         RunnerOptions o;
-        o.threads = threads;
-        o.batch_size = 3;  // force many batches -> real interleaving
+        o.threads = threads;  // 7, 13 and 25 batches -> real interleaving
         const RunResults r = BatchRunner(transcendental_sim(), o).run_design(kSpace, d);
         ASSERT_EQ(r.responses.rows(), base.responses.rows());
         ASSERT_EQ(r.response_names, base.response_names);
@@ -76,20 +75,6 @@ TEST(BatchRunner, CentreReplicatesHitTheCache) {
     EXPECT_EQ(runner.stats().cache_hits, 17u);
 }
 
-TEST(BatchRunner, MemoizationCanBeDisabled) {
-    std::atomic<std::size_t> calls{0};
-    RunnerOptions o;
-    o.memoize = false;
-    BatchRunner runner(transcendental_sim(&calls), o);
-    Design d;
-    d.points = ehdoe::num::Matrix(3, 2);  // three identical centre points
-    const RunResults r = runner.run_design(kSpace, d);
-    EXPECT_EQ(r.simulations, 3u);
-    EXPECT_EQ(r.cache_hits, 0u);
-    EXPECT_EQ(calls.load(), 3u);
-    EXPECT_EQ(runner.cache_size(), 0u);
-}
-
 TEST(BatchRunner, EvaluatePointIsCached) {
     std::atomic<std::size_t> calls{0};
     BatchRunner runner(transcendental_sim(&calls));
@@ -106,8 +91,7 @@ TEST(BatchRunner, EvaluatePointIsCached) {
 TEST(BatchRunner, ExceptionPropagatesFromWorkers) {
     for (std::size_t threads : {1u, 4u}) {
         RunnerOptions o;
-        o.threads = threads;
-        o.batch_size = 1;
+        o.threads = threads;  // 4 threads: one point per batch
         std::atomic<std::size_t> calls{0};
         const Simulation failing = [&calls](const Vector& nat) -> std::map<std::string, double> {
             calls.fetch_add(1);
@@ -120,27 +104,6 @@ TEST(BatchRunner, ExceptionPropagatesFromWorkers) {
         // A failed run commits nothing to the cache.
         EXPECT_EQ(runner.cache_size(), 0u);
     }
-}
-
-TEST(BatchRunner, ProgressReportsEveryBatch) {
-    RunnerOptions o;
-    o.threads = 2;
-    o.batch_size = 4;
-    std::atomic<std::size_t> batches{0};
-    std::atomic<std::size_t> last_done{0};
-    o.on_batch = [&](const BatchProgress& p) {
-        batches.fetch_add(1);
-        last_done.store(p.points_done);
-        EXPECT_EQ(p.batch_count, 5u);
-        EXPECT_EQ(p.points_total, 18u);
-        EXPECT_GE(p.elapsed_seconds, 0.0);
-    };
-    BatchRunner runner(transcendental_sim(), o);
-    const Design d = full_factorial({6, 3});  // 18 distinct points
-    runner.run_design(kSpace, d);
-    EXPECT_EQ(batches.load(), 5u);  // ceil(18 / 4)
-    EXPECT_EQ(last_done.load(), 18u);
-    EXPECT_EQ(runner.stats().batches, 5u);
 }
 
 TEST(BatchRunner, DesignFlowSharesOneCacheAcrossPhases) {

@@ -263,8 +263,8 @@ TEST_F(EventLogTest, TwoConcurrentRunnersEachKeepTheirJournal) {
     EXPECT_EQ(core::json_lookup(parsed_event(b_lines[1]), "endpoint")->string, "second");
 }
 
-// doe::run_design builds one runner per call from the caller's options,
-// so concurrent calls put two runners on one file: each line once.
+// Callers that build one runner per call from the same options put two
+// live runners on one file: each line once.
 TEST_F(EventLogTest, TwoRunnersOnOneFileWriteEachEventOnce) {
     const core::Scenario sc = core::Scenario::make(core::ScenarioId::OfficeHvac, 30.0);
     exec_test::TempDir dir("eventlog-one-file");

@@ -16,6 +16,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -156,6 +157,12 @@ TEST(FarmElasticity, WeightedAssignmentIsAPureDeterministicFunction) {
 
     EXPECT_THROW(net::weighted_assignment(3, {}), std::invalid_argument);
     EXPECT_THROW(net::weighted_assignment(3, {1.0, 0.0}), std::invalid_argument);
+    // Non-finite weights and an overflowing sum would turn the accumulators
+    // into inf or NaN and skew the assignment silently.
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(net::weighted_assignment(8, {1.0, inf}), std::invalid_argument);
+    EXPECT_THROW(net::weighted_assignment(8, {1.0, std::nan("")}), std::invalid_argument);
+    EXPECT_THROW(net::weighted_assignment(8, {1e308, 1e308}), std::invalid_argument);
 }
 
 TEST(FarmElasticity, TwoIdenticalRunsProduceIdenticalShardAssignments) {
@@ -174,12 +181,11 @@ TEST(FarmElasticity, TwoIdenticalRunsProduceIdenticalShardAssignments) {
                         net::parse_endpoint(endpoint_of(*s3))};
         ro.fingerprint = fp;
         auto backend = std::make_shared<net::RemoteBackend>(ro);
-        RunnerOptions no_memo;
-        no_memo.memoize = false;
-        BatchRunner runner(backend, no_memo);
         std::vector<std::vector<std::size_t>> log;
         for (const std::size_t levels : {std::size_t{5}, std::size_t{4}, std::size_t{6}}) {
-            runner.run_design(kSpace, full_factorial(2, levels));
+            // A fresh runner per batch: its memo must not drop the corners
+            // the three grids share.
+            BatchRunner(backend).run_design(kSpace, full_factorial(2, levels));
             log.push_back(backend->last_assignment());
         }
         return log;
@@ -209,13 +215,10 @@ TEST(FarmElasticity, ExplicitWeightsSkewAssignmentTowardFastShards) {
     ro.fingerprint = fp;
     ro.shard_weights = {3.0, 1.0};  // operator-measured: 3x the throughput
     auto backend = std::make_shared<net::RemoteBackend>(ro);
-    RunnerOptions no_memo;
-    no_memo.memoize = false;
-    BatchRunner runner(backend, no_memo);
 
-    const RunResults base = BatchRunner(transcendental_sim()).run_design(
-        kSpace, full_factorial(2, 8));
-    const RunResults r = runner.run_design(kSpace, full_factorial(2, 8));  // 64 points
+    const Design grid = full_factorial(2, 8);  // 64 points
+    const RunResults base = BatchRunner(transcendental_sim()).run_design(kSpace, grid);
+    const RunResults r = BatchRunner(backend).run_design(kSpace, grid);
     EXPECT_TRUE(num::approx_equal(r.responses, base.responses, 0.0));
     EXPECT_EQ(fast->points_served(), 48u);  // 3/4 of 64, deterministic
     EXPECT_EQ(slow->points_served(), 16u);
@@ -225,6 +228,10 @@ TEST(FarmElasticity, ExplicitWeightsSkewAssignmentTowardFastShards) {
     bad.shard_weights = {1.0};
     EXPECT_THROW(net::RemoteBackend{bad}, std::invalid_argument);
     bad.shard_weights = {1.0, -2.0};
+    EXPECT_THROW(net::RemoteBackend{bad}, std::invalid_argument);
+    bad.shard_weights = {1.0, std::numeric_limits<double>::infinity()};
+    EXPECT_THROW(net::RemoteBackend{bad}, std::invalid_argument);
+    bad.shard_weights = {1e308, 1e308};  // each finite, the sum is not
     EXPECT_THROW(net::RemoteBackend{bad}, std::invalid_argument);
 }
 
@@ -437,9 +444,10 @@ TEST(FarmElasticity, RefusedRedialKeepsShardDeadUntilServiceReturns) {
     ro.fingerprint = fp;
     ro.redial_seconds = 0.0;
     auto backend = std::make_shared<net::RemoteBackend>(ro);
-    RunnerOptions no_memo;
-    no_memo.memoize = false;
-    BatchRunner runner(backend, no_memo);
+    // A fresh runner per batch, so no memo hit trims a batch.
+    auto run = [&](std::size_t levels) {
+        BatchRunner(backend).run_design(kSpace, full_factorial(2, levels));
+    };
 
     // Kill the proxied shard's link, then make the endpoint accept-and-
     // close: the port is open but the service is not. Batch 1 detects the
@@ -447,16 +455,16 @@ TEST(FarmElasticity, RefusedRedialKeepsShardDeadUntilServiceReturns) {
     // cleanly (handshake dropped) and the shard stays dead.
     proxy.sever();
     proxy.set_refuse(true);
-    runner.run_design(kSpace, full_factorial(2, 4));
+    run(4);
     EXPECT_EQ(backend->live_endpoints(), 1u);
-    runner.run_design(kSpace, full_factorial(2, 3));
+    run(3);
     EXPECT_EQ(backend->live_endpoints(), 1u);
     EXPECT_GE(backend->redials_attempted(), 1u);
     EXPECT_EQ(backend->rejoins(), 0u);
 
     // Service restored: the next batch rejoins through a real relay.
     proxy.set_refuse(false);
-    runner.run_design(kSpace, full_factorial(2, 5));
+    run(5);
     EXPECT_EQ(backend->live_endpoints(), 2u);
     EXPECT_EQ(backend->rejoins(), 1u);
 }

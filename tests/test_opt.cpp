@@ -209,7 +209,6 @@ struct RunnerBackedObjective {
     explicit RunnerBackedObjective(std::size_t threads) {
         ehdoe::doe::RunnerOptions o;
         o.threads = threads;
-        o.batch_size = 2;  // force real batching/interleaving
         runner = std::make_shared<ehdoe::doe::BatchRunner>(
             [](const Vector& x) {
                 return std::map<std::string, double>{{"y", multimodal(x)}};

@@ -236,8 +236,12 @@ TEST(PerfGate, TrackedGateFileParses) {
         {"remote x4", {{"simulations", 45}, {"points_served", 45}}},
         {"exec", {{"simulations", 45}, {"launches", 45}}},
         {"exec over remote", {{"simulations", 45}, {"points_served", 45}}},
-        {"cold (store+snapshot)", {{"simulations", 45}, {"store_keys", 45}}},
-        {"store warm", {{"simulations", 0}, {"cache_hits", 48}}},
+        {"cold (store+snapshot)",
+         {{"simulations", 45}, {"store_keys", 45}, {"store_gets", 45}, {"store_hits", 0},
+          {"store_puts", 45}}},
+        {"store warm",
+         {{"simulations", 0}, {"cache_hits", 48}, {"store_gets", 45}, {"store_hits", 45},
+          {"store_puts", 0}}},
         {"snapshot warm", {{"simulations", 0}, {"cache_hits", 48}}},
     };
     const JsonValue* eq = farm->find("require_eq");

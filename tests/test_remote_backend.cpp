@@ -11,7 +11,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -153,9 +152,7 @@ TEST(RemoteBackend, AllShardsDeadSurfacesClearErrorsInDesignOrder) {
     ro.endpoints = {net::parse_endpoint(endpoint_of(*s1))};
     ro.fingerprint = fp;
     auto backend = std::make_shared<net::RemoteBackend>(ro);
-    RunnerOptions no_memo;
-    no_memo.memoize = false;
-    BatchRunner runner(backend, no_memo);
+    BatchRunner runner(backend);
 
     std::thread killer([&] {
         while (s1->points_served() < 2) {
@@ -232,23 +229,6 @@ TEST(RemoteBackend, ProtocolVersionMismatchIsRejected) {
     EXPECT_EQ(status, net::kStatusError);
     EXPECT_NE(message.find("protocol version mismatch"), std::string::npos) << message;
     ::close(fd);
-}
-
-TEST(RemoteBackend, ProgressReportsEveryPoint) {
-    auto server = start_server(transcendental_sim(), "sim-A");
-    RunnerOptions o = remote_options({endpoint_of(*server)}, "sim-A");
-    std::atomic<std::size_t> reports{0};
-    std::atomic<std::size_t> last_done{0};
-    o.on_batch = [&](const BatchProgress& p) {
-        reports.fetch_add(1);
-        last_done.store(p.points_done);
-        EXPECT_EQ(p.points_total, 9u);
-        EXPECT_GE(p.elapsed_seconds, 0.0);
-    };
-    BatchRunner runner(transcendental_sim(), o);
-    runner.run_design(kSpace, full_factorial(2, 3));  // 9 distinct points
-    EXPECT_EQ(reports.load(), 9u);
-    EXPECT_EQ(last_done.load(), 9u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
-// DoE experiment runner tests.
+// DoE experiment runner tests: one BatchRunner per call, as the benches run
+// designs.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 
+#include "doe/batch_runner.hpp"
 #include "doe/factorial.hpp"
-#include "doe/runner.hpp"
 
 using namespace ehdoe::doe;
 using ehdoe::num::Vector;
@@ -27,7 +28,7 @@ Simulation quadratic_sim() {
 
 TEST(Runner, CollectsResponsesInOrder) {
     const Design d = full_factorial_2level(2);
-    const RunResults r = run_design(kSpace, d, quadratic_sim());
+    const RunResults r = BatchRunner(quadratic_sim()).run_design(kSpace, d);
     EXPECT_EQ(r.simulations, 4u);
     EXPECT_EQ(r.response_names.size(), 2u);
     EXPECT_EQ(r.responses.rows(), 4u);
@@ -49,8 +50,8 @@ TEST(Runner, ThreadedMatchesSerial) {
     RunnerOptions serial;
     RunnerOptions par;
     par.threads = 8;
-    const RunResults a = run_design(kSpace, d, quadratic_sim(), serial);
-    const RunResults b = run_design(kSpace, d, quadratic_sim(), par);
+    const RunResults a = BatchRunner(quadratic_sim(), serial).run_design(kSpace, d);
+    const RunResults b = BatchRunner(quadratic_sim(), par).run_design(kSpace, d);
     EXPECT_TRUE(ehdoe::num::approx_equal(a.responses, b.responses, 0.0));
 }
 
@@ -64,7 +65,7 @@ TEST(Runner, ReplicatesAverageNoise) {
     RunnerOptions o;
     o.replicates = 2;
     ehdoe::num::Matrix pts(1, 2);
-    const RunResults r = run_points(kSpace, pts, noisy, o);
+    const RunResults r = BatchRunner(noisy, o).run_points(kSpace, pts);
     EXPECT_EQ(r.simulations, 2u);
     EXPECT_DOUBLE_EQ(r.responses(0, 0), 2.0);
 }
@@ -74,10 +75,10 @@ TEST(Runner, PropagatesSimulationExceptions) {
         throw std::runtime_error("boom");
     };
     ehdoe::num::Matrix pts(2, 2);
-    EXPECT_THROW(run_points(kSpace, pts, bad), std::runtime_error);
+    EXPECT_THROW(BatchRunner(bad).run_points(kSpace, pts), std::runtime_error);
     RunnerOptions par;
     par.threads = 4;
-    EXPECT_THROW(run_points(kSpace, pts, bad, par), std::runtime_error);
+    EXPECT_THROW(BatchRunner(bad, par).run_points(kSpace, pts), std::runtime_error);
 }
 
 TEST(Runner, RejectsInconsistentResponses) {
@@ -92,21 +93,21 @@ TEST(Runner, RejectsInconsistentResponses) {
     // memoization cache and never reach the flaky simulation twice.
     ehdoe::num::Matrix pts(2, 2);
     pts(1, 0) = 0.5;
-    EXPECT_THROW(run_points(kSpace, pts, flaky), std::runtime_error);
+    EXPECT_THROW(BatchRunner(flaky).run_points(kSpace, pts), std::runtime_error);
 }
 
 TEST(Runner, Validation) {
     ehdoe::num::Matrix pts(2, 3);  // wrong dimension
-    EXPECT_THROW(run_points(kSpace, pts, quadratic_sim()), std::invalid_argument);
+    EXPECT_THROW(BatchRunner(quadratic_sim()).run_points(kSpace, pts), std::invalid_argument);
     ehdoe::num::Matrix ok(2, 2);
-    EXPECT_THROW(run_points(kSpace, ok, nullptr), std::invalid_argument);
+    EXPECT_THROW(BatchRunner(Simulation{}).run_points(kSpace, ok), std::invalid_argument);
     RunnerOptions o;
     o.replicates = 0;
-    EXPECT_THROW(run_points(kSpace, ok, quadratic_sim(), o), std::invalid_argument);
+    EXPECT_THROW(BatchRunner(quadratic_sim(), o).run_points(kSpace, ok), std::invalid_argument);
 }
 
 TEST(Runner, WallClockRecorded) {
     const Design d = full_factorial_2level(2);
-    const RunResults r = run_design(kSpace, d, quadratic_sim());
+    const RunResults r = BatchRunner(quadratic_sim()).run_design(kSpace, d);
     EXPECT_GE(r.wall_seconds, 0.0);
 }

@@ -377,7 +377,6 @@ TEST(StoreService, UnreachableStoreIsALoudConstructionError) {
     so.host = "127.0.0.1";
     so.port = port;
     so.fingerprint = "sim-unreachable";
-    so.timeout_seconds = 2;
     EXPECT_THROW(store::StoreBackend(inner, so), std::runtime_error);
 
     // The same misconfiguration through RunnerOptions: the runner must

@@ -1,15 +1,33 @@
-// Fixed-size thread pool tests.
+// Fixed-size thread pool and chunked fan-out tests.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "core/thread_pool.hpp"
 
+using ehdoe::core::run_chunked;
 using ehdoe::core::ThreadPool;
+
+namespace {
+
+/// The message of the exception `error` holds ("" when null).
+std::string message_of(const std::exception_ptr& error) {
+    if (!error) return "";
+    try {
+        std::rethrow_exception(error);
+    } catch (const std::exception& e) {
+        return e.what();
+    }
+}
+
+}  // namespace
 
 TEST(ThreadPool, RunsEveryTask) {
     ThreadPool pool(4);
@@ -64,4 +82,60 @@ TEST(ThreadPool, TasksRunOffTheSubmittingThread) {
     std::thread::id worker_id;
     pool.submit([&worker_id] { worker_id = std::this_thread::get_id(); }).get();
     EXPECT_NE(worker_id, std::this_thread::get_id());
+}
+
+TEST(RunChunked, SkipsChunksNotStartedOnceOneThrew) {
+    // One worker runs the chunks in submission order, so index 3's throw
+    // lands before chunks 4..9 start: each of them is skipped.
+    ThreadPool pool(1);
+    std::atomic<int> runs{0};
+    const std::exception_ptr error = run_chunked(&pool, 10, 1, [&runs](std::size_t i) {
+        runs.fetch_add(1);
+        if (i == 3) throw std::runtime_error("index 3");
+    });
+    EXPECT_EQ(runs.load(), 4);
+    EXPECT_EQ(message_of(error), "index 3");
+}
+
+TEST(RunChunked, ReturnsTheFirstErrorInIndexOrderNotInTime) {
+    // Index 1 throws first in time; index 0 throws after it, and still wins.
+    ThreadPool pool(2);
+    std::promise<void> zero_started;
+    std::promise<void> one_throwing;
+    std::shared_future<void> zero_started_seen = zero_started.get_future().share();
+    std::shared_future<void> one_throwing_seen = one_throwing.get_future().share();
+    const std::exception_ptr error = run_chunked(&pool, 2, 1, [&](std::size_t i) {
+        if (i == 0) {
+            zero_started.set_value();
+            one_throwing_seen.wait();
+            throw std::runtime_error("index 0");
+        }
+        zero_started_seen.wait();
+        one_throwing.set_value();
+        throw std::runtime_error("index 1");
+    });
+    EXPECT_EQ(message_of(error), "index 0");
+}
+
+TEST(RunChunked, NullPoolRunsInlineInIndexOrder) {
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::size_t> order;
+    bool inline_only = true;
+    const std::exception_ptr error = run_chunked(nullptr, 5, 2, [&](std::size_t i) {
+        order.push_back(i);
+        inline_only = inline_only && std::this_thread::get_id() == caller;
+    });
+    EXPECT_EQ(message_of(error), "");
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+    EXPECT_TRUE(inline_only);
+    EXPECT_THROW(run_chunked(nullptr, 1, 0, [](std::size_t) {}), std::invalid_argument);
+}
+
+TEST(RunChunked, EveryIndexRunsExactlyOnce) {
+    ThreadPool pool(3);
+    std::vector<std::atomic<int>> runs(10);
+    const std::exception_ptr error =
+        run_chunked(&pool, runs.size(), 4, [&runs](std::size_t i) { runs[i].fetch_add(1); });
+    EXPECT_EQ(message_of(error), "");
+    for (std::size_t i = 0; i < runs.size(); ++i) EXPECT_EQ(runs[i].load(), 1) << i;
 }
