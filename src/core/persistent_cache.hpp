@@ -62,7 +62,7 @@ public:
     bool save() const;
     /// True when construction restored a compatible snapshot.
     bool restored() const { return restored_; }
-    /// The wrapped backend (e.g. for net::RemoteBackend shard inspection).
+    /// The wrapped backend.
     EvalBackend& inner() { return *inner_; }
     const EvalBackend& inner() const { return *inner_; }
     /// Entries currently held.

@@ -121,19 +121,6 @@ std::size_t BatchRunner::threads() const { return backend_->concurrency(); }
 
 bool BatchRunner::save_cache() const { return persistent_ ? persistent_->save() : false; }
 
-std::vector<net::ShardReport> BatchRunner::shard_stats() const {
-    // Unwrap the reuse decorators (snapshot, store) down to the execution
-    // backend; only a remote one has shards to report on.
-    const core::EvalBackend* backend = backend_.get();
-    if (persistent_) backend = &persistent_->inner();
-    if (const auto* store = dynamic_cast<const store::StoreBackend*>(backend))
-        backend = &store->inner();
-    if (const auto* remote = dynamic_cast<const net::RemoteBackend*>(backend)) {
-        return remote->shard_stats();
-    }
-    return {};
-}
-
 std::vector<ResponseMap> BatchRunner::evaluate_rows(const std::vector<Vector>& rows) {
     const auto t0 = std::chrono::steady_clock::now();
     const std::size_t n = rows.size();

@@ -41,10 +41,6 @@ namespace ehdoe::core::telemetry {
 class Journal;
 }
 
-namespace ehdoe::net {
-struct ShardReport;
-}
-
 namespace ehdoe::doe {
 
 /// Lifetime counters of a BatchRunner (across all calls).
@@ -98,12 +94,6 @@ public:
     /// Snapshot the persistent cache layer now (also done on destruction).
     /// Returns false when no persistent layer is configured or I/O failed.
     bool save_cache() const;
-
-    /// Farm observability: when the backend stack contains a
-    /// net::RemoteBackend (directly or under the persistent cache), poll
-    /// every shard with the stats frame and return the merged per-shard
-    /// reports. Empty for local backends.
-    std::vector<net::ShardReport> shard_stats() const;
 
     std::size_t cache_size() const { return cache_.size(); }
     void clear_cache() { cache_.clear(); }

@@ -9,12 +9,8 @@
 
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdlib>
-#include <deque>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "core/telemetry.hpp"
@@ -83,9 +79,6 @@ namespace {
 /// must degrade in seconds, never hang a run or a dashboard for the
 /// kernel's TCP patience.
 constexpr int kSideChannelTimeoutSeconds = 5;
-
-/// Max frames in flight per connection (a frame is a whole sub-batch).
-constexpr std::size_t kPipeline = 4;
 
 /// The sum of `weights`; throws unless every weight is finite and positive
 /// and the sum is finite too (an infinite or overflowing weight would turn
@@ -190,25 +183,17 @@ bool query_shard_stats(const Endpoint& endpoint, ShardStats& stats, std::string&
     return false;
 }
 
-/// One persistent shard connection plus its per-batch dispatch state. The
-/// dispatch unit is a *frame* — an ordered list of point indices that
-/// travels as one wire frame carrying the shard's whole sub-batch.
+/// One persistent shard connection.
 struct RemoteBackend::Conn {
     Endpoint endpoint;
     std::size_t slot = 0;  ///< index into options().endpoints
     int fd = -1;
-    bool alive = false;       ///< liveness as of the last batch/re-dial
-    bool dead_batch = false;  ///< died during the batch in flight
-    std::deque<std::vector<std::size_t>> to_send;
-    std::deque<std::vector<std::size_t>> in_flight;
+    bool alive = false;  ///< false from a failed read or write until a re-dial succeeds
     /// Reused encode buffer: batch requests gather into it, one send each.
     std::vector<unsigned char> scratch;
     /// Recorded serve ledger: points this shard delivered in *completed*
     /// batches — the only input of the derived assignment weights.
     std::uint64_t completed_points = 0;
-    /// Points delivered in the batch in flight (folds into the ledger only
-    /// when the batch completes).
-    std::size_t batch_completed = 0;
     /// Last re-dial attempt (zero = never tried).
     std::chrono::steady_clock::time_point last_redial{};
 };
@@ -248,7 +233,6 @@ RemoteBackend::~RemoteBackend() {
 }
 
 std::size_t RemoteBackend::live_endpoints() const {
-    std::lock_guard<std::mutex> lock(state_mutex_);
     std::size_t n = 0;
     for (const auto& c : conns_) n += c->alive ? 1 : 0;
     return n;
@@ -277,10 +261,7 @@ void RemoteBackend::maybe_redial() {
             const int fd = connect_endpoint(c->endpoint, options_);
             if (c->fd >= 0) ::close(c->fd);
             c->fd = fd;
-            {
-                std::lock_guard<std::mutex> lock(state_mutex_);
-                c->alive = true;
-            }
+            c->alive = true;
             ++rejoins_;
             core::telemetry::Event("rejoin")
                 .field("endpoint", endpoint_label(c->endpoint))
@@ -322,45 +303,12 @@ std::vector<double> RemoteBackend::live_weights(const std::vector<Conn*>& live,
     return weights;
 }
 
-std::vector<ShardReport> RemoteBackend::shard_stats() const {
-    std::vector<ShardReport> reports(conns_.size());
-    {
-        // Snapshot the client-side view under the state lock, so a
-        // monitoring thread can poll while a batch is in flight.
-        std::lock_guard<std::mutex> lock(state_mutex_);
-        std::vector<Conn*> live;
-        for (const auto& c : conns_) {
-            if (c->alive) live.push_back(c.get());
-        }
-        const std::vector<double> weights =
-            live.empty() ? std::vector<double>{} : live_weights(live, 0);
-        for (std::size_t i = 0; i < conns_.size(); ++i) {
-            const Conn& c = *conns_[i];
-            reports[i].endpoint = c.endpoint;
-            reports[i].alive = c.alive;
-            reports[i].completed_points = c.completed_points;
-            for (std::size_t k = 0; k < live.size(); ++k) {
-                if (live[k] == &c) reports[i].weight = weights[k];
-            }
-        }
-    }
-    // Poll concurrently: down shards each cost the side-channel timeout,
-    // and on a partly-dead farm those bounds must overlap, not stack.
-    std::vector<std::thread> pollers;
-    pollers.reserve(reports.size());
-    for (ShardReport& r : reports) {
-        pollers.emplace_back([&r] { r.reachable = query_shard_stats(r.endpoint, r.stats, r.error); });
-    }
-    for (std::thread& t : pollers) t.join();
-    return reports;
-}
-
 std::vector<core::ResponseMap> RemoteBackend::evaluate(const std::vector<Vector>& points) {
     const std::size_t n = points.size();
     std::vector<core::ResponseMap> out(n);
     if (n == 0) return out;
 
-    // Liveness only changes here, between batches: dead endpoints get a
+    // Dead endpoints rejoin only here, between batches: they get a
     // (throttled) re-dial + re-handshake, and the resulting live set at
     // batch start defines the deterministic assignment.
     maybe_redial();
@@ -369,204 +317,106 @@ std::vector<core::ResponseMap> RemoteBackend::evaluate(const std::vector<Vector>
         if (c->alive) live.push_back(c.get());
     }
     if (live.empty()) throw std::runtime_error("RemoteBackend: no live endpoints");
-    for (Conn* c : live) {
-        c->dead_batch = false;
-        c->to_send.clear();
-        c->in_flight.clear();
-        c->batch_completed = 0;
-    }
 
     // Assignment: a pure function of (batch size, recorded serve ledger /
     // explicit weights, live set in configured order) — identical runs
     // shard identically, which is what keeps re-runs reproducible.
+    // owed[k] is the frame live[k] owes in the current round.
     const std::vector<std::size_t> assignment = weighted_assignment(n, live_weights(live, n));
     last_assignment_.assign(n, 0);
-    std::vector<std::vector<std::size_t>> sub_batch(live.size());
+    std::vector<std::vector<std::size_t>> owed(live.size());
     for (std::size_t i = 0; i < n; ++i) {
-        sub_batch[assignment[i]].push_back(i);
+        owed[assignment[i]].push_back(i);
         last_assignment_[i] = live[assignment[i]]->slot;
     }
-    // Frame up each shard's sub-batch: one batch frame per shard.
-    for (std::size_t k = 0; k < live.size(); ++k) {
-        if (sub_batch[k].empty()) continue;
-        live[k]->to_send.push_back(std::move(sub_batch[k]));
-    }
 
-    // Shared batch state. `unresolved` counts points without a recorded
-    // outcome; after an abort (simulation error or total endpoint loss) the
-    // batch only drains in-flight work, so the terminal condition is
-    // "nothing unresolved, or aborted with nothing in flight".
-    std::mutex mu;
-    std::condition_variable cv;
-    std::size_t unresolved = n;
-    std::size_t inflight_total = 0;
-    bool abort = false;
-    std::size_t completed = 0;
-    std::size_t dispatched = 0;
+    // A connection that fails in either direction is dead for the rest of
+    // the batch; the shutdown makes its server drop what it was sent.
+    auto drop = [](Conn& c) {
+        c.alive = false;
+        ::shutdown(c.fd, SHUT_RDWR);
+    };
+
+    // Points each live shard delivered, and each point's error text (empty
+    // for none). After a simulation fails, the round finishes and no other
+    // starts.
+    std::vector<std::size_t> served(live.size(), 0);
     std::vector<std::string> errors(n);
-    std::vector<unsigned char> has_error(n, 0);
-
-    auto finished = [&] { return unresolved == 0 || (abort && inflight_total == 0); };
-
-    // Mark a shard dead and re-dispatch everything it still owed — both
-    // unsent and in-flight frames (their responses will never arrive) —
-    // round-robin over the surviving shards, one new frame per survivor.
-    // Idempotent per batch: the sender and receiver of
-    // a dying connection both land here.
-    auto on_conn_dead = [&](Conn& c) {
-        std::lock_guard<std::mutex> lock(mu);
-        if (c.dead_batch) return;
-        c.dead_batch = true;
+    bool failed = false;
+    std::vector<EvalResult> results;
+    for (bool more = true; more;) {
+        // A round: one request frame to every shard that owes points...
+        for (std::size_t k = 0; k < live.size(); ++k) {
+            if (owed[k].empty()) continue;
+            Conn& c = *live[k];
+            ++batches_;
+            core::telemetry::Span span("dispatch", "net");
+            span.arg("endpoint", endpoint_label(c.endpoint));
+            span.arg("points", static_cast<std::uint64_t>(owed[k].size()));
+            if (!write_batch_request(c.fd, points, owed[k], c.scratch)) drop(c);
+        }
         {
-            // state_mutex_ is a leaf lock under `mu` (see header).
-            std::lock_guard<std::mutex> state_lock(state_mutex_);
-            c.alive = false;
-        }
-        ::shutdown(c.fd, SHUT_RDWR);  // wake the peer thread blocked on I/O
-
-        std::vector<std::size_t> pending;
-        for (const auto& frame : c.in_flight) {
-            inflight_total -= frame.size();
-            pending.insert(pending.end(), frame.begin(), frame.end());
-        }
-        c.in_flight.clear();
-        for (const auto& frame : c.to_send) {
-            pending.insert(pending.end(), frame.begin(), frame.end());
-        }
-        c.to_send.clear();
-        core::telemetry::Event("failover_redispatch")
-            .field("endpoint", endpoint_label(c.endpoint))
-            .field("pending", static_cast<std::uint64_t>(pending.size()));
-
-        std::vector<Conn*> survivors;
-        for (Conn* s : live) {
-            if (!s->dead_batch) survivors.push_back(s);
-        }
-        if (survivors.empty()) {
-            for (const std::size_t idx : pending) {
-                errors[idx] = "RemoteBackend: endpoint " + endpoint_label(c.endpoint) +
-                              " died and no live endpoints remain (point " +
-                              std::to_string(idx) + ")";
-                has_error[idx] = 1;
-                --unresolved;
-            }
-            abort = true;
-        } else {
-            std::vector<std::vector<std::size_t>> share(survivors.size());
-            std::size_t rr = 0;
-            for (const std::size_t idx : pending) {
-                share[rr++ % survivors.size()].push_back(idx);
-            }
-            for (std::size_t k = 0; k < survivors.size(); ++k) {
-                if (share[k].empty()) continue;
-                survivors[k]->to_send.push_back(std::move(share[k]));
-            }
-        }
-        cv.notify_all();
-    };
-
-    auto sender = [&](Conn& c) {
-        for (;;) {
-            std::vector<std::size_t> frame;
-            {
-                std::unique_lock<std::mutex> lock(mu);
-                cv.wait(lock, [&] {
-                    return c.dead_batch || abort || finished() ||
-                           (!c.to_send.empty() && c.in_flight.size() < kPipeline);
-                });
-                if (c.dead_batch || abort || finished()) return;
-                frame = c.to_send.front();
-                c.to_send.pop_front();
-                c.in_flight.push_back(frame);
-                inflight_total += frame.size();
-                ++dispatched;
-                cv.notify_all();
-            }
-            // The write happens on the local `frame` copy: on_conn_dead may
-            // clear the in_flight deque concurrently.
-            bool write_ok;
-            {
-                core::telemetry::Span span("dispatch", "net");
-                span.arg("endpoint", endpoint_label(c.endpoint));
-                span.arg("points", static_cast<std::uint64_t>(frame.size()));
-                write_ok = write_batch_request(c.fd, points, frame, c.scratch);
-            }
-            if (!write_ok) {
-                on_conn_dead(c);
-                return;
-            }
-        }
-    };
-
-    auto receiver = [&](Conn& c) {
-        std::vector<EvalResult> results;
-        for (;;) {
-            std::size_t expected = 0;
-            {
-                std::unique_lock<std::mutex> lock(mu);
-                cv.wait(lock, [&] {
-                    return c.dead_batch || !c.in_flight.empty() || finished() ||
-                           (abort && c.in_flight.empty());
-                });
-                if (c.dead_batch) return;
-                if (c.in_flight.empty()) return;  // batch done or abort-drained
-                expected = c.in_flight.front().size();
-            }
-            bool io_ok;
-            {
-                // The receive span covers wait + transfer: most of it is
-                // the shard computing, which is exactly what a slow-batch
-                // trace needs to show.
-                core::telemetry::Span span("receive", "net");
-                span.arg("endpoint", endpoint_label(c.endpoint));
-                span.arg("points", static_cast<std::uint64_t>(expected));
+            // ...then the result frames in shard order, read while the
+            // shards compute. The span covers the wait, which is mostly the
+            // shards computing: what a slow-batch trace needs to show.
+            core::telemetry::Span span("receive", "net");
+            for (std::size_t k = 0; k < live.size(); ++k) {
+                Conn& c = *live[k];
+                if (owed[k].empty() || !c.alive) continue;
                 // A result frame owes exactly the points its request frame
                 // carried; any other count is a broken peer.
-                io_ok = read_batch_result(c.fd, expected, results);
+                if (!read_batch_result(c.fd, owed[k].size(), results)) {
+                    drop(c);
+                    continue;
+                }
+                for (std::size_t j = 0; j < owed[k].size(); ++j) {
+                    const std::size_t idx = owed[k][j];
+                    if (results[j].ok) {
+                        out[idx] = std::move(results[j].responses);
+                        ++served[k];
+                    } else {
+                        errors[idx] = "RemoteBackend: simulation failed at point " +
+                                      std::to_string(idx) + " on " + endpoint_label(c.endpoint) +
+                                      ": " + results[j].error;
+                        failed = true;
+                    }
+                }
+                owed[k].clear();
             }
-            if (!io_ok) {
-                on_conn_dead(c);
-                return;
-            }
-            std::lock_guard<std::mutex> lock(mu);
-            // The sender may have declared this connection dead between our
-            // read and this lock; its in-flight set was re-dispatched, so
-            // discard the duplicate (re-execution is bitwise identical).
-            if (c.dead_batch) return;
-            const std::vector<std::size_t> indices = std::move(c.in_flight.front());
-            c.in_flight.pop_front();
-            inflight_total -= indices.size();
-            for (std::size_t j = 0; j < indices.size(); ++j) {
-                const std::size_t idx = indices[j];
-                EvalResult& result = results[j];
-                if (result.ok) {
-                    out[idx] = std::move(result.responses);
-                    ++completed;
-                    --unresolved;
-                    ++c.batch_completed;
-                } else {
-                    errors[idx] = "RemoteBackend: simulation failed at point " +
-                                  std::to_string(idx) + " on " + endpoint_label(c.endpoint) +
-                                  ": " + result.error;
-                    has_error[idx] = 1;
-                    abort = true;
-                    --unresolved;
+        }
+
+        // Failover: a shard that died this round still owes its frame. Its
+        // points go round-robin to the survivors for the next round;
+        // simulations are pure, so a re-executed point yields the same bits.
+        std::vector<std::size_t> survivors;
+        for (std::size_t k = 0; k < live.size(); ++k) {
+            if (live[k]->alive) survivors.push_back(k);
+        }
+        more = false;
+        std::size_t rr = 0;
+        for (std::size_t k = 0; k < live.size(); ++k) {
+            if (live[k]->alive || owed[k].empty()) continue;
+            const std::string label = endpoint_label(live[k]->endpoint);
+            core::telemetry::Event("failover_redispatch")
+                .field("endpoint", label)
+                .field("pending", static_cast<std::uint64_t>(owed[k].size()));
+            for (const std::size_t idx : owed[k]) {
+                if (survivors.empty()) {
+                    errors[idx] = "RemoteBackend: endpoint " + label +
+                                  " died and no live endpoints remain (point " +
+                                  std::to_string(idx) + ")";
+                } else if (!failed) {
+                    owed[survivors[rr++ % survivors.size()]].push_back(idx);
+                    more = true;
                 }
             }
-            cv.notify_all();
+            owed[k].clear();
         }
-    };
-
-    std::vector<std::thread> threads;
-    threads.reserve(2 * live.size());
-    for (Conn* c : live) {
-        threads.emplace_back([&sender, c] { sender(*c); });
-        threads.emplace_back([&receiver, c] { receiver(*c); });
     }
-    for (auto& t : threads) t.join();
 
+    std::size_t completed = 0;
+    for (const std::size_t s : served) completed += s;
     simulations_ += completed * options_.replicates;
-    batches_ += dispatched;
 
     // Fold this batch's serve counts into the weighted-sharding ledger only
     // when every point resolved with a result — the weights must derive
@@ -574,17 +424,12 @@ std::vector<core::ResponseMap> RemoteBackend::evaluate(const std::vector<Vector>
     // batches toward whoever the ledger says is behind: a shard that was
     // dead (or joined late) ramps back up, a survivor that covered extra
     // points eases off until the ledger levels out.
-    bool batch_completed_ok = unresolved == 0;
-    for (std::size_t i = 0; batch_completed_ok && i < n; ++i) {
-        if (has_error[i]) batch_completed_ok = false;
-    }
-    if (batch_completed_ok) {
-        std::lock_guard<std::mutex> lock(state_mutex_);
-        for (Conn* c : live) c->completed_points += c->batch_completed;
+    if (completed == n) {
+        for (std::size_t k = 0; k < live.size(); ++k) live[k]->completed_points += served[k];
     }
 
-    for (std::size_t i = 0; i < n; ++i) {
-        if (has_error[i]) throw std::runtime_error(errors[i]);
+    for (const std::string& error : errors) {
+        if (!error.empty()) throw std::runtime_error(error);
     }
     return out;
 }

@@ -24,21 +24,24 @@
 //    through a reused scratch buffer), so the per-point syscall pair and
 //    round-trip collapse to one per sub-batch.
 //
-//  * Pipelined connections — each endpoint keeps up to four frames in
-//    flight (responses return in FIFO order), hiding the network
-//    round-trip behind the simulation time.
+//  * Rounds on the calling thread — evaluate() starts no thread and takes
+//    no lock. A round writes one request frame to every live shard that
+//    owes points, then reads the result frames back in shard order while
+//    the shards compute; a clean batch is one round.
 //
-//  * Failover — when an endpoint dies mid-batch (connection drops), its
-//    unsent *and* in-flight points are re-dispatched round-robin to the
-//    surviving shards; simulations are pure functions, so a re-executed
-//    point yields the same bits. The batch completes with identical results
+//  * Failover — a shard whose connection fails in either direction is
+//    dead for the rest of the batch, and the points of its frame go
+//    round-robin to the surviving shards in the next round; simulations
+//    are pure functions, so a re-executed point yields the same bits. A
+//    survivor takes them over when the round's reads finish, not the
+//    moment the death shows. The batch completes with identical results
 //    as long as one shard survives; when none do, every stranded point
 //    fails with a clear error thrown in input (= design) order.
 //
 //  * Re-dial — a dead endpoint is re-dialed (and re-handshaked) between
 //    batches, throttled by `redial_seconds`, so a restarted eval-server
 //    rejoins a long optimization run instead of staying dead for the
-//    backend's lifetime. Liveness only changes between batches, so the
+//    backend's lifetime. A shard rejoins only between batches, so the
 //    assignment stays a pure function of recorded state at batch start and
 //    rejoin points stay bitwise identical to InProcessBackend.
 //
@@ -48,19 +51,13 @@
 //    exchanging garbage frames. The version must equal the server's
 //    kProtocolVersion exactly: there is no downgrade.
 //
-//  * Observability — shard_stats() polls every configured endpoint with
-//    the stats frame (a fresh connection outside the eval path) and merges
-//    the server counters with the client-side view: liveness, recorded
-//    serve counts and current assignment weights.
-//
 // Failure contract (shared with every backend): a simulation that fails
 // remotely surfaces as a std::runtime_error thrown in input order after
-// in-flight work drains.
+// the round's reads drain.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -98,20 +95,6 @@ std::vector<std::size_t> weighted_assignment(std::size_t n, const std::vector<do
 /// outside any eval path). False with a diagnosis in `error` when the
 /// endpoint is unreachable, rejects the request or answers garbage.
 bool query_shard_stats(const Endpoint& endpoint, ShardStats& stats, std::string& error);
-
-/// shard_stats(): one configured endpoint's merged client + server view.
-struct ShardReport {
-    Endpoint endpoint;
-    bool alive = false;      ///< client-side connection liveness right now
-    bool reachable = false;  ///< the stats query below succeeded
-    /// Points this backend recorded the shard serving in completed batches
-    /// (the weighted-sharding ledger).
-    std::uint64_t completed_points = 0;
-    /// Effective weight the next batch's assignment would use.
-    double weight = 0.0;
-    ShardStats stats;   ///< server-reported counters (valid when reachable)
-    std::string error;  ///< diagnosis when not reachable
-};
 
 struct RemoteBackendOptions {
     /// Shards, in the order that defines the deterministic assignment.
@@ -151,7 +134,7 @@ public:
     std::size_t concurrency() const override { return live_endpoints(); }
     /// Client-side view: completed points x replicates.
     std::size_t simulations() const override { return simulations_; }
-    /// Wire frames dispatched — one per sub-batch, including failover
+    /// Wire frames written — one per sub-batch, including failover
     /// re-dispatch.
     std::size_t batches() const override { return batches_; }
 
@@ -169,13 +152,6 @@ public:
     /// contract: identical runs produce identical vectors.
     const std::vector<std::size_t>& last_assignment() const { return last_assignment_; }
 
-    /// Poll every configured endpoint with the stats frame and merge the
-    /// answers with the client-side liveness/ledger/weight view. Safe to
-    /// call from any thread at any time — a monitoring thread may poll
-    /// while evaluate() runs (liveness/ledger reads are synchronized; the
-    /// snapshot is simply as of the poll instant).
-    std::vector<ShardReport> shard_stats() const;
-
 private:
     struct Conn;
 
@@ -189,11 +165,6 @@ private:
 
     RemoteBackendOptions options_;
     std::vector<std::unique_ptr<Conn>> conns_;
-    /// Guards Conn::alive and Conn::completed_points against concurrent
-    /// readers (shard_stats()/live_endpoints() from a monitoring thread)
-    /// while evaluate() mutates them. Leaf lock: may be taken under the
-    /// per-batch mutex, never the other way around.
-    mutable std::mutex state_mutex_;
     std::size_t simulations_ = 0;
     std::size_t batches_ = 0;
     std::size_t redials_ = 0;

@@ -78,6 +78,10 @@ int listen_tcp(const std::string& host, std::uint16_t port, std::uint16_t& bound
 // Evaluation frames
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// Decode one response body (status + payload); false on EOF and on any
+/// broken body.
 bool read_result(int fd, EvalResult& result) {
     result = EvalResult{};
     std::uint64_t status = kStatusError;
@@ -107,8 +111,6 @@ bool read_result(int fd, EvalResult& result) {
 // ---------------------------------------------------------------------------
 // Batch frames
 // ---------------------------------------------------------------------------
-
-namespace {
 
 void append_u64(std::vector<unsigned char>& out, std::uint64_t v) {
     const auto* p = reinterpret_cast<const unsigned char*>(&v);
@@ -186,8 +188,8 @@ bool read_metrics_ring(int fd, core::metrics::RingSnapshot& ring) {
     return true;
 }
 
-}  // namespace
-
+/// Append one batch request frame carrying points[indices[0..k)] (all of
+/// one dimension) to `out`.
 void encode_batch_request(std::vector<unsigned char>& out, const std::vector<Vector>& points,
                           const std::vector<std::size_t>& indices) {
     const std::size_t dim = indices.empty() ? 0 : points[indices.front()].size();
@@ -199,6 +201,8 @@ void encode_batch_request(std::vector<unsigned char>& out, const std::vector<Vec
         append_bytes(out, points[idx].data(), dim * sizeof(double));
     }
 }
+
+}  // namespace
 
 bool write_batch_request(int fd, const std::vector<Vector>& points,
                          const std::vector<std::size_t>& indices,
@@ -220,6 +224,9 @@ bool read_batch_request(int fd, std::vector<Vector>& points) {
     return true;
 }
 
+namespace {
+
+/// Append one response body to `out`.
 void encode_result(std::vector<unsigned char>& out, const EvalResult& result) {
     if (result.ok) {
         append_u64(out, kStatusOk);
@@ -236,17 +243,12 @@ void encode_result(std::vector<unsigned char>& out, const EvalResult& result) {
     append_bytes(out, result.error.data(), result.error.size());
 }
 
+}  // namespace
+
 void encode_batch_result(std::vector<unsigned char>& out,
                          const std::vector<EvalResult>& results) {
     append_u64(out, results.size());
     for (const EvalResult& r : results) encode_result(out, r);
-}
-
-bool write_batch_result(int fd, const std::vector<EvalResult>& results,
-                        std::vector<unsigned char>& scratch) {
-    scratch.clear();
-    encode_batch_result(scratch, results);
-    return write_all(fd, scratch.data(), scratch.size());
 }
 
 bool read_batch_result(int fd, std::size_t expected, std::vector<EvalResult>& results) {
@@ -272,12 +274,9 @@ bool write_hello(int fd, const Hello& hello) {
            write_u64(fd, hello.replicates);
 }
 
-bool read_hello(int fd, Hello& hello) {
-    ConnectionKind kind = ConnectionKind::Unknown;
-    if (!read_connection_magic(fd, kind) || kind != ConnectionKind::Eval) return false;
-    return read_hello_body(fd, hello);
-}
+namespace {
 
+/// The hello fields after the magic (read_hello = magic + body).
 bool read_hello_body(int fd, Hello& hello) {
     if (!read_exact(fd, &hello.version, sizeof hello.version)) return false;
     std::uint64_t fp_len = 0;
@@ -285,6 +284,14 @@ bool read_hello_body(int fd, Hello& hello) {
     hello.fingerprint.assign(static_cast<std::size_t>(fp_len), '\0');
     if (!read_exact(fd, hello.fingerprint.data(), hello.fingerprint.size())) return false;
     return read_u64(fd, hello.replicates);
+}
+
+}  // namespace
+
+bool read_hello(int fd, Hello& hello) {
+    ConnectionKind kind = ConnectionKind::Unknown;
+    if (!read_connection_magic(fd, kind) || kind != ConnectionKind::Eval) return false;
+    return read_hello_body(fd, hello);
 }
 
 void encode_welcome(std::vector<unsigned char>& out, std::uint64_t status,

@@ -148,20 +148,12 @@ struct EvalResult {
     std::string error;
 };
 
-/// Decode one response body (status + payload); false on EOF and on any
-/// broken body.
-bool read_result(int fd, EvalResult& result);
-
 // ---------------------------------------------------------------------------
 // Batch frames. Encoders append to a caller-owned buffer so hot paths reuse
 // one allocation across batches; the write_* wrappers clear the scratch,
 // encode, and push the whole frame with a single send.
 // ---------------------------------------------------------------------------
 
-/// Append one batch request frame carrying points[indices[0..k)] (all of
-/// one dimension) to `out`.
-void encode_batch_request(std::vector<unsigned char>& out, const std::vector<Vector>& points,
-                          const std::vector<std::size_t>& indices);
 bool write_batch_request(int fd, const std::vector<Vector>& points,
                          const std::vector<std::size_t>& indices,
                          std::vector<unsigned char>& scratch);
@@ -169,13 +161,10 @@ bool write_batch_request(int fd, const std::vector<Vector>& points,
 /// EvalServer parses the same layout incrementally off its epoll buffers).
 bool read_batch_request(int fd, std::vector<Vector>& points);
 
-/// Append one response body to `out`; batch results are `u64 count` +
-/// count bodies.
-void encode_result(std::vector<unsigned char>& out, const EvalResult& result);
+/// Append one batch result frame (`u64 count` + count response bodies) to
+/// `out`.
 void encode_batch_result(std::vector<unsigned char>& out,
                          const std::vector<EvalResult>& results);
-bool write_batch_result(int fd, const std::vector<EvalResult>& results,
-                        std::vector<unsigned char>& scratch);
 /// Read one batch result frame into `results` (storage reused). The caller
 /// knows how many responses its request frame is owed; a frame whose count
 /// differs is a broken peer and fails the read before any decode.
@@ -218,8 +207,6 @@ enum class ConnectionKind { Eval, Stats, Store, Unknown };
 /// Consume the 6-byte opening magic and classify the connection. False when
 /// the peer vanished before sending a full magic.
 bool read_connection_magic(int fd, ConnectionKind& kind);
-/// The hello fields after the magic (read_hello = magic + body).
-bool read_hello_body(int fd, Hello& hello);
 
 /// One shard's monitoring counters as carried by the stats reply.
 struct ShardStats {

@@ -62,9 +62,6 @@ class StoreBackend : public core::EvalBackend {
     std::size_t cache_hits() const override { return store_hits_ + inner_->cache_hits(); }
     std::size_t batches() const override { return inner_->batches(); }
 
-    core::EvalBackend& inner() { return *inner_; }
-    const core::EvalBackend& inner() const { return *inner_; }
-
     /// The exact key for `natural` under identity `fingerprint` —
     /// hexfloat-rendered coordinates, so the address is bit-exact.
     static std::string point_key(const std::string& fingerprint, const num::Vector& natural);

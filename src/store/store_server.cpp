@@ -87,9 +87,11 @@ void StoreServer::stop() {
         connections.swap(connections_);
     }
     for (Connection& conn : connections) {
-        // Wake any connection blocked in recv; its thread closes the fd.
+        // Wake any connection blocked in recv, then close the fd its thread
+        // has let go of.
         ::shutdown(conn.fd, SHUT_RDWR);
         if (conn.thread.joinable()) conn.thread.join();
+        ::close(conn.fd);
     }
 }
 
@@ -113,6 +115,7 @@ void StoreServer::accept_loop() {
         for (auto it = connections_.begin(); it != connections_.end();) {
             if (it->done->load()) {
                 if (it->thread.joinable()) it->thread.join();
+                ::close(it->fd);
                 it = connections_.erase(it);
             } else {
                 ++it;
@@ -121,9 +124,11 @@ void StoreServer::accept_loop() {
         Connection conn;
         conn.fd = fd;
         conn.done = done;
+        // The thread only shuts its socket down; whoever joins it closes
+        // the fd, so stop() never shuts down a number the process reused.
         conn.thread = std::thread([this, fd, done] {
             serve_connection(fd);
-            ::close(fd);
+            ::shutdown(fd, SHUT_RDWR);
             done->store(true);
         });
         connections_.push_back(std::move(conn));

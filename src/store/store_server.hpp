@@ -98,7 +98,7 @@ class StoreServer {
     std::thread accept_thread_;
     std::mutex connections_mutex_;
     struct Connection {
-        int fd = -1;
+        int fd = -1;  ///< closed by whoever joins `thread`, never by the thread
         std::thread thread;
         std::shared_ptr<std::atomic<bool>> done;
     };

@@ -3,10 +3,9 @@
 // shard re-dial (a killed-and-restarted eval-server rejoins a run and
 // demonstrably serves points again, proven via the stats frame),
 // deterministic throughput-weighted sharding (identical re-runs produce
-// identical shard assignments), and the stats wire frame (round-trip,
-// version-mismatch rejection, aggregation through RemoteBackend and
-// BatchRunner). Every failover scenario must stay bitwise identical to
-// InProcessBackend — elasticity never buys back determinism.
+// identical shard assignments), and the stats wire frame (round-trip and
+// version-mismatch rejection). Every failover scenario must stay bitwise
+// identical to InProcessBackend — elasticity never buys back determinism.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -282,44 +281,6 @@ TEST(FarmElasticity, StatsVersionMismatchIsRejectedWithAMessage) {
     EXPECT_TRUE(
         net::query_shard_stats(net::parse_endpoint(endpoint_of(*server)), stats, error))
         << error;
-}
-
-TEST(FarmElasticity, ShardStatsAggregatesClientAndServerViews) {
-    const std::string fp = "sim-fast";
-    auto s1 = start_server(transcendental_sim(), fp);
-    auto s2 = start_server(transcendental_sim(), fp);
-
-    BatchRunner runner(transcendental_sim(),
-                       remote_options({endpoint_of(*s1), endpoint_of(*s2)}, fp));
-    runner.run_design(kSpace, full_factorial(2, 5));  // 25 distinct points
-
-    const std::vector<net::ShardReport> reports = runner.shard_stats();
-    ASSERT_EQ(reports.size(), 2u);
-    std::uint64_t server_served = 0;
-    std::uint64_t client_ledger = 0;
-    for (const net::ShardReport& r : reports) {
-        EXPECT_TRUE(r.alive);
-        EXPECT_TRUE(r.reachable) << r.error;
-        EXPECT_GT(r.weight, 0.0);
-        server_served += r.stats.points_served;
-        client_ledger += r.completed_points;
-    }
-    EXPECT_EQ(server_served, 25u);
-    EXPECT_EQ(client_ledger, 25u);
-
-    // The same view surfaces through a cache-decorated stack.
-    TempFile cache("ehdoe-farm-agg");
-    RunnerOptions o = remote_options({endpoint_of(*s1)}, fp);
-    o.cache_file = cache.path();
-    BatchRunner cached(transcendental_sim(), o);
-    cached.run_design(kSpace, full_factorial(2, 3));
-    const auto cached_reports = cached.shard_stats();
-    ASSERT_EQ(cached_reports.size(), 1u);
-    EXPECT_TRUE(cached_reports[0].reachable) << cached_reports[0].error;
-
-    // Local backends simply have no shards to report.
-    BatchRunner local(transcendental_sim());
-    EXPECT_TRUE(local.shard_stats().empty());
 }
 
 // ---------------------------------------------------------------------------

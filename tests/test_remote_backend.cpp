@@ -1,6 +1,7 @@
 // Distributed evaluation service tests: RemoteBackend sharding over
 // loopback EvalServer instances — bitwise equivalence with in-process
-// evaluation (1 and 2 shards), mid-batch shard death with re-dispatch,
+// evaluation (1 and 2 shards), a clean batch as one round of frames on the
+// calling thread, mid-batch shard death with re-dispatch,
 // handshake rejection (protocol version / fingerprint / replicates),
 // remote simulation errors in design order, and the persistent cache as
 // the shared result store above the remote layer.
@@ -11,11 +12,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -53,6 +56,16 @@ std::map<std::string, double> transcendental(const Vector& nat) {
 
 Simulation transcendental_sim() {
     return [](const Vector& nat) { return transcendental(nat); };
+}
+
+/// Threads of this process right now.
+std::size_t thread_count() {
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto& task :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+        ++n;
+    }
+    return n;
 }
 
 /// Same values, but slow enough that a batch is still in flight when a
@@ -106,6 +119,48 @@ TEST(RemoteBackend, S1CcdBitwiseIdenticalAcrossShardCounts) {
 }
 
 // ---------------------------------------------------------------------------
+// Rounds: a clean batch writes one frame per shard, and the client waits
+// for the results on the calling thread — the process runs no extra thread
+// while the shards compute.
+// ---------------------------------------------------------------------------
+TEST(RemoteBackend, CleanBatchIsOneRoundOnTheCallingThread) {
+    const std::string fp = "sim-rounds";
+    std::mutex mu;
+    std::size_t most_threads = 0;
+    const Simulation counting = [&](const Vector& nat) {
+        const std::size_t now = thread_count();
+        {
+            std::lock_guard<std::mutex> lock(mu);
+            most_threads = std::max(most_threads, now);
+        }
+        return transcendental(nat);
+    };
+    auto s1 = start_server(counting, fp, 1);
+    auto s2 = start_server(counting, fp, 1);
+    auto s3 = start_server(counting, fp, 1);
+
+    net::RemoteBackendOptions ro;
+    ro.endpoints = {net::parse_endpoint(endpoint_of(*s1)), net::parse_endpoint(endpoint_of(*s2)),
+                    net::parse_endpoint(endpoint_of(*s3))};
+    ro.fingerprint = fp;
+    net::RemoteBackend backend(ro);
+
+    std::vector<Vector> points;
+    for (int i = 0; i < 25; ++i) points.push_back({0.4 * i, 0.3 * i - 5.0});
+    const std::size_t frames_before = backend.batches();
+    const std::size_t threads_before = thread_count();
+    const std::vector<core::ResponseMap> out = backend.evaluate(points);
+
+    EXPECT_EQ(backend.batches() - frames_before, 3u);
+    EXPECT_EQ(most_threads, threads_before);
+    ASSERT_EQ(out.size(), points.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        EXPECT_EQ(out[i], transcendental(points[i])) << "point " << i;
+    }
+    EXPECT_EQ(s1->points_served() + s2->points_served() + s3->points_served(), 25u);
+}
+
+// ---------------------------------------------------------------------------
 // Failover: killing one shard mid-batch re-dispatches its points and the
 // batch completes with identical results.
 // ---------------------------------------------------------------------------
@@ -137,6 +192,9 @@ TEST(RemoteBackend, ShardDeathMidBatchStillCompletesIdentically) {
     // The dead shard stays dead: its server is gone, so re-dials keep failing.
     EXPECT_EQ(backend->live_endpoints(), 1u);
     EXPECT_EQ(r.simulations, 81u);  // every point resolved exactly once
+    // Two frames in the first round, then one failover frame carrying the
+    // dead shard's points to the survivor.
+    EXPECT_EQ(backend->batches(), 3u);
 
     // The surviving shard keeps serving subsequent batches alone.
     num::Matrix one(1, 2);

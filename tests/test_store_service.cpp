@@ -4,16 +4,21 @@
 // identical), racing put-batch writers converging to the union, corrupt
 // segments degrading to re-simulation (never failing a run), a store dying
 // mid-run falling through to the inner backend, handshake rejection of
-// alien peers and other protocol versions, and the ":PORT" stats poll.
+// alien peers and other protocol versions, the ":PORT" stats poll, and
+// stop() leaving alone descriptors the process reused after a client left.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -21,6 +26,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/inprocess_backend.hpp"
@@ -99,6 +105,33 @@ std::uint16_t dead_port() {
     ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
     ::close(fd);
     return ntohs(addr.sin_port);
+}
+
+/// This process's descriptor for the server end of loopback connection
+/// `client`, or -1.
+int server_end_of(int client) {
+    sockaddr_in mine{};
+    socklen_t len = sizeof mine;
+    if (::getsockname(client, reinterpret_cast<sockaddr*>(&mine), &len) != 0) return -1;
+    for (int fd = 0; fd < 4096; ++fd) {
+        sockaddr_in peer{};
+        len = sizeof peer;
+        if (fd != client && ::getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &len) == 0 &&
+            peer.sin_family == AF_INET && peer.sin_port == mine.sin_port)
+            return fd;
+    }
+    return -1;
+}
+
+/// True once the server is done with its end `fd` of a connection whose
+/// client left: the descriptor is closed, or the socket is shut down (its
+/// TCP state has moved past CLOSE_WAIT).
+bool released(int fd) {
+    if (::fcntl(fd, F_GETFD) < 0) return true;
+    tcp_info info{};
+    socklen_t len = sizeof info;
+    if (::getsockopt(fd, IPPROTO_TCP, TCP_INFO, &info, &len) != 0) return true;
+    return info.tcpi_state != TCP_ESTABLISHED && info.tcpi_state != TCP_CLOSE_WAIT;
 }
 
 /// The single live segment file of a fresh store directory.
@@ -479,4 +512,48 @@ TEST(StoreService, StatsPollAcceptsTheColonPortShorthand) {
         << error;
     EXPECT_EQ(stats.keys, 1u);
     server->stop();
+}
+
+// A connection thread that saw its client leave must not close its
+// descriptor: its connections_ entry keeps the number until the next
+// accept reaps it, and stop() shuts that number down. Here the process
+// reuses the lowest free descriptors for socketpairs after the client
+// left; stop() must leave every one of them working.
+TEST(StoreService, StopLeavesAloneDescriptorsReusedAfterAClientLeft) {
+    TempDir dir("ehdoe-storesvc-fdreuse");
+    auto server = start_store(dir);
+
+    const int client = net_test::raw_connect(server->port());
+    ASSERT_TRUE(net::write_store_hello(client));
+    std::uint64_t status = net::kStatusError;
+    std::string message;
+    ASSERT_TRUE(net::read_welcome(client, status, message));
+    ASSERT_EQ(status, net::kStatusOk) << message;
+    const int served = server_end_of(client);
+    ASSERT_GE(served, 0);
+    ::close(client);
+
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!released(served)) {
+        ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+            << "the server never let go of the connection";
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+
+    // Take the lowest free descriptors up to and past the served one.
+    std::vector<std::array<int, 2>> pairs;
+    for (bool past = false; !past;) {
+        int sv[2];
+        ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv), 0);
+        pairs.push_back({sv[0], sv[1]});
+        past = sv[0] >= served || sv[1] >= served;
+    }
+    server->stop();
+    for (const auto& [a, b] : pairs) {
+        char byte = 'x';
+        EXPECT_EQ(::send(a, &byte, 1, MSG_NOSIGNAL), 1) << "descriptor " << a;
+        EXPECT_EQ(::recv(b, &byte, 1, MSG_DONTWAIT), 1) << "descriptor " << b;
+        ::close(a);
+        ::close(b);
+    }
 }
