@@ -1,16 +1,15 @@
 #include "net/wire.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstring>
-#include <stdexcept>
 
 namespace ehdoe::net {
 
+namespace {
+
+/// Loop until `len` bytes arrived; false on EOF or a hard error.
 bool read_exact(int fd, void* buf, std::size_t len) {
     auto* p = static_cast<unsigned char*>(buf);
     while (len > 0) {
@@ -25,6 +24,10 @@ bool read_exact(int fd, void* buf, std::size_t len) {
     }
     return true;
 }
+
+bool read_u64(int fd, std::uint64_t& v) { return read_exact(fd, &v, sizeof v); }
+
+}  // namespace
 
 bool write_all(int fd, const void* buf, std::size_t len) {
     const auto* p = static_cast<const unsigned char*>(buf);
@@ -42,37 +45,7 @@ bool write_all(int fd, const void* buf, std::size_t len) {
     return true;
 }
 
-bool read_u64(int fd, std::uint64_t& v) { return read_exact(fd, &v, sizeof v); }
 bool write_u64(int fd, std::uint64_t v) { return write_all(fd, &v, sizeof v); }
-
-// ---------------------------------------------------------------------------
-// Listening
-// ---------------------------------------------------------------------------
-
-int listen_tcp(const std::string& host, std::uint16_t port, std::uint16_t& bound_port) {
-    const std::string where = "cannot listen on " + host + ":" + std::to_string(port);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-        throw std::runtime_error(where + ": bad host");
-    }
-    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd < 0) throw std::runtime_error(where + ": " + std::strerror(errno));
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    sockaddr_in bound{};
-    socklen_t len = sizeof bound;
-    if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0 ||
-        ::listen(fd, 64) != 0 ||
-        ::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) != 0) {
-        const int err = errno;
-        ::close(fd);
-        throw std::runtime_error(where + ": " + std::strerror(err));
-    }
-    bound_port = ntohs(bound.sin_port);
-    return fd;
-}
 
 // ---------------------------------------------------------------------------
 // Evaluation frames
@@ -245,10 +218,12 @@ void encode_result(std::vector<unsigned char>& out, const EvalResult& result) {
 
 }  // namespace
 
-void encode_batch_result(std::vector<unsigned char>& out,
-                         const std::vector<EvalResult>& results) {
-    append_u64(out, results.size());
-    for (const EvalResult& r : results) encode_result(out, r);
+bool write_batch_result(int fd, const std::vector<EvalResult>& results,
+                        std::vector<unsigned char>& scratch) {
+    scratch.clear();
+    append_u64(scratch, results.size());
+    for (const EvalResult& r : results) encode_result(scratch, r);
+    return write_all(fd, scratch.data(), scratch.size());
 }
 
 bool read_batch_result(int fd, std::size_t expected, std::vector<EvalResult>& results) {
@@ -274,9 +249,6 @@ bool write_hello(int fd, const Hello& hello) {
            write_u64(fd, hello.replicates);
 }
 
-namespace {
-
-/// The hello fields after the magic (read_hello = magic + body).
 bool read_hello_body(int fd, Hello& hello) {
     if (!read_exact(fd, &hello.version, sizeof hello.version)) return false;
     std::uint64_t fp_len = 0;
@@ -286,30 +258,17 @@ bool read_hello_body(int fd, Hello& hello) {
     return read_u64(fd, hello.replicates);
 }
 
-}  // namespace
-
-bool read_hello(int fd, Hello& hello) {
-    ConnectionKind kind = ConnectionKind::Unknown;
-    if (!read_connection_magic(fd, kind) || kind != ConnectionKind::Eval) return false;
-    return read_hello_body(fd, hello);
-}
-
-void encode_welcome(std::vector<unsigned char>& out, std::uint64_t status,
-                    const std::string& message, std::uint64_t server_now_us) {
+bool write_welcome(int fd, std::uint64_t status, const std::string& message,
+                   std::uint64_t server_now_us) {
+    std::vector<unsigned char> out;
     append_u64(out, status);
     if (status == kStatusOk) {
         append_u64(out, server_now_us);
-        return;
+    } else {
+        append_u64(out, message.size());
+        append_bytes(out, message.data(), message.size());
     }
-    append_u64(out, message.size());
-    append_bytes(out, message.data(), message.size());
-}
-
-bool write_welcome(int fd, std::uint64_t status, const std::string& message,
-                   std::uint64_t server_now_us) {
-    if (!write_u64(fd, status)) return false;
-    if (status == kStatusOk) return write_u64(fd, server_now_us);
-    return write_u64(fd, message.size()) && write_all(fd, message.data(), message.size());
+    return write_all(fd, out.data(), out.size());
 }
 
 bool read_welcome(int fd, std::uint64_t& status, std::string& message,
@@ -362,13 +321,14 @@ bool read_stats_request_body(int fd, std::uint32_t& version) {
     return read_exact(fd, &version, sizeof version);
 }
 
-void encode_stats_reply(std::vector<unsigned char>& out, std::uint64_t status,
-                        const ShardStats& stats, const std::string& message) {
+bool write_stats_reply(int fd, std::uint64_t status, const ShardStats& stats,
+                       const std::string& message) {
+    std::vector<unsigned char> out;
     append_u64(out, status);
     if (status != kStatusOk) {
         append_u64(out, message.size());
         append_bytes(out, message.data(), message.size());
-        return;
+        return write_all(fd, out.data(), out.size());
     }
     append_bytes(out, &stats.version, sizeof stats.version);
     append_u64(out, stats.points_served);
@@ -388,13 +348,7 @@ void encode_stats_reply(std::vector<unsigned char>& out, std::uint64_t status,
     append_bytes(out, &stats.latency_p95_us, sizeof stats.latency_p95_us);
     append_bytes(out, &stats.latency_p99_us, sizeof stats.latency_p99_us);
     append_metrics_ring(out, stats.metrics);
-}
-
-bool write_stats_reply(int fd, std::uint64_t status, const ShardStats& stats,
-                       const std::string& message) {
-    std::vector<unsigned char> scratch;
-    encode_stats_reply(scratch, status, stats, message);
-    return write_all(fd, scratch.data(), scratch.size());
+    return write_all(fd, out.data(), out.size());
 }
 
 bool read_stats_reply(int fd, std::uint64_t& status, ShardStats& stats, std::string& message) {

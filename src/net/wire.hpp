@@ -2,7 +2,10 @@
 //
 // The evaluation wire protocol: one length-prefixed binary frame codec for
 // the TCP connections between net::RemoteBackend / store::StoreClient and
-// the eval and store daemons.
+// the eval and store daemons. Every frame has one blocking writer and one
+// blocking reader (a daemon reads a connection's opening magic once, then
+// the body of the frame that magic names). Both ends of every connection
+// use them, the daemons on one thread per connection (net/tcp_server.hpp).
 //
 // Every peer ships from this repository, so the protocol has exactly one
 // version, kProtocolVersion: a daemon accepts an eval hello, a stats
@@ -39,10 +42,10 @@
 //                welcome, the clock-offset anchor ehdoe-trace uses to
 //                merge client and server trace files onto one timeline
 //
-// A second connection kind serves farm monitoring *outside* the FIFO eval
+// A second connection kind serves farm monitoring *outside* the eval
 // path: a peer that opens with the stats magic gets one stats reply and the
-// connection closes — no handshake, no eval frames, no interleaving with
-// pipelined evaluation connections:
+// connection closes — no handshake, no eval frames, and no wait behind an
+// evaluation in progress:
 //
 //   stats req := 6-byte magic "EHDOES", u32 protocol version
 //   stats rep := u64 status
@@ -115,27 +118,14 @@ static_assert(core::metrics::kDefaultRingCapacity <= kMaxMetricSamples,
               "the daemons' metrics ring must fit a stats reply");
 
 // ---------------------------------------------------------------------------
-// Low-level I/O: loop until the full buffer moved; false on EOF/hard error.
-// recv/send with MSG_NOSIGNAL so a dead peer surfaces as an error, never as
-// SIGPIPE. Works on any SOCK_STREAM fd.
+// Low-level output, under every frame writer (and the hand-built frames of
+// the hardening tests): loop until the full buffer moved; false on a hard
+// error. send with MSG_NOSIGNAL so a dead peer surfaces as an error, never
+// as SIGPIPE. Works on any SOCK_STREAM fd.
 // ---------------------------------------------------------------------------
 
-bool read_exact(int fd, void* buf, std::size_t len);
 bool write_all(int fd, const void* buf, std::size_t len);
-bool read_u64(int fd, std::uint64_t& v);
 bool write_u64(int fd, std::uint64_t v);
-
-// ---------------------------------------------------------------------------
-// Listening
-// ---------------------------------------------------------------------------
-
-/// The one TCP listener of the daemons and the exporter: a close-on-exec
-/// socket with SO_REUSEADDR, bound to `host` (an IPv4 address) and `port`
-/// (0 = an ephemeral port) and listening with backlog 64. Stores the port
-/// actually bound in `bound_port` and returns the descriptor. Throws
-/// std::runtime_error naming host:port when the host does not parse or
-/// socket, bind or listen fails; nothing stays open after a throw.
-int listen_tcp(const std::string& host, std::uint16_t port, std::uint16_t& bound_port);
 
 // ---------------------------------------------------------------------------
 // Evaluation frames
@@ -149,22 +139,20 @@ struct EvalResult {
 };
 
 // ---------------------------------------------------------------------------
-// Batch frames. Encoders append to a caller-owned buffer so hot paths reuse
-// one allocation across batches; the write_* wrappers clear the scratch,
-// encode, and push the whole frame with a single send.
+// Batch frames. The writers encode the whole frame into a caller-owned
+// scratch buffer, reused across batches, and push it with a single send.
 // ---------------------------------------------------------------------------
 
 bool write_batch_request(int fd, const std::vector<Vector>& points,
                          const std::vector<std::size_t>& indices,
                          std::vector<unsigned char>& scratch);
-/// Blocking decode of one whole batch request (tests and simple servers;
-/// EvalServer parses the same layout incrementally off its epoll buffers).
+/// Read one whole batch request. Each length is validated as it arrives, so
+/// a hostile header fails before the rest of the frame is read or
+/// allocated.
 bool read_batch_request(int fd, std::vector<Vector>& points);
 
-/// Append one batch result frame (`u64 count` + count response bodies) to
-/// `out`.
-void encode_batch_result(std::vector<unsigned char>& out,
-                         const std::vector<EvalResult>& results);
+bool write_batch_result(int fd, const std::vector<EvalResult>& results,
+                        std::vector<unsigned char>& scratch);
 /// Read one batch result frame into `results` (storage reused). The caller
 /// knows how many responses its request frame is owed; a frame whose count
 /// differs is a broken peer and fails the read before any decode.
@@ -181,7 +169,8 @@ struct Hello {
 };
 
 bool write_hello(int fd, const Hello& hello);
-bool read_hello(int fd, Hello& hello);
+/// The hello fields after the magic (read_connection_magic consumed it).
+bool read_hello_body(int fd, Hello& hello);
 
 /// status kStatusOk accepts; anything else carries a rejection message.
 /// An OK welcome carries `server_now_us` — the server's monotonic
@@ -191,9 +180,6 @@ bool write_welcome(int fd, std::uint64_t status, const std::string& message,
                    std::uint64_t server_now_us = 0);
 bool read_welcome(int fd, std::uint64_t& status, std::string& message,
                   std::uint64_t* server_now_us = nullptr);
-/// Buffer-encode form of write_welcome, for non-blocking writers.
-void encode_welcome(std::vector<unsigned char>& out, std::uint64_t status,
-                    const std::string& message, std::uint64_t server_now_us = 0);
 
 // ---------------------------------------------------------------------------
 // Connection-kind dispatch and the stats frame. A server reads
@@ -244,15 +230,12 @@ bool read_stats_request_body(int fd, std::uint32_t& version);
 bool write_stats_reply(int fd, std::uint64_t status, const ShardStats& stats,
                        const std::string& message);
 bool read_stats_reply(int fd, std::uint64_t& status, ShardStats& stats, std::string& message);
-/// Buffer-encode form of write_stats_reply, for non-blocking writers.
-void encode_stats_reply(std::vector<unsigned char>& out, std::uint64_t status,
-                        const ShardStats& stats, const std::string& message);
 
 // ---------------------------------------------------------------------------
 // Store frames. A third connection kind serves the
 // farm-wide result store: a peer opening with the store magic speaks
-// opcode-framed get-batch/put-batch/stats requests over one pipelined
-// connection (FIFO, like eval). Keys are opaque byte strings (in practice
+// opcode-framed get-batch/put-batch/stats requests over one connection,
+// answered in order (like eval). Keys are opaque byte strings (in practice
 // the cache identity + hexfloat-exact point, see store/store_backend.hpp)
 // and values are response maps, reusing the response-body codec:
 //

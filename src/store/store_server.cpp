@@ -1,10 +1,8 @@
 #include "store/store_server.hpp"
 
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/telemetry.hpp"
 #include "net/wire.hpp"
@@ -23,16 +21,18 @@ StoreServer::StoreServer(StoreServerOptions options) : options_(std::move(option
 StoreServer::~StoreServer() { stop(); }
 
 void StoreServer::start() {
-    if (listen_fd_ >= 0) return;
+    if (server_.running()) return;
+    int listen_fd = -1;
     try {
-        listen_fd_ = listen_tcp(options_.host, options_.port, port_);
+        listen_fd = listen_tcp(options_.host, options_.port, port_);
     } catch (const std::runtime_error& e) {
         throw std::runtime_error(std::string("StoreServer: ") + e.what());
     }
     started_at_ = std::chrono::steady_clock::now();
-    stopping_.store(false);
     setup_metrics();
-    accept_thread_ = std::thread([this] { accept_loop(); });
+    server_.start(listen_fd, [this](int fd, std::atomic<bool>& handshaken) {
+        serve_connection(fd, handshaken);
+    });
 }
 
 void StoreServer::setup_metrics() {
@@ -73,76 +73,17 @@ core::metrics::RingSnapshot StoreServer::metrics_snapshot() const {
 }
 
 void StoreServer::stop() {
-    if (listen_fd_ < 0) return;
-    stopping_.store(true);
-    // Break the blocking accept(): shutdown() wakes it, close() frees it.
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
+    server_.stop();
     metrics_sampler_.reset();
-    if (accept_thread_.joinable()) accept_thread_.join();
-    listen_fd_ = -1;
-    std::vector<Connection> connections;
-    {
-        std::lock_guard<std::mutex> lock(connections_mutex_);
-        connections.swap(connections_);
-    }
-    for (Connection& conn : connections) {
-        // Wake any connection blocked in recv, then close the fd its thread
-        // has let go of.
-        ::shutdown(conn.fd, SHUT_RDWR);
-        if (conn.thread.joinable()) conn.thread.join();
-        ::close(conn.fd);
-    }
 }
 
-void StoreServer::accept_loop() {
-    for (;;) {
-        const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
-        if (fd < 0) {
-            if (stopping_.load()) return;
-            if (errno == EINTR || errno == ECONNABORTED) continue;
-            return;  // listener is gone
-        }
-        if (stopping_.load()) {
-            ::close(fd);
-            return;
-        }
-        connections_accepted_.fetch_add(1);
-        auto done = std::make_shared<std::atomic<bool>>(false);
-        std::lock_guard<std::mutex> lock(connections_mutex_);
-        // Opportunistically reap finished connections so a long-lived
-        // server does not accumulate one joinable thread per past client.
-        for (auto it = connections_.begin(); it != connections_.end();) {
-            if (it->done->load()) {
-                if (it->thread.joinable()) it->thread.join();
-                ::close(it->fd);
-                it = connections_.erase(it);
-            } else {
-                ++it;
-            }
-        }
-        Connection conn;
-        conn.fd = fd;
-        conn.done = done;
-        // The thread only shuts its socket down; whoever joins it closes
-        // the fd, so stop() never shuts down a number the process reused.
-        conn.thread = std::thread([this, fd, done] {
-            serve_connection(fd);
-            ::shutdown(fd, SHUT_RDWR);
-            done->store(true);
-        });
-        connections_.push_back(std::move(conn));
-    }
-}
-
-void StoreServer::serve_connection(int fd) {
+void StoreServer::serve_connection(int fd, std::atomic<bool>& handshaken) {
+    // A peer that leaves before a full magic is a probe, not a rejection;
+    // an alien magic or a hello cut short is.
     ConnectionKind kind = ConnectionKind::Unknown;
-    if (!read_connection_magic(fd, kind) || kind != ConnectionKind::Store) {
-        handshakes_rejected_.fetch_add(1);
-        return;
-    }
+    if (!read_connection_magic(fd, kind)) return;
     std::uint32_t version = 0;
-    if (!read_store_hello_body(fd, version)) {
+    if (kind != ConnectionKind::Store || !read_store_hello_body(fd, version)) {
         handshakes_rejected_.fetch_add(1);
         return;
     }
@@ -154,6 +95,7 @@ void StoreServer::serve_connection(int fd) {
         return;
     }
     if (!write_welcome(fd, kStatusOk, "")) return;
+    handshaken.store(true);  // lifts the pre-handshake deadline
 
     std::vector<unsigned char> scratch;
     std::vector<std::string> keys;
@@ -206,7 +148,7 @@ void StoreServer::serve_connection(int fd) {
                 stats.get_hits = get_hits_.load();
                 stats.puts_received = puts_received_.load();
                 stats.records_appended = records_appended_.load();
-                stats.connections_accepted = connections_accepted_.load();
+                stats.connections_accepted = server_.connections_accepted();
                 stats.uptime_seconds =
                     std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                                   started_at_)

@@ -3,17 +3,18 @@
 // The shared result store daemon: one SegmentLog served over TCP to every
 // farm client that opens a store connection ("EHDOER" magic, at exactly
 // net::kProtocolVersion).
-// A connection is pipelined FIFO like an eval connection — the client
-// writes opcode-framed get-batch / put-batch / stats requests and reads
-// replies in order until either side closes.
+// The client writes opcode-framed get-batch / put-batch / stats requests
+// and reads the replies in order until either side closes.
 //
-// Concurrency model: thread-per-connection with blocking I/O. The store's
-// work per frame is an in-memory map probe or a buffered append — there is
-// no simulation to overlap — and every append serializes through the
-// SegmentLog mutex regardless of how requests arrive, which is exactly the
-// property that makes the store safe for racing farm clients (the
-// lost-update window of client-side snapshot merging cannot exist when one
-// process owns the file and applies puts one at a time).
+// Concurrency model: the eval server's. A net::TcpServer
+// (net/tcp_server.hpp) accepts and serves each connection on its own
+// thread with blocking I/O, under the same pre-handshake deadline. The
+// store's work per frame is an in-memory map probe or a buffered append,
+// and every append serializes through the SegmentLog mutex regardless of
+// how requests arrive, which is exactly the property that makes the store
+// safe for racing farm clients (the lost-update window of client-side
+// snapshot merging cannot exist when one process owns the file and applies
+// puts one at a time).
 //
 // A malformed frame (bad opcode, insane length, truncated body) closes
 // that connection; the log and every other connection are unaffected.
@@ -23,12 +24,10 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "core/metrics.hpp"
+#include "net/tcp_server.hpp"
 #include "store/segment_log.hpp"
 
 namespace ehdoe::store {
@@ -58,8 +57,8 @@ class StoreServer {
     StoreServer(const StoreServer&) = delete;
     StoreServer& operator=(const StoreServer&) = delete;
 
-    /// Bind + listen + spawn the accept thread. Throws when the address is
-    /// taken or invalid.
+    /// Bind + listen + start accepting. Throws when the address is taken or
+    /// invalid.
     void start();
     /// Idempotent; joins every connection thread.
     void stop();
@@ -71,7 +70,7 @@ class StoreServer {
     SegmentLog& log() { return *log_; }
 
     // Lifetime service counters (independent of the log's own counters).
-    std::uint64_t connections_accepted() const { return connections_accepted_.load(); }
+    std::uint64_t connections_accepted() const { return server_.connections_accepted(); }
     std::uint64_t handshakes_rejected() const { return handshakes_rejected_.load(); }
     std::uint64_t gets_served() const { return gets_served_.load(); }
     std::uint64_t get_hits() const { return get_hits_.load(); }
@@ -86,37 +85,27 @@ class StoreServer {
     core::metrics::RingSnapshot metrics_snapshot() const;
 
   private:
-    void accept_loop();
-    void serve_connection(int fd);
+    void serve_connection(int fd, std::atomic<bool>& handshaken);
     void setup_metrics();
 
     StoreServerOptions options_;
     std::unique_ptr<SegmentLog> log_;
-    int listen_fd_ = -1;
     std::uint16_t port_ = 0;
-    std::atomic<bool> stopping_{false};
-    std::thread accept_thread_;
-    std::mutex connections_mutex_;
-    struct Connection {
-        int fd = -1;  ///< closed by whoever joins `thread`, never by the thread
-        std::thread thread;
-        std::shared_ptr<std::atomic<bool>> done;
-    };
-    std::vector<Connection> connections_;
     std::chrono::steady_clock::time_point started_at_{};
 
-    std::atomic<std::uint64_t> connections_accepted_{0};
     std::atomic<std::uint64_t> handshakes_rejected_{0};
     std::atomic<std::uint64_t> gets_served_{0};
     std::atomic<std::uint64_t> get_hits_{0};
     std::atomic<std::uint64_t> puts_received_{0};
     std::atomic<std::uint64_t> records_appended_{0};
 
-    /// Health-plane ring (thread-per-connection here, but the sampler is
-    /// still its own thread so an idle store keeps sampling). Null when
-    /// sampling is disabled.
+    /// Health-plane ring, sampled by its own thread so an idle store keeps
+    /// sampling. Null when sampling is disabled.
     std::unique_ptr<core::metrics::Registry> metrics_;
     std::unique_ptr<core::metrics::Sampler> metrics_sampler_;
+
+    /// Its connection threads use every member above.
+    net::TcpServer server_;
 };
 
 }  // namespace ehdoe::store

@@ -179,8 +179,7 @@ TEST(ExecFaults, MissingSimulatorIsACleanError) {
 
 TEST(ExecFaults, LaunchedSimulatorInheritsNoLibraryDescriptors) {
     // Open one of each long-lived descriptor the library owns: listeners,
-    // accepted and dialed connections, the eval server's epoll and eventfd,
-    // and the store's active segment.
+    // accepted and dialed connections, and the store's active segment.
     TempDir dir("ehdoe-exec-fds");
     const std::map<int, std::string> before = open_fds();
     store::StoreServerOptions so;
@@ -197,8 +196,8 @@ TEST(ExecFaults, LaunchedSimulatorInheritsNoLibraryDescriptors) {
     net::RemoteBackend remote(ro);
     std::map<int, std::string> library = open_fds();
     for (const auto& [fd, target] : before) library.erase(fd);
-    ASSERT_GE(library.size(), 9u)
-        << "two listeners, two accepted and two dialed connections, epoll, eventfd, segment";
+    ASSERT_GE(library.size(), 7u)
+        << "two listeners, two accepted and two dialed connections, segment";
 
     ExecBackend backend = make_backend(
         ehdoe::exec_test::s1_recipe_text(kShortHorizon, "--report-fds",

@@ -60,6 +60,7 @@
 #include "core/perf_gate.hpp"
 #include "core/report.hpp"
 #include "net/remote_backend.hpp"
+#include "net/tcp_server.hpp"
 #include "store/store_client.hpp"
 #include "flag_parse.hpp"
 
