@@ -338,9 +338,11 @@ ExecRunner::LaunchResult ExecRunner::launch_once(const Vector& natural, std::siz
 
     // Spawn without copying this process: the child runs in its own process
     // group (the timeout kill targets the group, so a simulator's own
-    // children die with it) and *in* its scratch dir (relative output paths
-    // land there, not in the farm's CWD). posix_spawnp returns once the
-    // child has exec'd, so the group exists before any kill.
+    // children die with it), *in* its scratch dir (relative output paths
+    // land there, not in the farm's CWD) and with no signal blocked (it
+    // would inherit this thread's mask, and the daemons block SIGINT and
+    // SIGTERM in every thread). posix_spawnp returns once the child has
+    // exec'd, so the group exists before any kill.
     posix_spawn_file_actions_t actions;
     posix_spawn_file_actions_init(&actions);
     posix_spawn_file_actions_addchdir_np(&actions, workdir.c_str());
@@ -349,8 +351,11 @@ ExecRunner::LaunchResult ExecRunner::launch_once(const Vector& natural, std::siz
     posix_spawn_file_actions_adddup2(&actions, err_fd, STDERR_FILENO);
     posix_spawnattr_t attr;
     posix_spawnattr_init(&attr);
-    posix_spawnattr_setflags(&attr, POSIX_SPAWN_SETPGROUP);
+    posix_spawnattr_setflags(&attr, POSIX_SPAWN_SETPGROUP | POSIX_SPAWN_SETSIGMASK);
     posix_spawnattr_setpgroup(&attr, 0);
+    sigset_t no_signals;
+    sigemptyset(&no_signals);
+    posix_spawnattr_setsigmask(&attr, &no_signals);
     pid_t pid = -1;
     const int spawn_error = ::posix_spawnp(&pid, argv[0], &actions, &attr, argv.data(), environ);
     posix_spawn_file_actions_destroy(&actions);

@@ -39,9 +39,12 @@
 //
 // On startup the daemon prints one "listening on HOST:PORT ..." line
 // (machine-readable; tests and scripts scrape the port), then serves until
-// SIGINT/SIGTERM.
+// SIGINT/SIGTERM. Both stay blocked in every thread from before the server
+// starts; the main thread takes the first with sigwait, so one sent any
+// time after the line stops the daemon at once and cleanly.
+#include <signal.h>
+
 #include <chrono>
-#include <csignal>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -59,10 +62,6 @@
 using namespace ehdoe;
 
 namespace {
-
-volatile std::sig_atomic_t g_stop = 0;
-
-void handle_signal(int) { g_stop = 1; }
 
 int usage(const char* argv0) {
     std::cerr << "usage: " << argv0
@@ -216,6 +215,11 @@ int main(int argc, char** argv) {
                 return flag_error("cannot open --events file '" + events_path + "'");
             }
         }
+        sigset_t stop_signals;
+        sigemptyset(&stop_signals);
+        sigaddset(&stop_signals, SIGINT);
+        sigaddset(&stop_signals, SIGTERM);
+        pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);  // before any thread
         net::EvalServer server(std::move(sim), options);
         server.start();
         const std::string endpoint_label =
@@ -229,11 +233,8 @@ int main(int argc, char** argv) {
                   << " replicates=" << options.replicates << " fingerprint="
                   << options.fingerprint << std::endl;
 
-        std::signal(SIGINT, handle_signal);
-        std::signal(SIGTERM, handle_signal);
-        while (!g_stop) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(100));
-        }
+        int signal_number = 0;
+        sigwait(&stop_signals, &signal_number);
         std::cout << "shutting down: served " << server.points_served() << " points ("
                   << server.points_failed() << " failed) over " << server.connections_accepted()
                   << " connections\n";

@@ -29,14 +29,15 @@
 //
 // On startup the daemon prints one "listening on HOST:PORT ..." line
 // (machine-readable; tests and scripts scrape the port), then serves until
-// SIGINT/SIGTERM.
-#include <chrono>
-#include <csignal>
+// SIGINT/SIGTERM. Both stay blocked in every thread from before the server
+// starts; the main thread takes the first with sigwait, so one sent any
+// time after the line stops the daemon at once and cleanly.
+#include <signal.h>
+
 #include <cstdint>
 #include <iostream>
 #include <optional>
 #include <string>
-#include <thread>
 
 #include "core/telemetry.hpp"
 #include "store/store_server.hpp"
@@ -45,10 +46,6 @@
 using namespace ehdoe;
 
 namespace {
-
-volatile std::sig_atomic_t g_stop = 0;
-
-void handle_signal(int) { g_stop = 1; }
 
 int usage(const char* argv0) {
     std::cerr << "usage: " << argv0
@@ -140,6 +137,11 @@ int main(int argc, char** argv) {
             return 0;
         }
 
+        sigset_t stop_signals;
+        sigemptyset(&stop_signals);
+        sigaddset(&stop_signals, SIGINT);
+        sigaddset(&stop_signals, SIGTERM);
+        pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);  // before any thread
         store::StoreServer server(options);
         server.start();
         core::telemetry::Event("listening")
@@ -150,11 +152,8 @@ int main(int argc, char** argv) {
                   << server.log().segment_count() << " quarantined="
                   << restored.quarantined_segments << std::endl;
 
-        std::signal(SIGINT, handle_signal);
-        std::signal(SIGTERM, handle_signal);
-        while (!g_stop) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(100));
-        }
+        int signal_number = 0;
+        sigwait(&stop_signals, &signal_number);
         const store::SegmentLogCounters counters = server.log().counters();
         std::cout << "shutting down: " << server.log().size() << " keys, appended "
                   << counters.records_appended << " records, served "
