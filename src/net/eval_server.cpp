@@ -139,8 +139,9 @@ ShardStats EvalServer::stats() const {
 
 void EvalServer::stop() {
     if (!running_.exchange(false)) return;
-    // Every connection thread returns once its frame in flight is answered
-    // (into a socket already shut down), so the pool is idle after this.
+    // Every connection thread returns once the points of its frame that had
+    // started are evaluated (the rest see running_ false and skip), so the
+    // pool is idle after this.
     server_.stop();
     // Stop sampling before the counters' owners tear down; the registry
     // (and its last ring) stays readable after stop().
@@ -254,7 +255,9 @@ void EvalServer::serve_connection(int fd, std::atomic<bool>& handshaken) {
     std::vector<unsigned char> scratch;
     while (read_batch_request(fd, points)) {
         evaluate_frame(points, results);
-        if (!write_batch_result(fd, results, scratch)) return;
+        // Once stop() has begun, points may have been skipped: the frame
+        // gets no answer, so the client fails it instead of reading holes.
+        if (!running_.load() || !write_batch_result(fd, results, scratch)) return;
     }
 }
 
@@ -267,6 +270,7 @@ void EvalServer::evaluate_frame(const std::vector<Vector>& points,
     tasks.reserve(points.size());
     for (std::size_t j = 0; j < points.size(); ++j) {
         tasks.push_back(pool_->submit([this, &points, &results, j] {
+            if (!running_.load()) return;  // stop() has begun
             results[j] = evaluate_one(points[j]);
             (results[j].ok ? served_ : failed_).fetch_add(1);
         }));

@@ -105,8 +105,10 @@ public:
 
     /// Bind + listen + start accepting. Throws on bind failure.
     void start();
-    /// Shut every connection down, join its thread once its frame in flight
-    /// is evaluated, and stop the pool. Idempotent.
+    /// Shut every connection down, join its thread once the points of its
+    /// frame in flight that had started are evaluated, and stop the pool.
+    /// Points that had not started are never evaluated or counted, and
+    /// their frame gets no answer. Idempotent.
     void stop();
     bool running() const { return running_.load(); }
 

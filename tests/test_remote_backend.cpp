@@ -430,6 +430,43 @@ TEST(EvalServer, StatsQueryIsAnsweredWhileAFrameIsMidEvaluation) {
     EXPECT_EQ(server->points_served(), points.size());
 }
 
+TEST(EvalServer, StopEvaluatesNoPointOfAFrameThatHadNotStarted) {
+    // stop() shuts the frame's socket down, so a point that had not started
+    // would be evaluated for nobody (in exec mode, a simulator launch each).
+    const Simulation slow = [](const Vector& nat) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        return transcendental(nat);
+    };
+    auto server = start_server(slow, "sim-slow", 1);
+
+    net::RemoteBackendOptions ro;
+    ro.endpoints = {net::parse_endpoint(endpoint_of(*server))};
+    ro.fingerprint = "sim-slow";
+    net::RemoteBackend backend(ro);
+    std::vector<Vector> points;
+    for (int i = 0; i < 50; ++i) points.push_back({0.1 * i, 1.0});
+    std::string error;
+    std::thread client([&] {
+        try {
+            backend.evaluate(points);
+        } catch (const std::runtime_error& e) {
+            error = e.what();
+        }
+    });
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (server->points_in_flight() < 1 && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_GE(server->points_in_flight(), 1u);
+    server->stop();
+    client.join();
+
+    EXPECT_LE(server->points_served(), 2u);
+    EXPECT_EQ(server->points_failed(), 0u);
+    EXPECT_NE(error.find("died and no live endpoints remain"), std::string::npos)
+        << "the client's frame must fail as a lost shard: " << error;
+}
+
 TEST(EvalServer, OneWorkerShardNeverEvaluatesTwoPointsAtOnce) {
     std::mutex mu;
     int active = 0;
