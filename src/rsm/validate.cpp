@@ -10,7 +10,9 @@ namespace ehdoe::rsm {
 
 namespace {
 
-ValidationReport report_from(const std::vector<double>& y, const std::vector<double>& yhat) {
+/// `training_range` normalises the RMSE when every response in `y` is equal.
+ValidationReport report_from(const std::vector<double>& y, const std::vector<double>& yhat,
+                             double training_range) {
     ValidationReport r;
     r.points = y.size();
     if (y.empty()) return r;
@@ -28,7 +30,8 @@ ValidationReport report_from(const std::vector<double>& y, const std::vector<dou
     }
     r.rmse = std::sqrt(sse / static_cast<double>(y.size()));
     r.mean_abs_error = sae / static_cast<double>(y.size());
-    r.nrmse_range = ymax > ymin ? r.rmse / (ymax - ymin) : 0.0;
+    const double range = ymax > ymin ? ymax - ymin : training_range;
+    r.nrmse_range = range > 0.0 ? r.rmse / range : 0.0;
     double mean_abs = 0.0;
     for (double v : y) mean_abs += std::fabs(v);
     mean_abs /= static_cast<double>(y.size());
@@ -44,7 +47,12 @@ ValidationReport validate_holdout(const FitResult& fit, const Matrix& coded_poin
     if (coded_points.rows() != y.size())
         throw std::invalid_argument("validate_holdout: shape mismatch");
     if (y.empty()) throw std::invalid_argument("validate_holdout: empty validation set");
-    return report_from(y, fit.predict(coded_points));
+    double training_range = 0.0;
+    if (!fit.y.empty()) {
+        const auto [lo, hi] = std::minmax_element(fit.y.begin(), fit.y.end());
+        training_range = *hi - *lo;
+    }
+    return report_from(y, fit.predict(coded_points), training_range);
 }
 
 ValidationReport cross_validate(const ModelSpec& model, const Matrix& coded_points,
@@ -83,7 +91,8 @@ ValidationReport cross_validate(const ModelSpec& model, const Matrix& coded_poin
             yhat_all.push_back(fit.predict(coded_points.row(idx)));
         }
     }
-    return report_from(y_all, yhat_all);
+    // Every fold trains on responses from `y`, whose range y_all shares.
+    return report_from(y_all, yhat_all, 0.0);
 }
 
 }  // namespace ehdoe::rsm

@@ -16,7 +16,11 @@ struct ValidationReport {
     double rmse = 0.0;          ///< root mean squared prediction error
     double max_abs_error = 0.0;
     double mean_abs_error = 0.0;
-    /// RMSE normalized by the observed response range (dimensionless).
+    /// RMSE normalized by the observed response range (dimensionless). When
+    /// every hold-out response is equal, validate_holdout divides by the
+    /// range of the training responses (FitResult::y) instead, so a surface
+    /// that mispredicts a constant response does not read 0; it is 0 only
+    /// when both ranges are zero. Never NaN or infinite for a finite RMSE.
     double nrmse_range = 0.0;
     /// RMSE normalized by the mean |response| (CV-RMSE) — the "% accuracy"
     /// figure EXPERIMENTS.md reports; meaningful even when the response is

@@ -1,6 +1,8 @@
 // Hold-out and cross-validation tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "doe/composite.hpp"
 #include "doe/lhs.hpp"
 #include "numerics/stats.hpp"
@@ -46,6 +48,31 @@ TEST(Holdout, ReportsNoiseFloor) {
     EXPECT_GT(r.nrmse_mean, 0.0);
     EXPECT_GT(r.nrmse_range, 0.0);
     EXPECT_GE(r.max_abs_error, r.mean_abs_error);
+}
+
+TEST(Holdout, ConstantHoldoutIsNormalisedByTheTrainingRange) {
+    // Every hold-out response is 0 (think: no downtime anywhere in the
+    // hold-out set) while the surface, fitted where downtime happens,
+    // predicts otherwise. The hold-out range is 0, so the training range
+    // normalises the error.
+    const auto d = ehdoe::doe::central_composite(2, {});
+    std::vector<double> y(d.runs());
+    for (std::size_t i = 0; i < d.runs(); ++i) y[i] = truth(d.points.row(i));
+    const FitResult f = fit_ols(ModelSpec(2, ModelOrder::Quadratic), d.points, y);
+    const auto [lo, hi] = std::minmax_element(y.begin(), y.end());
+
+    const auto probe = ehdoe::doe::latin_hypercube(40, 2, 5);
+    const std::vector<double> zeros(probe.runs(), 0.0);
+    const ValidationReport r = validate_holdout(f, probe.points, zeros);
+    EXPECT_GT(r.rmse, 0.5);
+    EXPECT_EQ(r.nrmse_range, r.rmse / (*hi - *lo));
+
+    // A surface fitted to a constant, checked on the same constant: both
+    // ranges are zero, and so is the error.
+    const FitResult flat = fit_ols(ModelSpec(2, ModelOrder::Linear), d.points,
+                                   std::vector<double>(d.runs(), 0.0));
+    const ValidationReport exact = validate_holdout(flat, probe.points, zeros);
+    EXPECT_EQ(exact.nrmse_range, 0.0);
 }
 
 TEST(CrossValidate, ReasonableForGoodModel) {
