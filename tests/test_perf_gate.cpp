@@ -206,6 +206,30 @@ TEST(PerfGate, TrackedGateFileParses) {
     }
     EXPECT_NE(gates.find("t5_optim.jsonl"), nullptr);
 
+    // T3's hold-out accuracy is bit-deterministic too: each of its 18 rows
+    // (three scenarios, six responses in name order) pins its scenario and
+    // response, caps its NRMSE/range and floors its hold-out R2.
+    const JsonValue* t3 = gates.find("t3_accuracy.jsonl");
+    ASSERT_NE(t3, nullptr);
+    const JsonValue* t3_eq = t3->find("require_eq");
+    const JsonValue* t3_max = t3->find("max");
+    const JsonValue* t3_min = t3->find("min");
+    ASSERT_TRUE(t3_eq && t3_max && t3_min);
+    const char* scenarios[] = {"S1-office-hvac", "S2-industrial", "S3-transport"};
+    const char* responses[] = {"E_cons", "E_harv", "E_tune", "V_min", "downtime", "packets"};
+    for (std::size_t i = 0; i < 18; ++i) {
+        const std::string row = "rows[" + std::to_string(i) + "].";
+        const JsonValue* scenario = t3_eq->find(row + "scenario");
+        const JsonValue* response = t3_eq->find(row + "response");
+        ASSERT_TRUE(scenario && response) << row;
+        EXPECT_EQ(scenario->string, scenarios[i / 6]) << row;
+        EXPECT_EQ(response->string, responses[i % 6]) << row;
+        const JsonValue* cap = t3_max->find(row + "nrmse_range");
+        const JsonValue* floor = t3_min->find(row + "val_r2");
+        EXPECT_TRUE(cap && cap->kind == JsonValue::Kind::Number) << row;
+        EXPECT_TRUE(floor && floor->kind == JsonValue::Kind::Number) << row;
+    }
+
     // The farm bench's block: both contract bits, the remote-x1 floor and
     // the latency ceilings at their bounds, and every row's label and exact
     // counters. The ledgers it retired are no longer gated.
