@@ -3,8 +3,9 @@
 // farm run over a warm store performs zero simulations and is bitwise
 // identical), racing put-batch writers converging to the union, corrupt
 // segments degrading to re-simulation (never failing a run), a store dying
-// mid-run falling through to the inner backend, handshake rejection of
-// alien peers and other protocol versions, the ":PORT" stats poll, and
+// mid-run falling through to the inner backend, the result identity's
+// exact bytes, handshake rejection of alien peers and other protocol
+// versions, the ":PORT" stats poll, and
 // stop() leaving alone descriptors the process reused after a client left
 // (checked against the eval daemon too).
 #include <gtest/gtest.h>
@@ -31,11 +32,13 @@
 #include <vector>
 
 #include "core/inprocess_backend.hpp"
+#include "core/persistent_cache.hpp"
 #include "core/scenario.hpp"
 #include "doe/batch_runner.hpp"
 #include "doe/composite.hpp"
 #include "doe/factorial.hpp"
 #include "net_test_utils.hpp"
+#include "store/segment_log.hpp"
 #include "store/store_backend.hpp"
 #include "store/store_client.hpp"
 #include "store/store_server.hpp"
@@ -458,6 +461,50 @@ TEST(StoreService, SnapshotAndStoreTiersEachServeAWarmRunAlone) {
         EXPECT_EQ(r.simulations, 0u);
     }
     server->stop();
+}
+
+// The result identity BatchRunner hands both tiers is
+// "<cache_fingerprint>/replicates=1", byte for byte: store keys and
+// snapshots written under it by earlier builds must stay warm.
+TEST(StoreService, ResultIdentityKeepsTheBytesEarlierBuildsWrote) {
+    const std::string identity = "sim-identity/replicates=1";
+    const Simulation sim = transcendental_sim();
+    const Design grid = full_factorial(2, 3);
+    std::vector<Vector> points;
+    for (std::size_t i = 0; i < grid.runs(); ++i)
+        points.push_back(kSpace.to_natural(grid.points.row(i)));
+
+    TempDir dir("ehdoe-storesvc-identity");
+    {
+        store::SegmentLogOptions lo;
+        lo.verbose = false;
+        store::SegmentLog log(dir.path(), lo);
+        for (const Vector& x : points) log.put(store::StoreBackend::point_key(identity, x), sim(x));
+    }
+    net_test::TempFile cache("ehdoe-storesvc-identity");
+    {
+        core::PersistentCache snapshot(
+            std::make_shared<core::InProcessBackend>(sim, core::BackendOptions{}), cache.path(),
+            identity, /*autosave=*/false);
+        snapshot.evaluate(points);
+        ASSERT_TRUE(snapshot.save());
+    }
+
+    auto server = start_store(dir);
+    RunnerOptions store_only;
+    store_only.cache_fingerprint = "sim-identity";
+    store_only.store_endpoint = store_endpoint_of(*server);
+    const RunResults from_store = BatchRunner(sim, store_only).run_design(kSpace, grid);
+    EXPECT_EQ(from_store.simulations, 0u);
+    EXPECT_EQ(from_store.cache_hits, grid.runs());
+    server->stop();
+
+    RunnerOptions snapshot_only;
+    snapshot_only.cache_fingerprint = "sim-identity";
+    snapshot_only.cache_file = cache.path();
+    const RunResults from_snapshot = BatchRunner(sim, snapshot_only).run_design(kSpace, grid);
+    EXPECT_EQ(from_snapshot.simulations, 0u);
+    EXPECT_EQ(from_snapshot.cache_hits, grid.runs());
 }
 
 // ---------------------------------------------------------------------------
