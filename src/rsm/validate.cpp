@@ -10,9 +10,13 @@ namespace ehdoe::rsm {
 
 namespace {
 
-/// `training_range` normalises the RMSE when every response in `y` is equal.
+/// When every response in `y` is equal, `training` (the fit's responses;
+/// empty for none) supplies each denominator that `y` leaves at zero: its
+/// range for nrmse_range, its mean |y| for nrmse_mean, and the squared
+/// errors of its mean as a baseline predictor for r_squared. A training
+/// denominator of zero keeps the hold-out's own.
 ValidationReport report_from(const std::vector<double>& y, const std::vector<double>& yhat,
-                             double training_range) {
+                             const std::vector<double>& training) {
     ValidationReport r;
     r.points = y.size();
     if (y.empty()) return r;
@@ -30,11 +34,23 @@ ValidationReport report_from(const std::vector<double>& y, const std::vector<dou
     }
     r.rmse = std::sqrt(sse / static_cast<double>(y.size()));
     r.mean_abs_error = sae / static_cast<double>(y.size());
-    const double range = ymax > ymin ? ymax - ymin : training_range;
-    r.nrmse_range = range > 0.0 ? r.rmse / range : 0.0;
+    double range = ymax - ymin;
     double mean_abs = 0.0;
     for (double v : y) mean_abs += std::fabs(v);
     mean_abs /= static_cast<double>(y.size());
+    if (!(ymax > ymin) && !training.empty()) {
+        const auto [lo, hi] = std::minmax_element(training.begin(), training.end());
+        if (*hi > *lo) range = *hi - *lo;
+        double train_mean_abs = 0.0;
+        for (double v : training) train_mean_abs += std::fabs(v);
+        train_mean_abs /= static_cast<double>(training.size());
+        if (train_mean_abs > 0.0) mean_abs = train_mean_abs;
+        const double train_mean = num::mean(training);
+        double baseline = 0.0;
+        for (double v : y) baseline += (v - train_mean) * (v - train_mean);
+        if (baseline > 0.0) sst = baseline;
+    }
+    r.nrmse_range = range > 0.0 ? r.rmse / range : 0.0;
     r.nrmse_mean = mean_abs > 0.0 ? r.rmse / mean_abs : 0.0;
     r.r_squared = sst > 0.0 ? 1.0 - sse / sst : (sse == 0.0 ? 1.0 : 0.0);
     return r;
@@ -47,12 +63,7 @@ ValidationReport validate_holdout(const FitResult& fit, const Matrix& coded_poin
     if (coded_points.rows() != y.size())
         throw std::invalid_argument("validate_holdout: shape mismatch");
     if (y.empty()) throw std::invalid_argument("validate_holdout: empty validation set");
-    double training_range = 0.0;
-    if (!fit.y.empty()) {
-        const auto [lo, hi] = std::minmax_element(fit.y.begin(), fit.y.end());
-        training_range = *hi - *lo;
-    }
-    return report_from(y, fit.predict(coded_points), training_range);
+    return report_from(y, fit.predict(coded_points), fit.y);
 }
 
 ValidationReport cross_validate(const ModelSpec& model, const Matrix& coded_points,
@@ -91,8 +102,8 @@ ValidationReport cross_validate(const ModelSpec& model, const Matrix& coded_poin
             yhat_all.push_back(fit.predict(coded_points.row(idx)));
         }
     }
-    // Every fold trains on responses from `y`, whose range y_all shares.
-    return report_from(y_all, yhat_all, 0.0);
+    // Every fold trains on responses from `y`, which y_all holds.
+    return report_from(y_all, yhat_all, {});
 }
 
 }  // namespace ehdoe::rsm

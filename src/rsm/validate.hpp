@@ -24,9 +24,14 @@ struct ValidationReport {
     double nrmse_range = 0.0;
     /// RMSE normalized by the mean |response| (CV-RMSE) — the "% accuracy"
     /// figure EXPERIMENTS.md reports; meaningful even when the response is
-    /// nearly flat across the region.
+    /// nearly flat across the region. A constant hold-out divides by the
+    /// training responses' mean |y| instead, unless that is 0.
     double nrmse_mean = 0.0;
-    double r_squared = 0.0;     ///< 1 - SSE/SST on the validation data
+    /// 1 - SSE/SST on the validation data. A constant hold-out has no SST of
+    /// its own; validate_holdout then takes the training mean as the
+    /// baseline predictor, SST = sum of (y_i - training mean)^2, unless that
+    /// is 0 (then 1 for an exact fit, else 0).
+    double r_squared = 0.0;
     std::size_t points = 0;
 };
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "doe/composite.hpp"
 #include "doe/lhs.hpp"
@@ -53,8 +54,8 @@ TEST(Holdout, ReportsNoiseFloor) {
 TEST(Holdout, ConstantHoldoutIsNormalisedByTheTrainingRange) {
     // Every hold-out response is 0 (think: no downtime anywhere in the
     // hold-out set) while the surface, fitted where downtime happens,
-    // predicts otherwise. The hold-out range is 0, so the training range
-    // normalises the error.
+    // predicts otherwise. The hold-out has no range, mean |y| or spread of
+    // its own, so the training responses normalise the error.
     const auto d = ehdoe::doe::central_composite(2, {});
     std::vector<double> y(d.runs());
     for (std::size_t i = 0; i < d.runs(); ++i) y[i] = truth(d.points.row(i));
@@ -67,12 +68,27 @@ TEST(Holdout, ConstantHoldoutIsNormalisedByTheTrainingRange) {
     EXPECT_GT(r.rmse, 0.5);
     EXPECT_EQ(r.nrmse_range, r.rmse / (*hi - *lo));
 
-    // A surface fitted to a constant, checked on the same constant: both
-    // ranges are zero, and so is the error.
+    double mean_abs = 0.0;
+    for (const double v : y) mean_abs += std::fabs(v);
+    mean_abs /= static_cast<double>(y.size());
+    EXPECT_DOUBLE_EQ(r.nrmse_mean, r.rmse / mean_abs);
+    // R^2 against the training mean as the baseline predictor: a surface
+    // that misses the zeros by more than that baseline scores below 0.
+    const double ybar = ehdoe::num::mean(y);
+    double sse = 0.0, baseline = 0.0;
+    for (const double p : f.predict(probe.points)) sse += p * p;
+    for (const double v : zeros) baseline += (v - ybar) * (v - ybar);
+    EXPECT_DOUBLE_EQ(r.r_squared, 1.0 - sse / baseline);
+    EXPECT_LT(r.r_squared, 0.0);
+
+    // A surface fitted to a constant, checked on the same constant: every
+    // training denominator is zero too, and so is the error.
     const FitResult flat = fit_ols(ModelSpec(2, ModelOrder::Linear), d.points,
                                    std::vector<double>(d.runs(), 0.0));
     const ValidationReport exact = validate_holdout(flat, probe.points, zeros);
     EXPECT_EQ(exact.nrmse_range, 0.0);
+    EXPECT_EQ(exact.nrmse_mean, 0.0);
+    EXPECT_EQ(exact.r_squared, 1.0);
 }
 
 TEST(CrossValidate, ReasonableForGoodModel) {
