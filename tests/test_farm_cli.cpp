@@ -360,7 +360,8 @@ TEST_F(FarmCli, UsageErrorsExitTwo) {
              {"top", "--json", eval_endpoint_},
              {"export", "--count", "1", eval_endpoint_},
              {"export", "--port", "0", "--textfile", textfile, eval_endpoint_},
-             {"stats", "no-port-here"}}) {
+             {"stats", "no-port-here"},
+             {"stats", "--store", "no-port-here"}}) {
         const Outcome r = farm(args);
         std::string line;
         for (const std::string& a : args) line += " " + a;

@@ -36,10 +36,10 @@
 // and outside the determinism contract. stdout carries only the view:
 // every endpoint that is down gets one stderr line per poll.
 //
-// Exit status: 2 on usage errors. stats, and export to stdout or a
-// textfile: 0 when every endpoint answered the last poll, 1 when any did
-// not. top: 0. export --port: 0 after SIGINT/SIGTERM, 1 when it cannot
-// listen.
+// Exit status: 2 on usage errors, a malformed HOST:PORT included. stats,
+// and export to stdout or a textfile: 0 when every endpoint answered the
+// last poll, 1 when any did not. top: 0. export --port: 0 after
+// SIGINT/SIGTERM, 1 when it cannot listen.
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -677,12 +677,22 @@ int main(int argc, char** argv) {
     std::string host = "127.0.0.1";
     std::string textfile;
     const bool repeats = view != View::Export;  // stats and top; export polls once
+    // A malformed endpoint, a shard's or a --store's, is a usage error.
+    auto parse = [](const std::string& spec) -> std::optional<net::Endpoint> {
+        try {
+            return net::parse_endpoint(spec);
+        } catch (const std::exception& e) {
+            std::cerr << "ehdoe-farm: " << e.what() << "\n";
+            return std::nullopt;
+        }
+    };
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
         auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
         if (arg == "--store") {
             const char* v = next();
-            if (!v || *v == '\0') return usage();
+            if (!v) return usage();
+            if (!parse(v)) return 2;
             farm.stores.push_back(v);
         } else if (arg == "--interval" && repeats) {
             // Strict parse: "--interval 5x" must be a usage error, not 5.
@@ -711,12 +721,9 @@ int main(int argc, char** argv) {
         } else if (!arg.empty() && arg[0] == '-') {
             return usage();
         } else {
-            try {
-                farm.shards.push_back(net::parse_endpoint(arg));
-            } catch (const std::exception& e) {
-                std::cerr << "ehdoe-farm: " << e.what() << "\n";
-                return 2;
-            }
+            const std::optional<net::Endpoint> endpoint = parse(arg);
+            if (!endpoint) return 2;
+            farm.shards.push_back(*endpoint);
         }
     }
     if (farm.shards.empty() && farm.stores.empty()) return usage();
