@@ -40,7 +40,7 @@ namespace ehdoe::core {
 
 using num::Vector;
 
-/// Named responses of one simulation (replicate-averaged).
+/// Named responses of one simulation.
 using ResponseMap = std::map<std::string, double>;
 
 /// A simulation: natural-units factor vector -> named responses.
@@ -51,8 +51,6 @@ struct BackendOptions {
     /// Workers (threads, or concurrent simulator processes for exec); 1 =
     /// serial, 0 = all hardware threads.
     std::size_t threads = 1;
-    /// Replicates per point (responses averaged inside the backend).
-    std::size_t replicates = 1;
 };
 
 /// Abstract evaluation backend. Implementations own their execution
@@ -70,7 +68,7 @@ public:
     virtual std::string name() const = 0;
     /// Resolved parallelism (pool threads / concurrent processes).
     virtual std::size_t concurrency() const = 0;
-    /// Lifetime raw simulator invocations (each replicate counts).
+    /// Lifetime raw simulator invocations.
     virtual std::size_t simulations() const = 0;
     /// Lifetime points served from a backend-level cache (decorators only).
     virtual std::size_t cache_hits() const { return 0; }
@@ -84,8 +82,12 @@ public:
 /// both — delete them together with that call.
 enum class BackendKind { InProcess };
 
-/// Replicate loop + averaging shared by every executing backend; this is the
-/// exact arithmetic the contract's "bitwise identical" promise refers to.
+/// One point's evaluation: the responses of `replicates` runs of `sim`,
+/// summed onto 0.0 and averaged. InProcessBackend and the eval daemon call
+/// it with 1 (so a -0.0 response reads +0.0, and exec::ExecRunner does the
+/// same sum); this is the exact arithmetic the contract's "bitwise
+/// identical" promise refers to. The count parameter stays only for
+/// perfbench's bitwise references, which pass 1 too.
 ResponseMap simulate_replicated(const Simulation& sim, const Vector& natural,
                                 std::size_t replicates);
 

@@ -10,11 +10,9 @@
 namespace ehdoe::core {
 
 InProcessBackend::InProcessBackend(Simulation sim, BackendOptions options)
-    : sim_(std::move(sim)), options_(std::move(options)) {
+    : sim_(std::move(sim)),
+      threads_(options.threads == 0 ? ThreadPool::hardware_threads() : options.threads) {
     if (!sim_) throw std::invalid_argument("InProcessBackend: simulation required");
-    if (options_.replicates == 0)
-        throw std::invalid_argument("InProcessBackend: replicates >= 1");
-    threads_ = options_.threads == 0 ? ThreadPool::hardware_threads() : options_.threads;
 }
 
 InProcessBackend::~InProcessBackend() = default;
@@ -31,10 +29,10 @@ std::vector<ResponseMap> InProcessBackend::evaluate(const std::vector<Vector>& p
     if (threads_ > 1 && !pool_) pool_ = std::make_unique<ThreadPool>(threads_);
     std::atomic<std::size_t> simulated{0};
     const std::exception_ptr error = run_chunked(pool_.get(), n, batch_size, [&](std::size_t i) {
-        out[i] = simulate_replicated(sim_, points[i], options_.replicates);
+        out[i] = simulate_replicated(sim_, points[i], 1);
         simulated.fetch_add(1, std::memory_order_relaxed);
     });
-    simulations_ += simulated.load(std::memory_order_relaxed) * options_.replicates;
+    simulations_ += simulated.load(std::memory_order_relaxed);
     batches_ += (n + batch_size - 1) / batch_size;
     if (error) std::rethrow_exception(error);
     return out;

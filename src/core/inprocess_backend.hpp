@@ -39,7 +39,6 @@ public:
 
 private:
     Simulation sim_;
-    BackendOptions options_;
     std::size_t threads_ = 1;
     std::unique_ptr<ThreadPool> pool_;
     std::size_t simulations_ = 0;

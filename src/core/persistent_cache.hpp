@@ -10,7 +10,7 @@
 //   magic   "EHDOEC\0"  7 bytes + u8 format version
 //   u64 fingerprint_len, bytes      — identifies the simulation the entries
 //                                     came from (scenario, horizon,
-//                                     replicates, ...); a mismatch
+//                                     recipe, ...); a mismatch
 //                                     invalidates the whole file
 //   u64 n_entries
 //   entry := u64 dim, dim x f64     — the exact natural-unit point

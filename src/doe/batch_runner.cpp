@@ -30,7 +30,6 @@ BatchRunner::BatchRunner(Simulation sim, RunnerOptions options)
     // closure.
     if (!sim && options_.endpoints.empty() && options_.recipe_file.empty())
         throw std::invalid_argument("BatchRunner: simulation required");
-    if (options_.replicates == 0) throw std::invalid_argument("BatchRunner: replicates >= 1");
 
     // Tracing and the journal must be live before the backend stack is
     // built so construction-time work (remote handshakes, recipe parsing,
@@ -51,7 +50,6 @@ BatchRunner::BatchRunner(Simulation sim, RunnerOptions options)
             ro.endpoints.push_back(net::parse_endpoint(spec));
         }
         ro.fingerprint = options_.cache_fingerprint;
-        ro.replicates = options_.replicates;
         ro.redial_seconds = options_.redial_seconds;
         backend_ = std::make_shared<net::RemoteBackend>(std::move(ro));
     } else if (!options_.recipe_file.empty()) {
@@ -61,21 +59,19 @@ BatchRunner::BatchRunner(Simulation sim, RunnerOptions options)
         recipe_tag = "/recipe=" + recipe.fingerprint();
         core::BackendOptions bo;
         bo.threads = options_.threads;
-        bo.replicates = options_.replicates;
-        backend_ = std::make_shared<exec::ExecBackend>(std::move(recipe), std::move(bo));
+        backend_ = std::make_shared<exec::ExecBackend>(std::move(recipe), bo);
     } else {
         core::BackendOptions bo;
         bo.threads = options_.threads;
-        bo.replicates = options_.replicates;
-        backend_ = std::make_shared<core::InProcessBackend>(std::move(sim), std::move(bo));
+        backend_ = std::make_shared<core::InProcessBackend>(std::move(sim), bo);
     }
-    // The replicate count (and the recipe revision, for exec stacks) is
-    // part of the result identity: entries hold replicate-averaged
-    // responses, which a run with a different count — or a different
-    // simulator — must never silently reuse. The store keys and the
-    // snapshot fingerprint share this one string.
-    const std::string identity = options_.cache_fingerprint + recipe_tag +
-                                 "/replicates=" + std::to_string(options_.replicates);
+    // The result identity, which the store keys and the snapshot
+    // fingerprint share. The recipe revision (exec stacks) is part of it:
+    // a different simulator must never silently reuse these responses. The
+    // "/replicates=1" suffix is a fixed literal: every store key and
+    // snapshot written by earlier builds, which still took a replicate
+    // count, ends with it, so keeping it keeps them warm.
+    const std::string identity = options_.cache_fingerprint + recipe_tag + "/replicates=1";
     if (!options_.store_endpoint.empty()) {
         // The farm-wide tier sits between the local snapshot and
         // simulation: snapshot hits never touch the network, store hits

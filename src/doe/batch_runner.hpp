@@ -14,7 +14,7 @@
 //    vector, so CCD centre replicates, validation re-runs and optimizer
 //    confirmation visits of already-simulated points are free (replicated
 //    design points are therefore identical copies with no pure-error
-//    information; a stochastic simulation averages through `replicates`);
+//    information);
 //  * accounted — lifetime counters (simulations, cache hits, batches, wall
 //    time) aggregate the backend's ledgers with the in-memory memo table;
 //  * exception-correct — a failing point aborts the run after in-flight
@@ -55,8 +55,7 @@ struct BatchStats {
 class BatchRunner {
 public:
     /// Takes ownership of the simulation and builds the backend stack the
-    /// options describe; options are fixed for the runner's lifetime (the
-    /// cache is only valid for one replicate count).
+    /// options describe; options are fixed for the runner's lifetime.
     explicit BatchRunner(Simulation sim, RunnerOptions options = {});
     /// Orchestrate over an externally built backend (tests, exotic stacks):
     /// the stack is whatever the caller composed, and options() are the

@@ -24,7 +24,7 @@ namespace ehdoe::doe {
 /// vocabulary with the evaluation-backend layer).
 using Simulation = core::Simulation;
 
-/// Named responses of one simulation (replicate-averaged).
+/// Named responses of one simulation.
 using ResponseMap = core::ResponseMap;
 
 /// Collected responses of a design execution, column-per-response.
@@ -45,12 +45,12 @@ struct RunResults {
 struct RunnerOptions {
     /// External-simulator recipe file (exec/sim_recipe.hpp); non-empty
     /// routes evaluation through an exec::ExecBackend that launches one
-    /// co-simulator process per point (x replicates) instead of calling
-    /// the Simulation — which may then be null. `threads` bounds
-    /// concurrent simulator processes; the recipe's content hash folds
-    /// into the persistent-cache identity, so cached responses never
-    /// cross recipe revisions. Ignored when `endpoints` is non-empty (the
-    /// remote servers own their own recipes).
+    /// co-simulator process per point instead of calling the Simulation —
+    /// which may then be null. `threads` bounds concurrent simulator
+    /// processes; the recipe's content hash folds into the persistent-cache
+    /// identity, so cached responses never cross recipe revisions. Ignored
+    /// when `endpoints` is non-empty (the remote servers own their own
+    /// recipes).
     std::string recipe_file;
     /// Remote eval-server endpoints ("host:port"). Non-empty routes
     /// evaluation through a net::RemoteBackend that shards each batch
@@ -68,24 +68,19 @@ struct RunnerOptions {
     /// must be thread-safe pure functions of their input (all toolkit
     /// simulations are).
     std::size_t threads = 1;
-    /// Replicates per design point (responses averaged; useful when the
-    /// simulation itself is stochastic).
-    std::size_t replicates = 1;
     /// Persistent evaluation cache file; non-empty wraps the backend in a
     /// core::PersistentCache so repeated runs amortize simulations across
     /// processes. Pair with `cache_fingerprint` to identify the simulation.
     std::string cache_file;
     /// Identity of the simulation behind `cache_file` (scenario name,
-    /// horizon, ...); a mismatch invalidates the snapshot. The replicate
-    /// count is appended automatically — cached responses are
-    /// replicate-averaged and must not cross replicate settings.
+    /// horizon, ...); a mismatch invalidates the snapshot.
     std::string cache_fingerprint;
     /// Shared result store service ("host:port", store/store_server.hpp);
     /// non-empty wraps the backend in a store::StoreBackend consulted
     /// between the local snapshot and simulation, so independent farm runs
     /// share results through one daemon. Keys carry the same identity as
-    /// `cache_file` (cache_fingerprint + recipe hash + replicates), so a
-    /// store hit is bit-identical to a local simulation by construction.
+    /// `cache_file` (cache_fingerprint + recipe hash), so a store hit is
+    /// bit-identical to a local simulation by construction.
     /// Construction throws when the store is unreachable; a store dying
     /// *mid-run* degrades to simulation instead of failing the run.
     std::string store_endpoint;

@@ -10,9 +10,8 @@
 namespace ehdoe::exec {
 
 ExecBackend::ExecBackend(SimRecipe recipe, core::BackendOptions options)
-    : options_(std::move(options)), runner_(std::move(recipe), options_.replicates) {
-    threads_ = options_.threads == 0 ? core::ThreadPool::hardware_threads() : options_.threads;
-}
+    : runner_(std::move(recipe)),
+      threads_(options.threads == 0 ? core::ThreadPool::hardware_threads() : options.threads) {}
 
 ExecBackend::~ExecBackend() = default;
 
@@ -32,7 +31,7 @@ std::vector<core::ResponseMap> ExecBackend::evaluate(const std::vector<Vector>& 
         out[i] = std::move(outcome.responses);
         completed.fetch_add(1, std::memory_order_relaxed);
     });
-    simulations_ += completed.load(std::memory_order_relaxed) * options_.replicates;
+    simulations_ += completed.load(std::memory_order_relaxed);
     batches_ += launched.load(std::memory_order_relaxed);
     if (error) std::rethrow_exception(error);
     return out;

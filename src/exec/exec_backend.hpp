@@ -42,8 +42,7 @@ class ExecBackend : public core::EvalBackend {
 public:
     /// Validates the recipe and creates the scratch root. `options.threads`
     /// bounds concurrent simulator processes (0 = all hardware threads);
-    /// `options.replicates` launches run per point, averaged; the recipe's
-    /// own `retries` bounds relaunches.
+    /// the recipe's own `retries` bounds relaunches.
     ExecBackend(SimRecipe recipe, core::BackendOptions options);
     ~ExecBackend() override;
 
@@ -55,7 +54,7 @@ public:
     std::string name() const override { return "exec"; }
     /// Concurrent simulator processes the pool can keep in flight.
     std::size_t concurrency() const override { return threads_; }
-    /// Completed points x replicates (launches() counts raw processes).
+    /// Completed points (launches() counts raw processes).
     std::size_t simulations() const override { return simulations_; }
     /// One dispatch unit per point launch round-trip.
     std::size_t batches() const override { return batches_; }
@@ -64,7 +63,7 @@ public:
     const ExecRunner& runner() const { return runner_; }
 
     // Exec-specific lifetime counters (forwarded from the runner).
-    /// Simulator processes launched (replicates and relaunches included).
+    /// Simulator processes launched (relaunches included).
     std::size_t launches() const { return runner_.launches(); }
     /// Launches that hit the recipe's wall-clock timeout.
     std::size_t timeouts() const { return runner_.timeouts(); }
@@ -77,7 +76,6 @@ public:
     }
 
 private:
-    core::BackendOptions options_;
     ExecRunner runner_;
     std::size_t threads_ = 1;
     std::unique_ptr<core::ThreadPool> pool_;

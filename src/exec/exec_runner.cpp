@@ -115,9 +115,7 @@ bool await_exit(int pidfd, double timeout_seconds) {
 
 }  // namespace
 
-ExecRunner::ExecRunner(SimRecipe recipe, std::size_t replicates)
-    : recipe_(std::move(recipe)), replicates_(replicates) {
-    if (replicates_ == 0) throw std::invalid_argument("ExecRunner: replicates >= 1");
+ExecRunner::ExecRunner(SimRecipe recipe) : recipe_(std::move(recipe)) {
     if (recipe_.command.empty()) throw std::invalid_argument("ExecRunner: recipe has no command");
     if (recipe_.extractors.empty())
         throw std::invalid_argument("ExecRunner: recipe has no extractors");
@@ -165,8 +163,8 @@ core::telemetry::LatencyHistogram ExecRunner::latency_histogram() const {
 ExecOutcome ExecRunner::run_point(const Vector& natural, std::size_t index) {
     core::telemetry::Span span("run-point", "exec");
     span.arg("index", static_cast<std::uint64_t>(index));
-    // The histogram bills the full per-point cost — replicates, retries and
-    // parsing included — matching what the calling backend waited for.
+    // The histogram bills the full per-point cost — retries and parsing
+    // included — matching what the calling backend waited for.
     const std::uint64_t point_start = core::telemetry::now_us();
     struct LatencyProbe {
         ExecRunner& runner;
@@ -179,90 +177,85 @@ ExecOutcome ExecRunner::run_point(const Vector& natural, std::size_t index) {
     } probe{*this, point_start};
 
     ExecOutcome outcome;
-    core::ResponseMap acc;
+    core::ResponseMap responses;
     try {
-        for (std::size_t rep = 0; rep < replicates_; ++rep) {
-            core::ResponseMap one;
-            for (std::size_t attempt = 0;; ++attempt) {
-                const std::string workdir =
-                    (fs::path(scratch_root_) /
-                     ("p" + std::to_string(index) + "-" + std::to_string(seq_.fetch_add(1))))
-                        .string();
-                std::error_code ec;
-                fs::create_directories(workdir, ec);
-                if (ec) {
-                    outcome.error = "ExecRunner: cannot create scratch dir '" + workdir +
-                                    "': " + ec.message();
-                    return outcome;
-                }
-                auto cleanup = [&] {
-                    if (recipe_.keep_artifacts) return;
-                    std::error_code rmec;
-                    fs::remove_all(workdir, rmec);
-                };
-                LaunchResult run;
-                try {
-                    run = launch_once(natural, index, workdir);
-                } catch (...) {
-                    // Render-time recipe bugs (bad placeholder) must not
-                    // leak the scratch dir they were about to use.
-                    cleanup();
-                    throw;
-                }
-
-                if (!run.launched) {
-                    outcome.error = "ExecRunner: " + run.diagnosis;
-                    cleanup();
-                    return outcome;
-                }
-                if (run.timed_out) {
-                    timeouts_.fetch_add(1);
-                    core::telemetry::Event("exec_timeout")
-                        .field("point", static_cast<std::uint64_t>(index))
-                        .field("timeout_seconds", recipe_.timeout_seconds);
-                    outcome.timed_out = true;
-                    outcome.error = "ExecRunner: simulator timed out after " +
-                                    std::to_string(recipe_.timeout_seconds) +
-                                    " s at point " + std::to_string(index) +
-                                    " (process group killed)";
-                    cleanup();
-                    return outcome;
-                }
-                if (run.signaled || run.exit_code != 0) {
-                    const std::string stderr_tail = tail_of(workdir + "/stderr.txt");
-                    if (attempt < recipe_.retries) {
-                        relaunches_.fetch_add(1);
-                        core::telemetry::Event("exec_relaunch")
-                            .field("point", static_cast<std::uint64_t>(index))
-                            .field("attempt", static_cast<std::uint64_t>(attempt + 1))
-                            .field("exit",
-                                   run.signaled
-                                       ? "signal " + std::to_string(run.signal)
-                                       : "status " + std::to_string(run.exit_code));
-                        cleanup();
-                        continue;  // bounded retry on a crashed/failed launch
-                    }
-                    outcome.error =
-                        "ExecRunner: simulator " +
-                        (run.signaled ? "killed by signal " + std::to_string(run.signal)
-                                      : "exited with status " + std::to_string(run.exit_code)) +
-                        " at point " + std::to_string(index) + " after " +
-                        std::to_string(attempt + 1) + " launch(es)" +
-                        (stderr_tail.empty() ? "" : ": " + stderr_tail);
-                    cleanup();
-                    return outcome;
-                }
-                std::string parse_error;
-                if (!parse_output(workdir, one, parse_error)) {
-                    outcome.error = parse_error;
-                    cleanup();
-                    return outcome;
-                }
-                cleanup();
-                break;  // this replicate succeeded
+        for (std::size_t attempt = 0;; ++attempt) {
+            const std::string workdir =
+                (fs::path(scratch_root_) /
+                 ("p" + std::to_string(index) + "-" + std::to_string(seq_.fetch_add(1))))
+                    .string();
+            std::error_code ec;
+            fs::create_directories(workdir, ec);
+            if (ec) {
+                outcome.error = "ExecRunner: cannot create scratch dir '" + workdir +
+                                "': " + ec.message();
+                return outcome;
             }
-            // The exact replicate arithmetic of core::simulate_replicated.
-            for (const auto& [k, v] : one) acc[k] += v;
+            auto cleanup = [&] {
+                if (recipe_.keep_artifacts) return;
+                std::error_code rmec;
+                fs::remove_all(workdir, rmec);
+            };
+            LaunchResult run;
+            try {
+                run = launch_once(natural, index, workdir);
+            } catch (...) {
+                // Render-time recipe bugs (bad placeholder) must not
+                // leak the scratch dir they were about to use.
+                cleanup();
+                throw;
+            }
+
+            if (!run.launched) {
+                outcome.error = "ExecRunner: " + run.diagnosis;
+                cleanup();
+                return outcome;
+            }
+            if (run.timed_out) {
+                timeouts_.fetch_add(1);
+                core::telemetry::Event("exec_timeout")
+                    .field("point", static_cast<std::uint64_t>(index))
+                    .field("timeout_seconds", recipe_.timeout_seconds);
+                outcome.timed_out = true;
+                outcome.error = "ExecRunner: simulator timed out after " +
+                                std::to_string(recipe_.timeout_seconds) +
+                                " s at point " + std::to_string(index) +
+                                " (process group killed)";
+                cleanup();
+                return outcome;
+            }
+            if (run.signaled || run.exit_code != 0) {
+                const std::string stderr_tail = tail_of(workdir + "/stderr.txt");
+                if (attempt < recipe_.retries) {
+                    relaunches_.fetch_add(1);
+                    core::telemetry::Event("exec_relaunch")
+                        .field("point", static_cast<std::uint64_t>(index))
+                        .field("attempt", static_cast<std::uint64_t>(attempt + 1))
+                        .field("exit",
+                               run.signaled
+                                   ? "signal " + std::to_string(run.signal)
+                                   : "status " + std::to_string(run.exit_code));
+                    cleanup();
+                    continue;  // bounded retry on a crashed/failed launch
+                }
+                outcome.error =
+                    "ExecRunner: simulator " +
+                    (run.signaled ? "killed by signal " + std::to_string(run.signal)
+                                  : "exited with status " + std::to_string(run.exit_code)) +
+                    " at point " + std::to_string(index) + " after " +
+                    std::to_string(attempt + 1) + " launch(es)" +
+                    (stderr_tail.empty() ? "" : ": " + stderr_tail);
+                cleanup();
+                return outcome;
+            }
+            std::string parse_error;
+            if (!parse_output(workdir, responses, parse_error)) {
+                outcome.error = parse_error;
+                cleanup();
+                return outcome;
+            }
+            cleanup();
+            break;  // this launch succeeded
         }
     } catch (const std::exception& e) {
         // Template/recipe errors surface per point so the backend's
@@ -270,9 +263,8 @@ ExecOutcome ExecRunner::run_point(const Vector& natural, std::size_t index) {
         outcome.error = std::string("ExecRunner: ") + e.what();
         return outcome;
     }
-    for (auto& [k, v] : acc) v /= static_cast<double>(replicates_);
     outcome.ok = true;
-    outcome.responses = std::move(acc);
+    outcome.responses = std::move(responses);
     return outcome;
 }
 
@@ -476,7 +468,9 @@ bool ExecRunner::parse_output(const std::string& workdir, core::ResponseMap& out
                     "'";
             return false;
         }
-        out.emplace(ex.response, value);
+        // Summed onto 0.0 as core::simulate_replicated sums (a -0.0 reads
+        // +0.0), so exec stays bitwise equal to in-process evaluation.
+        out.emplace(ex.response, 0.0 + value);
     }
     return true;
 }

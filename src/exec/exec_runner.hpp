@@ -1,8 +1,8 @@
 // ehdoe/exec/exec_runner.hpp
 //
 // The launch engine behind the exec backend: turns one natural-unit point
-// into one (or more, for replicates/retries) external simulator process
-// runs, per the SimRecipe. Each launch gets a fresh scratch directory
+// into one (or more, for retries) external simulator process runs, per the
+// SimRecipe. Each launch gets a fresh scratch directory
 // holding the rendered deck and the stdout/stderr captures, and is
 // started with posix_spawnp: the child borrows this process's memory until
 // it execs, so a launch never copies the page tables of a large,
@@ -49,7 +49,7 @@ namespace ehdoe::exec {
 /// What one point's evaluation came to.
 struct ExecOutcome {
     bool ok = false;
-    core::ResponseMap responses;  ///< replicate-averaged, like every backend
+    core::ResponseMap responses;  ///< summed onto 0.0, like simulate_replicated
     std::string error;            ///< diagnosis when !ok
     bool timed_out = false;       ///< a launch hit the recipe timeout
 };
@@ -57,9 +57,8 @@ struct ExecOutcome {
 class ExecRunner {
 public:
     /// Validates the recipe's command/extractors and creates the scratch
-    /// root. `replicates` launches run per point, responses averaged with
-    /// the exact arithmetic of core::simulate_replicated.
-    ExecRunner(SimRecipe recipe, std::size_t replicates = 1);
+    /// root.
+    explicit ExecRunner(SimRecipe recipe);
     /// Removes the scratch root when no artifacts were kept.
     ~ExecRunner();
 
@@ -73,11 +72,10 @@ public:
     ExecOutcome run_point(const Vector& natural, std::size_t index);
 
     const SimRecipe& recipe() const { return recipe_; }
-    std::size_t replicates() const { return replicates_; }
     const std::string& scratch_root() const { return scratch_root_; }
 
     // Lifetime counters (monotonic, readable from any thread).
-    /// Simulator processes launched (replicates and relaunches included).
+    /// Simulator processes launched (relaunches included).
     std::size_t launches() const { return launches_.load(); }
     /// Launches that hit the recipe's wall-clock timeout.
     std::size_t timeouts() const { return timeouts_.load(); }
@@ -86,8 +84,8 @@ public:
     std::size_t relaunches() const { return relaunches_.load(); }
 
     /// Snapshot of the lifetime per-point wall-time histogram
-    /// (microseconds, retries and replicates included — the cost the
-    /// caller actually paid per point).
+    /// (microseconds, retries included — the cost the caller actually paid
+    /// per point).
     core::telemetry::LatencyHistogram latency_histogram() const;
 
 private:
@@ -110,7 +108,6 @@ private:
                       std::string& error) const;
 
     SimRecipe recipe_;
-    std::size_t replicates_;
     /// Regex extractors compiled once (parallel to recipe_.extractors;
     /// column entries hold a default-constructed placeholder) — regex
     /// construction is far too expensive to repeat per launch.

@@ -29,7 +29,6 @@ EvalServer::EvalServer(core::Simulation sim, EvalServerOptions options)
     : sim_(std::move(sim)), options_(std::move(options)) {
     if (!sim_ && !options_.recipe)
         throw std::invalid_argument("EvalServer: simulation or exec recipe required");
-    if (options_.replicates == 0) throw std::invalid_argument("EvalServer: replicates >= 1");
     if (options_.workers == 0) options_.workers = core::ThreadPool::hardware_threads();
 }
 
@@ -39,10 +38,7 @@ void EvalServer::start() {
     if (running_.load()) throw std::logic_error("EvalServer: already started");
 
     // Exec mode spawns a fresh simulator process per point.
-    if (options_.recipe) {
-        exec_runner_ = std::make_unique<exec::ExecRunner>(*options_.recipe,
-                                                          options_.replicates);
-    }
+    if (options_.recipe) exec_runner_ = std::make_unique<exec::ExecRunner>(*options_.recipe);
     pool_ = std::make_unique<core::ThreadPool>(options_.workers);
 
     int listen_fd = -1;
@@ -184,7 +180,7 @@ EvalResult EvalServer::evaluate_one(const Vector& point) {
     }
     EvalResult result;
     try {
-        result.responses = core::simulate_replicated(sim_, point, options_.replicates);
+        result.responses = core::simulate_replicated(sim_, point, 1);
         result.ok = true;
     } catch (const std::exception& e) {
         result.error = e.what();
@@ -233,10 +229,6 @@ void EvalServer::serve_connection(int fd, std::atomic<bool>& handshaken) {
     } else if (hello.fingerprint != options_.fingerprint) {
         refusal = "scenario fingerprint mismatch: server evaluates '" +
                   options_.fingerprint + "', client wants '" + hello.fingerprint + "'";
-    } else if (hello.replicates != options_.replicates) {
-        refusal = "replicates mismatch: server averages " +
-                  std::to_string(options_.replicates) + ", client wants " +
-                  std::to_string(hello.replicates);
     }
     if (!refusal.empty()) {
         rejected_.fetch_add(1);

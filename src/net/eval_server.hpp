@@ -6,10 +6,10 @@
 // SimRecipe (exec/) — and serves the wire protocol (net/wire.hpp):
 //
 //   client                         server
-//     | -- hello (version, fp, reps) ->|   handshake: a protocol version
+//     | -- hello (version, fp) ------->|   handshake: a protocol version
 //     | <- welcome (ok / reject) ------|   other than kProtocolVersion, or a
-//     | -- batch request (k points) -->|   mismatched fingerprint or replicate
-//     | <- batch result (k frames) ----|   count, is refused with a message
+//     | -- batch request (k points) -->|   mismatched fingerprint, is refused
+//     | <- batch result (k frames) ----|   with a message
 //
 // A net::TcpServer (net/tcp_server.hpp) accepts, and serves each
 // connection on its own thread with the blocking readers and writers of
@@ -76,13 +76,11 @@ struct EvalServerOptions {
     std::size_t workers = 1;
     /// Exec mode: serve an external simulator described by this recipe
     /// (exec/sim_recipe.hpp) instead of an in-process Simulation — each
-    /// point becomes one simulator process launch (x replicates), run by a
-    /// shared exec::ExecRunner with the recipe's timeout/retry policy. The
-    /// `sim` ctor argument may then be null; `workers` still bounds
-    /// concurrent launches.
+    /// point becomes one simulator process launch, run by a shared
+    /// exec::ExecRunner with the recipe's timeout/retry policy. The `sim`
+    /// ctor argument may then be null; `workers` still bounds concurrent
+    /// launches.
     std::optional<exec::SimRecipe> recipe;
-    /// Replicates averaged per point; part of the handshake identity.
-    std::size_t replicates = 1;
     /// Simulation identity (e.g. Scenario::fingerprint()); a client whose
     /// hello carries a different fingerprint is rejected at handshake.
     std::string fingerprint;
@@ -119,7 +117,7 @@ public:
     // Lifetime counters (monotonic, readable from any thread).
     std::size_t connections_accepted() const { return server_.connections_accepted(); }
     std::size_t handshakes_rejected() const { return rejected_.load(); }
-    /// Points answered with a result frame (simulations = this x replicates).
+    /// Points answered with a result frame (one simulation each).
     std::size_t points_served() const { return served_.load(); }
     /// Points answered with an error frame (sim threw or simulator failed).
     std::size_t points_failed() const { return failed_.load(); }

@@ -105,7 +105,6 @@ int connect_endpoint(const Endpoint& endpoint, const RemoteBackendOptions& optio
 
     Hello hello;
     hello.fingerprint = options.fingerprint;
-    hello.replicates = options.replicates;
     std::uint64_t status = kStatusError;
     std::string message;
     std::uint64_t server_now_us = 0;
@@ -191,9 +190,6 @@ struct RemoteBackend::Conn {
     bool alive = false;  ///< false from a failed read or write until a re-dial succeeds
     /// Reused encode buffer: batch requests gather into it, one send each.
     std::vector<unsigned char> scratch;
-    /// Recorded serve ledger: points this shard delivered in *completed*
-    /// batches — the only input of the derived assignment weights.
-    std::uint64_t completed_points = 0;
     /// Last re-dial attempt (zero = never tried).
     std::chrono::steady_clock::time_point last_redial{};
 };
@@ -201,8 +197,6 @@ struct RemoteBackend::Conn {
 RemoteBackend::RemoteBackend(RemoteBackendOptions options) : options_(std::move(options)) {
     if (options_.endpoints.empty())
         throw std::invalid_argument("RemoteBackend: at least one endpoint required");
-    if (options_.replicates == 0)
-        throw std::invalid_argument("RemoteBackend: replicates >= 1");
     if (!options_.shard_weights.empty()) {
         if (options_.shard_weights.size() != options_.endpoints.size())
             throw std::invalid_argument(
@@ -256,8 +250,8 @@ void RemoteBackend::maybe_redial() {
         core::telemetry::Event("redial").field("endpoint", endpoint_label(c->endpoint));
         try {
             // Full reconnect + re-handshake: a restarted server must prove
-            // it still speaks the protocol/fingerprint/replicates before it
-            // gets work again.
+            // it still speaks the protocol and fingerprint before it gets
+            // work again.
             const int fd = connect_endpoint(c->endpoint, options_);
             if (c->fd >= 0) ::close(c->fd);
             c->fd = fd;
@@ -274,32 +268,11 @@ void RemoteBackend::maybe_redial() {
     }
 }
 
-std::vector<double> RemoteBackend::live_weights(const std::vector<Conn*>& live,
-                                                std::size_t batch_points) const {
+std::vector<double> RemoteBackend::live_weights(const std::vector<Conn*>& live) const {
+    if (options_.shard_weights.empty()) return std::vector<double>(live.size(), 1.0);
     std::vector<double> weights;
     weights.reserve(live.size());
-    if (!options_.shard_weights.empty()) {
-        for (const Conn* c : live) weights.push_back(options_.shard_weights[c->slot]);
-        return weights;
-    }
-    // Catch-up weighting from the recorded serve ledger. Weighting by the
-    // counts themselves would freeze the shares (proportional assignment
-    // grows every count by the same factor — a rejoined shard would never
-    // recover its share); weighting by each shard's *deficit* against the
-    // balanced post-batch share instead makes a shard that recorded fewer
-    // serves (it was dead, it joined late) take proportionally more of
-    // this batch until the ledger levels out. The deficit is scaled by
-    // n_live so every weight is an exact small integer in a double:
-    // balanced ledgers then give bit-equal weights and the round-robin
-    // degenerates to exactly i mod n (a fractional fair share would leak
-    // rounding noise into the tie-breaks).
-    std::uint64_t total = batch_points;
-    for (const Conn* c : live) total += c->completed_points;
-    for (const Conn* c : live) {
-        const std::uint64_t scaled = c->completed_points * live.size();
-        const std::uint64_t deficit = total > scaled ? total - scaled : 0;
-        weights.push_back(1.0 + static_cast<double>(deficit));
-    }
+    for (const Conn* c : live) weights.push_back(options_.shard_weights[c->slot]);
     return weights;
 }
 
@@ -318,11 +291,11 @@ std::vector<core::ResponseMap> RemoteBackend::evaluate(const std::vector<Vector>
     }
     if (live.empty()) throw std::runtime_error("RemoteBackend: no live endpoints");
 
-    // Assignment: a pure function of (batch size, recorded serve ledger /
-    // explicit weights, live set in configured order) — identical runs
-    // shard identically, which is what keeps re-runs reproducible.
-    // owed[k] is the frame live[k] owes in the current round.
-    const std::vector<std::size_t> assignment = weighted_assignment(n, live_weights(live, n));
+    // Assignment: a pure function of (batch size, explicit weights, live
+    // set in configured order) — identical runs shard identically, which
+    // is what keeps re-runs reproducible. owed[k] is the frame live[k]
+    // owes in the current round.
+    const std::vector<std::size_t> assignment = weighted_assignment(n, live_weights(live));
     last_assignment_.assign(n, 0);
     std::vector<std::vector<std::size_t>> owed(live.size());
     for (std::size_t i = 0; i < n; ++i) {
@@ -337,10 +310,9 @@ std::vector<core::ResponseMap> RemoteBackend::evaluate(const std::vector<Vector>
         ::shutdown(c.fd, SHUT_RDWR);
     };
 
-    // Points each live shard delivered, and each point's error text (empty
-    // for none). After a simulation fails, the round finishes and no other
-    // starts.
-    std::vector<std::size_t> served(live.size(), 0);
+    // Points delivered, and each point's error text (empty for none).
+    // After a simulation fails, the round finishes and no other starts.
+    std::size_t completed = 0;
     std::vector<std::string> errors(n);
     bool failed = false;
     std::vector<EvalResult> results;
@@ -373,7 +345,7 @@ std::vector<core::ResponseMap> RemoteBackend::evaluate(const std::vector<Vector>
                     const std::size_t idx = owed[k][j];
                     if (results[j].ok) {
                         out[idx] = std::move(results[j].responses);
-                        ++served[k];
+                        ++completed;
                     } else {
                         errors[idx] = "RemoteBackend: simulation failed at point " +
                                       std::to_string(idx) + " on " + endpoint_label(c.endpoint) +
@@ -414,19 +386,7 @@ std::vector<core::ResponseMap> RemoteBackend::evaluate(const std::vector<Vector>
         }
     }
 
-    std::size_t completed = 0;
-    for (const std::size_t s : served) completed += s;
-    simulations_ += completed * options_.replicates;
-
-    // Fold this batch's serve counts into the weighted-sharding ledger only
-    // when every point resolved with a result — the weights must derive
-    // from *completed* batches alone. Catch-up weighting then steers later
-    // batches toward whoever the ledger says is behind: a shard that was
-    // dead (or joined late) ramps back up, a survivor that covered extra
-    // points eases off until the ledger levels out.
-    if (completed == n) {
-        for (std::size_t k = 0; k < live.size(); ++k) live[k]->completed_points += served[k];
-    }
+    simulations_ += completed;
 
     for (const std::string& error : errors) {
         if (!error.empty()) throw std::runtime_error(error);

@@ -4,20 +4,15 @@
 // that shards every batch across N eval-server endpoints (net/eval_server.hpp)
 // over persistent TCP connections speaking the wire protocol (net/wire.hpp).
 //
-//  * Deterministic weighted sharding — the points of a batch are assigned
-//    to the live endpoints by a smooth weighted round-robin whose weights
-//    derive only from the recorded per-shard serve counts of *completed*
-//    batches: each live shard is weighted by its ledger *deficit* against
-//    the balanced share, so a shard that recorded fewer serves (it was
-//    dead, it joined late) catches up, and a balanced ledger degenerates
-//    to the classic i mod n_live in configured endpoint order. The
-//    assignment is a pure function of the batch size, the recorded serve
-//    ledger and the live set at batch start, so repeated runs shard
-//    identically; and because every shard runs the same binary arithmetic
-//    on the raw f64 bits, responses are bitwise identical to
-//    InProcessBackend no matter how many shards serve them. Heterogeneous
-//    farms can pin explicit per-endpoint weights (operator-measured
-//    throughput) instead of the recorded ledger.
+//  * Deterministic sharding — the points of a batch are split evenly over
+//    the live endpoints, i mod n_live in configured endpoint order, or by
+//    a smooth weighted round-robin over explicit per-endpoint weights
+//    (operator-measured throughput of a heterogeneous farm). The
+//    assignment is a pure function of the batch size, the weights and the
+//    live set at batch start, so repeated runs shard identically; and
+//    because every shard runs the same binary arithmetic on the raw f64
+//    bits, responses are bitwise identical to InProcessBackend no matter
+//    how many shards serve them.
 //
 //  * Batched frames — every connection ships its whole sub-batch as one
 //    request frame and receives one result frame back (scatter/gather
@@ -42,12 +37,11 @@
 //    batches, throttled by `redial_seconds`, so a restarted eval-server
 //    rejoins a long optimization run instead of staying dead for the
 //    backend's lifetime. A shard rejoins only between batches, so the
-//    assignment stays a pure function of recorded state at batch start and
+//    assignment stays a pure function of the live set at batch start and
 //    rejoin points stay bitwise identical to InProcessBackend.
 //
 //  * Handshake — construction connects and handshakes every endpoint
-//    (protocol version, simulation fingerprint, replicate count); any
-//    mismatch throws with the server's rejection message instead of
+//    (protocol version, simulation fingerprint); any mismatch throws with the server's rejection message instead of
 //    exchanging garbage frames. The version must equal the server's
 //    kProtocolVersion exactly: there is no downgrade.
 //
@@ -102,13 +96,11 @@ struct RemoteBackendOptions {
     /// Simulation identity sent in the handshake; must equal each server's
     /// configured fingerprint.
     std::string fingerprint;
-    /// Replicates the servers are expected to average (handshake-checked).
-    std::size_t replicates = 1;
     /// Explicit per-endpoint weights (parallel to `endpoints`), e.g.
-    /// operator-measured points/second of a heterogeneous farm; uniform
-    /// weights assign exactly i mod n. Empty: weights derive from the
-    /// recorded serve ledger. Must be finite and positive, with a finite
-    /// sum, and match endpoints.size() when non-empty.
+    /// operator-measured points/second of a heterogeneous farm. Empty (or
+    /// uniform) weights split every batch evenly, i mod n_live. Must be
+    /// finite and positive, with a finite sum, and match endpoints.size()
+    /// when non-empty.
     std::vector<double> shard_weights;
     /// Re-dial dead endpoints at most this often, checked between batches
     /// (0 = every batch, negative = never — a dead shard then stays dead
@@ -132,7 +124,7 @@ public:
     std::string name() const override;
     /// Live shards (the parallelism unit the client can see).
     std::size_t concurrency() const override { return live_endpoints(); }
-    /// Client-side view: completed points x replicates.
+    /// Client-side view: completed points.
     std::size_t simulations() const override { return simulations_; }
     /// Wire frames written — one per sub-batch, including failover
     /// re-dispatch.
@@ -156,12 +148,9 @@ private:
     struct Conn;
 
     void maybe_redial();
-    /// Effective assignment weights of the current live set, in live
-    /// order: explicit shard_weights, or catch-up weights derived from
-    /// each shard's serve-ledger deficit against the balanced share of
-    /// (ledger + batch_points).
-    std::vector<double> live_weights(const std::vector<Conn*>& live,
-                                     std::size_t batch_points) const;
+    /// Assignment weights of the current live set, in live order: the
+    /// explicit shard_weights, or 1 each.
+    std::vector<double> live_weights(const std::vector<Conn*>& live) const;
 
     RemoteBackendOptions options_;
     std::vector<std::unique_ptr<Conn>> conns_;

@@ -245,8 +245,7 @@ bool write_hello(int fd, const Hello& hello) {
     return write_all(fd, kHandshakeMagic, sizeof kHandshakeMagic) &&
            write_all(fd, &hello.version, sizeof hello.version) &&
            write_u64(fd, hello.fingerprint.size()) &&
-           write_all(fd, hello.fingerprint.data(), hello.fingerprint.size()) &&
-           write_u64(fd, hello.replicates);
+           write_all(fd, hello.fingerprint.data(), hello.fingerprint.size());
 }
 
 bool read_hello_body(int fd, Hello& hello) {
@@ -254,8 +253,7 @@ bool read_hello_body(int fd, Hello& hello) {
     std::uint64_t fp_len = 0;
     if (!read_u64(fd, fp_len) || fp_len > kSaneLimit) return false;
     hello.fingerprint.assign(static_cast<std::size_t>(fp_len), '\0');
-    if (!read_exact(fd, hello.fingerprint.data(), hello.fingerprint.size())) return false;
-    return read_u64(fd, hello.replicates);
+    return read_exact(fd, hello.fingerprint.data(), hello.fingerprint.size());
 }
 
 bool write_welcome(int fd, std::uint64_t status, const std::string& message,

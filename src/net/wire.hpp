@@ -34,8 +34,7 @@
 // cleanly instead of exchanging garbage frames:
 //
 //   hello     := 6-byte magic "EHDOEN", u32 protocol version,
-//                u64 fp_len, bytes (simulation fingerprint),
-//                u64 replicates                      (client -> server)
+//                u64 fp_len, bytes (simulation fingerprint)   (client -> server)
 //   welcome   := u64 status; status != 0: u64 msg_len, bytes
 //                status 0: u64 server_now_us — a sample of the server's
 //                monotonic telemetry clock taken while encoding the
@@ -89,8 +88,8 @@ using num::Vector;
 
 /// The one protocol version every peer speaks; a hello or stats request at
 /// any other version is refused. Bump it whenever any frame changes layout
-/// (7 = the stats replies carry the metrics ring).
-inline constexpr std::uint32_t kProtocolVersion = 7;
+/// (8 = the eval hello ends at the fingerprint).
+inline constexpr std::uint32_t kProtocolVersion = 8;
 inline constexpr char kHandshakeMagic[6] = {'E', 'H', 'D', 'O', 'E', 'N'};
 inline constexpr char kStatsMagic[6] = {'E', 'H', 'D', 'O', 'E', 'S'};
 inline constexpr char kStoreMagic[6] = {'E', 'H', 'D', 'O', 'E', 'R'};
@@ -165,7 +164,6 @@ bool read_batch_result(int fd, std::size_t expected, std::vector<EvalResult>& re
 struct Hello {
     std::uint32_t version = kProtocolVersion;
     std::string fingerprint;
-    std::uint64_t replicates = 1;
 };
 
 bool write_hello(int fd, const Hello& hello);

@@ -13,11 +13,14 @@
 //
 // Keys are content addresses: the full cache identity — exactly the
 // PersistentCache fingerprint, i.e. Scenario::fingerprint() (+ "/recipe="
-// hash for exec stacks) + "/replicates=N" — joined with the hexfloat-exact
+// hash for exec stacks) + "/replicates=1" — joined with the hexfloat-exact
 // point, so a hit is only ever possible for the same simulation contract
 // at the bit-identical point, and a stored value is bitwise what a local
 // simulation would have produced. Store hits therefore stay inside the
-// determinism contract by construction.
+// determinism contract by construction. The "/replicates=1" suffix is a
+// fixed literal (doe::BatchRunner appends it): the keys written by earlier
+// builds, which took a replicate count, end with it, and keeping it keeps
+// them warm.
 //
 // Failure model: construction connects and throws on an unreachable or
 // version-refusing store (a misconfigured farm should be loud). A store

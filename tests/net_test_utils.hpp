@@ -38,12 +38,10 @@ namespace ehdoe::net_test {
 inline std::unique_ptr<net::EvalServer> start_server(core::Simulation sim,
                                                      const std::string& fingerprint,
                                                      std::size_t workers = 2,
-                                                     std::size_t replicates = 1,
                                                      std::uint16_t port = 0) {
     net::EvalServerOptions o;
     o.port = port;
     o.workers = workers;
-    o.replicates = replicates;
     o.fingerprint = fingerprint;
     auto server = std::make_unique<net::EvalServer>(std::move(sim), o);
     server->start();

@@ -160,25 +160,6 @@ TEST(PersistentCache, FingerprintMismatchInvalidates) {
     EXPECT_EQ(r.simulations, 9u);
 }
 
-TEST(PersistentCache, ReplicateCountIsPartOfTheIdentity) {
-    // Entries are replicate-averaged: a run with a different replicate
-    // count must not silently reuse them.
-    TempFile cache("ehdoe-replicates");
-    const Design d = full_factorial(2, 3);
-    RunnerOptions o;
-    o.cache_file = cache.path();
-    o.cache_fingerprint = "sim-A";
-    BatchRunner(transcendental_sim(), o).run_design(kSpace, d);
-
-    o.replicates = 2;
-    BatchRunner rerun(transcendental_sim(), o);
-    auto* layer = dynamic_cast<const core::PersistentCache*>(&rerun.backend());
-    ASSERT_NE(layer, nullptr);
-    EXPECT_FALSE(layer->restored());
-    const RunResults r = rerun.run_design(kSpace, d);
-    EXPECT_EQ(r.simulations, 18u);  // 9 points x 2 replicates, all fresh
-}
-
 TEST(PersistentCache, CorruptFileRecoversCold) {
     TempFile cache("ehdoe-corrupt");
     const Design d = full_factorial(2, 3);

@@ -370,7 +370,7 @@ TEST_F(EventLogTest, KillAndRestartIncidentsLandInTheJournal) {
 
     // Restart the shard on its old port; the next batch re-dials into it.
     s2.reset();
-    s2 = net_test::start_server(slow, fp, 2, 1, port2);
+    s2 = net_test::start_server(slow, fp, 2, port2);
     const doe::RunResults r2 = runner.run_design(space, doe::full_factorial(2, 10));
     // The grids share their 4 corners; the runner's memo covers those.
     EXPECT_EQ(r2.simulations, 96u);

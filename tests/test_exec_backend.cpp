@@ -309,5 +309,5 @@ TEST(ExternalExecServer, S1CcdMatchesInProcess) {
     EXPECT_EQ(r.response_names, base.response_names);
     EXPECT_TRUE(num::approx_equal(r.responses, base.responses, 0.0))
         << "external exec shard must be bitwise identical to in-process";
-    EXPECT_EQ(r.simulations, 45u * ro.replicates);
+    EXPECT_EQ(r.simulations, 45u);
 }

@@ -4,7 +4,8 @@
 // exec'd, descriptors a simulator must not inherit, the signal mask it
 // starts with, hang-until-timeout
 // (process *group* killed, counted in the stats frame), malformed output,
-// artifact retention, and the stdin/output-file recipe modes.
+// a -0.0 response read as in-process evaluation reads it, artifact
+// retention, and the stdin/output-file recipe modes.
 #include <gtest/gtest.h>
 
 #include <dirent.h>
@@ -12,6 +13,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -43,11 +45,9 @@ namespace fs = std::filesystem;
 /// behaviour, not simulation content, is under test here.
 constexpr double kShortHorizon = 5.0;
 
-ExecBackend make_backend(const std::string& recipe_text, std::size_t threads,
-                         std::size_t replicates = 1) {
+ExecBackend make_backend(const std::string& recipe_text, std::size_t threads) {
     core::BackendOptions bo;
     bo.threads = threads;
-    bo.replicates = replicates;
     return ExecBackend(SimRecipe::parse(recipe_text), bo);
 }
 
@@ -414,15 +414,20 @@ TEST(ExecFaults, CrlfSimulatorOutputParsesIdentically) {
     }
 }
 
-TEST(ExecFaults, ReplicatesAverageLikeEveryBackend) {
-    // The mock is deterministic; what is asserted here is the launch
-    // accounting (values are cross-backend-identical by construction: the
-    // runner uses the exact replicate arithmetic of simulate_replicated).
-    ExecBackend backend = make_backend(ehdoe::exec_test::s1_recipe_text(kShortHorizon), 1, 3);
-    const auto got = backend.evaluate(ehdoe::exec_test::s1_points(2));
-    EXPECT_EQ(backend.launches(), 6u);
-    EXPECT_EQ(backend.simulations(), 6u);
-    ASSERT_EQ(got.size(), 2u);
+TEST(ExecFaults, NegativeZeroReadsAsInProcessEvaluationReadsIt) {
+    // In-process evaluation sums each response onto 0.0, so a simulation
+    // answering -0.0 yields +0.0; the exec runner must do the same to stay
+    // bitwise equal to it.
+    ExecBackend backend = make_backend(
+        "command: echo y=-0x0p+0\noutput: stdout\nextract: y regex ^y=(\\S+)$\n", 1);
+    const auto got = backend.evaluate(ehdoe::exec_test::s1_points(1));
+    const core::ResponseMap in_process = core::simulate_replicated(
+        [](const Vector&) { return core::ResponseMap{{"y", -0.0}}; },
+        ehdoe::exec_test::s1_points(1)[0], 1);
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0].at("y"), 0.0);
+    EXPECT_FALSE(std::signbit(got[0].at("y")));
+    EXPECT_EQ(std::signbit(got[0].at("y")), std::signbit(in_process.at("y")));
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 // loopback EvalServer instances — bitwise equivalence with in-process
 // evaluation (1 and 2 shards), a clean batch as one round of frames on the
 // calling thread, mid-batch shard death with re-dispatch,
-// handshake rejection (protocol version / fingerprint / replicates),
+// handshake rejection (protocol version / fingerprint),
 // remote simulation errors in design order, the persistent cache as the
 // shared result store above the remote layer, and the server's serving
 // contracts: stats answered mid-evaluation, `workers` bounding evaluations
@@ -251,21 +251,6 @@ TEST(RemoteBackend, FingerprintMismatchIsACleanHandshakeError) {
         EXPECT_NE(std::string(e.what()).find("sim-A"), std::string::npos) << e.what();
     }
     EXPECT_EQ(server->handshakes_rejected(), 1u);
-}
-
-TEST(RemoteBackend, ReplicatesMismatchIsACleanHandshakeError) {
-    auto server = start_server(transcendental_sim(), "sim-A", 2, 1);
-    net::RemoteBackendOptions ro;
-    ro.endpoints = {net::parse_endpoint(endpoint_of(*server))};
-    ro.fingerprint = "sim-A";
-    ro.replicates = 3;
-    try {
-        net::RemoteBackend backend(ro);
-        FAIL() << "expected a handshake rejection";
-    } catch (const std::runtime_error& e) {
-        EXPECT_NE(std::string(e.what()).find("replicates mismatch"), std::string::npos)
-            << e.what();
-    }
 }
 
 TEST(RemoteBackend, ProtocolVersionMismatchIsRejected) {
@@ -550,7 +535,7 @@ TEST(RemoteBackend, FourConcurrentClientsOverTwoShardsMatchInProcess) {
 
 // ---------------------------------------------------------------------------
 // External servers (CI smoke): when EHDOE_TEST_ENDPOINTS names running
-// ehdoe-eval-server processes (S1, --duration 30, replicates 1), verify the
+// ehdoe-eval-server processes (S1, --duration 30), verify the
 // equivalence contract against them. Skipped otherwise.
 // ---------------------------------------------------------------------------
 TEST(ExternalServers, MatchesInProcessBitwise) {

@@ -55,21 +55,6 @@ TEST(Runner, ThreadedMatchesSerial) {
     EXPECT_TRUE(ehdoe::num::approx_equal(a.responses, b.responses, 0.0));
 }
 
-TEST(Runner, ReplicatesAverageNoise) {
-    // Deterministic "noise" from an atomic counter: replicates average it.
-    std::atomic<int> calls{0};
-    const Simulation noisy = [&calls](const Vector&) {
-        const int c = calls.fetch_add(1);
-        return std::map<std::string, double>{{"y", (c % 2 == 0) ? 1.0 : 3.0}};
-    };
-    RunnerOptions o;
-    o.replicates = 2;
-    ehdoe::num::Matrix pts(1, 2);
-    const RunResults r = BatchRunner(noisy, o).run_points(kSpace, pts);
-    EXPECT_EQ(r.simulations, 2u);
-    EXPECT_DOUBLE_EQ(r.responses(0, 0), 2.0);
-}
-
 TEST(Runner, PropagatesSimulationExceptions) {
     const Simulation bad = [](const Vector&) -> std::map<std::string, double> {
         throw std::runtime_error("boom");
@@ -101,9 +86,6 @@ TEST(Runner, Validation) {
     EXPECT_THROW(BatchRunner(quadratic_sim()).run_points(kSpace, pts), std::invalid_argument);
     ehdoe::num::Matrix ok(2, 2);
     EXPECT_THROW(BatchRunner(Simulation{}).run_points(kSpace, ok), std::invalid_argument);
-    RunnerOptions o;
-    o.replicates = 0;
-    EXPECT_THROW(BatchRunner(quadratic_sim(), o).run_points(kSpace, ok), std::invalid_argument);
 }
 
 TEST(Runner, WallClockRecorded) {

@@ -366,7 +366,6 @@ TEST(WireHardening, BothDaemonsCutPeersThatMissTheHandshakeDeadline) {
     eval_hello.insert(eval_hello.end(), vp, vp + sizeof version);
     push_u64(eval_hello, 6);
     eval_hello.insert(eval_hello.end(), {'s', 'i', 'm', '-', 'i', 'd'});
-    push_u64(eval_hello, 1);
     std::vector<unsigned char> store_hello(net::kStoreMagic,
                                            net::kStoreMagic + sizeof net::kStoreMagic);
     store_hello.insert(store_hello.end(), vp, vp + sizeof version);

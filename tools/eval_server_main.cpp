@@ -22,7 +22,6 @@
 //   --fingerprint STR     handshake identity override (default: the
 //                         scenario fingerprint, or "exec:" + the recipe's
 //                         content hash in exec mode)
-//   --replicates N        replicates averaged per point (default 1)
 //   --trace FILE          record this shard's trace spans (accept/
 //                         handshake/eval, core/telemetry.hpp) and write a
 //                         Chrome trace-event JSON file on shutdown; merge
@@ -67,7 +66,7 @@ int usage(const char* argv0) {
     std::cerr << "usage: " << argv0
               << " [--scenario S1|S2|S3] [--duration s] [--host addr] [--port p]\n"
                  "       [--workers n] [--recipe file]\n"
-                 "       [--fingerprint str] [--replicates n] [--trace file]\n"
+                 "       [--fingerprint str] [--trace file]\n"
                  "       [--metrics-interval s] [--events file] [--print-fingerprint]\n";
     return 2;
 }
@@ -124,12 +123,6 @@ int main(int argc, char** argv) {
             if (!tools::parse_count_arg(v, 1, options.workers))
                 return flag_error("--workers must be a positive integer (omit the flag "
                                   "for all hardware threads), got '" +
-                                  std::string(v) + "'");
-        } else if (arg == "--replicates") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            if (!tools::parse_count_arg(v, 1, options.replicates))
-                return flag_error("--replicates must be a positive integer, got '" +
                                   std::string(v) + "'");
         } else if (arg == "--recipe") {
             const char* v = next();
@@ -230,8 +223,7 @@ int main(int argc, char** argv) {
         core::telemetry::Event("listening").field("endpoint", endpoint_label);
         std::cout << "listening on " << endpoint_label << " "
                   << workload << " workers=" << server.options().workers
-                  << " replicates=" << options.replicates << " fingerprint="
-                  << options.fingerprint << std::endl;
+                  << " fingerprint=" << options.fingerprint << std::endl;
 
         int signal_number = 0;
         sigwait(&stop_signals, &signal_number);
