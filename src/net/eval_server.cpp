@@ -194,16 +194,17 @@ void EvalServer::serve_connection(int fd, std::atomic<bool>& handshaken) {
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     core::telemetry::instant("accept", "server");
+    Reader in(fd);
 
     // A peer that vanishes before a full magic is NOT counted as a
     // rejection: load-balancer/liveness TCP probes connect and close all
     // day, and the rejects counter must keep meaning "a peer spoke and was
     // refused" for farm monitoring to stay readable.
     ConnectionKind kind = ConnectionKind::Unknown;
-    if (!read_connection_magic(fd, kind)) return;
+    if (!read_connection_magic(in, kind)) return;
     if (kind == ConnectionKind::Stats) {
         std::uint32_t version = 0;
-        if (!read_stats_request_body(fd, version)) {
+        if (!read_stats_request_body(in, version)) {
             rejected_.fetch_add(1);
         } else if (version != kProtocolVersion) {
             rejected_.fetch_add(1);
@@ -215,7 +216,7 @@ void EvalServer::serve_connection(int fd, std::atomic<bool>& handshaken) {
         return;
     }
     Hello hello;
-    if (kind != ConnectionKind::Eval || !read_hello_body(fd, hello)) {
+    if (kind != ConnectionKind::Eval || !read_hello_body(in, hello)) {
         rejected_.fetch_add(1);  // an alien magic, or a hello cut short
         return;
     }
@@ -245,7 +246,7 @@ void EvalServer::serve_connection(int fd, std::atomic<bool>& handshaken) {
     std::vector<Vector> points;
     std::vector<EvalResult> results;
     std::vector<unsigned char> scratch;
-    while (read_batch_request(fd, points)) {
+    while (read_batch_request(in, points)) {
         evaluate_frame(points, results);
         // Once stop() has begun, points may have been skipped: the frame
         // gets no answer, so the client fails it instead of reading holes.

@@ -94,21 +94,23 @@ double checked_weight_sum(const std::vector<double>& weights, const std::string&
     return total;
 }
 
-/// Connect + handshake one endpoint; throws with the server's message on
-/// refusal, a transport diagnosis otherwise. The connect and handshake
-/// round-trips are time-bounded (a wedged server cannot stall construction
-/// or a re-dial); the bound is lifted before the fd is returned, because
+/// Connect + handshake one endpoint and return the connection's Reader,
+/// whose fd() is the socket; throws with the server's message on refusal,
+/// a transport diagnosis otherwise. The connect and handshake round-trips
+/// are time-bounded (a wedged server cannot stall construction or a
+/// re-dial); the bound is lifted before the connection is returned, because
 /// eval reads legitimately wait as long as a slow simulation takes.
-int connect_endpoint(const Endpoint& endpoint, const RemoteBackendOptions& options) {
+Reader connect_endpoint(const Endpoint& endpoint, const RemoteBackendOptions& options) {
     core::telemetry::Span span("handshake", "net");
-    const int fd = connect_tcp(endpoint, kSideChannelTimeoutSeconds);
+    Reader in(connect_tcp(endpoint, kSideChannelTimeoutSeconds));
+    const int fd = in.fd();
 
     Hello hello;
     hello.fingerprint = options.fingerprint;
     std::uint64_t status = kStatusError;
     std::string message;
     std::uint64_t server_now_us = 0;
-    if (!write_hello(fd, hello) || !read_welcome(fd, status, message, &server_now_us)) {
+    if (!write_hello(fd, hello) || !read_welcome(in, status, message, &server_now_us)) {
         ::close(fd);
         throw std::runtime_error("RemoteBackend: handshake with " + endpoint_label(endpoint) +
                                  " failed (connection dropped)");
@@ -130,7 +132,7 @@ int connect_endpoint(const Endpoint& endpoint, const RemoteBackendOptions& optio
     span.arg("version", static_cast<std::uint64_t>(kProtocolVersion));
     span.arg("offset_us", static_cast<std::int64_t>(core::telemetry::now_us()) -
                               static_cast<std::int64_t>(server_now_us));
-    return fd;
+    return in;
 }
 
 }  // namespace
@@ -170,7 +172,8 @@ bool query_shard_stats(const Endpoint& endpoint, ShardStats& stats, std::string&
     }
     std::uint64_t status = kStatusError;
     std::string message;
-    const bool io_ok = write_stats_request(fd) && read_stats_reply(fd, status, stats, message);
+    Reader in(fd);
+    const bool io_ok = write_stats_request(fd) && read_stats_reply(in, status, stats, message);
     ::close(fd);
     if (!io_ok) {
         error = "stats query to " + endpoint_label(endpoint) +
@@ -184,10 +187,15 @@ bool query_shard_stats(const Endpoint& endpoint, ShardStats& stats, std::string&
 
 /// One persistent shard connection.
 struct RemoteBackend::Conn {
+    Conn(Endpoint e, std::size_t s, Reader connected)
+        : endpoint(std::move(e)), slot(s), in(std::move(connected)) {}
+
     Endpoint endpoint;
     std::size_t slot = 0;  ///< index into options().endpoints
-    int fd = -1;
-    bool alive = false;  ///< false from a failed read or write until a re-dial succeeds
+    /// The socket, in.fd(), and its input side. A re-dial replaces both, so
+    /// bytes a dropped connection left buffered are never read.
+    Reader in;
+    bool alive = true;  ///< false from a failed read or write until a re-dial succeeds
     /// Reused encode buffer: batch requests gather into it, one send each.
     std::vector<unsigned char> scratch;
     /// Last re-dial attempt (zero = never tried).
@@ -207,23 +215,17 @@ RemoteBackend::RemoteBackend(RemoteBackendOptions options) : options_(std::move(
     conns_.reserve(options_.endpoints.size());
     try {
         for (const Endpoint& e : options_.endpoints) {
-            auto conn = std::make_unique<Conn>();
-            conn->endpoint = e;
-            conn->slot = conns_.size();
-            conn->fd = connect_endpoint(e, options_);
-            conn->alive = true;
-            conns_.push_back(std::move(conn));
+            conns_.push_back(
+                std::make_unique<Conn>(e, conns_.size(), connect_endpoint(e, options_)));
         }
     } catch (...) {
-        for (auto& c : conns_) ::close(c->fd);
+        for (auto& c : conns_) ::close(c->in.fd());
         throw;
     }
 }
 
 RemoteBackend::~RemoteBackend() {
-    for (auto& c : conns_) {
-        if (c->fd >= 0) ::close(c->fd);
-    }
+    for (auto& c : conns_) ::close(c->in.fd());
 }
 
 std::size_t RemoteBackend::live_endpoints() const {
@@ -252,9 +254,9 @@ void RemoteBackend::maybe_redial() {
             // Full reconnect + re-handshake: a restarted server must prove
             // it still speaks the protocol and fingerprint before it gets
             // work again.
-            const int fd = connect_endpoint(c->endpoint, options_);
-            if (c->fd >= 0) ::close(c->fd);
-            c->fd = fd;
+            Reader fresh = connect_endpoint(c->endpoint, options_);
+            ::close(c->in.fd());
+            c->in = std::move(fresh);
             c->alive = true;
             ++rejoins_;
             core::telemetry::Event("rejoin")
@@ -307,7 +309,7 @@ std::vector<core::ResponseMap> RemoteBackend::evaluate(const std::vector<Vector>
     // the batch; the shutdown makes its server drop what it was sent.
     auto drop = [](Conn& c) {
         c.alive = false;
-        ::shutdown(c.fd, SHUT_RDWR);
+        ::shutdown(c.in.fd(), SHUT_RDWR);
     };
 
     // Points delivered, and each point's error text (empty for none).
@@ -325,7 +327,7 @@ std::vector<core::ResponseMap> RemoteBackend::evaluate(const std::vector<Vector>
             core::telemetry::Span span("dispatch", "net");
             span.arg("endpoint", endpoint_label(c.endpoint));
             span.arg("points", static_cast<std::uint64_t>(owed[k].size()));
-            if (!write_batch_request(c.fd, points, owed[k], c.scratch)) drop(c);
+            if (!write_batch_request(c.in.fd(), points, owed[k], c.scratch)) drop(c);
         }
         {
             // ...then the result frames in shard order, read while the
@@ -337,7 +339,7 @@ std::vector<core::ResponseMap> RemoteBackend::evaluate(const std::vector<Vector>
                 if (owed[k].empty() || !c.alive) continue;
                 // A result frame owes exactly the points its request frame
                 // carried; any other count is a broken peer.
-                if (!read_batch_result(c.fd, owed[k].size(), results)) {
+                if (!read_batch_result(c.in, owed[k].size(), results)) {
                     drop(c);
                     continue;
                 }

@@ -17,7 +17,10 @@
 //  * Batched frames — every connection ships its whole sub-batch as one
 //    request frame and receives one result frame back (scatter/gather
 //    through a reused scratch buffer), so the per-point syscall pair and
-//    round-trip collapse to one per sub-batch.
+//    round-trip collapse to one per sub-batch. The result frame is read
+//    through the connection's net::Reader, which every dial and re-dial
+//    makes afresh (handshake included): a frame costs about one recv, and
+//    bytes a dropped connection left buffered are never read.
 //
 //  * Rounds on the calling thread — evaluate() starts no thread and takes
 //    no lock. A round writes one request frame to every live shard that

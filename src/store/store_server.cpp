@@ -80,10 +80,11 @@ void StoreServer::stop() {
 void StoreServer::serve_connection(int fd, std::atomic<bool>& handshaken) {
     // A peer that leaves before a full magic is a probe, not a rejection;
     // an alien magic or a hello cut short is.
+    Reader in(fd);
     ConnectionKind kind = ConnectionKind::Unknown;
-    if (!read_connection_magic(fd, kind)) return;
+    if (!read_connection_magic(in, kind)) return;
     std::uint32_t version = 0;
-    if (kind != ConnectionKind::Store || !read_store_hello_body(fd, version)) {
+    if (kind != ConnectionKind::Store || !read_store_hello_body(in, version)) {
         handshakes_rejected_.fetch_add(1);
         return;
     }
@@ -103,10 +104,10 @@ void StoreServer::serve_connection(int fd, std::atomic<bool>& handshaken) {
     std::vector<StoreLookup> lookups;
     for (;;) {
         std::uint64_t opcode = 0;
-        if (!read_store_opcode(fd, opcode)) return;  // EOF: clean shutdown
+        if (!read_store_opcode(in, opcode)) return;  // EOF: clean shutdown
         switch (opcode) {
             case kStoreOpGet: {
-                if (!read_store_get_request_body(fd, keys)) return;
+                if (!read_store_get_request_body(in, keys)) return;
                 lookups.clear();
                 lookups.resize(keys.size());
                 std::uint64_t hits = 0;
@@ -120,7 +121,7 @@ void StoreServer::serve_connection(int fd, std::atomic<bool>& handshaken) {
                 break;
             }
             case kStoreOpPut: {
-                if (!read_store_put_request_body(fd, entries)) return;
+                if (!read_store_put_request_body(in, entries)) return;
                 puts_received_.fetch_add(entries.size());
                 std::uint64_t appended = 0;
                 std::uint64_t status = kStatusOk;

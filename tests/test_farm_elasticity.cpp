@@ -270,7 +270,8 @@ TEST(FarmElasticity, StatsVersionMismatchIsRejectedWithAMessage) {
     std::uint64_t status = net::kStatusOk;
     net::ShardStats stats;
     std::string message;
-    ASSERT_TRUE(net::read_stats_reply(fd, status, stats, message));
+    net::Reader in(fd);
+    ASSERT_TRUE(net::read_stats_reply(in, status, stats, message));
     EXPECT_EQ(status, net::kStatusError);
     EXPECT_NE(message.find("protocol version mismatch"), std::string::npos) << message;
     ::close(fd);

@@ -235,7 +235,8 @@ TEST(MetricsWire, EvalStatsReplyRoundTripsTheRingAtV7) {
     net::ShardStats in;
     std::uint64_t status = net::kStatusError;
     std::string message;
-    ASSERT_TRUE(net::read_stats_reply(sv[1], status, in, message));
+    net::Reader reader(sv[1]);
+    ASSERT_TRUE(net::read_stats_reply(reader, status, in, message));
     EXPECT_EQ(status, net::kStatusOk);
     EXPECT_EQ(in.points_served, 1234u);
     EXPECT_EQ(in.latency_buckets, out.latency_buckets);
@@ -258,7 +259,8 @@ TEST(MetricsWire, StoreStatsReplyRoundTripsTheRingAtV7) {
     net::StoreStats in;
     std::uint64_t status = net::kStatusError;
     std::string message;
-    ASSERT_TRUE(net::read_store_stats_reply(sv[1], status, in, message));
+    net::Reader reader(sv[1]);
+    ASSERT_TRUE(net::read_store_stats_reply(reader, status, in, message));
     EXPECT_EQ(status, net::kStatusOk);
     EXPECT_EQ(in.keys, 45u);
     EXPECT_EQ(in.get_hits, 44u);

@@ -271,7 +271,8 @@ TEST(RemoteBackend, ProtocolVersionMismatchIsRejected) {
     ASSERT_TRUE(net::write_hello(fd, hello));
     std::uint64_t status = net::kStatusOk;
     std::string message;
-    ASSERT_TRUE(net::read_welcome(fd, status, message));
+    net::Reader in(fd);
+    ASSERT_TRUE(net::read_welcome(in, status, message));
     EXPECT_EQ(status, net::kStatusError);
     EXPECT_NE(message.find("protocol version mismatch"), std::string::npos) << message;
     ::close(fd);

@@ -539,7 +539,8 @@ TEST(StoreService, PreStoreProtocolVersionIsRefusedWithAClearMessage) {
     ASSERT_TRUE(net::write_store_hello(fd, net::kProtocolVersion + 1));
     std::uint64_t status = 0;
     std::string message;
-    ASSERT_TRUE(net::read_welcome(fd, status, message));
+    net::Reader in(fd);
+    ASSERT_TRUE(net::read_welcome(in, status, message));
     EXPECT_NE(status, net::kStatusOk);
     EXPECT_NE(message.find("store server speaks"), std::string::npos) << message;
     ::close(fd);
@@ -569,7 +570,8 @@ int handshaken_store_client(std::uint16_t port) {
     const int client = net_test::raw_connect(port);
     std::uint64_t status = net::kStatusError;
     std::string message;
-    EXPECT_TRUE(net::write_store_hello(client) && net::read_welcome(client, status, message));
+    net::Reader in(client);
+    EXPECT_TRUE(net::write_store_hello(client) && net::read_welcome(in, status, message));
     EXPECT_EQ(status, net::kStatusOk) << message;
     return client;
 }
@@ -581,7 +583,8 @@ int handshaken_eval_client(std::uint16_t port) {
     hello.fingerprint = "sim-fdreuse";
     std::uint64_t status = net::kStatusError;
     std::string message;
-    EXPECT_TRUE(net::write_hello(client, hello) && net::read_welcome(client, status, message));
+    net::Reader in(client);
+    EXPECT_TRUE(net::write_hello(client, hello) && net::read_welcome(in, status, message));
     EXPECT_EQ(status, net::kStatusOk) << message;
     return client;
 }
