@@ -122,17 +122,9 @@ std::string format_seconds(double seconds) {
 
 std::string append_history_line(const std::string& file, const std::string& line) {
     namespace fs = std::filesystem;
+    const fs::path dir = EHDOE_HISTORY_DIR;  // the built tree's, set by CMake
     std::error_code ec;
-    fs::path target = file;  // fallback: CWD, e.g. a bare build tree
-    for (fs::path dir = fs::current_path(ec); !ec && !dir.empty(); dir = dir.parent_path()) {
-        const fs::path candidate = dir / "bench" / "history";
-        std::error_code probe;
-        if (fs::is_directory(candidate, probe)) {
-            target = candidate / file;
-            break;
-        }
-        if (dir == dir.root_path()) break;
-    }
+    const fs::path target = fs::is_directory(dir, ec) ? dir / file : fs::path(file);
     std::ofstream out(target, std::ios::app);
     if (!out) return {};
     out << line << '\n';

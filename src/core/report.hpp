@@ -52,10 +52,11 @@ std::string format_double(double value, int precision = 4);
 std::string format_seconds(double seconds);
 
 /// Append one line to the tracked perf-trajectory ledger
-/// `bench/history/<file>`, resolving the directory by walking up from the
-/// current working directory (benches run from build/). Falls back to
-/// `./<file>` when no bench/history directory exists up-tree. Returns the
-/// path written, or an empty string on I/O failure.
+/// `bench/history/<file>` of the source tree this library was built from,
+/// whatever the working directory (so a bench of one checkout never writes
+/// another checkout's ledger). Falls back to `./<file>` when that directory
+/// no longer exists. Returns the path written, or an empty string on I/O
+/// failure.
 std::string append_history_line(const std::string& file, const std::string& line);
 
 /// The one ledger-emission convention every bench shares: append `line` to

@@ -1,7 +1,12 @@
-// Table / CSV formatting tests.
+// Table / CSV formatting tests, and where a bench's ledger line lands.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
 #include <sstream>
+#include <string>
 
 #include "core/report.hpp"
 
@@ -51,4 +56,28 @@ TEST(Format, SecondsUnits) {
     EXPECT_NE(format_seconds(2.0e-5).find("us"), std::string::npos);
     EXPECT_NE(format_seconds(5.0e-2).find("ms"), std::string::npos);
     EXPECT_NE(format_seconds(12.0).find(" s"), std::string::npos);
+}
+
+// A ledger line lands in the bench/history of the tree the library was
+// built from, not in one above the working directory.
+TEST(History, LineLandsInTheBuiltTreeWhateverTheWorkingDirectory) {
+    namespace fs = std::filesystem;
+    const std::string tag = std::to_string(::getpid());
+    const fs::path elsewhere = fs::temp_directory_path() / ("ehdoe-history-cwd-" + tag);
+    fs::create_directories(elsewhere / "bench" / "history");
+    const std::string file = "test-report-" + tag + ".jsonl";
+    const fs::path previous = fs::current_path();
+    fs::current_path(elsewhere);
+    const std::string written = append_history_line(file, "{\"probe\":1}");
+    fs::current_path(previous);
+
+    const fs::path tracked = fs::path(EHDOE_HISTORY_DIR) / file;
+    EXPECT_EQ(written, tracked.string());
+    std::ifstream in(tracked);
+    std::string line;
+    EXPECT_TRUE(std::getline(in, line));
+    EXPECT_EQ(line, "{\"probe\":1}");
+    EXPECT_FALSE(fs::exists(elsewhere / "bench" / "history" / file));
+    fs::remove(tracked);
+    fs::remove_all(elsewhere);
 }
