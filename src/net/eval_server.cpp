@@ -204,7 +204,7 @@ void EvalServer::serve_connection(int fd, std::atomic<bool>& handshaken) {
     if (!read_connection_magic(in, kind)) return;
     if (kind == ConnectionKind::Stats) {
         std::uint32_t version = 0;
-        if (!read_stats_request_body(in, version)) {
+        if (!read_version(in, version)) {
             rejected_.fetch_add(1);
         } else if (version != kProtocolVersion) {
             rejected_.fetch_add(1);
