@@ -38,7 +38,6 @@ const doe::RunResults& DesignFlow::run_ccd() {
 
 const doe::RunResults& DesignFlow::run(const doe::Design& design) {
     results_ = runner_->run_design(space_, design);
-    simulator_calls_ += results_->simulations;
     surfaces_.clear();  // stale fits die with their data
     return *results_;
 }
@@ -76,7 +75,6 @@ rsm::ValidationReport DesignFlow::validate(const std::string& response, std::siz
     }
     const num::Matrix& probe = it->second;
     const doe::RunResults res = runner_->run_points(space_, probe);
-    simulator_calls_ += res.simulations;
     return rsm::validate_holdout(s.fit(), probe, res.response(response));
 }
 
@@ -199,15 +197,10 @@ OptimizationOutcome DesignFlow::optimize(const std::string& objective, bool maxi
     if (confirm_with_simulation) {
         // Route the confirmation through the batch engine: a winner on an
         // already-simulated point (e.g. a design vertex) is a cache hit.
-        const std::size_t sims_before = runner_->stats().simulations;
         const auto sim = runner_->evaluate_point(out.natural);
-        const std::size_t delta = runner_->stats().simulations - sims_before;
-        simulator_calls_ += delta;
-        out.simulator_calls += delta;
         const auto it = sim.find(objective);
         if (it != sim.end()) out.confirmed = it->second;
     }
-    out.simulator_calls += simulator_calls_;
     return out;
 }
 

@@ -50,7 +50,6 @@ struct OptimizationOutcome {
     std::optional<double> confirmed;  ///< simulator value, if confirmation ran
     std::map<std::string, double> predicted_responses;  ///< all RSMs at the point
     std::size_t rsm_evaluations = 0;
-    std::size_t simulator_calls = 0;  ///< DoE runs + confirmation
 };
 
 class DesignFlow {
@@ -119,8 +118,10 @@ public:
     /// The collected experiment data; throws before any run.
     const doe::RunResults& results() const;
     bool has_results() const { return results_.has_value(); }
-    /// Total simulator invocations so far (incl. validation/confirmation).
-    std::size_t simulator_calls() const { return simulator_calls_; }
+    /// Total simulator invocations so far (incl. validation/confirmation):
+    /// the batch engine's count, so a simulation that throws mid-batch
+    /// still counts those that ran before it, as batch_stats() does.
+    std::size_t simulator_calls() const { return runner_->stats().simulations; }
     /// Lifetime counters of the batch engine (simulations, cache hits,
     /// batches, wall time) — the cost ledger of the whole flow.
     const doe::BatchStats& batch_stats() const { return runner_->stats(); }
@@ -183,7 +184,6 @@ private:
     /// validate()'s coded hold-out designs by point count: the seed and the
     /// dimension are fixed per flow, so each LHS is generated once.
     std::map<std::size_t, num::Matrix> holdouts_;
-    std::size_t simulator_calls_ = 0;
 };
 
 }  // namespace ehdoe::core

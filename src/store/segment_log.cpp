@@ -75,6 +75,19 @@ void encode_body(std::vector<unsigned char>& out, const std::string& key,
     }
 }
 
+/// Write one record: the header (magic, CRC-32 of the body, body length),
+/// then the body. False when a write fails.
+bool write_record(std::FILE* out, const std::vector<unsigned char>& body) {
+    const std::uint32_t crc = crc32_ieee(body.data(), body.size());
+    const std::uint64_t len = body.size();
+    unsigned char header[kHeaderBytes];
+    std::memcpy(header, &kRecordMagic, sizeof kRecordMagic);
+    std::memcpy(header + sizeof kRecordMagic, &crc, sizeof crc);
+    std::memcpy(header + sizeof kRecordMagic + sizeof crc, &len, sizeof len);
+    return std::fwrite(header, 1, sizeof header, out) == sizeof header &&
+           std::fwrite(body.data(), 1, body.size(), out) == body.size();
+}
+
 /// Cursor-based body parse; false on any out-of-bounds or insane length
 /// (a CRC-clean body that fails this is still corruption — a frame from a
 /// different record layout, say).
@@ -334,15 +347,7 @@ void SegmentLog::append_record_locked(const std::string& key,
         open_active_locked(active_seq_ + 1, 0);
         ++live_segments_;
     }
-    const std::uint32_t crc = crc32_ieee(body.data(), body.size());
-    const std::uint64_t len = body.size();
-    unsigned char header[kHeaderBytes];
-    std::memcpy(header, &kRecordMagic, sizeof kRecordMagic);
-    std::memcpy(header + sizeof kRecordMagic, &crc, sizeof crc);
-    std::memcpy(header + sizeof kRecordMagic + sizeof crc, &len, sizeof len);
-    if (std::fwrite(header, 1, sizeof header, active_) != sizeof header ||
-        std::fwrite(body.data(), 1, body.size(), active_) != body.size() ||
-        std::fflush(active_) != 0)
+    if (!write_record(active_, body) || std::fflush(active_) != 0)
         throw std::runtime_error("SegmentLog: append to " + active_path_ + " failed");
     active_bytes_ += record_bytes;
 }
@@ -361,14 +366,7 @@ void SegmentLog::compact() {
         std::vector<unsigned char> body;
         for (const auto& [key, responses] : index_) {
             encode_body(body, key, responses);
-            const std::uint32_t crc = crc32_ieee(body.data(), body.size());
-            const std::uint64_t len = body.size();
-            unsigned char header[kHeaderBytes];
-            std::memcpy(header, &kRecordMagic, sizeof kRecordMagic);
-            std::memcpy(header + sizeof kRecordMagic, &crc, sizeof crc);
-            std::memcpy(header + sizeof kRecordMagic + sizeof crc, &len, sizeof len);
-            if (std::fwrite(header, 1, sizeof header, out) != sizeof header ||
-                std::fwrite(body.data(), 1, body.size(), out) != body.size()) {
+            if (!write_record(out, body)) {
                 std::fclose(out);
                 throw std::runtime_error("SegmentLog: compaction write failed");
             }

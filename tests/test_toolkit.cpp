@@ -115,8 +115,17 @@ TEST(DesignFlow, SimulatorCallAccounting) {
     const auto& res = flow.run_ccd();
     const std::size_t after_doe = flow.simulator_calls();
     EXPECT_EQ(after_doe, res.simulations);
+    EXPECT_EQ(flow.simulator_calls(), flow.batch_stats().simulations);
     flow.validate("perf", 10);
     EXPECT_EQ(flow.simulator_calls(), after_doe + 10);
+    EXPECT_EQ(flow.simulator_calls(), flow.batch_stats().simulations);
+    // The optimum (x=6, y=2) is no design or hold-out point: confirming it
+    // costs one simulation, counted once.
+    const auto out = flow.optimize("perf", true, {}, true);
+    ASSERT_TRUE(out.confirmed);
+    EXPECT_NEAR(*out.confirmed, 10.0, 1e-3);
+    EXPECT_EQ(flow.simulator_calls(), after_doe + 11);
+    EXPECT_EQ(flow.simulator_calls(), flow.batch_stats().simulations);
 }
 
 TEST(DesignFlow, CustomDesignRun) {

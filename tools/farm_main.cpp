@@ -61,6 +61,7 @@
 #include "core/report.hpp"
 #include "net/remote_backend.hpp"
 #include "net/tcp_server.hpp"
+#include "net/wire.hpp"
 #include "store/store_client.hpp"
 #include "flag_parse.hpp"
 
@@ -637,14 +638,9 @@ int serve(const std::string& host, std::uint16_t port, const Farm& farm) {
                 "Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n"
                 "Content-Length: " +
                 std::to_string(body.size()) + "\r\n\r\n" + body;
-            std::size_t sent = 0;
-            while (sent < reply.size()) {
-                // MSG_NOSIGNAL: a scraper that gave up must not kill the exporter.
-                const ssize_t n =
-                    ::send(fd, reply.data() + sent, reply.size() - sent, MSG_NOSIGNAL);
-                if (n <= 0) break;
-                sent += static_cast<std::size_t>(n);
-            }
+            // Best effort: a scraper that gave up fails the send, never
+            // kills the exporter (write_all sends with MSG_NOSIGNAL).
+            net::write_all(fd, reply.data(), reply.size());
         }
         ::close(fd);
     }
