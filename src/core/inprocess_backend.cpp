@@ -4,6 +4,7 @@
 #include <atomic>
 #include <exception>
 #include <stdexcept>
+#include <vector>
 
 #include "core/thread_pool.hpp"
 
@@ -22,18 +23,33 @@ std::vector<ResponseMap> InProcessBackend::evaluate(const std::vector<Vector>& p
     std::vector<ResponseMap> out(n);
 
     // About 4 batches per worker: coarse enough to amortize dispatch, fine
-    // enough to balance load. A point is evaluated serially inside exactly
-    // one batch, so responses are bitwise identical for any thread count.
+    // enough to balance load. A batch is one pool task and one call of the
+    // model, and a point's arithmetic is its own inside exactly one batch,
+    // so responses are bitwise identical for any thread count.
     const std::size_t batch_size =
         std::max<std::size_t>(1, (n + 4 * threads_ - 1) / (4 * threads_));
+    const std::size_t n_batches = (n + batch_size - 1) / batch_size;
     if (threads_ > 1 && !pool_) pool_ = std::make_unique<ThreadPool>(threads_);
     std::atomic<std::size_t> simulated{0};
-    const std::exception_ptr error = run_chunked(pool_.get(), n, batch_size, [&](std::size_t i) {
-        out[i] = simulate_replicated(sim_, points[i], 1);
-        simulated.fetch_add(1, std::memory_order_relaxed);
+    const std::exception_ptr error = run_chunked(pool_.get(), n_batches, 1, [&](std::size_t b) {
+        const std::size_t begin = b * batch_size;
+        std::vector<PointOutcome> outcomes(std::min(n - begin, batch_size));
+        simulate_batch(sim_, &points[begin], outcomes.size(), outcomes.data());
+        // Every point of the batch ran; the first failure in input order
+        // fails the batch.
+        std::exception_ptr first_error;
+        for (std::size_t k = 0; k < outcomes.size(); ++k) {
+            if (outcomes[k].error) {
+                if (!first_error) first_error = outcomes[k].error;
+                continue;
+            }
+            out[begin + k] = std::move(outcomes[k].responses);
+            simulated.fetch_add(1, std::memory_order_relaxed);
+        }
+        if (first_error) std::rethrow_exception(first_error);
     });
     simulations_ += simulated.load(std::memory_order_relaxed);
-    batches_ += (n + batch_size - 1) / batch_size;
+    batches_ += n_batches;
     if (error) std::rethrow_exception(error);
     return out;
 }

@@ -4,12 +4,15 @@
 // core::ThreadPool inside the current process, through core::run_chunked:
 //
 //  * deterministic — points are chunked into batches of about four per
-//    worker, each batch is one pool task, and a point is evaluated serially
-//    inside exactly one task, so responses are bitwise identical for any
-//    thread count;
-//  * exception-correct — a throwing simulation aborts the run after all
-//    in-flight batches drain, not-yet-started batches are skipped, and the
-//    first failure in input order is rethrown.
+//    worker, each batch is one pool task and one call of the Simulation
+//    (which may interleave up to its width of them), and a point is
+//    evaluated inside exactly one task, so responses are bitwise identical
+//    for any thread count;
+//  * exception-correct — a failing point fails its batch once the batch's
+//    other points have run; the run ends after all in-flight batches
+//    drain, not-yet-started batches are skipped, and the first failure in
+//    input order is rethrown with its type. simulations() counts the
+//    points that returned responses.
 #pragma once
 
 #include <memory>

@@ -1,8 +1,11 @@
 #include "core/scenario.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace ehdoe::core {
 
@@ -100,6 +103,16 @@ node::NodeSimConfig Scenario::base_config() const { return base_; }
 node::NodeSimConfig Scenario::configure(const num::Vector& natural) const {
     if (natural.size() != 6)
         throw std::invalid_argument("Scenario::configure: expects the 6 canonical factors");
+    // A NaN slips through the clamps below (and would be cast to an
+    // integer payload); eval-server frames carry raw doubles, so any client
+    // can send one.
+    const char* const names[6] = {kFactorResonance, kFactorDeadband, kFactorDuty,
+                                  kFactorPayload,   kFactorStorage,  kFactorCheckPeriod};
+    for (std::size_t i = 0; i < 6; ++i) {
+        if (!std::isfinite(natural[i]))
+            throw std::invalid_argument(std::string("Scenario::configure: ") + names[i] +
+                                        " must be finite");
+    }
     node::NodeSimConfig c = base_;
     // Clamp to physical validity: circumscribed designs may probe slightly
     // beyond the declared ranges (CCD axial points), which must not turn
@@ -118,12 +131,35 @@ node::NodeSimConfig Scenario::configure(const num::Vector& natural) const {
 
 doe::Simulation Scenario::make_simulation() const {
     // Copy `this` state into the closure so the functor outlives the
-    // Scenario and is safe to run from worker threads.
+    // Scenario and is safe to run from worker threads. A batch runs as
+    // node::simulate_nodes lanes; a point that fails to configure or to run
+    // fails only its own outcome.
     const Scenario self = *this;
-    return [self](const num::Vector& natural) {
-        node::NodeSimConfig cfg = self.configure(natural);
-        return responses_from_metrics(node::simulate_node(cfg));
-    };
+    return doe::Simulation::batched(
+        node::kNodeLanes,
+        [self](const num::Vector* points, std::size_t n, core::PointOutcome* out) {
+            std::vector<node::NodeSimConfig> configs;
+            std::vector<std::size_t> point_of;  // configs[j] is points[point_of[j]]
+            configs.reserve(n);
+            point_of.reserve(n);
+            for (std::size_t i = 0; i < n; ++i) {
+                try {
+                    configs.push_back(self.configure(points[i]));
+                    point_of.push_back(i);
+                } catch (...) {
+                    out[i].error = std::current_exception();
+                }
+            }
+            const std::vector<node::NodeOutcome> runs = node::simulate_nodes(configs);
+            for (std::size_t j = 0; j < runs.size(); ++j) {
+                core::PointOutcome& o = out[point_of[j]];
+                if (runs[j].error) {
+                    o.error = runs[j].error;
+                } else {
+                    o.responses = responses_from_metrics(runs[j].metrics);
+                }
+            }
+        });
 }
 
 std::string Scenario::fingerprint() const {

@@ -71,11 +71,13 @@ public:
     node::NodeSimConfig base_config() const;
 
     /// Configuration for a natural-units factor vector ordered as
-    /// design_space().factors().
+    /// design_space().factors(); a non-finite factor is an
+    /// std::invalid_argument.
     node::NodeSimConfig configure(const num::Vector& natural) const;
 
-    /// The simulation functor executed by the DoE runner: runs the node
-    /// co-simulation and returns all canonical responses.
+    /// The simulation executed by the DoE runner: runs the node
+    /// co-simulation and returns all canonical responses, a batch at a time
+    /// as node::simulate_nodes lanes (width node::kNodeLanes).
     doe::Simulation make_simulation() const;
 
     /// Canonical identity of make_simulation() for persistent evaluation

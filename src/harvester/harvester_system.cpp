@@ -232,12 +232,6 @@ PowerFlowModel::OperatingPoint PowerFlowModel::operating_point(double f_exc_hz,
     return op;
 }
 
-double PowerFlowModel::OperatingPoint::power(double v_store) const {
-    if (!(v_store >= 0.0)) throw std::invalid_argument("PowerFlowModel::power: v_store >= 0");
-    if (v_oc <= 0.0 || v_store >= v_oc || p_matched <= 0.0) return 0.0;
-    return v_store * (v_oc - v_store) / r_out;
-}
-
 double PowerFlowModel::open_circuit_voltage(double f_exc_hz, double f_res_hz,
                                             double accel_amp) const {
     return operating_point(f_exc_hz, f_res_hz, accel_amp).v_oc;

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <functional>
+#include <stdexcept>
 
 #include "harvester/microgenerator.hpp"
 #include "harvester/multiplier.hpp"
@@ -143,8 +144,14 @@ public:
         double r_out = 0.0;      ///< output resistance V_oc^2 / (4 P_matched) (ohm)
 
         /// Average power delivered into storage held at `v_store`; 0 when
-        /// the open-circuit voltage cannot reach it.
-        double power(double v_store) const;
+        /// the open-circuit voltage cannot reach it. Inline: the node
+        /// co-simulation asks for it every substep.
+        double power(double v_store) const {
+            if (!(v_store >= 0.0))
+                throw std::invalid_argument("PowerFlowModel::power: v_store >= 0");
+            if (v_oc <= 0.0 || v_store >= v_oc || p_matched <= 0.0) return 0.0;
+            return v_store * (v_oc - v_store) / r_out;
+        }
     };
 
     explicit PowerFlowModel(Params params);

@@ -14,6 +14,8 @@
 // central trade-offs the DoE explores.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "numerics/interp.hpp"
@@ -99,6 +101,45 @@ private:
     std::size_t moves_ = 0;
     double travel_ = 0.0;
 };
+
+// Inline, like Storage::advance: the node co-simulation calls both every
+// substep.
+inline void TuningActuator::update(double now_s) {
+    if (now_s <= last_update_) return;  // time never flows backwards here
+    if (moving_) {
+        const double move_end =
+            move_start_time_ + std::fabs(target_ - move_start_pos_) / params_.speed_mm_per_s;
+        // Motion energy is banked incrementally so pre-empting commands never
+        // lose the energy already spent on a partial move.
+        const double t_from = std::max(last_update_, move_start_time_);
+        const double t_to = std::min(now_s, move_end);
+        if (t_to > t_from) {
+            energy_ += params_.power_w * (t_to - t_from);
+            travel_ += params_.speed_mm_per_s * (t_to - t_from);
+        }
+        const double dir = target_ > move_start_pos_ ? 1.0 : -1.0;
+        if (now_s >= move_end) {
+            pos_ = target_;
+            moving_ = false;
+        } else {
+            pos_ = move_start_pos_ + dir * params_.speed_mm_per_s * (now_s - move_start_time_);
+        }
+    }
+    last_update_ = now_s;
+}
+
+inline double TuningActuator::energy_consumed(double now_s) const {
+    double e = energy_ + params_.holding_power_w * std::max(now_s, 0.0);
+    if (moving_ && now_s > last_update_) {
+        // In-flight energy since the last update() call (not yet banked).
+        const double move_end =
+            move_start_time_ + std::fabs(target_ - move_start_pos_) / params_.speed_mm_per_s;
+        const double t_from = std::max(last_update_, move_start_time_);
+        const double t_to = std::min(now_s, move_end);
+        if (t_to > t_from) e += params_.power_w * (t_to - t_from);
+    }
+    return e;
+}
 
 /// Energy cost of retuning from frequency f0 to f1 through `map` with the
 /// given actuator — the quantity the controller dead-band trades against

@@ -15,17 +15,4 @@ EnergyManager::EnergyManager(EnergyManagerParams params, bool initially_alive)
     params_.validate();
 }
 
-bool EnergyManager::observe(double v_store) {
-    if (alive_ && v_store < params_.v_off) {
-        alive_ = false;
-        ++brownouts_;
-        return true;
-    }
-    if (!alive_ && v_store >= params_.v_on) {
-        alive_ = true;
-        return true;
-    }
-    return false;
-}
-
 }  // namespace ehdoe::node

@@ -28,7 +28,18 @@ public:
 
     /// Observe the storage voltage; returns true if the alive/dead state
     /// changed (so the caller can log or account downtime boundaries).
-    bool observe(double v_store);
+    bool observe(double v_store) {
+        if (alive_ && v_store < params_.v_off) {
+            alive_ = false;
+            ++brownouts_;
+            return true;
+        }
+        if (!alive_ && v_store >= params_.v_on) {
+            alive_ = true;
+            return true;
+        }
+        return false;
+    }
 
     /// Number of brown-out events so far.
     std::size_t brownouts() const { return brownouts_; }

@@ -1,15 +1,21 @@
 #include "node/node_sim.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 
 namespace ehdoe::node {
 
 void NodeSimConfig::validate() const {
     if (!vibration) throw std::invalid_argument("NodeSimConfig: vibration source required");
-    if (!(duration > 0.0)) throw std::invalid_argument("NodeSimConfig: duration > 0");
+    if (!(duration > 0.0 && std::isfinite(duration)))
+        throw std::invalid_argument("NodeSimConfig: duration > 0 and finite");
+    if (!std::isfinite(initial_resonance_hz))
+        throw std::invalid_argument("NodeSimConfig: initial_resonance_hz finite");
     if (!(max_substep > 0.0)) throw std::invalid_argument("NodeSimConfig: max_substep > 0");
     storage.validate();
     power.validate();
@@ -17,6 +23,232 @@ void NodeSimConfig::validate() const {
     controller.validate();
     manager.validate();
 }
+
+namespace {
+
+constexpr double kNever = std::numeric_limits<double>::infinity();
+
+/// One experiment as a resumable run: the constructor takes it to its first
+/// substep, and each step() advances one substep and fires the events due at
+/// its end. A run stepped to the end performs exactly the floating-point work
+/// of a run in one go, whatever else runs between its steps.
+class NodeRun {
+public:
+    NodeRun(const NodeSimConfig& cfg, double trace_dt, std::vector<TracePoint>* trace)
+        : cfg_(cfg),
+          vib_(*cfg.vibration),
+          pf_(cfg.harvester),
+          storage_(cfg.storage),
+          actuator_(cfg.actuator, cfg.tuning_map.separation_for(
+                                      cfg.initial_resonance_hz > 0.0
+                                          ? cfg.initial_resonance_hz
+                                          : cfg.harvester.generator.natural_freq_hz)),
+          firmware_(cfg.firmware, cfg.power),
+          controller_(cfg.controller, &cfg.tuning_map),
+          manager_(cfg.manager, storage_.voltage() >= cfg.manager.v_on),
+          // Excitation amplitude for the power-flow model: treat the source
+          // as a tone of equivalent RMS at its instantaneous dominant
+          // frequency.
+          accel_amp_(vib_.rms_amplitude() * M_SQRT2),
+          p_sleep_(cfg.power.storage_power(NodeState::Sleep)),
+          // Resonant frequency follows the (possibly moving) magnet
+          // position; when tuning is disabled the device stays at its
+          // configured resonance.
+          fixed_res_(cfg.initial_resonance_hz > 0.0 ? cfg.initial_resonance_hz
+                                                    : cfg.harvester.generator.natural_freq_hz),
+          res_hz_(fixed_res_),
+          trace_dt_(trace_dt),
+          trace_(trace) {
+        m_.duration = cfg_.duration;
+        m_.v_min = storage_.voltage();
+        schedule(task_, firmware_.current_period());
+        if (cfg_.tuning_enabled) schedule(check_, cfg_.controller.check_period);
+        running_ = next_segment();
+    }
+
+    /// False once the horizon is reached.
+    bool running() const { return running_; }
+
+    /// One substep; then, at the end of a segment, the due events and the
+    /// next segment. Requires running().
+    void step() {
+        substep();
+        if (t_ < t_event_ - 1e-12) return;
+        fire_due();
+        running_ = next_segment();
+    }
+
+    NodeMetrics finish() {
+        m_.retunes = controller_.retunes();
+        m_.energy_leaked = storage_.energy_leaked();
+        m_.v_end = storage_.voltage();
+        return m_;
+    }
+
+private:
+    /// A recurring event: its next firing time (kNever when none is due
+    /// before the horizon) and the sequence number it was scheduled with.
+    struct Slot {
+        double when = kNever;
+        std::uint64_t seq = 0;
+    };
+
+    void schedule(Slot& slot, double when) {
+        slot.when = when;
+        slot.seq = next_seq_++;
+    }
+
+    double next_event() const { return std::min(task_.when, check_.when); }
+
+    /// Find the next continuous segment [t, t_event], firing the events due
+    /// before it has a substep to run; false at the horizon.
+    bool next_segment() {
+        while (t_ < cfg_.duration - 1e-12) {
+            t_event_ = std::min(next_event(), cfg_.duration);
+            if (t_ < t_event_ - 1e-12) return true;
+            fire_due();
+        }
+        return false;
+    }
+
+    /// Fire every event scheduled at (or before) this instant, the earlier
+    /// slot first and, at equal times, the one scheduled first.
+    void fire_due() {
+        while (next_event() <= t_ + 1e-12) {
+            const bool task_first = task_.when < check_.when ||
+                                    (task_.when == check_.when && task_.seq < check_.seq);
+            if (task_first) {
+                run_task();
+            } else {
+                run_check();
+            }
+            m_.v_min = std::min(m_.v_min, storage_.voltage());
+            manager_.observe(storage_.voltage());
+        }
+    }
+
+    /// The firmware task, rescheduled with the firmware's adaptive period.
+    void run_task() {
+        const double t = task_.when;
+        task_.when = kNever;
+        switch (firmware_.decide(storage_.voltage(), manager_.alive())) {
+            case TaskDecision::Run: {
+                const double e = firmware_.task_energy();
+                storage_.advance(firmware_.task_duration(), 0.0, e / firmware_.task_duration());
+                m_.energy_consumed += e;
+                ++m_.packets_delivered;
+                break;
+            }
+            case TaskDecision::SkipLow:
+            case TaskDecision::SkipOff:
+                ++m_.packets_missed;
+                break;
+        }
+        if (t + firmware_.current_period() < cfg_.duration) {
+            schedule(task_, t + firmware_.current_period());
+        }
+    }
+
+    /// The tuning controller's check.
+    void run_check() {
+        const double t = check_.when;
+        check_.when = kNever;
+        if (cfg_.tuning_enabled && manager_.alive()) {
+            const double e_check = cfg_.power.freq_check_energy();
+            storage_.advance(cfg_.power.t_freq_check, 0.0,
+                             e_check / std::max(cfg_.power.t_freq_check, 1e-9));
+            m_.energy_consumed += e_check;
+            m_.energy_tuning += e_check;
+            ++m_.freq_checks;
+            controller_.check(t, vib_.dominant_frequency(t), storage_.voltage(), actuator_);
+        }
+        if (t + cfg_.controller.check_period < cfg_.duration) {
+            schedule(check_, t + cfg_.controller.check_period);
+        }
+    }
+
+    // A substep recomputes only what its inputs moved. Memo keys compare
+    // with ==, which reproduces the recomputed bits: an unset (NaN) key
+    // never matches, and +0 and -0 give the same frequency and power.
+    double f_res_now(double t) {
+        if (!cfg_.tuning_enabled) return fixed_res_;
+        actuator_.update(t);
+        if (!(actuator_.position() == res_pos_)) {
+            res_pos_ = actuator_.position();
+            res_hz_ = cfg_.tuning_map.frequency(res_pos_);
+        }
+        return res_hz_;
+    }
+
+    /// One bounded continuous substep of the segment [t, t_event].
+    void substep() {
+        const double h = std::min(cfg_.max_substep, t_event_ - t_);
+        const double f_exc = vib_.dominant_frequency(t_);
+        const double f_res = f_res_now(t_);
+        if (!(f_exc == op_f_exc_ && f_res == op_f_res_)) {
+            op_ = pf_.operating_point(f_exc, f_res, accel_amp_);
+            op_f_exc_ = f_exc;
+            op_f_res_ = f_res;
+        }
+        const double p_h = op_.power(storage_.voltage());
+
+        // Baseline electronics draw: sleep (alive) or nothing (off).
+        const double p_base = manager_.alive() ? p_sleep_ : 0.0;
+        // Actuator draw while a move is in flight.
+        actuator_.update(t_ + h);
+        const double e_act = actuator_.energy_consumed(t_ + h) - actuator_energy_prev_;
+        actuator_energy_prev_ += e_act;
+
+        storage_.advance(h, p_h, p_base + e_act / h);
+        m_.energy_harvested += p_h * h;
+        m_.energy_consumed += p_base * h + e_act;
+        m_.energy_tuning += e_act;
+
+        const double v_new = storage_.voltage();
+        m_.v_min = std::min(m_.v_min, v_new);
+        if (!manager_.alive()) m_.downtime += h;
+        manager_.observe(v_new);
+
+        if (trace_ && t_ + h >= next_trace_) {
+            const double now = t_ + h;
+            trace_->push_back(TracePoint{now, storage_.voltage(), vib_.dominant_frequency(now),
+                                         f_res_now(now), p_h});
+            next_trace_ += trace_dt_;
+        }
+        t_ += h;
+    }
+
+    const NodeSimConfig& cfg_;
+    const harvester::VibrationSource& vib_;
+    harvester::PowerFlowModel pf_;
+    harvester::Storage storage_;
+    harvester::TuningActuator actuator_;
+    Firmware firmware_;
+    TuningController controller_;
+    EnergyManager manager_;
+    const double accel_amp_;
+    const double p_sleep_;
+    const double fixed_res_;
+
+    NodeMetrics m_;
+    Slot task_, check_;
+    std::uint64_t next_seq_ = 0;
+    bool running_ = false;
+    double t_ = 0.0;
+    double t_event_ = 0.0;  ///< end of the current continuous segment
+    double actuator_energy_prev_ = 0.0;
+    double res_pos_ = std::numeric_limits<double>::quiet_NaN();
+    double res_hz_;  ///< tuning-map frequency at res_pos_
+    harvester::PowerFlowModel::OperatingPoint op_;  ///< at (op_f_exc_, op_f_res_)
+    double op_f_exc_ = std::numeric_limits<double>::quiet_NaN();
+    double op_f_res_ = std::numeric_limits<double>::quiet_NaN();
+
+    const double trace_dt_;
+    std::vector<TracePoint>* const trace_;
+    double next_trace_ = 0.0;
+};
+
+}  // namespace
 
 NodeSimulation::NodeSimulation(NodeSimConfig config) : cfg_(std::move(config)) {
     cfg_.validate();
@@ -31,159 +263,61 @@ NodeMetrics NodeSimulation::run_traced(double trace_dt, std::vector<TracePoint>&
 }
 
 NodeMetrics NodeSimulation::execute(double trace_dt, std::vector<TracePoint>* trace) {
-    const harvester::VibrationSource& vib = *cfg_.vibration;
-    harvester::PowerFlowModel pf(cfg_.harvester);
-    harvester::Storage storage(cfg_.storage);
-    harvester::TuningActuator actuator(
-        cfg_.actuator,
-        cfg_.tuning_map.separation_for(cfg_.initial_resonance_hz > 0.0
-                                           ? cfg_.initial_resonance_hz
-                                           : cfg_.harvester.generator.natural_freq_hz));
-    Firmware firmware(cfg_.firmware, cfg_.power);
-    TuningController controller(cfg_.controller, &cfg_.tuning_map);
-    EnergyManager manager(cfg_.manager, storage.voltage() >= cfg_.manager.v_on);
-
-    NodeMetrics m;
-    m.duration = cfg_.duration;
-    m.v_min = storage.voltage();
-
-    // Excitation amplitude for the power-flow model: treat the source as a
-    // tone of equivalent RMS at its instantaneous dominant frequency.
-    const double accel_amp = vib.rms_amplitude() * M_SQRT2;
-    const double p_sleep = cfg_.power.storage_power(NodeState::Sleep);
-
-    // A substep recomputes only what its inputs moved. Memo keys compare
-    // with ==, which reproduces the recomputed bits: an unset (NaN) key
-    // never matches, and +0 and -0 give the same frequency and power.
-    constexpr double kUnset = std::numeric_limits<double>::quiet_NaN();
-
-    // Resonant frequency follows the (possibly moving) magnet position; when
-    // tuning is disabled the device stays at its configured resonance.
-    const double fixed_res = cfg_.initial_resonance_hz > 0.0
-                                 ? cfg_.initial_resonance_hz
-                                 : cfg_.harvester.generator.natural_freq_hz;
-    double res_pos = kUnset, res_hz = fixed_res;  // tuning-map frequency at res_pos
-    auto f_res_now = [&](double t) {
-        if (!cfg_.tuning_enabled) return fixed_res;
-        actuator.update(t);
-        if (!(actuator.position() == res_pos)) {
-            res_pos = actuator.position();
-            res_hz = cfg_.tuning_map.frequency(res_pos);
-        }
-        return res_hz;
-    };
-
-    sim::EventQueue queue;
-
-    // --- firmware task -----------------------------------------------------
-    // Self-rescheduling with the firmware's adaptive period. Both recurring
-    // callbacks are queued through std::ref, so no event copies a closure.
-    std::function<void(double)> task_fn = [&](double t) {
-        const TaskDecision d = firmware.decide(storage.voltage(), manager.alive());
-        switch (d) {
-            case TaskDecision::Run: {
-                const double e = firmware.task_energy();
-                storage.advance(firmware.task_duration(), 0.0,
-                                e / firmware.task_duration());
-                m.energy_consumed += e;
-                ++m.packets_delivered;
-                break;
-            }
-            case TaskDecision::SkipLow:
-            case TaskDecision::SkipOff:
-                ++m.packets_missed;
-                break;
-        }
-        if (t + firmware.current_period() < cfg_.duration) {
-            queue.schedule(t + firmware.current_period(), std::ref(task_fn));
-        }
-    };
-    queue.schedule(firmware.current_period(), std::ref(task_fn));
-
-    // --- tuning controller check -------------------------------------------
-    std::function<void(double)> check_fn = [&](double t) {
-        if (cfg_.tuning_enabled && manager.alive()) {
-            const double e_check = cfg_.power.freq_check_energy();
-            storage.advance(cfg_.power.t_freq_check, 0.0,
-                            e_check / std::max(cfg_.power.t_freq_check, 1e-9));
-            m.energy_consumed += e_check;
-            m.energy_tuning += e_check;
-            ++m.freq_checks;
-            controller.check(t, vib.dominant_frequency(t), storage.voltage(), actuator);
-        }
-        if (t + cfg_.controller.check_period < cfg_.duration) {
-            queue.schedule(t + cfg_.controller.check_period, std::ref(check_fn));
-        }
-    };
-    if (cfg_.tuning_enabled) queue.schedule(cfg_.controller.check_period, std::ref(check_fn));
-
-    // --- main loop: continuous advance between events -----------------------
-    double t = 0.0;
-    double next_trace = 0.0;
-    double actuator_energy_prev = 0.0;
-    harvester::PowerFlowModel::OperatingPoint op;  // at (op_f_exc, op_f_res)
-    double op_f_exc = kUnset, op_f_res = kUnset;
-
-    auto record = [&](double now, double p_h) {
-        if (trace && now >= next_trace) {
-            trace->push_back(TracePoint{now, storage.voltage(), vib.dominant_frequency(now),
-                                        f_res_now(now), p_h});
-            next_trace += trace_dt;
-        }
-    };
-
-    while (t < cfg_.duration - 1e-12) {
-        const double t_event = std::min(queue.empty() ? cfg_.duration : queue.next_time(),
-                                        cfg_.duration);
-        // Continuous segment [t, t_event] in bounded sub-steps.
-        while (t < t_event - 1e-12) {
-            const double h = std::min(cfg_.max_substep, t_event - t);
-            const double f_exc = vib.dominant_frequency(t);
-            const double f_res = f_res_now(t);
-            if (!(f_exc == op_f_exc && f_res == op_f_res)) {
-                op = pf.operating_point(f_exc, f_res, accel_amp);
-                op_f_exc = f_exc;
-                op_f_res = f_res;
-            }
-            const double p_h = op.power(storage.voltage());
-
-            // Baseline electronics draw: sleep (alive) or nothing (off).
-            const double p_base = manager.alive() ? p_sleep : 0.0;
-            // Actuator draw while a move is in flight.
-            actuator.update(t + h);
-            const double e_act = actuator.energy_consumed(t + h) - actuator_energy_prev;
-            actuator_energy_prev += e_act;
-
-            storage.advance(h, p_h, p_base + e_act / h);
-            m.energy_harvested += p_h * h;
-            m.energy_consumed += p_base * h + e_act;
-            m.energy_tuning += e_act;
-
-            const double v_new = storage.voltage();
-            m.v_min = std::min(m.v_min, v_new);
-            if (!manager.alive()) m.downtime += h;
-            manager.observe(v_new);
-
-            record(t + h, p_h);
-            t += h;
-        }
-        // Fire every event scheduled at (or before) this instant.
-        while (!queue.empty() && queue.next_time() <= t + 1e-12) {
-            queue.run_next();
-            m.v_min = std::min(m.v_min, storage.voltage());
-            manager.observe(storage.voltage());
-        }
-    }
-
-    m.retunes = controller.retunes();
-    m.energy_leaked = storage.energy_leaked();
-    m.v_end = storage.voltage();
-    return m;
+    NodeRun run(cfg_, trace_dt, trace);
+    while (run.running()) run.step();
+    return run.finish();
 }
 
 NodeMetrics simulate_node(const NodeSimConfig& config) {
     NodeSimulation sim(config);
     return sim.run();
+}
+
+std::vector<NodeOutcome> simulate_nodes(const std::vector<NodeSimConfig>& configs) {
+    std::vector<NodeOutcome> out(configs.size());
+    std::array<std::optional<NodeRun>, kNodeLanes> lanes;
+    std::array<std::size_t, kNodeLanes> index{};  // the config each lane runs
+    std::size_t next = 0;
+
+    // Give lane `l` the next config that has a substep to run, settling the
+    // ones that fail or end before it; false once none is left.
+    auto refill = [&](std::size_t l) {
+        lanes[l].reset();
+        while (next < configs.size()) {
+            const std::size_t i = next++;
+            try {
+                configs[i].validate();
+                lanes[l].emplace(configs[i], 0.0, nullptr);
+                if (lanes[l]->running()) {
+                    index[l] = i;
+                    return true;
+                }
+                out[i].metrics = lanes[l]->finish();
+            } catch (...) {
+                out[i].error = std::current_exception();
+            }
+            lanes[l].reset();
+        }
+        return false;
+    };
+
+    std::size_t live = 0;
+    for (std::size_t l = 0; l < kNodeLanes; ++l) live += refill(l) ? 1 : 0;
+    while (live > 0) {
+        for (std::size_t l = 0; l < kNodeLanes; ++l) {
+            if (!lanes[l]) continue;
+            NodeRun& run = *lanes[l];
+            try {
+                run.step();
+                if (run.running()) continue;
+                out[index[l]].metrics = run.finish();
+            } catch (...) {
+                out[index[l]].error = std::current_exception();
+            }
+            if (!refill(l)) --live;
+        }
+    }
+    return out;
 }
 
 }  // namespace ehdoe::node

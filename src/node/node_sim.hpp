@@ -8,15 +8,27 @@
 // DoE design.
 //
 // The analogue side advances in bounded continuous sub-steps; the digital
-// side (tasks, controller checks) runs on the discrete-event queue. Task
+// side is two recurring events, the firmware task and the tuning check,
+// each in its own slot. The earlier slot fires first; at equal times, the
+// one scheduled first (by a sequence number each scheduling takes). Task
 // bursts are orders of magnitude shorter than the gaps between them, so
 // their energy is drawn atomically at the firing instant — the standard
 // energy-flow abstraction for duty-cycled nodes ([2]'s firmware-level
 // model).
+//
+// A run is one serial chain of divisions and square roots (two storage
+// updates per 0.1 s substep), so simulate_nodes() steps kNodeLanes runs
+// round-robin on the calling thread, one substep each in turn: the core
+// overlaps their chains while each run's arithmetic stays exactly its own.
+// The substep's helpers (Storage::advance, OperatingPoint::power,
+// TuningActuator::update/energy_consumed, EnergyManager::observe) are
+// inline in their headers so the interleaved substeps stay lean.
 #pragma once
 
-#include <functional>
+#include <cstddef>
+#include <exception>
 #include <memory>
+#include <vector>
 
 #include "harvester/harvester_system.hpp"
 #include "harvester/storage.hpp"
@@ -27,7 +39,6 @@
 #include "node/firmware.hpp"
 #include "node/metrics.hpp"
 #include "node/power_model.hpp"
-#include "sim/events.hpp"
 
 namespace ehdoe::node {
 
@@ -44,8 +55,8 @@ struct NodeSimConfig {
     TuningControllerParams controller;
     EnergyManagerParams manager;
 
-    double duration = 300.0;        ///< simulated horizon (s)
-    double initial_resonance_hz = 0.0;  ///< 0 => untuned natural frequency
+    double duration = 300.0;        ///< simulated horizon (s), finite
+    double initial_resonance_hz = 0.0;  ///< 0 => untuned natural frequency; finite
     /// Disable the tuning subsystem entirely (the "fixed harvester"
     /// baseline of the F1 bench).
     bool tuning_enabled = true;
@@ -83,5 +94,22 @@ private:
 
 /// Convenience: run a config directly.
 NodeMetrics simulate_node(const NodeSimConfig& config);
+
+/// Runs simulate_nodes() interleaves on one thread.
+inline constexpr std::size_t kNodeLanes = 4;
+
+/// One config's result from simulate_nodes(): its metrics, or the exception
+/// its validation or run threw.
+struct NodeOutcome {
+    NodeMetrics metrics;
+    std::exception_ptr error;
+};
+
+/// Run every config, in order, up to kNodeLanes at a time on the calling
+/// thread, one substep per run in turn; a lane whose run ends takes the
+/// next config. Each outcome is bitwise what simulate_node() returns (or
+/// throws) for its config, and a run that throws fails only its own
+/// outcome.
+std::vector<NodeOutcome> simulate_nodes(const std::vector<NodeSimConfig>& configs);
 
 }  // namespace ehdoe::node
