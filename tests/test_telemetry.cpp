@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -32,6 +33,7 @@
 #include "doe/composite.hpp"
 #include "doe/design.hpp"
 #include "exec_test_utils.hpp"
+#include "net/wire.hpp"
 #include "net_test_utils.hpp"
 
 #ifndef EHDOE_EVAL_SERVER_BIN
@@ -353,6 +355,64 @@ TEST_F(TelemetryTest, TracingOnVsOffBitwiseIdenticalRemote) {
     EXPECT_TRUE(offset_seen);
     EXPECT_GE(events_named(trace, "dispatch").size(), 1u);
     EXPECT_GE(events_named(trace, "receive").size(), 1u);
+}
+
+TEST_F(TelemetryTest, BatchedServerTaskAnswersEveryPointWithOneSpanAndSampleEach) {
+    // A width-4 model on a one-worker shard: the frame's four points are one
+    // pool task and one call of the model, and the point that throws fails
+    // alone.
+    const core::Simulation sim = core::Simulation::batched(
+        4, [](const Vector* points, std::size_t n, core::PointOutcome* out) {
+            for (std::size_t i = 0; i < n; ++i) {
+                if (points[i][0] == 2.0) {
+                    out[i].error = std::make_exception_ptr(std::runtime_error("two fails"));
+                } else {
+                    out[i].responses = {{"f", points[i][0]}};
+                }
+            }
+        });
+    core::telemetry::enable();
+    core::telemetry::reset();
+    auto server = net_test::start_server(sim, "batched", /*workers=*/1);
+
+    const int fd = net_test::raw_connect(server->port());
+    net::Hello hello;
+    hello.version = net::kProtocolVersion;
+    hello.fingerprint = "batched";
+    ASSERT_TRUE(net::write_hello(fd, hello));
+    net::Reader in(fd);
+    std::uint64_t status = net::kStatusError;
+    std::string message;
+    ASSERT_TRUE(net::read_welcome(in, status, message));
+    ASSERT_EQ(status, net::kStatusOk) << message;
+    const std::vector<Vector> points = {{0.0, 0.0}, {1.0, 0.0}, {2.0, 0.0}, {3.0, 0.0}};
+    std::vector<unsigned char> scratch;
+    ASSERT_TRUE(net::write_batch_request(fd, points, {0, 1, 2, 3}, scratch));
+    std::vector<net::EvalResult> results;
+    ASSERT_TRUE(net::read_batch_result(in, points.size(), results));
+    ::close(fd);
+
+    ASSERT_EQ(results.size(), points.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        SCOPED_TRACE("point " + std::to_string(i));
+        if (i == 2) {
+            EXPECT_FALSE(results[i].ok);
+            EXPECT_NE(results[i].error.find("two fails"), std::string::npos) << results[i].error;
+        } else {
+            ASSERT_TRUE(results[i].ok) << results[i].error;
+            EXPECT_EQ(results[i].responses.at("f"), points[i][0]);
+        }
+    }
+    EXPECT_EQ(server->points_served(), 3u);
+    EXPECT_EQ(server->points_failed(), 1u);
+    EXPECT_EQ(server->points_in_flight(), 0u);
+    EXPECT_EQ(server->latency_histogram().total(), points.size());
+    server->stop();
+
+    exec_test::TempDir dir("telemetry-batched");
+    const std::string path = dir.path() + "/server.json";
+    ASSERT_TRUE(core::telemetry::write_json(path));
+    EXPECT_EQ(events_named(core::parse_json(slurp(path)), "eval").size(), points.size());
 }
 
 // ---------------------------------------------------------------------------
