@@ -207,31 +207,6 @@ PowerFlowModel::PowerFlowModel(Params params) : params_{std::move(params), 0.0} 
                        : optimal_load_resistance(params_.p.generator);
 }
 
-PowerFlowModel::OperatingPoint PowerFlowModel::operating_point(double f_exc_hz,
-                                                               double f_res_hz,
-                                                               double accel_amp) const {
-    if (!(accel_amp >= 0.0)) throw std::invalid_argument("PowerFlowModel: accel_amp >= 0");
-    if (!(f_exc_hz > 0.0)) throw std::invalid_argument("PowerFlowModel: f_exc_hz > 0");
-    // The generator was validated and r_eq fixed positive at construction.
-    const MicrogeneratorParams& g = params_.p.generator;
-    const double w = kTwoPi * f_res_hz;
-    const double k_tuned = g.mass * w * w;
-    const SteadyState ss =
-        steady_state_response_unchecked(g, accel_amp, f_exc_hz, params_.r_eq, k_tuned);
-
-    OperatingPoint op;
-    // Peak AC voltage presented to the multiplier input.
-    const double v_pk = ss.current_amplitude * params_.r_eq;
-    const double per_stage = v_pk - params_.p.multiplier.diode.v_on;
-    if (per_stage <= 0.0) return op;
-    op.v_oc = params_.p.multiplier.ideal_gain() * per_stage;
-    // Thevenin output model: matched power (at v = V_oc/2) equals
-    // eta0 * P_load of the linear model.
-    op.p_matched = params_.p.converter_efficiency * ss.power_load;
-    op.r_out = op.v_oc * op.v_oc / (4.0 * op.p_matched);
-    return op;
-}
-
 double PowerFlowModel::open_circuit_voltage(double f_exc_hz, double f_res_hz,
                                             double accel_amp) const {
     return operating_point(f_exc_hz, f_res_hz, accel_amp).v_oc;

@@ -14,6 +14,7 @@
 // model, by tests (analytic ground truth) and by the F1 bench.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 
 namespace ehdoe::harvester {
@@ -67,9 +68,9 @@ SteadyState steady_state_response(const MicrogeneratorParams& params, double acc
 /// steady_state_response without its checks, for a caller that validated
 /// `params` once and checks its own arguments (the power-flow model's
 /// per-substep solve). Same arithmetic, so bitwise equal results.
-SteadyState steady_state_response_unchecked(const MicrogeneratorParams& params,
-                                            double accel_amplitude, double excitation_hz,
-                                            double load_resistance, double spring_k);
+inline SteadyState steady_state_response_unchecked(const MicrogeneratorParams& params,
+                                                   double accel_amplitude, double excitation_hz,
+                                                   double load_resistance, double spring_k);
 
 /// Load resistance maximizing P_L at resonance for this device
 /// (R_L_opt = R_c + Phi^2 / c_p at w = w0 for the ideal model).
@@ -78,5 +79,55 @@ double optimal_load_resistance(const MicrogeneratorParams& params);
 /// Average load power at resonance with the optimal resistive load —
 /// the harvester's power ceiling for a given excitation amplitude.
 double max_power_at_resonance(const MicrogeneratorParams& params, double accel_amplitude);
+
+// Inline, as are the node co-simulation's other per-substep helpers: S2's
+// drifting line solves the steady state every substep, and the interleaved
+// runs of node::simulate_nodes stay lean only when that solve compiles into
+// the substep.
+inline double MicrogeneratorParams::omega0() const { return 2.0 * M_PI * natural_freq_hz; }
+
+inline double MicrogeneratorParams::spring_constant() const {
+    const double w0 = omega0();
+    return mass * w0 * w0;
+}
+
+inline double MicrogeneratorParams::parasitic_damping() const {
+    return mass * omega0() / mechanical_q;
+}
+
+inline SteadyState steady_state_response_unchecked(const MicrogeneratorParams& p,
+                                                   double accel_amplitude, double excitation_hz,
+                                                   double load_resistance, double spring_k) {
+    const double w = 2.0 * M_PI * excitation_hz;
+    const double k = spring_k > 0.0 ? spring_k : p.spring_constant();
+    const double cp = p.parasitic_damping();
+    const double rtot = p.coil_resistance + load_resistance;
+    const double xl = w * p.coil_inductance;
+    const double zmag2 = rtot * rtot + xl * xl;
+
+    // Electrical damping reflected into the mechanics: the in-phase part of
+    // Phi^2 / Z(jw).
+    const double ce = p.coupling * p.coupling * rtot / zmag2;
+    // Reactive part shifts the effective stiffness slightly (usually tiny).
+    const double dk = -p.coupling * p.coupling * xl * w / zmag2;
+
+    const double denom_re = (k + dk) - p.mass * w * w;
+    const double denom_im = (cp + ce) * w;
+    const double zamp =
+        p.mass * accel_amplitude / std::sqrt(denom_re * denom_re + denom_im * denom_im);
+    const double vamp = w * zamp;
+    const double emf = p.coupling * vamp;
+    const double iamp = emf / std::sqrt(zmag2);
+
+    SteadyState s;
+    s.displacement_amplitude = zamp;
+    s.velocity_amplitude = vamp;
+    s.current_amplitude = iamp;
+    s.emf_amplitude = emf;
+    s.power_load = 0.5 * iamp * iamp * load_resistance;
+    s.power_parasitic = 0.5 * cp * vamp * vamp + 0.5 * iamp * iamp * p.coil_resistance;
+    s.electrical_damping = ce;
+    return s;
+}
 
 }  // namespace ehdoe::harvester

@@ -42,6 +42,22 @@ public:
     /// in `energy_rejected()`.
     void advance(double dt, double p_in, double p_out);
 
+    /// What advance() applies: the time still to run and both powers
+    /// clamped to >= 0.
+    struct Flow {
+        double remaining;
+        double p_in;
+        double p_out;
+    };
+    /// advance()'s flow for its arguments; throws std::invalid_argument
+    /// unless dt >= 0.
+    static Flow flow(double dt, double p_in, double p_out);
+    /// One leakage sub-step of advance(): applies `f` for min(f.remaining,
+    /// 50 ms) and takes that time off f.remaining, which must be > 0.
+    /// advance() loops over it; node::simulate_nodes calls it to step
+    /// several runs' storage updates in lockstep, one sub-step each in turn.
+    void sub_advance(Flow& f);
+
     /// Cumulative energy lost to leakage (J).
     double energy_leaked() const { return leaked_; }
     /// Cumulative energy rejected by the overvoltage clamp (J).
@@ -72,43 +88,45 @@ private:
 // Inline, as are the node co-simulation's other per-substep helpers: the
 // interleaved runs of node::simulate_nodes stay lean only when these calls
 // compile into the substep.
-inline void Storage::advance(double dt, double p_in, double p_out) {
+inline Storage::Flow Storage::flow(double dt, double p_in, double p_out) {
     if (!(dt >= 0.0)) throw std::invalid_argument("Storage::advance: dt >= 0");
-    if (dt == 0.0) return;
-    p_in = std::max(p_in, 0.0);
-    p_out = std::max(p_out, 0.0);
+    return {dt, std::max(p_in, 0.0), std::max(p_out, 0.0)};
+}
 
+inline void Storage::advance(double dt, double p_in, double p_out) {
+    Flow f = flow(dt, p_in, p_out);
+    while (f.remaining > 0.0) sub_advance(f);
+}
+
+inline void Storage::sub_advance(Flow& f) {
     // Sub-step so the state-dependent leakage (V^2/R) stays accurate across
     // long gaps; 50 ms sub-steps are far below any leakage time constant.
     const double max_sub = 0.05;
-    double remaining = dt;
-    while (remaining > 0.0) {
-        const double h = std::min(remaining, max_sub);
-        remaining -= h;
+    const double h = std::min(f.remaining, max_sub);
+    f.remaining -= h;
 
-        const double v = voltage_;
-        const double p_leak = v * v / params_.leakage_resistance;
-        double e_next = energy_ + (p_in - p_out - p_leak) * h;
+    const double v = voltage_;
+    const double p_leak = v * v / params_.leakage_resistance;
+    double e_next = energy_ + (f.p_in - f.p_out - p_leak) * h;
 
-        accepted_ += p_in * h;
-        leaked_ += p_leak * h;
+    accepted_ += f.p_in * h;
+    leaked_ += p_leak * h;
 
-        if (e_next < 0.0) {
-            // Storage exhausted mid-interval: deliver only what exists.
-            const double deliverable = std::max(energy_ + (p_in - p_leak) * h, 0.0);
-            delivered_ += std::min(p_out * h, deliverable);
-            e_next = 0.0;
-        } else {
-            delivered_ += p_out * h;
-        }
-
-        const double e_max = 0.5 * params_.capacitance * params_.max_voltage * params_.max_voltage;
-        if (e_next > e_max) {
-            rejected_ += e_next - e_max;
-            e_next = e_max;
-        }
-        set_energy(e_next);
+    if (e_next < 0.0) {
+        // Storage exhausted mid-interval: deliver only what exists.
+        const double deliverable = std::max(energy_ + (f.p_in - p_leak) * h, 0.0);
+        delivered_ += std::min(f.p_out * h, deliverable);
+        e_next = 0.0;
+    } else {
+        delivered_ += f.p_out * h;
     }
+
+    const double e_max = 0.5 * params_.capacitance * params_.max_voltage * params_.max_voltage;
+    if (e_next > e_max) {
+        rejected_ += e_next - e_max;
+        e_next = e_max;
+    }
+    set_energy(e_next);
 }
 
 }  // namespace ehdoe::harvester
