@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -466,9 +467,23 @@ TEST(PowerFlow, CalibrationScalesModel) {
 
 TEST(PowerFlow, RejectsInvalidArguments) {
     PowerFlowModel pf({MicrogeneratorParams{}, MultiplierParams{}, 0.85, -1.0});
+    const double nan = std::nan(""), inf = std::numeric_limits<double>::infinity();
     EXPECT_THROW(pf.operating_point(72.0, 72.0, -0.1), std::invalid_argument);
     EXPECT_THROW(pf.operating_point(0.0, 72.0, 0.6), std::invalid_argument);
     EXPECT_THROW(pf.power(72.0, 72.0, 0.6, -1.0), std::invalid_argument);
+    // A NaN or 0 Hz resonance gives no tuned spring, so the solve used the
+    // untuned 65 Hz one, and -72 Hz gave the 72 Hz point.
+    for (const double f_res : {nan, 0.0, -72.0, inf}) {
+        EXPECT_THROW(pf.operating_point(72.0, f_res, 1.0), std::invalid_argument) << f_res;
+        EXPECT_THROW(pf.power(72.0, f_res, 1.0, 2.6), std::invalid_argument) << f_res;
+    }
+    // An infinite excitation or amplitude passed the old checks and gave
+    // NaN power.
+    EXPECT_THROW(pf.operating_point(inf, 72.0, 1.0), std::invalid_argument);
+    EXPECT_THROW(pf.operating_point(nan, 72.0, 1.0), std::invalid_argument);
+    EXPECT_THROW(pf.operating_point(72.0, 72.0, inf), std::invalid_argument);
+    EXPECT_THROW(pf.operating_point(72.0, 72.0, nan), std::invalid_argument);
+    EXPECT_THROW(pf.open_circuit_voltage(72.0, 72.0, inf), std::invalid_argument);
 }
 
 TEST(PowerFlow, AgreesWithCircuitWithinFactor) {
