@@ -4,8 +4,9 @@
 // N = hardware threads; 1, 2 and 4 single-worker loopback eval-server
 // shards; exec (one mock_hdl_sim process per point) and exec over remote;
 // a cold run publishing to a store daemon and a snapshot file, then each
-// warm tier alone; and a farm of one shard slowed by 10 ms/point and one
-// fast shard, split modulo and by calibrated weights.
+// warm tier alone; one 4-worker shard, which cuts each frame into tasks
+// per worker; and a farm of one shard slowed by 10 ms/point and one fast
+// shard, split modulo and by calibrated weights.
 //
 // Each row gets one untimed warm-up run, then kRepeats timed runs. Every
 // speedup is the median of kRepeats ratios of one reference run and one
@@ -309,6 +310,17 @@ int main() try {
     rows.push_back(measure("store warm", warm(true), reference_run, reference));
     rows.push_back(measure("snapshot warm", warm(false), reference_run, reference));
     store.reset();
+
+    // One shard with four workers, as `ehdoe-eval-server --workers 4` runs:
+    // each frame splits into tasks per worker, each task's points run as
+    // node lanes.
+    net::EvalServerOptions wide_opts;
+    wide_opts.fingerprint = fp;
+    wide_opts.workers = 4;
+    net::EvalServer wide(sc.make_simulation(), wide_opts);
+    wide.start();
+    rows.push_back(
+        measure("remote x1 (4 workers)", remote({&wide}, fp), reference_run, reference));
 
     // The heterogeneous farm: the same arithmetic and fingerprint behind a
     // 10 ms sleep per point, so only the speed differs.

@@ -267,6 +267,7 @@ TEST(PerfGate, TrackedGateFileParses) {
          {{"simulations", 0}, {"cache_hits", 48}, {"store_gets", 45}, {"store_hits", 45},
           {"store_puts", 0}}},
         {"snapshot warm", {{"simulations", 0}, {"cache_hits", 48}}},
+        {"remote x1 (4 workers)", {{"simulations", 45}, {"points_served", 45}}},
     };
     const JsonValue* eq = farm->find("require_eq");
     ASSERT_NE(eq, nullptr);
