@@ -131,15 +131,19 @@ std::uint64_t bits(double v) {
     return b;
 }
 
-// Seeded probe points over k factors: the first rows hold 0, -0.0, +-1 and
-// |x| > 1 in every coordinate, the rest are uniform on [-2.5, 2.5].
+// Seeded probe points over k factors: the first rows hold 0, -0.0, +-1,
+// |x| > 1, subnormals and +-1e150 (whose cubes overflow) in every
+// coordinate, the rest are uniform on [-2.5, 2.5].
 ehdoe::num::Matrix probe_points(std::size_t k, std::size_t n, std::uint64_t seed) {
-    const double specials[] = {0.0, -0.0, 1.0, -1.0, 1.75, -2.5, 0.5, -0.0};
+    const double specials[] = {0.0,  -0.0,   1.0,        -1.0,           1.75,   -2.5,
+                               0.5,  -0.0,   0x1p-1060, -0x1.8p-1040, 1e150, -1e150};
+    constexpr std::size_t kSpecials = sizeof specials / sizeof specials[0];
     ehdoe::num::Rng rng = ehdoe::num::make_rng(seed);
     ehdoe::num::Matrix pts(n, k);
     for (std::size_t i = 0; i < n; ++i) {
         for (std::size_t j = 0; j < k; ++j) {
-            pts(i, j) = i < 8 ? specials[(i + 3 * j) % 8] : ehdoe::num::uniform(rng, -2.5, 2.5);
+            pts(i, j) = i < kSpecials ? specials[(i + 3 * j) % kSpecials]
+                                      : ehdoe::num::uniform(rng, -2.5, 2.5);
         }
     }
     return pts;
@@ -161,8 +165,8 @@ double row_dot_beta(const ModelSpec& model, const Vector& x, const Vector& beta)
 }
 
 // predict() and every block shape of predict_block() against the reference:
-// 1..9 coefficient vectors, whole and partial point blocks, points packed
-// or spaced apart.
+// 1..9 coefficient vectors, every block of 1..19 points and all 64, points
+// packed or spaced apart.
 void expect_predict_is_row_dot_beta(const ModelSpec& model, std::uint64_t seed) {
     ehdoe::num::Rng rng = ehdoe::num::make_rng(seed);
     std::vector<Vector> betas(9, Vector(model.num_terms()));
@@ -192,8 +196,10 @@ void expect_predict_is_row_dot_beta(const ModelSpec& model, std::uint64_t seed) 
     }
     std::vector<const double*> coefficients;
     for (const Vector& beta : betas) coefficients.push_back(beta.data());
-    const std::pair<std::size_t, std::size_t> blocks[] = {{0, 64}, {0, 1}, {5, 3},
-                                                          {8, 8},  {3, 13}, {40, 17}};
+    // Each count from a different first row, so the special rows land in
+    // every pass width and position.
+    std::vector<std::pair<std::size_t, std::size_t>> blocks{{0, 64}};
+    for (std::size_t count = 1; count <= 19; ++count) blocks.emplace_back((5 * count) % 29, count);
     for (std::size_t m = 1; m <= betas.size(); ++m) {
         for (const auto& [first, count] : blocks) {
             std::vector<double> out(count * m);
