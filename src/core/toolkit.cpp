@@ -136,7 +136,7 @@ OptimizationOutcome DesignFlow::optimize(const std::string& objective, bool maxi
     // once, and every surface shares the flow's term list by construction.
     std::vector<const double*> betas{coefficients_of(obj_surface)};
     for (const auto& c : constraints) betas.push_back(coefficients_of(surface(c.response)));
-    std::vector<double> predicted(betas.size());
+    std::vector<double> predicted;
 
     // Penalty scale: the objective's observed spread keeps the penalty
     // meaningfully dominant without destroying conditioning.
@@ -150,26 +150,33 @@ OptimizationOutcome DesignFlow::optimize(const std::string& objective, bool maxi
     const double penalty_w = 1e3 * spread;
 
     std::size_t rsm_evals = 0;
-    auto penalized = [&](const num::Vector& x) {
-        ++rsm_evals;
-        model_.predict_block(x.data(), 1, k, betas.data(), betas.size(), predicted.data());
-        double v = maximize ? -predicted[0] : predicted[0];
-        for (std::size_t i = 0; i < constraints.size(); ++i) {
-            const ResponseConstraint& c = constraints[i];
-            const double r = predicted[i + 1];
-            if (r < c.min) {
-                const double d = (c.min - r) / spread;
-                v += penalty_w * d * d;
+    const opt::BlockObjective penalized = [&](const double* points, std::size_t count,
+                                              double* values) {
+        rsm_evals += count;
+        const std::size_t m = betas.size();
+        if (predicted.size() < count * m) predicted.resize(count * m);
+        model_.predict_block(points, count, k, betas.data(), m, predicted.data());
+        for (std::size_t p = 0; p < count; ++p) {
+            const double* r = predicted.data() + p * m;
+            double v = maximize ? -r[0] : r[0];
+            for (std::size_t i = 0; i < constraints.size(); ++i) {
+                const ResponseConstraint& c = constraints[i];
+                if (r[i + 1] < c.min) {
+                    const double d = (c.min - r[i + 1]) / spread;
+                    v += penalty_w * d * d;
+                }
+                if (r[i + 1] > c.max) {
+                    const double d = (r[i + 1] - c.max) / spread;
+                    v += penalty_w * d * d;
+                }
             }
-            if (r > c.max) {
-                const double d = (r - c.max) / spread;
-                v += penalty_w * d * d;
-            }
+            values[p] = v;
         }
-        return v;
     };
 
-    // Multi-start: grid scan winner + centre + 2^min(k,4) alternating corners.
+    // Multi-start: grid scan winner + centre + 2^min(k,4) alternating corners,
+    // run together as lanes of one driver; the first start with the lowest
+    // value wins.
     const auto grid = obj_surface.grid_best(k <= 4 ? 7 : 5, maximize);
     std::vector<num::Vector> starts{grid.coded, num::Vector(k)};
     const std::size_t corner_count = std::size_t{1} << std::min<std::size_t>(k, 4);
@@ -179,11 +186,10 @@ OptimizationOutcome DesignFlow::optimize(const std::string& objective, bool maxi
         starts.push_back(std::move(corner));
     }
 
-    const opt::Bounds bounds = opt::Bounds::coded_cube(k);
     opt::OptResult best;
     best.value = 1e300;
-    for (const num::Vector& s0 : starts) {
-        opt::OptResult r = opt::nelder_mead(penalized, bounds, s0);
+    for (opt::OptResult& r :
+         opt::nelder_mead_starts(penalized, opt::Bounds::coded_cube(k), starts)) {
         if (r.value < best.value) best = std::move(r);
     }
 
