@@ -24,15 +24,36 @@ double last_delta(const RingSnapshot& ring, std::size_t col) {
     return last.values[col] - prev.values[col];
 }
 
-double median_positive(std::vector<double> values) {
-    values.erase(std::remove_if(values.begin(), values.end(),
-                                [](double v) { return !(v > 0.0); }),
-                 values.end());
-    if (values.empty()) return 0.0;
+namespace {
+
+double median(std::vector<double> values) {
     std::sort(values.begin(), values.end());
     const std::size_t n = values.size();
     if (n % 2 == 1) return values[n / 2];
     return 0.5 * (values[n / 2 - 1] + values[n / 2]);
+}
+
+}  // namespace
+
+double median_positive(std::vector<double> values) {
+    values.erase(std::remove_if(values.begin(), values.end(),
+                                [](double v) { return !(v > 0.0); }),
+                 values.end());
+    return values.empty() ? 0.0 : median(std::move(values));
+}
+
+std::vector<bool> stragglers(const std::vector<std::optional<double>>& signals, double k) {
+    std::vector<bool> flags(signals.size(), false);
+    std::vector<double> others;
+    for (std::size_t i = 0; i < signals.size(); ++i) {
+        if (!signals[i]) continue;
+        others.clear();
+        for (std::size_t j = 0; j < signals.size(); ++j) {
+            if (j != i && signals[j]) others.push_back(*signals[j]);
+        }
+        flags[i] = !others.empty() && *signals[i] > k * median(others);
+    }
+    return flags;
 }
 
 double window_value(const RingSnapshot& ring, std::size_t col) {

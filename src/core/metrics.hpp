@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -65,8 +66,15 @@ int find_series(const RingSnapshot& ring, const std::string& name);
 double last_delta(const RingSnapshot& ring, std::size_t col);
 
 /// Median of the strictly positive entries of `values`; 0 when none. The
-/// reduction behind window percentiles and the farm-median straggler test.
+/// reduction behind window percentiles.
 double median_positive(std::vector<double> values);
+
+/// The straggler test: entry i is true when signals[i] exceeds `k` times
+/// the median of the other entries that hold a signal (an even count
+/// averages the middle pair). A 0 signal counts: a shard that serves
+/// points in under 1 us reads p99 0. An entry without a signal, or one
+/// with no other signal beside it, is never flagged.
+std::vector<bool> stragglers(const std::vector<std::optional<double>>& signals, double k);
 
 /// Window reduction of column `col`: the median of its positive samples
 /// across the ring (0 when the column never fired). For a per-interval p99

@@ -303,6 +303,32 @@ TEST_F(FarmCli, StatsFlagsTheShardWhoseWindowedP99ExceedsTwiceTheFarmMedian) {
     slow->stop();
 }
 
+TEST_F(FarmCli, StatsFlagsTheSlowerOfTwoShards) {
+    // Two shards: each is compared with the other alone, so the slow one
+    // straggles whatever the fast one reads, 0 us included.
+    auto fast = start_ringed_server(identity_sim());
+    auto slow = start_ringed_server([](const Vector& nat) -> std::map<std::string, double> {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        return {{"f", nat[0]}};
+    });
+    fast->sample_metrics_now();
+    slow->sample_metrics_now();
+    // Four points over two shards: two each.
+    doe::BatchRunner(identity_sim(),
+                     remote_options({endpoint_of(*fast), endpoint_of(*slow)}, "sim-id"))
+        .run_design(kSpace, doe::full_factorial(2, 2));
+    fast->sample_metrics_now();
+    slow->sample_metrics_now();
+
+    const Outcome r = farm({"stats", "--json", endpoint_of(*fast), endpoint_of(*slow)});
+    ASSERT_EQ(r.exit, 0) << r.err;
+    const core::JsonValue d = core::parse_json(r.out);
+    EXPECT_FALSE(core::json_lookup(d, "shards[0].straggler")->boolean) << r.out;
+    EXPECT_TRUE(core::json_lookup(d, "shards[1].straggler")->boolean) << r.out;
+    fast->stop();
+    slow->stop();
+}
+
 TEST_F(FarmCli, StatsMarksADeadEndpointDownAndExitsOne) {
     const std::string dead = dead_endpoint();
     const Outcome r = farm({"stats", "--json", eval_endpoint_, dead});

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -181,6 +182,29 @@ TEST(MetricsAlgebra, MedianPositiveIgnoresZerosAndNegatives) {
     EXPECT_EQ(metrics::median_positive({0.0, 9.0, 1.0, 5.0}), 5.0);
     EXPECT_EQ(metrics::median_positive({4.0, 8.0, -1.0, 0.0}), 6.0)
         << "even count averages the middle pair";
+}
+
+TEST(MetricsAlgebra, StragglersCompareEachShardWithTheOthersMedian) {
+    using Signals = std::vector<std::optional<double>>;
+    using Flags = std::vector<bool>;
+    // A sub-microsecond shard reads 0 and still counts: the slow shard is
+    // compared with the median of 6 and 0, the fast ones with the slow one.
+    EXPECT_EQ(metrics::stragglers(Signals{6.0, 0.0, 49152.0}, 2.0), (Flags{false, false, true}));
+    // Two shards: each against the other alone.
+    EXPECT_EQ(metrics::stragglers(Signals{3.0, 49152.0}, 2.0), (Flags{false, true}));
+    EXPECT_EQ(metrics::stragglers(Signals{0.0, 100.0}, 2.0), (Flags{false, true}));
+    EXPECT_EQ(metrics::stragglers(Signals{0.0, 0.0}, 2.0), (Flags{false, false}));
+    EXPECT_EQ(metrics::stragglers(Signals{40.0, 20.0}, 2.0), (Flags{false, false}))
+        << "exactly twice the other is not more than twice";
+    // No signal (down, or no points served) is neither flagged nor a peer.
+    EXPECT_EQ(metrics::stragglers(Signals{std::nullopt, 10.0, 100.0}, 2.0),
+              (Flags{false, false, true}));
+    EXPECT_EQ(metrics::stragglers(Signals{500.0, std::nullopt}, 2.0), (Flags{false, false}))
+        << "a single shard has no farm to straggle behind";
+    EXPECT_EQ(metrics::stragglers(Signals{}, 2.0), Flags{});
+    // Two others average: 70 against the mean of 10 and 30.
+    EXPECT_EQ(metrics::stragglers(Signals{10.0, 30.0, 70.0}, 2.0), (Flags{false, false, true}));
+    EXPECT_EQ(metrics::stragglers(Signals{10.0, 10.0, 10.0}, 2.0), (Flags{false, false, false}));
 }
 
 TEST(MetricsAlgebra, WindowValueIsTheMedianOfPositiveSamples) {

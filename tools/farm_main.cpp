@@ -95,7 +95,7 @@ std::string fixed(double v, int digits) {
 // ---------------------------------------------------------------------------
 
 /// A shard straggles when its windowed p99 exceeds this many times the
-/// farm median.
+/// median of the other shards that served points.
 constexpr double kStragglerK = 2.0;
 
 struct Farm {
@@ -171,8 +171,10 @@ Poll poll_farm(const Farm& farm) {
         for (std::thread& t : pollers) t.join();
     }
 
-    std::vector<double> signals;
-    for (Shard& s : p.shards) {
+    // Every shard that answered and served points has a latency signal.
+    std::vector<std::optional<double>> signals(p.shards.size());
+    for (std::size_t i = 0; i < p.shards.size(); ++i) {
+        Shard& s = p.shards[i];
         if (!s.up) {
             std::cerr << "[ehdoe-farm] shard " << s.label << " down: " << s.error << "\n";
             continue;
@@ -186,13 +188,10 @@ Poll poll_farm(const Farm& farm) {
             s.rate = metrics::last_delta(ring, static_cast<std::size_t>(served)) /
                      (static_cast<double>(ring.interval_us) / 1e6);
         }
-        if (straggler_signal(s) > 0.0) signals.push_back(straggler_signal(s));
+        if (s.stats.points_served > 0) signals[i] = straggler_signal(s);
     }
-    // One shard has no farm to straggle behind: it takes two latency signals.
-    const double median = signals.size() >= 2 ? metrics::median_positive(signals) : 0.0;
-    if (median > 0.0) {
-        for (Shard& s : p.shards) s.straggler = s.up && straggler_signal(s) > kStragglerK * median;
-    }
+    const std::vector<bool> flags = metrics::stragglers(signals, kStragglerK);
+    for (std::size_t i = 0; i < p.shards.size(); ++i) p.shards[i].straggler = flags[i];
 
     for (Store& s : p.stores) {
         if (!s.up) {
