@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -28,7 +29,33 @@ Design latin_hypercube(std::size_t runs, std::size_t k, num::Rng& rng,
     // Maximin hill climbing: swap two entries within a random column; keep
     // the swap when the minimum pairwise distance does not decrease.
     if (options.maximin_iterations > 0 && runs > 2) {
-        double best = min_pairwise_distance(d.points);
+        // Squared distances of every pair, summed as min_pairwise_distance()
+        // sums them. A swap moves only its two rows, so a pass recomputes
+        // their 2(n-1) distances; the minimum over all pairs is exact.
+        Matrix& x = d.points;
+        std::vector<double> d2(runs * runs);
+        const auto update_row = [&](std::size_t r) {
+            for (std::size_t j = 0; j < runs; ++j) {
+                if (j == r) continue;
+                const std::size_t lo = std::min(r, j), hi = std::max(r, j);
+                double sum = 0.0;
+                for (std::size_t c = 0; c < k; ++c) {
+                    const double e = x(lo, c) - x(hi, c);
+                    sum += e * e;
+                }
+                d2[r * runs + j] = d2[j * runs + r] = sum;
+            }
+        };
+        const auto min_distance = [&] {
+            double m = std::numeric_limits<double>::infinity();
+            for (std::size_t i = 0; i < runs; ++i) {
+                for (std::size_t j = i + 1; j < runs; ++j) m = std::min(m, d2[i * runs + j]);
+            }
+            return std::sqrt(m);
+        };
+        for (std::size_t r = 0; r < runs; ++r) update_row(r);
+        double best = min_distance();
+        std::vector<double> saved(2 * runs);
         for (std::size_t it = 0; it < options.maximin_iterations; ++it) {
             const auto f = static_cast<std::size_t>(
                 num::uniform_int(rng, 0, static_cast<int>(k) - 1));
@@ -37,12 +64,20 @@ Design latin_hypercube(std::size_t runs, std::size_t k, num::Rng& rng,
             auto b = static_cast<std::size_t>(
                 num::uniform_int(rng, 0, static_cast<int>(runs) - 1));
             if (a == b) b = (b + 1) % runs;
-            std::swap(d.points(a, f), d.points(b, f));
-            const double cand = min_pairwise_distance(d.points);
+            std::copy_n(d2.begin() + a * runs, runs, saved.begin());
+            std::copy_n(d2.begin() + b * runs, runs, saved.begin() + runs);
+            std::swap(x(a, f), x(b, f));
+            update_row(a);
+            update_row(b);
+            const double cand = min_distance();
             if (cand >= best) {
                 best = cand;
             } else {
-                std::swap(d.points(a, f), d.points(b, f));  // revert
+                std::swap(x(a, f), x(b, f));  // revert
+                for (std::size_t j = 0; j < runs; ++j) {
+                    d2[a * runs + j] = d2[j * runs + a] = saved[j];
+                    d2[b * runs + j] = d2[j * runs + b] = saved[runs + j];
+                }
             }
         }
     }

@@ -98,7 +98,9 @@ public:
         actuator_.update(t_ + h_);
         e_act_ = actuator_.energy_consumed(t_ + h_) - actuator_energy_prev_;
         actuator_energy_prev_ += e_act_;
-        p_out_ = p_base_ + e_act_ / h_;
+        // An idle actuator's energy is +-0, and +-0 / h_ (h_ > 0) is the
+        // same zero: the division is skipped with no bit moved.
+        p_out_ = p_base_ + (e_act_ == 0.0 ? e_act_ : e_act_ / h_);
     }
 
     /// (b) The power harvested at the storage voltage, and the storage

@@ -75,27 +75,37 @@ CubicSpline::CubicSpline(std::vector<double> xs, std::vector<double> ys)
     validate_knots(xs_, ys_);
     const std::size_t n = xs_.size();
     m_.assign(n, 0.0);
-    if (n == 2) return;  // natural spline over one segment is the chord
-
-    // Thomas algorithm on the tridiagonal system for interior second
-    // derivatives; natural boundary: m_0 = m_{n-1} = 0.
-    std::vector<double> a(n, 0.0), b(n, 0.0), c(n, 0.0), d(n, 0.0);
-    for (std::size_t i = 1; i + 1 < n; ++i) {
-        const double h0 = xs_[i] - xs_[i - 1];
-        const double h1 = xs_[i + 1] - xs_[i];
-        a[i] = h0;
-        b[i] = 2.0 * (h0 + h1);
-        c[i] = h1;
-        d[i] = 6.0 * ((ys_[i + 1] - ys_[i]) / h1 - (ys_[i] - ys_[i - 1]) / h0);
+    // A natural spline over one segment is the chord: m stays 0.
+    if (n > 2) {
+        // Thomas algorithm on the tridiagonal system for interior second
+        // derivatives; natural boundary: m_0 = m_{n-1} = 0.
+        std::vector<double> a(n, 0.0), b(n, 0.0), c(n, 0.0), d(n, 0.0);
+        for (std::size_t i = 1; i + 1 < n; ++i) {
+            const double h0 = xs_[i] - xs_[i - 1];
+            const double h1 = xs_[i + 1] - xs_[i];
+            a[i] = h0;
+            b[i] = 2.0 * (h0 + h1);
+            c[i] = h1;
+            d[i] = 6.0 * ((ys_[i + 1] - ys_[i]) / h1 - (ys_[i] - ys_[i - 1]) / h0);
+        }
+        for (std::size_t i = 2; i + 1 < n; ++i) {
+            const double w = a[i] / b[i - 1];
+            b[i] -= w * c[i - 1];
+            d[i] -= w * d[i - 1];
+        }
+        for (std::size_t i = n - 2; i >= 1; --i) {
+            m_[i] = (d[i] - c[i] * m_[i + 1]) / b[i];
+            if (i == 1) break;
+        }
     }
-    for (std::size_t i = 2; i + 1 < n; ++i) {
-        const double w = a[i] / b[i - 1];
-        b[i] -= w * c[i - 1];
-        d[i] -= w * d[i - 1];
-    }
-    for (std::size_t i = n - 2; i >= 1; --i) {
-        m_[i] = (d[i] - c[i] * m_[i + 1]) / b[i];
-        if (i == 1) break;
+    six_h_.resize(n - 1);
+    c0_.resize(n - 1);
+    c1_.resize(n - 1);
+    for (std::size_t i = 0; i + 1 < n; ++i) {
+        const double h = xs_[i + 1] - xs_[i];
+        six_h_[i] = 6.0 * h;
+        c0_[i] = ys_[i] / h - m_[i] * h / 6.0;
+        c1_[i] = ys_[i + 1] / h - m_[i + 1] * h / 6.0;
     }
 }
 
@@ -104,11 +114,10 @@ std::size_t CubicSpline::segment(double x) const { return find_segment(xs_, x); 
 double CubicSpline::operator()(double x) const {
     x = std::clamp(x, xs_.front(), xs_.back());
     const std::size_t i = segment(x);
-    const double h = xs_[i + 1] - xs_[i];
     const double t0 = xs_[i + 1] - x;
     const double t1 = x - xs_[i];
-    return (m_[i] * t0 * t0 * t0 + m_[i + 1] * t1 * t1 * t1) / (6.0 * h) +
-           (ys_[i] / h - m_[i] * h / 6.0) * t0 + (ys_[i + 1] / h - m_[i + 1] * h / 6.0) * t1;
+    return (m_[i] * t0 * t0 * t0 + m_[i + 1] * t1 * t1 * t1) / six_h_[i] + c0_[i] * t0 +
+           c1_[i] * t1;
 }
 
 double CubicSpline::derivative(double x) const {
@@ -117,8 +126,7 @@ double CubicSpline::derivative(double x) const {
     const double h = xs_[i + 1] - xs_[i];
     const double t0 = xs_[i + 1] - x;
     const double t1 = x - xs_[i];
-    return (-m_[i] * t0 * t0 + m_[i + 1] * t1 * t1) / (2.0 * h) -
-           (ys_[i] / h - m_[i] * h / 6.0) + (ys_[i + 1] / h - m_[i + 1] * h / 6.0);
+    return (-m_[i] * t0 * t0 + m_[i + 1] * t1 * t1) / (2.0 * h) - c0_[i] + c1_[i];
 }
 
 double CubicSpline::second_derivative(double x) const {

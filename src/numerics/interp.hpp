@@ -55,6 +55,11 @@ private:
     std::vector<double> xs_;
     std::vector<double> ys_;
     std::vector<double> m_;  // second derivatives at knots
+    // Per segment i, formed once with the expressions the queries used:
+    // 6h, ys[i] / h - m[i] * h / 6 and ys[i+1] / h - m[i+1] * h / 6.
+    std::vector<double> six_h_;
+    std::vector<double> c0_;
+    std::vector<double> c1_;
 };
 
 }  // namespace ehdoe::num
