@@ -154,9 +154,10 @@ public:
 
     /// Constrained optimization on the RSMs (multi-start Nelder-Mead with
     /// quadratic penalties); optionally confirm the winner by simulation.
-    /// Each penalised point predicts the objective and every constraint in
-    /// one block call of the flow's model, with the bits of one value() per
-    /// surface; `predicted_responses` come from one more such call.
+    /// The starts run as lanes of opt::nelder_mead_starts, and each round's
+    /// penalised points predict the objective and every constraint in one
+    /// block call of the flow's model, with the bits of one value() per
+    /// surface and point; `predicted_responses` come from one more call.
     OptimizationOutcome optimize(const std::string& objective, bool maximize,
                                  const std::vector<ResponseConstraint>& constraints = {},
                                  bool confirm_with_simulation = true);
