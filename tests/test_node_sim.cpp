@@ -149,6 +149,45 @@ NodeSimConfig simultaneous_config() {
     return c;
 }
 
+/// 40 points of a seeded LHS at 20 s, three S2 runs then two S1 runs in
+/// turn. S2's drifting line asks for an operating point every substep, S1's
+/// clean line only while its actuator moves. Neighbouring configs differ in
+/// generator mass, coupling or both, and in equivalent load and converter
+/// efficiency, so two runs solved side by side carry different models.
+std::vector<NodeSimConfig> mixed_model_configs() {
+    namespace core = ehdoe::core;
+    namespace doe = ehdoe::doe;
+    const core::Scenario s1 = core::Scenario::make(core::ScenarioId::OfficeHvac, 20.0);
+    const core::Scenario s2 = core::Scenario::make(core::ScenarioId::Industrial, 20.0);
+    const ehdoe::num::Matrix natural = doe::to_natural(
+        s1.design_space(), doe::latin_hypercube(40, s1.design_space().dimension(),
+                                                std::uint64_t{7}));
+    const double loads[4] = {-1.0, 6000.0, 9000.0, 12000.0};  // -1: the optimum
+    std::vector<NodeSimConfig> configs;
+    for (std::size_t i = 0; i < natural.rows(); ++i) {
+        NodeSimConfig c = (i % 5 < 3 ? s2 : s1).configure(natural.row(i));
+        c.harvester.generator.mass *= 1.0 + 0.05 * static_cast<double>(i % 3);
+        c.harvester.generator.coupling *= 1.0 + 0.04 * static_cast<double>(i % 4);
+        c.harvester.equivalent_load = loads[i % 4];
+        c.harvester.converter_efficiency = 0.5 + 0.05 * static_cast<double>(i % 5);
+        configs.push_back(std::move(c));
+    }
+    return configs;
+}
+
+/// Folds the bit pattern of `v` into the 64-bit FNV-1a digest `h`.
+std::uint64_t fnv1a(std::uint64_t h, double v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    for (int b = 0; b < 8; ++b) {
+        h ^= (bits >> (8 * b)) & 0xffu;
+        h *= 0x100000001b3u;
+    }
+    return h;
+}
+
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325u;
+
 }  // namespace
 
 TEST(NodeSim, GoldenResponsesAreBitwiseStable) {
@@ -334,20 +373,44 @@ TEST(NodeLanes, DefaultHorizonCcdDigestsAreBitwiseStable) {
             configs.push_back(sc.configure(natural.row(r)));
         }
         ASSERT_EQ(configs.size(), 48u);
-        std::uint64_t h = 0xcbf29ce484222325u;  // FNV-1a, 64 bit
+        std::uint64_t h = kFnvBasis;
         for (const NodeOutcome& o : simulate_nodes(configs)) {
             ASSERT_FALSE(o.error);
             for (const auto& [name, value] : core::responses_from_metrics(o.metrics)) {
-                std::uint64_t bits = 0;
-                std::memcpy(&bits, &value, sizeof bits);
-                for (int b = 0; b < 8; ++b) {
-                    h ^= (bits >> (8 * b)) & 0xffu;
-                    h *= 0x100000001b3u;
-                }
+                h = fnv1a(h, value);
             }
         }
         EXPECT_EQ(h, digest);
     }
+}
+
+TEST(NodeLanes, MixedModelBatchesMatchSerialRunsAndTheirDigest) {
+    // Batches of 1 to 7 configs, so a round solves 0 to 4 operating points,
+    // odd counts included, for runs of different models side by side.
+    const std::vector<NodeSimConfig> configs = mixed_model_configs();
+    std::uint64_t h = kFnvBasis;
+    std::size_t begin = 0;
+    for (std::size_t size = 1; begin < configs.size(); size = size % 7 + 1) {
+        const std::size_t end = std::min(configs.size(), begin + size);
+        const std::vector<NodeSimConfig> batch(configs.begin() + begin, configs.begin() + end);
+        const std::vector<NodeOutcome> outcomes = simulate_nodes(batch);
+        ASSERT_EQ(outcomes.size(), batch.size());
+        for (std::size_t k = 0; k < batch.size(); ++k) {
+            SCOPED_TRACE("config " + std::to_string(begin + k));
+            ASSERT_FALSE(outcomes[k].error);
+            const NodeMetrics& m = outcomes[k].metrics;
+            expect_metrics(m, simulate_node(batch[k]));
+            for (const double v :
+                 {m.duration, m.energy_harvested, m.energy_consumed, m.energy_tuning,
+                  m.energy_leaked, static_cast<double>(m.packets_delivered),
+                  static_cast<double>(m.packets_missed), static_cast<double>(m.retunes),
+                  static_cast<double>(m.freq_checks), m.v_min, m.v_end, m.downtime}) {
+                h = fnv1a(h, v);
+            }
+        }
+        begin = end;
+    }
+    EXPECT_EQ(h, 0xb8c2eed1501414aeu);
 }
 
 TEST(NodeLanes, MatchSerialRunsBitwiseInBatchesOfOneToNine) {
