@@ -4,6 +4,17 @@
 
 namespace ehdoe::harvester {
 
+double MicrogeneratorParams::omega0() const { return 2.0 * M_PI * natural_freq_hz; }
+
+double MicrogeneratorParams::spring_constant() const {
+    const double w0 = omega0();
+    return mass * w0 * w0;
+}
+
+double MicrogeneratorParams::parasitic_damping() const {
+    return mass * omega0() / mechanical_q;
+}
+
 void MicrogeneratorParams::validate() const {
     if (!(mass > 0.0)) throw std::invalid_argument("MicrogeneratorParams: mass > 0");
     if (!(natural_freq_hz > 0.0))
@@ -28,8 +39,23 @@ SteadyState steady_state_response(const MicrogeneratorParams& p, double accel_am
         throw std::invalid_argument("steady_state_response: excitation_hz > 0");
     if (!(load_resistance >= 0.0))
         throw std::invalid_argument("steady_state_response: load_resistance >= 0");
-    return steady_state_response_unchecked(p, accel_amplitude, excitation_hz, load_resistance,
-                                           spring_k);
+    return solve_steady_state(steady_state_terms(p, load_resistance), accel_amplitude,
+                              excitation_hz, spring_k);
+}
+
+SteadyStateTerms<double> steady_state_terms(const MicrogeneratorParams& p,
+                                            double load_resistance) {
+    const double rtot = p.coil_resistance + load_resistance;
+    return {p.mass,
+            p.spring_constant(),
+            p.parasitic_damping(),
+            p.coil_inductance,
+            p.coupling,
+            p.coil_resistance,
+            load_resistance,
+            rtot * rtot,
+            p.coupling * p.coupling * rtot,
+            -p.coupling * p.coupling};
 }
 
 double optimal_load_resistance(const MicrogeneratorParams& p) {

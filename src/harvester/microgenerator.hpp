@@ -17,6 +17,8 @@
 #include <cmath>
 #include <cstddef>
 
+#include "numerics/pair.hpp"
+
 namespace ehdoe::harvester {
 
 /// Physical parameters of the electromagnetic microgenerator.
@@ -46,16 +48,19 @@ struct MicrogeneratorParams {
 
 /// Steady-state response of the linear harvester with a resistive load R_L
 /// attached directly to the coil (no multiplier): the textbook model used
-/// for power-flow estimates and analytic tests.
-struct SteadyState {
-    double displacement_amplitude;  ///< |z| (m)
-    double velocity_amplitude;      ///< |z'| (m/s)
-    double current_amplitude;       ///< |i| (A)
-    double emf_amplitude;           ///< |e| = Phi |z'| (V)
-    double power_load;              ///< average power into R_L (W)
-    double power_parasitic;         ///< average power lost in c_p and R_c (W)
-    double electrical_damping;      ///< c_e = Phi^2 (R_L+R_c) / (...) (N s/m)
+/// for power-flow estimates and analytic tests. One field per lane of T
+/// (see solve_steady_state).
+template <class T>
+struct BasicSteadyState {
+    T displacement_amplitude;  ///< |z| (m)
+    T velocity_amplitude;      ///< |z'| (m/s)
+    T current_amplitude;       ///< |i| (A)
+    T emf_amplitude;           ///< |e| = Phi |z'| (V)
+    T power_load;              ///< average power into R_L (W)
+    T power_parasitic;         ///< average power lost in c_p and R_c (W)
+    T electrical_damping;      ///< c_e = Phi^2 (R_L+R_c) / (...) (N s/m)
 };
+using SteadyState = BasicSteadyState<double>;
 
 /// Analytic steady state under a(t) = A sin(w t) with resistive load R_L.
 /// Coil inductance is included (impedance magnitude at w).
@@ -65,12 +70,51 @@ SteadyState steady_state_response(const MicrogeneratorParams& params, double acc
                                   double excitation_hz, double load_resistance,
                                   double spring_k = -1.0);
 
-/// steady_state_response without its checks, for a caller that validated
-/// `params` once and checks its own arguments (the power-flow model's
-/// per-substep solve). Same arithmetic, so bitwise equal results.
-inline SteadyState steady_state_response_unchecked(const MicrogeneratorParams& params,
-                                                   double accel_amplitude, double excitation_hz,
-                                                   double load_resistance, double spring_k);
+/// The terms of the steady-state solve that depend only on the device and
+/// its load R_L, one device per lane of T. steady_state_terms() forms them
+/// with the solve's own expressions, so solving from them gives the bits of
+/// forming them in the solve.
+template <class T>
+struct SteadyStateTerms {
+    T mass;               ///< m
+    T spring_constant;    ///< untuned k
+    T parasitic_damping;  ///< c_p
+    T coil_inductance;    ///< L_c
+    T coupling;           ///< Phi
+    T coil_resistance;    ///< R_c
+    T load_resistance;    ///< R_L
+    T r_tot_squared;      ///< (R_c + R_L) (R_c + R_L)
+    T phi2_r_tot;         ///< Phi Phi (R_c + R_L)
+    T neg_phi2;           ///< (-Phi) Phi
+};
+
+SteadyStateTerms<double> steady_state_terms(const MicrogeneratorParams& params,
+                                            double load_resistance);
+
+/// Two devices' terms side by side: `a` in the low lane, `b` in the high one.
+inline SteadyStateTerms<num::Pair> pair_terms(const SteadyStateTerms<double>& a,
+                                              const SteadyStateTerms<double>& b) {
+    using num::Pair;
+    return {Pair{a.mass, b.mass},
+            Pair{a.spring_constant, b.spring_constant},
+            Pair{a.parasitic_damping, b.parasitic_damping},
+            Pair{a.coil_inductance, b.coil_inductance},
+            Pair{a.coupling, b.coupling},
+            Pair{a.coil_resistance, b.coil_resistance},
+            Pair{a.load_resistance, b.load_resistance},
+            Pair{a.r_tot_squared, b.r_tot_squared},
+            Pair{a.phi2_r_tot, b.phi2_r_tot},
+            Pair{a.neg_phi2, b.neg_phi2}};
+}
+
+/// The steady-state solve, unchecked, over the lane type T: double solves
+/// one device, num::Pair two at once, one per lane. Each lane performs
+/// exactly the scalar IEEE operations in the same order (the build keeps
+/// the compiler from fusing them), so its bits are the double solve's.
+/// `spring_k` <= 0 selects the untuned spring.
+template <class T>
+BasicSteadyState<T> solve_steady_state(const SteadyStateTerms<T>& d, T accel_amplitude,
+                                       T excitation_hz, T spring_k);
 
 /// Load resistance maximizing P_L at resonance for this device
 /// (R_L_opt = R_c + Phi^2 / c_p at w = w0 for the ideal model).
@@ -80,52 +124,41 @@ double optimal_load_resistance(const MicrogeneratorParams& params);
 /// the harvester's power ceiling for a given excitation amplitude.
 double max_power_at_resonance(const MicrogeneratorParams& params, double accel_amplitude);
 
-// Inline, as are the node co-simulation's other per-substep helpers: S2's
-// drifting line solves the steady state every substep, and the interleaved
-// runs of node::simulate_nodes stay lean only when that solve compiles into
-// the substep.
-inline double MicrogeneratorParams::omega0() const { return 2.0 * M_PI * natural_freq_hz; }
-
-inline double MicrogeneratorParams::spring_constant() const {
-    const double w0 = omega0();
-    return mass * w0 * w0;
-}
-
-inline double MicrogeneratorParams::parasitic_damping() const {
-    return mass * omega0() / mechanical_q;
-}
-
-inline SteadyState steady_state_response_unchecked(const MicrogeneratorParams& p,
-                                                   double accel_amplitude, double excitation_hz,
-                                                   double load_resistance, double spring_k) {
-    const double w = 2.0 * M_PI * excitation_hz;
-    const double k = spring_k > 0.0 ? spring_k : p.spring_constant();
-    const double cp = p.parasitic_damping();
-    const double rtot = p.coil_resistance + load_resistance;
-    const double xl = w * p.coil_inductance;
-    const double zmag2 = rtot * rtot + xl * xl;
+// In the header, as are the node co-simulation's other per-substep
+// helpers: S2's drifting line solves the steady state every substep, and
+// node::simulate_nodes solves two runs' at once; both stay lean only when
+// the solve compiles into the substep.
+template <class T>
+inline BasicSteadyState<T> solve_steady_state(const SteadyStateTerms<T>& d, T accel_amplitude,
+                                              T excitation_hz, T spring_k) {
+    using num::sqrt;
+    using std::sqrt;
+    const T w = 2.0 * M_PI * excitation_hz;
+    const T k = num::select(spring_k > T{}, spring_k, d.spring_constant);
+    const T xl = w * d.coil_inductance;
+    const T zmag2 = d.r_tot_squared + xl * xl;
 
     // Electrical damping reflected into the mechanics: the in-phase part of
     // Phi^2 / Z(jw).
-    const double ce = p.coupling * p.coupling * rtot / zmag2;
+    const T ce = d.phi2_r_tot / zmag2;
     // Reactive part shifts the effective stiffness slightly (usually tiny).
-    const double dk = -p.coupling * p.coupling * xl * w / zmag2;
+    const T dk = d.neg_phi2 * xl * w / zmag2;
 
-    const double denom_re = (k + dk) - p.mass * w * w;
-    const double denom_im = (cp + ce) * w;
-    const double zamp =
-        p.mass * accel_amplitude / std::sqrt(denom_re * denom_re + denom_im * denom_im);
-    const double vamp = w * zamp;
-    const double emf = p.coupling * vamp;
-    const double iamp = emf / std::sqrt(zmag2);
+    const T denom_re = (k + dk) - d.mass * w * w;
+    const T denom_im = (d.parasitic_damping + ce) * w;
+    const T zamp = d.mass * accel_amplitude / sqrt(denom_re * denom_re + denom_im * denom_im);
+    const T vamp = w * zamp;
+    const T emf = d.coupling * vamp;
+    const T iamp = emf / sqrt(zmag2);
 
-    SteadyState s;
+    BasicSteadyState<T> s;
     s.displacement_amplitude = zamp;
     s.velocity_amplitude = vamp;
     s.current_amplitude = iamp;
     s.emf_amplitude = emf;
-    s.power_load = 0.5 * iamp * iamp * load_resistance;
-    s.power_parasitic = 0.5 * cp * vamp * vamp + 0.5 * iamp * iamp * p.coil_resistance;
+    s.power_load = 0.5 * iamp * iamp * d.load_resistance;
+    s.power_parasitic =
+        0.5 * d.parasitic_damping * vamp * vamp + 0.5 * iamp * iamp * d.coil_resistance;
     s.electrical_damping = ce;
     return s;
 }

@@ -22,12 +22,13 @@
 // phase by phase: every run's work that does not read the storage voltage
 // (operating point, actuator, outgoing power), then every run's storage
 // update in lockstep, one leakage sub-step of each run at a time, then every
-// run's metrics and due events. The core overlaps the runs' chains while
-// each run's arithmetic stays exactly its own. The substep's helpers
-// (PowerFlowModel::operating_point and its steady-state solve,
-// Storage::sub_advance, OperatingPoint::power,
-// TuningActuator::update/energy_consumed, EnergyManager::observe) are
-// inline in their headers so the rounds stay lean.
+// run's metrics and due events. The operating points a round must solve go
+// two at a time through the lanes of a num::Pair. The core overlaps the
+// runs' chains while each run's arithmetic stays exactly its own. The
+// substep's helpers (PowerFlowModel's solves, Storage::sub_advance,
+// OperatingPoint::power, TuningActuator::update/energy_consumed,
+// EnergyManager::observe) are inline in their headers so the rounds stay
+// lean.
 #pragma once
 
 #include <cstddef>
