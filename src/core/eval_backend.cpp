@@ -1,5 +1,6 @@
 #include "core/eval_backend.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "core/inprocess_backend.hpp"
@@ -57,6 +58,10 @@ void simulate_batch(const Simulation& sim, const Vector* points, std::size_t n,
         }
         for (auto& [k, v] : out[i].responses) v = 0.0 + v;
     }
+}
+
+std::size_t lane_batch(std::size_t width, std::size_t n, std::size_t workers) {
+    return std::min(width, std::max<std::size_t>(1, (n + workers - 1) / workers));
 }
 
 ResponseMap simulate_replicated(const Simulation& sim, const Vector& natural,

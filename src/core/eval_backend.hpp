@@ -139,6 +139,13 @@ enum class BackendKind { InProcess };
 void simulate_batch(const Simulation& sim, const Vector* points, std::size_t n,
                     PointOutcome* out);
 
+/// Points per model call when `n` points are split over `workers`: the
+/// model's `width`, cut to a worker's even share, ceil(n / workers), so a
+/// batch runs as at least min(n, workers) calls. A 2-4 point frame cut to
+/// full width on a 4-worker shard ran 22-45% slower. InProcessBackend and
+/// the eval daemon split by this rule.
+std::size_t lane_batch(std::size_t width, std::size_t n, std::size_t workers);
+
 /// One point's evaluation: the mean of `replicates` simulate_batch() runs
 /// of `sim`, each failure rethrown; with 1, bitwise what simulate_batch()
 /// settles. Only perfbench's bitwise references call it, with 1.

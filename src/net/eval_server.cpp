@@ -271,14 +271,12 @@ void EvalServer::serve_connection(int fd, std::atomic<bool>& handshaken) {
 
 void EvalServer::evaluate_frame(const std::vector<Vector>& points,
                                 std::vector<EvalResult>& results) {
-    // One pool task per `width` consecutive points: the model's width in
-    // process (1 in exec mode), cut to the frame's even share per worker so
-    // a frame runs as at least min(its points, workers) tasks. Tasks share
-    // the one pool, so `workers` bounds the evaluations of every connection
-    // together.
-    const std::size_t share = (points.size() + options_.workers - 1) / options_.workers;
+    // One pool task per `width` consecutive points: core::lane_batch() of
+    // the model's width in process (1 in exec mode), so a frame runs as at
+    // least min(its points, workers) tasks. Tasks share the one pool, so
+    // `workers` bounds the evaluations of every connection together.
     const std::size_t width =
-        exec_runner_ ? 1 : std::min(sim_.width(), std::max<std::size_t>(1, share));
+        exec_runner_ ? 1 : core::lane_batch(sim_.width(), points.size(), options_.workers);
     results.assign(points.size(), EvalResult{});
     std::vector<std::future<void>> tasks;
     tasks.reserve((points.size() + width - 1) / width);

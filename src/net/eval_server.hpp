@@ -153,8 +153,8 @@ public:
 private:
     /// One connection, from its opening magic to the peer's leaving.
     void serve_connection(int fd, std::atomic<bool>& handshaken);
-    /// One pool task per width() points, at most ceil(points / workers);
-    /// returns once every point is evaluated.
+    /// One pool task per core::lane_batch() points; returns once every
+    /// point is evaluated.
     void evaluate_frame(const std::vector<Vector>& points, std::vector<EvalResult>& results);
     /// One pool task: `count` consecutive points in one call of the model.
     void evaluate_task(const Vector* points, std::size_t count, EvalResult* results);
