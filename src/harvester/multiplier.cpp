@@ -111,10 +111,19 @@ void MultiplierNetwork::add_shockley_currents(const num::Vector& v, num::Vector&
     add_shockley_currents(v.data(), inject.data(), memo);
 }
 
-void MultiplierNetwork::add_shockley_currents(const double* v, double* inject,
-                                              ShockleyMemo& memo) const {
+template <class Current>
+void MultiplierNetwork::add_currents(double* inject, Current current) const {
     for (std::size_t k = 0; k < diodes_.size(); ++k) {
         const DiodeBranch& d = diodes_[k];
+        const double i = current(k, d);
+        if (d.anode >= 0) inject[d.anode] -= i;
+        if (d.cathode >= 0) inject[d.cathode] += i;
+    }
+}
+
+void MultiplierNetwork::add_shockley_currents(const double* v, double* inject,
+                                              ShockleyMemo& memo) const {
+    add_currents(inject, [&](std::size_t k, const DiodeBranch& d) {
         const double va = d.anode >= 0 ? v[d.anode] : 0.0;
         const double vc = d.cathode >= 0 ? v[d.cathode] : 0.0;
         const double vb = va - vc;
@@ -124,11 +133,20 @@ void MultiplierNetwork::add_shockley_currents(const double* v, double* inject,
             memo.v_bits[k] = bits;
             memo.current[k] = params_.diode.shockley_current(vb);
         }
-        const double i = memo.current[k];
-        if (d.anode >= 0) inject[d.anode] -= i;
-        if (d.cathode >= 0) inject[d.cathode] += i;
-    }
+        return memo.current[k];
+    });
     memo.filled = true;
+}
+
+void MultiplierNetwork::add_moved_shockley_currents(const double* v, std::size_t node,
+                                                    double v_node, const ShockleyMemo& memo,
+                                                    double* inject) const {
+    const int moved = static_cast<int>(node);
+    const auto at = [&](int p) { return p < 0 ? 0.0 : p == moved ? v_node : v[p]; };
+    add_currents(inject, [&](std::size_t k, const DiodeBranch& d) {
+        if (d.anode != moved && d.cathode != moved) return memo.current[k];
+        return params_.diode.shockley_current(at(d.anode) - at(d.cathode));
+    });
 }
 
 void MultiplierNetwork::stamp_pwl(std::uint32_t seg, num::Matrix& g, num::Vector& s) const {

@@ -127,6 +127,12 @@ public:
     /// the same bits, so the injections are bitwise those of a fresh memo.
     /// No allocation, no bounds checks.
     void add_shockley_currents(const double* v, double* inject, ShockleyMemo& memo) const;
+    /// add_shockley_currents at `v` with node `node` moved to `v_node`, as
+    /// a fresh memo gives it, bit for bit: only the diodes at `node` are
+    /// evaluated, and every other diode's current is read from `memo`, which
+    /// must hold v's (add_shockley_currents at v last) and stays as it is.
+    void add_moved_shockley_currents(const double* v, std::size_t node, double v_node,
+                                     const ShockleyMemo& memo, double* inject) const;
 
     /// Stamp PWL companion conductances for on/off pattern `seg` into G
     /// (num_nodes square) and the constant-injection vector s.
@@ -134,6 +140,11 @@ public:
     void stamp_pwl(std::uint32_t seg, num::Matrix& g, num::Vector& s) const;
 
 private:
+    /// Add each diode's current, current(k, branch), to its two nodes in
+    /// diode order: the one accumulation both add_shockley_currents share.
+    template <class Current>
+    void add_currents(double* inject, Current current) const;
+
     MultiplierParams params_;
     std::vector<DiodeBranch> diodes_;
     num::Matrix cmat_;

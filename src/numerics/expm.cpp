@@ -17,9 +17,11 @@ Matrix expm(const Matrix& a) {
     const double norm = a.norm_inf();
     int s = 0;
     if (norm > 0.5) {
-        s = static_cast<int>(std::ceil(std::log2(norm / 0.5)));
-        if (s < 0) s = 0;
-        if (s > 60) throw std::runtime_error("expm: matrix norm too large");
+        // Checked as a double: an infinite norm gives an infinite exponent,
+        // which no int holds.
+        const double squarings = std::ceil(std::log2(norm / 0.5));
+        if (!(squarings <= 60.0)) throw std::runtime_error("expm: matrix norm too large");
+        s = static_cast<int>(squarings);
     }
     const double scale = std::ldexp(1.0, -s);  // 2^-s
     Matrix as = a * scale;

@@ -88,9 +88,11 @@ struct PwlEngineOptions {
 /// A step whose segments are cached allocates nothing: it writes the next
 /// state into a buffer the engine owns, and it holds the current segment's
 /// discretization, so the cache is searched only when the segment changes
-/// (a reuse still counts as a cache hit). Each row sums Ad·x and Bd·u from
-/// 0.0 and adds the two, the bits of `Ad * x + Bd * u`; the goldens in
-/// test_harvester_system pin them.
+/// (a reuse still counts as a cache hit). A cache entry keeps (Ad, Bd)
+/// column by column, converted once from discretize_zoh's rows, so a step
+/// sums two rows at a time in the lanes of a num::Pair: each row sums Ad·x
+/// and Bd·u from 0.0 over ascending columns and adds the two, the bits of
+/// `Ad * x + Bd * u`; the goldens in test_harvester_system pin them.
 class PwlStateSpaceEngine {
 public:
     PwlStateSpaceEngine(PwlSystem system, PwlEngineOptions options = {});
@@ -113,26 +115,30 @@ public:
     /// Advance one step with input u held constant (ZOH).
     void step(const Vector& u);
 
-    /// Advance until `t_end`; `input` is sampled at the start of each step;
+    /// Advance until `t_end` (finite); `input` is sampled at the start of each step;
     /// `observer` (optional) is called after every accepted step.
     void run(double t_end, const std::function<Vector(double)>& input,
              const std::function<void(double, const Vector&)>& observer = {});
 
 private:
     std::uint32_t classify(const Vector& x) const;
-    const num::Discretized& discretization(std::uint32_t seg);
+    /// The segment's [Ad Bd], column by column: column j holds rows_
+    /// entries, the state rows and then zeros up to an even count.
+    const double* discretization(std::uint32_t seg);
     /// x_next_ = Ad x_ + Bd u.
-    void advance(const num::Discretized& d, const Vector& u);
+    void advance(const double* columns, const Vector& u);
 
     PwlSystem sys_;
     PwlEngineOptions opt_;
+    std::size_t rows_;  ///< state_dim rounded up to even
     Vector x_;
     Vector x_next_;
     double t_ = 0.0;
     std::uint32_t seg_ = 0;
-    std::unordered_map<std::uint32_t, num::Discretized> cache_;
-    /// The last segment's cache entry; map nodes keep their address.
-    const num::Discretized* held_ = nullptr;
+    std::unordered_map<std::uint32_t, std::vector<double>> cache_;
+    /// The last segment's cache entry; its storage does not move while the
+    /// entry lives.
+    const double* held_ = nullptr;
     std::uint32_t held_seg_ = 0;
     EngineStats stats_;
     // Scratch matrices reused across assemble calls.

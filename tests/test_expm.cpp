@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
+#include <stdexcept>
 #include <string>
 
 #include "numerics/expm.hpp"
@@ -109,6 +111,19 @@ TEST(Expm, GoldenWithSignedZerosIsBitwiseStable) {
 }
 
 TEST(Expm, NonSquareThrows) { EXPECT_THROW(expm(Matrix(2, 3)), std::invalid_argument); }
+
+TEST(Expm, InfiniteNormThrowsNormTooLarge) {
+    // An infinite norm made the squaring count ceil(log2(inf)), cast to int
+    // (undefined); a finite norm past DBL_MAX / 2 overflows norm / 0.5 the
+    // same way. Both get the error a norm above 2^60 gets.
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double big : {inf, -inf, 1.5e308, 0x1p62}) {
+        Matrix a{{0.0, 1.0}, {big, 0.0}};
+        EXPECT_THROW(expm(a), std::runtime_error) << big;
+        EXPECT_THROW(discretize_zoh(a, Matrix(2, 1), 1.0), std::runtime_error) << big;
+    }
+    EXPECT_NO_THROW(expm(Matrix{{0.0, 1.0}, {0x1p59, 0.0}}));
+}
 
 TEST(DiscretizeZoh, MatchesAnalyticRc) {
     // RC circuit: v' = -(1/RC) v + (1/RC) u. Exact: vd = e^{-h/RC},

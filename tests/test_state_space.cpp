@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "sim/state_space.hpp"
 
@@ -122,8 +123,21 @@ TEST(PwlEngine, ValidatesConstruction) {
 
     PwlSystem good = rc_system(1.0);
     PwlEngineOptions bad;
-    bad.step = 0.0;
-    EXPECT_THROW(PwlStateSpaceEngine(good, bad), std::invalid_argument);
+    // +inf passed the old `step > 0` check.
+    for (double step : {0.0, -1e-3, std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity()}) {
+        bad.step = step;
+        EXPECT_THROW(PwlStateSpaceEngine(good, bad), std::invalid_argument) << "step " << step;
+    }
+    // run(+inf) never returned, and run(NaN) silently did nothing.
+    PwlStateSpaceEngine eng(good, {});
+    const auto input = [](double) { return Vector{1.0}; };
+    for (double t_end : {std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()}) {
+        EXPECT_THROW(eng.run(t_end, input), std::invalid_argument) << "t_end " << t_end;
+    }
+    EXPECT_EQ(eng.stats().steps, 0u);
 
     PwlSystem missing_bv = rc_system(1.0);
     missing_bv.switches.push_back(PwlSwitch{0.3});
