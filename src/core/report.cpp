@@ -35,12 +35,6 @@ Table& Table::cell(double value, int precision) {
 Table& Table::cell(std::size_t value) { return cell(std::to_string(value)); }
 Table& Table::cell(int value) { return cell(std::to_string(value)); }
 
-Table& Table::row(const std::vector<double>& values, int precision) {
-    row();
-    for (double v : values) cell(v, precision);
-    return *this;
-}
-
 void Table::print(std::ostream& os) const {
     std::vector<std::size_t> width(headers_.size());
     for (std::size_t j = 0; j < headers_.size(); ++j) width[j] = headers_[j].size();
@@ -87,11 +81,6 @@ void Table::print_csv(std::ostream& os) const {
     };
     if (!headers_.empty()) emit(headers_);
     for (const auto& r : cells_) emit(r);
-}
-
-std::ostream& operator<<(std::ostream& os, const Table& t) {
-    t.print(os);
-    return os;
 }
 
 std::string format_double(double value, int precision) {

@@ -25,9 +25,6 @@ public:
     Table& cell(std::size_t value);
     Table& cell(int value);
 
-    /// Convenience: add a full row of doubles.
-    Table& row(const std::vector<double>& values, int precision = 4);
-
     std::size_t rows() const { return cells_.size(); }
     std::size_t columns() const { return headers_.size(); }
     const std::string& title() const { return title_; }
@@ -42,8 +39,6 @@ private:
     std::vector<std::string> headers_;
     std::vector<std::vector<std::string>> cells_;
 };
-
-std::ostream& operator<<(std::ostream& os, const Table& t);
 
 /// Format a double with fixed precision (helper used by benches directly).
 std::string format_double(double value, int precision = 4);

@@ -45,11 +45,6 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
     return future;
 }
 
-std::size_t ThreadPool::pending() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return tasks_.size();
-}
-
 void ThreadPool::worker_loop() {
     for (;;) {
         std::packaged_task<void()> task;

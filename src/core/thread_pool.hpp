@@ -42,8 +42,6 @@ public:
 
     /// Number of worker threads.
     std::size_t size() const { return workers_.size(); }
-    /// Tasks queued but not yet picked up (diagnostic only).
-    std::size_t pending() const;
 
     /// std::thread::hardware_concurrency with a floor of 1 (the standard
     /// allows it to return 0 on exotic platforms).
@@ -52,7 +50,7 @@ public:
 private:
     void worker_loop();
 
-    mutable std::mutex mutex_;
+    std::mutex mutex_;
     std::condition_variable cv_;
     std::queue<std::packaged_task<void()>> tasks_;
     std::vector<std::thread> workers_;

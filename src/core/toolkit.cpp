@@ -8,9 +8,6 @@
 
 namespace ehdoe::core {
 
-DesignFlow::DesignFlow(doe::DesignSpace space, doe::Simulation simulation)
-    : DesignFlow(std::move(space), std::move(simulation), Options{}) {}
-
 DesignFlow::DesignFlow(doe::DesignSpace space, doe::Simulation simulation, Options options)
     : space_(std::move(space)),
       options_(std::move(options)),

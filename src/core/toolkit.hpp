@@ -104,7 +104,6 @@ public:
         std::uint64_t seed = 2013;
     };
 
-    DesignFlow(doe::DesignSpace space, doe::Simulation simulation);
     DesignFlow(doe::DesignSpace space, doe::Simulation simulation, Options options);
 
     const doe::DesignSpace& space() const { return space_; }

@@ -61,14 +61,6 @@ Vector DesignSpace::to_natural(const Vector& coded) const {
     return out;
 }
 
-Vector DesignSpace::to_coded(const Vector& natural) const {
-    if (natural.size() != dimension())
-        throw std::invalid_argument("DesignSpace::to_coded: dimension mismatch");
-    Vector out(dimension());
-    for (std::size_t i = 0; i < dimension(); ++i) out[i] = factors_[i].to_coded(natural[i]);
-    return out;
-}
-
 Vector DesignSpace::clamp(Vector coded) const {
     if (coded.size() != dimension())
         throw std::invalid_argument("DesignSpace::clamp: dimension mismatch");

@@ -47,8 +47,6 @@ public:
 
     /// Coded point -> natural units (size checked).
     Vector to_natural(const Vector& coded) const;
-    /// Natural point -> coded units.
-    Vector to_coded(const Vector& natural) const;
     /// Element-wise clamp of a coded point to [-1, 1].
     Vector clamp(Vector coded) const;
     /// True when every coordinate lies in [-1-tol, 1+tol].

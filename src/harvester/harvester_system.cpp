@@ -34,25 +34,10 @@ HarvesterCircuit::HarvesterCircuit(HarvesterCircuitParams params)
     cinv_ = num::LuFactor(net_.capacitance()).inverse();
 }
 
-void HarvesterCircuit::set_spring_constant(double k) {
-    if (!(k > 0.0)) throw std::invalid_argument("HarvesterCircuit: spring constant > 0");
-    spring_k_ = k;
-}
-
 void HarvesterCircuit::set_resonant_frequency(double f_hz) {
     if (!(f_hz > 0.0)) throw std::invalid_argument("HarvesterCircuit: resonant frequency > 0");
     const double w = kTwoPi * f_hz;
     spring_k_ = params_.generator.mass * w * w;
-}
-
-double HarvesterCircuit::resonant_frequency() const {
-    return std::sqrt(spring_k_ / params_.generator.mass) / kTwoPi;
-}
-
-double HarvesterCircuit::load_power(const num::Vector& x) const {
-    if (params_.load_resistance <= 0.0) return 0.0;
-    const double v = output_voltage(x);
-    return v * v / params_.load_resistance;
 }
 
 num::Vector HarvesterCircuit::initial_state(double v_store0) const {
@@ -282,28 +267,9 @@ PowerFlowModel::PowerFlowModel(const Params& params) {
               params.multiplier.ideal_gain(), params.converter_efficiency};
 }
 
-double PowerFlowModel::open_circuit_voltage(double f_exc_hz, double f_res_hz,
-                                            double accel_amp) const {
-    return operating_point(f_exc_hz, f_res_hz, accel_amp).v_oc;
-}
-
 double PowerFlowModel::power(double f_exc_hz, double f_res_hz, double accel_amp,
                              double v_store) const {
     return operating_point(f_exc_hz, f_res_hz, accel_amp).power(v_store);
-}
-
-double PowerFlowModel::calibrate(double f_exc_hz, double f_res_hz, double accel_amp,
-                                 double v_store, double measured_power) {
-    if (!(measured_power > 0.0))
-        throw std::invalid_argument("PowerFlowModel::calibrate: measured_power > 0");
-    const double predicted = power(f_exc_hz, f_res_hz, accel_amp, v_store);
-    if (predicted <= 0.0) {
-        throw std::runtime_error(
-            "PowerFlowModel::calibrate: model predicts zero power at the calibration point");
-    }
-    const double scale = measured_power / predicted;
-    terms_.efficiency = std::min(1.0, terms_.efficiency * scale);
-    return scale;
 }
 
 }  // namespace ehdoe::harvester

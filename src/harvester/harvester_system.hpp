@@ -56,12 +56,10 @@ public:
 
     /// Tuned spring constant currently in effect (set by the tuning layer).
     double spring_constant() const { return spring_k_; }
-    /// Change the tuned spring constant; callers driving a PwlStateSpaceEngine
-    /// must invalidate its cache afterwards (structural change).
-    void set_spring_constant(double k);
-    /// Convenience: set the spring for resonance at `f_hz`.
+    /// Set the spring for resonance at `f_hz`; callers driving a
+    /// PwlStateSpaceEngine must invalidate its cache afterwards (structural
+    /// change).
     void set_resonant_frequency(double f_hz);
-    double resonant_frequency() const;
 
     // ---- state layout helpers -------------------------------------------
     std::size_t idx_displacement() const { return 0; }
@@ -76,9 +74,6 @@ public:
     double emf(const num::Vector& x) const {
         return params_.generator.coupling * x[idx_velocity()];
     }
-    /// Instantaneous power into the load resistor (0 if open).
-    double load_power(const num::Vector& x) const;
-
     /// Initial state with the storage pre-charged to `v_store0` (DC column
     /// voltages set proportionally, everything else at rest).
     num::Vector initial_state(double v_store0 = 0.0) const;
@@ -201,15 +196,6 @@ public:
 
     /// operating_point(f_exc_hz, f_res_hz, accel_amp).power(v_store).
     double power(double f_exc_hz, double f_res_hz, double accel_amp, double v_store) const;
-
-    /// Open-circuit boosted DC voltage for the operating point (V).
-    double open_circuit_voltage(double f_exc_hz, double f_res_hz, double accel_amp) const;
-
-    /// Scale the model's efficiency so that power() matches `measured_power`
-    /// at the given operating point (one-point calibration against the
-    /// circuit-level simulation). Returns the applied scale factor.
-    double calibrate(double f_exc_hz, double f_res_hz, double accel_amp, double v_store,
-                     double measured_power);
 
 private:
     /// The solve's terms that depend only on the model, one model per lane

@@ -29,20 +29,6 @@ void MicrogeneratorParams::validate() const {
         throw std::invalid_argument("MicrogeneratorParams: max_displacement > 0");
 }
 
-SteadyState steady_state_response(const MicrogeneratorParams& p, double accel_amplitude,
-                                  double excitation_hz, double load_resistance,
-                                  double spring_k) {
-    p.validate();
-    if (!(accel_amplitude >= 0.0))
-        throw std::invalid_argument("steady_state_response: accel_amplitude >= 0");
-    if (!(excitation_hz > 0.0))
-        throw std::invalid_argument("steady_state_response: excitation_hz > 0");
-    if (!(load_resistance >= 0.0))
-        throw std::invalid_argument("steady_state_response: load_resistance >= 0");
-    return solve_steady_state(steady_state_terms(p, load_resistance), accel_amplitude,
-                              excitation_hz, spring_k);
-}
-
 SteadyStateTerms<double> steady_state_terms(const MicrogeneratorParams& p,
                                             double load_resistance) {
     const double rtot = p.coil_resistance + load_resistance;
@@ -63,11 +49,6 @@ double optimal_load_resistance(const MicrogeneratorParams& p) {
     // At resonance with negligible coil reactance, dP/dR_L = 0 gives
     // R_L_opt = R_c + Phi^2 / c_p.
     return p.coil_resistance + p.coupling * p.coupling / p.parasitic_damping();
-}
-
-double max_power_at_resonance(const MicrogeneratorParams& p, double accel_amplitude) {
-    const double rl = optimal_load_resistance(p);
-    return steady_state_response(p, accel_amplitude, p.natural_freq_hz, rl).power_load;
 }
 
 }  // namespace ehdoe::harvester

@@ -62,14 +62,6 @@ struct BasicSteadyState {
 };
 using SteadyState = BasicSteadyState<double>;
 
-/// Analytic steady state under a(t) = A sin(w t) with resistive load R_L.
-/// Coil inductance is included (impedance magnitude at w).
-/// `params.spring_constant()` can be overridden by `spring_k` to model the
-/// tuned device (pass <= 0 to use the untuned value).
-SteadyState steady_state_response(const MicrogeneratorParams& params, double accel_amplitude,
-                                  double excitation_hz, double load_resistance,
-                                  double spring_k = -1.0);
-
 /// The terms of the steady-state solve that depend only on the device and
 /// its load R_L, one device per lane of T. steady_state_terms() forms them
 /// with the solve's own expressions, so solving from them gives the bits of
@@ -107,11 +99,13 @@ inline SteadyStateTerms<num::Pair> pair_terms(const SteadyStateTerms<double>& a,
             Pair{a.neg_phi2, b.neg_phi2}};
 }
 
-/// The steady-state solve, unchecked, over the lane type T: double solves
-/// one device, num::Pair two at once, one per lane. Each lane performs
-/// exactly the scalar IEEE operations in the same order (the build keeps
-/// the compiler from fusing them), so its bits are the double solve's.
-/// `spring_k` <= 0 selects the untuned spring.
+/// Analytic steady state under a(t) = A sin(w t) with resistive load R_L,
+/// coil inductance included (impedance magnitude at w). The solve is
+/// unchecked and runs over the lane type T: double solves one device,
+/// num::Pair two at once, one per lane. Each lane performs exactly the
+/// scalar IEEE operations in the same order (the build keeps the compiler
+/// from fusing them), so its bits are the double solve's. `spring_k` models
+/// the tuned device; <= 0 selects the untuned spring.
 template <class T>
 BasicSteadyState<T> solve_steady_state(const SteadyStateTerms<T>& d, T accel_amplitude,
                                        T excitation_hz, T spring_k);
@@ -119,10 +113,6 @@ BasicSteadyState<T> solve_steady_state(const SteadyStateTerms<T>& d, T accel_amp
 /// Load resistance maximizing P_L at resonance for this device
 /// (R_L_opt = R_c + Phi^2 / c_p at w = w0 for the ideal model).
 double optimal_load_resistance(const MicrogeneratorParams& params);
-
-/// Average load power at resonance with the optimal resistive load —
-/// the harvester's power ceiling for a given excitation amplitude.
-double max_power_at_resonance(const MicrogeneratorParams& params, double accel_amplitude);
 
 // In the header, as are the node co-simulation's other per-substep
 // helpers: S2's drifting line solves the steady state every substep, and

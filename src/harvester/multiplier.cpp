@@ -19,11 +19,6 @@ double DiodeParams::shockley_current(double v) const {
     return i0 + g0 * (v - linearize_above);
 }
 
-double DiodeParams::pwl_current(double v) const {
-    if (v < v_on) return g_off * v;
-    return (v - v_on) / r_on + g_off * v_on;
-}
-
 void MultiplierParams::validate() const {
     if (stages == 0 || stages > kMaxStages)
         throw std::invalid_argument("MultiplierParams: stages in 1..15");
@@ -95,20 +90,6 @@ MultiplierNetwork::MultiplierNetwork(MultiplierParams params, double storage_cap
         diodes_.push_back(
             DiodeBranch{static_cast<int>(node_a(j)), static_cast<int>(node_d(j))});
     }
-}
-
-double MultiplierNetwork::branch_voltage(std::size_t k, const num::Vector& v) const {
-    const DiodeBranch& d = diodes_.at(k);
-    const double va = d.anode >= 0 ? v[static_cast<std::size_t>(d.anode)] : 0.0;
-    const double vc = d.cathode >= 0 ? v[static_cast<std::size_t>(d.cathode)] : 0.0;
-    return va - vc;
-}
-
-void MultiplierNetwork::add_shockley_currents(const num::Vector& v, num::Vector& inject) const {
-    if (v.size() != num_nodes() || inject.size() != num_nodes())
-        throw std::invalid_argument("MultiplierNetwork::add_shockley_currents: size mismatch");
-    ShockleyMemo memo;
-    add_shockley_currents(v.data(), inject.data(), memo);
 }
 
 template <class Current>

@@ -51,8 +51,6 @@ struct DiodeParams {
     /// Shockley current at branch voltage v (A), linearized above
     /// `linearize_above` for numerical safety.
     double shockley_current(double v) const;
-    /// PWL current at branch voltage v (A).
-    double pwl_current(double v) const;
 };
 
 /// Multiplier electrical parameters.
@@ -103,9 +101,6 @@ public:
     /// The (constant, SPD) nodal capacitance matrix.
     const num::Matrix& capacitance() const { return cmat_; }
 
-    /// Branch voltage of diode k given node voltages v.
-    double branch_voltage(std::size_t k, const num::Vector& v) const;
-
     /// Each diode's last branch voltage, as bits, and its Shockley current:
     /// what add_shockley_currents needs to skip a diode whose voltage did
     /// not move (a circuit simulator's device bypass). Fixed arrays, so a
@@ -117,15 +112,13 @@ public:
         bool filled = false;
     };
 
-    /// Sum Shockley diode currents into `inject` (size num_nodes), with a
-    /// fresh memo.
-    void add_shockley_currents(const num::Vector& v, num::Vector& inject) const;
-    /// The same on raw node arrays of num_nodes() entries: node voltages
-    /// `v` in, currents added to `inject` in diode order. shockley_current
-    /// runs only for a diode whose branch-voltage bits differ from its
-    /// `memo` entry, which it then replaces. It returns the same double for
-    /// the same bits, so the injections are bitwise those of a fresh memo.
-    /// No allocation, no bounds checks.
+    /// Sum Shockley diode currents into `inject` on raw node arrays of
+    /// num_nodes() entries: node voltages `v` in, currents added to `inject`
+    /// in diode order. shockley_current runs only for a diode whose
+    /// branch-voltage bits differ from its `memo` entry, which it then
+    /// replaces. It returns the same double for the same bits, so the
+    /// injections are bitwise those of a fresh memo. No allocation, no
+    /// bounds checks.
     void add_shockley_currents(const double* v, double* inject, ShockleyMemo& memo) const;
     /// add_shockley_currents at `v` with node `node` moved to `v_node`, as
     /// a fresh memo gives it, bit for bit: only the diodes at `node` are
@@ -141,7 +134,8 @@ public:
 
 private:
     /// Add each diode's current, current(k, branch), to its two nodes in
-    /// diode order: the one accumulation both add_shockley_currents share.
+    /// diode order: the one accumulation add_shockley_currents and
+    /// add_moved_shockley_currents share.
     template <class Current>
     void add_currents(double* inject, Current current) const;
 

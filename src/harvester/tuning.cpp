@@ -59,11 +59,6 @@ double TuningMap::separation_for(double f_hz) const {
     return 0.5 * (lo + hi);
 }
 
-double TuningMap::spring_constant(double d_mm, double mass_kg) const {
-    const double w = 2.0 * M_PI * frequency(d_mm);
-    return mass_kg * w * w;
-}
-
 TuningActuator::TuningActuator(ActuatorParams params, double initial_position_mm)
     : params_(params), pos_(initial_position_mm), target_(initial_position_mm) {
     if (!(params.speed_mm_per_s > 0.0))
@@ -87,19 +82,6 @@ double TuningActuator::command(double target_mm, double now_s) {
     moving_ = true;
     ++moves_;
     return dist / params_.speed_mm_per_s;
-}
-
-double retune_energy(const TuningMap& map, const ActuatorParams& act, double f0_hz,
-                     double f1_hz) {
-    const double d0 = map.separation_for(f0_hz);
-    const double d1 = map.separation_for(f1_hz);
-    return act.power_w * std::fabs(d1 - d0) / act.speed_mm_per_s;
-}
-
-double retune_time(const TuningMap& map, const ActuatorParams& act, double f0_hz, double f1_hz) {
-    const double d0 = map.separation_for(f0_hz);
-    const double d1 = map.separation_for(f1_hz);
-    return std::fabs(d1 - d0) / act.speed_mm_per_s;
 }
 
 }  // namespace ehdoe::harvester

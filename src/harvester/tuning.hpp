@@ -45,10 +45,6 @@ public:
     double f_min() const { return f_min_; }
     double f_max() const { return f_max_; }
 
-    /// Effective spring constant for a device of mass m at separation d:
-    /// k_eff = m (2 pi f(d))^2.
-    double spring_constant(double d_mm, double mass_kg) const;
-
 private:
     num::CubicSpline spline_;
     double d_min_, d_max_, f_min_, f_max_;
@@ -140,13 +136,5 @@ inline double TuningActuator::energy_consumed(double now_s) const {
     }
     return e;
 }
-
-/// Energy cost of retuning from frequency f0 to f1 through `map` with the
-/// given actuator — the quantity the controller dead-band trades against
-/// harvested power.
-double retune_energy(const TuningMap& map, const ActuatorParams& act, double f0_hz, double f1_hz);
-
-/// Time needed for the same move (s).
-double retune_time(const TuningMap& map, const ActuatorParams& act, double f0_hz, double f1_hz);
 
 }  // namespace ehdoe::harvester

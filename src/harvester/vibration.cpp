@@ -66,33 +66,6 @@ double MultiToneVibration::rms_amplitude() const {
     return std::sqrt(acc);
 }
 
-// ------------------------------------------------------------------ chirp
-
-ChirpVibration::ChirpVibration(double amplitude, double f0_hz, double f1_hz, double duration_s)
-    : amp_(amplitude), f0_(f0_hz), f1_(f1_hz), dur_(duration_s) {
-    if (!(f0_hz > 0.0) || !(f1_hz > 0.0)) throw std::invalid_argument("ChirpVibration: freq > 0");
-    if (!(duration_s > 0.0)) throw std::invalid_argument("ChirpVibration: duration > 0");
-}
-
-double ChirpVibration::acceleration(double t) const {
-    if (t <= 0.0) return amp_ * std::sin(0.0);
-    if (t >= dur_) {
-        // Phase accumulated over the sweep, then steady f1.
-        const double phase_sweep = kTwoPi * (f0_ * dur_ + 0.5 * (f1_ - f0_) * dur_);
-        return amp_ * std::sin(phase_sweep + kTwoPi * f1_ * (t - dur_));
-    }
-    const double k = (f1_ - f0_) / dur_;
-    return amp_ * std::sin(kTwoPi * (f0_ * t + 0.5 * k * t * t));
-}
-
-double ChirpVibration::dominant_frequency(double t) const {
-    if (t <= 0.0) return f0_;
-    if (t >= dur_) return f1_;
-    return f0_ + (f1_ - f0_) * (t / dur_);
-}
-
-double ChirpVibration::rms_amplitude() const { return amp_ / M_SQRT2; }
-
 // ------------------------------------------------------------------ drift
 
 DriftVibration::DriftVibration(double amplitude, std::vector<double> times,
@@ -152,7 +125,12 @@ NoisyVibration::NoisyVibration(std::shared_ptr<const VibrationSource> base, doub
     // Checked here, not when the record is built: bad input fails at once.
     if (!std::isfinite(duration_s) || duration_s < 0.0)
         throw std::invalid_argument("NoisyVibration: finite duration >= 0");
-    size_ = static_cast<std::size_t>(duration_s * sample_rate_hz) + 2;
+    // The record's size must be one a vector can hold before it is cast; an
+    // infinite rate makes the product infinite, or NaN at zero duration.
+    const double record = duration_s * sample_rate_hz;
+    if (!(record < static_cast<double>(samples_.max_size())))
+        throw std::invalid_argument("NoisyVibration: duration * sample_rate too large");
+    size_ = static_cast<std::size_t>(record) + 2;
 }
 
 const std::vector<double>& NoisyVibration::samples() const {
@@ -198,27 +176,5 @@ double NoisyVibration::rms_amplitude() const {
     const double b = base_->rms_amplitude();
     return std::sqrt(b * b + noise_rms_ * noise_rms_);
 }
-
-// ------------------------------------------------------------------ trace
-
-TraceVibration::TraceVibration(std::vector<double> samples, double sample_rate_hz,
-                               double dominant_frequency_hz)
-    : samples_(std::move(samples)), rate_(sample_rate_hz), f_dom_(dominant_frequency_hz) {
-    if (samples_.size() < 2) throw std::invalid_argument("TraceVibration: needs >= 2 samples");
-    if (!(sample_rate_hz > 0.0)) throw std::invalid_argument("TraceVibration: rate > 0");
-}
-
-double TraceVibration::acceleration(double t) const {
-    const double span = static_cast<double>(samples_.size()) / rate_;
-    double tau = std::fmod(t, span);
-    if (tau < 0.0) tau += span;
-    const double pos = tau * rate_;
-    const auto i = static_cast<std::size_t>(pos) % samples_.size();
-    const std::size_t j = (i + 1) % samples_.size();
-    const double w = pos - std::floor(pos);
-    return samples_[i] * (1.0 - w) + samples_[j] * w;
-}
-
-double TraceVibration::rms_amplitude() const { return num::rms(samples_); }
 
 }  // namespace ehdoe::harvester

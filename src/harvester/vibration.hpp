@@ -7,12 +7,10 @@
 //
 //  * SineVibration        — stationary single tone (office HVAC, fans)
 //  * MultiToneVibration   — dominant tone + harmonics/spurs
-//  * ChirpVibration       — linear frequency sweep (characterisation runs)
 //  * DriftVibration       — piecewise-linear drifting dominant frequency
 //                           (industrial machinery under varying load; the
 //                           scenario that motivates *tunable* harvesters)
 //  * NoisyVibration       — decorates any source with band-limited noise
-//  * TraceVibration       — plays back a sampled trace (for user data)
 //
 // All sources also report their *instantaneous dominant frequency*, which
 // the test suite uses as ground truth for the tuning controller's estimator.
@@ -82,19 +80,6 @@ private:
     std::size_t dominant_index_;
 };
 
-/// Linear chirp from f0 at t=0 to f1 at t=duration (then holds f1).
-class ChirpVibration final : public VibrationSource {
-public:
-    ChirpVibration(double amplitude, double f0_hz, double f1_hz, double duration_s);
-
-    double acceleration(double t) const override;
-    double dominant_frequency(double t) const override;
-    double rms_amplitude() const override;
-
-private:
-    double amp_, f0_, f1_, dur_;
-};
-
 /// Dominant frequency follows a piecewise-linear profile f(t) given as
 /// (time, frequency) breakpoints; amplitude constant. Phase is integrated
 /// so the waveform is continuous through breakpoints.
@@ -146,23 +131,6 @@ private:
     std::size_t size_ = 0;
     mutable std::once_flag built_;
     mutable std::vector<double> samples_;
-};
-
-/// Plays back a sampled acceleration trace (uniform sampling), linearly
-/// interpolated, looping beyond the end.
-class TraceVibration final : public VibrationSource {
-public:
-    TraceVibration(std::vector<double> samples, double sample_rate_hz,
-                   double dominant_frequency_hz);
-
-    double acceleration(double t) const override;
-    double dominant_frequency(double /*t*/) const override { return f_dom_; }
-    double rms_amplitude() const override;
-
-private:
-    std::vector<double> samples_;
-    double rate_;
-    double f_dom_;
 };
 
 }  // namespace ehdoe::harvester

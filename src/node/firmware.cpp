@@ -43,9 +43,4 @@ TaskDecision Firmware::decide(double v_store, bool node_alive) {
     return TaskDecision::Run;
 }
 
-void Firmware::reset() {
-    period_ = params_.task_period;
-    backed_off_ = false;
-}
-
 }  // namespace ehdoe::node

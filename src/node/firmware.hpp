@@ -59,8 +59,6 @@ public:
     double task_energy() const { return power_.task_energy(params_.payload_bytes); }
     double task_duration() const { return power_.task_duration(params_.payload_bytes); }
 
-    void reset();
-
 private:
     FirmwareParams params_;
     NodePowerParams power_;

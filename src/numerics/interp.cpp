@@ -38,38 +38,6 @@ double LinearTable::operator()(double x) const {
     return ys_[i] + w * (ys_[i + 1] - ys_[i]);
 }
 
-double LinearTable::derivative(double x) const {
-    const std::size_t i = find_segment(xs_, x);
-    return (ys_[i + 1] - ys_[i]) / (xs_[i + 1] - xs_[i]);
-}
-
-double LinearTable::inverse(double y) const {
-    const bool increasing = ys_.back() > ys_.front();
-    // Verify monotonicity.
-    for (std::size_t i = 1; i < ys_.size(); ++i) {
-        const double d = ys_[i] - ys_[i - 1];
-        if ((increasing && d < 0.0) || (!increasing && d > 0.0)) {
-            throw std::runtime_error("LinearTable::inverse: table is not monotone");
-        }
-    }
-    const double ylo = std::min(ys_.front(), ys_.back());
-    const double yhi = std::max(ys_.front(), ys_.back());
-    if (y < ylo - 1e-12 || y > yhi + 1e-12) {
-        throw std::runtime_error("LinearTable::inverse: value out of range");
-    }
-    y = std::clamp(y, ylo, yhi);
-    for (std::size_t i = 1; i < ys_.size(); ++i) {
-        const double y0 = ys_[i - 1], y1 = ys_[i];
-        const bool inside = increasing ? (y >= y0 && y <= y1) : (y <= y0 && y >= y1);
-        if (inside) {
-            if (y1 == y0) return xs_[i - 1];
-            const double w = (y - y0) / (y1 - y0);
-            return xs_[i - 1] + w * (xs_[i] - xs_[i - 1]);
-        }
-    }
-    return xs_.back();
-}
-
 CubicSpline::CubicSpline(std::vector<double> xs, std::vector<double> ys)
     : xs_(std::move(xs)), ys_(std::move(ys)) {
     validate_knots(xs_, ys_);
@@ -118,23 +86,6 @@ double CubicSpline::operator()(double x) const {
     const double t1 = x - xs_[i];
     return (m_[i] * t0 * t0 * t0 + m_[i + 1] * t1 * t1 * t1) / six_h_[i] + c0_[i] * t0 +
            c1_[i] * t1;
-}
-
-double CubicSpline::derivative(double x) const {
-    x = std::clamp(x, xs_.front(), xs_.back());
-    const std::size_t i = segment(x);
-    const double h = xs_[i + 1] - xs_[i];
-    const double t0 = xs_[i + 1] - x;
-    const double t1 = x - xs_[i];
-    return (-m_[i] * t0 * t0 + m_[i + 1] * t1 * t1) / (2.0 * h) - c0_[i] + c1_[i];
-}
-
-double CubicSpline::second_derivative(double x) const {
-    x = std::clamp(x, xs_.front(), xs_.back());
-    const std::size_t i = segment(x);
-    const double h = xs_[i + 1] - xs_[i];
-    const double w = (x - xs_[i]) / h;
-    return m_[i] * (1.0 - w) + m_[i + 1] * w;
 }
 
 }  // namespace ehdoe::num

@@ -2,7 +2,7 @@
 //
 // 1-D interpolation: linear lookup tables and natural cubic splines.
 // Used for the magnet-separation -> resonant-frequency calibration map of
-// the tunable harvester and for vibration trace playback.
+// the tunable harvester and for the drifting vibration line's frequency.
 #pragma once
 
 #include <vector>
@@ -19,17 +19,10 @@ public:
     LinearTable(std::vector<double> xs, std::vector<double> ys);
 
     double operator()(double x) const;
-    /// Slope of the active segment at `x` (one-sided at the ends).
-    double derivative(double x) const;
 
     double x_min() const { return xs_.front(); }
     double x_max() const { return xs_.back(); }
     std::size_t size() const { return xs_.size(); }
-
-    /// Inverse lookup for monotone tables: find x with f(x) = y.
-    /// Throws std::runtime_error if the table is not monotone in y or y is
-    /// out of range.
-    double inverse(double y) const;
 
 private:
     std::vector<double> xs_;
@@ -43,8 +36,6 @@ public:
     CubicSpline(std::vector<double> xs, std::vector<double> ys);
 
     double operator()(double x) const;
-    double derivative(double x) const;
-    double second_derivative(double x) const;
 
     double x_min() const { return xs_.front(); }
     double x_max() const { return xs_.back(); }

@@ -22,7 +22,6 @@ void LuFactor::eliminate() {
     const std::size_t n = lu_.rows();
     perm_.resize(n);
     std::iota(perm_.begin(), perm_.end(), std::size_t{0});
-    sign_ = 1;
 
     for (std::size_t k = 0; k < n; ++k) {
         // Partial pivot: largest |a_ik| in column k at or below the diagonal.
@@ -38,7 +37,6 @@ void LuFactor::eliminate() {
         if (piv != k) {
             lu_.swap_rows(piv, k);
             std::swap(perm_[piv], perm_[k]);
-            sign_ = -sign_;
         }
         const double pivot = lu_(k, k);
         for (std::size_t i = k + 1; i < n; ++i) {
@@ -115,12 +113,6 @@ Matrix LuFactor::solve(const Matrix& b) const {
     return x;
 }
 
-double LuFactor::determinant() const {
-    double d = sign_;
-    for (std::size_t i = 0; i < dim(); ++i) d *= lu_(i, i);
-    return d;
-}
-
 Matrix LuFactor::inverse() const { return solve(Matrix::identity(dim())); }
 
 // ---------------------------------------------------------- CholeskyFactor
@@ -142,30 +134,6 @@ CholeskyFactor::CholeskyFactor(const Matrix& a) {
             l_(i, j) = s / l_(j, j);
         }
     }
-}
-
-Vector CholeskyFactor::solve(const Vector& b) const {
-    const std::size_t n = dim();
-    if (b.size() != n) throw std::invalid_argument("CholeskyFactor::solve: size mismatch");
-    Vector y(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        double s = b[i];
-        for (std::size_t k = 0; k < i; ++k) s -= l_(i, k) * y[k];
-        y[i] = s / l_(i, i);
-    }
-    Vector x(n);
-    for (std::size_t ii = n; ii-- > 0;) {
-        double s = y[ii];
-        for (std::size_t k = ii + 1; k < n; ++k) s -= l_(k, ii) * x[k];
-        x[ii] = s / l_(ii, ii);
-    }
-    return x;
-}
-
-double CholeskyFactor::determinant() const {
-    double d = 1.0;
-    for (std::size_t i = 0; i < dim(); ++i) d *= l_(i, i);
-    return d * d;
 }
 
 double CholeskyFactor::log_determinant() const {
@@ -254,36 +222,6 @@ std::size_t QrFactor::rank(double rel_tol) const {
     return r;
 }
 
-Matrix QrFactor::r() const {
-    const std::size_t n = cols();
-    Matrix rr(n, n);
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = i; j < n; ++j) rr(i, j) = qr_(i, j);
-    return rr;
-}
-
-Matrix QrFactor::thin_q() const {
-    const std::size_t m = rows();
-    const std::size_t n = cols();
-    Matrix q(m, n);
-    // Q = H_0 H_1 ... H_{n-1} applied to the first n columns of I.
-    for (std::size_t col = 0; col < n; ++col) {
-        Vector e(m);
-        e[col] = 1.0;
-        // Apply reflectors in reverse order: Q e = H_0 ... H_{n-1} e.
-        for (std::size_t kk = n; kk-- > 0;) {
-            if (beta_[kk] == 0.0) continue;
-            double s = e[kk];
-            for (std::size_t i = kk + 1; i < m; ++i) s += qr_(i, kk) * e[i];
-            s *= beta_[kk];
-            e[kk] -= s;
-            for (std::size_t i = kk + 1; i < m; ++i) e[i] -= s * qr_(i, kk);
-        }
-        q.set_col(col, e);
-    }
-    return q;
-}
-
 // --------------------------------------------------------- eigen_symmetric
 
 SymmetricEigen eigen_symmetric(const Matrix& a_in, int max_sweeps) {
@@ -346,18 +284,6 @@ SymmetricEigen eigen_symmetric(const Matrix& a_in, int max_sweeps) {
         out.eigenvectors.set_col(j, v.col(order[j]));
     }
     return out;
-}
-
-// ------------------------------------------------------------ conveniences
-
-Matrix inverse(const Matrix& a) { return LuFactor(a).inverse(); }
-
-double determinant(const Matrix& a) {
-    try {
-        return LuFactor(a).determinant();
-    } catch (const std::runtime_error&) {
-        return 0.0;  // numerically singular
-    }
 }
 
 }  // namespace ehdoe::num

@@ -1,10 +1,9 @@
 // ehdoe/numerics/linalg.hpp
 //
 // Dense factorizations and solvers: LU with partial pivoting, Cholesky,
-// Householder QR (used for least squares / RSM fitting), matrix inverse,
-// determinant, and a cyclic Jacobi eigen-solver for symmetric matrices
-// (used by the response-surface canonical analysis and by design
-// diagnostics).
+// Householder QR (used for least squares / RSM fitting) and a cyclic Jacobi
+// eigen-solver for symmetric matrices (used by the response-surface
+// canonical analysis and by design diagnostics).
 #pragma once
 
 #include <optional>
@@ -43,8 +42,6 @@ public:
     /// solve(Vector) gives it, as each entry sees the same subtractions in
     /// the same order; expm's Padé solve and inverse() run through here.
     Matrix solve(const Matrix& b) const;
-    /// det(A), including the permutation sign.
-    double determinant() const;
     /// Explicit inverse (prefer solve()).
     Matrix inverse() const;
 
@@ -57,7 +54,6 @@ private:
 
     Matrix lu_;
     std::vector<std::size_t> perm_;
-    int sign_ = 1;
 };
 
 /// Cholesky factorization A = L L^T of a symmetric positive definite matrix.
@@ -67,9 +63,6 @@ public:
     explicit CholeskyFactor(const Matrix& a);
 
     std::size_t dim() const { return l_.rows(); }
-    Vector solve(const Vector& b) const;
-    /// det(A) = prod(l_ii)^2.
-    double determinant() const;
     double log_determinant() const;
     const Matrix& l() const { return l_; }
 
@@ -96,12 +89,6 @@ public:
     /// Numerical rank with relative tolerance on |r_ii|.
     std::size_t rank(double rel_tol = 1e-12) const;
 
-    /// The upper-triangular factor R (n x n leading block).
-    Matrix r() const;
-
-    /// Explicit thin Q (m x n).
-    Matrix thin_q() const;
-
 private:
     Matrix qr_;           // Householder vectors below diagonal, R on/above.
     std::vector<double> beta_;  // Householder scalars.
@@ -117,11 +104,5 @@ struct SymmetricEigen {
 /// internally; convergence to machine precision for the small matrices used
 /// here (k <= ~20 factors).
 SymmetricEigen eigen_symmetric(const Matrix& a, int max_sweeps = 64);
-
-/// Explicit inverse via LU; throws on singular input.
-Matrix inverse(const Matrix& a);
-
-/// Determinant via LU; returns 0 for numerically singular input.
-double determinant(const Matrix& a);
 
 }  // namespace ehdoe::num

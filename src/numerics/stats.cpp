@@ -12,16 +12,6 @@ double mean(const std::vector<double>& xs) {
     return std::accumulate(xs.begin(), xs.end(), 0.0) / static_cast<double>(xs.size());
 }
 
-double variance(const std::vector<double>& xs) {
-    if (xs.size() < 2) return 0.0;
-    const double m = mean(xs);
-    double acc = 0.0;
-    for (double x : xs) acc += (x - m) * (x - m);
-    return acc / static_cast<double>(xs.size() - 1);
-}
-
-double stddev(const std::vector<double>& xs) { return std::sqrt(variance(xs)); }
-
 double min_of(const std::vector<double>& xs) {
     if (xs.empty()) throw std::invalid_argument("min_of: empty");
     return *std::min_element(xs.begin(), xs.end());
@@ -32,65 +22,11 @@ double max_of(const std::vector<double>& xs) {
     return *std::max_element(xs.begin(), xs.end());
 }
 
-double quantile(std::vector<double> xs, double q) {
-    if (xs.empty()) throw std::invalid_argument("quantile: empty");
-    if (q < 0.0 || q > 1.0) throw std::invalid_argument("quantile: q outside [0,1]");
-    std::sort(xs.begin(), xs.end());
-    const double pos = q * static_cast<double>(xs.size() - 1);
-    const std::size_t lo = static_cast<std::size_t>(pos);
-    const double frac = pos - static_cast<double>(lo);
-    if (lo + 1 >= xs.size()) return xs.back();
-    return xs[lo] * (1.0 - frac) + xs[lo + 1] * frac;
-}
-
-double median(std::vector<double> xs) { return quantile(std::move(xs), 0.5); }
-
-double correlation(const std::vector<double>& a, const std::vector<double>& b) {
-    if (a.size() != b.size()) throw std::invalid_argument("correlation: size mismatch");
-    if (a.size() < 2) return 0.0;
-    const double ma = mean(a), mb = mean(b);
-    double sab = 0.0, saa = 0.0, sbb = 0.0;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        sab += (a[i] - ma) * (b[i] - mb);
-        saa += (a[i] - ma) * (a[i] - ma);
-        sbb += (b[i] - mb) * (b[i] - mb);
-    }
-    if (saa == 0.0 || sbb == 0.0) return 0.0;
-    return sab / std::sqrt(saa * sbb);
-}
-
 double rms(const std::vector<double>& xs) {
     if (xs.empty()) return 0.0;
     double acc = 0.0;
     for (double x : xs) acc += x * x;
     return std::sqrt(acc / static_cast<double>(xs.size()));
-}
-
-double rms_error(const std::vector<double>& a, const std::vector<double>& b) {
-    if (a.size() != b.size()) throw std::invalid_argument("rms_error: size mismatch");
-    if (a.empty()) return 0.0;
-    double acc = 0.0;
-    for (std::size_t i = 0; i < a.size(); ++i) acc += (a[i] - b[i]) * (a[i] - b[i]);
-    return std::sqrt(acc / static_cast<double>(a.size()));
-}
-
-double max_abs_error(const std::vector<double>& a, const std::vector<double>& b) {
-    if (a.size() != b.size()) throw std::invalid_argument("max_abs_error: size mismatch");
-    double m = 0.0;
-    for (std::size_t i = 0; i < a.size(); ++i) m = std::max(m, std::fabs(a[i] - b[i]));
-    return m;
-}
-
-Summary summarize(const std::vector<double>& xs) {
-    Summary s;
-    s.n = xs.size();
-    if (xs.empty()) return s;
-    s.mean = mean(xs);
-    s.stddev = stddev(xs);
-    s.min = min_of(xs);
-    s.max = max_of(xs);
-    s.median = median(xs);
-    return s;
 }
 
 double uniform(Rng& rng, double lo, double hi) {
@@ -118,21 +54,28 @@ std::vector<std::size_t> permutation(Rng& rng, std::size_t n) {
 Histogram histogram(const std::vector<double>& xs, std::size_t bins, double lo, double hi) {
     if (bins == 0) throw std::invalid_argument("histogram: bins must be positive");
     if (!(hi > lo)) throw std::invalid_argument("histogram: hi must exceed lo");
+    const double w = (hi - lo) / static_cast<double>(bins);
+    if (!(w > 0.0) || std::isinf(w))
+        throw std::invalid_argument("histogram: bin width must be positive and finite");
     Histogram h;
     h.lo = lo;
     h.hi = hi;
     h.counts.assign(bins, 0);
-    const double w = (hi - lo) / static_cast<double>(bins);
     for (double x : xs) {
-        auto idx = static_cast<long>((x - lo) / w);
-        idx = std::clamp(idx, 0L, static_cast<long>(bins) - 1L);
-        ++h.counts[static_cast<std::size_t>(idx)];
+        if (std::isnan(x)) throw std::invalid_argument("histogram: NaN value");
+        // Clamped as a double: an integer cast of a position ~9e18 bins or
+        // more out, or an infinite one, is undefined.
+        const double pos = std::clamp((x - lo) / w, 0.0, static_cast<double>(bins - 1));
+        ++h.counts[static_cast<std::size_t>(pos)];
     }
     return h;
 }
 
 Histogram histogram(const std::vector<double>& xs, std::size_t bins) {
     if (xs.empty()) throw std::invalid_argument("histogram: empty data");
+    // An infinite value would make the range, and so every position, NaN.
+    for (double x : xs)
+        if (!std::isfinite(x)) throw std::invalid_argument("histogram: non-finite value");
     double lo = min_of(xs), hi = max_of(xs);
     if (hi == lo) hi = lo + 1.0;  // degenerate data: single bin span
     return histogram(xs, bins, lo, hi);

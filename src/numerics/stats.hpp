@@ -21,33 +21,10 @@ inline Rng make_rng(std::uint64_t seed) { return Rng(seed); }
 // ------------------------------------------------------------ descriptive
 
 double mean(const std::vector<double>& xs);
-/// Sample variance (n-1 denominator); 0 for fewer than 2 points.
-double variance(const std::vector<double>& xs);
-double stddev(const std::vector<double>& xs);
 double min_of(const std::vector<double>& xs);
 double max_of(const std::vector<double>& xs);
-/// Linear-interpolated quantile, q in [0,1].
-double quantile(std::vector<double> xs, double q);
-double median(std::vector<double> xs);
-/// Pearson correlation; 0 when either series is constant.
-double correlation(const std::vector<double>& a, const std::vector<double>& b);
 /// Root mean square of entries.
 double rms(const std::vector<double>& xs);
-/// Root mean squared difference between two equal-length series.
-double rms_error(const std::vector<double>& a, const std::vector<double>& b);
-/// max_i |a_i - b_i|.
-double max_abs_error(const std::vector<double>& a, const std::vector<double>& b);
-
-/// Summary bundle for reporting.
-struct Summary {
-    std::size_t n = 0;
-    double mean = 0.0;
-    double stddev = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-    double median = 0.0;
-};
-Summary summarize(const std::vector<double>& xs);
 
 // -------------------------------------------------------------- sampling
 
@@ -60,8 +37,10 @@ int uniform_int(Rng& rng, int lo, int hi);
 /// Random permutation of 0..n-1.
 std::vector<std::size_t> permutation(Rng& rng, std::size_t n);
 
-/// Simple histogram with equal-width bins over [lo, hi]; values outside are
-/// clamped into the end bins. Used by the residual-diagnostics bench (F6).
+/// Simple histogram with equal-width bins over [lo, hi]; values outside,
+/// infinite ones included, are clamped into the end bins. A NaN value, or a
+/// range whose bin width is not positive and finite, throws
+/// std::invalid_argument. Used by the residual-diagnostics bench (F6).
 struct Histogram {
     double lo = 0.0;
     double hi = 1.0;
@@ -71,7 +50,7 @@ struct Histogram {
     double bin_center(std::size_t i) const { return lo + (static_cast<double>(i) + 0.5) * bin_width(); }
 };
 Histogram histogram(const std::vector<double>& xs, std::size_t bins, double lo, double hi);
-/// Auto-ranged variant over [min, max] of the data.
+/// Auto-ranged variant over [min, max] of the data, which must be finite.
 Histogram histogram(const std::vector<double>& xs, std::size_t bins);
 
 }  // namespace ehdoe::num

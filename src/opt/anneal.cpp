@@ -6,12 +6,11 @@
 
 namespace ehdoe::opt {
 
-// One implementation serves both overloads (the scalar path lifts into a
-// serial batch). The restart chains advance in lockstep — every move, all
-// chains propose and the proposals are evaluated as one batch — but each
-// chain draws from its own RNG stream and never reads another chain's
-// state, so the trajectory of chain r is identical whether the chains run
-// interleaved, in parallel, or one after another.
+// The restart chains advance in lockstep — every move, all chains propose
+// and the proposals are evaluated as one batch — but each chain draws from
+// its own RNG stream and never reads another chain's state, so the
+// trajectory of chain r is identical whether the chains run interleaved, in
+// parallel, or one after another.
 OptResult simulated_annealing(const BatchObjective& f, const Bounds& bounds, const Vector& x0,
                               const AnnealOptions& opt) {
     bounds.validate();
@@ -109,12 +108,6 @@ OptResult simulated_annealing(const BatchObjective& f, const Bounds& bounds, con
     res.evaluations = obj.count();
     res.converged = true;
     return res;
-}
-
-OptResult simulated_annealing(const Objective& f, const Bounds& bounds, const Vector& x0,
-                              const AnnealOptions& opt) {
-    if (!f) throw std::invalid_argument("simulated_annealing: objective required");
-    return simulated_annealing(lift(f), bounds, x0, opt);
 }
 
 }  // namespace ehdoe::opt

@@ -28,11 +28,8 @@ struct AnnealOptions {
     std::size_t restarts = 1;
 };
 
-OptResult simulated_annealing(const Objective& f, const Bounds& bounds, const Vector& x0,
-                              const AnnealOptions& options = {});
-
-/// Batch-parallel variant; bitwise-identical trajectories and evaluation
-/// counts to the scalar overload (which lifts into a serial batch).
+/// Each move's proposals go out as one batch; trajectories and evaluation
+/// counts are bitwise those of a serial batch.
 OptResult simulated_annealing(const BatchObjective& f, const Bounds& bounds, const Vector& x0,
                               const AnnealOptions& options = {});
 

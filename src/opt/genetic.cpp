@@ -8,11 +8,10 @@
 
 namespace ehdoe::opt {
 
-// One implementation serves both overloads: the scalar path lifts its
-// objective into a serial batch, so the batch-parallel path is identical by
-// construction — same RNG draw order (child generation never consults
-// fitness of the generation being built), same evaluation count, same
-// trajectory for any backend that honours the BatchObjective contract.
+// Every backend that honours the BatchObjective contract gives the same
+// trajectory: child generation never consults fitness of the generation
+// being built, so the RNG draw order and the evaluation count are those of
+// a serial batch.
 OptResult genetic_minimize(const BatchObjective& f, const Bounds& bounds,
                            const GeneticOptions& opt) {
     bounds.validate();
@@ -117,12 +116,6 @@ OptResult genetic_minimize(const BatchObjective& f, const Bounds& bounds,
     res.evaluations = obj.count();
     if (res.iterations == opt.generations) res.converged = true;
     return res;
-}
-
-OptResult genetic_minimize(const Objective& f, const Bounds& bounds,
-                           const GeneticOptions& opt) {
-    if (!f) throw std::invalid_argument("genetic_minimize: objective required");
-    return genetic_minimize(lift(f), bounds, opt);
 }
 
 }  // namespace ehdoe::opt

@@ -28,16 +28,13 @@ struct GeneticOptions {
     std::size_t stall_generations = 0;
 };
 
-OptResult genetic_minimize(const Objective& f, const Bounds& bounds,
-                           const GeneticOptions& options = {});
-
-/// Batch-parallel variant: the initial population and every generation's
-/// offspring are submitted as one batch, so a BatchObjective backed by the
-/// batch evaluation engine (doe::BatchRunner over any core::EvalBackend)
-/// parallelizes the direct-on-simulator baseline. Trajectories, results and
-/// evaluation counts are identical to the scalar overload: child generation
-/// consumes the RNG in the same order, and evaluation order cannot affect
-/// either (fitness only feeds back between generations).
+/// The initial population and every generation's offspring are submitted
+/// as one batch, so a BatchObjective backed by the batch evaluation engine
+/// (doe::BatchRunner over any core::EvalBackend) parallelizes the
+/// direct-on-simulator baseline. Trajectories, results and evaluation
+/// counts are those of a serial batch: child generation consumes the RNG
+/// in the same order, and evaluation order cannot affect either (fitness
+/// only feeds back between generations).
 OptResult genetic_minimize(const BatchObjective& f, const Bounds& bounds,
                            const GeneticOptions& options = {});
 

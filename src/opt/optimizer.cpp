@@ -27,32 +27,10 @@ Vector Bounds::clamp(Vector x) const {
     return x;
 }
 
-bool Bounds::contains(const Vector& x, double tol) const {
-    if (x.size() != lo.size()) return false;
-    for (std::size_t i = 0; i < x.size(); ++i) {
-        if (x[i] < lo[i] - tol || x[i] > hi[i] + tol) return false;
-    }
-    return true;
-}
-
 Vector Bounds::sample(std::function<double()> unit_rand) const {
     Vector x(lo.size());
     for (std::size_t i = 0; i < x.size(); ++i) x[i] = lo[i] + (hi[i] - lo[i]) * unit_rand();
     return x;
-}
-
-Objective negated(Objective f) {
-    return [f = std::move(f)](const Vector& x) { return -f(x); };
-}
-
-BatchObjective lift(Objective f) {
-    if (!f) throw std::invalid_argument("lift: objective required");
-    return [f = std::move(f)](const std::vector<Vector>& points) {
-        std::vector<double> values;
-        values.reserve(points.size());
-        for (const Vector& x : points) values.push_back(f(x));
-        return values;
-    };
 }
 
 std::vector<double> CountedBatchObjective::operator()(const std::vector<Vector>& points) const {

@@ -8,9 +8,10 @@
 //    too-slow status quo when run *directly on the simulator* — the T5
 //    bench quantifies exactly that comparison.
 //
-// All optimizers minimize; use `negated` to maximize. Evaluation counts are
-// tracked by wrapping the objective (CountedObjective), because simulator
-// invocations are the currency the paper's comparison is denominated in.
+// All optimizers minimize; negate the objective to maximize. Evaluation
+// counts are tracked by wrapping the objective (CountedObjective), because
+// simulator invocations are the currency the paper's comparison is
+// denominated in.
 #pragma once
 
 #include <atomic>
@@ -34,10 +35,6 @@ using Objective = std::function<double(const Vector&)>;
 /// core::EvalBackend) instead of simulating one point at a time.
 using BatchObjective = std::function<std::vector<double>(const std::vector<Vector>&)>;
 
-/// Lift a scalar objective into a batch objective (evaluates serially, in
-/// input order — the reference semantics every parallel backend must match).
-BatchObjective lift(Objective f);
-
 /// Box constraints; defaults to the coded DoE cube [-1, 1]^k.
 struct Bounds {
     Vector lo;
@@ -47,7 +44,6 @@ struct Bounds {
     void validate() const;
     std::size_t dimension() const { return lo.size(); }
     Vector clamp(Vector x) const;
-    bool contains(const Vector& x, double tol = 1e-12) const;
     /// Uniform random point inside the box.
     Vector sample(std::function<double()> unit_rand) const;
 };
@@ -96,29 +92,5 @@ private:
     BatchObjective f_;
     mutable std::atomic<std::size_t> count_{0};
 };
-
-/// Maximization adapter.
-Objective negated(Objective f);
-
-/// Run an optimizer functor from several start points, keep the best.
-/// `starts` rows are initial points.
-template <typename Optimizer>
-OptResult multi_start(const Optimizer& optimize, const Matrix& starts) {
-    OptResult best;
-    best.value = 1e300;
-    for (std::size_t i = 0; i < starts.rows(); ++i) {
-        OptResult r = optimize(starts.row(i));
-        best.evaluations += r.evaluations;
-        best.iterations += r.iterations;
-        if (r.value < best.value) {
-            const std::size_t evals = best.evaluations;
-            const std::size_t iters = best.iterations;
-            best = std::move(r);
-            best.evaluations = evals;
-            best.iterations = iters;
-        }
-    }
-    return best;
-}
 
 }  // namespace ehdoe::opt

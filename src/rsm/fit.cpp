@@ -42,10 +42,8 @@ std::vector<double> FitResult::predict(const Matrix& coded_points) const {
     return out;
 }
 
-namespace {
-
-FitResult fit_impl(const ModelSpec& model, const Matrix& coded_points,
-                   const std::vector<double>& y, const std::vector<double>* weights) {
+FitResult fit_ols(const ModelSpec& model, const Matrix& coded_points,
+                  const std::vector<double>& y) {
     const std::size_t n = coded_points.rows();
     if (y.size() != n) throw std::invalid_argument("fit: y size != design rows");
     if (n < model.num_terms()) {
@@ -57,16 +55,6 @@ FitResult fit_impl(const ModelSpec& model, const Matrix& coded_points,
     Vector yv(n);
     for (std::size_t i = 0; i < n; ++i) yv[i] = y[i];
 
-    if (weights) {
-        if (weights->size() != n) throw std::invalid_argument("fit: weights size mismatch");
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!((*weights)[i] > 0.0)) throw std::invalid_argument("fit: weights must be > 0");
-            const double s = std::sqrt((*weights)[i]);
-            for (std::size_t j = 0; j < x.cols(); ++j) x(i, j) *= s;
-            yv[i] *= s;
-        }
-    }
-
     Vector beta;
     try {
         beta = num::QrFactor(x).solve(yv);
@@ -76,7 +64,6 @@ FitResult fit_impl(const ModelSpec& model, const Matrix& coded_points,
     }
 
     FitResult r{model, beta, Vector(n), std::move(x), y, 0.0, 0.0, 0.0, n, model.num_terms()};
-    // Residuals on the (possibly weighted) system.
     const Vector yhat = r.x * beta;
     for (std::size_t i = 0; i < n; ++i) {
         r.residuals[i] = yv[i] - yhat[i];
@@ -86,18 +73,6 @@ FitResult fit_impl(const ModelSpec& model, const Matrix& coded_points,
     for (std::size_t i = 0; i < n; ++i) r.sst += (yv[i] - ybar) * (yv[i] - ybar);
     r.sigma2 = n > r.p ? r.sse / static_cast<double>(n - r.p) : 0.0;
     return r;
-}
-
-}  // namespace
-
-FitResult fit_ols(const ModelSpec& model, const Matrix& coded_points,
-                  const std::vector<double>& y) {
-    return fit_impl(model, coded_points, y, nullptr);
-}
-
-FitResult fit_wls(const ModelSpec& model, const Matrix& coded_points,
-                  const std::vector<double>& y, const std::vector<double>& weights) {
-    return fit_impl(model, coded_points, y, &weights);
 }
 
 }  // namespace ehdoe::rsm

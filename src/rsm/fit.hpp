@@ -44,8 +44,4 @@ struct FitResult {
 FitResult fit_ols(const ModelSpec& model, const Matrix& coded_points,
                   const std::vector<double>& y);
 
-/// Weighted least squares (weights > 0; rows scaled by sqrt(w)).
-FitResult fit_wls(const ModelSpec& model, const Matrix& coded_points,
-                  const std::vector<double>& y, const std::vector<double>& weights);
-
 }  // namespace ehdoe::rsm

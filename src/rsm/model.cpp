@@ -214,14 +214,6 @@ ModelSpec ModelSpec::without_term(std::size_t index) const {
     return ModelSpec(k_, std::move(t));
 }
 
-ModelSpec ModelSpec::with_term(Monomial term) const {
-    if (term.variables() != k_)
-        throw std::invalid_argument("ModelSpec::with_term: dimension mismatch");
-    std::vector<Monomial> t = terms_;
-    t.push_back(std::move(term));
-    return ModelSpec(k_, std::move(t));
-}
-
 std::string ModelSpec::describe(const std::vector<std::string>& names) const {
     std::ostringstream os;
     for (std::size_t i = 0; i < terms_.size(); ++i) {
@@ -229,10 +221,6 @@ std::string ModelSpec::describe(const std::vector<std::string>& names) const {
         os << terms_[i].to_string(names);
     }
     return os.str();
-}
-
-std::size_t quadratic_term_count(std::size_t k) {
-    return 1 + 2 * k + k * (k - 1) / 2;
 }
 
 }  // namespace ehdoe::rsm

@@ -85,8 +85,6 @@ public:
 
     /// Model with term `index` removed (used by stepwise elimination).
     ModelSpec without_term(std::size_t index) const;
-    /// Model with an extra term appended.
-    ModelSpec with_term(Monomial term) const;
 
     /// Human-readable term list, e.g. "1, x0, x1, x0*x1, x0^2".
     std::string describe(const std::vector<std::string>& names = {}) const;
@@ -117,8 +115,5 @@ private:
     std::size_t width_ = 0;
     std::vector<Power> powers_;
 };
-
-/// Number of terms of the standard models (handy for run budgeting).
-std::size_t quadratic_term_count(std::size_t k);
 
 }  // namespace ehdoe::rsm

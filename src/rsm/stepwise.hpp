@@ -1,10 +1,9 @@
 // ehdoe/rsm/stepwise.hpp
 //
-// Model reduction: backward elimination (drop the least significant term
-// while its p-value exceeds a threshold) and forward selection (greedily
-// add the term that lowers PRESS). The paper's flow fits full quadratics;
-// stepwise pruning tightens prediction variance when the design has few
-// excess degrees of freedom.
+// Model reduction by backward elimination: drop the least significant term
+// while its p-value exceeds a threshold. The paper's flow fits full
+// quadratics; stepwise pruning tightens prediction variance when the design
+// has few excess degrees of freedom.
 #pragma once
 
 #include <vector>
@@ -33,12 +32,5 @@ struct StepwiseResult {
 StepwiseResult backward_eliminate(const ModelSpec& initial, const Matrix& coded_points,
                                   const std::vector<double>& y,
                                   const StepwiseOptions& options = {});
-
-/// Forward selection from an intercept-only model over candidate `pool`
-/// terms, adding while PRESS improves by at least `min_press_gain`
-/// (relative).
-FitResult forward_select(std::size_t k, const std::vector<num::Monomial>& pool,
-                         const Matrix& coded_points, const std::vector<double>& y,
-                         double min_press_gain = 1e-3, std::size_t max_terms = 0);
 
 }  // namespace ehdoe::rsm

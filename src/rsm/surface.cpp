@@ -52,10 +52,6 @@ Matrix ResponseSurface::hessian(const Vector& coded) const {
     return h;
 }
 
-double ResponseSurface::value_natural(const Vector& natural) const {
-    return value(space_.to_coded(natural));
-}
-
 std::optional<StationaryPoint> ResponseSurface::stationary_point(double tol) const {
     const std::size_t k = dimension();
     const Vector origin(k);

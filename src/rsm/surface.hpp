@@ -46,9 +46,6 @@ public:
     Vector gradient(const Vector& coded) const;
     Matrix hessian(const Vector& coded) const;
 
-    // ---- evaluation (natural units) --------------------------------------
-    double value_natural(const Vector& natural) const;
-
     /// Canonical analysis: stationary point of the quadratic part, its type
     /// from the Hessian eigenvalues. Returns nullopt when the model has no
     /// quadratic terms or the Hessian is singular beyond `tol`.

@@ -1,11 +1,10 @@
 // ehdoe/rsm/validate.hpp
 //
-// Model validation against data the fit never saw: k-fold cross-validation
-// and hold-out validation. The T3 bench uses these to report the "high
-// accuracy" numbers the abstract claims.
+// Model validation against data the fit never saw: hold-out validation.
+// The T3 bench uses it to report the "high accuracy" numbers the abstract
+// claims.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "rsm/fit.hpp"
@@ -38,12 +37,5 @@ struct ValidationReport {
 /// Evaluate a fitted model on held-out (coded) points.
 ValidationReport validate_holdout(const FitResult& fit, const Matrix& coded_points,
                                   const std::vector<double>& y);
-
-/// k-fold cross validation: refits the model on k-1 folds, predicts the
-/// held-out fold; reports pooled errors. Folds are assigned round-robin
-/// after a seeded shuffle.
-ValidationReport cross_validate(const ModelSpec& model, const Matrix& coded_points,
-                                const std::vector<double>& y, std::size_t folds,
-                                std::uint64_t seed = 0xC0FFEEull);
 
 }  // namespace ehdoe::rsm

@@ -117,7 +117,7 @@ TEST(BatchRunner, DesignFlowSharesOneCacheAcrossPhases) {
             {"perf", 10.0 - (x - 6.0) * (x - 6.0) / 4.0 - (y - 2.0) * (y - 2.0)}};
     };
     ehdoe::core::DesignFlow flow(
-        DesignSpace({{"x", 0.0, 10.0, false}, {"y", 0.0, 4.0, false}}), sim);
+        DesignSpace({{"x", 0.0, 10.0, false}, {"y", 0.0, 4.0, false}}), sim, {});
     const auto& res = flow.run_ccd();
     EXPECT_EQ(res.design.runs(), 12u);      // 4 factorial + 4 axial + 4 centre
     EXPECT_EQ(res.simulations, 9u);         // centre simulated once

@@ -35,16 +35,6 @@ TEST(Firmware, BacksOffWhenLowAndRecovers) {
     EXPECT_DOUBLE_EQ(fw.current_period(), 4.0);
 }
 
-TEST(Firmware, ResetRestoresNominal) {
-    FirmwareParams p;
-    Firmware fw(p, NodePowerParams{});
-    fw.decide(0.5, true);
-    EXPECT_TRUE(fw.backed_off());
-    fw.reset();
-    EXPECT_FALSE(fw.backed_off());
-    EXPECT_DOUBLE_EQ(fw.current_period(), p.task_period);
-}
-
 TEST(Firmware, DutyCycleAndPeriodRoundTrip) {
     NodePowerParams power;
     FirmwareParams p;

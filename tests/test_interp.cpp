@@ -15,28 +15,6 @@ TEST(LinearTable, InterpolatesAndClamps) {
     EXPECT_DOUBLE_EQ(t(9.0), 30.0);   // clamped
 }
 
-TEST(LinearTable, Derivative) {
-    LinearTable t({0.0, 1.0, 2.0}, {0.0, 10.0, 30.0});
-    EXPECT_DOUBLE_EQ(t.derivative(0.5), 10.0);
-    EXPECT_DOUBLE_EQ(t.derivative(1.5), 20.0);
-}
-
-TEST(LinearTable, InverseMonotone) {
-    LinearTable t({0.0, 1.0, 2.0}, {0.0, 10.0, 30.0});
-    EXPECT_NEAR(t.inverse(5.0), 0.5, 1e-12);
-    EXPECT_NEAR(t.inverse(20.0), 1.5, 1e-12);
-    // Decreasing table.
-    LinearTable d({0.0, 1.0}, {10.0, 0.0});
-    EXPECT_NEAR(d.inverse(5.0), 0.5, 1e-12);
-}
-
-TEST(LinearTable, InverseRejectsNonMonotoneAndRange) {
-    LinearTable t({0.0, 1.0, 2.0}, {0.0, 10.0, 5.0});
-    EXPECT_THROW(t.inverse(3.0), std::runtime_error);
-    LinearTable m({0.0, 1.0}, {0.0, 1.0});
-    EXPECT_THROW(m.inverse(2.0), std::runtime_error);
-}
-
 TEST(LinearTable, ValidatesInput) {
     EXPECT_THROW(LinearTable({1.0}, {1.0}), std::invalid_argument);
     EXPECT_THROW(LinearTable({1.0, 1.0}, {0.0, 1.0}), std::invalid_argument);
@@ -55,13 +33,15 @@ TEST(CubicSpline, PassesThroughKnots) {
 TEST(CubicSpline, TwoKnotsIsChord) {
     CubicSpline s({0.0, 2.0}, {0.0, 4.0});
     EXPECT_NEAR(s(1.0), 2.0, 1e-12);
-    EXPECT_NEAR(s.derivative(1.0), 2.0, 1e-12);
 }
 
 TEST(CubicSpline, NaturalBoundaryConditions) {
+    // The second difference a step inside either end is s'' there, which
+    // tends to 0 (the interior knots' s'' of this spline is 2.4).
     CubicSpline s({0.0, 1.0, 2.0, 3.0}, {0.0, 1.0, 4.0, 9.0});
-    EXPECT_NEAR(s.second_derivative(0.0), 0.0, 1e-10);
-    EXPECT_NEAR(s.second_derivative(3.0), 0.0, 1e-10);
+    const double h = 1e-3;
+    EXPECT_NEAR((s(0.0) - 2.0 * s(h) + s(2.0 * h)) / (h * h), 0.0, 0.01);
+    EXPECT_NEAR((s(3.0) - 2.0 * s(3.0 - h) + s(3.0 - 2.0 * h)) / (h * h), 0.0, 0.01);
 }
 
 TEST(CubicSpline, ApproximatesSmoothFunction) {
@@ -75,23 +55,14 @@ TEST(CubicSpline, ApproximatesSmoothFunction) {
     CubicSpline s(xs, ys);
     for (double x = 0.3; x < 1.7; x += 0.07) {
         EXPECT_NEAR(s(x), std::sin(x), 1e-5);
-        EXPECT_NEAR(s.derivative(x), std::cos(x), 1e-3);
-    }
-}
-
-TEST(CubicSpline, DerivativeConsistentWithFiniteDifference) {
-    CubicSpline s({0.0, 1.0, 2.0, 3.0, 4.0}, {0.0, 1.0, -1.0, 2.0, 0.5});
-    const double h = 1e-6;
-    for (double x : {0.4, 1.3, 2.6, 3.5}) {
-        const double fd = (s(x + h) - s(x - h)) / (2.0 * h);
-        EXPECT_NEAR(s.derivative(x), fd, 1e-5);
     }
 }
 
 TEST(CubicSpline, ContinuousFirstDerivativeAtKnots) {
+    // One-sided slopes on either side of a knot agree to O(h s'').
     CubicSpline s({0.0, 1.0, 2.0, 3.0}, {0.0, 2.0, -1.0, 3.0});
-    const double eps = 1e-9;
+    const double h = 1e-5;
     for (double knot : {1.0, 2.0}) {
-        EXPECT_NEAR(s.derivative(knot - eps), s.derivative(knot + eps), 1e-6);
+        EXPECT_NEAR((s(knot) - s(knot - h)) / h, (s(knot + h) - s(knot)) / h, 1e-3);
     }
 }

@@ -54,16 +54,9 @@ TEST(Lu, SolvesKnownSystem) {
     EXPECT_NEAR(x[1], 1.4, 1e-12);
 }
 
-TEST(Lu, DeterminantWithPivoting) {
-    // Requires a row swap (zero pivot in place).
-    Matrix a{{0.0, 1.0}, {1.0, 0.0}};
-    EXPECT_NEAR(LuFactor(a).determinant(), -1.0, 1e-14);
-}
-
 TEST(Lu, SingularThrows) {
     Matrix a{{1.0, 2.0}, {2.0, 4.0}};
     EXPECT_THROW(LuFactor{a}, std::runtime_error);
-    EXPECT_DOUBLE_EQ(determinant(a), 0.0);
 }
 
 TEST(Lu, NonSquareThrows) {
@@ -106,23 +99,12 @@ TEST(Lu, MatrixSolveAndInverseMatchColumnSolvesBitwise) {
             EXPECT_EQ(bits(lu.solve(b)), bits(column_solves(lu, b)));
         }
         EXPECT_EQ(bits(lu.inverse()), bits(column_solves(lu, Matrix::identity(n))));
-        EXPECT_EQ(bits(inverse(a)), bits(column_solves(lu, Matrix::identity(n))));
     }
 }
 
-TEST(Cholesky, MatchesLuOnSpd) {
-    Rng rng = make_rng(11);
-    const Matrix a = random_spd(6, rng);
-    Vector b(6);
-    for (auto& v : b) v = uniform(rng, -1.0, 1.0);
-    EXPECT_TRUE(approx_equal(CholeskyFactor(a).solve(b), LuFactor(a).solve(b), 1e-9));
-}
-
-TEST(Cholesky, DeterminantAndLog) {
-    Matrix a{{4.0, 2.0}, {2.0, 5.0}};
-    CholeskyFactor c(a);
-    EXPECT_NEAR(c.determinant(), 16.0, 1e-12);
-    EXPECT_NEAR(c.log_determinant(), std::log(16.0), 1e-12);
+TEST(Cholesky, LogDeterminant) {
+    Matrix a{{4.0, 2.0}, {2.0, 5.0}};  // det 16
+    EXPECT_NEAR(CholeskyFactor(a).log_determinant(), std::log(16.0), 1e-12);
 }
 
 TEST(Cholesky, RejectsIndefinite) {
@@ -143,18 +125,6 @@ TEST(Qr, LeastSquaresLine) {
     Vector beta = QrFactor(x).solve(y);
     EXPECT_NEAR(beta[0], 1.0, 1e-12);
     EXPECT_NEAR(beta[1], 2.0, 1e-12);
-}
-
-TEST(Qr, ThinQOrthonormal) {
-    Rng rng = make_rng(13);
-    Matrix a(8, 4);
-    for (std::size_t i = 0; i < 8; ++i)
-        for (std::size_t j = 0; j < 4; ++j) a(i, j) = uniform(rng, -1.0, 1.0);
-    QrFactor qr(a);
-    const Matrix q = qr.thin_q();
-    EXPECT_TRUE(approx_equal(mul_at_b(q, q), Matrix::identity(4), 1e-12));
-    // Q R reproduces A.
-    EXPECT_TRUE(approx_equal(q * qr.r(), a, 1e-12));
 }
 
 TEST(Qr, RankDetection) {
@@ -224,7 +194,7 @@ TEST_P(LinalgSizeP, QrLeastSquaresMatchesNormalEquations) {
         y[i] = uniform(rng, -1.0, 1.0);
     }
     const Vector via_qr = QrFactor(x).solve(y);
-    const Vector via_ne = CholeskyFactor(mul_at_b(x, x)).solve(mul_at_x(x, y));
+    const Vector via_ne = LuFactor(mul_at_b(x, x)).solve(mul_at_x(x, y));
     EXPECT_TRUE(approx_equal(via_qr, via_ne, 1e-7));
 }
 

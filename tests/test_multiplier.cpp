@@ -11,6 +11,18 @@ using namespace ehdoe::harvester;
 using ehdoe::num::Matrix;
 using ehdoe::num::Vector;
 
+namespace {
+
+// Voltage across diode k, anode minus cathode (ground reads 0 V).
+double branch_voltage(const MultiplierNetwork& net, std::size_t k, const Vector& v) {
+    const DiodeBranch& d = net.diodes()[k];
+    const double va = d.anode >= 0 ? v[static_cast<std::size_t>(d.anode)] : 0.0;
+    const double vc = d.cathode >= 0 ? v[static_cast<std::size_t>(d.cathode)] : 0.0;
+    return va - vc;
+}
+
+}  // namespace
+
 TEST(Diode, ShockleyBasicShape) {
     DiodeParams d;
     EXPECT_NEAR(d.shockley_current(0.0), 0.0, 1e-18);
@@ -30,14 +42,6 @@ TEST(Diode, ShockleyLinearizationIsContinuous) {
     const double g = (d.shockley_current(v + 0.1) - d.shockley_current(v)) / 0.1;
     const double g2 = (d.shockley_current(v + 0.2) - d.shockley_current(v + 0.1)) / 0.1;
     EXPECT_NEAR(g, g2, 1e-9 * g);
-}
-
-TEST(Diode, PwlContinuousAtThreshold) {
-    DiodeParams d;
-    const double eps = 1e-12;
-    EXPECT_NEAR(d.pwl_current(d.v_on - eps), d.pwl_current(d.v_on + eps), 1e-9);
-    EXPECT_NEAR(d.pwl_current(d.v_on + 0.15), 0.15 / d.r_on + d.g_off * d.v_on, 1e-9);
-    EXPECT_NEAR(d.pwl_current(-0.5), -0.5 * d.g_off, 1e-15);
 }
 
 TEST(Network, TopologyCounts) {
@@ -69,18 +73,6 @@ TEST(Network, StorageCapAddedAtOutput) {
     EXPECT_NEAR(with.capacitance()(out, out) - without.capacitance()(out, out), 0.2, 1e-12);
 }
 
-TEST(Network, BranchVoltageSigns) {
-    MultiplierParams p;
-    p.stages = 1;
-    MultiplierNetwork net(p, 0.0);
-    // Nodes: v0=0, a1=1, d1=2. D0: gnd->a1, D1: a1->d1.
-    Vector v(3);
-    v[1] = -0.6;  // a1 below ground: D0 forward (anode gnd)
-    v[2] = 0.2;
-    EXPECT_NEAR(net.branch_voltage(0, v), 0.6, 1e-12);
-    EXPECT_NEAR(net.branch_voltage(1, v), -0.8, 1e-12);
-}
-
 TEST(Network, ShockleyCurrentsConserveCharge) {
     // Sum of injections over all nodes + ground equals zero; with ground
     // implicit, the sum over nodes equals minus the ground injection. Verify
@@ -94,9 +86,10 @@ TEST(Network, ShockleyCurrentsConserveCharge) {
     v[net.node_d(1)] = 0.1;
     v[net.node_d(2)] = 0.9;
     Vector inject(net.num_nodes());
-    net.add_shockley_currents(v, inject);
+    MultiplierNetwork::ShockleyMemo memo;
+    net.add_shockley_currents(v.data(), inject.data(), memo);
     // Ground current = current through diodes attached to ground (D0 anode).
-    const double i_gnd = p.diode.shockley_current(net.branch_voltage(0, v));
+    const double i_gnd = p.diode.shockley_current(branch_voltage(net, 0, v));
     double total = 0.0;
     for (std::size_t i = 0; i < inject.size(); ++i) total += inject[i];
     EXPECT_NEAR(total, i_gnd, 1e-15);
@@ -118,7 +111,7 @@ TEST(Network, PwlStampMatchesPwlCurrent) {
         // Manually compute expected injections.
         Vector expect(3);
         for (std::size_t k = 0; k < 2; ++k) {
-            const double vb = net.branch_voltage(k, v);
+            const double vb = branch_voltage(net, k, v);
             const bool on = (seg >> k) & 1u;
             const double i = on ? (vb - p.diode.v_on) / p.diode.r_on + p.diode.g_off * p.diode.v_on
                                 : p.diode.g_off * vb;

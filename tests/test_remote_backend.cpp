@@ -353,7 +353,7 @@ TEST(RemoteBackend, DesignFlowRunsItsWholeLoopOverShards) {
     auto s1 = start_server(sc.make_simulation(), fp);
     auto s2 = start_server(sc.make_simulation(), fp);
 
-    core::DesignFlow local(sc.design_space(), sc.make_simulation());
+    core::DesignFlow local(sc.design_space(), sc.make_simulation(), {});
     local.run_ccd();
 
     core::DesignFlow::Options o;

@@ -39,7 +39,7 @@ TEST(Table, CsvEscaping) {
 TEST(Table, RowOfDoubles) {
     Table t;
     t.headers({"a", "b", "c"});
-    t.row({1.0, 2.0, 3.0});
+    t.row().cell(1.0).cell(2.0).cell(3.0);
     EXPECT_EQ(t.rows(), 1u);
     EXPECT_EQ(t.columns(), 3u);
 }

@@ -1,4 +1,4 @@
-// OLS / WLS fit tests: exact polynomial recovery.
+// OLS fit tests: exact polynomial recovery.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -78,20 +78,6 @@ TEST(Fit, NoiseInflatesSigma2) {
     EXPECT_LT(f.adjusted_r_squared(), f.r_squared() + 1e-15);
 }
 
-TEST(Fit, WlsDownWeightsOutliers) {
-    const auto d = ehdoe::doe::latin_hypercube(30, 2, 21);
-    std::vector<double> y(d.runs());
-    for (std::size_t i = 0; i < d.runs(); ++i) y[i] = truth(d.points.row(i));
-    y[0] += 50.0;  // gross outlier
-    std::vector<double> w(d.runs(), 1.0);
-    w[0] = 1e-6;
-    const FitResult wls = fit_wls(ModelSpec(2, ModelOrder::Quadratic), d.points, y, w);
-    const FitResult ols = fit_ols(ModelSpec(2, ModelOrder::Quadratic), d.points, y);
-    const Vector probe{0.2, 0.2};
-    EXPECT_LT(std::fabs(wls.predict(probe) - truth(probe)),
-              std::fabs(ols.predict(probe) - truth(probe)));
-}
-
 TEST(Fit, Validation) {
     const ModelSpec model(2, ModelOrder::Quadratic);
     ehdoe::num::Matrix pts(3, 2);  // fewer runs than 6 terms
@@ -102,12 +88,6 @@ TEST(Fit, Validation) {
     // Degenerate design (all same point) is rank-deficient.
     std::vector<double> y8(8, 1.0);
     EXPECT_THROW(fit_ols(model, ok, y8), std::runtime_error);
-    // Bad weights.
-    const auto d = ehdoe::doe::central_composite(2, {});
-    std::vector<double> yd(d.runs(), 1.0);
-    std::vector<double> w(d.runs(), 1.0);
-    w[0] = 0.0;
-    EXPECT_THROW(fit_wls(model, d.points, yd, w), std::invalid_argument);
 }
 
 TEST(ModelSpec, TermManipulation) {
@@ -115,12 +95,8 @@ TEST(ModelSpec, TermManipulation) {
     EXPECT_EQ(m.num_terms(), 3u);
     const ModelSpec less = m.without_term(1);
     EXPECT_EQ(less.num_terms(), 2u);
-    ehdoe::num::Monomial extra(std::vector<unsigned>{1, 1});
-    const ModelSpec more = m.with_term(extra);
-    EXPECT_EQ(more.num_terms(), 4u);
     EXPECT_THROW(m.without_term(9), std::out_of_range);
     EXPECT_NE(m.describe().find("x0"), std::string::npos);
-    EXPECT_EQ(quadratic_term_count(6), 28u);
 }
 
 namespace {
@@ -233,12 +209,13 @@ TEST(Predict, BitwiseEqualsTermOrderSumForEditedModels) {
     expect_predict_is_row_dot_beta(quad.without_term(9), 8);
     // Powers beyond the standard orders, leading and trailing.
     using ehdoe::num::Monomial;
-    ModelSpec wide = quad.with_term(Monomial(std::vector<unsigned>{2, 0, 2}));
-    wide = wide.with_term(Monomial(std::vector<unsigned>{0, 5, 0}));
-    wide = wide.with_term(Monomial(std::vector<unsigned>{1, 3, 0}));
-    wide = wide.with_term(Monomial(std::vector<unsigned>{4, 1, 1}));
-    wide = wide.with_term(Monomial(std::vector<unsigned>{3, 0, 1}));
-    expect_predict_is_row_dot_beta(wide, 9);
+    std::vector<Monomial> wide = quad.terms();
+    wide.emplace_back(std::vector<unsigned>{2, 0, 2});
+    wide.emplace_back(std::vector<unsigned>{0, 5, 0});
+    wide.emplace_back(std::vector<unsigned>{1, 3, 0});
+    wide.emplace_back(std::vector<unsigned>{4, 1, 1});
+    wide.emplace_back(std::vector<unsigned>{3, 0, 1});
+    expect_predict_is_row_dot_beta(ModelSpec(3, std::move(wide)), 9);
     const ModelSpec only_constant(2, std::vector<Monomial>{Monomial(2)});
     expect_predict_is_row_dot_beta(only_constant, 10);
 }

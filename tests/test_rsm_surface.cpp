@@ -104,12 +104,6 @@ TEST(Surface, NoStationaryPointForLinearModel) {
     EXPECT_FALSE(s.stationary_point().has_value());
 }
 
-TEST(Surface, NaturalUnitsEvaluation) {
-    const ResponseSurface s = make_surface(bowl);
-    // Natural 5.0 maps to coded 0.0 on [0, 10].
-    EXPECT_NEAR(s.value_natural(Vector{5.0, 5.0}), bowl(Vector{0.0, 0.0}), 1e-8);
-}
-
 TEST(Surface, SliceGrid) {
     const ResponseSurface s = make_surface(bowl);
     const auto grid = s.slice(0, 1, Vector{0.0, 0.0}, 5);

@@ -1,4 +1,4 @@
-// Hold-out and cross-validation tests.
+// Hold-out validation tests.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -89,46 +89,4 @@ TEST(Holdout, ConstantHoldoutIsNormalisedByTheTrainingRange) {
     EXPECT_EQ(exact.nrmse_range, 0.0);
     EXPECT_EQ(exact.nrmse_mean, 0.0);
     EXPECT_EQ(exact.r_squared, 1.0);
-}
-
-TEST(CrossValidate, ReasonableForGoodModel) {
-    ehdoe::num::Rng rng = ehdoe::num::make_rng(3);
-    const auto d = ehdoe::doe::latin_hypercube(60, 2, 9);
-    std::vector<double> y(d.runs());
-    for (std::size_t i = 0; i < d.runs(); ++i) {
-        y[i] = truth(d.points.row(i)) + ehdoe::num::normal(rng, 0.0, 0.1);
-    }
-    const ValidationReport r =
-        cross_validate(ModelSpec(2, ModelOrder::Quadratic), d.points, y, 5);
-    EXPECT_GT(r.r_squared, 0.95);
-    EXPECT_EQ(r.points, 60u);
-}
-
-TEST(CrossValidate, FlagsOverfitting) {
-    // Cubic model on 14 points: CV error far above training error.
-    ehdoe::num::Rng rng = ehdoe::num::make_rng(4);
-    const auto d = ehdoe::doe::latin_hypercube(14, 2, 10);
-    std::vector<double> y(d.runs());
-    for (std::size_t i = 0; i < d.runs(); ++i) {
-        y[i] = truth(d.points.row(i)) + ehdoe::num::normal(rng, 0.0, 0.2);
-    }
-    const ModelSpec cubic(2, ModelOrder::Cubic);  // 10 terms on 14 points
-    const FitResult f = fit_ols(cubic, d.points, y);
-    const ValidationReport cv = cross_validate(cubic, d.points, y, 7);
-    EXPECT_GT(cv.rmse, 1.5 * f.rmse());
-}
-
-TEST(CrossValidate, Validation) {
-    const auto d = ehdoe::doe::latin_hypercube(20, 2, 1);
-    std::vector<double> y(d.runs(), 1.0);
-    const ModelSpec m(2, ModelOrder::Linear);
-    EXPECT_THROW(cross_validate(m, d.points, y, 1), std::invalid_argument);
-    EXPECT_THROW(cross_validate(m, d.points, y, 25), std::invalid_argument);
-    EXPECT_THROW(cross_validate(m, d.points, std::vector<double>(3, 0.0), 5),
-                 std::invalid_argument);
-    // Too many folds for the model size.
-    const auto tiny = ehdoe::doe::latin_hypercube(6, 2, 2);
-    std::vector<double> ty(6, 1.0);
-    EXPECT_THROW(cross_validate(ModelSpec(2, ModelOrder::Quadratic), tiny.points, ty, 6),
-                 std::invalid_argument);
 }

@@ -45,7 +45,7 @@ std::string hex(double v) {
 }  // namespace
 
 TEST(DesignFlow, CcdRunAndFit) {
-    DesignFlow flow(make_space(), make_sim());
+    DesignFlow flow(make_space(), make_sim(), {});
     const auto& res = flow.run_ccd();
     EXPECT_GT(res.simulations, 0u);
     EXPECT_TRUE(flow.has_results());
@@ -56,13 +56,13 @@ TEST(DesignFlow, CcdRunAndFit) {
 }
 
 TEST(DesignFlow, ThrowsBeforeRun) {
-    DesignFlow flow(make_space(), make_sim());
+    DesignFlow flow(make_space(), make_sim(), {});
     EXPECT_THROW(flow.results(), std::logic_error);
     EXPECT_THROW(flow.surface("perf"), std::logic_error);
 }
 
 TEST(DesignFlow, ValidationNearZeroErrorForExactModel) {
-    DesignFlow flow(make_space(), make_sim());
+    DesignFlow flow(make_space(), make_sim(), {});
     flow.run_ccd();
     const auto v = flow.validate("perf", 30);
     EXPECT_LT(v.rmse, 1e-8);
@@ -70,7 +70,7 @@ TEST(DesignFlow, ValidationNearZeroErrorForExactModel) {
 }
 
 TEST(DesignFlow, SweepFollowsTruth) {
-    DesignFlow flow(make_space(), make_sim());
+    DesignFlow flow(make_space(), make_sim(), {});
     flow.run_ccd();
     const auto curve = flow.sweep("perf", "x", Vector{0.0, 0.0}, 11);
     ASSERT_EQ(curve.size(), 11u);
@@ -83,7 +83,7 @@ TEST(DesignFlow, SweepFollowsTruth) {
 }
 
 TEST(DesignFlow, UnconstrainedOptimizationFindsPeak) {
-    DesignFlow flow(make_space(), make_sim());
+    DesignFlow flow(make_space(), make_sim(), {});
     flow.run_ccd();
     const auto out = flow.optimize("perf", true, {}, true);
     EXPECT_NEAR(out.natural[0], 6.0, 0.05);
@@ -95,7 +95,7 @@ TEST(DesignFlow, UnconstrainedOptimizationFindsPeak) {
 }
 
 TEST(DesignFlow, ConstrainedOptimizationRespectsBound) {
-    DesignFlow flow(make_space(), make_sim());
+    DesignFlow flow(make_space(), make_sim(), {});
     flow.run_ccd();
     // Maximize perf subject to cost <= 8: the unconstrained peak costs 10.
     const auto out = flow.optimize("perf", true, {{"cost", -1e300, 8.0}}, false);
@@ -106,7 +106,7 @@ TEST(DesignFlow, ConstrainedOptimizationRespectsBound) {
 }
 
 TEST(DesignFlow, PredictAllInstant) {
-    DesignFlow flow(make_space(), make_sim());
+    DesignFlow flow(make_space(), make_sim(), {});
     flow.run_ccd();
     const auto pred = flow.predict_all(Vector{0.0, 0.0});
     EXPECT_EQ(pred.size(), 2u);
@@ -114,7 +114,7 @@ TEST(DesignFlow, PredictAllInstant) {
 }
 
 TEST(DesignFlow, SimulatorCallAccounting) {
-    DesignFlow flow(make_space(), make_sim());
+    DesignFlow flow(make_space(), make_sim(), {});
     const auto& res = flow.run_ccd();
     const std::size_t after_doe = flow.simulator_calls();
     EXPECT_EQ(after_doe, res.simulations);
@@ -132,14 +132,14 @@ TEST(DesignFlow, SimulatorCallAccounting) {
 }
 
 TEST(DesignFlow, CustomDesignRun) {
-    DesignFlow flow(make_space(), make_sim());
+    DesignFlow flow(make_space(), make_sim(), {});
     const auto& res = flow.run(doe::full_factorial(2, 3));  // 3^2 grid
     EXPECT_EQ(res.simulations, 9u);
     EXPECT_NEAR(flow.surface("perf").fit().r_squared(), 1.0, 1e-9);
 }
 
 TEST(DesignFlow, RequiresSimulation) {
-    EXPECT_THROW(DesignFlow(make_space(), nullptr), std::invalid_argument);
+    EXPECT_THROW(DesignFlow(make_space(), nullptr, {}), std::invalid_argument);
 }
 
 TEST(DesignFlow, S1GoldenFitsOptimumAndGridAreBitwiseStable) {
@@ -148,7 +148,7 @@ TEST(DesignFlow, S1GoldenFitsOptimumAndGridAreBitwiseStable) {
     // E_harv's grid scan both ways. A faster RSM query or simplex must move
     // neither a bit nor an evaluation.
     const Scenario sc = Scenario::make(ScenarioId::OfficeHvac, 120.0);
-    DesignFlow flow(sc.design_space(), sc.make_simulation());
+    DesignFlow flow(sc.design_space(), sc.make_simulation(), {});
     flow.run_ccd();
     flow.fit_all();
     const std::map<std::string, std::vector<double>> coefficients = {
@@ -384,7 +384,7 @@ void expect_start_golden(const ehdoe::opt::OptResult& r, const StartGolden& g, s
 TEST(DesignFlow, S1StartsThroughNelderMeadAreBitwiseStable) {
     // Each of optimize's 18 starts run on its own through nelder_mead.
     const Scenario sc = Scenario::make(ScenarioId::OfficeHvac, 20.0);
-    DesignFlow flow(sc.design_space(), sc.make_simulation());
+    DesignFlow flow(sc.design_space(), sc.make_simulation(), {});
     flow.run_ccd();
     const PenalisedPackets f(flow);
     ASSERT_EQ(f.starts.size(), 18u);
@@ -405,7 +405,7 @@ TEST(DesignFlow, S1StartsRunTogetherMatchTheirLoneRuns) {
     // result is the pinned lone run's, and the first round asks for all 18
     // initial simplices in one block.
     const Scenario sc = Scenario::make(ScenarioId::OfficeHvac, 20.0);
-    DesignFlow flow(sc.design_space(), sc.make_simulation());
+    DesignFlow flow(sc.design_space(), sc.make_simulation(), {});
     flow.run_ccd();
     const PenalisedPackets f(flow);
     std::vector<std::size_t> rounds;

@@ -35,14 +35,6 @@ TEST(TuningMap, ClampsOutOfRange) {
     EXPECT_NEAR(m.separation_for(10.0), m.d_max(), 1e-6);
 }
 
-TEST(TuningMap, SpringConstantMatchesFrequency) {
-    const TuningMap m = TuningMap::synthetic();
-    const double mass = 8e-3;
-    const double d = m.separation_for(75.0);
-    const double k = m.spring_constant(d, mass);
-    EXPECT_NEAR(std::sqrt(k / mass) / (2.0 * M_PI), 75.0, 1e-3);
-}
-
 TEST(TuningMap, RejectsNonDecreasingCalibration) {
     EXPECT_THROW(TuningMap({1.0, 2.0, 3.0}, {70.0, 75.0, 72.0}), std::invalid_argument);
     EXPECT_THROW(TuningMap({1.0, 2.0}, {75.0, 70.0}), std::invalid_argument);  // < 3 pts
@@ -104,17 +96,6 @@ TEST(Actuator, ZeroDistanceMoveIsFree) {
     EXPECT_DOUBLE_EQ(a.command(2.0, 0.0), 0.0);
     EXPECT_FALSE(a.moving());
     EXPECT_EQ(a.moves(), 0u);
-}
-
-TEST(RetuneCost, EnergyAndTimeScaleWithTravel) {
-    const TuningMap m = TuningMap::synthetic();
-    ActuatorParams p;
-    const double e_small = retune_energy(m, p, 70.0, 71.0);
-    const double e_big = retune_energy(m, p, 66.0, 84.0);
-    EXPECT_GT(e_big, e_small);
-    EXPECT_GT(e_small, 0.0);
-    EXPECT_NEAR(retune_time(m, p, 66.0, 84.0) * p.power_w, e_big, 1e-12);
-    EXPECT_DOUBLE_EQ(retune_energy(m, p, 75.0, 75.0), 0.0);
 }
 
 TEST(Actuator, Validation) {

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -57,20 +58,6 @@ TEST(MultiTone, SuperpositionAtTimeZero) {
     MultiToneVibration m({{1.0, 10.0, M_PI / 2.0}, {0.5, 20.0, M_PI / 2.0}});
     EXPECT_NEAR(m.acceleration(0.0), 1.5, 1e-12);
     EXPECT_THROW(MultiToneVibration({}), std::invalid_argument);
-}
-
-TEST(Chirp, FrequencyRampsLinearly) {
-    ChirpVibration c(1.0, 40.0, 80.0, 10.0);
-    EXPECT_DOUBLE_EQ(c.dominant_frequency(0.0), 40.0);
-    EXPECT_DOUBLE_EQ(c.dominant_frequency(5.0), 60.0);
-    EXPECT_DOUBLE_EQ(c.dominant_frequency(10.0), 80.0);
-    EXPECT_DOUBLE_EQ(c.dominant_frequency(99.0), 80.0);  // holds after sweep
-}
-
-TEST(Chirp, ContinuousAtSweepEnd) {
-    ChirpVibration c(1.0, 40.0, 80.0, 2.0);
-    const double eps = 1e-7;
-    EXPECT_NEAR(c.acceleration(2.0 - eps), c.acceleration(2.0 + eps), 1e-3);
 }
 
 TEST(Drift, FollowsProfile) {
@@ -175,13 +162,18 @@ TEST(Noisy, Validation) {
     EXPECT_THROW(NoisyVibration(base, 0.1, 100.0, 1, -1.0), std::invalid_argument);
 }
 
-TEST(Trace, PlaybackAndLooping) {
-    TraceVibration t({0.0, 1.0, 0.0, -1.0}, 4.0, 10.0);
-    EXPECT_DOUBLE_EQ(t.acceleration(0.25), 1.0);
-    EXPECT_DOUBLE_EQ(t.acceleration(0.125), 0.5);   // linear interp
-    EXPECT_DOUBLE_EQ(t.acceleration(1.25), 1.0);    // looped
-    EXPECT_DOUBLE_EQ(t.dominant_frequency(0.0), 10.0);
-    EXPECT_THROW(TraceVibration({0.0}, 4.0, 1.0), std::invalid_argument);
+TEST(Noisy, RejectsARecordTooLongToHold) {
+    // Casting the sample count to size_t is undefined for an infinite rate
+    // or a count of 2^64 or more (S3's source at a 1e300 s horizon asks for
+    // 2e303 samples), so the constructor refuses both.
+    auto base = std::make_shared<SineVibration>(1.0, 60.0);
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(NoisyVibration(base, 0.1, 100.0, 1, 1.0, inf), std::invalid_argument);
+    EXPECT_THROW(NoisyVibration(base, 0.1, 100.0, 1, 0.0, inf), std::invalid_argument);
+    EXPECT_THROW(NoisyVibration(base, 0.1, 100.0, 1, 1e300), std::invalid_argument);
+    EXPECT_THROW(ehdoe::core::Scenario::make(ehdoe::core::ScenarioId::Transport, 1e300),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(NoisyVibration(base, 0.1, 100.0, 1, 0.0));
 }
 
 // Property: every source reports rms consistent with direct sampling.
@@ -195,11 +187,10 @@ TEST_P(RmsP, RmsMatchesSampledEstimate) {
             src = std::make_shared<MultiToneVibration>(
                 std::vector<MultiToneVibration::Tone>{{0.8, 50.0, 0.0}, {0.4, 75.0, 0.3}});
             break;
-        case 2:
+        default:
             src = std::make_shared<DriftVibration>(0.9, std::vector<double>{0.0, 4.0},
                                                    std::vector<double>{55.0, 65.0});
             break;
-        default: src = std::make_shared<ChirpVibration>(1.1, 40.0, 60.0, 4.0); break;
     }
     double acc = 0.0;
     const int n = 400000;
@@ -210,4 +201,4 @@ TEST_P(RmsP, RmsMatchesSampledEstimate) {
     EXPECT_NEAR(std::sqrt(acc / n), src->rms_amplitude(), 0.05 * src->rms_amplitude());
 }
 
-INSTANTIATE_TEST_SUITE_P(Sources, RmsP, ::testing::Values(0, 1, 2, 3));
+INSTANTIATE_TEST_SUITE_P(Sources, RmsP, ::testing::Values(0, 1, 2));
