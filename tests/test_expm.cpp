@@ -8,9 +8,15 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "harvester/harvester_system.hpp"
 #include "numerics/expm.hpp"
+#include "numerics/linalg.hpp"
 #include "numerics/matrix.hpp"
+#include "numerics/stats.hpp"
+#include "sim/state_space.hpp"
 
 using namespace ehdoe::num;
 
@@ -34,6 +40,114 @@ std::uint64_t bits_digest(const Matrix& m) {
         }
     }
     return h;
+}
+
+/// The i-k-j product: each entry sums a(i, k) * b(k, j) from 0.0 over the
+/// k with a(i, k) != 0, in ascending k.
+Matrix ikj_product(const Matrix& a, const Matrix& b) {
+    Matrix c(a.rows(), b.cols());
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+        for (std::size_t k = 0; k < a.cols(); ++k) {
+            const double aik = a(i, k);
+            if (aik == 0.0) continue;
+            for (std::size_t j = 0; j < b.cols(); ++j) c(i, j) += aik * b(k, j);
+        }
+    }
+    return c;
+}
+
+/// expm as the textbook steps on the whole matrix: the same scaling and
+/// Padé(6,6) sums, a column-by-column solve of D F = N, and every power and
+/// square an i-k-j product over all rows and all k.
+Matrix reference_expm(const Matrix& a) {
+    const std::size_t n = a.rows();
+    const double norm = a.norm_inf();
+    const int s = norm > 0.5 ? static_cast<int>(std::ceil(std::log2(norm / 0.5))) : 0;
+    const Matrix as = a * std::ldexp(1.0, -s);
+    const double c[7] = {1.0,         1.0 / 2.0,     5.0 / 44.0,     1.0 / 66.0,
+                         1.0 / 792.0, 1.0 / 15840.0, 1.0 / 665280.0};
+    Matrix ak = Matrix::identity(n);
+    Matrix nmat = Matrix::identity(n) * c[0];
+    Matrix dmat = nmat;
+    double sign = 1.0;
+    for (int k = 1; k <= 6; ++k) {
+        ak = ikj_product(ak, as);
+        sign = -sign;
+        for (std::size_t e = 0; e < n * n; ++e) {
+            nmat.data()[e] += ak.data()[e] * c[k];
+            dmat.data()[e] += ak.data()[e] * (c[k] * sign);
+        }
+    }
+    const LuFactor lu(dmat);
+    Matrix f(n, n);
+    for (std::size_t j = 0; j < n; ++j) f.set_col(j, lu.solve(nmat.col(j)));
+    for (int i = 0; i < s; ++i) f = ikj_product(f, f);
+    return f;
+}
+
+/// discretize_zoh through reference_expm of the full (n + m)-square
+/// augmented matrix [A B; 0 0] * h.
+Discretized reference_zoh(const Matrix& a, const Matrix& b, double h) {
+    const std::size_t n = a.rows(), m = b.cols();
+    Matrix blk(n + m, n + m);
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < n; ++j) blk(i, j) = a(i, j) * h;
+        for (std::size_t j = 0; j < m; ++j) blk(i, n + j) = b(i, j) * h;
+    }
+    const Matrix e = reference_expm(blk);
+    Discretized out{Matrix(n, n), Matrix(n, m)};
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < n; ++j) out.ad(i, j) = e(i, j);
+        for (std::size_t j = 0; j < m; ++j) out.bd(i, j) = e(i, n + j);
+    }
+    return out;
+}
+
+/// Entries whose bit patterns differ; a NaN matches any NaN.
+std::size_t bit_mismatches(const Matrix& x, const Matrix& y) {
+    if (x.rows() != y.rows() || x.cols() != y.cols()) return x.rows() * x.cols() + 1;
+    std::size_t bad = 0;
+    for (std::size_t e = 0; e < x.rows() * x.cols(); ++e) {
+        const double u = x.data()[e], v = y.data()[e];
+        if (std::isnan(u) || std::isnan(v)) {
+            bad += std::isnan(u) != std::isnan(v);
+        } else {
+            bad += std::memcmp(&u, &v, sizeof u) != 0;
+        }
+    }
+    return bad;
+}
+
+/// Every (A, B) that a PWL run of the harvester circuit assembles over 2 s
+/// at h = 2e-4, tuned to and driven at `f_res`.
+std::vector<std::pair<Matrix, Matrix>> pwl_run_segments(double f_res) {
+    ehdoe::harvester::HarvesterCircuitParams p;
+    p.storage_capacitance = 50e-6;
+    ehdoe::harvester::HarvesterCircuit c(p);
+    c.set_resonant_frequency(f_res);
+    ehdoe::sim::PwlSystem sys = c.make_pwl_system();
+    std::vector<std::pair<Matrix, Matrix>> assembled;
+    sys.assemble = [inner = sys.assemble, &assembled](std::uint32_t seg, Matrix& a, Matrix& b) {
+        inner(seg, a, b);
+        assembled.emplace_back(a, b);
+    };
+    ehdoe::sim::PwlEngineOptions o;
+    o.step = 2e-4;
+    ehdoe::sim::PwlStateSpaceEngine engine(std::move(sys), o);
+    engine.set_state(c.initial_state(0.5));
+    engine.run(2.0, c.make_input([f_res](double t) { return 0.6 * std::sin(2.0 * M_PI * f_res * t); }));
+    return assembled;
+}
+
+/// rows x cols entries uniform in [-scale, scale), a quarter of them exact
+/// zeros of either sign.
+Matrix signed_zero_random(std::size_t rows, std::size_t cols, double scale, Rng& rng) {
+    Matrix m(rows, cols);
+    for (std::size_t e = 0; e < rows * cols; ++e) {
+        const double u = uniform(rng, 0.0, 1.0);
+        m.data()[e] = u < 0.125 ? 0.0 : u < 0.25 ? -0.0 : uniform(rng, -scale, scale);
+    }
+    return m;
 }
 
 }  // namespace
@@ -123,6 +237,63 @@ TEST(Expm, InfiniteNormThrowsNormTooLarge) {
         EXPECT_THROW(discretize_zoh(a, Matrix(2, 1), 1.0), std::runtime_error) << big;
     }
     EXPECT_NO_THROW(expm(Matrix{{0.0, 1.0}, {0x1p59, 0.0}}));
+}
+
+TEST(DiscretizeZoh, MatchesTheFullAugmentedReferenceBitwise) {
+    // discretize_zoh's Ad and Bd against reference_zoh, bit for bit (a NaN
+    // matches any NaN): every segment a harvester PWL run assembles at two
+    // tunings, then seeded [A B] with signed zeros and norms from 1e-4 to
+    // 1e4, a zero system, a B with an all-zero column, an A whose last row
+    // is zero (m + 1 trailing zero rows), and three systems whose squarings
+    // overflow a square before the last: in Ad only, in Bd only (where the
+    // full product's inf * +0 terms make Ad NaN), and in both.
+    struct Case {
+        Matrix a, b;
+        double h;
+        bool overflows = false;
+    };
+    std::vector<Case> cases;
+    for (const double f_res : {62.0, 68.0}) {
+        const auto segments = pwl_run_segments(f_res);
+        EXPECT_GE(segments.size(), 20u) << f_res;
+        for (const auto& [a, b] : segments) cases.push_back({a, b, 2e-4});
+    }
+    const std::size_t circuit_cases = cases.size();
+    Rng rng = make_rng(38);
+    const std::size_t sizes[][2] = {{1, 1}, {2, 1}, {3, 2}, {5, 3}, {8, 1}, {14, 3}};
+    for (const auto& size : sizes) {
+        for (const double scale : {1e-4, 0.3, 5.0, 1e3}) {
+            const double h = uniform(rng, -1.0, 1.0);
+            cases.push_back({signed_zero_random(size[0], size[0], scale, rng),
+                             signed_zero_random(size[0], size[1], scale, rng), h});
+        }
+    }
+    cases.push_back({Matrix(3, 3), Matrix(3, 2), 1.0});
+    {
+        Case c{signed_zero_random(6, 6, 2.0, rng), signed_zero_random(6, 3, 2.0, rng), 0.5};
+        for (std::size_t i = 0; i < 6; ++i) c.b(i, 1) = i % 2 ? -0.0 : 0.0;
+        cases.push_back(c);
+        for (std::size_t j = 0; j < 6; ++j) c.a(5, j) = j % 2 ? 0.0 : -0.0;
+        for (std::size_t j = 0; j < 3; ++j) c.b(5, j) = -0.0;
+        cases.push_back(c);
+    }
+    cases.push_back({Matrix{{2000.0, 0.0}, {-0.0, -3.0}}, Matrix{{1e-300}, {0.5}}, 1.0, true});
+    cases.push_back({Matrix{{1400.0, 0.0}, {2.0, -1.0}}, Matrix{{1e17, -0.0}, {1.0, 2.0}}, 1.0, true});
+    cases.push_back({Matrix{{2000.0, 1.0}, {-0.0, -3.0}}, Matrix{{1.0}, {0.5}}, 1.0, true});
+    for (std::size_t k = 0; k < cases.size(); ++k) {
+        const Case& c = cases[k];
+        SCOPED_TRACE("case " + std::to_string(k) + (k < circuit_cases ? " (circuit)" : ""));
+        const Discretized got = discretize_zoh(c.a, c.b, c.h);
+        const Discretized want = reference_zoh(c.a, c.b, c.h);
+        EXPECT_EQ(bit_mismatches(got.ad, want.ad), 0u);
+        EXPECT_EQ(bit_mismatches(got.bd, want.bd), 0u);
+        if (c.overflows) {
+            bool nan = false;
+            for (std::size_t e = 0; e < want.ad.rows() * want.ad.cols(); ++e)
+                nan = nan || std::isnan(want.ad.data()[e]);
+            EXPECT_TRUE(nan);
+        }
+    }
 }
 
 TEST(DiscretizeZoh, MatchesAnalyticRc) {
