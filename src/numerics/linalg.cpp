@@ -81,15 +81,19 @@ void LuFactor::solve(const Vector& b, Vector& x) const {
     substitute(b.data(), x.data());
 }
 
-Matrix LuFactor::solve(const Matrix& b) const {
+Matrix LuFactor::solve(const Matrix& b, std::size_t live) const {
     if (b.rows() != dim()) throw std::invalid_argument("LuFactor::solve: size mismatch");
     const std::size_t n = dim();
     const std::size_t m = b.cols();
+    if (live > n || (live < n && m != n))
+        throw std::invalid_argument("LuFactor::solve: identity block mismatch");
     Matrix x(n, m);
     // substitute() on every column at once, a row of x at a time: each
     // entry starts from the same b entry and subtracts the same products in
-    // the same order, so every column has solve(Vector)'s bits.
-    for (std::size_t i = 0; i < n; ++i) {
+    // the same order, so every column has solve(Vector)'s bits. Rows from
+    // `live` on are the identity's: a back substitution meets row j >= live
+    // only at its 1 in column j, after every row below `live`.
+    for (std::size_t i = 0; i < live; ++i) {
         double* xi = x.row_ptr(i);
         const double* bi = b.row_ptr(perm_[i]);
         std::copy(bi, bi + m, xi);
@@ -100,16 +104,18 @@ Matrix LuFactor::solve(const Matrix& b) const {
             for (std::size_t c = 0; c < m; ++c) xi[c] -= l * xj[c];
         }
     }
-    for (std::size_t ii = n; ii-- > 0;) {
+    for (std::size_t ii = live; ii-- > 0;) {
         double* xi = x.row_ptr(ii);
         const double* urow = lu_.row_ptr(ii);
-        for (std::size_t j = ii + 1; j < n; ++j) {
+        for (std::size_t j = ii + 1; j < live; ++j) {
             const double u = urow[j];
             const double* xj = x.row_ptr(j);
             for (std::size_t c = 0; c < m; ++c) xi[c] -= u * xj[c];
         }
+        for (std::size_t j = live; j < n; ++j) xi[j] -= urow[j];
         for (std::size_t c = 0; c < m; ++c) xi[c] /= urow[ii];
     }
+    for (std::size_t i = live; i < n; ++i) x(i, i) = 1.0;
     return x;
 }
 

@@ -40,8 +40,16 @@ public:
     /// substitution over all columns in permuted row order, then back
     /// substitution and the pivot division. Each column gets the bits
     /// solve(Vector) gives it, as each entry sees the same subtractions in
-    /// the same order; expm's Padé solve and inverse() run through here.
-    Matrix solve(const Matrix& b) const;
+    /// the same order; inverse() runs through here.
+    Matrix solve(const Matrix& b) const { return solve(b, dim()); }
+    /// solve(Matrix) for A = [P Q; 0 I] and B = [R S; 0 I] whose identity
+    /// blocks start at row `live` (B square, its block exactly +0 and 1):
+    /// X = [P^-1 R  P^-1 (S - Q); 0 I]. Only X's first `live` rows are
+    /// substituted, each subtracting its row's eliminated Q last. The pivot
+    /// search never picks a row of the block, and the terms left out are
+    /// ±0: while B holds no -0.0 and every entry stays finite, each entry
+    /// has solve(Matrix)'s bits. expm's Padé solve runs through here.
+    Matrix solve(const Matrix& b, std::size_t live) const;
     /// Explicit inverse (prefer solve()).
     Matrix inverse() const;
 

@@ -5,6 +5,8 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "numerics/pair.hpp"
+
 namespace ehdoe::num {
 
 namespace {
@@ -217,43 +219,56 @@ Matrix operator*(double s, Matrix rhs) { rhs *= s; return rhs; }
 
 Matrix operator*(const Matrix& a, const Matrix& b) {
     Matrix c;
-    multiply_into(a, b, c);
+    multiply_into(a, b, a.rows(), a.cols(), c);
     return c;
 }
 
-void multiply_into(const Matrix& a, const Matrix& b, Matrix& c) {
+void multiply_into(const Matrix& a, const Matrix& b, std::size_t rows, std::size_t inner,
+                   Matrix& c) {
     if (a.cols() != b.rows()) throw_shape("matrix *");
+    if (rows > a.rows() || inner > a.cols()) throw_shape("matrix * past its factors");
     if (&c == &a || &c == &b) throw_shape("matrix * into one of its factors");
     if (c.rows() != a.rows() || c.cols() != b.cols()) c = Matrix(a.rows(), b.cols());
     // Each entry sums a(i, k) * b(k, j) from 0.0 over the k with
     // a(i, k) != 0, in ascending k: the order of an i-k-j loop that skips
-    // a's zeros, hence its bits. A row's sums run kBlock columns at a time
-    // in a local array the compiler keeps in registers, so c is written
-    // once per entry; the columns after the last full block run one by one.
+    // a's zeros, hence its bits. Two rows run together, kBlock columns at a
+    // time in Pair lanes the compiler keeps in registers: 8 sums that do not
+    // wait on each other, and each load of b serves both rows. So c is
+    // written once per entry; the columns after the last full block run one
+    // by one, two rows at a time. An odd last row runs alone.
     constexpr std::size_t kBlock = 8;
-    const std::size_t inner = a.cols();
+    constexpr std::size_t kPairs = kBlock / 2;
     const std::size_t n = b.cols();
     const std::size_t blocked = n - n % kBlock;
-    for (std::size_t i = 0; i < a.rows(); ++i) {
-        const double* arow = a.row_ptr(i);
-        double* crow = c.row_ptr(i);
+    for (std::size_t i = 0; i < rows; i += 2) {
+        const bool two = i + 1 < rows;
+        const double* a0 = a.row_ptr(i);
+        const double* a1 = a.row_ptr(two ? i + 1 : i);
+        double* c0 = c.row_ptr(i);
+        double* c1 = c.row_ptr(two ? i + 1 : i);
         for (std::size_t j0 = 0; j0 < blocked; j0 += kBlock) {
-            double acc[kBlock] = {};
+            Pair s0[kPairs] = {}, s1[kPairs] = {};
             for (std::size_t k = 0; k < inner; ++k) {
-                const double aik = arow[k];
-                if (aik == 0.0) continue;
+                const double x0 = a0[k], x1 = two ? a1[k] : 0.0;
                 const double* bk = b.row_ptr(k) + j0;
-                for (std::size_t jj = 0; jj < kBlock; ++jj) acc[jj] += aik * bk[jj];
+                if (x0 != 0.0)
+                    for (std::size_t q = 0; q < kPairs; ++q) s0[q] += x0 * load_pair(bk + 2 * q);
+                if (x1 != 0.0)
+                    for (std::size_t q = 0; q < kPairs; ++q) s1[q] += x1 * load_pair(bk + 2 * q);
             }
-            for (std::size_t jj = 0; jj < kBlock; ++jj) crow[j0 + jj] = acc[jj];
+            for (std::size_t q = 0; q < kPairs; ++q) store_pair(c0 + j0 + 2 * q, s0[q]);
+            if (two)
+                for (std::size_t q = 0; q < kPairs; ++q) store_pair(c1 + j0 + 2 * q, s1[q]);
         }
         for (std::size_t j = blocked; j < n; ++j) {
-            double acc = 0.0;
+            double t0 = 0.0, t1 = 0.0;
             for (std::size_t k = 0; k < inner; ++k) {
-                const double aik = arow[k];
-                if (aik != 0.0) acc += aik * b(k, j);
+                const double x0 = a0[k], x1 = two ? a1[k] : 0.0;
+                if (x0 != 0.0) t0 += x0 * b(k, j);
+                if (x1 != 0.0) t1 += x1 * b(k, j);
             }
-            crow[j] = acc;
+            c0[j] = t0;
+            if (two) c1[j] = t1;
         }
     }
 }

@@ -155,13 +155,17 @@ Matrix operator*(double s, Matrix rhs);
 
 /// Matrix-matrix product; throws on inner-dimension mismatch.
 Matrix operator*(const Matrix& a, const Matrix& b);
-/// The same product, bit for bit, into `c`: reshaped to a.rows() x b.cols()
-/// if it has another shape, so nothing is allocated once it has this one.
-/// `c` must be neither factor. Each entry sums a(i, k) * b(k, j) from 0.0
-/// over the k with a(i, k) != 0 in ascending k (an i-k-j loop's order, so
-/// its bits for every input, signed zeros, infinities and NaNs included);
-/// a row is summed 8 columns at a time in registers.
-void multiply_into(const Matrix& a, const Matrix& b, Matrix& c);
+/// The leading `rows` rows of a * b summed over its first `inner` terms,
+/// into the same rows of `c`: c(i, j) = sum of a(i, k) * b(k, j) over
+/// k < inner, for i < rows. operator* is rows = a.rows(), inner = a.cols().
+/// `c` must be neither factor; it is reshaped to a.rows() x b.cols() if it
+/// has another shape, so nothing is allocated once it has this one, and its
+/// rows from `rows` on are left as they are. Each entry sums from 0.0 over
+/// the k with a(i, k) != 0 in ascending k (an i-k-j loop's order, so its
+/// bits for every input, signed zeros, infinities and NaNs included); two
+/// rows are summed together, 8 columns at a time in registers.
+void multiply_into(const Matrix& a, const Matrix& b, std::size_t rows, std::size_t inner,
+                   Matrix& c);
 /// Matrix-vector product.
 Vector operator*(const Matrix& a, const Vector& x);
 

@@ -135,7 +135,8 @@ std::vector<std::pair<Matrix, Matrix>> pwl_run_segments(double f_res) {
     o.step = 2e-4;
     ehdoe::sim::PwlStateSpaceEngine engine(std::move(sys), o);
     engine.set_state(c.initial_state(0.5));
-    engine.run(2.0, c.make_input([f_res](double t) { return 0.6 * std::sin(2.0 * M_PI * f_res * t); }));
+    const auto accel = [f_res](double t) { return 0.6 * std::sin(2.0 * M_PI * f_res * t); };
+    engine.run(2.0, c.make_input(accel));
     return assembled;
 }
 
@@ -239,6 +240,42 @@ TEST(Expm, InfiniteNormThrowsNormTooLarge) {
     EXPECT_NO_THROW(expm(Matrix{{0.0, 1.0}, {0x1p59, 0.0}}));
 }
 
+TEST(Expm, NonFiniteEntryOrStepThrowsNormTooLarge) {
+    // A NaN entry's row sum is NaN, which norm_inf's max dropped, so the
+    // result was NaN without an error; a non-finite step makes non-finite
+    // block entries. Each gets the infinite norm's error, wherever it sits.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const auto expect_norm_error = [](const auto& call, const std::string& what) {
+        try {
+            call();
+            ADD_FAILURE() << what << ": no throw";
+        } catch (const std::runtime_error& e) {
+            EXPECT_EQ(std::string(e.what()), "expm: matrix norm too large") << what;
+        }
+    };
+    for (std::size_t e = 0; e < 9; ++e) {
+        Matrix a{{-1.0, 0.5, 0.0}, {0.25, -2.0, 1.0}, {0.0, 0.0, 0.0}};
+        a.data()[e] = nan;
+        expect_norm_error([&] { expm(a); }, "expm, NaN at " + std::to_string(e));
+    }
+    const Matrix a{{-1.0, 0.5}, {0.25, -2.0}};
+    const Matrix b{{1.0}, {0.0}};
+    for (std::size_t e = 0; e < 4; ++e) {
+        Matrix bad = a;
+        bad.data()[e] = nan;
+        expect_norm_error([&] { discretize_zoh(bad, b, 1e-3); }, "A NaN at " + std::to_string(e));
+    }
+    for (const double v : {nan, inf, -inf}) {
+        Matrix bad = b;
+        bad(1, 0) = v;
+        expect_norm_error([&] { discretize_zoh(a, bad, 1e-3); }, "B entry " + std::to_string(v));
+        expect_norm_error([&] { discretize_zoh(a, b, v); }, "step " + std::to_string(v));
+        expect_norm_error([&] { discretize_zoh(Matrix(2, 2), Matrix(2, 1), v); },
+                          "zero system, step " + std::to_string(v));
+    }
+}
+
 TEST(DiscretizeZoh, MatchesTheFullAugmentedReferenceBitwise) {
     // discretize_zoh's Ad and Bd against reference_zoh, bit for bit (a NaN
     // matches any NaN): every segment a harvester PWL run assembles at two
@@ -278,7 +315,8 @@ TEST(DiscretizeZoh, MatchesTheFullAugmentedReferenceBitwise) {
         cases.push_back(c);
     }
     cases.push_back({Matrix{{2000.0, 0.0}, {-0.0, -3.0}}, Matrix{{1e-300}, {0.5}}, 1.0, true});
-    cases.push_back({Matrix{{1400.0, 0.0}, {2.0, -1.0}}, Matrix{{1e17, -0.0}, {1.0, 2.0}}, 1.0, true});
+    const Matrix b_large{{1e17, -0.0}, {1.0, 2.0}};
+    cases.push_back({Matrix{{1400.0, 0.0}, {2.0, -1.0}}, b_large, 1.0, true});
     cases.push_back({Matrix{{2000.0, 1.0}, {-0.0, -3.0}}, Matrix{{1.0}, {0.5}}, 1.0, true});
     for (std::size_t k = 0; k < cases.size(); ++k) {
         const Case& c = cases[k];

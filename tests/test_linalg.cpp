@@ -102,6 +102,33 @@ TEST(Lu, MatrixSolveAndInverseMatchColumnSolvesBitwise) {
     }
 }
 
+TEST(Lu, BlockSolveMatchesColumnSolvesBitwise) {
+    // A = [P Q; 0 I] and B = [R S; 0 I] with the identity blocks from row
+    // `live` on (A's zeros of either sign, B's +0, and B free of -0.0):
+    // solve(b, live) substitutes only the first `live` rows and must give
+    // every entry the bits of one solve(Vector) per column. A zero leading
+    // entry forces a row swap at the first pivot.
+    Rng rng = make_rng(43);
+    const std::size_t n = 17;
+    for (std::size_t live : {0u, 1u, 5u, 14u, 17u}) {
+        SCOPED_TRACE("live " + std::to_string(live));
+        Matrix a = random_matrix(n, rng);
+        Matrix b = random_matrix(n, rng, 3.0);
+        for (std::size_t i = live; i < n; ++i) {
+            for (std::size_t j = 0; j < n; ++j) {
+                a(i, j) = j % 2 ? 0.0 : -0.0;
+                b(i, j) = 0.0;
+            }
+            a(i, i) = 1.0;
+            b(i, i) = 1.0;
+        }
+        if (live > 1) a(0, 0) = 0.0;
+        const LuFactor lu(a);
+        EXPECT_EQ(bits(lu.solve(b, live)), bits(column_solves(lu, b)));
+    }
+    EXPECT_THROW(LuFactor(Matrix::identity(3)).solve(Matrix(3, 2), 1), std::invalid_argument);
+}
+
 TEST(Cholesky, LogDeterminant) {
     Matrix a{{4.0, 2.0}, {2.0, 5.0}};  // det 16
     EXPECT_NEAR(CholeskyFactor(a).log_determinant(), std::log(16.0), 1e-12);

@@ -131,7 +131,9 @@ TEST(Matrix, MultiplyIntoKeepsTheIkjSumsBitwise) {
     // for shapes from 1x1 up to 70 inner indices and for 9..33 output
     // columns. a and b hold signed zeros; one row of b holds +inf, -inf and
     // NaN (one per column), opposite a column of a that is zero in most
-    // rows, so they reach some entries and are skipped for the others.
+    // rows, so they reach some entries and are skipped for the others. The
+    // leading half of the rows over the leading half of the terms must be
+    // the i-k-j loop of those blocks, the other rows left as they were.
     struct Shape {
         std::size_t m, k, n;
     };
@@ -158,13 +160,29 @@ TEST(Matrix, MultiplyIntoKeepsTheIkjSumsBitwise) {
             for (std::size_t j = 0; j < s.n; ++j) b(k0, j) = specials[j % 4];
         }
         const Matrix expected = ikj_product(a, b);
-        multiply_into(a, b, c);
+        multiply_into(a, b, s.m, s.k, c);
         EXPECT_EQ(bits(c), bits(expected));
         c.fill(std::numeric_limits<double>::quiet_NaN());  // same shape: nothing stale survives
-        multiply_into(a, b, c);
+        multiply_into(a, b, s.m, s.k, c);
         EXPECT_EQ(bits(c), bits(expected));
         EXPECT_EQ(bits(a * b), bits(expected));
+
+        const std::size_t rows = (s.m + 1) / 2, inner = (s.k + 1) / 2;
+        Matrix a_lead(rows, inner), b_lead(inner, s.n);
+        for (std::size_t i = 0; i < rows; ++i)
+            for (std::size_t k = 0; k < inner; ++k) a_lead(i, k) = a(i, k);
+        for (std::size_t k = 0; k < inner; ++k)
+            for (std::size_t j = 0; j < s.n; ++j) b_lead(k, j) = b(k, j);
+        Matrix blocked = expected;
+        const Matrix lead = ikj_product(a_lead, b_lead);
+        for (std::size_t i = 0; i < rows; ++i)
+            for (std::size_t j = 0; j < s.n; ++j) blocked(i, j) = lead(i, j);
+        multiply_into(a, b, rows, inner, c);
+        EXPECT_EQ(bits(c), bits(blocked));
     }
+    const Matrix a(2, 3), b(3, 4);
+    EXPECT_THROW(multiply_into(a, b, 3, 3, c), std::invalid_argument);
+    EXPECT_THROW(multiply_into(a, b, 2, 4, c), std::invalid_argument);
 }
 
 TEST(Matrix, MatVec) {
