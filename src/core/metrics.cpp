@@ -135,6 +135,8 @@ std::uint64_t Registry::samples_taken() const {
 
 Sampler::Sampler(Registry& registry, double interval_seconds) : registry_(registry) {
     if (!(interval_seconds > 0.0)) return;  // disabled: no thread, interval 0
+    if (!(interval_seconds <= kMaxSampleIntervalSeconds))
+        throw std::invalid_argument("metrics::Sampler: interval above 1e9 s");
     interval_ = std::chrono::microseconds(
         static_cast<std::uint64_t>(interval_seconds * 1e6));
     if (interval_.count() == 0) interval_ = std::chrono::microseconds(1);

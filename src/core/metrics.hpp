@@ -128,9 +128,17 @@ private:
     std::uint64_t seq_ = 0;  ///< rows ever sampled
 };
 
+/// The longest interval a Sampler accepts: 1e9 s, about 32 years. Its
+/// wait counts steady_clock nanoseconds in 64 bits (about 292 years) from
+/// now(); past about 9.2e9 s that count overflows, and past about 9.2e12 s
+/// even the interval's microseconds do.
+inline constexpr double kMaxSampleIntervalSeconds = 1e9;
+
 /// The background sampling thread: calls registry.sample_now on the
 /// telemetry clock every `interval_seconds`. A non-positive interval
-/// disables sampling entirely (no thread). Destruction stops and joins.
+/// disables sampling entirely (no thread); one above
+/// kMaxSampleIntervalSeconds, infinity included, throws
+/// std::invalid_argument. Destruction stops and joins.
 class Sampler {
 public:
     Sampler(Registry& registry, double interval_seconds);

@@ -471,6 +471,27 @@ TEST_F(EvalServerCli, DurationMustBeAPositiveNumber) {
     }
 }
 
+// Both daemons refuse a metrics interval their sampler cannot wait, as the
+// usage error a non-positive one gets.
+TEST_F(DaemonCli, MetricsIntervalAbove1e9SecondsIsAUsageError) {
+    const std::vector<std::vector<std::string>> daemons{
+        {EHDOE_EVAL_SERVER_BIN, "--port", "0"},
+        {EHDOE_STORE_SERVER_BIN, "--port", "0", "--dir", dir_ + "/store"}};
+    for (const std::vector<std::string>& daemon : daemons) {
+        for (const char* bad : {"1e300", "1e10", "1.5e9", "0"}) {
+            std::vector<std::string> argv = daemon;
+            argv.insert(argv.end(), {"--metrics-interval", bad});
+            const Outcome r = run(argv);
+            EXPECT_EQ(r.exit, 2) << daemon[0] << " --metrics-interval " << bad;
+            EXPECT_NE(r.err.find("--metrics-interval must be a positive number of seconds, at "
+                                 "most 1e9, got '" +
+                                 std::string(bad) + "'"),
+                      std::string::npos)
+                << r.err;
+        }
+    }
+}
+
 // A journal the daemon cannot open is a usage error, not a silent no-op.
 TEST_F(EvalServerCli, UnopenableEventsFileExitsTwo) {
     const std::string bad = dir_ + "/no/such/dir/e.jsonl";

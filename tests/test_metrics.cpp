@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -115,6 +116,23 @@ TEST(MetricsRegistry, RegisterAfterFirstSampleThrows) {
     reg.sample_now(1);
     EXPECT_THROW(reg.register_series("b", [] { return 0.0; }), std::logic_error)
         << "the row width is fixed once sampling starts";
+}
+
+TEST(MetricsSampler, RejectsAnIntervalItsWaitCannotCount) {
+    // The interval's microseconds were cast to std::uint64_t unchecked:
+    // 1e300 s was undefined behaviour, past about 9.2e12 s chrono's signed
+    // microseconds wrapped negative, and past about 9.2e9 s the wait's
+    // steady_clock nanoseconds overflow. Above 1e9 s the sampler refuses;
+    // at 1e9 s it starts, records the cadence and stops at once.
+    metrics::Registry reg;
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double s : {1e300, inf, 1.8e13, 9.3e12, 1e10, 1.000001e9})
+        EXPECT_THROW(metrics::Sampler(reg, s), std::invalid_argument) << s;
+    for (const double s : {0.0, -1.0, -inf, std::nan("")})
+        EXPECT_NO_THROW(metrics::Sampler(reg, s)) << s;
+    { metrics::Sampler longest(reg, metrics::kMaxSampleIntervalSeconds); }
+    EXPECT_EQ(reg.snapshot().interval_us, 1'000'000'000'000'000u);
+    EXPECT_EQ(reg.samples_taken(), 0u);
 }
 
 TEST(MetricsRegistry, PreSampleHookRunsBeforeProbesEachSample) {

@@ -27,8 +27,8 @@
 //                         Chrome trace-event JSON file on shutdown; merge
 //                         with the client's trace via ehdoe-trace
 //   --metrics-interval S  sample the health-plane metrics ring every S
-//                         seconds (core/metrics.hpp; served in the
-//                         stats reply, rendered by ehdoe-farm top /
+//                         seconds, 0 < S <= 1e9 (core/metrics.hpp; served
+//                         in the stats reply, rendered by ehdoe-farm top /
 //                         export). Default: disabled.
 //   --events FILE         append this shard's event journal (JSONL,
 //                         core::telemetry::Journal) here; with --trace the
@@ -52,6 +52,7 @@
 #include <string>
 #include <thread>
 
+#include "core/metrics.hpp"
 #include "core/scenario.hpp"
 #include "core/telemetry.hpp"
 #include "exec/sim_recipe.hpp"
@@ -140,9 +141,10 @@ int main(int argc, char** argv) {
             const char* v = next();
             if (!v) return usage(argv[0]);
             if (!tools::parse_double_arg(v, options.metrics_interval_seconds) ||
-                options.metrics_interval_seconds <= 0.0)
+                options.metrics_interval_seconds <= 0.0 ||
+                options.metrics_interval_seconds > core::metrics::kMaxSampleIntervalSeconds)
                 return flag_error("--metrics-interval must be a positive number of "
-                                  "seconds, got '" +
+                                  "seconds, at most 1e9, got '" +
                                   std::string(v) + "'");
         } else if (arg == "--events") {
             const char* v = next();

@@ -20,8 +20,8 @@
 //                         quarantined files), print a summary and exit —
 //                         run it while no server owns the directory
 //   --metrics-interval S  sample the health-plane metrics ring every S
-//                         seconds (core/metrics.hpp; served in the
-//                         store-stats reply). Default: disabled.
+//                         seconds, 0 < S <= 1e9 (core/metrics.hpp; served
+//                         in the store-stats reply). Default: disabled.
 //   --events FILE         append the event journal (JSONL,
 //                         core::telemetry::Journal) here — segment
 //                         quarantines found by the startup recovery scan
@@ -39,6 +39,7 @@
 #include <optional>
 #include <string>
 
+#include "core/metrics.hpp"
 #include "core/telemetry.hpp"
 #include "store/store_server.hpp"
 #include "flag_parse.hpp"
@@ -96,9 +97,10 @@ int main(int argc, char** argv) {
             const char* v = next();
             if (!v) return usage(argv[0]);
             if (!tools::parse_double_arg(v, options.metrics_interval_seconds) ||
-                options.metrics_interval_seconds <= 0.0)
+                options.metrics_interval_seconds <= 0.0 ||
+                options.metrics_interval_seconds > core::metrics::kMaxSampleIntervalSeconds)
                 return flag_error("--metrics-interval must be a positive number of "
-                                  "seconds, got '" +
+                                  "seconds, at most 1e9, got '" +
                                   std::string(v) + "'");
         } else if (arg == "--events") {
             const char* v = next();
