@@ -2,11 +2,12 @@
 // explicit linearized state-space vs classical Newton-Raphson trapezoidal
 // transient on the identical harvester circuit. Reports CPU time (the
 // median of kRepeats runs, with their min and max in the ledger), work
-// counters and waveform agreement at several time steps, then each engine's
-// error against a converged NR reference at the equal-accuracy pairing, and
-// appends everything to the perf ledger bench/history/t1_engines.jsonl,
-// whose counters bench/history/gates.json pins exactly and whose two
-// errors it caps at their committed values.
+// counters, the median wall of one ZOH discretization on the segments a
+// PWL run assembles and waveform agreement at several time steps, then each
+// engine's error against a converged NR reference at the equal-accuracy
+// pairing, and appends everything to the perf ledger
+// bench/history/t1_engines.jsonl, whose counters bench/history/gates.json
+// pins exactly and whose two errors it caps at their committed values.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -15,10 +16,12 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/report.hpp"
 #include "harvester/harvester_system.hpp"
+#include "numerics/expm.hpp"
 #include "sim/state_space.hpp"
 #include "sim/transient.hpp"
 
@@ -84,6 +87,42 @@ RunOutcome<sim::EngineStats> run_fast(const HarvesterCircuit& c, double h, doubl
     return out;
 }
 
+/// The median wall of one num::discretize_zoh call, in µs, over kRepeats
+/// passes through every segment a PWL run at step h assembles, and how many
+/// segments that is: the expm kernel alone, outside the timed runs.
+struct ZohTiming {
+    double median_us = 0.0;
+    std::size_t segments = 0;
+};
+
+ZohTiming time_discretizations(const HarvesterCircuit& c, double h, double t_end, double f_exc) {
+    auto accel = [f_exc](double t) { return 0.6 * std::sin(2.0 * M_PI * f_exc * t); };
+    std::vector<std::pair<num::Matrix, num::Matrix>> segments;
+    sim::PwlSystem sys = c.make_pwl_system();
+    sys.assemble = [inner = sys.assemble, &segments](std::uint32_t seg, num::Matrix& a,
+                                                     num::Matrix& b) {
+        inner(seg, a, b);
+        segments.emplace_back(a, b);
+    };
+    sim::PwlEngineOptions o;
+    o.step = h;
+    sim::PwlStateSpaceEngine eng(std::move(sys), o);
+    eng.set_state(c.initial_state(0.5));
+    eng.run(t_end, c.make_input(accel));
+    std::vector<double> walls;
+    for (int r = 0; r < kRepeats; ++r) {
+        for (const auto& [a, b] : segments) {
+            const auto t0 = std::chrono::steady_clock::now();
+            num::discretize_zoh(a, b, h);
+            walls.push_back(std::chrono::duration<double, std::micro>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count());
+        }
+    }
+    std::sort(walls.begin(), walls.end());
+    return {walls.empty() ? 0.0 : walls[walls.size() / 2], segments.size()};
+}
+
 RunOutcome<sim::TransientStats> run_slow(const HarvesterCircuit& c, double h, double t_end,
                                          double f_exc, int repeats = kRepeats) {
     auto accel = [f_exc](double t) { return 0.6 * std::sin(2.0 * M_PI * f_exc * t); };
@@ -141,7 +180,7 @@ int main() {
 
     core::Table t("T1: CPU time and accuracy vs time step");
     t.headers({"h (s)", "NR wall", "NR newton-iters", "NR rhs-evals", "SS wall",
-               "SS expm-builds", "speedup", "waveform dRMS"});
+               "SS expm-builds", "expm us", "speedup", "waveform dRMS"});
 
     std::ostringstream json;
     json << "{\"bench\": \"t1_engines\", \"timestamp\": " << std::time(nullptr)
@@ -154,6 +193,7 @@ int main() {
         const double h = steps[i];
         const auto slow = run_slow(c, h, t_end, f_exc);
         const auto fast = run_fast(c, h, t_end, f_exc);
+        const ZohTiming zoh = time_discretizations(c, h, t_end, f_exc);
         // PWL against NR at the same step: mostly NR's own step error at
         // the larger steps (see the equal-accuracy table below).
         const double drms = rel_rms(fast.vout, slow.vout, 1);
@@ -164,6 +204,7 @@ int main() {
             .cell(slow.stats.rhs_evaluations)
             .cell(core::format_seconds(fast.wall))
             .cell(fast.stats.cache_misses)
+            .cell(zoh.median_us, 1)
             .cell(slow.wall / fast.wall, 1)
             .cell(drms, 4);
 
@@ -178,7 +219,9 @@ int main() {
              << "}, \"pwl\": {" << walls_json(fast) << ", \"steps\": " << ps.steps
              << ", \"segment_changes\": " << ps.segment_changes
              << ", \"cache_hits\": " << ps.cache_hits << ", \"cache_misses\": " << ps.cache_misses
-             << ", \"retried_steps\": " << ps.retried_steps << "}, \"speedup\": "
+             << ", \"retried_steps\": " << ps.retried_steps
+             << ", \"discretize_zoh_us\": " << zoh.median_us
+             << ", \"discretizations\": " << zoh.segments << "}, \"speedup\": "
              << slow.wall / fast.wall << ", \"drms\": " << drms << "}";
         if (h == kNrEqualStep) nr_equal = slow;
         if (h == kPwlEqualStep) pwl_equal = fast;
