@@ -2,10 +2,30 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "doe/composite.hpp"
 
 using namespace ehdoe::doe;
+
+namespace {
+
+/// FNV-1a over the bit patterns of `m`, row-major.
+std::uint64_t bits_digest(const ehdoe::num::Matrix& m) {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (std::size_t i = 0; i < m.rows() * m.cols(); ++i) {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, m.data() + i, sizeof bits);
+        for (int k = 0; k < 8; ++k) {
+            h ^= (bits >> (8 * k)) & 0xffu;
+            h *= 0x100000001b3ull;
+        }
+    }
+    return h;
+}
+
+}  // namespace
 
 TEST(Ccd, RunCountSmallK) {
     CcdOptions o;
@@ -86,6 +106,37 @@ TEST(Ccd, CenterPointsAreZeroRows) {
     for (std::size_t i = d.runs() - 3; i < d.runs(); ++i) {
         EXPECT_DOUBLE_EQ(d.points(i, 0), 0.0);
         EXPECT_DOUBLE_EQ(d.points(i, 1), 0.0);
+    }
+}
+
+TEST(Ccd, ProgramVariantsGoldenIsBitwiseStable) {
+    // The variants programs run (circumscribed in bench_farm and
+    // doe_playground, face-centred in DesignFlow and the benches) at the
+    // default centre points, for k = 2 and for the six factors.
+    struct Golden {
+        std::size_t k;
+        CcdVariant variant;
+        std::size_t runs;
+        std::uint64_t digest;
+        const char* kind;
+    };
+    const Golden goldens[] = {
+        {2, CcdVariant::Circumscribed, 12, 0x67d75606e420e935ull,
+         "ccd(circumscribed, alpha=1.414214)"},
+        {2, CcdVariant::FaceCentred, 12, 0x2562fbf83e426f25ull,
+         "ccd(face-centred, alpha=1.000000)"},
+        {6, CcdVariant::Circumscribed, 48, 0x3196a5b6ec0c5e45ull,
+         "ccd(circumscribed, alpha=2.378414)"},
+        {6, CcdVariant::FaceCentred, 48, 0xc57e3f912e880fa5ull,
+         "ccd(face-centred, alpha=1.000000)"},
+    };
+    for (const Golden& g : goldens) {
+        CcdOptions o;
+        o.variant = g.variant;
+        const Design d = central_composite(g.k, o);
+        EXPECT_EQ(d.runs(), g.runs) << g.kind;
+        EXPECT_EQ(bits_digest(d.points), g.digest) << g.kind;
+        EXPECT_EQ(d.kind, g.kind);
     }
 }
 

@@ -1,9 +1,30 @@
 // Latin hypercube tests.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "doe/lhs.hpp"
 
 using namespace ehdoe::doe;
+
+namespace {
+
+/// FNV-1a over the bit patterns of `m`, row-major.
+std::uint64_t bits_digest(const ehdoe::num::Matrix& m) {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (std::size_t i = 0; i < m.rows() * m.cols(); ++i) {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, m.data() + i, sizeof bits);
+        for (int k = 0; k < 8; ++k) {
+            h ^= (bits >> (8 * k)) & 0xffu;
+            h *= 0x100000001b3ull;
+        }
+    }
+    return h;
+}
+
+}  // namespace
 
 TEST(Lhs, SatisfiesLatinProperty) {
     const Design d = latin_hypercube(20, 4, 123);
@@ -55,6 +76,13 @@ TEST(Lhs, CenteredVariantWhenNoJitter) {
     std::sort(vals.begin(), vals.end());
     EXPECT_NEAR(vals[0], -0.75, 1e-12);
     EXPECT_NEAR(vals[3], 0.75, 1e-12);
+}
+
+TEST(Lhs, ProgramDesignsGoldenIsBitwiseStable) {
+    // bench_t2_doe's hold-out probe and doe_playground's LHS, at the
+    // default jitter and maximin passes.
+    EXPECT_EQ(bits_digest(latin_hypercube(150, 6, 424242).points), 0x76fbe50f46dc0899ull);
+    EXPECT_EQ(bits_digest(latin_hypercube(27, 4, 42).points), 0x8b0c6741b70720a2ull);
 }
 
 TEST(Lhs, Validation) {

@@ -307,6 +307,91 @@ TEST(Anneal, RestartsBeatSingleChainOnMultimodal) {
     EXPECT_EQ(b.evaluations, 4u * a.evaluations);
 }
 
+namespace {
+
+// A 6-D coupled quadratic over the coded cube, minimum inside it; only +,
+// - and *, so the same bits on every platform.
+double coupled6(const Vector& x) {
+    const double c[6] = {0.35, -0.2, 0.6, -0.45, 0.1, 0.25};
+    double v = 0.0;
+    for (std::size_t i = 0; i < 6; ++i) {
+        const double e = x[i] - c[i];
+        v += (1.0 + 0.5 * static_cast<double>(i)) * e * e;
+    }
+    const double q = x[0] * x[1] - 0.3 * x[2] + 0.1;
+    return v + 0.8 * q * q;
+}
+
+struct Golden {
+    std::vector<double> x;
+    double value;
+    std::size_t evaluations;
+    std::size_t iterations;
+};
+
+void expect_golden(const OptResult& r, const Golden& g) {
+    ASSERT_EQ(r.x.size(), g.x.size());
+    for (std::size_t i = 0; i < g.x.size(); ++i) EXPECT_EQ(r.x[i], g.x[i]) << i;
+    EXPECT_EQ(r.value, g.value);
+    EXPECT_EQ(r.evaluations, g.evaluations);
+    EXPECT_EQ(r.iterations, g.iterations);
+    EXPECT_TRUE(r.converged);
+}
+
+}  // namespace
+
+// The settings the programs run each algorithm at (GA and SA as
+// bench_t5_optim configures them, pattern search and Nelder-Mead at their
+// defaults), on one fixed objective: a change to an algorithm's constants
+// or control flow moves these bits.
+TEST(Genetic, BenchT5SettingsGoldenIsBitwiseStable) {
+    GeneticOptions o;
+    o.population = 30;
+    o.generations = 40;
+    o.seed = 5;
+    expect_golden(genetic_minimize(serial_batch(coupled6), Bounds::coded_cube(6), o),
+                  {{0x1.525599f955c4dp-2, -0x1.601fe25cf6a15p-3, 0x1.296b89f5e3d04p-1,
+                    -0x1.cfd16ba4dbf47p-2, 0x1.af78e73b1c7b2p-4, 0x1.07a45ddc84cbbp-2},
+                   0x1.0bc12f70878e9p-6,
+                   1150,
+                   40});
+}
+
+TEST(Anneal, BenchT5SettingsGoldenIsBitwiseStable) {
+    AnnealOptions o;
+    o.moves_per_epoch = 25;
+    o.seed = 5;
+    o.restarts = 4;
+    expect_golden(
+        simulated_annealing(serial_batch(coupled6), Bounds::coded_cube(6), Vector(6), o),
+        {{0x1.5523d2d583fe3p-2, -0x1.53e316a5ea703p-3, 0x1.29eb9e60ee80ep-1,
+          -0x1.c90990a120066p-2, 0x1.993dd262cf82bp-4, 0x1.00ae06679cb78p-2},
+         0x1.097ab9fc13944p-6,
+         22504,
+         225});
+}
+
+TEST(PatternSearch, GoldenIsBitwiseStable) {
+    expect_golden(pattern_search(coupled6, Bounds::coded_cube(6), Vector(6)),
+                  {{0x1.5317bap-2, -0x1.694668p-3, 0x1.2afdc4p-1, -0x1.ccccccp-2, 0x1.999998p-4,
+                    0x1p-2},
+                   0x1.05e663b2b75aep-6,
+                   928,
+                   52});
+}
+
+TEST(NelderMead, SixDimensionalGoldenIsBitwiseStable) {
+    // Even k: every centroid coordinate goes through a Pair lane (the
+    // 3-D golden above covers the odd tail).
+    expect_golden(nelder_mead(coupled6, Bounds::coded_cube(6),
+                              Vector{-0.9, 0.9, -0.9, 0.9, -0.9, 0.9}),
+                  {{0x1.53160af46e47ap-2, -0x1.69388dd5a4bccp-3, 0x1.2afcfae772bdp-1,
+                    -0x1.cccb2b082fdfdp-2, 0x1.9992e1b289ed4p-4, 0x1.fffe54fdeab11p-3},
+                   0x1.05e665602b3c6p-6,
+                   384,
+                   238});
+}
+
 TEST(CountedObjective, ExactUnderConcurrentInvocation) {
     // The GA/SA objective is now invoked from evaluation-backend worker
     // threads; the count must stay exact, not approximately right.

@@ -1,12 +1,33 @@
 // D-optimal exchange tests.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "doe/lhs.hpp"
 #include "doe/optimal.hpp"
 
 using namespace ehdoe::doe;
 using ehdoe::num::linear_basis;
 using ehdoe::num::quadratic_basis;
+
+namespace {
+
+/// FNV-1a over the bit patterns of `m`, row-major.
+std::uint64_t bits_digest(const ehdoe::num::Matrix& m) {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (std::size_t i = 0; i < m.rows() * m.cols(); ++i) {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, m.data() + i, sizeof bits);
+        for (int k = 0; k < 8; ++k) {
+            h ^= (bits >> (8 * k)) & 0xffu;
+            h *= 0x100000001b3ull;
+        }
+    }
+    return h;
+}
+
+}  // namespace
 
 TEST(DOptimal, LinearModelPicksCorners) {
     // For a first-order model the D-optimal design lives at the cube
@@ -35,6 +56,15 @@ TEST(DOptimal, SupportsRequestedModel) {
     // Non-singular information matrix == finite log det.
     EXPECT_TRUE(std::isfinite(r.log_det));
     EXPECT_EQ(r.design.runs(), 8u);
+}
+
+TEST(DOptimal, PlaygroundDesignGoldenIsBitwiseStable) {
+    // doe_playground's design: 18 runs over k = 4 for a quadratic model.
+    const DOptimalResult r = d_optimal(18, 4, quadratic_basis(4), 42u);
+    EXPECT_EQ(r.log_det, 0x1.f5f3fbee074bcp+4);
+    EXPECT_EQ(r.passes_used, 3u);
+    EXPECT_EQ(r.design.kind, "d-optimal(n=18)");
+    EXPECT_EQ(bits_digest(r.design.points), 0x62cf3f07393d76a5ull);
 }
 
 TEST(DOptimal, Validation) {

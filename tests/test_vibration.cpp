@@ -176,6 +176,38 @@ TEST(Noisy, RejectsARecordTooLongToHold) {
     EXPECT_NO_THROW(NoisyVibration(base, 0.1, 100.0, 1, 0.0));
 }
 
+TEST(Sources, ScenarioRmsAndDominantFrequencyGoldenIsBitwiseStable) {
+    // What the node co-simulation reads from each scenario's source at its
+    // default horizon: the RMS amplitude, and the dominant frequency at t = 0,
+    // between S2's breakpoints, at each of them (0, 150, 300, 450 and 600 s),
+    // at each horizon and past them.
+    const std::vector<double> times{0.0, 75.0, 150.0, 212.5, 300.0, 450.0, 600.0, 601.0, 1e4};
+    struct Golden {
+        ehdoe::core::ScenarioId id;
+        double rms;
+        std::vector<double> freqs;
+    };
+    const Golden goldens[] = {
+        {ehdoe::core::ScenarioId::OfficeHvac, 0x1.21a1851ff630ap-1,
+         {0x1.2p+6, 0x1.2p+6, 0x1.2p+6, 0x1.2p+6, 0x1.2p+6, 0x1.2p+6, 0x1.2p+6, 0x1.2p+6,
+          0x1.2p+6}},
+        {ehdoe::core::ScenarioId::Industrial, 0x1.b27247aff148ep-1,
+         {0x1.08p+6, 0x1.18p+6, 0x1.28p+6, 0x1.3555555555555p+6, 0x1.48p+6, 0x1.1p+6, 0x1.1cp+6,
+          0x1.1cp+6, 0x1.1cp+6}},
+        {ehdoe::core::ScenarioId::Transport, 0x1.843e43d85e5b2p-1,
+         {0x1.38p+6, 0x1.38p+6, 0x1.38p+6, 0x1.38p+6, 0x1.38p+6, 0x1.38p+6, 0x1.38p+6, 0x1.38p+6,
+          0x1.38p+6}},
+    };
+    for (const Golden& g : goldens) {
+        const auto s = ehdoe::core::Scenario::make(g.id);
+        const VibrationSource& src = *s.vibration();
+        EXPECT_EQ(hex({src.rms_amplitude()}), hex({g.rms})) << s.name();
+        std::vector<double> freqs;
+        for (double t : times) freqs.push_back(src.dominant_frequency(t));
+        EXPECT_EQ(hex(freqs), hex(g.freqs)) << s.name();
+    }
+}
+
 // Property: every source reports rms consistent with direct sampling.
 class RmsP : public ::testing::TestWithParam<int> {};
 
