@@ -29,9 +29,8 @@ std::shared_ptr<const harvester::VibrationSource> make_vibration(ScenarioId id,
         case ScenarioId::Transport: {
             // Dominant 78 Hz structural mode + sub-harmonic + broadband noise.
             auto tones = std::make_shared<MultiToneVibration>(std::vector<MultiToneVibration::Tone>{
-                {1.0, 78.0, 0.0}, {0.3, 39.0, 1.1}, {0.2, 95.0, 0.4}});
-            return std::make_shared<NoisyVibration>(tones, 0.1, 150.0, /*seed=*/2013,
-                                                    duration);
+                {1.0, 78.0}, {0.3, 39.0}, {0.2, 95.0}});
+            return std::make_shared<NoisyVibration>(tones, 0.1);
         }
     }
     throw std::invalid_argument("Scenario: unknown id");

@@ -11,7 +11,7 @@ namespace ehdoe::core {
 DesignFlow::DesignFlow(doe::DesignSpace space, doe::Simulation simulation, Options options)
     : space_(std::move(space)),
       options_(std::move(options)),
-      model_(space_.dimension(), options_.order) {
+      model_(space_.dimension(), rsm::ModelOrder::Quadratic) {
     // Remote and exec flows need no local simulation closure — the shards
     // or the recipe's external simulator own the model.
     if (!simulation && options_.endpoints.empty() && options_.recipe_file.empty())
@@ -19,7 +19,6 @@ DesignFlow::DesignFlow(doe::DesignSpace space, doe::Simulation simulation, Optio
     doe::RunnerOptions ro;
     ro.recipe_file = options_.recipe_file;
     ro.endpoints = options_.endpoints;
-    ro.redial_seconds = options_.redial_seconds;
     ro.threads = options_.runner_threads;
     ro.cache_file = options_.cache_file;
     ro.cache_fingerprint = options_.cache_fingerprint;

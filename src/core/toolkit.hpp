@@ -12,11 +12,12 @@
 //      optimization — all on the RSMs, "practically instant",
 //   6. confirm chosen designs with a final simulation.
 //
-// One model per flow: the constructor builds the flow's rsm::ModelSpec and
-// every surface is fitted with it, so all surfaces share one term list and
-// the optimizer's penalty, predict_all() and the optimum's
-// predicted_responses evaluate several surfaces in one block call
-// (rsm::ModelSpec::predict_block), forming each term once per point.
+// One model per flow: the constructor builds the flow's rsm::ModelSpec, the
+// full quadratic in the design's factors, and every surface is fitted with
+// it, so all surfaces share one term list and the optimizer's penalty,
+// predict_all() and the optimum's predicted_responses evaluate several
+// surfaces in one block call (rsm::ModelSpec::predict_block), forming each
+// term once per point.
 #pragma once
 
 #include <map>
@@ -58,8 +59,7 @@ public:
         /// Face-centred by default: the factor ranges are hard physical
         /// bounds (a negative dead-band or duty cycle is meaningless), so
         /// axial points must stay on the cube.
-        doe::CcdOptions ccd{doe::CcdVariant::FaceCentred, doe::CcdAlpha::Rotatable, 4, true};
-        rsm::ModelOrder order = rsm::ModelOrder::Quadratic;
+        doe::CcdOptions ccd{doe::CcdVariant::FaceCentred, 4};
         /// External-simulator recipe file (exec/sim_recipe.hpp); non-empty
         /// drives every simulation batch of the flow through co-simulator
         /// processes launched per point (exec::ExecBackend) — the
@@ -71,10 +71,6 @@ public:
         /// distributed evaluation service, src/net/). Pair with
         /// `cache_fingerprint` — it doubles as the handshake identity.
         std::vector<std::string> endpoints;
-        /// With `endpoints`: re-dial dead shards at most this often between
-        /// batches so a restarted eval-server rejoins the flow (0 = every
-        /// batch, negative = never).
-        double redial_seconds = 1.0;
         /// Workers (threads, or concurrent simulator processes with
         /// `recipe_file`) of the batch engine; 0 = all hardware.
         std::size_t runner_threads = 1;

@@ -50,7 +50,6 @@ BatchRunner::BatchRunner(Simulation sim, RunnerOptions options)
             ro.endpoints.push_back(net::parse_endpoint(spec));
         }
         ro.fingerprint = options_.cache_fingerprint;
-        ro.redial_seconds = options_.redial_seconds;
         backend_ = std::make_shared<net::RemoteBackend>(std::move(ro));
     } else if (!options_.recipe_file.empty()) {
         // Exec execution: the recipe owns the simulation (an external
@@ -81,7 +80,6 @@ BatchRunner::BatchRunner(Simulation sim, RunnerOptions options)
         so.host = ep.host;
         so.port = ep.port;
         so.fingerprint = identity;
-        so.redial_seconds = options_.redial_seconds > 0 ? options_.redial_seconds : 1.0;
         backend_ = std::make_shared<store::StoreBackend>(std::move(backend_), std::move(so));
     }
     if (!options_.cache_file.empty()) {

@@ -9,17 +9,14 @@ namespace ehdoe::doe {
 
 namespace {
 
-/// Cube core of the CCD: full 2^k for small k, resolution-V fraction for
-/// k in 5..7 (the standard generators), full otherwise.
-Design ccd_core(std::size_t k, bool allow_fraction) {
-    if (allow_fraction) {
-        // Textbook resolution-V (or better) fractions keep the quadratic
-        // model estimable with half the cube runs.
-        if (k == 5) return fractional_factorial(5, {"E=ABCD"}).design;        // 2^(5-1), res V
-        if (k == 6) return fractional_factorial(6, {"F=ABCDE"}).design;       // 2^(6-1), res VI
-        if (k == 7) return fractional_factorial(7, {"G=ABCDEF"}).design;      // 2^(7-1), res VII
-        if (k == 8) return fractional_factorial(8, {"G=ABCD", "H=ABEF"}).design;  // 2^(8-2), res V
-    }
+/// Cube core of the CCD: the textbook resolution-V (or better) fractions
+/// for k in 5..8, which keep the quadratic model estimable with half the
+/// cube runs (a quarter at k = 8), the full 2^k otherwise.
+Design ccd_core(std::size_t k) {
+    if (k == 5) return fractional_factorial(5, {"E=ABCD"}).design;            // 2^(5-1), res V
+    if (k == 6) return fractional_factorial(6, {"F=ABCDE"}).design;           // 2^(6-1), res VI
+    if (k == 7) return fractional_factorial(7, {"G=ABCDEF"}).design;          // 2^(7-1), res VII
+    if (k == 8) return fractional_factorial(8, {"G=ABCD", "H=ABEF"}).design;  // 2^(8-2), res V
     return full_factorial_2level(k);
 }
 
@@ -28,51 +25,17 @@ Design ccd_core(std::size_t k, bool allow_fraction) {
 double ccd_alpha_value(std::size_t k, const CcdOptions& options) {
     if (k == 0) throw std::invalid_argument("ccd_alpha_value: k >= 1");
     if (options.variant == CcdVariant::FaceCentred) return 1.0;
-    const double nf = static_cast<double>(ccd_core(k, options.fractional_core).runs());
-    switch (options.alpha) {
-        case CcdAlpha::Rotatable:
-            return std::pow(nf, 0.25);
-        case CcdAlpha::Orthogonal: {
-            // Orthogonal alpha (Myers & Montgomery): with N the total run
-            // count, Q = (sqrt(N) - sqrt(nf))^2, alpha = (Q * nf / 4)^(1/4).
-            const double n_total = nf + 2.0 * static_cast<double>(k) +
-                                   static_cast<double>(options.center_points);
-            const double q = std::sqrt(n_total) - std::sqrt(nf);
-            return std::pow(q * q * nf / 4.0, 0.25);
-        }
-        case CcdAlpha::Unit:
-            return 1.0;
-    }
-    return 1.0;
+    return std::pow(static_cast<double>(ccd_core(k).runs()), 0.25);
 }
 
 Design central_composite(std::size_t k, const CcdOptions& options) {
     if (k == 0 || k > 12) throw std::invalid_argument("central_composite: k in 1..12");
 
-    Design cube = ccd_core(k, options.fractional_core);
-    double alpha = ccd_alpha_value(k, options);
-
-    double cube_scale = 1.0;
-    double axial = alpha;
-    if (options.variant == CcdVariant::Inscribed) {
-        // Shrink everything so the axial points sit at +-1.
-        cube_scale = 1.0 / alpha;
-        axial = 1.0;
-    } else if (options.variant == CcdVariant::FaceCentred) {
-        axial = 1.0;
-    }
-
-    Design d;
-    d.kind = "ccd(" +
-             std::string(options.variant == CcdVariant::Circumscribed  ? "circumscribed"
-                         : options.variant == CcdVariant::Inscribed    ? "inscribed"
-                                                                       : "face-centred") +
-             ", alpha=" + std::to_string(axial) + ")";
-    // Scaled cube part.
-    d.points = Matrix(cube.runs(), k);
-    for (std::size_t i = 0; i < cube.runs(); ++i) {
-        for (std::size_t j = 0; j < k; ++j) d.points(i, j) = cube.points(i, j) * cube_scale;
-    }
+    Design d = ccd_core(k);
+    const double axial = ccd_alpha_value(k, options);
+    const char* placement =
+        options.variant == CcdVariant::Circumscribed ? "circumscribed" : "face-centred";
+    d.kind = "ccd(" + std::string(placement) + ", alpha=" + std::to_string(axial) + ")";
     // Axial part.
     Design star;
     star.points = Matrix(2 * k, k);

@@ -12,29 +12,22 @@ namespace ehdoe::doe {
 
 /// Placement of the axial (star) points of a CCD.
 enum class CcdVariant {
-    Circumscribed,  ///< axial points at +-alpha (may exceed the cube)
-    Inscribed,      ///< cube shrunk so axial points land at +-1
-    FaceCentred,    ///< alpha = 1 (axial points on the faces)
-};
-
-/// Choice of alpha for circumscribed designs.
-enum class CcdAlpha {
-    Rotatable,      ///< alpha = (n_factorial)^(1/4): uniform prediction variance on spheres
-    Orthogonal,     ///< alpha making quadratic estimates uncorrelated
-    Unit,           ///< alpha = 1 (equivalent to face-centred)
+    /// Axial points at +-alpha, the rotatable alpha = (cube runs)^(1/4):
+    /// uniform prediction variance on spheres (may exceed the cube).
+    Circumscribed,
+    FaceCentred,  ///< alpha = 1 (axial points on the faces)
 };
 
 struct CcdOptions {
     CcdVariant variant = CcdVariant::Circumscribed;
-    CcdAlpha alpha = CcdAlpha::Rotatable;
     std::size_t center_points = 4;
-    /// Use a resolution-V fractional factorial core when k >= 5 (halves the
-    /// cube portion without aliasing quadratic-model terms).
-    bool fractional_core = true;
 };
 
 /// Central composite design for k factors.
-/// Runs = cube core + 2k axial + center_points.
+/// Runs = cube core + 2k axial + center_points. The cube core is the full
+/// 2^k factorial, or for k = 5..8 a resolution-V (or better) fraction,
+/// which halves it (quarters it at k = 8) without aliasing quadratic-model
+/// terms.
 Design central_composite(std::size_t k, const CcdOptions& options = {});
 
 /// The alpha value a given CCD configuration uses (for reporting/tests).

@@ -8,8 +8,15 @@
 
 namespace ehdoe::doe {
 
-Design latin_hypercube(std::size_t runs, std::size_t k, num::Rng& rng,
-                       const LhsOptions& options) {
+namespace {
+
+/// Maximin passes; each proposes one random within-column swap and keeps it
+/// unless the minimum pairwise distance drops.
+constexpr std::size_t kMaximinIterations = 200;
+
+}  // namespace
+
+Design latin_hypercube(std::size_t runs, std::size_t k, num::Rng& rng) {
     if (runs < 2) throw std::invalid_argument("latin_hypercube: runs >= 2");
     if (k == 0) throw std::invalid_argument("latin_hypercube: k >= 1");
 
@@ -19,7 +26,7 @@ Design latin_hypercube(std::size_t runs, std::size_t k, num::Rng& rng,
     for (std::size_t f = 0; f < k; ++f) {
         const std::vector<std::size_t> perm = num::permutation(rng, runs);
         for (std::size_t i = 0; i < runs; ++i) {
-            const double offset = options.jitter ? num::uniform(rng, 0.0, 1.0) : 0.5;
+            const double offset = num::uniform(rng, 0.0, 1.0);
             const double unit = (static_cast<double>(perm[i]) + offset) /
                                 static_cast<double>(runs);
             d.points(i, f) = 2.0 * unit - 1.0;
@@ -28,7 +35,7 @@ Design latin_hypercube(std::size_t runs, std::size_t k, num::Rng& rng,
 
     // Maximin hill climbing: swap two entries within a random column; keep
     // the swap when the minimum pairwise distance does not decrease.
-    if (options.maximin_iterations > 0 && runs > 2) {
+    if (runs > 2) {
         // Squared distances of every pair, summed as min_pairwise_distance()
         // sums them. A swap moves only its two rows, so a pass recomputes
         // their 2(n-1) distances; the minimum over all pairs is exact.
@@ -56,7 +63,7 @@ Design latin_hypercube(std::size_t runs, std::size_t k, num::Rng& rng,
         for (std::size_t r = 0; r < runs; ++r) update_row(r);
         double best = min_distance();
         std::vector<double> saved(2 * runs);
-        for (std::size_t it = 0; it < options.maximin_iterations; ++it) {
+        for (std::size_t it = 0; it < kMaximinIterations; ++it) {
             const auto f = static_cast<std::size_t>(
                 num::uniform_int(rng, 0, static_cast<int>(k) - 1));
             const auto a = static_cast<std::size_t>(
@@ -84,10 +91,9 @@ Design latin_hypercube(std::size_t runs, std::size_t k, num::Rng& rng,
     return d;
 }
 
-Design latin_hypercube(std::size_t runs, std::size_t k, std::uint64_t seed,
-                       const LhsOptions& options) {
+Design latin_hypercube(std::size_t runs, std::size_t k, std::uint64_t seed) {
     num::Rng rng = num::make_rng(seed);
-    return latin_hypercube(runs, k, rng, options);
+    return latin_hypercube(runs, k, rng);
 }
 
 bool is_latin(const Design& design, double tol) {

@@ -11,7 +11,15 @@ namespace ehdoe::doe {
 
 namespace {
 
-/// All grid_levels^k candidate points (coded). Kept dense; for the factor
+/// Candidate levels per factor over [-1, 1].
+constexpr std::size_t kGridLevels = 3;
+/// Exchange passes over the design (each pass tries to swap every design
+/// point for its best candidate).
+constexpr std::size_t kMaxPasses = 20;
+/// Random starts; the best determinant wins.
+constexpr std::size_t kRestarts = 3;
+
+/// All levels^k candidate points (coded). Kept dense; for the factor
 /// counts used here (k <= 8, 3 levels) this is at most 6561 candidates.
 Matrix candidate_grid(std::size_t k, std::size_t levels) {
     std::size_t n = 1;
@@ -53,24 +61,21 @@ double log_det_information(const Design& design, const std::vector<num::Monomial
 }
 
 DOptimalResult d_optimal(std::size_t runs, std::size_t k,
-                         const std::vector<num::Monomial>& terms, num::Rng& rng,
-                         const DOptimalOptions& options) {
+                         const std::vector<num::Monomial>& terms, num::Rng& rng) {
     if (k == 0) throw std::invalid_argument("d_optimal: k >= 1");
     if (terms.empty()) throw std::invalid_argument("d_optimal: model terms required");
     if (runs < terms.size()) {
         throw std::invalid_argument("d_optimal: runs must be >= number of model terms");
     }
-    if (options.grid_levels < 2) throw std::invalid_argument("d_optimal: grid_levels >= 2");
 
-    const Matrix cand = candidate_grid(k, options.grid_levels);
+    const Matrix cand = candidate_grid(k, kGridLevels);
     const Matrix cand_x = num::model_matrix(terms, cand);
     const std::size_t nc = cand.rows();
 
     DOptimalResult best;
     best.log_det = -std::numeric_limits<double>::infinity();
 
-    for (std::size_t restart = 0; restart < std::max<std::size_t>(options.restarts, 1);
-         ++restart) {
+    for (std::size_t restart = 0; restart < kRestarts; ++restart) {
         // Random initial selection (with replacement allowed; exchanges will
         // de-duplicate where beneficial).
         std::vector<std::size_t> sel(runs);
@@ -85,7 +90,7 @@ DOptimalResult d_optimal(std::size_t runs, std::size_t k,
 
         double cur = log_det_xtx(design_x());
         std::size_t pass = 0;
-        for (; pass < options.max_passes; ++pass) {
+        for (; pass < kMaxPasses; ++pass) {
             bool improved = false;
             for (std::size_t i = 0; i < runs; ++i) {
                 const std::size_t keep = sel[i];
@@ -124,10 +129,9 @@ DOptimalResult d_optimal(std::size_t runs, std::size_t k,
 }
 
 DOptimalResult d_optimal(std::size_t runs, std::size_t k,
-                         const std::vector<num::Monomial>& terms, std::uint64_t seed,
-                         const DOptimalOptions& options) {
+                         const std::vector<num::Monomial>& terms, std::uint64_t seed) {
     num::Rng rng = num::make_rng(seed);
-    return d_optimal(runs, k, terms, rng, options);
+    return d_optimal(runs, k, terms, rng);
 }
 
 }  // namespace ehdoe::doe

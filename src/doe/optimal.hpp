@@ -1,10 +1,10 @@
 // ehdoe/doe/optimal.hpp
 //
 // D-optimal designs by Fedorov exchange over a candidate set: choose n rows
-// from a candidate grid maximizing det(X^T X) for a given model. Useful
-// when the run budget is tight and irregular (neither a CCD nor a BBD run
-// count fits), or when parts of the cube are infeasible and must be
-// excluded from the candidate set.
+// from the 3^k grid of levels -1, 0 and 1 maximizing det(X^T X) for a given
+// model. Three random starts run up to 20 exchange passes each; the best
+// determinant wins. Useful when the run budget is tight and irregular
+// (neither a CCD nor a BBD run count fits).
 #pragma once
 
 #include <cstdint>
@@ -15,16 +15,6 @@
 
 namespace ehdoe::doe {
 
-struct DOptimalOptions {
-    /// Candidate grid resolution per factor (levels over [-1, 1]).
-    std::size_t grid_levels = 3;
-    /// Exchange passes over the design (each pass tries to swap every
-    /// design point for its best candidate).
-    std::size_t max_passes = 20;
-    /// Random restarts; best determinant wins.
-    std::size_t restarts = 3;
-};
-
 struct DOptimalResult {
     Design design;
     double log_det = 0.0;   ///< log det(X^T X) of the information matrix
@@ -34,13 +24,11 @@ struct DOptimalResult {
 /// Build a D-optimal design with `runs` points for the model given by
 /// `terms` (e.g. num::quadratic_basis(k)).
 DOptimalResult d_optimal(std::size_t runs, std::size_t k,
-                         const std::vector<num::Monomial>& terms, num::Rng& rng,
-                         const DOptimalOptions& options = {});
+                         const std::vector<num::Monomial>& terms, num::Rng& rng);
 
 /// Convenience overload with an explicit seed.
 DOptimalResult d_optimal(std::size_t runs, std::size_t k,
-                         const std::vector<num::Monomial>& terms, std::uint64_t seed,
-                         const DOptimalOptions& options = {});
+                         const std::vector<num::Monomial>& terms, std::uint64_t seed);
 
 /// log det(X^T X) for a design under a model; -inf when singular.
 double log_det_information(const Design& design, const std::vector<num::Monomial>& terms);

@@ -58,11 +58,9 @@ struct RunnerOptions {
     /// local backend; `threads` then describes the remote servers and is
     /// ignored locally, while `cache_fingerprint` doubles as the handshake
     /// identity the servers must match.
+    /// Dead shards are re-dialed at most once a second between batches, so
+    /// a restarted eval-server rejoins a long run.
     std::vector<std::string> endpoints;
-    /// With `endpoints`: re-dial dead shards at most this often between
-    /// batches so a restarted eval-server rejoins a long run (0 = every
-    /// batch, negative = never).
-    double redial_seconds = 1.0;
     /// Number of workers (threads, or concurrent simulator processes with
     /// `recipe_file`); 1 = serial, 0 = all hardware threads. Simulations
     /// must be thread-safe pure functions of their input (all toolkit

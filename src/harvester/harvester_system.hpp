@@ -51,7 +51,7 @@ public:
     const MultiplierNetwork& network() const { return net_; }
 
     std::size_t state_dim() const { return 3 + net_.num_nodes(); }
-    /// Inputs of the LTI form: [ base acceleration, load current, constant 1 ].
+    /// Inputs of the LTI form: [ base excitation a(t) (m/s^2), load current, constant 1 ].
     static constexpr std::size_t kInputDim = 3;
 
     /// Tuned spring constant currently in effect (set by the tuning layer).

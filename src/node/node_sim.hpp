@@ -63,8 +63,9 @@ struct NodeSimConfig {
 
     double duration = 300.0;        ///< simulated horizon (s), finite
     double initial_resonance_hz = 0.0;  ///< 0 => untuned natural frequency; finite
-    /// Disable the tuning subsystem entirely (the "fixed harvester"
-    /// baseline of the F1 bench).
+    /// Disable the tuning subsystem entirely: a fixed harvester. Only the
+    /// tests set it; bench_f1's fixed-harvester curve reads
+    /// PowerFlowModel directly.
     bool tuning_enabled = true;
     /// Continuous sub-step bound for the storage integration (s).
     double max_substep = 0.1;

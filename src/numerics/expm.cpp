@@ -26,8 +26,9 @@ bool finite_right_block(const Matrix& m, std::size_t live) {
 Matrix expm(const Matrix& a) {
     if (!a.square()) throw std::invalid_argument("expm: matrix must be square");
     const std::size_t n = a.rows();
-    // A NaN entry fails as an infinite one does: norm_inf's max drops a NaN
-    // row sum, and the result would be NaN without a word.
+    // A NaN entry fails as an infinite one does: its NaN norm compares false
+    // with the scaling bound below, and the result would be NaN without a
+    // word.
     if (!std::all_of(a.data(), a.data() + n * n, [](double v) { return std::isfinite(v); }))
         throw std::runtime_error("expm: matrix norm too large");
 

@@ -61,7 +61,11 @@ double Vector::norm() const {
 
 double Vector::norm_inf() const {
     double m = 0.0;
-    for (double v : data_) m = std::max(m, std::fabs(v));
+    for (double v : data_) {
+        const double a = std::fabs(v);
+        if (std::isnan(a)) return a;  // std::max would drop it
+        m = std::max(m, a);
+    }
     return m;
 }
 
@@ -194,6 +198,7 @@ double Matrix::norm_inf() const {
     for (std::size_t i = 0; i < rows_; ++i) {
         double rs = 0.0;
         for (std::size_t j = 0; j < cols_; ++j) rs += std::fabs((*this)(i, j));
+        if (std::isnan(rs)) return rs;  // std::max would drop it
         m = std::max(m, rs);
     }
     return m;

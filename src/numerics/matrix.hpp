@@ -58,9 +58,10 @@ public:
     Vector& operator*=(double s);
     Vector& operator/=(double s);
 
-    /// Euclidean norm.
+    /// Euclidean norm; NaN when an entry is NaN.
     double norm() const;
-    /// Maximum absolute entry; 0 for the empty vector.
+    /// Maximum absolute entry; 0 for the empty vector, NaN when an entry
+    /// is NaN.
     double norm_inf() const;
     /// Sum of entries.
     double sum() const;
@@ -134,7 +135,8 @@ public:
 
     /// Frobenius norm.
     double norm_fro() const;
-    /// Induced infinity norm (max absolute row sum).
+    /// Induced infinity norm (max absolute row sum); NaN when an entry is
+    /// NaN.
     double norm_inf() const;
     /// Max |a_ij|.
     double max_abs() const;

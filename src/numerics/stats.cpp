@@ -22,13 +22,6 @@ double max_of(const std::vector<double>& xs) {
     return *std::max_element(xs.begin(), xs.end());
 }
 
-double rms(const std::vector<double>& xs) {
-    if (xs.empty()) return 0.0;
-    double acc = 0.0;
-    for (double x : xs) acc += x * x;
-    return std::sqrt(acc / static_cast<double>(xs.size()));
-}
-
 double uniform(Rng& rng, double lo, double hi) {
     std::uniform_real_distribution<double> dist(lo, hi);
     return dist(rng);

@@ -23,8 +23,6 @@ inline Rng make_rng(std::uint64_t seed) { return Rng(seed); }
 double mean(const std::vector<double>& xs);
 double min_of(const std::vector<double>& xs);
 double max_of(const std::vector<double>& xs);
-/// Root mean square of entries.
-double rms(const std::vector<double>& xs);
 
 // -------------------------------------------------------------- sampling
 

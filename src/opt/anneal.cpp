@@ -6,6 +6,17 @@
 
 namespace ehdoe::opt {
 
+namespace {
+
+// The schedule the header documents.
+constexpr double kTInitial = 1.0;
+constexpr double kTFinal = 1e-5;
+constexpr double kCooling = 0.95;     ///< geometric factor per epoch
+constexpr double kStepInitial = 0.3;  ///< proposal sigma, box-width units
+constexpr double kStepFinal = 0.01;
+
+}  // namespace
+
 // The restart chains advance in lockstep — every move, all chains propose
 // and the proposals are evaluated as one batch — but each chain draws from
 // its own RNG stream and never reads another chain's state, so the
@@ -18,10 +29,6 @@ OptResult simulated_annealing(const BatchObjective& f, const Bounds& bounds, con
     const std::size_t k = bounds.dimension();
     if (x0.size() != k)
         throw std::invalid_argument("simulated_annealing: x0 dimension mismatch");
-    if (!(opt.t_initial > opt.t_final && opt.t_final > 0.0))
-        throw std::invalid_argument("simulated_annealing: need t_initial > t_final > 0");
-    if (!(opt.cooling > 0.0 && opt.cooling < 1.0))
-        throw std::invalid_argument("simulated_annealing: cooling in (0,1)");
     if (opt.restarts == 0)
         throw std::invalid_argument("simulated_annealing: restarts >= 1");
 
@@ -58,18 +65,17 @@ OptResult simulated_annealing(const BatchObjective& f, const Bounds& bounds, con
     }
 
     const std::size_t epochs = static_cast<std::size_t>(
-        std::ceil(std::log(opt.t_final / opt.t_initial) / std::log(opt.cooling)));
+        std::ceil(std::log(kTFinal / kTInitial) / std::log(kCooling)));
 
     OptResult res;
-    double temp = opt.t_initial;
+    double temp = kTInitial;
     for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
         ++res.iterations;
-        // Step size anneals geometrically from step_initial to step_final.
+        // Step size anneals geometrically from kStepInitial to kStepFinal.
         const double frac = epochs > 1 ? static_cast<double>(epoch) /
                                              static_cast<double>(epochs - 1)
                                        : 1.0;
-        const double sigma =
-            opt.step_initial * std::pow(opt.step_final / opt.step_initial, frac);
+        const double sigma = kStepInitial * std::pow(kStepFinal / kStepInitial, frac);
 
         for (std::size_t m = 0; m < opt.moves_per_epoch; ++m) {
             std::vector<Vector> props;
@@ -96,7 +102,7 @@ OptResult simulated_annealing(const BatchObjective& f, const Bounds& bounds, con
                 }
             }
         }
-        temp *= opt.cooling;
+        temp *= kCooling;
     }
 
     std::size_t winner = 0;

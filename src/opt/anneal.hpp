@@ -1,7 +1,9 @@
 // ehdoe/opt/anneal.hpp
 //
 // Simulated annealing with geometric cooling and adaptive step scaling —
-// the second classical heuristic baseline of T5.
+// the second classical heuristic baseline of T5. The temperature cools by
+// 0.95 per epoch from 1 (in units of typical objective spread) to 1e-5, and
+// the proposal sigma shrinks geometrically from 0.3 to 0.01 box widths.
 #pragma once
 
 #include <cstdint>
@@ -12,12 +14,7 @@
 namespace ehdoe::opt {
 
 struct AnnealOptions {
-    double t_initial = 1.0;        ///< in units of typical objective spread
-    double t_final = 1e-5;
-    double cooling = 0.95;         ///< geometric factor per epoch
     std::size_t moves_per_epoch = 30;
-    double step_initial = 0.3;     ///< proposal sigma, box-width units
-    double step_final = 0.01;
     std::uint64_t seed = 1234;
     /// Independent chains run in lockstep: chain 0 starts at x0, later
     /// chains at a uniform sample from their own RNG stream. Every move's

@@ -8,6 +8,18 @@
 
 namespace ehdoe::opt {
 
+namespace {
+
+// The operators' settings the header documents.
+constexpr std::size_t kTournament = 3;
+constexpr double kCrossoverRate = 0.9;
+constexpr double kBlxAlpha = 0.3;
+constexpr double kMutationRate = 0.15;   ///< per-gene probability
+constexpr double kMutationSigma = 0.15;  ///< in box-width units
+constexpr std::size_t kElites = 2;
+
+}  // namespace
+
 // Every backend that honours the BatchObjective contract gives the same
 // trajectory: child generation never consults fitness of the generation
 // being built, so the RNG draw order and the evaluation count are those of
@@ -17,8 +29,6 @@ OptResult genetic_minimize(const BatchObjective& f, const Bounds& bounds,
     bounds.validate();
     if (!f) throw std::invalid_argument("genetic_minimize: objective required");
     if (opt.population < 4) throw std::invalid_argument("genetic_minimize: population >= 4");
-    if (opt.elites >= opt.population)
-        throw std::invalid_argument("genetic_minimize: elites < population");
     const std::size_t k = bounds.dimension();
     CountedBatchObjective obj(f);
     num::Rng rng = num::make_rng(opt.seed);
@@ -31,7 +41,7 @@ OptResult genetic_minimize(const BatchObjective& f, const Bounds& bounds,
     auto tournament_pick = [&]() -> std::size_t {
         std::size_t best = static_cast<std::size_t>(
             num::uniform_int(rng, 0, static_cast<int>(opt.population) - 1));
-        for (std::size_t t = 1; t < opt.tournament; ++t) {
+        for (std::size_t t = 1; t < kTournament; ++t) {
             const auto cand = static_cast<std::size_t>(
                 num::uniform_int(rng, 0, static_cast<int>(opt.population) - 1));
             if (fit[cand] < fit[best]) best = cand;
@@ -40,9 +50,6 @@ OptResult genetic_minimize(const BatchObjective& f, const Bounds& bounds,
     };
 
     OptResult res;
-    double best_prev = *std::min_element(fit.begin(), fit.end());
-    std::size_t stall = 0;
-
     for (std::size_t gen = 0; gen < opt.generations; ++gen) {
         ++res.iterations;
         // Elites carry over unchanged.
@@ -55,7 +62,7 @@ OptResult genetic_minimize(const BatchObjective& f, const Bounds& bounds,
         std::vector<double> next_fit;
         next.reserve(opt.population);
         next_fit.reserve(opt.population);
-        for (std::size_t e = 0; e < opt.elites; ++e) {
+        for (std::size_t e = 0; e < kElites; ++e) {
             next.push_back(pop[order[e]]);
             next_fit.push_back(fit[order[e]]);
         }
@@ -69,22 +76,21 @@ OptResult genetic_minimize(const BatchObjective& f, const Bounds& bounds,
             const Vector& pa = pop[tournament_pick()];
             const Vector& pb = pop[tournament_pick()];
             Vector child(k);
-            if (unit() < opt.crossover_rate) {
+            if (unit() < kCrossoverRate) {
                 // BLX-alpha blend per gene.
                 for (std::size_t g = 0; g < k; ++g) {
                     const double lo = std::min(pa[g], pb[g]);
                     const double hi = std::max(pa[g], pb[g]);
                     const double span = hi - lo;
-                    child[g] = num::uniform(rng, lo - opt.blx_alpha * span,
-                                            hi + opt.blx_alpha * span);
+                    child[g] = num::uniform(rng, lo - kBlxAlpha * span, hi + kBlxAlpha * span);
                 }
             } else {
                 child = unit() < 0.5 ? pa : pb;
             }
             for (std::size_t g = 0; g < k; ++g) {
-                if (unit() < opt.mutation_rate) {
+                if (unit() < kMutationRate) {
                     child[g] += num::normal(rng, 0.0,
-                                            opt.mutation_sigma * (bounds.hi[g] - bounds.lo[g]));
+                                            kMutationSigma * (bounds.hi[g] - bounds.lo[g]));
                 }
             }
             brood.push_back(bounds.clamp(std::move(child)));
@@ -96,17 +102,6 @@ OptResult genetic_minimize(const BatchObjective& f, const Bounds& bounds,
         }
         pop = std::move(next);
         fit = std::move(next_fit);
-
-        const double best_now = *std::min_element(fit.begin(), fit.end());
-        if (opt.stall_generations > 0) {
-            if (best_now < best_prev - 1e-15) {
-                stall = 0;
-            } else if (++stall >= opt.stall_generations) {
-                res.converged = true;
-                break;
-            }
-        }
-        best_prev = std::min(best_prev, best_now);
     }
 
     const auto ib = static_cast<std::size_t>(
@@ -114,7 +109,7 @@ OptResult genetic_minimize(const BatchObjective& f, const Bounds& bounds,
     res.x = pop[ib];
     res.value = fit[ib];
     res.evaluations = obj.count();
-    if (res.iterations == opt.generations) res.converged = true;
+    res.converged = true;
     return res;
 }
 

@@ -2,8 +2,9 @@
 //
 // Real-coded genetic algorithm — one of the "classical multi-variable
 // optimization methods ... difficult to use, due to long CPU times" the
-// abstract positions the DoE flow against. Tournament selection, blend
-// (BLX-alpha) crossover, Gaussian mutation, elitism.
+// abstract positions the DoE flow against. Tournament selection (3
+// entrants), blend (BLX-0.3) crossover at rate 0.9, Gaussian mutation (each
+// gene with probability 0.15, sigma 0.15 box widths) and two elites.
 #pragma once
 
 #include <cstdint>
@@ -14,18 +15,9 @@
 namespace ehdoe::opt {
 
 struct GeneticOptions {
-    std::size_t population = 40;
+    std::size_t population = 40;  ///< >= 4
     std::size_t generations = 60;
-    std::size_t tournament = 3;
-    double crossover_rate = 0.9;
-    double blx_alpha = 0.3;
-    double mutation_rate = 0.15;      ///< per-gene probability
-    double mutation_sigma = 0.15;     ///< in box-width units
-    std::size_t elites = 2;
     std::uint64_t seed = 42;
-    /// Stop early when the best value stalls for this many generations
-    /// (0 = never).
-    std::size_t stall_generations = 0;
 };
 
 /// The initial population and every generation's offspring are submitted

@@ -11,6 +11,15 @@ namespace ehdoe::opt {
 
 namespace {
 
+// The settings nelder_mead_starts documents.
+constexpr double kInitialStep = 0.25;  ///< simplex edge, in box units
+constexpr double kTol = 1e-9;          ///< simplex value-spread convergence
+constexpr std::size_t kMaxIterations = 2000;
+constexpr double kReflection = 1.0;
+constexpr double kExpansion = 2.0;
+constexpr double kContraction = 0.5;
+constexpr double kShrink = 0.5;
+
 /// `i` if `take`, else `pick`, by masking rather than by a branch.
 std::size_t select(bool take, std::size_t i, std::size_t pick) {
     return pick ^ ((pick ^ i) & (std::size_t{0} - take));
@@ -25,16 +34,18 @@ enum class Move { Simplex, Reflect, Expand, Contract, Shrink, Done };
 /// point swaps row pointers with the vertex it replaces.
 class Run {
 public:
-    Run(double** rows, double* values, const Bounds& bounds, const NelderMeadOptions& opt,
-        const Vector& x0)
-        : k_(bounds.dimension()), lo_(bounds.lo.data()), hi_(bounds.hi.data()), opt_(opt),
-          x_(rows), fv_(values) {
+    Run(double** rows, double* values, const Bounds& bounds, const Vector& x0)
+        : k_(bounds.dimension()),
+          lo_(bounds.lo.data()),
+          hi_(bounds.hi.data()),
+          x_(rows),
+          fv_(values) {
         // Initial simplex: x0 plus one vertex per axis, displaced by
-        // initial_step * box width (flipped if that leaves the box).
+        // kInitialStep * box width (flipped if that leaves the box).
         for (std::size_t i = 0; i <= k_; ++i) clamp_row(x_[i], x0.data());
         for (std::size_t i = 0; i < k_; ++i) {
             double* v = x_[i + 1];
-            double step = opt_.initial_step * (hi_[i] - lo_[i]);
+            double step = kInitialStep * (hi_[i] - lo_[i]);
             if (v[i] + step > hi_[i]) step = -step;
             v[i] += step;
             clamp_row(v, v);
@@ -84,7 +95,7 @@ public:
             case Move::Reflect:
                 fr_ = v[0];
                 if (fr_ < fv_[picks_.best]) {
-                    trial(kExpanded, cen(), opt_.expansion, cen(), x_[worst]);
+                    trial(kExpanded, cen(), kExpansion, cen(), x_[worst]);
                     move_ = Move::Expand;
                     return next;
                 }
@@ -94,9 +105,9 @@ public:
                 }
                 // Contract (outside if the reflection helped at all).
                 if (fr_ < fv_[worst]) {
-                    trial(kContracted, cen(), opt_.contraction, x_[kReflected + k_], cen());
+                    trial(kContracted, cen(), kContraction, x_[kReflected + k_], cen());
                 } else {
-                    trial(kContracted, cen(), -opt_.contraction, cen(), x_[worst]);
+                    trial(kContracted, cen(), -kContraction, cen(), x_[worst]);
                 }
                 move_ = Move::Contract;
                 return next;
@@ -118,7 +129,7 @@ public:
                     double* row = x_[i];
                     const double* best = x_[picks_.best];
                     for (std::size_t d = 0; d < k_; ++d)
-                        row[d] = std::clamp(best[d] + opt_.shrink * (row[d] - best[d]), lo_[d],
+                        row[d] = std::clamp(best[d] + kShrink * (row[d] - best[d]), lo_[d],
                                             hi_[d]);
                 }
                 move_ = Move::Shrink;
@@ -178,13 +189,13 @@ private:
     // Starts the next iteration, if the run goes on: the stop tests, the
     // picks, the centroid of all but the worst and the reflection.
     void iterate() {
-        if (iterations_ >= opt_.max_iterations) {
+        if (iterations_ >= kMaxIterations) {
             move_ = Move::Done;
             return;
         }
         picks_ = simplex_picks(fv_, k_ + 1);
         const double lowest = fv_[picks_.best];
-        if (std::fabs(fv_[picks_.worst] - lowest) < opt_.tol * (1.0 + std::fabs(lowest))) {
+        if (std::fabs(fv_[picks_.worst] - lowest) < kTol * (1.0 + std::fabs(lowest))) {
             converged_ = true;
             move_ = Move::Done;
             return;
@@ -207,14 +218,13 @@ private:
             for (std::size_t i = w + 1; i <= k_; ++i) s += x_[i][d];
             c[d] = s / kd;
         }
-        trial(kReflected, c, opt_.reflection, c, x_[picks_.worst]);
+        trial(kReflected, c, kReflection, c, x_[picks_.worst]);
         move_ = Move::Reflect;
     }
 
     std::size_t k_;
     const double* lo_;
     const double* hi_;
-    const NelderMeadOptions& opt_;
     double** x_;
     double* fv_;
     Move move_ = Move::Simplex;
@@ -256,8 +266,7 @@ SimplexPicks simplex_picks(const double* fv, std::size_t n) {
 }
 
 std::vector<OptResult> nelder_mead_starts(const BlockObjective& f, const Bounds& bounds,
-                                          const std::vector<Vector>& starts,
-                                          const NelderMeadOptions& opt) {
+                                          const std::vector<Vector>& starts) {
     bounds.validate();
     const std::size_t k = bounds.dimension();
     for (const Vector& x0 : starts) {
@@ -272,7 +281,7 @@ std::vector<OptResult> nelder_mead_starts(const BlockObjective& f, const Bounds&
     std::vector<Run> runs;
     runs.reserve(n);
     for (std::size_t s = 0; s < n; ++s)
-        runs.emplace_back(row.data() + s * rows, fv.data() + s * (k + 1), bounds, opt, starts[s]);
+        runs.emplace_back(row.data() + s * rows, fv.data() + s * (k + 1), bounds, starts[s]);
 
     // A round asks for at most a whole simplex per start.
     std::vector<double> points(n * (k + 1) * k);
@@ -293,8 +302,7 @@ std::vector<OptResult> nelder_mead_starts(const BlockObjective& f, const Bounds&
     return out;
 }
 
-OptResult nelder_mead(const Objective& f, const Bounds& bounds, const Vector& x0,
-                      const NelderMeadOptions& opt) {
+OptResult nelder_mead(const Objective& f, const Bounds& bounds, const Vector& x0) {
     Vector x(bounds.dimension());
     const BlockObjective each = [&](const double* points, std::size_t count, double* values) {
         for (std::size_t i = 0; i < count; ++i) {
@@ -302,7 +310,7 @@ OptResult nelder_mead(const Objective& f, const Bounds& bounds, const Vector& x0
             values[i] = f(x);
         }
     };
-    return std::move(nelder_mead_starts(each, bounds, {x0}, opt).front());
+    return std::move(nelder_mead_starts(each, bounds, {x0}).front());
 }
 
 }  // namespace ehdoe::opt

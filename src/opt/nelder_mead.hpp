@@ -20,17 +20,6 @@
 
 namespace ehdoe::opt {
 
-struct NelderMeadOptions {
-    double initial_step = 0.25;   ///< simplex edge, in box units
-    double tol = 1e-9;            ///< simplex value-spread convergence
-    std::size_t max_iterations = 2000;
-    // Standard coefficients.
-    double reflection = 1.0;
-    double expansion = 2.0;
-    double contraction = 0.5;
-    double shrink = 0.5;
-};
-
 /// The three vertices a Nelder-Mead iteration acts on, picked in one pass
 /// over the k+1 >= 2 vertex values.
 struct SimplexPicks {
@@ -63,12 +52,15 @@ using BlockObjective =
 /// round's points in one call of `f`, starts in order. Returns one result
 /// per start, bit for bit what nelder_mead() returns for that start alone,
 /// `evaluations` counting that start's points.
+///
+/// Every run takes the standard coefficients (reflection 1, expansion 2,
+/// contraction and shrink 0.5) from an initial simplex whose edges are a
+/// quarter of the box width, and converges when its vertex values spread
+/// less than 1e-9 * (1 + |lowest|); it stops after 2000 iterations.
 std::vector<OptResult> nelder_mead_starts(const BlockObjective& f, const Bounds& bounds,
-                                          const std::vector<Vector>& starts,
-                                          const NelderMeadOptions& options = {});
+                                          const std::vector<Vector>& starts);
 
 /// nelder_mead_starts() for one start, evaluating `f` a point at a time.
-OptResult nelder_mead(const Objective& f, const Bounds& bounds, const Vector& x0,
-                      const NelderMeadOptions& options = {});
+OptResult nelder_mead(const Objective& f, const Bounds& bounds, const Vector& x0);
 
 }  // namespace ehdoe::opt

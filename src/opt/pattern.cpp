@@ -4,8 +4,17 @@
 
 namespace ehdoe::opt {
 
-OptResult pattern_search(const Objective& f, const Bounds& bounds, const Vector& x0,
-                         const PatternSearchOptions& opt) {
+namespace {
+
+// The settings pattern_search documents, in box-width units.
+constexpr double kInitialStep = 0.25;
+constexpr double kShrink = 0.5;
+constexpr double kMinStep = 1e-8;
+constexpr std::size_t kMaxIterations = 2000;
+
+}  // namespace
+
+OptResult pattern_search(const Objective& f, const Bounds& bounds, const Vector& x0) {
     bounds.validate();
     const std::size_t k = bounds.dimension();
     if (x0.size() != k) throw std::invalid_argument("pattern_search: x0 dimension mismatch");
@@ -13,7 +22,7 @@ OptResult pattern_search(const Objective& f, const Bounds& bounds, const Vector&
 
     Vector base = bounds.clamp(x0);
     double fbase = obj(base);
-    double step = opt.initial_step;
+    double step = kInitialStep;
 
     // Exploratory move around `from`, returns improved point/value.
     auto explore = [&](Vector from, double ffrom) {
@@ -35,7 +44,7 @@ OptResult pattern_search(const Objective& f, const Bounds& bounds, const Vector&
     };
 
     OptResult res;
-    for (res.iterations = 0; res.iterations < opt.max_iterations; ++res.iterations) {
+    for (res.iterations = 0; res.iterations < kMaxIterations; ++res.iterations) {
         auto [probe, fprobe] = explore(base, fbase);
         if (fprobe < fbase) {
             // Pattern move: leap in the improving direction, then explore.
@@ -51,8 +60,8 @@ OptResult pattern_search(const Objective& f, const Bounds& bounds, const Vector&
                 fbase = fprobe2;
             }
         } else {
-            step *= opt.shrink;
-            if (step < opt.min_step) {
+            step *= kShrink;
+            if (step < kMinStep) {
                 res.converged = true;
                 break;
             }

@@ -9,14 +9,9 @@
 
 namespace ehdoe::opt {
 
-struct PatternSearchOptions {
-    double initial_step = 0.25;   ///< in box-width units
-    double shrink = 0.5;
-    double min_step = 1e-8;
-    std::size_t max_iterations = 2000;
-};
-
-OptResult pattern_search(const Objective& f, const Bounds& bounds, const Vector& x0,
-                         const PatternSearchOptions& options = {});
+/// Explores from `x0` with steps of a quarter of the box width, halving the
+/// step whenever no move improves; converges once the step falls below
+/// 1e-8 box widths and stops after 2000 iterations.
+OptResult pattern_search(const Objective& f, const Bounds& bounds, const Vector& x0);
 
 }  // namespace ehdoe::opt

@@ -4,6 +4,10 @@ namespace ehdoe::rsm {
 
 namespace {
 
+/// Terms whose p-value exceeds this are dropped, weakest first.
+constexpr double kPToRemove = 0.10;
+constexpr std::size_t kMaxSteps = 100;
+
 /// Does removing term `idx` violate heredity? A main effect x_i must stay
 /// while any higher-order term containing x_i remains.
 bool heredity_blocks(const ModelSpec& model, std::size_t idx) {
@@ -24,21 +28,20 @@ bool heredity_blocks(const ModelSpec& model, std::size_t idx) {
 }  // namespace
 
 StepwiseResult backward_eliminate(const ModelSpec& initial, const Matrix& coded_points,
-                                  const std::vector<double>& y, const StepwiseOptions& options) {
+                                  const std::vector<double>& y) {
     StepwiseResult out{fit_ols(initial, coded_points, y), 0, {}};
 
-    for (std::size_t step = 0; step < options.max_steps; ++step) {
+    for (std::size_t step = 0; step < kMaxSteps; ++step) {
         if (out.fit.model.num_terms() <= 1) break;
         if (out.fit.n <= out.fit.p) break;  // no residual dof: cannot test
 
         const Diagnostics diag = diagnose(out.fit);
         // Find the weakest eligible term.
-        double worst_p = options.p_to_remove;
+        double worst_p = kPToRemove;
         std::size_t worst = out.fit.model.num_terms();
         for (std::size_t t = 0; t < out.fit.model.num_terms(); ++t) {
             const num::Monomial& m = out.fit.model.terms()[t];
-            if (options.keep_intercept && m.is_constant()) continue;
-            if (options.enforce_heredity && heredity_blocks(out.fit.model, t)) continue;
+            if (m.is_constant() || heredity_blocks(out.fit.model, t)) continue;
             if (diag.coefficients[t].p_value > worst_p) {
                 worst_p = diag.coefficients[t].p_value;
                 worst = t;

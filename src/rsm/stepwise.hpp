@@ -1,7 +1,9 @@
 // ehdoe/rsm/stepwise.hpp
 //
 // Model reduction by backward elimination: drop the least significant term
-// while its p-value exceeds a threshold. The paper's flow fits full
+// while its p-value exceeds 0.10, for at most 100 steps. The intercept
+// always stays, and so does a main effect while a higher-order term holding
+// its factor remains (model heredity). The paper's flow fits full
 // quadratics; stepwise pruning tightens prediction variance when the design
 // has few excess degrees of freedom.
 #pragma once
@@ -13,15 +15,6 @@
 
 namespace ehdoe::rsm {
 
-struct StepwiseOptions {
-    double p_to_remove = 0.10;   ///< backward: drop terms with p above this
-    bool keep_intercept = true;
-    /// Keep main effects whose interactions/quadratics are still present
-    /// (model heredity).
-    bool enforce_heredity = true;
-    std::size_t max_steps = 100;
-};
-
 struct StepwiseResult {
     FitResult fit;
     std::size_t terms_removed = 0;
@@ -30,7 +23,6 @@ struct StepwiseResult {
 
 /// Backward elimination starting from `initial` (already fitted terms).
 StepwiseResult backward_eliminate(const ModelSpec& initial, const Matrix& coded_points,
-                                  const std::vector<double>& y,
-                                  const StepwiseOptions& options = {});
+                                  const std::vector<double>& y);
 
 }  // namespace ehdoe::rsm

@@ -99,6 +99,9 @@ void sum_row_pairs(const double* ad, const double* bd, std::size_t rows, const V
     }
 }
 
+/// Consecutive retries of one step (the cycling guard).
+constexpr int kMaxRetries = 4;
+
 }  // namespace
 
 void PwlStateSpaceEngine::advance(const double* columns, const Vector& u) {
@@ -123,7 +126,7 @@ void PwlStateSpaceEngine::step(const Vector& u) {
     for (int attempt = 0;; ++attempt) {
         advance(discretization(seg), u);
         const std::uint32_t seg_after = classify(x_next_);
-        if (seg_after == seg || attempt >= opt_.max_retries || !opt_.retry_on_segment_change) {
+        if (seg_after == seg || attempt >= kMaxRetries || !opt_.retry_on_segment_change) {
             if (seg_after != seg) ++stats_.segment_changes;
             seg = seg_after;
             break;

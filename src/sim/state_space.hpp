@@ -73,12 +73,11 @@ struct EngineStats {
 
 struct PwlEngineOptions {
     double step = 1e-4;
-    /// When a step lands in a different segment, redo it once under the new
-    /// segment matrices (improves switching-edge accuracy at ~2x cost on the
-    /// few switching steps).
+    /// When a step lands in a different segment, redo it under the new
+    /// segment matrices, at most four times in a row (the cycling guard);
+    /// improves switching-edge accuracy at ~2x cost on the few switching
+    /// steps.
     bool retry_on_segment_change = true;
-    /// Limit on consecutive retries of a single step (cycling guard).
-    int max_retries = 4;
 };
 
 /// The engine. Owns the discretization cache, keyed by segment; callers

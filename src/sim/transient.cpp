@@ -9,6 +9,15 @@
 
 namespace ehdoe::sim {
 
+namespace {
+
+// The Newton settings TransientOptions documents.
+constexpr double kNewtonTol = 1e-9;
+constexpr int kMaxNewtonIters = 30;
+constexpr double kFdEps = 1e-7;
+
+}  // namespace
+
 TransientEngine::TransientEngine(num::OdeRhs rhs, std::size_t state_dim, TransientOptions options)
     : rhs_(std::move(rhs)),
       opt_(options),
@@ -28,12 +37,6 @@ TransientEngine::TransientEngine(num::OdeRhs rhs, std::size_t state_dim, Transie
     if (!(opt_.step > 0.0 && std::isfinite(opt_.step)))
         throw std::invalid_argument("TransientEngine: step must be positive and finite");
     if (opt_.jacobian_reuse < 1) throw std::invalid_argument("TransientEngine: jacobian_reuse >= 1");
-    // A zero or NaN perturbation makes every Jacobian column 0/0, which the
-    // LU does not flag, and no Newton iteration leaves Euler's predictor.
-    if (!(opt_.fd_eps > 0.0 && std::isfinite(opt_.fd_eps)))
-        throw std::invalid_argument("TransientEngine: fd_eps > 0 and finite");
-    if (opt_.max_newton_iters < 1)
-        throw std::invalid_argument("TransientEngine: max_newton_iters >= 1");
 }
 
 void TransientEngine::set_state(Vector x) {
@@ -61,12 +64,12 @@ void TransientEngine::step() {
     rhs_(tn, y_, fy_);
     ++stats_.rhs_evaluations;
 
-    for (int it = 0; it < opt_.max_newton_iters; ++it) {
+    for (int it = 0; it < kMaxNewtonIters; ++it) {
         ++stats_.newton_iterations;
 
         for (std::size_t i = 0; i < n; ++i) g_[i] = y_[i] - x_[i] - 0.5 * h * (fx_[i] + fy_[i]);
         const double gnorm = g_.norm_inf();
-        if (gnorm < opt_.newton_tol * (1.0 + y_.norm_inf())) {
+        if (gnorm < kNewtonTol * (1.0 + y_.norm_inf())) {
             converged = true;
             break;
         }
@@ -77,7 +80,7 @@ void TransientEngine::step() {
             // column call gives fcols_(i, j) = f_i(tn, y + dy_j e_j); J is
             // filled two entries of a row at a time, each lane the scalar
             // expression.
-            for (std::size_t j = 0; j < n; ++j) dy_[j] = opt_.fd_eps * (1.0 + std::fabs(y_[j]));
+            for (std::size_t j = 0; j < n; ++j) dy_[j] = kFdEps * (1.0 + std::fabs(y_[j]));
             rhs_.columns(tn, y_, dy_, fcols_);
             stats_.rhs_evaluations += n;
             for (std::size_t i = 0; i < n; ++i) {

@@ -32,11 +32,13 @@ namespace ehdoe::sim {
 using num::Matrix;
 using num::Vector;
 
+/// A step's Newton iteration converges when the residual's infinity norm
+/// falls below 1e-9 * (1 + |y|_inf), a residual holding a NaN never does,
+/// and a step that has not converged after 30 iterations counts in
+/// nonconverged_steps. The finite-difference Jacobian perturbs y_j by
+/// 1e-7 * (1 + |y_j|).
 struct TransientOptions {
-    double step = 1e-4;          ///< fixed time step (> 0, finite)
-    double newton_tol = 1e-9;    ///< residual convergence (infinity norm)
-    int max_newton_iters = 30;   ///< >= 1
-    double fd_eps = 1e-7;        ///< Jacobian finite-difference perturbation (> 0, finite)
+    double step = 1e-4;  ///< fixed time step (> 0, finite)
     /// Rebuild the Jacobian only every `jacobian_reuse` Newton iterations
     /// (1 = every iteration, the textbook method).
     int jacobian_reuse = 1;

@@ -52,8 +52,7 @@ TEST(BatchRunner, BitwiseIdenticalAcrossThreadCounts) {
 TEST(BatchRunner, CentreReplicatesHitTheCache) {
     std::atomic<std::size_t> calls{0};
     BatchRunner runner(transcendental_sim(&calls));
-    const Design ccd = central_composite(
-        2, CcdOptions{CcdVariant::FaceCentred, CcdAlpha::Rotatable, 5, true});
+    const Design ccd = central_composite(2, CcdOptions{CcdVariant::FaceCentred, 5});
     const RunResults r = runner.run_design(kSpace, ccd);
     // 4 factorial + 4 axial + 5 centre points: 9 unique simulations.
     EXPECT_EQ(r.design.runs(), 13u);

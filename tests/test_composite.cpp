@@ -30,7 +30,6 @@ std::uint64_t bits_digest(const ehdoe::num::Matrix& m) {
 TEST(Ccd, RunCountSmallK) {
     CcdOptions o;
     o.center_points = 4;
-    o.fractional_core = false;
     const Design d = central_composite(3, o);
     EXPECT_EQ(d.runs(), 8u + 6u + 4u);
 }
@@ -44,7 +43,6 @@ TEST(Ccd, FractionalCoreHalvesCubeForK6) {
 
 TEST(Ccd, RotatableAlpha) {
     CcdOptions o;
-    o.fractional_core = false;
     EXPECT_NEAR(ccd_alpha_value(2, o), std::sqrt(2.0), 1e-12);       // 4^(1/4)
     EXPECT_NEAR(ccd_alpha_value(3, o), std::pow(8.0, 0.25), 1e-12);
 }
@@ -60,21 +58,9 @@ TEST(Ccd, FaceCentredStaysInCube) {
     }
 }
 
-TEST(Ccd, InscribedStaysInCube) {
-    CcdOptions o;
-    o.variant = CcdVariant::Inscribed;
-    const Design d = central_composite(3, o);
-    for (std::size_t i = 0; i < d.runs(); ++i) {
-        for (std::size_t j = 0; j < 3; ++j) {
-            EXPECT_LE(std::fabs(d.points(i, j)), 1.0 + 1e-12);
-        }
-    }
-}
-
 TEST(Ccd, CircumscribedAxialsAtAlpha) {
     CcdOptions o;
     o.variant = CcdVariant::Circumscribed;
-    o.fractional_core = false;
     o.center_points = 0;
     const Design d = central_composite(2, o);
     const double alpha = ccd_alpha_value(2, o);
@@ -88,20 +74,9 @@ TEST(Ccd, CircumscribedAxialsAtAlpha) {
     EXPECT_NEAR(max_abs, alpha, 1e-12);
 }
 
-TEST(Ccd, OrthogonalAlphaFormula) {
-    CcdOptions o;
-    o.alpha = CcdAlpha::Orthogonal;
-    o.fractional_core = false;
-    o.center_points = 4;
-    // k=2: nf=4, N=12, Q=(sqrt(12)-2)^2, alpha=(Q*4/4)^(1/4).
-    const double q = std::sqrt(12.0) - 2.0;
-    EXPECT_NEAR(ccd_alpha_value(2, o), std::sqrt(q), 1e-12);
-}
-
 TEST(Ccd, CenterPointsAreZeroRows) {
     CcdOptions o;
     o.center_points = 3;
-    o.fractional_core = false;
     const Design d = central_composite(2, o);
     for (std::size_t i = d.runs() - 3; i < d.runs(); ++i) {
         EXPECT_DOUBLE_EQ(d.points(i, 0), 0.0);

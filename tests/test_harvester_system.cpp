@@ -118,7 +118,7 @@ PwlRun retuned_pwl_run(const HarvesterCircuitParams& p) {
     HarvesterCircuit c(p);
     c.set_resonant_frequency(68.0);
     const auto accel = sine_accel(0.6, 65.0);
-    ehdoe::sim::PwlStateSpaceEngine eng(c.make_pwl_system(), {2e-4, true, 4});
+    ehdoe::sim::PwlStateSpaceEngine eng(c.make_pwl_system(), {2e-4, true});
     eng.set_state(c.initial_state(0.5));
     PwlRun run;
     std::size_t steps = 0;
@@ -595,12 +595,11 @@ TEST(Engines, FastEngineMuchCheaper) {
     HarvesterCircuit c(p);
     auto accel = sine_accel(0.6, 65.0);
 
-    ehdoe::sim::PwlStateSpaceEngine fast(c.make_pwl_system(), {1e-4, true, 4});
+    ehdoe::sim::PwlStateSpaceEngine fast(c.make_pwl_system(), {1e-4, true});
     fast.set_state(c.initial_state(0.0));
     fast.run(0.5, c.make_input(accel));
 
-    ehdoe::sim::TransientEngine slow(c.make_nonlinear_rhs(accel), c.state_dim(),
-                                     {1e-4, 1e-9, 30, 1e-7, 1});
+    ehdoe::sim::TransientEngine slow(c.make_nonlinear_rhs(accel), c.state_dim(), {1e-4, 1});
     slow.set_state(c.initial_state(0.0));
     slow.run(0.5);
 
@@ -616,7 +615,7 @@ TEST(Circuit, LoadResistorDrawsPower) {
     p.load_resistance = 100e3;
     HarvesterCircuit c(p);
     auto accel = sine_accel(0.6, 65.0);
-    ehdoe::sim::PwlStateSpaceEngine eng(c.make_pwl_system(), {1e-4, true, 4});
+    ehdoe::sim::PwlStateSpaceEngine eng(c.make_pwl_system(), {1e-4, true});
     eng.set_state(c.initial_state(0.0));
     eng.run(3.0, c.make_input(accel));
     EXPECT_GT(c.output_voltage(eng.state()), 0.0);
@@ -624,7 +623,7 @@ TEST(Circuit, LoadResistorDrawsPower) {
     HarvesterCircuitParams pu = p;
     pu.load_resistance = 0.0;
     HarvesterCircuit cu(pu);
-    ehdoe::sim::PwlStateSpaceEngine engu(cu.make_pwl_system(), {1e-4, true, 4});
+    ehdoe::sim::PwlStateSpaceEngine engu(cu.make_pwl_system(), {1e-4, true});
     engu.set_state(cu.initial_state(0.0));
     engu.run(3.0, cu.make_input(accel));
     EXPECT_LT(c.output_voltage(eng.state()), cu.output_voltage(engu.state()));
@@ -768,7 +767,7 @@ TEST(PowerFlow, AgreesWithCircuitWithinFactor) {
     const double f = 72.0;
     c.set_resonant_frequency(f);
     auto accel = sine_accel(0.6, f);
-    ehdoe::sim::PwlStateSpaceEngine eng(c.make_pwl_system(), {1e-4, true, 4});
+    ehdoe::sim::PwlStateSpaceEngine eng(c.make_pwl_system(), {1e-4, true});
     const double v0 = 2.4;
     eng.set_state(c.initial_state(v0));
     // Power *delivered by the multiplier* = storage energy gain + leakage.

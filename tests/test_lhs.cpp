@@ -51,33 +51,6 @@ TEST(Lhs, DeterministicFromSeed) {
     EXPECT_FALSE(ehdoe::num::approx_equal(a.points, c.points, 1e-12));
 }
 
-TEST(Lhs, MaximinImprovesSpacing) {
-    LhsOptions plain;
-    plain.maximin_iterations = 0;
-    LhsOptions opt;
-    opt.maximin_iterations = 500;
-    double d_plain = 0.0, d_opt = 0.0;
-    // Average over seeds: the hill climb never hurts, usually helps.
-    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-        d_plain += min_pairwise_distance(latin_hypercube(30, 3, seed, plain).points);
-        d_opt += min_pairwise_distance(latin_hypercube(30, 3, seed, opt).points);
-    }
-    EXPECT_GE(d_opt, d_plain);
-}
-
-TEST(Lhs, CenteredVariantWhenNoJitter) {
-    LhsOptions o;
-    o.jitter = false;
-    o.maximin_iterations = 0;
-    const Design d = latin_hypercube(4, 1, 5, o);
-    // Strata centres at -0.75, -0.25, 0.25, 0.75 in some order.
-    std::vector<double> vals;
-    for (std::size_t i = 0; i < 4; ++i) vals.push_back(d.points(i, 0));
-    std::sort(vals.begin(), vals.end());
-    EXPECT_NEAR(vals[0], -0.75, 1e-12);
-    EXPECT_NEAR(vals[3], 0.75, 1e-12);
-}
-
 TEST(Lhs, ProgramDesignsGoldenIsBitwiseStable) {
     // bench_t2_doe's hold-out probe and doe_playground's LHS, at the
     // default jitter and maximin passes.

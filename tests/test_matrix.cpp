@@ -91,6 +91,17 @@ TEST(Vector, NormsAndDot) {
     EXPECT_DOUBLE_EQ(Vector{}.norm_inf(), 0.0);
 }
 
+TEST(Vector, NormsOfANanEntryAreNan) {
+    // std::max(m, NaN) keeps m: a plain fold over the entries would drop
+    // the NaN and read {NaN, 0} as the zero vector.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_TRUE(std::isnan(Vector({nan, 0.0}).norm_inf()));
+    EXPECT_TRUE(std::isnan(Vector({nan, 0.0}).norm()));
+    EXPECT_TRUE(std::isnan(Vector({1.0, -nan, 2.0}).norm_inf()));
+    EXPECT_TRUE(std::isnan((Matrix{{1.0, 2.0}, {0.0, nan}}).norm_inf()));
+    EXPECT_TRUE(std::isnan((Matrix{{nan, 0.0}, {5.0, 1.0}}).norm_inf()));
+}
+
 TEST(Vector, NormAvoidsOverflow) {
     Vector v{1e200, 1e200};
     EXPECT_TRUE(std::isfinite(v.norm()));

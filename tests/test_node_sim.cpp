@@ -60,7 +60,6 @@ void expect_metrics(const NodeMetrics& m, const NodeMetrics& g) {
 class FailingVibration final : public VibrationSource {
 public:
     explicit FailingVibration(double fail_at) : fail_at_(fail_at) {}
-    double acceleration(double t) const override { return 0.6 * std::sin(2.0 * M_PI * 72.0 * t); }
     double dominant_frequency(double t) const override { return t < fail_at_ ? 72.0 : 0.0; }
     double rms_amplitude() const override { return 0.6 / M_SQRT2; }
 
@@ -74,7 +73,6 @@ private:
 class ThrowingVibration final : public VibrationSource {
 public:
     explicit ThrowingVibration(double throw_at) : throw_at_(throw_at) {}
-    double acceleration(double t) const override { return 0.6 * std::sin(2.0 * M_PI * 72.0 * t); }
     double dominant_frequency(double t) const override {
         if (t >= throw_at_) throw std::runtime_error("source failed at t = " + hex(t));
         return 72.0;

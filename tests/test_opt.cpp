@@ -177,26 +177,13 @@ TEST(Genetic, EvaluationBudgetAccounted) {
     o.population = 20;
     o.generations = 10;
     const OptResult r = genetic_minimize(serial_batch(bowl), kCube2, o);
-    // Initial pop + (pop - elites) per generation.
-    EXPECT_EQ(r.evaluations, 20u + 10u * (20u - o.elites));
-}
-
-TEST(Genetic, StallStopsEarly) {
-    GeneticOptions o;
-    o.generations = 500;
-    o.stall_generations = 5;
-    o.seed = 4;
-    const OptResult r = genetic_minimize(serial_batch(bowl), kCube2, o);
-    EXPECT_LT(r.iterations, 500u);
-    EXPECT_TRUE(r.converged);
+    // Initial pop + (pop - 2 elites) per generation.
+    EXPECT_EQ(r.evaluations, 20u + 10u * (20u - 2u));
 }
 
 TEST(Genetic, Validation) {
     GeneticOptions o;
     o.population = 2;
-    EXPECT_THROW(genetic_minimize(serial_batch(bowl), kCube2, o), std::invalid_argument);
-    o = GeneticOptions{};
-    o.elites = o.population;
     EXPECT_THROW(genetic_minimize(serial_batch(bowl), kCube2, o), std::invalid_argument);
 }
 
@@ -210,12 +197,10 @@ TEST(Anneal, FindsGlobalOnMultimodal) {
 
 TEST(Anneal, Validation) {
     AnnealOptions o;
-    o.t_final = 2.0;  // above t_initial
+    o.restarts = 0;
     EXPECT_THROW(simulated_annealing(serial_batch(bowl), kCube2, Vector{0.0, 0.0}, o),
                  std::invalid_argument);
-    o = AnnealOptions{};
-    o.cooling = 1.5;
-    EXPECT_THROW(simulated_annealing(serial_batch(bowl), kCube2, Vector{0.0, 0.0}, o),
+    EXPECT_THROW(simulated_annealing(serial_batch(bowl), kCube2, Vector{0.0}),
                  std::invalid_argument);
 }
 

@@ -72,9 +72,6 @@ TEST(DOptimal, Validation) {
     ehdoe::num::Rng rng = ehdoe::num::make_rng(1);
     EXPECT_THROW(d_optimal(3, 2, terms, rng), std::invalid_argument);  // runs < terms
     EXPECT_THROW(d_optimal(8, 0, terms, rng), std::invalid_argument);
-    DOptimalOptions o;
-    o.grid_levels = 1;
-    EXPECT_THROW(d_optimal(8, 2, terms, rng, o), std::invalid_argument);
 }
 
 TEST(DOptimal, LogDetSingularIsMinusInf) {

@@ -48,10 +48,7 @@ TEST(Backward, RemovesInertTermsKeepsReal) {
 
 TEST(Backward, HeredityKeepsParentsOfInteractions) {
     const auto [pts, y] = make_data(0.1);
-    StepwiseOptions o;
-    o.enforce_heredity = true;
-    const StepwiseResult r =
-        backward_eliminate(ModelSpec(3, ModelOrder::Quadratic), pts, y, o);
+    const StepwiseResult r = backward_eliminate(ModelSpec(3, ModelOrder::Quadratic), pts, y);
     // x1 main effect is inert but its interaction x0x1 is real: heredity
     // keeps x1 in the model.
     if (has_term(r.fit.model, {1, 1, 0})) {
@@ -59,18 +56,7 @@ TEST(Backward, HeredityKeepsParentsOfInteractions) {
     }
 }
 
-TEST(Backward, WithoutHeredityPrunesHarder) {
-    const auto [pts, y] = make_data(0.1);
-    StepwiseOptions strict;
-    strict.enforce_heredity = false;
-    StepwiseOptions lax;
-    lax.enforce_heredity = true;
-    const auto r_strict = backward_eliminate(ModelSpec(3, ModelOrder::Quadratic), pts, y, strict);
-    const auto r_lax = backward_eliminate(ModelSpec(3, ModelOrder::Quadratic), pts, y, lax);
-    EXPECT_GE(r_strict.terms_removed, r_lax.terms_removed);
-}
-
-TEST(Backward, KeepsInterceptByDefault) {
+TEST(Backward, KeepsIntercept) {
     const auto [pts, y] = make_data(0.5);
     const StepwiseResult r =
         backward_eliminate(ModelSpec(3, ModelOrder::Quadratic), pts, y);

@@ -60,7 +60,7 @@ TEST(PwlEngine, ExactForLinearSystem) {
 }
 
 TEST(PwlEngine, CachesDiscretization) {
-    PwlStateSpaceEngine eng(rc_system(1e-3), {1e-4, true, 4});
+    PwlStateSpaceEngine eng(rc_system(1e-3), {1e-4, true});
     const Vector u{1.0};
     for (int i = 0; i < 100; ++i) eng.step(u);
     EXPECT_EQ(eng.stats().cache_misses, 1u);   // one segment, one expm
@@ -69,7 +69,7 @@ TEST(PwlEngine, CachesDiscretization) {
 }
 
 TEST(PwlEngine, InvalidateCacheForcesRebuild) {
-    PwlStateSpaceEngine eng(rc_system(1e-3), {1e-4, true, 4});
+    PwlStateSpaceEngine eng(rc_system(1e-3), {1e-4, true});
     const Vector u{1.0};
     eng.step(u);
     eng.invalidate_cache();
@@ -81,7 +81,7 @@ TEST(PwlEngine, InvalidateCacheForcesRebuild) {
 TEST(PwlEngine, SwitchTurnsOnAndCharges) {
     // v_src = 2, v_on = 0.5: switch is on at x=0 (branch v = 2 > 0.5), charges
     // toward (v_src - v_on) balanced against leak.
-    PwlStateSpaceEngine eng(charger_system(10.0, 100.0, 1e-3, 2.0, 0.5), {1e-3, true, 4});
+    PwlStateSpaceEngine eng(charger_system(10.0, 100.0, 1e-3, 2.0, 0.5), {1e-3, true});
     const Vector u{1.0};
     for (int i = 0; i < 5000; ++i) eng.step(u);
     EXPECT_GT(eng.state()[0], 1.0);
@@ -91,7 +91,7 @@ TEST(PwlEngine, SwitchTurnsOnAndCharges) {
 TEST(PwlEngine, SegmentChangesAreCounted) {
     // Start above v_src - v_on: the diode is off and the leak discharges the
     // state until the branch voltage crosses the threshold and it turns on.
-    PwlStateSpaceEngine eng(charger_system(0.05, 50.0, 1e-3, 2.0, 0.5), {1e-3, true, 4});
+    PwlStateSpaceEngine eng(charger_system(0.05, 50.0, 1e-3, 2.0, 0.5), {1e-3, true});
     eng.set_state(Vector{1.8});
     EXPECT_EQ(eng.segment(), 0u);  // branch voltage 0.2 < v_on
     const Vector u{1.0};
@@ -102,7 +102,7 @@ TEST(PwlEngine, SegmentChangesAreCounted) {
 }
 
 TEST(PwlEngine, RunWithObserver) {
-    PwlStateSpaceEngine eng(rc_system(1e-2), {1e-3, true, 4});
+    PwlStateSpaceEngine eng(rc_system(1e-2), {1e-3, true});
     std::size_t calls = 0;
     double last_t = 0.0;
     eng.run(
@@ -145,7 +145,7 @@ TEST(PwlEngine, ValidatesConstruction) {
 }
 
 TEST(PwlEngine, ValidatesStepInput) {
-    PwlStateSpaceEngine eng(rc_system(1.0), {1e-3, true, 4});
+    PwlStateSpaceEngine eng(rc_system(1.0), {1e-3, true});
     EXPECT_THROW(eng.step(Vector{1.0, 2.0}), std::invalid_argument);
     EXPECT_THROW(eng.set_state(Vector{1.0, 2.0}), std::invalid_argument);
 }

@@ -21,6 +21,15 @@ Exit 1 when an unlinked function is not in ALLOWED below, or when an
 allowed function is linked again or no longer exists (the list must not go
 stale). Exit 2 on a usage error: a build is missing, or the root build lacks
 its benches or examples.
+
+Two kinds of dead code pass this check unseen:
+- A virtual override is linked whenever its class is constructed, because
+  the class's vtable refers to it, even when no program ever calls it.
+  VibrationSource::acceleration() and its four overrides were such code,
+  with the 4.8 MB noise record S3's source would build on a first call that
+  no program made.
+- An inline header function is weak, so it is never counted at all.
+Neither is looked for here; a reader deleting code checks them by hand.
 """
 
 import argparse
@@ -67,8 +76,7 @@ ALLOWED = {
         "ehdoe::node::simulate_node(ehdoe::node::NodeSimConfig const&)",
         "ehdoe::node::NodeSimulation::run()",
         "ehdoe::opt::nelder_mead(std::function<double (ehdoe::num::Vector const&)> const&, "
-        "ehdoe::opt::Bounds const&, ehdoe::num::Vector const&, "
-        "ehdoe::opt::NelderMeadOptions const&)",
+        "ehdoe::opt::Bounds const&, ehdoe::num::Vector const&)",
     ],
     "Test seams: tests reset, sample or count the daemons' and recorder's state": [
         "ehdoe::core::telemetry::reset()",
