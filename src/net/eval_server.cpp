@@ -50,52 +50,10 @@ void EvalServer::start() {
         throw std::runtime_error(std::string("EvalServer: ") + e.what());
     }
     started_at_ = std::chrono::steady_clock::now();
-    setup_metrics();
     running_.store(true);
     server_.start(listen_fd, [this](int fd, std::atomic<bool>& handshaken) {
         serve_connection(fd, handshaken);
     });
-}
-
-void EvalServer::setup_metrics() {
-    if (!(options_.metrics_interval_seconds > 0.0)) return;
-    metrics_ = std::make_unique<core::metrics::Registry>();
-
-    // Interval percentiles come from histogram *deltas*: the pre-sample
-    // hook subtracts the previous snapshot once per sample; the three
-    // percentile probes then read the shared interval histogram.
-    auto prev = std::make_shared<core::telemetry::LatencyHistogram>();
-    auto interval = std::make_shared<core::telemetry::LatencyHistogram>();
-    metrics_->set_pre_sample([this, prev, interval] {
-        const core::telemetry::LatencyHistogram now = latency_histogram();
-        *interval = now;
-        interval->subtract(*prev);
-        *prev = now;
-    });
-    metrics_->register_series(
-        "served", [this] { return static_cast<double>(served_.load()); });
-    metrics_->register_series(
-        "failed", [this] { return static_cast<double>(failed_.load()); });
-    metrics_->register_series(
-        "timed_out", [this] { return static_cast<double>(points_timed_out()); });
-    metrics_->register_series(
-        "in_flight", [this] { return static_cast<double>(in_flight_.load()); });
-    metrics_->register_series("p50_us",
-                              [interval] { return interval->percentile_us(50.0); });
-    metrics_->register_series("p95_us",
-                              [interval] { return interval->percentile_us(95.0); });
-    metrics_->register_series("p99_us",
-                              [interval] { return interval->percentile_us(99.0); });
-    metrics_sampler_ = std::make_unique<core::metrics::Sampler>(
-        *metrics_, options_.metrics_interval_seconds);
-}
-
-void EvalServer::sample_metrics_now() {
-    if (metrics_) metrics_->sample_now(core::telemetry::now_us());
-}
-
-core::metrics::RingSnapshot EvalServer::metrics_snapshot() const {
-    return metrics_ ? metrics_->snapshot() : core::metrics::RingSnapshot{};
 }
 
 std::size_t EvalServer::worker_respawns() const {
@@ -131,7 +89,6 @@ ShardStats EvalServer::stats() const {
     s.latency_p50_us = hist.percentile_us(50.0);
     s.latency_p95_us = hist.percentile_us(95.0);
     s.latency_p99_us = hist.percentile_us(99.0);
-    s.metrics = metrics_snapshot();
     return s;
 }
 
@@ -141,9 +98,6 @@ void EvalServer::stop() {
     // started are evaluated (the rest see running_ false and skip), so the
     // pool is idle after this.
     server_.stop();
-    // Stop sampling before the counters' owners tear down; the registry
-    // (and its last ring) stays readable after stop().
-    metrics_sampler_.reset();
     pool_.reset();
     exec_runner_.reset();  // removes the (now empty) scratch root
 }

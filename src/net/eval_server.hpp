@@ -89,12 +89,6 @@ struct EvalServerOptions {
     /// Simulation identity (e.g. Scenario::fingerprint()); a client whose
     /// hello carries a different fingerprint is rejected at handshake.
     std::string fingerprint;
-    /// Metrics sampling interval (core/metrics.hpp): > 0 runs a sampler
-    /// thread appending one snapshot row per interval to the ring
-    /// (core::metrics::kDefaultRingCapacity rows) the stats reply carries.
-    /// 0 (default) disables sampling entirely. Strictly observational
-    /// either way.
-    double metrics_interval_seconds = 0.0;
 };
 
 class EvalServer {
@@ -139,13 +133,6 @@ public:
     /// time per point, microseconds) — what the stats reply carries.
     core::telemetry::LatencyHistogram latency_histogram() const;
 
-    /// Force one metrics sample now (deterministic tests; no-op when
-    /// metrics sampling is disabled).
-    void sample_metrics_now();
-    /// Snapshot of the metrics ring — what the stats reply carries
-    /// (empty when sampling is disabled).
-    core::metrics::RingSnapshot metrics_snapshot() const;
-
     /// Snapshot of the counters in stats-frame shape — the exact payload a
     /// stats connection is answered with.
     ShardStats stats() const;
@@ -180,13 +167,6 @@ private:
     /// the stats path — hence the guard.
     mutable std::mutex latency_mutex_;
     core::telemetry::LatencyHistogram latency_;
-
-    /// The health plane: counter/gauge series sampled into a ring by a
-    /// dedicated thread, so an idle server keeps sampling. Null when
-    /// sampling is disabled.
-    std::unique_ptr<core::metrics::Registry> metrics_;
-    std::unique_ptr<core::metrics::Sampler> metrics_sampler_;
-    void setup_metrics();
 
     /// Its connection threads use every member above.
     TcpServer server_;

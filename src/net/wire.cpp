@@ -98,16 +98,15 @@ class FrameBudget {
 };
 
 /// string := u64 len, len bytes. The decoder checks the length against
-/// `cap` and the frame's budget before allocating.
+/// the frame's budget (at most kSaneLimit) before allocating.
 void put_string(Bytes& out, std::string_view s) {
     put(out, static_cast<std::uint64_t>(s.size()));
     put_bytes(out, s.data(), s.size());
 }
 
-bool get_string(Reader& in, std::string& s, FrameBudget& budget,
-                std::uint64_t cap = kSaneLimit) {
+bool get_string(Reader& in, std::string& s, FrameBudget& budget) {
     std::uint64_t len = 0;
-    if (!get(in, len) || len > cap || !budget.charge(len)) return false;
+    if (!get(in, len) || !budget.charge(len)) return false;
     s.assign(static_cast<std::size_t>(len), '\0');
     return in.read_exact(s.data(), s.size());
 }
@@ -156,62 +155,6 @@ Bytes opener(const char (&magic)[6], std::uint32_t version) {
     put_bytes(out, magic, sizeof magic);
     put(out, version);
     return out;
-}
-
-/// The metrics-ring block shared by the eval and store stats replies.
-/// Encoding clamps to the wire caps (a correctly configured server never
-/// hits them: the caps exist for the *reader*, which validates every
-/// length before allocating).
-void put_ring(Bytes& out, const core::metrics::RingSnapshot& ring) {
-    put(out, ring.interval_us);
-    if (ring.series.size() > kMaxMetricSeries) {
-        // Misconfigured registry: send an empty ring rather than a frame
-        // every honest reader must reject.
-        put(out, ring.first_seq);
-        put(out, std::uint64_t{0});
-        put(out, std::uint64_t{0});
-        return;
-    }
-    const std::size_t skip =
-        ring.rows.size() > kMaxMetricSamples ? ring.rows.size() - kMaxMetricSamples : 0;
-    put(out, ring.first_seq + skip);
-    put(out, static_cast<std::uint64_t>(ring.series.size()));
-    for (const std::string& name : ring.series) {
-        put_string(out, std::string_view(name).substr(0, kMaxMetricNameLen));
-    }
-    put(out, static_cast<std::uint64_t>(ring.rows.size() - skip));
-    for (std::size_t r = skip; r < ring.rows.size(); ++r) {
-        const core::metrics::RingSnapshot::Row& row = ring.rows[r];
-        put(out, row.t_us);
-        for (std::size_t c = 0; c < ring.series.size(); ++c) {
-            put(out, c < row.values.size() ? row.values[c] : 0.0);
-        }
-    }
-}
-
-/// Every length is checked against its cap before any allocation (the
-/// histogram discipline).
-bool get_ring(Reader& in, core::metrics::RingSnapshot& ring) {
-    ring = core::metrics::RingSnapshot{};
-    FrameBudget budget;
-    std::uint64_t n_series = 0;
-    if (!get(in, ring.interval_us) || !get(in, ring.first_seq) || !get(in, n_series) ||
-        n_series > kMaxMetricSeries)
-        return false;
-    ring.series.resize(static_cast<std::size_t>(n_series));
-    for (std::string& name : ring.series) {
-        if (!get_string(in, name, budget, kMaxMetricNameLen)) return false;
-    }
-    std::uint64_t n_rows = 0;
-    if (!get(in, n_rows) || n_rows > kMaxMetricSamples) return false;
-    ring.rows.resize(static_cast<std::size_t>(n_rows));
-    for (core::metrics::RingSnapshot::Row& row : ring.rows) {
-        row.values.resize(static_cast<std::size_t>(n_series));
-        if (!get(in, row.t_us) ||
-            !in.read_exact(row.values.data(), sizeof(double) * row.values.size()))
-            return false;
-    }
-    return true;
 }
 
 }  // namespace
@@ -359,7 +302,6 @@ bool write_stats_reply(int fd, std::uint64_t status, const ShardStats& stats,
         put(out, stats.latency_p50_us);
         put(out, stats.latency_p95_us);
         put(out, stats.latency_p99_us);
-        put_ring(out, stats.metrics);
     }
     return write_all(fd, out.data(), out.size());
 }
@@ -385,7 +327,7 @@ bool read_stats_reply(Reader& in, std::uint64_t& status, ShardStats& stats,
         if (!get(in, index) || index >= kMaxHistogramBuckets || !get(in, count)) return false;
     }
     return get(in, stats.latency_p50_us) && get(in, stats.latency_p95_us) &&
-           get(in, stats.latency_p99_us) && get_ring(in, stats.metrics);
+           get(in, stats.latency_p99_us);
 }
 
 // ---------------------------------------------------------------------------
@@ -511,7 +453,6 @@ bool write_store_stats_reply(int fd, std::uint64_t status, const StoreStats& sta
         put(out, stats.records_appended);
         put(out, stats.connections_accepted);
         put(out, stats.uptime_seconds);
-        put_ring(out, stats.metrics);
     }
     return write_all(fd, out.data(), out.size());
 }
@@ -525,7 +466,7 @@ bool read_store_stats_reply(Reader& in, std::uint64_t& status, StoreStats& stats
            get(in, stats.quarantined_segments) && get(in, stats.gets_served) &&
            get(in, stats.get_hits) && get(in, stats.puts_received) &&
            get(in, stats.records_appended) && get(in, stats.connections_accepted) &&
-           get(in, stats.uptime_seconds) && get_ring(in, stats.metrics);
+           get(in, stats.uptime_seconds);
 }
 
 }  // namespace ehdoe::net

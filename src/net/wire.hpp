@@ -66,13 +66,11 @@
 //                          then the server's eval-latency histogram
 //                          (core/telemetry.hpp log buckets, microseconds):
 //                          u64 n, n x { u64 bucket_index, u64 count },
-//                          f64 p50_us, f64 p95_us, f64 p99_us,
-//                          then the server's metrics ring (core/metrics.hpp
-//                          periodic snapshots, oldest first):
-//                          u64 interval_us, u64 first_seq,
-//                          u64 n_series, n_series x { u64 name_len, bytes },
-//                          u64 n_rows, n_rows x { u64 t_us, n_series x f64 }
+//                          f64 p50_us, f64 p95_us, f64 p99_us
 //                status != 0: u64 msg_len, bytes     (e.g. version mismatch)
+//
+// Every counter in a stats reply is lifetime: a monitor takes its windows
+// from the difference of two replies (tools/farm_window.hpp).
 //
 // Closing the client side of a connection is the shutdown signal.
 //
@@ -88,7 +86,6 @@
 #include <vector>
 
 #include "core/eval_backend.hpp"
-#include "core/metrics.hpp"
 
 namespace ehdoe::net {
 
@@ -101,8 +98,9 @@ using num::Vector;
 
 /// The one protocol version every peer speaks; a hello or stats request at
 /// any other version is refused. Bump it whenever any frame changes layout
-/// (8 = the eval hello ends at the fingerprint).
-inline constexpr std::uint32_t kProtocolVersion = 8;
+/// (9 = both stats replies end at their lifetime counters, without the
+/// metrics ring).
+inline constexpr std::uint32_t kProtocolVersion = 9;
 inline constexpr char kHandshakeMagic[6] = {'E', 'H', 'D', 'O', 'E', 'N'};
 inline constexpr char kStatsMagic[6] = {'E', 'H', 'D', 'O', 'E', 'S'};
 inline constexpr char kStoreMagic[6] = {'E', 'H', 'D', 'O', 'E', 'R'};
@@ -118,16 +116,6 @@ inline constexpr std::uint64_t kSaneLimit = 1u << 24;
 /// index must stay below this (the telemetry histogram has 976 buckets; a
 /// frame claiming more is corrupt and fails before any allocation).
 inline constexpr std::uint64_t kMaxHistogramBuckets = 1024;
-
-/// Caps on the metrics-ring payload, each validated before any allocation
-/// (the histogram discipline): a server samples a handful of
-/// series into a ring of at most ~120 rows, so a frame claiming more is
-/// corrupt, not large.
-inline constexpr std::uint64_t kMaxMetricSeries = 64;
-inline constexpr std::uint64_t kMaxMetricNameLen = 256;
-inline constexpr std::uint64_t kMaxMetricSamples = 1024;
-static_assert(core::metrics::kDefaultRingCapacity <= kMaxMetricSamples,
-              "the daemons' metrics ring must fit a stats reply");
 
 // ---------------------------------------------------------------------------
 // Low-level output, under every frame writer (and the hand-built frames of
@@ -263,10 +251,6 @@ struct ShardStats {
     double latency_p50_us = 0.0;
     double latency_p95_us = 0.0;
     double latency_p99_us = 0.0;
-    /// The server's metrics ring — recent periodic snapshots of its
-    /// counter/gauge series (core/metrics.hpp). Empty when the server
-    /// samples no metrics.
-    core::metrics::RingSnapshot metrics;
 };
 
 bool write_stats_request(int fd, std::uint32_t version = kProtocolVersion);
@@ -301,8 +285,7 @@ bool read_stats_reply(Reader& in, std::uint64_t& status, ShardStats& stats,
 //     stats, status 0 := u64 keys, u64 segments, u64 quarantined_segments,
 //                    u64 gets_served, u64 get_hits, u64 puts_received,
 //                    u64 records_appended, u64 connections_accepted,
-//                    f64 uptime_seconds, then the store's metrics ring
-//                    (the same layout as in the eval stats reply)
+//                    f64 uptime_seconds
 //
 // Every length field is checked against kSaneLimit before allocation, and
 // the strings and maps of a whole frame (of each response, in an eval
@@ -338,8 +321,6 @@ struct StoreStats {
     std::uint64_t records_appended = 0;      ///< entries newly appended
     std::uint64_t connections_accepted = 0;
     double uptime_seconds = 0.0;  ///< since the server start()ed
-    /// The store's metrics ring (empty when sampling is off).
-    core::metrics::RingSnapshot metrics;
 };
 
 bool write_store_hello(int fd, std::uint32_t version = kProtocolVersion);

@@ -12,8 +12,8 @@ namespace ehdoe::node {
 
 void NodeSimConfig::validate() const {
     if (!vibration) throw std::invalid_argument("NodeSimConfig: vibration source required");
-    if (!(duration > 0.0 && std::isfinite(duration)))
-        throw std::invalid_argument("NodeSimConfig: duration > 0 and finite");
+    if (!(duration > 0.0 && duration <= kMaxDurationSeconds))
+        throw std::invalid_argument("NodeSimConfig: duration in (0, 1e6] s");
     if (!std::isfinite(initial_resonance_hz))
         throw std::invalid_argument("NodeSimConfig: initial_resonance_hz finite");
     if (!(max_substep > 0.0)) throw std::invalid_argument("NodeSimConfig: max_substep > 0");

@@ -48,6 +48,13 @@
 
 namespace ehdoe::node {
 
+/// The longest horizon a run accepts: 1e6 s is 1e7 substeps at the 0.1 s
+/// substep bound, about 0.55 s for one S1 point in a Release build on a
+/// 4-vCPU VM. The paper's runs last 300 to 600 s; a horizon far past this
+/// bound is a typo, not an experiment, and 1e300 s would simulate until
+/// the process is killed.
+inline constexpr double kMaxDurationSeconds = 1e6;
+
 /// Everything one experiment needs. The vibration source is shared because
 /// scenarios reuse one source across many runs.
 struct NodeSimConfig {
@@ -61,7 +68,7 @@ struct NodeSimConfig {
     TuningControllerParams controller;
     EnergyManagerParams manager;
 
-    double duration = 300.0;        ///< simulated horizon (s), finite
+    double duration = 300.0;        ///< simulated horizon (s), <= kMaxDurationSeconds
     double initial_resonance_hz = 0.0;  ///< 0 => untuned natural frequency; finite
     /// Disable the tuning subsystem entirely: a fixed harvester. Only the
     /// tests set it; bench_f1's fixed-harvester curve reads

@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "core/telemetry.hpp"
 #include "net/wire.hpp"
 
 namespace ehdoe::store {
@@ -29,51 +28,12 @@ void StoreServer::start() {
         throw std::runtime_error(std::string("StoreServer: ") + e.what());
     }
     started_at_ = std::chrono::steady_clock::now();
-    setup_metrics();
     server_.start(listen_fd, [this](int fd, std::atomic<bool>& handshaken) {
         serve_connection(fd, handshaken);
     });
 }
 
-void StoreServer::setup_metrics() {
-    if (options_.metrics_interval_seconds <= 0.0) return;
-    metrics_ = std::make_unique<core::metrics::Registry>();
-    metrics_->register_series("keys", [this] {
-        return static_cast<double>(log_->size());
-    });
-    metrics_->register_series("segments", [this] {
-        return static_cast<double>(log_->segment_count());
-    });
-    metrics_->register_series("gets_served", [this] {
-        return static_cast<double>(gets_served_.load());
-    });
-    metrics_->register_series("get_hits", [this] {
-        return static_cast<double>(get_hits_.load());
-    });
-    metrics_->register_series("puts_received", [this] {
-        return static_cast<double>(puts_received_.load());
-    });
-    metrics_->register_series("records_appended", [this] {
-        return static_cast<double>(records_appended_.load());
-    });
-    metrics_sampler_ = std::make_unique<core::metrics::Sampler>(
-        *metrics_, options_.metrics_interval_seconds);
-}
-
-void StoreServer::sample_metrics_now() {
-    if (!metrics_) return;
-    metrics_->sample_now(core::telemetry::now_us());
-}
-
-core::metrics::RingSnapshot StoreServer::metrics_snapshot() const {
-    if (!metrics_) return {};
-    return metrics_->snapshot();
-}
-
-void StoreServer::stop() {
-    server_.stop();
-    metrics_sampler_.reset();
-}
+void StoreServer::stop() { server_.stop(); }
 
 void StoreServer::serve_connection(int fd, std::atomic<bool>& handshaken) {
     // A peer that leaves before a full magic is a probe, not a rejection;
@@ -152,7 +112,6 @@ void StoreServer::serve_connection(int fd, std::atomic<bool>& handshaken) {
                     std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                                   started_at_)
                         .count();
-                if (metrics_) stats.metrics = metrics_->snapshot();
                 if (!write_store_stats_reply(fd, kStatusOk, stats, "")) return;
                 break;
             }

@@ -26,7 +26,6 @@
 #include <memory>
 #include <string>
 
-#include "core/metrics.hpp"
 #include "net/tcp_server.hpp"
 #include "store/segment_log.hpp"
 
@@ -41,11 +40,6 @@ struct StoreServerOptions {
     /// Passed through to the SegmentLog.
     std::size_t max_segment_bytes = 8u << 20;
     bool verbose = true;
-    /// Metrics sampling interval (core/metrics.hpp): > 0 runs a sampler
-    /// thread appending one snapshot row per interval to the ring
-    /// (core::metrics::kDefaultRingCapacity rows) the store-stats reply
-    /// carries. 0 (default) disables sampling entirely.
-    double metrics_interval_seconds = 0.0;
 };
 
 class StoreServer {
@@ -77,16 +71,8 @@ class StoreServer {
     std::uint64_t puts_received() const { return puts_received_.load(); }
     std::uint64_t records_appended() const { return records_appended_.load(); }
 
-    /// Force one metrics sample now (deterministic tests; no-op when
-    /// metrics sampling is disabled).
-    void sample_metrics_now();
-    /// Snapshot of the metrics ring — what the store-stats reply carries
-    /// (empty when sampling is disabled).
-    core::metrics::RingSnapshot metrics_snapshot() const;
-
   private:
     void serve_connection(int fd, std::atomic<bool>& handshaken);
-    void setup_metrics();
 
     StoreServerOptions options_;
     std::unique_ptr<SegmentLog> log_;
@@ -98,11 +84,6 @@ class StoreServer {
     std::atomic<std::uint64_t> get_hits_{0};
     std::atomic<std::uint64_t> puts_received_{0};
     std::atomic<std::uint64_t> records_appended_{0};
-
-    /// Health-plane ring, sampled by its own thread so an idle store keeps
-    /// sampling. Null when sampling is disabled.
-    std::unique_ptr<core::metrics::Registry> metrics_;
-    std::unique_ptr<core::metrics::Sampler> metrics_sampler_;
 
     /// Its connection threads use every member above.
     net::TcpServer server_;

@@ -5,8 +5,8 @@
 // each keep theirs, runners on one file share it, an unopenable path
 // throws, the descriptor is close-on-exec); forced kill/redial incidents
 // land in the journal; and — the determinism contract — turning the
-// journal AND the metrics ring on changes no result bit across the
-// in-process, exec, remote and store-backed stacks.
+// journal on changes no result bit across the in-process, exec, remote and
+// store-backed stacks.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -386,8 +386,8 @@ TEST_F(EventLogTest, KillAndRestartIncidentsLandInTheJournal) {
 }
 
 // ---------------------------------------------------------------------------
-// The determinism contract: journal + metrics on vs off is bitwise
-// identical, per backend stack (the PR's acceptance criterion).
+// The determinism contract: the journal on vs off is bitwise identical,
+// per backend stack.
 // ---------------------------------------------------------------------------
 TEST_F(EventLogTest, JournalOnVsOffBitwiseIdenticalInProcess) {
     const core::Scenario sc = core::Scenario::make(core::ScenarioId::OfficeHvac, 30.0);
@@ -437,7 +437,7 @@ TEST_F(EventLogTest, JournalOnVsOffBitwiseIdenticalExec) {
     expect_identical(journaled, base);
 }
 
-TEST_F(EventLogTest, JournalAndMetricsOnVsOffBitwiseIdenticalRemote) {
+TEST_F(EventLogTest, JournalOnVsOffBitwiseIdenticalRemote) {
     const core::Scenario sc = core::Scenario::make(core::ScenarioId::OfficeHvac, 30.0);
     const std::vector<Vector> points = s1_ccd_points(sc);
 
@@ -451,29 +451,23 @@ TEST_F(EventLogTest, JournalAndMetricsOnVsOffBitwiseIdenticalRemote) {
     }
     plain->stop();
 
-    // The observed farm: metrics ring sampling on the shard, journal on the
-    // client — the full health plane.
-    net::EvalServerOptions o;
-    o.workers = 2;
-    o.fingerprint = sc.fingerprint();
-    o.metrics_interval_seconds = 0.05;
-    net::EvalServer observed(sc.make_simulation(), o);
-    observed.start();
+    // The observed farm: the journal on the client.
+    auto observed = net_test::start_server(sc.make_simulation(), sc.fingerprint());
 
     exec_test::TempDir dir("eventlog-remote");
     std::vector<doe::ResponseMap> journaled;
     {
         doe::RunnerOptions ro = net_test::remote_options(
-            {"127.0.0.1:" + std::to_string(observed.port())}, sc.fingerprint());
+            {net_test::endpoint_of(*observed)}, sc.fingerprint());
         ro.event_log_file = dir.path() + "/events.jsonl";
         doe::BatchRunner runner(core::Simulation{}, ro);
         journaled = runner.evaluate(points);
     }
-    observed.stop();
+    observed->stop();
     expect_identical(journaled, base);
 }
 
-TEST_F(EventLogTest, JournalAndMetricsOnVsOffBitwiseIdenticalStore) {
+TEST_F(EventLogTest, JournalOnVsOffBitwiseIdenticalStore) {
     const core::Scenario sc = core::Scenario::make(core::ScenarioId::OfficeHvac, 30.0);
     const std::vector<Vector> points = s1_ccd_points(sc);
 
@@ -489,7 +483,6 @@ TEST_F(EventLogTest, JournalAndMetricsOnVsOffBitwiseIdenticalStore) {
     store::StoreServerOptions so;
     so.dir = dir.path() + "/store";
     so.verbose = false;
-    so.metrics_interval_seconds = 0.05;
     store::StoreServer server(so);
     server.start();
 

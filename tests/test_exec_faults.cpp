@@ -3,7 +3,8 @@
 // retry (recovery and budget exhaustion), a simulator that cannot be
 // exec'd, descriptors a simulator must not inherit, the signal mask it
 // starts with, hang-until-timeout
-// (process *group* killed, counted in the stats frame), malformed output,
+// (process *group* killed, counted in the stats frame), a horizon past the
+// node's bound failing fast, malformed output,
 // a -0.0 response read as in-process evaluation reads it, artifact
 // retention, and the stdin/output-file recipe modes.
 #include <gtest/gtest.h>
@@ -275,6 +276,26 @@ TEST(ExecFaults, HangTimesOutAndKillsTheProcessGroup) {
     }
     EXPECT_TRUE(gone) << "process-group kill must reach the simulator's children (pid "
                       << child << ")";
+}
+
+// A deck whose horizon is past node::kMaxDurationSeconds fails at once:
+// the node's check exits the simulator with status 4 instead of letting it
+// simulate until the recipe's timeout kills it (1e300 s would never end).
+TEST(ExecFaults, HorizonPastTheBoundFailsFastInsteadOfSimulating) {
+    for (const double horizon : {1e300, 1.0000001e6}) {
+        ExecBackend backend = make_backend(
+            ehdoe::exec_test::s1_recipe_text(horizon, "", "timeout: 5\n"), 1);
+        try {
+            backend.evaluate(ehdoe::exec_test::s1_points(1));
+            ADD_FAILURE() << "expected the horizon " << horizon << " to fail the point";
+        } catch (const std::runtime_error& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("exited with status 4"), std::string::npos) << what;
+            EXPECT_NE(what.find("NodeSimConfig: duration in (0, 1e6] s"), std::string::npos)
+                << what;
+        }
+        EXPECT_EQ(backend.timeouts(), 0u) << horizon;
+    }
 }
 
 TEST(ExecFaults, SimulatorStartsWithNoSignalBlocked) {

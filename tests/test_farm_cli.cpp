@@ -1,10 +1,10 @@
 // The farm client end to end: the ehdoe-farm binary run against
-// in-process daemons (an eval-server and a store server, both sampling
-// their metrics rings by hand so every number is deterministic) — each
-// view's output and exit status, usage errors, and the export view's
-// serve mode with an idle client connected — plus the eval-server
-// daemon's strict --duration and --events handling, and how both daemons
-// stop on SIGTERM.
+// in-process daemons (an eval-server and a store server) — each view's
+// output and exit status, the window a view takes between two of its
+// polls, usage errors, and the export view's serve mode with an idle
+// client connected — plus the window function on hand-built polls, the
+// eval-server daemon's strict --duration and --events handling, and how
+// both daemons stop on SIGTERM.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -30,6 +30,7 @@
 #include "core/perf_gate.hpp"
 #include "doe/batch_runner.hpp"
 #include "doe/factorial.hpp"
+#include "farm_window.hpp"
 #include "net/eval_server.hpp"
 #include "net_test_utils.hpp"
 #include "store/store_server.hpp"
@@ -105,18 +106,6 @@ int wait_exit(pid_t pid, std::chrono::seconds timeout) {
     return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
-/// A loopback eval-server whose metrics ring the test samples by hand (the
-/// huge interval parks its sampler thread).
-std::unique_ptr<net::EvalServer> start_ringed_server(core::Simulation sim) {
-    net::EvalServerOptions o;
-    o.workers = 2;
-    o.fingerprint = "sim-id";
-    o.metrics_interval_seconds = 3600.0;
-    auto server = std::make_unique<net::EvalServer>(std::move(sim), o);
-    server->start();
-    return server;
-}
-
 struct Outcome {
     int exit = -1;
     std::string out;
@@ -153,17 +142,16 @@ protected:
     std::string dir_;
 };
 
-/// One eval shard and one store, each with a three-row metrics ring, after
-/// a cold and a warm run of a 3x3 design.
+/// One eval shard and one store after a cold and a warm run of a 3x3
+/// design.
 class FarmCli : public CliTest {
 protected:
     void SetUp() override {
         CliTest::SetUp();
-        eval_ = start_ringed_server(identity_sim());
+        eval_ = start_server(identity_sim(), "sim-id");
         store::StoreServerOptions so;
         so.dir = dir_ + "/store";
         so.verbose = false;
-        so.metrics_interval_seconds = 3600.0;
         store_ = std::make_unique<store::StoreServer>(so);
         store_->start();
         eval_endpoint_ = endpoint_of(*eval_);
@@ -171,19 +159,16 @@ protected:
 
         doe::RunnerOptions o = remote_options({eval_endpoint_}, "sim-id");
         o.store_endpoint = store_endpoint_;
-        sample();  // row 0: nothing yet
         // Cold: nine store misses, nine points served and published.
         ASSERT_EQ(doe::BatchRunner(identity_sim(), o)
                       .run_design(kSpace, doe::full_factorial(2, 3))
                       .simulations,
                   9u);
-        sample();  // row 1
         // Warm: a fresh runner finds all nine in the store.
         ASSERT_EQ(doe::BatchRunner(identity_sim(), o)
                       .run_design(kSpace, doe::full_factorial(2, 3))
                       .simulations,
                   0u);
-        sample();  // row 2
     }
 
     void TearDown() override {
@@ -192,16 +177,30 @@ protected:
         CliTest::TearDown();
     }
 
-    void sample() {
-        eval_->sample_metrics_now();
-        store_->sample_metrics_now();
-    }
-
     /// Run `ehdoe-farm args...` to completion.
     Outcome farm(const std::vector<std::string>& args) {
         std::vector<std::string> argv{EHDOE_FARM_BIN};
         argv.insert(argv.end(), args.begin(), args.end());
         return run(argv);
+    }
+
+    /// Start `ehdoe-farm export --port 0` over the fixture's daemons: its
+    /// pid, and the port from its "serving on" line (0 when none came).
+    std::pair<pid_t, std::uint16_t> serve_export() {
+        const std::string out = dir_ + "/serve.out";
+        const pid_t pid = spawn({EHDOE_FARM_BIN, "export", eval_endpoint_, "--store",
+                                 store_endpoint_, "--port", "0"},
+                                out, dir_ + "/serve.err");
+        std::uint16_t port = 0;
+        const std::string prefix = "serving on 127.0.0.1:";
+        for (int i = 0; pid > 0 && i < 1000 && port == 0; ++i) {
+            const std::string text = read_file(out);
+            if (text.rfind(prefix, 0) == 0 && text.find('\n') != std::string::npos)
+                port = static_cast<std::uint16_t>(std::stoi(text.substr(prefix.size())));
+            else
+                std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        }
+        return {pid, port};
     }
 
     std::unique_ptr<net::EvalServer> eval_;
@@ -226,6 +225,29 @@ std::string dead_endpoint() {
     return "127.0.0.1:" + std::to_string(ntohs(addr.sin_port));
 }
 
+/// One HTTP GET on loopback `port`: the reply up to the server's close, or
+/// what arrived by `deadline`.
+std::string http_get(std::uint16_t port, std::chrono::steady_clock::time_point deadline) {
+    const int fd = raw_connect(port);
+    const std::string request = "GET /metrics HTTP/1.0\r\n\r\n";
+    EXPECT_EQ(::send(fd, request.data(), request.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(request.size()));
+    std::string reply;
+    char buf[4096];
+    for (;;) {
+        const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                              deadline - std::chrono::steady_clock::now())
+                              .count();
+        pollfd pfd{fd, POLLIN, 0};
+        if (left <= 0 || ::poll(&pfd, 1, static_cast<int>(left)) != 1) break;
+        const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+        if (n <= 0) break;
+        reply.append(buf, static_cast<std::size_t>(n));
+    }
+    ::close(fd);
+    return reply;
+}
+
 std::vector<std::string> keys_of(const core::JsonValue& object) {
     std::vector<std::string> keys;
     for (const auto& member : object.object) keys.push_back(member.first);
@@ -247,6 +269,108 @@ std::string stable_lines(const std::string& exposition) {
 }
 
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// The window function on hand-built polls: no daemon, no socket.
+// ---------------------------------------------------------------------------
+namespace {
+
+using Histogram = core::telemetry::LatencyHistogram;
+
+/// A shard's poll: `served` points served, 2 failed, and a histogram of
+/// 100 samples in bucket 10 and 2 in bucket 20 plus `extra`.
+net::ShardStats shard_poll(double uptime, std::uint64_t served,
+                           std::vector<std::pair<std::uint64_t, std::uint64_t>> extra = {}) {
+    net::ShardStats s;
+    s.uptime_seconds = uptime;
+    s.points_served = served;
+    s.points_failed = 2;
+    s.handshakes_rejected = 1;
+    s.connections_accepted = 5;
+    s.latency_buckets = {{10, 100}, {20, 2}};
+    s.latency_buckets.insert(s.latency_buckets.end(), extra.begin(), extra.end());
+    return s;
+}
+
+net::StoreStats store_poll(double uptime, std::uint64_t gets, std::uint64_t hits) {
+    net::StoreStats s;
+    s.uptime_seconds = uptime;
+    s.gets_served = gets;
+    s.get_hits = hits;
+    s.puts_received = 9;
+    s.records_appended = 9;
+    s.connections_accepted = 3;
+    return s;
+}
+
+}  // namespace
+
+TEST(FarmWindow, TwoPollsGiveTheRatePercentilesAndHitRateOfTheirDifference) {
+    // 40 points in 4 s: 39 in bucket 30 and one in bucket 40, on top of the
+    // first poll's 102 samples, which the window must not see.
+    const net::ShardStats before = shard_poll(10.0, 100);
+    const net::ShardStats after = shard_poll(14.0, 140, {{30, 39}, {40, 1}});
+    const std::optional<tools::Window> w = tools::window(&before, &after);
+    ASSERT_TRUE(w);
+    EXPECT_EQ(w->rate, 10.0);
+    ASSERT_TRUE(w->p50_us && w->p99_us);
+    EXPECT_EQ(*w->p50_us, static_cast<double>(Histogram::bucket_floor(30)));
+    EXPECT_EQ(*w->p99_us, static_cast<double>(Histogram::bucket_floor(40)));
+    EXPECT_FALSE(w->hit_rate);
+
+    // An idle window has a rate of 0 and no percentiles.
+    net::ShardStats later = after;
+    later.uptime_seconds = 16.0;
+    const std::optional<tools::Window> quiet = tools::window(&after, &later);
+    ASSERT_TRUE(quiet);
+    EXPECT_EQ(quiet->rate, 0.0);
+    EXPECT_FALSE(quiet->p50_us || quiet->p99_us);
+
+    // A store: 8 hits in 10 gets; lifetime would read 17/28.
+    const net::StoreStats s0 = store_poll(5.0, 18, 9);
+    const net::StoreStats s1 = store_poll(7.0, 28, 17);
+    const std::optional<tools::Window> sw = tools::window(&s0, &s1);
+    ASSERT_TRUE(sw);
+    ASSERT_TRUE(sw->hit_rate);
+    EXPECT_EQ(*sw->hit_rate, 0.8);
+    const net::StoreStats s2 = store_poll(9.0, 28, 17);
+    const std::optional<tools::Window> no_gets = tools::window(&s1, &s2);
+    ASSERT_TRUE(no_gets);
+    EXPECT_FALSE(no_gets->hit_rate);
+}
+
+TEST(FarmWindow, NoWindowWithoutBothPollsOrAcrossARestart) {
+    const net::ShardStats before = shard_poll(10.0, 100);
+    const net::ShardStats after = shard_poll(14.0, 140, {{30, 40}});
+    ASSERT_TRUE(tools::window(&before, &after));
+    EXPECT_FALSE(tools::window(nullptr, &after)) << "a first poll";
+    EXPECT_FALSE(tools::window(&before, nullptr)) << "a poll of a down endpoint";
+    EXPECT_FALSE(tools::window(&after, &after)) << "the uptime must advance";
+
+    // A restart: a shorter uptime, or a counter that went down.
+    const net::ShardStats younger = shard_poll(3.0, 140, {{30, 40}});
+    EXPECT_FALSE(tools::window(&before, &younger));
+    net::ShardStats failed_less = after;
+    failed_less.points_failed = 1;
+    EXPECT_FALSE(tools::window(&before, &failed_less));
+    const net::ShardStats served_less = shard_poll(14.0, 99);
+    EXPECT_FALSE(tools::window(&before, &served_less));
+    // Every bucket counts: bucket 10 went down while the total rose.
+    net::ShardStats moved = after;
+    moved.latency_buckets = {{11, 100}, {20, 2}, {30, 40}};
+    EXPECT_FALSE(tools::window(&before, &moved));
+    // A bucket the telemetry histogram cannot hold is no window either.
+    net::ShardStats garbled = after;
+    garbled.latency_buckets.push_back({Histogram::kBuckets, 1});
+    EXPECT_FALSE(tools::window(&before, &garbled));
+
+    const net::StoreStats s0 = store_poll(5.0, 18, 9);
+    const net::StoreStats restarted = store_poll(1.0, 28, 17);
+    const net::StoreStats hits_less = store_poll(7.0, 28, 8);
+    EXPECT_FALSE(tools::window(&s0, &restarted));
+    EXPECT_FALSE(tools::window(&s0, &hits_less));
+    EXPECT_FALSE(tools::window(static_cast<const net::StoreStats*>(nullptr), &s0));
+}
 
 TEST_F(FarmCli, StatsJsonCarriesTheReadmeSchemaAndAllUp) {
     const Outcome r = farm({"stats", "--json", "--store", store_endpoint_, eval_endpoint_});
@@ -275,22 +399,20 @@ TEST_F(FarmCli, StatsJsonCarriesTheReadmeSchemaAndAllUp) {
     EXPECT_EQ(store.find("hit_rate")->number, 0.5);
 }
 
-TEST_F(FarmCli, StatsFlagsTheShardWhoseWindowedP99ExceedsTwiceTheFarmMedian) {
-    auto fast = start_ringed_server(identity_sim());
-    auto slow = start_ringed_server([](const Vector& nat) -> std::map<std::string, double> {
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        return {{"f", nat[0]}};
-    });
-    fast->sample_metrics_now();
-    slow->sample_metrics_now();
+// One poll has no window, so each shard's signal is its lifetime p99.
+TEST_F(FarmCli, StatsFlagsTheShardWhoseP99ExceedsTwiceTheFarmMedian) {
+    auto fast = start_server(identity_sim(), "sim-id");
+    auto slow = start_server(
+        [](const Vector& nat) -> std::map<std::string, double> {
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+            return {{"f", nat[0]}};
+        },
+        "sim-id");
     // Nine points over three shards: three each.
     doe::BatchRunner(identity_sim(),
                      remote_options({eval_endpoint_, endpoint_of(*fast), endpoint_of(*slow)},
                                     "sim-id"))
         .run_design(kSpace, doe::full_factorial(2, 3));
-    eval_->sample_metrics_now();
-    fast->sample_metrics_now();
-    slow->sample_metrics_now();
 
     const Outcome r =
         farm({"stats", "--json", eval_endpoint_, endpoint_of(*fast), endpoint_of(*slow)});
@@ -306,19 +428,17 @@ TEST_F(FarmCli, StatsFlagsTheShardWhoseWindowedP99ExceedsTwiceTheFarmMedian) {
 TEST_F(FarmCli, StatsFlagsTheSlowerOfTwoShards) {
     // Two shards: each is compared with the other alone, so the slow one
     // straggles whatever the fast one reads, 0 us included.
-    auto fast = start_ringed_server(identity_sim());
-    auto slow = start_ringed_server([](const Vector& nat) -> std::map<std::string, double> {
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        return {{"f", nat[0]}};
-    });
-    fast->sample_metrics_now();
-    slow->sample_metrics_now();
+    auto fast = start_server(identity_sim(), "sim-id");
+    auto slow = start_server(
+        [](const Vector& nat) -> std::map<std::string, double> {
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+            return {{"f", nat[0]}};
+        },
+        "sim-id");
     // Four points over two shards: two each.
     doe::BatchRunner(identity_sim(),
                      remote_options({endpoint_of(*fast), endpoint_of(*slow)}, "sim-id"))
         .run_design(kSpace, doe::full_factorial(2, 2));
-    fast->sample_metrics_now();
-    slow->sample_metrics_now();
 
     const Outcome r = farm({"stats", "--json", endpoint_of(*fast), endpoint_of(*slow)});
     ASSERT_EQ(r.exit, 0) << r.err;
@@ -354,7 +474,9 @@ TEST_F(FarmCli, ExportPrintsTheFamiliesAndTheTextfileMatches) {
           "ehdoe_store_hit_rate{endpoint=\"" + store_endpoint_ + "\"} 0.5"}) {
         EXPECT_NE(r.out.find(sample + "\n"), std::string::npos) << sample << "\n" << r.out;
     }
-    EXPECT_NE(r.out.find("ehdoe_eval_window_p99_us{"), std::string::npos) << r.out;
+    EXPECT_EQ(r.out.find("ehdoe_eval_window_p99_us{"), std::string::npos)
+        << "one poll has no window:\n"
+        << r.out;
 
     const std::string textfile = dir_ + "/ehdoe.prom";
     const Outcome w =
@@ -371,8 +493,29 @@ TEST_F(FarmCli, TopPrintsOneFrameWithTheShardAndStoreRows) {
         << "no screen clear when stdout is not a terminal:\n"
         << r.out;
     EXPECT_NE(r.out.find("\n" + eval_endpoint_ + "  up "), std::string::npos) << r.out;
-    // Store: lifetime hit rate 9/18, last interval 9/9.
-    EXPECT_NE(r.out.find("50.0%    100.0%"), std::string::npos) << r.out;
+    // Store: lifetime hit rate 9/18; one poll has no window, so no recent
+    // hit rate.
+    EXPECT_NE(r.out.find("50.0%    -"), std::string::npos) << r.out;
+}
+
+// The second frame shows the window since the first. Nothing was served in
+// between, so its rate is 0.0 where the first frame's is the lifetime
+// average, marked '~'.
+TEST_F(FarmCli, TopSecondFrameShowsTheWindowSinceTheFirst) {
+    const Outcome r = farm({"top", "--count", "2", "--interval", "0.05", eval_endpoint_});
+    ASSERT_EQ(r.exit, 0) << r.err;
+    const std::size_t second = r.out.find("== ehdoe-farm top  poll 1  (1 shards) ==\n");
+    ASSERT_NE(second, std::string::npos) << r.out;
+    auto rate_of = [this](const std::string& frame) {
+        const std::size_t row = frame.find("\n" + eval_endpoint_ + "  up ");
+        if (row == std::string::npos) return std::string();
+        std::istringstream fields(frame.substr(row));
+        std::string label, state, rate;
+        fields >> label >> state >> rate;
+        return rate;
+    };
+    EXPECT_EQ(rate_of(r.out.substr(0, second)).rfind("~", 0), 0u) << r.out;
+    EXPECT_EQ(rate_of(r.out.substr(second)), "0.0") << r.out;
 }
 
 TEST_F(FarmCli, UsageErrorsExitTwo) {
@@ -383,6 +526,9 @@ TEST_F(FarmCli, UsageErrorsExitTwo) {
              {"stats"},
              {"stats", "--textfile", textfile, eval_endpoint_},
              {"stats", "--interval", "5x", eval_endpoint_},
+             // Past 1e9 s, the wait between polls cannot be counted.
+             {"stats", "--json", "--interval", "1e300", "--count", "1", eval_endpoint_},
+             {"top", "--interval", "1.000001e9", "--count", "1", eval_endpoint_},
              {"top", "--json", eval_endpoint_},
              {"export", "--count", "1", eval_endpoint_},
              {"export", "--port", "0", "--textfile", textfile, eval_endpoint_},
@@ -400,45 +546,14 @@ TEST_F(FarmCli, UsageErrorsExitTwo) {
 // Serve mode answers one connection at a time: a client that connects and
 // never sends a request must not stall every later scrape.
 TEST_F(FarmCli, ExportServesAScrapeWhileAnIdleConnectionStaysOpen) {
-    const std::string out = dir_ + "/serve.out";
-    const pid_t pid = spawn({EHDOE_FARM_BIN, "export", eval_endpoint_, "--store",
-                             store_endpoint_, "--port", "0"},
-                            out, dir_ + "/serve.err");
-    ASSERT_GT(pid, 0);
-    std::uint16_t port = 0;
-    const std::string prefix = "serving on 127.0.0.1:";
-    for (int i = 0; i < 1000 && port == 0; ++i) {
-        const std::string text = read_file(out);
-        if (text.rfind(prefix, 0) == 0 && text.find('\n') != std::string::npos)
-            port = static_cast<std::uint16_t>(std::stoi(text.substr(prefix.size())));
-        else
-            std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    ASSERT_NE(port, 0) << read_file(out);
-
+    const auto [pid, port] = serve_export();
+    ASSERT_NE(port, 0);
     const int idle = raw_connect(port);
     const auto start = std::chrono::steady_clock::now();
-    const auto deadline = start + std::chrono::seconds(5);
-    const int scrape = raw_connect(port);
-    const std::string request = "GET /metrics HTTP/1.0\r\n\r\n";
-    ASSERT_EQ(::send(scrape, request.data(), request.size(), MSG_NOSIGNAL),
-              static_cast<ssize_t>(request.size()));
-    std::string reply;
-    char buf[4096];
-    for (;;) {
-        const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                              deadline - std::chrono::steady_clock::now())
-                              .count();
-        pollfd pfd{scrape, POLLIN, 0};
-        if (left <= 0 || ::poll(&pfd, 1, static_cast<int>(left)) != 1) break;
-        const ssize_t n = ::recv(scrape, buf, sizeof buf, 0);
-        if (n <= 0) break;
-        reply.append(buf, static_cast<std::size_t>(n));
-    }
+    const std::string reply = http_get(port, start + std::chrono::seconds(5));
     const auto elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                                 std::chrono::steady_clock::now() - start)
                                 .count();
-    ::close(scrape);
     ::close(idle);
     ::kill(pid, SIGTERM);
     EXPECT_EQ(wait_exit(pid, std::chrono::seconds(10)), 0);
@@ -451,18 +566,50 @@ TEST_F(FarmCli, ExportServesAScrapeWhileAnIdleConnectionStaysOpen) {
         << reply;
 }
 
+// Serve mode windows each scrape against the previous one: the first has
+// no windowed gauge, the second the rate and p99 of the four points served
+// in between.
+TEST_F(FarmCli, ExportServeModeWindowsEachScrapeAgainstThePreviousOne) {
+    const auto [pid, port] = serve_export();
+    ASSERT_NE(port, 0);
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    const std::string first = http_get(port, deadline);
+    ASSERT_EQ(doe::BatchRunner(identity_sim(), remote_options({eval_endpoint_}, "sim-id"))
+                  .run_design(kSpace, doe::full_factorial(2, 2))
+                  .simulations,
+              4u);
+    const std::string second = http_get(port, deadline);
+    ::kill(pid, SIGTERM);
+    EXPECT_EQ(wait_exit(pid, std::chrono::seconds(10)), 0);
+
+    const std::string label = "{endpoint=\"" + eval_endpoint_ + "\"} ";
+    const std::string rate = "\nehdoe_eval_points_per_second" + label;
+    const std::string p99 = "\nehdoe_eval_window_p99_us" + label;
+    EXPECT_EQ(first.find(rate), std::string::npos) << first;
+    EXPECT_EQ(first.find(p99), std::string::npos) << first;
+    const std::size_t at = second.find(rate);
+    ASSERT_NE(at, std::string::npos) << second;
+    EXPECT_GT(std::stod(second.substr(at + rate.size())), 0.0) << second;
+    EXPECT_NE(second.find(p99), std::string::npos) << second;
+    EXPECT_NE(second.find("ehdoe_eval_points_served_total" + label + "13\n"), std::string::npos)
+        << second;
+}
+
 // The daemon refuses a --duration it cannot read instead of serving a
-// silently different scenario; the values the benchmark passes still work.
+// silently different scenario, and one past node::kMaxDurationSeconds
+// instead of serving points that never finish; the values the benchmark
+// passes still work.
 TEST_F(EvalServerCli, DurationMustBeAPositiveNumber) {
-    for (const char* bad : {"60x", "banana", "0", "-5", "inf", "nan", ""}) {
+    for (const char* bad : {"60x", "banana", "0", "-5", "inf", "nan", "", "1e300", "1000000.1"}) {
         const Outcome r = run({EHDOE_EVAL_SERVER_BIN, "--duration", bad, "--print-fingerprint"});
         EXPECT_EQ(r.exit, 2) << "--duration '" << bad << "'";
-        EXPECT_NE(r.err.find("--duration must be a positive number of seconds, got '" +
+        EXPECT_NE(r.err.find("--duration must be a positive number of seconds, at most 1e6, "
+                             "got '" +
                              std::string(bad) + "'"),
                   std::string::npos)
             << r.err;
     }
-    for (const char* good : {"60", "10", "2.5"}) {
+    for (const char* good : {"60", "10", "2.5", "1e6"}) {
         const Outcome r = run({EHDOE_EVAL_SERVER_BIN, "--duration", good, "--print-fingerprint"});
         EXPECT_EQ(r.exit, 0) << "--duration " << good << ": " << r.err;
         char expected[64];
@@ -471,24 +618,19 @@ TEST_F(EvalServerCli, DurationMustBeAPositiveNumber) {
     }
 }
 
-// Both daemons refuse a metrics interval their sampler cannot wait, as the
-// usage error a non-positive one gets.
-TEST_F(DaemonCli, MetricsIntervalAbove1e9SecondsIsAUsageError) {
+// Neither daemon samples its own counters: --metrics-interval is an
+// unknown flag, a usage error like any other.
+TEST_F(DaemonCli, MetricsIntervalIsAUsageError) {
     const std::vector<std::vector<std::string>> daemons{
         {EHDOE_EVAL_SERVER_BIN, "--port", "0"},
         {EHDOE_STORE_SERVER_BIN, "--port", "0", "--dir", dir_ + "/store"}};
     for (const std::vector<std::string>& daemon : daemons) {
-        for (const char* bad : {"1e300", "1e10", "1.5e9", "0"}) {
-            std::vector<std::string> argv = daemon;
-            argv.insert(argv.end(), {"--metrics-interval", bad});
-            const Outcome r = run(argv);
-            EXPECT_EQ(r.exit, 2) << daemon[0] << " --metrics-interval " << bad;
-            EXPECT_NE(r.err.find("--metrics-interval must be a positive number of seconds, at "
-                                 "most 1e9, got '" +
-                                 std::string(bad) + "'"),
-                      std::string::npos)
-                << r.err;
-        }
+        std::vector<std::string> argv = daemon;
+        argv.insert(argv.end(), {"--metrics-interval", "0.2"});
+        const Outcome r = run(argv);
+        EXPECT_EQ(r.exit, 2) << daemon[0];
+        EXPECT_NE(r.err.find("usage: "), std::string::npos) << r.err;
+        EXPECT_EQ(r.out.find("listening on"), std::string::npos) << r.out;
     }
 }
 

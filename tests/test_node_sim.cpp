@@ -610,6 +610,15 @@ TEST(NodeSim, Validation) {
     c = base_config();
     c.duration = 0.0;
     EXPECT_THROW(NodeSimulation{c}, std::invalid_argument);
+    // A finite horizon past the bound would simulate for as long: 1e300 s
+    // never ends.
+    const double above = std::nextafter(kMaxDurationSeconds, 2.0 * kMaxDurationSeconds);
+    for (const double horizon : {1e300, above}) {
+        c.duration = horizon;
+        EXPECT_THROW(NodeSimulation{c}, std::invalid_argument) << horizon;
+    }
+    c.duration = kMaxDurationSeconds;
+    EXPECT_NO_THROW(NodeSimulation{c});
     NodeSimulation ok(base_config(30.0));
     std::vector<TracePoint> tr;
     EXPECT_THROW(ok.run_traced(0.0, tr), std::invalid_argument);

@@ -549,7 +549,8 @@ TEST(StoreService, PreStoreProtocolVersionIsRefusedWithAClearMessage) {
 }
 
 // ":PORT" is loopback shorthand, as for every eval endpoint: the monitoring
-// CLIs' --store :PORT must poll a live store, not report it down.
+// CLIs' --store :PORT must poll a live store, not report it down. A
+// malformed endpoint fails the poll with a message, not an exception.
 TEST(StoreService, StatsPollAcceptsTheColonPortShorthand) {
     TempDir dir("ehdoe-storesvc-shorthand");
     auto server = start_store(dir);
@@ -560,6 +561,9 @@ TEST(StoreService, StatsPollAcceptsTheColonPortShorthand) {
     ASSERT_TRUE(store::query_store_stats(":" + std::to_string(server->port()), stats, error))
         << error;
     EXPECT_EQ(stats.keys, 1u);
+    error.clear();
+    EXPECT_FALSE(store::query_store_stats("no-port-here", stats, error));
+    EXPECT_FALSE(error.empty());
     server->stop();
 }
 

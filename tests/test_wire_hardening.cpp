@@ -605,86 +605,14 @@ TEST(WireHardening, StatsReplyTruncatedMidHistogramFailsCleanly) {
     expect_stats_tail_failure(std::move(tail));
 }
 
-namespace {
-
-void push_f64(std::vector<unsigned char>& bytes, double v) {
-    const auto* p = reinterpret_cast<const unsigned char*>(&v);
-    bytes.insert(bytes.end(), p, p + sizeof v);
-}
-
-/// A valid-but-empty histogram section (0 buckets, 3 percentiles): the ring
-/// poisons below must get *past* the histogram block to prove the ring
-/// fields themselves are validated.
-std::vector<unsigned char> empty_histogram_block() {
-    std::vector<unsigned char> bytes;
-    bytes.reserve(32);   // 4 fields; also quiets GCC 12's overflow false positive
-    push_u64(bytes, 0);  // no histogram buckets
-    push_f64(bytes, 0.0);
-    push_f64(bytes, 0.0);
-    push_f64(bytes, 0.0);
-    return bytes;
-}
-
-}  // namespace
-
-// A stats reply claiming 2^40 metric series: kMaxMetricSeries must fail
-// the read before any allocation.
-TEST(WireHardening, StatsReplyWithOversizedMetricSeriesCountFailsCleanly) {
-    std::vector<unsigned char> tail = empty_histogram_block();
-    push_u64(tail, 1'000'000);  // interval_us
-    push_u64(tail, 0);          // first_seq
-    push_u64(tail, std::uint64_t{1} << 40);
-    expect_stats_tail_failure(std::move(tail));
-}
-
-// A series name longer than kMaxMetricNameLen is corrupt, not verbose.
-TEST(WireHardening, StatsReplyWithOversizedMetricNameFailsCleanly) {
-    std::vector<unsigned char> tail = empty_histogram_block();
-    push_u64(tail, 1'000'000);
-    push_u64(tail, 0);
-    push_u64(tail, 1);                         // one series...
-    push_u64(tail, std::uint64_t{1} << 50);    // ...with an absurd name
-    expect_stats_tail_failure(std::move(tail));
-}
-
-// More ring rows than kMaxMetricSamples is corrupt — the ring is bounded
-// by design.
-TEST(WireHardening, StatsReplyWithOversizedMetricRowCountFailsCleanly) {
-    std::vector<unsigned char> tail = empty_histogram_block();
-    push_u64(tail, 1'000'000);
-    push_u64(tail, 0);
-    push_u64(tail, 1);  // one series, named "s"
-    push_u64(tail, 1);
-    tail.push_back('s');
-    push_u64(tail, net::kMaxMetricSamples + 1);
-    expect_stats_tail_failure(std::move(tail));
-}
-
-// A ring cut short mid-row fails the read, never hangs.
-TEST(WireHardening, StatsReplyTruncatedMidMetricRowFailsCleanly) {
-    std::vector<unsigned char> tail = empty_histogram_block();
-    push_u64(tail, 1'000'000);
-    push_u64(tail, 0);
-    push_u64(tail, 1);
-    push_u64(tail, 1);
-    tail.push_back('s');
-    push_u64(tail, 3);    // claim three rows...
-    push_u64(tail, 555);  // ...deliver one timestamp, vanish
-    expect_stats_tail_failure(std::move(tail));
-}
-
-// The store stats reply shares the ring codec; its reader must apply the
-// same caps. A socketpair is transport enough to poison it directly.
-TEST(WireHardening, StoreStatsReplyWithOversizedRingFailsCleanly) {
+// A store stats reply cut short mid-counters fails the read, never hangs.
+// A socketpair is transport enough to poison it directly.
+TEST(WireHardening, StoreStatsReplyTruncatedMidCountersFailsCleanly) {
     int sv[2];
     ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
     std::vector<unsigned char> poison;
     push_u64(poison, net::kStatusOk);
-    for (int c = 0; c < 8; ++c) push_u64(poison, 0);  // the store counters
-    push_f64(poison, 1.0);                            // uptime
-    push_u64(poison, 1'000'000);                      // ring interval_us
-    push_u64(poison, 0);                              // first_seq
-    push_u64(poison, std::uint64_t{1} << 40);         // absurd series count
+    for (int c = 0; c < 5; ++c) push_u64(poison, 0);  // five of the eight counters
     ASSERT_TRUE(net::write_all(sv[0], poison.data(), poison.size()));
     ::shutdown(sv[0], SHUT_WR);
 
@@ -997,6 +925,11 @@ void push_u32(std::vector<unsigned char>& bytes, std::uint32_t v) {
     bytes.insert(bytes.end(), p, p + sizeof v);
 }
 
+void push_f64(std::vector<unsigned char>& bytes, double v) {
+    const auto* p = reinterpret_cast<const unsigned char*>(&v);
+    bytes.insert(bytes.end(), p, p + sizeof v);
+}
+
 /// u64 length, then the bytes.
 void push_str(std::vector<unsigned char>& bytes, const std::string& s) {
     push_u64(bytes, s.size());
@@ -1117,15 +1050,13 @@ std::vector<FrameCase> frame_cases() {
     push_u32(e, net::kProtocolVersion);
     add("stats request", [](int fd) { return net::write_stats_request(fd); }, e);
 
-    // stats reply: error, and OK with a histogram and a ring whose second
-    // series name is clamped to kMaxMetricNameLen and whose second row is
-    // padded with 0.
+    // stats reply: error, and OK with a histogram.
     e.clear();
     push_u64(e, net::kStatusError);
-    push_str(e, "server speaks 8, client sent 7");
+    push_str(e, "server speaks 9, client sent 8");
     add("stats reply error", [](int fd) {
         return net::write_stats_reply(fd, net::kStatusError, net::ShardStats{},
-                                      "server speaks 8, client sent 7");
+                                      "server speaks 9, client sent 8");
     }, e);
     net::ShardStats shard;
     shard.points_served = 1;
@@ -1140,10 +1071,6 @@ std::vector<FrameCase> frame_cases() {
     shard.latency_p50_us = 1.0;
     shard.latency_p95_us = 2.0;
     shard.latency_p99_us = 3.0;
-    shard.metrics.interval_us = 200000;
-    shard.metrics.first_seq = 5;
-    shard.metrics.series = {"a", std::string(300, 'n')};
-    shard.metrics.rows = {{100, {1.0, 2.0}}, {200, {3.0}}};
     e.clear();
     push_u64(e, net::kStatusOk);
     push_u32(e, net::kProtocolVersion);
@@ -1152,69 +1079,8 @@ std::vector<FrameCase> frame_cases() {
     push_u64(e, 2);
     for (const std::uint64_t v : {3, 4, 10, 1}) push_u64(e, v);
     for (const double v : {1.0, 2.0, 3.0}) push_f64(e, v);
-    push_u64(e, 200000);
-    push_u64(e, 5);
-    push_u64(e, 2);
-    push_str(e, "a");
-    push_str(e, std::string(net::kMaxMetricNameLen, 'n'));
-    push_u64(e, 2);
-    push_u64(e, 100);
-    push_f64(e, 1.0);
-    push_f64(e, 2.0);
-    push_u64(e, 200);
-    push_f64(e, 3.0);
-    push_f64(e, 0.0);
     add("stats reply OK", [shard](int fd) {
         return net::write_stats_reply(fd, net::kStatusOk, shard, "unsent");
-    }, e);
-
-    // stats rings: more series than kMaxMetricSeries go out as an empty
-    // ring; more rows than kMaxMetricSamples go out as the newest rows,
-    // with first_seq advanced past the dropped ones.
-    net::ShardStats wide;
-    wide.metrics.interval_us = 1000;
-    wide.metrics.first_seq = 9;
-    for (int s = 0; s < 70; ++s) wide.metrics.series.push_back("s" + std::to_string(s));
-    wide.metrics.rows = {{1, std::vector<double>(70, 1.0)}};
-    e.clear();
-    push_u64(e, net::kStatusOk);
-    push_u32(e, net::kProtocolVersion);
-    for (int c = 0; c < 7; ++c) push_u64(e, 0);
-    push_f64(e, 0.0);
-    push_u64(e, 0);
-    for (int c = 0; c < 3; ++c) push_f64(e, 0.0);
-    push_u64(e, 1000);
-    push_u64(e, 9);
-    push_u64(e, 0);
-    push_u64(e, 0);
-    add("stats ring, 70 series", [wide](int fd) {
-        return net::write_stats_reply(fd, net::kStatusOk, wide, "");
-    }, e);
-    net::ShardStats tall;
-    tall.metrics.interval_us = 1000;
-    tall.metrics.first_seq = 40;
-    tall.metrics.series = {"x"};
-    for (std::uint64_t r = 0; r < 1030; ++r) {
-        tall.metrics.rows.push_back({r, {0.5 * static_cast<double>(r)}});
-    }
-    e.clear();
-    push_u64(e, net::kStatusOk);
-    push_u32(e, net::kProtocolVersion);
-    for (int c = 0; c < 7; ++c) push_u64(e, 0);
-    push_f64(e, 0.0);
-    push_u64(e, 0);
-    for (int c = 0; c < 3; ++c) push_f64(e, 0.0);
-    push_u64(e, 1000);
-    push_u64(e, 46);
-    push_u64(e, 1);
-    push_str(e, "x");
-    push_u64(e, net::kMaxMetricSamples);
-    for (std::uint64_t r = 6; r < 1030; ++r) {
-        push_u64(e, r);
-        push_f64(e, 0.5 * static_cast<double>(r));
-    }
-    add("stats ring, 1030 rows", [tall](int fd) {
-        return net::write_stats_reply(fd, net::kStatusOk, tall, "");
     }, e);
 
     // store hello.
@@ -1299,21 +1165,10 @@ std::vector<FrameCase> frame_cases() {
     store_stats.records_appended = 7;
     store_stats.connections_accepted = 8;
     store_stats.uptime_seconds = 3.5;
-    store_stats.metrics.interval_us = 500000;
-    store_stats.metrics.first_seq = 2;
-    store_stats.metrics.series = {"keys"};
-    store_stats.metrics.rows = {{77, {45.0}}};
     e.clear();
     push_u64(e, net::kStatusOk);
     for (std::uint64_t c = 1; c <= 8; ++c) push_u64(e, c);
     push_f64(e, 3.5);
-    push_u64(e, 500000);
-    push_u64(e, 2);
-    push_u64(e, 1);
-    push_str(e, "keys");
-    push_u64(e, 1);
-    push_u64(e, 77);
-    push_f64(e, 45.0);
     add("store stats reply OK", [store_stats](int fd) {
         return net::write_store_stats_reply(fd, net::kStatusOk, store_stats, "unsent");
     }, e);

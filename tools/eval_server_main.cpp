@@ -11,7 +11,8 @@
 // Flags:
 //   --scenario S1|S2|S3   canonical scenario to serve (default S1; unused
 //                         in exec mode — the recipe names the simulator)
-//   --duration SECONDS    simulation horizon override (default: scenario's)
+//   --duration SECONDS    simulation horizon override, 0 < S <= 1e6
+//                         (default: scenario's)
 //   --host ADDR           interface to bind (default 127.0.0.1)
 //   --port PORT           TCP port; 0 picks an ephemeral port (default 0)
 //   --workers N           evaluation workers, >= 1 (default: all hardware
@@ -26,10 +27,6 @@
 //                         handshake/eval, core/telemetry.hpp) and write a
 //                         Chrome trace-event JSON file on shutdown; merge
 //                         with the client's trace via ehdoe-trace
-//   --metrics-interval S  sample the health-plane metrics ring every S
-//                         seconds, 0 < S <= 1e9 (core/metrics.hpp; served
-//                         in the stats reply, rendered by ehdoe-farm top /
-//                         export). Default: disabled.
 //   --events FILE         append this shard's event journal (JSONL,
 //                         core::telemetry::Journal) here; with --trace the
 //                         same incidents are instants in the trace, which
@@ -41,6 +38,9 @@
 // SIGINT/SIGTERM. Both stay blocked in every thread from before the server
 // starts; the main thread takes the first with sigwait, so one sent any
 // time after the line stops the daemon at once and cleanly.
+//
+// Its stats reply carries lifetime counters only: ehdoe-farm takes every
+// window from the difference of two polls.
 #include <signal.h>
 
 #include <chrono>
@@ -52,11 +52,11 @@
 #include <string>
 #include <thread>
 
-#include "core/metrics.hpp"
 #include "core/scenario.hpp"
 #include "core/telemetry.hpp"
 #include "exec/sim_recipe.hpp"
 #include "net/eval_server.hpp"
+#include "node/node_sim.hpp"
 #include "flag_parse.hpp"
 
 using namespace ehdoe;
@@ -68,7 +68,7 @@ int usage(const char* argv0) {
               << " [--scenario S1|S2|S3] [--duration s] [--host addr] [--port p]\n"
                  "       [--workers n] [--recipe file]\n"
                  "       [--fingerprint str] [--trace file]\n"
-                 "       [--metrics-interval s] [--events file] [--print-fingerprint]\n";
+                 "       [--events file] [--print-fingerprint]\n";
     return 2;
 }
 
@@ -103,8 +103,10 @@ int main(int argc, char** argv) {
         } else if (arg == "--duration") {
             const char* v = next();
             if (!v) return usage(argv[0]);
-            if (!tools::parse_double_arg(v, duration) || duration <= 0.0)
-                return flag_error("--duration must be a positive number of seconds, got '" +
+            if (!tools::parse_double_arg(v, duration) || duration <= 0.0 ||
+                duration > node::kMaxDurationSeconds)
+                return flag_error("--duration must be a positive number of seconds, at most "
+                                  "1e6, got '" +
                                   std::string(v) + "'");
         } else if (arg == "--host") {
             const char* v = next();
@@ -137,15 +139,6 @@ int main(int argc, char** argv) {
             const char* v = next();
             if (!v) return usage(argv[0]);
             trace_path = v;
-        } else if (arg == "--metrics-interval") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            if (!tools::parse_double_arg(v, options.metrics_interval_seconds) ||
-                options.metrics_interval_seconds <= 0.0 ||
-                options.metrics_interval_seconds > core::metrics::kMaxSampleIntervalSeconds)
-                return flag_error("--metrics-interval must be a positive number of "
-                                  "seconds, at most 1e9, got '" +
-                                  std::string(v) + "'");
         } else if (arg == "--events") {
             const char* v = next();
             if (!v) return usage(argv[0]);

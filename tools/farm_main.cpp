@@ -2,9 +2,10 @@
 //
 // Every view polls each named eval-server (the stats connection kind of
 // net/wire.hpp) and each --store daemon concurrently, derives the numbers
-// the views share from that one poll (windowed percentiles from the
-// metrics ring, the serve rate, the store hit rate, the straggler flag),
-// and renders it:
+// the views share (the store hit rate, the straggler flag, and the window
+// since the view's previous poll: serve rate, p50/p99 and the store's
+// recent hit rate, tools/farm_window.hpp), and renders them. A first or
+// one-shot poll has no window and shows lifetime numbers:
 //
 //   ehdoe-farm stats 10.0.0.5:4217 10.0.0.6:4217   # table; exit 1 if any is down
 //   ehdoe-farm stats --json --store :4300 :4217    # one JSON object per poll
@@ -17,8 +18,8 @@
 //
 // Flags (a flag the chosen view does not take is a usage error):
 //   --store HOST:PORT  also poll this ehdoe-store-server (repeatable)
-//   --interval S       stats, top: re-poll every S seconds (stats polls
-//                      once by default, top every 2 s)
+//   --interval S       stats, top: re-poll every S seconds, 0 < S <= 1e9
+//                      (stats polls once by default, top every 2 s)
 //   --count N          stats, top: stop after N polls (alone: every 2 s)
 //   --csv | --json     stats: CSV instead of the aligned table, or one
 //                      single-line JSON object per poll (schema in
@@ -63,6 +64,7 @@
 #include "net/tcp_server.hpp"
 #include "net/wire.hpp"
 #include "store/store_client.hpp"
+#include "farm_window.hpp"
 #include "flag_parse.hpp"
 
 using namespace ehdoe;
@@ -94,9 +96,18 @@ std::string fixed(double v, int digits) {
 // One poll and the numbers every view derives from it.
 // ---------------------------------------------------------------------------
 
-/// A shard straggles when its windowed p99 exceeds this many times the
-/// median of the other shards that served points.
+/// A shard straggles when its p99 (straggler_signal) exceeds this many
+/// times the median of the other shards that served points.
 constexpr double kStragglerK = 2.0;
+
+/// The longest --interval: 1e9 s, about 32 years. The wait between polls
+/// is std::this_thread::sleep_for, which converts it to whole seconds in a
+/// long; 1e300 s does not fit (undefined behaviour), and an interval past
+/// this bound is a typo, not a window.
+constexpr double kMaxIntervalSeconds = 1e9;
+
+/// top's sparkline: the rates of this many recent windows.
+constexpr std::size_t kSparkWidth = 20;
 
 struct Farm {
     std::vector<net::Endpoint> shards;
@@ -108,12 +119,8 @@ struct Shard {
     bool up = false;
     std::string error;  ///< why the poll failed, when !up
     net::ShardStats stats;
-    bool ringed = false;  ///< the shard samples a metrics ring
-    /// Median of the ring's positive p50 / p99 samples: the shard's
-    /// typical recent latency, robust to idle rows. 0 = no signal.
-    double window_p50_us = 0.0;
-    double window_p99_us = 0.0;
-    std::optional<double> rate;  ///< points/s over the ring's last interval
+    std::optional<tools::Window> window;  ///< since the previous poll
+    std::vector<double> rates;  ///< the recent windows' rates, oldest first
     bool straggler = false;
 };
 
@@ -123,7 +130,7 @@ struct Store {
     std::string error;
     net::StoreStats stats;
     double hit_rate = 0.0;  ///< lifetime get_hits / gets_served; 0 before any get
-    std::optional<double> recent_hit_rate;  ///< the same over the ring's last interval
+    std::optional<tools::Window> window;  ///< since the previous poll
 };
 
 struct Poll {
@@ -136,20 +143,16 @@ struct Poll {
     }
 };
 
-double window(const metrics::RingSnapshot& ring, const char* series) {
-    const int col = metrics::find_series(ring, series);
-    return col >= 0 ? metrics::window_value(ring, static_cast<std::size_t>(col)) : 0.0;
-}
-
-/// The latency the straggler test compares: the windowed p99, or the
-/// lifetime p99 on a shard without a ring.
+/// The latency the straggler test compares: the p99 of the points served
+/// since the previous poll, or the lifetime p99 without such points.
 double straggler_signal(const Shard& s) {
-    return s.window_p99_us > 0.0 ? s.window_p99_us : s.stats.latency_p99_us;
+    return s.window && s.window->p99_us ? *s.window->p99_us : s.stats.latency_p99_us;
 }
 
 /// Query every endpoint concurrently (a down endpoint costs one timeout
-/// for the whole poll, not one each), then derive what the views share.
-Poll poll_farm(const Farm& farm) {
+/// for the whole poll, not one each), then derive what the views share,
+/// each window against `previous` (null on a first poll).
+Poll poll_farm(const Farm& farm, const Poll* previous) {
     Poll p;
     p.shards.resize(farm.shards.size());
     p.stores.resize(farm.stores.size());
@@ -179,21 +182,20 @@ Poll poll_farm(const Farm& farm) {
             std::cerr << "[ehdoe-farm] shard " << s.label << " down: " << s.error << "\n";
             continue;
         }
-        const metrics::RingSnapshot& ring = s.stats.metrics;
-        s.ringed = !ring.empty() && ring.interval_us > 0;
-        s.window_p50_us = window(ring, "p50_us");
-        s.window_p99_us = window(ring, "p99_us");
-        const int served = metrics::find_series(ring, "served");
-        if (s.ringed && served >= 0 && ring.rows.size() >= 2) {
-            s.rate = metrics::last_delta(ring, static_cast<std::size_t>(served)) /
-                     (static_cast<double>(ring.interval_us) / 1e6);
+        const Shard* before = previous ? &previous->shards[i] : nullptr;
+        s.window = tools::window(before && before->up ? &before->stats : nullptr, &s.stats);
+        if (s.window) {
+            s.rates = before->rates;
+            if (s.rates.size() == kSparkWidth) s.rates.erase(s.rates.begin());
+            s.rates.push_back(s.window->rate);
         }
         if (s.stats.points_served > 0) signals[i] = straggler_signal(s);
     }
     const std::vector<bool> flags = metrics::stragglers(signals, kStragglerK);
     for (std::size_t i = 0; i < p.shards.size(); ++i) p.shards[i].straggler = flags[i];
 
-    for (Store& s : p.stores) {
+    for (std::size_t i = 0; i < p.stores.size(); ++i) {
+        Store& s = p.stores[i];
         if (!s.up) {
             std::cerr << "[ehdoe-farm] store " << s.label << " down: " << s.error << "\n";
             continue;
@@ -203,13 +205,8 @@ Poll poll_farm(const Farm& farm) {
             s.hit_rate =
                 static_cast<double>(st.get_hits) / static_cast<double>(st.gets_served);
         }
-        const int gets = metrics::find_series(st.metrics, "gets_served");
-        const int hits = metrics::find_series(st.metrics, "get_hits");
-        if (gets >= 0 && hits >= 0 && st.metrics.rows.size() >= 2) {
-            const double dg = metrics::last_delta(st.metrics, static_cast<std::size_t>(gets));
-            const double dh = metrics::last_delta(st.metrics, static_cast<std::size_t>(hits));
-            if (dg > 0.0) s.recent_hit_rate = dh / dg;
-        }
+        const Store* before = previous ? &previous->stores[i] : nullptr;
+        s.window = tools::window(before && before->up ? &before->stats : nullptr, &st);
     }
     return p;
 }
@@ -366,26 +363,18 @@ void print_stats(const Poll& p, Format format) {
 }
 
 // ---------------------------------------------------------------------------
-// top: one dashboard frame of trends from the metrics rings.
+// top: one dashboard frame of the windows since the previous frame.
 // ---------------------------------------------------------------------------
 
-/// The ring's recent per-interval serve deltas as a block-character spark
-/// line (oldest left), scaled to the window's own maximum.
-std::string sparkline(const metrics::RingSnapshot& ring, std::size_t width) {
+/// The recent windows' serve rates as a block-character spark line (oldest
+/// left), scaled to their own maximum.
+std::string sparkline(const std::vector<double>& rates) {
     static const char* kBlocks[] = {" ", "▁", "▂", "▃", "▄", "▅", "▆", "▇", "█"};
-    const int col = metrics::find_series(ring, "served");
-    if (col < 0 || ring.rows.size() < 2) return "";
-    const auto c = static_cast<std::size_t>(col);
-    std::vector<double> deltas;
-    const std::size_t first = ring.rows.size() > width + 1 ? ring.rows.size() - (width + 1) : 0;
-    for (std::size_t i = first + 1; i < ring.rows.size(); ++i) {
-        const double d = ring.rows[i].values[c] - ring.rows[i - 1].values[c];
-        deltas.push_back(d > 0.0 ? d : 0.0);
-    }
-    const double max = *std::max_element(deltas.begin(), deltas.end());
+    if (rates.empty()) return "";
+    const double max = *std::max_element(rates.begin(), rates.end());
     std::string out;
-    for (const double d : deltas) {
-        const std::size_t idx = max > 0.0 ? static_cast<std::size_t>(d / max * 8.0 + 0.5) : 0;
+    for (const double r : rates) {
+        const std::size_t idx = max > 0.0 ? static_cast<std::size_t>(r / max * 8.0 + 0.5) : 0;
         out += kBlocks[idx > 8 ? 8 : idx];
     }
     return out;
@@ -405,26 +394,27 @@ void print_top(const Poll& p, long tick) {
             continue;
         }
         const net::ShardStats& s = sh.stats;
-        // Without a ring, lifetime numbers stand in, marked '~'.
+        // Without a window, lifetime numbers stand in, marked '~'.
         std::string rate = "-";
-        if (sh.rate) {
-            rate = fixed(*sh.rate, 1);
-        } else if (!sh.ringed && s.uptime_seconds > 0.0) {
+        if (sh.window) {
+            rate = fixed(sh.window->rate, 1);
+        } else if (s.uptime_seconds > 0.0) {
             rate = "~" + fixed(static_cast<double>(s.points_served) / s.uptime_seconds, 1);
         }
-        auto pct = [&s](double window_us, double lifetime_us) -> std::string {
-            if (window_us > 0.0) return fixed(window_us / 1000.0, 1);
+        auto pct = [&s](std::optional<double> window_us, double lifetime_us) -> std::string {
+            if (window_us) return fixed(*window_us / 1000.0, 1);
             if (s.latency_buckets.empty()) return "-";
             return "~" + fixed(lifetime_us / 1000.0, 1);
         };
+        const tools::Window w = sh.window.value_or(tools::Window{});
         t.row()
             .cell(sh.label)
             .cell("up")
             .cell(rate)
-            .cell(sparkline(s.metrics, 20))
+            .cell(sparkline(sh.rates))
             .cell(static_cast<std::size_t>(s.in_flight))
-            .cell(pct(sh.window_p50_us, s.latency_p50_us))
-            .cell(pct(sh.window_p99_us, s.latency_p99_us))
+            .cell(pct(w.p50_us, s.latency_p50_us))
+            .cell(pct(w.p99_us, s.latency_p99_us))
             .cell(static_cast<std::size_t>(s.points_served))
             .cell(static_cast<std::size_t>(s.points_failed))
             .cell(static_cast<std::size_t>(s.worker_respawns));
@@ -446,8 +436,9 @@ void print_top(const Poll& p, long tick) {
                 .cell(static_cast<std::size_t>(s.keys))
                 .cell(static_cast<std::size_t>(s.segments))
                 .cell(s.gets_served > 0 ? fixed(100.0 * store.hit_rate, 1) + "%" : "-")
-                .cell(store.recent_hit_rate ? fixed(100.0 * *store.recent_hit_rate, 1) + "%"
-                                            : "-")
+                .cell(store.window && store.window->hit_rate
+                          ? fixed(100.0 * *store.window->hit_rate, 1) + "%"
+                          : "-")
                 .cell(static_cast<std::size_t>(s.gets_served));
         }
         st.print(std::cout);
@@ -535,22 +526,22 @@ std::string exposition(const Poll& p) {
         }
     }
 
-    // Windowed gauges from the metrics ring: trend, not lifetime.
-    metrics::append_exposition_header(out, "ehdoe_eval_window_p99_us",
-                                      "Windowed per-point latency p99 (us; median of the "
-                                      "ring's positive samples).",
-                                      "gauge");
+    // Windowed gauges since the previous scrape: trend, not lifetime.
+    metrics::append_exposition_header(
+        out, "ehdoe_eval_window_p99_us",
+        "Per-point latency p99 (us) of the points evaluated since the previous scrape.",
+        "gauge");
     for (const Shard& s : p.shards) {
-        if (s.window_p99_us > 0.0)
+        if (s.window && s.window->p99_us)
             metrics::append_sample(out, "ehdoe_eval_window_p99_us", endpoint_labels(s.label),
-                                   s.window_p99_us);
+                                   *s.window->p99_us);
     }
     metrics::append_exposition_header(out, "ehdoe_eval_points_per_second",
-                                      "Serve rate over the last sampled interval.", "gauge");
+                                      "Serve rate since the previous scrape.", "gauge");
     for (const Shard& s : p.shards) {
-        if (s.rate)
+        if (s.window)
             metrics::append_sample(out, "ehdoe_eval_points_per_second",
-                                   endpoint_labels(s.label), *s.rate);
+                                   endpoint_labels(s.label), s.window->rate);
     }
 
     struct StoreFamily {
@@ -602,8 +593,8 @@ bool write_textfile(const std::string& path, const std::string& body) {
 }
 
 /// Minimal serve mode: any HTTP request on the port gets one fresh poll as
-/// a text/plain exposition. Enough for a Prometheus scrape_config; not a
-/// general web server.
+/// a text/plain exposition, windowed against the previous scrape. Enough
+/// for a Prometheus scrape_config; not a general web server.
 int serve(const std::string& host, std::uint16_t port, const Farm& farm) {
     // Connections are answered one at a time, so a client that connects
     // and sends nothing may hold the loop this long, not forever.
@@ -620,6 +611,7 @@ int serve(const std::string& host, std::uint16_t port, const Farm& farm) {
 
     std::signal(SIGINT, handle_signal);
     std::signal(SIGTERM, handle_signal);
+    std::optional<Poll> previous;
     while (!g_stop) {
         pollfd pfd{listen_fd, POLLIN, 0};
         if (::poll(&pfd, 1, 200) <= 0) continue;
@@ -631,7 +623,8 @@ int serve(const std::string& host, std::uint16_t port, const Farm& farm) {
             // gets the same answer).
             char buf[1024];
             ::recv(fd, buf, sizeof buf, 0);
-            const std::string body = exposition(poll_farm(farm));
+            previous = poll_farm(farm, previous ? &*previous : nullptr);
+            const std::string body = exposition(*previous);
             const std::string reply =
                 "HTTP/1.0 200 OK\r\n"
                 "Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n"
@@ -692,7 +685,9 @@ int main(int argc, char** argv) {
         } else if (arg == "--interval" && repeats) {
             // Strict parse: "--interval 5x" must be a usage error, not 5.
             const char* v = next();
-            if (!v || !tools::parse_double_arg(v, interval) || interval <= 0.0) return usage();
+            if (!v || !tools::parse_double_arg(v, interval) || interval <= 0.0 ||
+                interval > kMaxIntervalSeconds)
+                return usage();
         } else if (arg == "--count" && repeats) {
             const char* v = next();
             if (!v || !tools::parse_long_arg(v, count) || count <= 0) return usage();
@@ -729,7 +724,7 @@ int main(int argc, char** argv) {
             return 2;
         }
         if (port) return serve(host, *port, farm);
-        const Poll p = poll_farm(farm);
+        const Poll p = poll_farm(farm, nullptr);
         const std::string body = exposition(p);
         if (textfile.empty()) {
             std::cout << body;
@@ -748,9 +743,11 @@ int main(int argc, char** argv) {
     std::signal(SIGINT, handle_signal);
     std::signal(SIGTERM, handle_signal);
     bool all_up = true;
+    std::optional<Poll> previous;
     for (long n = 0; !g_stop; ++n) {
         if (n > 0 && view == View::Stats && format != Format::Json) std::cout << "\n";
-        const Poll p = poll_farm(farm);
+        previous = poll_farm(farm, previous ? &*previous : nullptr);
+        const Poll& p = *previous;
         all_up = p.all_up();
         if (view == View::Top) {
             print_top(p, n);

@@ -78,14 +78,9 @@ ALLOWED = {
         "ehdoe::opt::nelder_mead(std::function<double (ehdoe::num::Vector const&)> const&, "
         "ehdoe::opt::Bounds const&, ehdoe::num::Vector const&)",
     ],
-    "Test seams: tests reset, sample or count the daemons' and recorder's state": [
+    "Test seams: tests reset and count the recorder's state": [
         "ehdoe::core::telemetry::reset()",
         "ehdoe::core::telemetry::event_count()",
-        "ehdoe::net::EvalServer::sample_metrics_now()",
-        "ehdoe::store::StoreServer::sample_metrics_now()",
-        "ehdoe::store::StoreServer::metrics_snapshot() const",
-        "ehdoe::core::metrics::Registry::samples_taken() const",
-        "ehdoe::core::metrics::Registry::series_count() const",
     ],
     "Telemetry vocabulary for the simulation's own counters, which ROADMAP plans": [
         "ehdoe::core::telemetry::counter(char const*, char const*, double)",

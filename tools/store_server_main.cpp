@@ -19,9 +19,6 @@
 //                         chain (dropping superseded records and deleting
 //                         quarantined files), print a summary and exit —
 //                         run it while no server owns the directory
-//   --metrics-interval S  sample the health-plane metrics ring every S
-//                         seconds, 0 < S <= 1e9 (core/metrics.hpp; served
-//                         in the store-stats reply). Default: disabled.
 //   --events FILE         append the event journal (JSONL,
 //                         core::telemetry::Journal) here — segment
 //                         quarantines found by the startup recovery scan
@@ -32,6 +29,9 @@
 // SIGINT/SIGTERM. Both stay blocked in every thread from before the server
 // starts; the main thread takes the first with sigwait, so one sent any
 // time after the line stops the daemon at once and cleanly.
+//
+// Its stats reply carries lifetime counters only: ehdoe-farm takes every
+// window from the difference of two polls.
 #include <signal.h>
 
 #include <cstdint>
@@ -39,7 +39,6 @@
 #include <optional>
 #include <string>
 
-#include "core/metrics.hpp"
 #include "core/telemetry.hpp"
 #include "store/store_server.hpp"
 #include "flag_parse.hpp"
@@ -51,7 +50,7 @@ namespace {
 int usage(const char* argv0) {
     std::cerr << "usage: " << argv0
               << " --dir path [--host addr] [--port p] [--segment-bytes n] [--compact]\n"
-                 "       [--metrics-interval s] [--events file]\n";
+                 "       [--events file]\n";
     return 2;
 }
 
@@ -92,15 +91,6 @@ int main(int argc, char** argv) {
             if (!v) return usage(argv[0]);
             if (!tools::parse_count_arg(v, 4096, options.max_segment_bytes))
                 return flag_error("--segment-bytes must be an integer >= 4096, got '" +
-                                  std::string(v) + "'");
-        } else if (arg == "--metrics-interval") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            if (!tools::parse_double_arg(v, options.metrics_interval_seconds) ||
-                options.metrics_interval_seconds <= 0.0 ||
-                options.metrics_interval_seconds > core::metrics::kMaxSampleIntervalSeconds)
-                return flag_error("--metrics-interval must be a positive number of "
-                                  "seconds, at most 1e9, got '" +
                                   std::string(v) + "'");
         } else if (arg == "--events") {
             const char* v = next();
